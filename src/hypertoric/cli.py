@@ -23,7 +23,7 @@ import sys
 
 from .chow import graded_group, presentation
 from .inertia import TorsionElement, inertia_components
-from .model import DIRECT, ModelError, NonGenericError, StackModel, model_from_dict
+from .model import DIRECT, ModelError, NonGenericError, StackModel, _json_ints, model_from_dict
 from .orbifold import orbifold_table, verify_obstruction_pullback, verify_orbifold_iso
 from .poly import format_poly
 from .verifiers import (
@@ -42,14 +42,17 @@ class InputError(ValueError):
     """Anything wrong with the input file or flags."""
 
 
-def parse_model(path: str) -> StackModel:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc)) from exc
     except json.JSONDecodeError as exc:
         raise InputError("malformed JSON in %s: %s" % (path, exc)) from exc
+
+
+def _model_from_json(data) -> StackModel:
     try:
         return model_from_dict(data)
     except NonGenericError as exc:
@@ -58,8 +61,8 @@ def parse_model(path: str) -> StackModel:
         raise InputError(str(exc)) from exc
 
 
-def _element_json(g: TorsionElement) -> list[str]:
-    return g.as_strings()
+def parse_model(path: str) -> StackModel:
+    return _model_from_json(_load_json(path))
 
 
 def _cmd_analyze(model: StackModel, args) -> tuple[int, dict]:
@@ -86,7 +89,7 @@ def _cmd_analyze(model: StackModel, args) -> tuple[int, dict]:
 def _cmd_inertia(model: StackModel, args) -> tuple[int, list]:
     out = [
         {
-            "v": _element_json(c.g),
+            "v": c.g.as_strings(),
             "order": c.g.order,
             "fixed": sorted(c.fixed_columns),
             "age": str(c.age),
@@ -112,14 +115,14 @@ def _cmd_orbifold_table(model: StackModel, args) -> tuple[int, dict]:
     table = orbifold_table(model, args.degree)
     out = {
         "components": [
-            {"v": _element_json(c.g), "age": str(c.age), "fixed": sorted(c.fixed_columns)}
+            {"v": c.g.as_strings(), "age": str(c.age), "fixed": sorted(c.fixed_columns)}
             for c in table.components
         ],
         "products": [
             {
-                "g1": _element_json(e.g1),
-                "g2": _element_json(e.g2),
-                "target": _element_json(e.target) if e.target is not None else None,
+                "g1": e.g1.as_strings(),
+                "g2": e.g2.as_strings(),
+                "target": e.target.as_strings() if e.target is not None else None,
                 "poly": format_poly(e.poly),
             }
             for e in table.products.values()
@@ -139,7 +142,7 @@ def _cmd_verify(model: StackModel, args) -> tuple[int, dict]:
             "ok": pull.ok,
             "components": pull.checked,
             "failures": [
-                {"g1": _element_json(f.g1), "g2": _element_json(f.g2), "detail": f.detail}
+                {"g1": f.g1.as_strings(), "g2": f.g2.as_strings(), "detail": f.detail}
                 for f in pull.failures
                 if f.g1 is not None
             ],
@@ -171,31 +174,25 @@ def _cmd_chart_check(model: StackModel, args) -> tuple[int, dict]:
 
 
 def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
+    data = _load_json(path)
+    if not (isinstance(data, dict) and "normal_weights" in data):
+        return _model_from_json(data)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %s: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError("malformed JSON in %s: %s" % (path, exc)) from exc
-    if isinstance(data, dict) and "normal_weights" in data:
-        try:
-            weights = tuple(tuple(int(c) for c in w) for w in data["normal_weights"])
-            if "generators" in data:
-                gens = tuple(
-                    TorsionElement.from_fractions(v) for v in data["generators"]
-                )
-            elif "order" in data:
-                return LocalModelSRE.cyclic(int(data["order"]), [w[0] for w in weights])
-            else:
-                raise InputError("sre input needs 'generators' or 'order'")
-            return LocalModelSRE(gens, weights)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise InputError("bad sre input: %s" % exc) from exc
-    try:
-        return model_from_dict(data)
-    except ModelError as exc:
-        raise InputError(str(exc)) from exc
+        weights = tuple(tuple(w) for w in _json_ints(data["normal_weights"], "'normal_weights'"))
+        if "generators" in data:
+            gens = tuple(TorsionElement.from_fractions(v) for v in data["generators"])
+        elif "order" in data:
+            gens = LocalModelSRE.cyclic(_json_ints(data["order"], "'order'"), ()).generators
+        else:
+            raise ValueError("sre input needs 'generators' or 'order'")
+        for g in gens:
+            for w in weights:
+                if len(w) != g.d:
+                    raise ValueError("normal weight %s has %d entries, generator %s has %d"
+                                     % (list(w), len(w), g, g.d))
+        return LocalModelSRE(gens, weights)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError("bad sre input: %s" % exc) from exc
 
 
 def _cmd_sre_check(args) -> tuple[int, dict]:
@@ -208,7 +205,7 @@ def _cmd_sre_check(args) -> tuple[int, dict]:
         source = "explicit local model"
     ok = sre_condition_iii(local)
     violations = [
-        {"generator": _element_json(g), "weight": list(w)}
+        {"generator": g.as_strings(), "weight": list(w)}
         for g in local.generators
         for w in local.normal_weights
         if not g.fixes(w)

@@ -1,8 +1,8 @@
 """Inertia decomposition of a stack model.
 
 Enumerates the finite-order torus elements whose fixed locus meets the
-stable locus, realizes each sector as a smaller model by deleting the
-non-fixed columns, and computes fixed coordinate sets and ages.
+stable locus, computes their fixed coordinate sets and ages, and realizes a
+sector as a smaller model by deleting the non-fixed columns.
 
 A torsion torus element is stored as a rational vector v in (Q/Z)^d in
 canonical form (entries in [0,1), lowest terms); it acts on a coordinate of
@@ -16,16 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .characters import CharacterClass
 from .exact import cokernel_torsion_elements
 from .model import (
-    DIRECT,
     HYPERTORIC,
     LAWRENCE,
-    StableArrangement,
     StackModel,
     WeightMatrix,
     column_bases,
+    direct_model,
     hypertoric_model,
     lawrence_model,
 )
@@ -85,12 +83,11 @@ class TorsionElement:
 
 @dataclass(frozen=True)
 class InertiaComponent:
-    """One inertia sector: the element, its fixed columns, the smaller model
-    on the surviving columns, and the age of the sector."""
+    """One inertia sector: the element, its fixed columns and its age.  The
+    sector model is ``sector_model(model, fixed_columns)``, built on demand."""
 
     g: TorsionElement
     fixed_columns: frozenset[int]
-    model: StackModel
     age: Fraction
 
 
@@ -121,17 +118,23 @@ def fixed_columns(a: WeightMatrix, g: TorsionElement) -> frozenset[int]:
     return frozenset(j for j in range(1, a.n + 1) if g.fixes(a.column(j)))
 
 
-def _meets_stable(model: StackModel, fixed: frozenset[int]) -> bool:
-    """The locus where exactly the given columns survive meets the stable
-    locus iff no minimal unstable set lives on the dead coordinates."""
-    dead = model.coords_of_columns(set(range(1, model.n + 1)) - fixed)
+def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
+    """The columns contain a column basis, and the locus where exactly they
+    survive meets the stable locus: no minimal unstable set lives on the
+    dead coordinates.  The test for a sector and a pair of sectors alike."""
+    a = model.base
+    if len(cols) < a.d or a.matrix.submatrix_columns([j - 1 for j in sorted(cols)]).rank() != a.d:
+        return False
+    dead = model.coords_of_columns(set(range(1, model.n + 1)) - cols)
     return not any(s <= dead for s in model.arrangement.unstable_minimal)
 
 
-def _has_basis(a: WeightMatrix, cols: frozenset[int]) -> bool:
-    if len(cols) < a.d:
+def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
+    """A canonical element of the model's dimension whose fixed columns pass
+    ``_stable_fixed``; it fixes a basis, so that basis's stabilizer has it."""
+    if g.d != model.d or not all(0 <= x < 1 for x in g.v):
         return False
-    return a.matrix.submatrix_columns([j - 1 for j in sorted(cols)]).rank() == a.d
+    return _stable_fixed(model, fixed_columns(model.base, g))
 
 
 def inertia_elements(model: StackModel) -> list[TorsionElement]:
@@ -142,18 +145,13 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     candidates: set[TorsionElement] = set()
     for basis in column_bases(a):
         candidates |= stabilizer_elements(a, basis)
-    out = []
-    for g in candidates:
-        fixed = fixed_columns(a, g)
-        if _has_basis(a, fixed) and _meets_stable(model, fixed):
-            out.append(g)
-    return sorted(out, key=lambda g: g.v)
+    return sorted((g for g in candidates if _in_inertia(model, g)), key=lambda g: g.v)
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:
     """Sum of the fractional pairings of g over the model's tangent class;
     trivial summands (the moment directions of a hypertoric model) add 0."""
-    if g not in set(inertia_elements(model)):
+    if not _in_inertia(model, g):
         raise ValueError("element %s is not in the inertia of this model" % g)
     return _age_of(model, g)
 
@@ -180,40 +178,36 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
         return builder(sub, model.theta)
     # direct: restrict each minimal unstable set and re-minimalize
     renumber = {j: i + 1 for i, j in enumerate(keep)}
-    restricted = []
-    for s in model.arrangement.unstable_minimal:
-        r = frozenset(renumber[j] for j in s if j in fixed)
-        if not r:
-            raise ValueError("fixed locus lies in the unstable locus")
-        restricted.append(r)
-    minimal = [
-        s for s in sorted(set(restricted), key=lambda s: (len(s), sorted(s)))
-        if not any(t < s for t in restricted)
-    ]
-    chars = tuple(sub.column(j) for j in range(1, sub.n + 1))
-    tangent = CharacterClass.build(a.d, [(w, 1) for w in chars], trivial=-a.d)
-    labels = tuple("x%d" % j for j in range(1, sub.n + 1))
-    arrangement = StableArrangement((), tuple(minimal), chars, labels)
-    return StackModel(DIRECT, sub, sub, model.theta, arrangement, tangent, 0)
+    restricted = {frozenset(renumber[j] for j in s if j in fixed)
+                  for s in model.arrangement.unstable_minimal}
+    if frozenset() in restricted:
+        raise ValueError("fixed locus lies in the unstable locus")
+    minimal = [s for s in restricted if not any(t < s for t in restricted)]
+    return direct_model(sub, unstable=minimal, theta=model.theta)
 
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
+    a = model.base
+    return [
+        InertiaComponent(g, fixed_columns(a, g), _age_of(model, g))
+        for g in inertia_elements(model)
+    ]
+
+
+def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
+    """Ordered pairs of the inertia elements keyed in ``fixed`` (element ->
+    fixed columns, in sector order) whose common fixed columns pass
+    ``_stable_fixed``."""
     out = []
-    for g in inertia_elements(model):
-        fixed = fixed_columns(model.base, g)
-        out.append(InertiaComponent(g, fixed, sector_model(model, fixed), _age_of(model, g)))
+    for (g1, f1), (g2, f2) in itertools.product(fixed.items(), repeat=2):
+        common = f1 & f2
+        if _stable_fixed(model, common):
+            out.append(DoubleInertiaComponent(g1, g2, common, g1 + g2))
     return out
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
     contain a column basis and meet the stable locus."""
-    elems = inertia_elements(model)
-    fixed = {g: fixed_columns(model.base, g) for g in elems}
-    out = []
-    for g1, g2 in itertools.product(elems, repeat=2):
-        common = fixed[g1] & fixed[g2]
-        if _has_basis(model.base, common) and _meets_stable(model, common):
-            out.append(DoubleInertiaComponent(g1, g2, common, g1 + g2))
-    return out
+    return _pairs(model, {g: fixed_columns(model.base, g) for g in inertia_elements(model)})

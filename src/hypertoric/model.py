@@ -258,10 +258,17 @@ def moment_eval(a: WeightMatrix, point) -> tuple[Fraction, ...]:
     p = as_fraction_vector(point)
     if len(p) != 2 * a.n:
         raise ValueError("point must have %d coordinates" % (2 * a.n))
-    xs, ys = p[: a.n], p[a.n :]
+    return _moment(a.matrix.entries, a.n, p)
+
+
+def _moment(rows, n: int, point, skip=()) -> tuple[Fraction, ...]:
+    """sum_j a_ij x_j y_j for each row of a weight matrix with n columns,
+    leaving out the 0-based columns in ``skip``."""
+    p = as_fraction_vector(point)
+    xs, ys = p[:n], p[n:]
     return tuple(
-        sum((row[j] * xs[j] * ys[j] for j in range(a.n)), Fraction(0))
-        for row in a.matrix.entries
+        sum((row[j] * xs[j] * ys[j] for j in range(n) if j not in skip), Fraction(0))
+        for row in rows
     )
 
 
@@ -282,30 +289,40 @@ def _require_generic(a: WeightMatrix, theta):
     return theta
 
 
-def _git_arrangement(a: WeightMatrix, theta) -> tuple[tuple[SigmaSet, ...], tuple[frozenset[int], ...]]:
+def _git_arrangement(
+    a: WeightMatrix, theta, doubled: bool
+) -> tuple[tuple[SigmaSet, ...], tuple[frozenset[int], ...]]:
     sigmas = tuple(sigma_set(a, basis, theta) for basis in column_bases(a))
-    unstable = tuple(minimal_unstable_sets([s.coords(a.n, doubled=True) for s in sigmas]))
+    unstable = tuple(minimal_unstable_sets([s.coords(a.n, doubled=doubled) for s in sigmas]))
     return sigmas, unstable
+
+
+def _tangent_class(d: int, chars) -> CharacterClass:
+    """One summand per coordinate character, less the d torus directions."""
+    return CharacterClass.build(d, [(w, 1) for w in chars], trivial=-d)
 
 
 def lawrence_model(a: WeightMatrix, theta) -> StackModel:
     """Quotient model of the doubled coordinate space by the torus,
     linearized at theta.  Non-generic theta is rejected outright."""
     theta = _require_generic(a, theta)
-    sigmas, unstable = _git_arrangement(a, theta)
+    sigmas, unstable = _git_arrangement(a, theta, doubled=True)
     doubled = lawrence_double(a)
     chars = tuple(doubled.column(j) for j in range(1, doubled.n + 1))
-    tangent = CharacterClass.build(a.d, [(w, 1) for w in chars], trivial=-a.d)
     arrangement = StableArrangement(sigmas, unstable, chars, _coordinate_labels(a.n, True))
-    return StackModel(LAWRENCE, a, doubled, theta, arrangement, tangent, 0)
+    return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, chars), 0)
+
+
+def _moment_fiber(lm: StackModel) -> StackModel:
+    """The moment fiber of a Lawrence model (see ``hypertoric_model``)."""
+    tangent = lm.tangent_class + CharacterClass.build(lm.d, trivial=-lm.d)
+    return StackModel(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement, tangent, lm.d)
 
 
 def hypertoric_model(a: WeightMatrix, theta) -> StackModel:
     """Moment-fiber model inside the Lawrence model: same arrangement, with
     d trivial tangent directions removed and moment rank d."""
-    lm = lawrence_model(a, theta)
-    tangent = lm.tangent_class + CharacterClass.build(a.d, trivial=-a.d)
-    return StackModel(HYPERTORIC, a, lm.weights, lm.theta, lm.arrangement, tangent, a.d)
+    return _moment_fiber(lawrence_model(a, theta))
 
 
 def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
@@ -316,7 +333,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     x-coordinates in every basis (weighted-projective-space style inputs).
     """
     chars = tuple(a.column(j) for j in range(1, a.n + 1))
-    tangent = CharacterClass.build(a.d, [(w, 1) for w in chars], trivial=-a.d)
+    tangent = _tangent_class(a.d, chars)
     labels = _coordinate_labels(a.n, False)
     if unstable is not None:
         sets = []
@@ -336,10 +353,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     if theta is None:
         raise ModelError("direct model needs either unstable sets or a character")
     theta = _require_generic(a, theta)
-    sigmas = tuple(sigma_set(a, basis, theta) for basis in column_bases(a))
-    unstable_sets = tuple(
-        minimal_unstable_sets([s.coords(a.n, doubled=False) for s in sigmas])
-    )
+    sigmas, unstable_sets = _git_arrangement(a, theta, doubled=False)
     arrangement = StableArrangement(sigmas, unstable_sets, chars, labels)
     return StackModel(DIRECT, a, a, theta, arrangement, tangent, 0)
 
@@ -354,6 +368,9 @@ def model_from_dict(data: dict) -> StackModel:
         raise ModelError("model file must contain a JSON object")
     if "A" not in data:
         raise ModelError("model file is missing the weight matrix 'A'")
+    for key in ("A", "theta", "unstable"):
+        if data.get(key) is not None:
+            _json_ints(data[key], "'%s'" % key)
     try:
         a = WeightMatrix.from_rows(data["A"])
     except (TypeError, ValueError) as exc:
@@ -372,3 +389,14 @@ def model_from_dict(data: dict) -> StackModel:
         raise ModelError("explicit unstable sets are only allowed for direct models")
     builder = lawrence_model if kind == LAWRENCE else hypertoric_model
     return builder(a, theta)
+
+
+def _json_ints(value, what: str):
+    """``value``, once every entry of its nested lists is a JSON integer;
+    floats, booleans and strings are refused, not truncated by ``int``."""
+    if isinstance(value, (list, tuple)):
+        for e in value:
+            _json_ints(e, what)
+    elif isinstance(value, bool) or not isinstance(value, int):
+        raise ModelError("%s entries must be integers, got %r" % (what, value))
+    return value

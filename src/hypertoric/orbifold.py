@@ -17,7 +17,6 @@ from .chow import (
     GradedClass,
     GradedRingPresentation,
     SectorEmbedding,
-    gysin_push,
     presentation,
     reduce_class,
     ring_map_is_iso,
@@ -26,12 +25,13 @@ from .inertia import (
     DoubleInertiaComponent,
     InertiaComponent,
     TorsionElement,
+    _pairs,
     double_inertia,
     fractional,
     inertia_components,
     sector_model,
 )
-from .model import StackModel, WeightMatrix, hypertoric_model, lawrence_model
+from .model import StackModel, WeightMatrix, _moment_fiber, lawrence_model
 from .poly import IntPoly
 
 
@@ -96,10 +96,11 @@ def euler_poly(bundle: CharacterClass, num_vars: int | None = None) -> IntPoly:
 
 @dataclass
 class SectorGeometry:
-    """Shared lookup tables for one model: sectors, fixed sets, double
-    components, sector presentations and embeddings.  Presentations are
-    cached by fixed-column set, so sectors with equal fixed loci share one
-    graded ring."""
+    """The one inertia analysis of a model: one inertia pass gives the
+    sectors and their pairs.  Sector models and presentations are built
+    lazily, once per fixed-column set (so ``truncation`` may be raised
+    before the first), and each embedding is checked once; a failed check
+    is never cached, so every push through it raises again."""
 
     model: StackModel
     truncation: int
@@ -108,10 +109,11 @@ class SectorGeometry:
     _by_element: dict = field(default_factory=dict)
     _by_pair: dict = field(default_factory=dict)
     _presentations: dict = field(default_factory=dict)
+    _embeddings: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.components = tuple(inertia_components(self.model))
-        self.pairs = tuple(double_inertia(self.model))
+        self.pairs = tuple(_pairs(self.model, {c.g: c.fixed_columns for c in self.components}))
         self._by_element = {c.g: c for c in self.components}
         self._by_pair = {(p.g1, p.g2): p for p in self.pairs}
 
@@ -135,17 +137,17 @@ class SectorGeometry:
         return self.presentation_for(self.component(g).fixed_columns)
 
     def embedding(self, small: frozenset[int], big: frozenset[int]) -> SectorEmbedding:
-        deleted = sorted(big - small)
-        chars = []
-        for j in deleted:
-            chars.append(self.model.base.column(j))
-            if self.model.doubled:
-                chars.append(tuple(-c for c in self.model.base.column(j)))
-        return SectorEmbedding(
-            sub=self.presentation_for(small),
-            ambient=self.presentation_for(big),
-            normal_chars=tuple(chars),
-        )
+        key = (small, big)
+        if key not in self._embeddings:
+            coords = [i for j in sorted(big - small) for i in sorted(self.model.coords_of_columns({j}))]
+            emb = SectorEmbedding(
+                sub=self.presentation_for(small),
+                ambient=self.presentation_for(big),
+                normal_chars=tuple(self.model.coordinate_char(i) for i in coords),
+            )
+            emb.check()
+            self._embeddings[key] = emb
+        return self._embeddings[key]
 
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
@@ -179,9 +181,9 @@ def star(
     target = geo.component(pair.target)
     obs = obstruction(model, pair.g1, pair.g2)
     eu = euler_poly(obs, model.d)
+    # the geometry hands out checked embeddings: push without a re-check
     emb = geo.embedding(pair.common_fixed, target.fixed_columns)
-    product = alpha.poly * beta.poly * eu
-    pushed = gysin_push(emb, product)
+    pushed = alpha.poly * beta.poly * eu * emb.euler
     deg = pushed.homogeneous_degree()
     if deg is not None and deg > geo.truncation:
         raise ValueError(
@@ -215,22 +217,14 @@ class OrbifoldTable:
         return self.geometry.generator(g)
 
 
-def _needed_truncation(model: StackModel, floor: int) -> int:
-    """Structure polynomials have degree age(g1)+age(g2)-age(g1*g2); bound
-    the table truncation by the largest possible product degree."""
-    comps = inertia_components(model)
-    if not comps:
-        return floor
-    top = max(c.age for c in comps)
-    need = int(2 * top) + 1
-    return max(floor, need)
-
-
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
     """All pairwise generator products.  Pairs with empty double component
     get the zero polynomial (their target may not be a sector at all)."""
     floor = bound if bound is not None else 2 * model.num_coords
-    geo = SectorGeometry(model, truncation=_needed_truncation(model, floor))
+    geo = SectorGeometry(model, truncation=floor)
+    # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).  No
+    # presentation is built yet, so the truncation can still cover them.
+    geo.truncation = max(floor, int(2 * max(c.age for c in geo.components)) + 1)
     products = {}
     elems = [c.g for c in geo.components]
     for g1, g2 in itertools.product(elems, repeat=2):
@@ -266,7 +260,7 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     one (restriction keeps all characters, so this is equality of exact
     character multisets), and both must be genuine bundles."""
     ambient = lawrence_model(a, theta)
-    fiber = hypertoric_model(a, theta)
+    fiber = _moment_fiber(ambient)
     pairs = double_inertia(ambient)
     if [(p.g1, p.g2) for p in double_inertia(fiber)] != [(p.g1, p.g2) for p in pairs]:
         return ObstructionPullbackReport(
@@ -307,7 +301,7 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     identical ages.  Both tables are computed end-to-end from their own
     model data."""
     ambient = lawrence_model(a, theta)
-    fiber = hypertoric_model(a, theta)
+    fiber = _moment_fiber(ambient)
     table_a = orbifold_table(ambient, bound)
     table_f = orbifold_table(fiber, bound)
     if [c.g for c in table_a.components] != [c.g for c in table_f.components]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import IntMatrix, as_fraction_vector, solve_rational
 from .inertia import TorsionElement, inertia_elements
-from .model import SigmaSet, StackModel, WeightMatrix, column_bases, moment_eval, sigma_set
+from .model import SigmaSet, StackModel, WeightMatrix, _moment, column_bases, moment_eval, sigma_set
 
 
 @dataclass(frozen=True)
@@ -94,27 +94,13 @@ class ChartInstance:
         return all(v != 0 for v in self.pivot_values(point))
 
     def moment(self, point) -> tuple[Fraction, ...]:
-        p = as_fraction_vector(point)
-        xs, ys = p[: self.n], p[self.n :]
-        return tuple(
-            sum((row[j] * xs[j] * ys[j] for j in range(self.n)), Fraction(0))
-            for row in self.reduced.entries
-        )
+        return _moment(self.reduced.entries, self.n, point)
 
     def _pivot_submatrix(self) -> IntMatrix:
         return self.reduced.submatrix_columns([col - 1 for _, col, _ in self.pivots])
 
     def _offpivot_moment(self, point) -> tuple[Fraction, ...]:
-        p = as_fraction_vector(point)
-        xs, ys = p[: self.n], p[self.n :]
-        pivot_cols = {col - 1 for _, col, _ in self.pivots}
-        return tuple(
-            sum(
-                (row[j] * xs[j] * ys[j] for j in range(self.n) if j not in pivot_cols),
-                Fraction(0),
-            )
-            for row in self.reduced.entries
-        )
+        return _moment(self.reduced.entries, self.n, point, skip={c - 1 for _, c, _ in self.pivots})
 
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:

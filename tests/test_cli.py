@@ -128,3 +128,53 @@ def test_output_is_deterministic(bmu3, capsys):
 def test_bad_flags_exit_2(tp12, capsys):
     assert main(["chowring", "--input", tp12, "--degree", "0"]) == EXIT_INPUT_ERROR
     assert main(["chart-check", "--input", tp12, "--samples", "0"]) == EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        ({"A": [[1.5, 2]], "theta": [1]}, "'A' entries must be integers, got 1.5"),
+        ({"A": [[1, True]], "theta": [1]}, "'A' entries must be integers, got True"),
+        ({"A": [[1, 2]], "theta": [1.0]}, "'theta' entries must be integers, got 1.0"),
+        ({"A": [[1, 2]], "theta": [False]}, "'theta' entries must be integers, got False"),
+        (
+            {"A": [[0, 1, 2, 3]], "kind": "direct", "unstable": [[1.9]]},
+            "'unstable' entries must be integers, got 1.9",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["analyze", "sre-check"])
+def test_non_integer_model_entries_exit_2(tmp_path, capsys, payload, reason, command):
+    path = write(tmp_path, "model.json", payload)
+    assert main([command, "--input", path]) == EXIT_INPUT_ERROR
+    assert json.loads(capsys.readouterr().err) == {"error": reason}
+
+
+def test_nongeneric_message_same_on_both_paths(nongeneric, capsys):
+    assert main(["analyze", "--input", nongeneric]) == EXIT_INPUT_ERROR
+    via_model = capsys.readouterr().err
+    assert main(["sre-check", "--input", nongeneric]) == EXIT_INPUT_ERROR
+    via_sre = capsys.readouterr().err
+    assert via_model == via_sre
+    assert json.loads(via_sre)["error"].startswith("non-generic: basis {1,2}")
+
+
+@pytest.mark.parametrize(
+    "payload, reason",
+    [
+        (
+            {"generators": [["1/2"]], "normal_weights": [[0, 1]]},
+            "normal weight [0, 1] has 2 entries, generator (1/2) has 1",
+        ),
+        ({"order": 2, "normal_weights": [[]]}, "normal weight [] has 0 entries, generator (1/2) has 1"),
+        (
+            {"order": 2, "normal_weights": [[1, 1]]},
+            "normal weight [1, 1] has 2 entries, generator (1/2) has 1",
+        ),
+        ({"order": 2, "normal_weights": [[1.5]]}, "'normal_weights' entries must be integers, got 1.5"),
+    ],
+)
+def test_malformed_sre_weights_exit_2(tmp_path, capsys, payload, reason):
+    path = write(tmp_path, "sre.json", payload)
+    assert main(["sre-check", "--input", path]) == EXIT_INPUT_ERROR
+    assert json.loads(capsys.readouterr().err) == {"error": "bad sre input: " + reason}

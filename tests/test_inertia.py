@@ -93,9 +93,15 @@ def test_age_examples(tp12_lawrence, mu3_model, half, omega):
     assert age(mu3_model, omega) == 1
 
 
-def test_age_rejects_non_inertia(tp12_lawrence, omega):
+def test_age_rejects_non_inertia(tp12_lawrence, mu3_model, omega, half):
     with pytest.raises(ValueError):
         age(tp12_lawrence, omega)
+    # fixed columns {1,3} contain a basis, but their locus lies in {x4}
+    with pytest.raises(ValueError):
+        age(mu3_model, half)
+    # a 2-dimensional element on a 1-dimensional model
+    with pytest.raises(ValueError):
+        age(mu3_model, TorsionElement.from_fractions([Fraction(1, 3), Fraction(0)]))
 
 
 def test_age_complement_characterwise(tp12_lawrence, half):

@@ -4,10 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.inertia as inertia_module
+import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
     GradedClass,
+    GysinError,
     IntPoly,
+    SectorEmbedding,
     SectorGeometry,
     TorsionElement,
     WeightMatrix,
@@ -202,3 +206,43 @@ def test_verify_orbifold_iso_random():
         a, theta = random_generic_instance(rng, d, rng.randint(d, 4))
         rep = verify_orbifold_iso(a, theta, 5)
         assert rep.ok, (a.matrix.entries, theta)
+
+
+@pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
+def test_orbifold_table_analyses_once(name, request, monkeypatch):
+    # one inertia pass, one sector model per distinct fixed set and one
+    # Gysin check per distinct embedding, for the table's single geometry
+    model = request.getfixturevalue(name)
+    enumerations, built, checked = [], [], []
+
+    def counted(record, fn):
+        def wrapper(*args):
+            record.append(args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(inertia_module, "inertia_elements",
+                        counted(enumerations, inertia_module.inertia_elements))
+    monkeypatch.setattr(orbifold_module, "sector_model",
+                        counted(built, orbifold_module.sector_model))
+    monkeypatch.setattr(SectorEmbedding, "check", counted(checked, SectorEmbedding.check))
+
+    geo = orbifold_table(model, 4).geometry
+    assert len(enumerations) == 1
+    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
+    assert sorted(sorted(fixed) for _, fixed in built) == sorted(sorted(f) for f in fixed_sets)
+    embeddings = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
+    assert len(checked) == len(embeddings)
+    assert len({id(emb) for (emb,) in checked}) == len(embeddings)
+
+
+def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypatch):
+    geo = SectorGeometry(mu3_model, truncation=6)
+
+    def fail(emb):
+        raise GysinError("forced failure")
+
+    monkeypatch.setattr(SectorEmbedding, "check", fail)
+    for _ in range(2):
+        with pytest.raises(GysinError):
+            star(mu3_model, geo.generator(omega), geo.generator(omega), geometry=geo)
