@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .chow import graded_group, presentation
@@ -142,9 +143,12 @@ def _cmd_verify(model: StackModel, args) -> tuple[int, dict]:
             "ok": pull.ok,
             "components": pull.checked,
             "failures": [
-                {"g1": f.g1.as_strings(), "g2": f.g2.as_strings(), "detail": f.detail}
+                {
+                    "g1": f.g1.as_strings() if f.g1 is not None else None,
+                    "g2": f.g2.as_strings() if f.g2 is not None else None,
+                    "detail": f.detail,
+                }
                 for f in pull.failures
-                if f.g1 is not None
             ],
         },
         "orbifold_iso": {
@@ -153,10 +157,31 @@ def _cmd_verify(model: StackModel, args) -> tuple[int, dict]:
             "ring_failures": len(iso.ring_failures),
             "product_failures": len(iso.product_failures),
             "age_failures": len(iso.age_failures),
+            "failures": _iso_failures(iso),
         },
         "ok": pull.ok and iso.ok,
     }
     return (EXIT_OK if out["ok"] else EXIT_VERIFY_FAILED), out
+
+
+def _iso_failures(iso) -> list[dict]:
+    """Each failure of an orbifold-iso report, named by its kind."""
+    out = [
+        {"kind": "ring", "v": g.as_strings(), "failing_degree": rep.failing_degree,
+         "reason": rep.reason}
+        for g, rep in iso.ring_failures
+    ]
+    out += [
+        {"kind": "product", "g1": g1.as_strings(), "g2": g2.as_strings()}
+        for (g1, g2), _, _ in iso.product_failures
+    ]
+    out += [
+        {"kind": "age", "v": g.as_strings(), "ambient_age": str(a), "fiber_age": str(f)}
+        for g, a, f in iso.age_failures
+    ]
+    if iso.detail:
+        out.append({"kind": "detail", "detail": iso.detail})
+    return out
 
 
 def _cmd_chart_check(model: StackModel, args) -> tuple[int, dict]:
@@ -173,6 +198,20 @@ def _cmd_chart_check(model: StackModel, args) -> tuple[int, dict]:
     return (EXIT_OK if report.ok else EXIT_VERIFY_FAILED), out
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _json_generators(value):
+    """``value``, once it is a list of generators, each a list of integers or
+    'p/q' strings; floats, booleans and other strings are refused."""
+    if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
+        raise ValueError("'generators' must be a list of lists, got %r" % (value,))
+    for e in (e for g in value for e in g):
+        if not (type(e) is int or isinstance(e, str) and _RATIONAL.fullmatch(e)):
+            raise ValueError("'generators' entries must be integers or 'p/q' strings, got %r" % (e,))
+    return value
+
+
 def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
     data = _load_json(path)
     if not (isinstance(data, dict) and "normal_weights" in data):
@@ -180,7 +219,7 @@ def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
     try:
         weights = tuple(tuple(w) for w in _json_ints(data["normal_weights"], "'normal_weights'"))
         if "generators" in data:
-            gens = tuple(TorsionElement.from_fractions(v) for v in data["generators"])
+            gens = tuple(TorsionElement.from_fractions(v) for v in _json_generators(data["generators"]))
         elif "order" in data:
             gens = LocalModelSRE.cyclic(_json_ints(data["order"], "'order'"), ()).generators
         else:

@@ -4,17 +4,22 @@ Enumerates the finite-order torus elements whose fixed locus meets the
 stable locus, computes their fixed coordinate sets and ages, and realizes a
 sector as a smaller model by deleting the non-fixed columns.
 
-A torsion torus element is stored as a rational vector v in (Q/Z)^d in
-canonical form (entries in [0,1), lowest terms); it acts on a coordinate of
-character w by the root of unity with exponent <w, v>.
+A torsion torus element v in (Q/Z)^d is stored as integer numerators over
+its order N: v = nums / N with every numerator in [0, N) and
+gcd(N, *nums) = 1, so each element has one representation.  It acts on a
+coordinate of character w by the N-th root of unity to the power
+<w, nums> mod N, and all torsion arithmetic (sums, fixed columns, ages) is on
+these ints; Fractions appear only where a value leaves the module.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .exact import cokernel_torsion_elements
 from .model import (
@@ -35,44 +40,82 @@ def fractional(q: Fraction) -> Fraction:
     return Fraction(q.numerator % q.denominator, q.denominator)
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
+@dataclass(frozen=True)
 class TorsionElement:
-    """A finite-order torus element, as a canonical vector in (Q/Z)^d."""
+    """A finite-order torus element v = nums / order in (Q/Z)^d.
 
-    v: tuple[Fraction, ...]
+    ``order`` is the order N of the element and ``nums`` its integer
+    numerators, each in [0, N), with gcd(N, *nums) = 1; the constructor
+    refuses any other form, so equality and hashing compare int tuples.
+    Elements sort as their canonical vectors ``v`` do."""
+
+    order: int
+    nums: tuple[int, ...]
+
+    def __post_init__(self):
+        n = self.order
+        if n < 1 or not all(0 <= a < n for a in self.nums) or gcd(n, *self.nums) != 1:
+            raise ValueError("not a canonical torsion element: %r over %r" % (self.nums, n))
+
+    @staticmethod
+    def _reduced(order: int, nums) -> "TorsionElement":
+        """The element nums / order, for any ints (taken mod order)."""
+        nums = [a % order for a in nums]
+        g = gcd(order, *nums)
+        return TorsionElement(order // g, tuple(a // g for a in nums))
 
     @staticmethod
     def from_fractions(values) -> "TorsionElement":
-        return TorsionElement(tuple(fractional(Fraction(x)) for x in values))
+        values = [Fraction(x) for x in values]
+        order = lcm(*(x.denominator for x in values))
+        return TorsionElement._reduced(
+            order, [x.numerator * (order // x.denominator) for x in values]
+        )
 
     @staticmethod
     def identity(d: int) -> "TorsionElement":
-        return TorsionElement((Fraction(0),) * d)
+        return TorsionElement(1, (0,) * d)
+
+    @property
+    def v(self) -> tuple[Fraction, ...]:
+        """The canonical vector in [0, 1)^d."""
+        return tuple(Fraction(a, self.order) for a in self.nums)
 
     @property
     def d(self) -> int:
-        return len(self.v)
-
-    @property
-    def order(self) -> int:
-        return lcm(*(x.denominator for x in self.v)) if self.v else 1
+        return len(self.nums)
 
     @property
     def is_identity(self) -> bool:
-        return not any(self.v)
+        return self.order == 1
+
+    def __lt__(self, other: "TorsionElement") -> bool:
+        if not isinstance(other, TorsionElement):
+            return NotImplemented
+        # a/N < b/M  <=>  a*M < b*N, entry by entry
+        return (tuple(a * other.order for a in self.nums)
+                < tuple(b * self.order for b in other.nums))
 
     def __add__(self, other: "TorsionElement") -> "TorsionElement":
-        return TorsionElement.from_fractions(a + b for a, b in zip(self.v, other.v))
+        order = lcm(self.order, other.order)
+        s, t = order // self.order, order // other.order
+        return TorsionElement._reduced(order, [a * s + b * t for a, b in zip(self.nums, other.nums)])
 
     def __neg__(self) -> "TorsionElement":
-        return TorsionElement.from_fractions(-x for x in self.v)
+        return TorsionElement(self.order, tuple(-a % self.order for a in self.nums))
+
+    def exponent(self, w) -> int:
+        """<w, nums> mod order: g acts on the character w by the order-th
+        root of unity to this power."""
+        return sum(map(mul, w, self.nums)) % self.order
 
     def pairing(self, w) -> Fraction:
         """<w, v> as an exact rational."""
-        return sum((Fraction(c) * x for c, x in zip(w, self.v)), Fraction(0))
+        return Fraction(sum(map(mul, w, self.nums)), self.order)
 
     def fixes(self, w) -> bool:
-        return self.pairing(w).denominator == 1
+        return self.exponent(w) == 0
 
     def as_strings(self) -> list[str]:
         return [str(x) for x in self.v]
@@ -109,13 +152,13 @@ def stabilizer_elements(a: WeightMatrix, basis) -> set[TorsionElement]:
     sub = a.columns_matrix(basis)
     if sub.rows != sub.cols or sub.det() == 0:
         raise ValueError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    return {TorsionElement(v) for v in cokernel_torsion_elements(sub)}
+    return {TorsionElement.from_fractions(v) for v in cokernel_torsion_elements(sub)}
 
 
 def fixed_columns(a: WeightMatrix, g: TorsionElement) -> frozenset[int]:
     """Columns j with <a_j, v> integral.  In a doubled model x_j and y_j are
     fixed together since the dual coordinate carries -a_j."""
-    return frozenset(j for j in range(1, a.n + 1) if g.fixes(a.column(j)))
+    return frozenset(j for j, w in enumerate(zip(*a.matrix.entries), 1) if not g.exponent(w))
 
 
 def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
@@ -130,9 +173,9 @@ def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
 
 
 def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
-    """A canonical element of the model's dimension whose fixed columns pass
+    """An element of the model's dimension whose fixed columns pass
     ``_stable_fixed``; it fixes a basis, so that basis's stabilizer has it."""
-    if g.d != model.d or not all(0 <= x < 1 for x in g.v):
+    if g.d != model.d:
         return False
     return _stable_fixed(model, fixed_columns(model.base, g))
 
@@ -145,7 +188,7 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     candidates: set[TorsionElement] = set()
     for basis in column_bases(a):
         candidates |= stabilizer_elements(a, basis)
-    return sorted((g for g in candidates if _in_inertia(model, g)), key=lambda g: g.v)
+    return sorted(g for g in candidates if _in_inertia(model, g))
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:
@@ -157,10 +200,9 @@ def age(model: StackModel, g: TorsionElement) -> Fraction:
 
 
 def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
-    return sum(
-        (m * fractional(g.pairing(w)) for w, m in model.tangent_class.terms),
-        Fraction(0),
-    )
+    # frac<w, v> = exponent / order, and tangent multiplicities are integers
+    total = sum(m.numerator * g.exponent(w) for w, m in model.tangent_class.terms)
+    return Fraction(total, g.order)
 
 
 def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:

@@ -149,6 +149,11 @@ class StackModel:
     tangent_class: CharacterClass
     moment_rank: int
 
+    def __post_init__(self):
+        # ages and obstructions are computed on integer multiplicities
+        if any(m.denominator != 1 for _, m in self.tangent_class.terms):
+            raise ModelError("tangent class multiplicities must be integers: %s" % self.tangent_class)
+
     @property
     def d(self) -> int:
         return self.base.d
@@ -377,12 +382,18 @@ def model_from_dict(data: dict) -> StackModel:
         if isinstance(exc, ModelError):
             raise
         raise ModelError("bad weight matrix: %s" % exc) from exc
+    theta, unstable = data.get("theta"), data.get("unstable")
+    if theta is not None and not (isinstance(theta, (list, tuple)) and len(theta) == a.d):
+        raise ModelError("'theta' must be a list of d=%d integers, got %r" % (a.d, theta))
+    if unstable is not None and not (
+        isinstance(unstable, (list, tuple)) and all(isinstance(s, (list, tuple)) for s in unstable)
+    ):
+        raise ModelError("'unstable' must be a list of lists of column indices, got %r" % (unstable,))
     kind = data.get("kind", LAWRENCE)
     if kind not in KINDS:
         raise ModelError("unknown model kind %r (expected one of %s)" % (kind, "/".join(KINDS)))
-    theta = data.get("theta")
     if kind == DIRECT:
-        return direct_model(a, unstable=data.get("unstable"), theta=theta)
+        return direct_model(a, unstable=unstable, theta=theta)
     if theta is None:
         raise ModelError("%s model requires a character 'theta'" % kind)
     if "unstable" in data:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .characters import CharacterClass
 from .chow import (
@@ -27,7 +29,6 @@ from .inertia import (
     TorsionElement,
     _pairs,
     double_inertia,
-    fractional,
     inertia_components,
     sector_model,
 )
@@ -45,9 +46,10 @@ def log_trace(g: TorsionElement, v: CharacterClass) -> CharacterClass:
     g (and the trivial one) contribute nothing."""
     terms = []
     for w, m in v.terms:
-        f = fractional(g.pairing(w))
-        if f:
-            terms.append((w, m * f))
+        e = g.exponent(w)
+        if e:
+            # m * frac<w, g>, with frac<w, g> = e / order
+            terms.append((w, Fraction(m.numerator * e, m.denominator * g.order)))
     return CharacterClass.build(v.dim, terms)
 
 
@@ -60,18 +62,21 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     m * (frac<w,g1> + frac<w,g2> + frac<-w,g1+g2> - 1 + [w fixed by both]);
     the result must be a genuine bundle (all multiplicities nonnegative
     integers) or the model data is inconsistent.
+
+    Over M = lcm(ord g1, ord g2) the three fractional parts are
+    e1/M, e2/M and e3/M with e3 = -(e1 + e2) mod M, so their sum is 0, 1
+    or 2; it is 0 exactly when w is fixed by both.  The bracket is
+    therefore 1 when e1 + e2 > M and 0 otherwise: w enters with its full
+    multiplicity m or not at all.
     """
-    g12 = g1 + g2
-    terms = []
-    for w, m in model.tangent_class.terms:
-        f1 = fractional(g1.pairing(w))
-        f2 = fractional(g2.pairing(w))
-        f3 = fractional(-g12.pairing(w))
-        fixed_both = 1 if (f1 == 0 and f2 == 0) else 0
-        mult = m * (f1 + f2 + f3 - 1 + fixed_both)
-        if mult:
-            terms.append((w, mult))
-    out = CharacterClass.build(model.d, terms)
+    big = lcm(g1.order, g2.order)
+    s1, s2 = big // g1.order, big // g2.order
+    # a subsequence of sorted, distinct, nonzero terms is a canonical class
+    terms = tuple(
+        (w, m) for w, m in model.tangent_class.terms
+        if g1.exponent(w) * s1 + g2.exponent(w) * s2 > big
+    )
+    out = CharacterClass(model.d, terms, Fraction(0))
     if not out.is_bundle():
         raise ObstructionError(
             "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out)

@@ -1,8 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+import hypertoric.cli as cli
+from hypertoric import ObstructionPullbackReport, OrbifoldIsoReport, TorsionElement
+from hypertoric.chow import IsoReport
 from hypertoric.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, InputError, main, parse_model
+from hypertoric.orbifold import PullbackCheck
 
 
 def write(tmp_path, name, payload):
@@ -141,6 +146,16 @@ def test_bad_flags_exit_2(tp12, capsys):
             {"A": [[0, 1, 2, 3]], "kind": "direct", "unstable": [[1.9]]},
             "'unstable' entries must be integers, got 1.9",
         ),
+        ({"A": [[1, 2]], "theta": 5}, "'theta' must be a list of d=1 integers, got 5"),
+        ({"A": [[1, 2]], "theta": [1, 2]}, "'theta' must be a list of d=1 integers, got [1, 2]"),
+        (
+            {"A": [[1, 2]], "kind": "direct", "unstable": 4},
+            "'unstable' must be a list of lists of column indices, got 4",
+        ),
+        (
+            {"A": [[0, 1, 2, 3]], "kind": "direct", "unstable": [4]},
+            "'unstable' must be a list of lists of column indices, got [4]",
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "sre-check"])
@@ -172,9 +187,69 @@ def test_nongeneric_message_same_on_both_paths(nongeneric, capsys):
             "normal weight [1, 1] has 2 entries, generator (1/2) has 1",
         ),
         ({"order": 2, "normal_weights": [[1.5]]}, "'normal_weights' entries must be integers, got 1.5"),
+        (
+            {"generators": [[0.1]], "normal_weights": [[1]]},
+            "'generators' entries must be integers or 'p/q' strings, got 0.1",
+        ),
+        (
+            {"generators": [[True]], "normal_weights": [[1]]},
+            "'generators' entries must be integers or 'p/q' strings, got True",
+        ),
+        (
+            {"generators": [["0.5"]], "normal_weights": [[1]]},
+            "'generators' entries must be integers or 'p/q' strings, got '0.5'",
+        ),
+        (
+            {"generators": ["1/2"], "normal_weights": [[1]]},
+            "'generators' must be a list of lists, got ['1/2']",
+        ),
     ],
 )
 def test_malformed_sre_weights_exit_2(tmp_path, capsys, payload, reason):
     path = write(tmp_path, "sre.json", payload)
     assert main(["sre-check", "--input", path]) == EXIT_INPUT_ERROR
     assert json.loads(capsys.readouterr().err) == {"error": "bad sre input: " + reason}
+
+
+def test_sre_generators_accept_ints_and_rationals(tmp_path, capsys):
+    path = write(tmp_path, "sre.json", {"generators": [[1, "-3/4"]], "normal_weights": [[4, 4]]})
+    assert main(["sre-check", "--input", path]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["condition_iii"] is True
+
+
+def test_verify_names_each_failure(tp12, capsys, monkeypatch):
+    g = TorsionElement.from_fractions([Fraction(1, 2)])
+    e = TorsionElement.identity(1)
+    iso = OrbifoldIsoReport(
+        False, 2,
+        ring_failures=((g, IsoReport(False, 3, "not injective")),),
+        product_failures=(((g, e), None, None),),
+        age_failures=((g, Fraction(1), Fraction(2)),),
+        detail="inertia element sets differ",
+    )
+    pull = ObstructionPullbackReport(
+        False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
+    )
+    monkeypatch.setattr(cli, "verify_orbifold_iso", lambda *args: iso)
+    monkeypatch.setattr(cli, "verify_obstruction_pullback", lambda *args: pull)
+    assert main(["verify", "--input", tp12]) == EXIT_VERIFY_FAILED
+    data = json.loads(capsys.readouterr().out)
+    assert data["obstruction_pullback"]["failures"] == [
+        {"g1": None, "g2": None, "detail": "double inertia components differ"}
+    ]
+    got = data["orbifold_iso"]
+    assert (got["ring_failures"], got["product_failures"], got["age_failures"]) == (1, 1, 1)
+    assert got["failures"] == [
+        {"kind": "ring", "v": ["1/2"], "failing_degree": 3, "reason": "not injective"},
+        {"kind": "product", "g1": ["1/2"], "g2": ["0"]},
+        {"kind": "age", "v": ["1/2"], "ambient_age": "1", "fiber_age": "2"},
+        {"kind": "detail", "detail": "inertia element sets differ"},
+    ]
+    assert data["ok"] is False
+
+
+def test_verify_pass_lists_no_failures(tp12, capsys):
+    assert main(["verify", "--input", tp12]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    assert data["obstruction_pullback"]["failures"] == []
+    assert data["orbifold_iso"]["failures"] == []

@@ -7,6 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# each demo's stdout, byte for byte: the printed elements, ages and classes
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_demos_exist():
@@ -18,7 +20,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / (demo.stem + ".txt")).read_bytes()
