@@ -2,9 +2,9 @@
 
 From an integer weight matrix and a character this package builds GIT stack
 models, enumerates their inertia sectors, computes integral sector rings and
-orbifold star products degreewise by Smith normal form, and machine-checks
-the strong-embedding and orbifold-ring comparison statements on desk-scale
-instances.  All arithmetic is exact (ints and Fractions); nothing here ever
+orbifold star products degreewise on reduced Hermite bases of their relation
+lattices, and machine-checks the strong-embedding and orbifold-ring
+comparison statements on desk-scale instances.  All arithmetic is exact (ints and Fractions); nothing here ever
 touches floating point.
 """
 

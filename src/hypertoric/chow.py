@@ -2,17 +2,19 @@
 
 A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
-is the linear form <w, t>).  Graded pieces are finitely generated abelian
-groups computed exactly by Smith normal form up to a truncation bound, which
-also yields canonical coordinates, isomorphism tests for graded ring maps,
-and Gysin pushforwards along sector embeddings.
+is the linear form <w, t>).  Each graded piece, up to a truncation bound, is
+Z^m over its monomials modulo the relation lattice, held as the reduced
+Hermite basis of that lattice.  The basis gives canonical coordinates, the
+rank, the torsion (through its invariant factors) and the surjectivity test
+of graded ring-map isomorphism checks; Gysin pushforwards along sector
+embeddings are checked in the same canonical coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import IntMatrix, snf
+from .exact import IntMatrix, hermite_reduce, hnf, invariant_factors
 from .model import StackModel
 from .poly import IntPoly, monomials_of_degree
 
@@ -25,16 +27,15 @@ class GysinError(ValueError):
 class GradedPiece:
     """Degree-k piece of a presentation as an abelian group.
 
-    ``monomials`` is the free basis, ``diag`` the invariant factors of the
-    relation submodule, and ``transform`` the unimodular row transform used
-    to put classes in canonical coordinates.
+    ``monomials`` is the free basis, ``basis`` the reduced Hermite basis of
+    the relation lattice over it (``exact.hnf``), ``free_rank`` the number
+    of monomials less the rank of that lattice, and ``torsion`` its
+    invariant factors above 1.
     """
 
     degree: int
     monomials: tuple[tuple[int, ...], ...]
-    relation_matrix: IntMatrix | None
-    transform: IntMatrix | None
-    diag: tuple[int, ...]
+    basis: tuple[tuple[int, ...], ...]
     free_rank: int
     torsion: tuple[int, ...]
 
@@ -53,34 +54,18 @@ class GradedPiece:
 
     def canonical(self, coeffs) -> tuple[int, ...]:
         """Canonical coordinates of a coefficient vector over ``monomials``:
-        the SNF row transform followed by reduction modulo the invariant
-        factors.  Two classes are equal iff these coordinates agree."""
+        its reduction by the Hermite basis rows in pivot order.  Two classes
+        are equal iff these coordinates agree."""
         x = list(coeffs)
         if len(x) != len(self.monomials):
             raise ValueError("coefficient vector has wrong length")
-        if self.transform is None:
-            y = x
-        else:
-            y = [sum(r * c for r, c in zip(row, x)) for row in self.transform.entries]
-        out = []
-        for i, val in enumerate(y):
-            d = self.diag[i] if i < len(self.diag) else 0
-            out.append(val % d if d else val)
-        return tuple(out)
-
-    def zero_coords(self) -> tuple[int, ...]:
-        return (0,) * len(self.monomials)
+        return tuple(hermite_reduce(x, self.basis))
 
     def representative(self, coords) -> IntPoly:
-        """Some polynomial whose canonical coordinates are ``coords``."""
-        coords = list(coords)
-        if self.transform is None:
-            x = coords
-        else:
-            inv = self.transform.inverse_unimodular()
-            x = [int(c) for c in inv.mul_vector(coords)]
+        """The polynomial whose coefficients are ``coords``; canonical
+        coordinates are coefficients, so its class has those coordinates."""
         nvars = len(self.monomials[0]) if self.monomials else 0
-        return IntPoly.from_dict(nvars, dict(zip(self.monomials, x)))
+        return IntPoly.from_dict(nvars, dict(zip(self.monomials, coords)))
 
 
 @dataclass(eq=True)
@@ -137,16 +122,9 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
         for m in monomials_of_degree(pres.num_vars, k - e):
             shifted = rel * IntPoly.from_dict(pres.num_vars, {m: 1})
             columns.append(shifted.coefficients_on(monos))
-    if not monos:
-        return GradedPiece(k, monos, None, None, (), 0, ())
-    if not columns:
-        return GradedPiece(k, monos, None, None, (), len(monos), ())
-    rel_matrix = IntMatrix.from_rows(list(zip(*columns)))
-    res = snf(rel_matrix)
-    diag = res.diagonal()
-    rank = sum(1 for d in diag if d)
-    torsion = tuple(d for d in diag if d > 1)
-    return GradedPiece(k, monos, rel_matrix, res.U, diag, len(monos) - rank, torsion)
+    basis = hnf(columns, len(monos))
+    torsion = tuple(d for d in invariant_factors(basis, len(monos)) if d > 1)
+    return GradedPiece(k, monos, basis, len(monos) - len(basis), torsion)
 
 
 def _relations_from_model(model: StackModel) -> list[IntPoly]:
@@ -215,9 +193,9 @@ def ring_map_is_iso(
 
     For each degree k <= bound: the map must send source relations of degree
     k into the target ideal, the graded groups must have equal invariants,
-    and the induced map must be surjective (checked by SNF of the combined
-    image/relation matrix).  Equal invariants plus surjectivity give
-    bijectivity for finitely generated abelian groups.
+    and the induced map must be surjective: the Hermite basis of the images
+    and the target relations is the identity.  Equal invariants plus
+    surjectivity give bijectivity for finitely generated abelian groups.
     """
     images = list(var_images)
     if len(images) != src.num_vars:
@@ -254,19 +232,8 @@ def ring_map_is_iso(
                 "graded groups differ: %s vs %s" % (sp.describe_group(), dp.describe_group()),
             )
         n_dst = len(dp.monomials)
-        if n_dst == 0:
-            continue
-        columns = [
-            image_of_monomial(m).coefficients_on(dp.monomials) for m in sp.monomials
-        ]
-        if dp.relation_matrix is not None:
-            columns.extend(dp.relation_matrix.transpose().entries)
-        if not columns:
-            return IsoReport(False, k, "no generators map onto a nonzero group")
-        combined = IntMatrix.from_rows(list(zip(*columns)))
-        diag = snf(combined).diagonal()
-        onto = sum(1 for d in diag if d == 1) == n_dst
-        if not onto:
+        columns = [image_of_monomial(m).coefficients_on(dp.monomials) for m in sp.monomials]
+        if hnf(columns + list(dp.basis), n_dst) != IntMatrix.identity(n_dst).entries:
             return IsoReport(False, k, "induced map is not surjective in degree %d" % k)
     return IsoReport(True)
 

@@ -1,16 +1,18 @@
 """Exact integer linear algebra.
 
-Matrices over the integers, Smith normal form with transforming matrices,
-exact rational linear solving, and enumeration of the torsion points of a
-finite cokernel.  Every number is a Python ``int`` or ``fractions.Fraction``;
-no fixed-width arithmetic or floating point appears anywhere in this package.
+Matrices over the integers; the reduced Hermite basis of a lattice, with
+reduction modulo it and its invariant factors; Smith normal form with
+transforming matrices; exact rational linear solving; and enumeration of
+the torsion points of a finite cokernel.  Every number is a Python ``int``
+or ``fractions.Fraction``; no fixed-width arithmetic or floating point
+appears anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
@@ -115,38 +117,72 @@ class IntMatrix:
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
 
-    def rank(self) -> int:
-        """Rank over the rationals (exact Gaussian elimination)."""
-        a = [[Fraction(e) for e in row] for row in self.entries]
-        rank = 0
-        col = 0
-        while rank < len(a) and col < self.cols:
-            pivot = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-            if pivot is None:
-                col += 1
-                continue
-            a[rank], a[pivot] = a[pivot], a[rank]
-            pv = a[rank][col]
-            for i in range(rank + 1, len(a)):
-                if a[i][col]:
-                    f = a[i][col] / pv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-            rank += 1
-            col += 1
-        return rank
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Exact inverse of a matrix with determinant +-1."""
-        n = self.rows
-        if abs(self.det()) != 1:
-            raise ValueError("matrix is not unimodular")
-        cols = []
-        for j in range(n):
-            e = [Fraction(1 if i == j else 0) for i in range(n)]
-            x = solve_rational(self, e)
-            assert x is not None
-            cols.append([int(c) for c in x])
-        return IntMatrix.from_rows(list(zip(*cols)))
+def hermite_reduce(vector, basis) -> list[int]:
+    """``vector`` reduced modulo the lattice of a Hermite basis as ``hnf``
+    returns it: each row, in pivot order, is subtracted until the vector's
+    entry at that pivot lies in [0, pivot).  Vectors that differ by a
+    lattice vector reduce to the same result, and lattice vectors to zero."""
+    v = list(vector)
+    c = 0
+    for row in basis:
+        while not row[c]:
+            c += 1
+        q = v[c] // row[c]
+        if q:
+            v[c:] = [x - q * y for x, y in zip(v[c:], row[c:])]
+        c += 1
+    return v
+
+
+def hnf(vectors, width: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced row Hermite basis of the lattice spanned by integer
+    ``vectors`` of length ``width``.
+
+    The first nonzero entry of each row (its pivot) is positive, pivots
+    move strictly right down the rows, and every entry above a pivot lies
+    in [0, pivot).  The basis depends only on the lattice, and its length is
+    the rank.  Vectors are inserted one at a time by gcd steps on pivot
+    columns, and the basis is re-reduced after every insertion, so between
+    insertions it is the reduced basis of the lattice so far and its entries
+    stay small; no transform is tracked.
+    """
+    rows: dict[int, list[int]] = {}
+    for vec in vectors:
+        v = list(vec)
+        if len(v) != width:
+            raise ValueError("vector of length %d in a lattice of width %d" % (len(v), width))
+        for c in range(width):
+            if not v[c]:
+                continue
+            # Euclid on column c by row operations: b ends with the gcd as
+            # its pivot, and v with a zero in column c
+            b = rows[c] if c in rows else [0] * width
+            while v[c]:
+                q = b[c] // v[c]
+                b, v = v, [x - q * y for x, y in zip(b, v)]
+            rows[c] = b if b[c] > 0 else [-x for x in b]
+        order = sorted(rows)
+        for i, c in enumerate(order):
+            rows[c] = hermite_reduce(rows[c], [rows[k] for k in order[i + 1:]])
+    return tuple(tuple(rows[c]) for c in sorted(rows))
+
+
+def invariant_factors(vectors, width: int) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of the lattice L spanned
+    by ``vectors``, so that Z^width / L is Z^(width - len) plus the Z/d_i.
+
+    Hermite bases of the lattice and of its transpose alternate until the
+    basis is diagonal; a gcd/lcm pass then makes the divisibility chain.
+    """
+    basis = hnf(vectors, width)
+    while any(sum(map(bool, row)) > 1 for row in basis):
+        basis = hnf(zip(*basis), len(basis))
+    diag = [sum(row) for row in basis]  # one nonzero entry per row
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return tuple(diag)
 
 
 @dataclass(frozen=True)

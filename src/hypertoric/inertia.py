@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .exact import cokernel_torsion_elements
+from .exact import cokernel_torsion_elements, hnf
 from .model import (
     HYPERTORIC,
     LAWRENCE,
@@ -166,7 +166,7 @@ def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
     survive meets the stable locus: no minimal unstable set lives on the
     dead coordinates.  The test for a sector and a pair of sectors alike."""
     a = model.base
-    if len(cols) < a.d or a.matrix.submatrix_columns([j - 1 for j in sorted(cols)]).rank() != a.d:
+    if len(cols) < a.d or len(hnf((a.column(j) for j in cols), a.d)) != a.d:
         return False
     dead = model.coords_of_columns(set(range(1, model.n + 1)) - cols)
     return not any(s <= dead for s in model.arrangement.unstable_minimal)

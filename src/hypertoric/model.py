@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import CharacterClass
-from .exact import IntMatrix, as_fraction_vector, solve_rational
+from .exact import IntMatrix, as_fraction_vector, hnf, solve_rational
 
 LAWRENCE = "lawrence"
 HYPERTORIC = "hypertoric"
@@ -46,7 +46,7 @@ class WeightMatrix:
     def __post_init__(self):
         if self.matrix.rows == 0 or self.matrix.cols == 0:
             raise ModelError("weight matrix must be nonempty")
-        if self.matrix.rank() != self.matrix.rows:
+        if len(hnf(self.matrix.entries, self.matrix.cols)) != self.matrix.rows:
             raise ModelError("rank deficient: weight matrix must have full row rank")
 
     @staticmethod
@@ -207,28 +207,28 @@ def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
     return x
 
 
+def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
+    """The sigma set of a sorted basis, with the (basis, column) pairs whose
+    coefficient is zero (the walls theta sits on)."""
+    lams = lambda_coeffs(a, basis, theta)
+    walls = [(basis, j) for j, lam in zip(basis, lams) if lam == 0]
+    return SigmaSet(basis, tuple("x" if lam > 0 else "y" for lam in lams)), walls
+
+
 def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
     """Apply the sign rule to the basis coefficients; zero coefficients mean
     the character is non-generic and are a hard error."""
-    basis = tuple(sorted(basis))
-    lams = lambda_coeffs(a, basis, theta)
-    for j, lam in zip(basis, lams):
-        if lam == 0:
-            raise NonGenericError(GenericReport(False, ((basis, j),)))
-    tags = tuple("x" if lam > 0 else "y" for lam in lams)
-    return SigmaSet(basis, tags)
+    sigma, walls = _sign_rule(a, tuple(sorted(basis)), theta)
+    if walls:
+        raise NonGenericError(GenericReport(False, tuple(walls[:1])))
+    return sigma
 
 
 def check_generic(a: WeightMatrix, theta) -> GenericReport:
     """A character is generic iff every column basis has all-nonzero
     coefficients.  All violating (basis, column) pairs are reported."""
-    violations = []
-    for basis in column_bases(a):
-        lams = lambda_coeffs(a, basis, theta)
-        for j, lam in zip(basis, lams):
-            if lam == 0:
-                violations.append((basis, j))
-    return GenericReport(not violations, tuple(violations))
+    violations = tuple(w for basis in column_bases(a) for w in _sign_rule(a, basis, theta)[1])
+    return GenericReport(not violations, violations)
 
 
 def minimal_unstable_sets(coord_sets) -> list[frozenset[int]]:
@@ -284,22 +284,20 @@ def _coordinate_labels(n: int, doubled: bool) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _require_generic(a: WeightMatrix, theta):
+def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
+    """The int character, sigma sets and minimal unstable sets of a GIT
+    model, with one solve per column basis.  A zero character is refused; a
+    non-generic one raises with every wall ``check_generic`` reports."""
     theta = tuple(int(c) for c in theta)
     if not any(theta):
         raise ModelError("character theta must be nonzero")
-    report = check_generic(a, theta)
-    if not report.generic:
-        raise NonGenericError(report)
-    return theta
-
-
-def _git_arrangement(
-    a: WeightMatrix, theta, doubled: bool
-) -> tuple[tuple[SigmaSet, ...], tuple[frozenset[int], ...]]:
-    sigmas = tuple(sigma_set(a, basis, theta) for basis in column_bases(a))
+    rules = [_sign_rule(a, basis, theta) for basis in column_bases(a)]
+    walls = tuple(w for _, ws in rules for w in ws)
+    if walls:
+        raise NonGenericError(GenericReport(False, walls))
+    sigmas = tuple(sigma for sigma, _ in rules)
     unstable = tuple(minimal_unstable_sets([s.coords(a.n, doubled=doubled) for s in sigmas]))
-    return sigmas, unstable
+    return theta, sigmas, unstable
 
 
 def _tangent_class(d: int, chars) -> CharacterClass:
@@ -310,8 +308,7 @@ def _tangent_class(d: int, chars) -> CharacterClass:
 def lawrence_model(a: WeightMatrix, theta) -> StackModel:
     """Quotient model of the doubled coordinate space by the torus,
     linearized at theta.  Non-generic theta is rejected outright."""
-    theta = _require_generic(a, theta)
-    sigmas, unstable = _git_arrangement(a, theta, doubled=True)
+    theta, sigmas, unstable = _git_arrangement(a, theta, doubled=True)
     doubled = lawrence_double(a)
     chars = tuple(doubled.column(j) for j in range(1, doubled.n + 1))
     arrangement = StableArrangement(sigmas, unstable, chars, _coordinate_labels(a.n, True))
@@ -357,8 +354,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
         return StackModel(DIRECT, a, a, theta_t, arrangement, tangent, 0)
     if theta is None:
         raise ModelError("direct model needs either unstable sets or a character")
-    theta = _require_generic(a, theta)
-    sigmas, unstable_sets = _git_arrangement(a, theta, doubled=False)
+    theta, sigmas, unstable_sets = _git_arrangement(a, theta, doubled=False)
     arrangement = StableArrangement(sigmas, unstable_sets, chars, labels)
     return StackModel(DIRECT, a, a, theta, arrangement, tangent, 0)
 

@@ -134,6 +134,15 @@ def test_iso_unit_scaling(z3t):
     assert not rep2.is_iso and rep2.failing_degree == 1
 
 
+def test_iso_not_surjective_branch(z3t):
+    # equal invariants in every degree, but the image misses a generator
+    for pres, image in ((zpres(nvars=1), T.scale(2)), (zpres(T.scale(9)), T.scale(3))):
+        rep = ring_map_is_iso(pres, pres, [image], 4)
+        assert not rep.is_iso and rep.failing_degree == 1
+        assert rep.reason == "induced map is not surjective in degree 1"
+    assert ring_map_is_iso(z3t, z3t, [T.scale(2)], 4).is_iso
+
+
 def test_iso_composition(z3t):
     f = [T.scale(2)]
     g = [T.scale(2)]

@@ -167,9 +167,3 @@ def test_cokernel_brute_force_cross_check():
             if m.det() != 0:
                 break
         assert cokernel_torsion_elements(m) == brute_force_cokernel(m)
-
-
-def test_unimodular_inverse():
-    m = IntMatrix.from_rows([[2, 1], [1, 1]])
-    inv = m.inverse_unimodular()
-    assert m.mul(inv) == IntMatrix.identity(2)
