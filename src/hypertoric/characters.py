@@ -67,18 +67,6 @@ class CharacterClass:
         all_mults = [m for _, m in self.terms] + [self.trivial]
         return all(m.denominator == 1 and m >= 0 for m in all_mults)
 
-    def rank(self) -> Fraction:
-        return sum((m for _, m in self.terms), self.trivial)
-
-    def multiplicity(self, w) -> Fraction:
-        w = tuple(int(c) for c in w)
-        if not any(w):
-            return self.trivial
-        for ww, m in self.terms:
-            if ww == w:
-                return m
-        return Fraction(0)
-
     def __str__(self) -> str:
         parts = []
         if self.trivial:

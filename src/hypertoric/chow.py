@@ -12,6 +12,7 @@ embeddings are checked in the same canonical coordinates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .exact import IntMatrix, hermite_reduce, hnf, invariant_factors
@@ -249,7 +250,7 @@ class SectorEmbedding:
     ambient: GradedRingPresentation
     normal_chars: tuple[tuple[int, ...], ...]
 
-    @property
+    @functools.cached_property
     def euler(self) -> IntPoly:
         out = IntPoly.one(self.ambient.num_vars)
         for w in self.normal_chars:

@@ -217,11 +217,11 @@ def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
     if not (isinstance(data, dict) and "normal_weights" in data):
         return _model_from_json(data)
     try:
-        weights = tuple(tuple(w) for w in _json_ints(data["normal_weights"], "'normal_weights'"))
+        weights = tuple(tuple(w) for w in _json_ints(data["normal_weights"], "'normal_weights'", 2))
         if "generators" in data:
             gens = tuple(TorsionElement.from_fractions(v) for v in _json_generators(data["generators"]))
         elif "order" in data:
-            gens = LocalModelSRE.cyclic(_json_ints(data["order"], "'order'"), ()).generators
+            gens = LocalModelSRE.cyclic(_json_ints(data["order"], "'order'", 0), ()).generators
         else:
             raise ValueError("sre input needs 'generators' or 'order'")
         for g in gens:

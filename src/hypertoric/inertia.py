@@ -2,7 +2,9 @@
 
 Enumerates the finite-order torus elements whose fixed locus meets the
 stable locus, computes their fixed coordinate sets and ages, and realizes a
-sector as a smaller model by deleting the non-fixed columns.
+sector as the restriction of its model to the coordinates over the fixed
+columns: the sector's sigma sets, unstable sets and tangent class are read
+off the model's, with one rule for every kind and no model rebuilt.
 
 A torsion torus element v in (Q/Z)^d is stored as integer numerators over
 its order N: v = nums / N with every numerator in [0, N) and
@@ -21,16 +23,15 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from .characters import CharacterClass
 from .exact import cokernel_torsion_elements, hnf
 from .model import (
-    HYPERTORIC,
-    LAWRENCE,
+    SigmaSet,
+    StableArrangement,
     StackModel,
     WeightMatrix,
+    _coordinate_labels,
     column_bases,
-    direct_model,
-    hypertoric_model,
-    lawrence_model,
 )
 
 
@@ -206,26 +207,36 @@ def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
 
 
 def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
-    """The smaller model obtained by deleting the non-fixed columns.
+    """The sector of the fixed columns: the model restricted to the
+    coordinates over them, renumbered x's then y's, with the same kind,
+    character and moment rank.
 
-    GIT models rerun the sigma machinery on the surviving columns with the
-    same character; direct models restrict their unstable sets to the
-    surviving coordinates.
+    A point of that coordinate subspace lies in a chart of the model exactly
+    when the chart's basis lies in ``fixed``, so the restricted stable locus
+    is the stable locus of the smaller model: its sigma sets are the model's
+    sigma sets on ``fixed``, its minimal unstable sets the minimal traces
+    of the model's, and its tangent class loses the deleted characters.
     """
-    a = model.base
     keep = sorted(fixed)
-    sub = WeightMatrix(a.matrix.submatrix_columns([j - 1 for j in keep]))
-    if model.kind in (LAWRENCE, HYPERTORIC):
-        builder = lawrence_model if model.kind == LAWRENCE else hypertoric_model
-        return builder(sub, model.theta)
-    # direct: restrict each minimal unstable set and re-minimalize
-    renumber = {j: i + 1 for i, j in enumerate(keep)}
-    restricted = {frozenset(renumber[j] for j in s if j in fixed)
-                  for s in model.arrangement.unstable_minimal}
-    if frozenset() in restricted:
+    sub = WeightMatrix(model.base.matrix.submatrix_columns([j - 1 for j in keep]))
+    alive = sorted(model.coords_of_columns(fixed))
+    coord = {i: k for k, i in enumerate(alive, 1)}
+    column = {j: k for k, j in enumerate(keep, 1)}
+    traces = {frozenset(coord[i] for i in s if i in coord)
+              for s in model.arrangement.unstable_minimal}
+    if frozenset() in traces:
         raise ValueError("fixed locus lies in the unstable locus")
-    minimal = [s for s in restricted if not any(t < s for t in restricted)]
-    return direct_model(sub, unstable=minimal, theta=model.theta)
+    unstable = sorted((s for s in traces if not any(t < s for t in traces)),
+                      key=lambda s: (len(s), sorted(s)))
+    sigmas = tuple(SigmaSet(tuple(column[j] for j in s.basis), s.tags)
+                   for s in model.arrangement.sigma_sets if fixed.issuperset(s.basis))
+    chars = tuple(model.coordinate_char(i) for i in alive)
+    dead = [(model.coordinate_char(i), 1) for i in range(1, model.num_coords + 1) if i not in coord]
+    labels = _coordinate_labels(len(keep), model.doubled)
+    tangent = model.tangent_class - CharacterClass.build(model.d, dead)
+    return StackModel(model.kind, sub, WeightMatrix.from_rows(zip(*chars)), model.theta,
+                      StableArrangement(sigmas, tuple(unstable), chars, labels),
+                      tangent, model.moment_rank)
 
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
@@ -240,11 +251,14 @@ def inertia_components(model: StackModel) -> list[InertiaComponent]:
 def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
     """Ordered pairs of the inertia elements keyed in ``fixed`` (element ->
     fixed columns, in sector order) whose common fixed columns pass
-    ``_stable_fixed``."""
+    ``_stable_fixed``, decided once per distinct common set."""
+    stable: dict[frozenset[int], bool] = {}
     out = []
     for (g1, f1), (g2, f2) in itertools.product(fixed.items(), repeat=2):
         common = f1 & f2
-        if _stable_fixed(model, common):
+        if common not in stable:
+            stable[common] = _stable_fixed(model, common)
+        if stable[common]:
             out.append(DoubleInertiaComponent(g1, g2, common, g1 + g2))
     return out
 

@@ -104,10 +104,6 @@ class GenericReport:
     generic: bool
     violations: tuple[tuple[tuple[int, ...], int], ...] = ()
 
-    @property
-    def witness(self):
-        return self.violations[0] if self.violations else None
-
     def describe(self) -> str:
         if self.generic:
             return "generic"
@@ -369,9 +365,9 @@ def model_from_dict(data: dict) -> StackModel:
         raise ModelError("model file must contain a JSON object")
     if "A" not in data:
         raise ModelError("model file is missing the weight matrix 'A'")
-    for key in ("A", "theta", "unstable"):
+    for key, depth in (("A", 2), ("theta", 1), ("unstable", 2)):
         if data.get(key) is not None:
-            _json_ints(data[key], "'%s'" % key)
+            _json_ints(data[key], "'%s'" % key, depth)
     try:
         a = WeightMatrix.from_rows(data["A"])
     except (TypeError, ValueError) as exc:
@@ -398,12 +394,13 @@ def model_from_dict(data: dict) -> StackModel:
     return builder(a, theta)
 
 
-def _json_ints(value, what: str):
-    """``value``, once every entry of its nested lists is a JSON integer;
-    floats, booleans and strings are refused, not truncated by ``int``."""
-    if isinstance(value, (list, tuple)):
+def _json_ints(value, what: str, depth: int):
+    """``value``, once every entry of its lists, nested at most ``depth``
+    deep, is a JSON integer; floats, booleans, strings and lists nested
+    deeper are refused, not truncated by ``int`` or left to fail later."""
+    if depth and isinstance(value, (list, tuple)):
         for e in value:
-            _json_ints(e, what)
+            _json_ints(e, what, depth - 1)
     elif isinstance(value, bool) or not isinstance(value, int):
         raise ModelError("%s entries must be integers, got %r" % (what, value))
     return value

@@ -162,20 +162,15 @@ def _zero_class(d: int) -> GradedClass:
     return GradedClass(None, IntPoly.zero(d))
 
 
-def star(
-    model: StackModel,
-    alpha: GradedClass,
-    beta: GradedClass,
-    geometry: SectorGeometry | None = None,
-) -> GradedClass:
-    """Orbifold product of two sector classes.
+def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedClass:
+    """Orbifold product of two sector classes of ``geo.model``.
 
     Pull both classes to the common fixed locus (the identity on polynomial
     representatives), multiply by the Euler polynomial of the obstruction
     class, and push into the target sector along the normal Euler factor of
     the embedding of the common locus into the target fixed locus.
     """
-    geo = geometry or SectorGeometry(model, truncation=2 * model.num_coords)
+    model = geo.model
     if alpha.is_zero or beta.is_zero:
         return _zero_class(model.d)
     pair = geo.pair(alpha.component, beta.component)
@@ -237,7 +232,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
         if pair is None:
             products[(g1, g2)] = ProductEntry(g1, g2, None, IntPoly.zero(model.d), ())
             continue
-        result = star(model, geo.generator(g1), geo.generator(g2), geometry=geo)
+        result = star(geo, geo.generator(g1), geo.generator(g2))
         pres = geo.sector_presentation(pair.target)
         coords = reduce_class(pres, result.poly)
         products[(g1, g2)] = ProductEntry(g1, g2, pair.target, result.poly, coords)

@@ -81,10 +81,6 @@ class IntPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self):
-        """Total degree; None for the zero polynomial."""
-        return max(sum(e) for e, _ in self.terms) if self.terms else None
-
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e, _ in self.terms}) <= 1
 
@@ -94,12 +90,6 @@ class IntPoly:
         if len(degs) > 1:
             raise ValueError("polynomial is not homogeneous: %s" % self)
         return degs.pop() if degs else None
-
-    def coefficient(self, exps: tuple[int, ...]) -> int:
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return 0
 
     def _combine(self, other: "IntPoly", sign: int) -> "IntPoly":
         if self.nvars != other.nvars:

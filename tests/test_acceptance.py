@@ -213,8 +213,8 @@ def test_criterion_6_star_algebra_laws():
         for g1, g2, g3 in itertools.product(elems, repeat=3):
             triples += 1
             a1, a2, a3 = geo.generator(g1), geo.generator(g2), geo.generator(g3)
-            left = star(model, star(model, a1, a2, geometry=geo), a3, geometry=geo)
-            right = star(model, a1, star(model, a2, a3, geometry=geo), geometry=geo)
+            left = star(geo, star(geo, a1, a2), a3)
+            right = star(geo, a1, star(geo, a2, a3))
             if left.is_zero or right.is_zero:
                 assert left.is_zero and right.is_zero
                 continue

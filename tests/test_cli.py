@@ -156,6 +156,12 @@ def test_bad_flags_exit_2(tp12, capsys):
             {"A": [[0, 1, 2, 3]], "kind": "direct", "unstable": [4]},
             "'unstable' must be a list of lists of column indices, got [4]",
         ),
+        ({"A": [[1, 2]], "theta": [[1]]}, "'theta' entries must be integers, got [1]"),
+        (
+            {"A": [[0, 1, 2, 3]], "kind": "direct", "unstable": [[[4]]]},
+            "'unstable' entries must be integers, got [4]",
+        ),
+        ({"A": [[[1], 2]], "theta": [1]}, "'A' entries must be integers, got [1]"),
     ],
 )
 @pytest.mark.parametrize("command", ["analyze", "sre-check"])
@@ -203,6 +209,8 @@ def test_nongeneric_message_same_on_both_paths(nongeneric, capsys):
             {"generators": ["1/2"], "normal_weights": [[1]]},
             "'generators' must be a list of lists, got ['1/2']",
         ),
+        ({"order": 2, "normal_weights": [[[1]]]}, "'normal_weights' entries must be integers, got [1]"),
+        ({"order": [2], "normal_weights": [[1]]}, "'order' entries must be integers, got [2]"),
     ],
 )
 def test_malformed_sre_weights_exit_2(tmp_path, capsys, payload, reason):

@@ -105,8 +105,8 @@ def test_star_unit_law(mu3_model, tp12_hypertoric):
             rng = random.Random(43)
             poly = IntPoly.from_dict(1, {(rng.randint(0, 2),): rng.randint(1, 4)})
             alpha = GradedClass(comp.g, poly)
-            left = star(model, geo.generator(e), alpha, geometry=geo)
-            right = star(model, alpha, geo.generator(e), geometry=geo)
+            left = star(geo, geo.generator(e), alpha)
+            right = star(geo, alpha, geo.generator(e))
             pres = geo.sector_presentation(comp.g)
             deg = poly.homogeneous_degree()
             assert left.component == comp.g and right.component == comp.g
@@ -117,7 +117,7 @@ def test_star_unit_law(mu3_model, tp12_hypertoric):
 def test_star_zero_absorbs(mu3_model, omega):
     geo = SectorGeometry(mu3_model, truncation=6)
     zero = GradedClass(omega, IntPoly.zero(1))
-    out = star(mu3_model, zero, geo.generator(omega), geometry=geo)
+    out = star(geo, zero, geo.generator(omega))
     assert out.is_zero
 
 
@@ -164,8 +164,8 @@ def test_star_associative_on_generators(mu3_model, tp12_hypertoric):
         elems = [c.g for c in geo.components]
         for g1, g2, g3 in itertools.product(elems, repeat=3):
             a, b, c = geo.generator(g1), geo.generator(g2), geo.generator(g3)
-            left = star(model, star(model, a, b, geometry=geo), c, geometry=geo)
-            right = star(model, a, star(model, b, c, geometry=geo), geometry=geo)
+            left = star(geo, star(geo, a, b), c)
+            right = star(geo, a, star(geo, b, c))
             if left.is_zero or right.is_zero:
                 assert left.is_zero and right.is_zero
                 continue
@@ -245,4 +245,4 @@ def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypat
     monkeypatch.setattr(SectorEmbedding, "check", fail)
     for _ in range(2):
         with pytest.raises(GysinError):
-            star(mu3_model, geo.generator(omega), geo.generator(omega), geometry=geo)
+            star(geo, geo.generator(omega), geo.generator(omega))
