@@ -183,13 +183,22 @@ def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
 
 def inertia_elements(model: StackModel) -> list[TorsionElement]:
     """All torsion elements with stable fixed points: the union of the basis
-    stabilizers, kept when the fixed locus meets the stable locus.  Sorted by
-    canonical coordinates; always contains the identity."""
+    stabilizers, kept when the fixed locus meets the stable locus, decided
+    once per distinct fixed-column set.  Sorted by canonical coordinates;
+    always contains the identity."""
     a = model.base
     candidates: set[TorsionElement] = set()
     for basis in column_bases(a):
         candidates |= stabilizer_elements(a, basis)
-    return sorted(g for g in candidates if _in_inertia(model, g))
+    stable: dict[frozenset[int], bool] = {}
+    out = []
+    for g in candidates:
+        fixed = fixed_columns(a, g)
+        if fixed not in stable:
+            stable[fixed] = _stable_fixed(model, fixed)
+        if stable[fixed]:
+            out.append(g)
+    return sorted(out)
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:

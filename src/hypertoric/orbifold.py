@@ -105,7 +105,10 @@ class SectorGeometry:
     sectors and their pairs.  Sector models and presentations are built
     lazily, once per fixed-column set (so ``truncation`` may be raised
     before the first), and each embedding is checked once; a failed check
-    is never cached, so every push through it raises again."""
+    is never cached, so every push through it raises again.  A sector's
+    ring depends only on its fixed columns, so sectors with the same fixed
+    set share one presentation object, and a product of generators only on
+    its obstruction and the embedding it pushes along."""
 
     model: StackModel
     truncation: int
@@ -219,23 +222,35 @@ class OrbifoldTable:
 
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
     """All pairwise generator products.  Pairs with empty double component
-    get the zero polynomial (their target may not be a sector at all)."""
+    get the zero polynomial (their target may not be a sector at all).
+
+    A generator product is the Euler polynomial of the pair's obstruction
+    class times the normal Euler factor of the common fixed locus in the
+    target's, reduced in the target's presentation.  It depends on the pair
+    only through the key (obstruction, common fixed set, target fixed set),
+    so ``star`` and ``reduce_class`` run once per key and every later pair
+    with that key gets the same polynomial and coordinates; each pair's
+    obstruction is still computed, so a non-bundle still raises."""
     floor = bound if bound is not None else 2 * model.num_coords
     geo = SectorGeometry(model, truncation=floor)
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).  No
     # presentation is built yet, so the truncation can still cover them.
     geo.truncation = max(floor, int(2 * max(c.age for c in geo.components)) + 1)
     products = {}
+    by_key: dict = {}
     elems = [c.g for c in geo.components]
     for g1, g2 in itertools.product(elems, repeat=2):
         pair = geo.pair(g1, g2)
         if pair is None:
             products[(g1, g2)] = ProductEntry(g1, g2, None, IntPoly.zero(model.d), ())
             continue
-        result = star(geo, geo.generator(g1), geo.generator(g2))
-        pres = geo.sector_presentation(pair.target)
-        coords = reduce_class(pres, result.poly)
-        products[(g1, g2)] = ProductEntry(g1, g2, pair.target, result.poly, coords)
+        target_fixed = geo.component(pair.target).fixed_columns
+        key = (obstruction(model, g1, g2), pair.common_fixed, target_fixed)
+        if key not in by_key:
+            poly = star(geo, geo.generator(g1), geo.generator(g2)).poly
+            by_key[key] = (poly, reduce_class(geo.presentation_for(target_fixed), poly))
+        poly, coords = by_key[key]
+        products[(g1, g2)] = ProductEntry(g1, g2, pair.target, poly, coords)
     return OrbifoldTable(model, geo, geo.components, products)
 
 
@@ -299,7 +314,12 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     moment-fiber model: matching sectors, componentwise graded ring
     isomorphism up to ``bound``, identical structure polynomials, and
     identical ages.  Both tables are computed end-to-end from their own
-    model data."""
+    model data.
+
+    A sector's ring is the presentation of its fixed set, one object per
+    fixed set in each geometry, so the ring map is checked once per
+    distinct (ambient fixed set, fiber fixed set); every sector over a
+    failing pair is listed in ``ring_failures``."""
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
     table_a = orbifold_table(ambient, bound)
@@ -308,11 +328,15 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
         return OrbifoldIsoReport(False, 0, detail="inertia element sets differ")
 
     ring_failures = []
+    reports: dict = {}
     for comp_a, comp_f in zip(table_a.components, table_f.components):
-        pres_a = table_a.geometry.sector_presentation(comp_a.g)
-        pres_f = table_f.geometry.sector_presentation(comp_f.g)
-        images = [IntPoly.variable(pres_f.num_vars, i) for i in range(pres_a.num_vars)]
-        rep = ring_map_is_iso(pres_a, pres_f, images, bound)
+        key = (comp_a.fixed_columns, comp_f.fixed_columns)
+        if key not in reports:
+            pres_a = table_a.geometry.presentation_for(comp_a.fixed_columns)
+            pres_f = table_f.geometry.presentation_for(comp_f.fixed_columns)
+            images = [IntPoly.variable(pres_f.num_vars, i) for i in range(pres_a.num_vars)]
+            reports[key] = ring_map_is_iso(pres_a, pres_f, images, bound)
+        rep = reports[key]
         if not rep.is_iso:
             ring_failures.append((comp_a.g, rep))
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,8 @@ from hypertoric import (
     TorsionElement,
     WeightMatrix,
     euler_poly,
+    hypertoric_model,
+    inertia_components,
     lawrence_model,
     log_trace,
     obstruction,
@@ -25,6 +29,8 @@ from hypertoric import (
     verify_obstruction_pullback,
     verify_orbifold_iso,
 )
+from hypertoric.chow import IsoReport
+from hypertoric.cli import EXIT_VERIFY_FAILED, main
 from hypertoric.sampling import random_generic_instance
 
 
@@ -208,24 +214,37 @@ def test_verify_orbifold_iso_random():
         assert rep.ok, (a.matrix.entries, theta)
 
 
+def _counted(record, fn):
+    def wrapper(*args):
+        record.append(args)
+        return fn(*args)
+    return wrapper
+
+
+def _product_keys(geo):
+    """What a generator product depends on: the obstruction class, the
+    common fixed set and the target's fixed set."""
+    return {
+        (obstruction(geo.model, p.g1, p.g2), p.common_fixed,
+         geo.component(p.target).fixed_columns)
+        for p in geo.pairs
+    }
+
+
 @pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
 def test_orbifold_table_analyses_once(name, request, monkeypatch):
-    # one inertia pass, one sector model per distinct fixed set and one
-    # Gysin check per distinct embedding, for the table's single geometry
+    # one inertia pass, one sector model per distinct fixed set, one Gysin
+    # check per distinct embedding and one star per distinct product key,
+    # for the table's single geometry
     model = request.getfixturevalue(name)
-    enumerations, built, checked = [], [], []
-
-    def counted(record, fn):
-        def wrapper(*args):
-            record.append(args)
-            return fn(*args)
-        return wrapper
+    enumerations, built, checked, stars = [], [], [], []
 
     monkeypatch.setattr(inertia_module, "inertia_elements",
-                        counted(enumerations, inertia_module.inertia_elements))
+                        _counted(enumerations, inertia_module.inertia_elements))
     monkeypatch.setattr(orbifold_module, "sector_model",
-                        counted(built, orbifold_module.sector_model))
-    monkeypatch.setattr(SectorEmbedding, "check", counted(checked, SectorEmbedding.check))
+                        _counted(built, orbifold_module.sector_model))
+    monkeypatch.setattr(SectorEmbedding, "check", _counted(checked, SectorEmbedding.check))
+    monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
 
     geo = orbifold_table(model, 4).geometry
     assert len(enumerations) == 1
@@ -234,6 +253,101 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     embeddings = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
     assert len(checked) == len(embeddings)
     assert len({id(emb) for (emb,) in checked}) == len(embeddings)
+    assert len(stars) == len(_product_keys(geo))
+
+
+# (builder, seed, d, n) of random_generic_instance; the last has 204 sectors
+_ORACLE_DRAWS = [
+    (build, seed, d, n)
+    for build in (lawrence_model, hypertoric_model)
+    for seed, d, n in [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]
+] + [(lawrence_model, 6, 3, 5)]
+
+
+@pytest.mark.parametrize("build, seed, d, n", _ORACLE_DRAWS)
+def test_memoized_table_equals_per_pair_star(build, seed, d, n):
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    model = build(a, theta)
+    table = orbifold_table(model, 5)
+    fresh = SectorGeometry(model, truncation=table.geometry.truncation)
+    elems = [c.g for c in fresh.components]
+    assert [c.g for c in table.components] == elems
+    for g1, g2 in itertools.product(elems, repeat=2):
+        entry = table.entry(g1, g2)
+        pair = fresh.pair(g1, g2)
+        if pair is None:
+            assert (entry.target, entry.poly, entry.coords) == (None, IntPoly.zero(d), ())
+            continue
+        poly = star(fresh, fresh.generator(g1), fresh.generator(g2)).poly
+        coords = reduce_class(fresh.sector_presentation(pair.target), poly)
+        assert (entry.target, entry.poly, entry.coords) == (pair.target, poly, coords)
+    if (seed, d, n) == (6, 3, 5):
+        assert len(elems) >= 200
+
+
+def _spy_verify(monkeypatch, fail_fixed=None):
+    """Record the tables and the ring checks of ``verify_orbifold_iso``;
+    with ``fail_fixed``, the check of the ambient ring over that fixed set
+    reports a forced failure."""
+    tables, checks, stars = [], [], []
+    table = orbifold_module.orbifold_table
+    iso = orbifold_module.ring_map_is_iso
+
+    def spy_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    def spy_iso(src, dst, images, bound):
+        checks.append((src, dst))
+        if fail_fixed is not None and src is tables[0].geometry.presentation_for(fail_fixed):
+            return IsoReport(False, 1, "forced failure")
+        return iso(src, dst, images, bound)
+
+    monkeypatch.setattr(orbifold_module, "orbifold_table", spy_table)
+    monkeypatch.setattr(orbifold_module, "ring_map_is_iso", spy_iso)
+    monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
+    return tables, checks, stars
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 2, 4), (1, 2, 5), (3, 2, 5)])
+def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    tables, checks, stars = _spy_verify(monkeypatch)
+    assert verify_orbifold_iso(a, theta, 5).ok
+    ambient, fiber = tables
+    rings = {(ca.fixed_columns, cf.fixed_columns)
+             for ca, cf in zip(ambient.components, fiber.components)}
+    assert len(checks) == len(rings) < len(ambient.components)
+    assert len({(id(src), id(dst)) for src, dst in checks}) == len(checks)
+    keys = sum(len(_product_keys(t.geometry)) for t in tables)
+    assert len(stars) == keys < sum(len(t.geometry.pairs) for t in tables)
+
+
+def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
+    # negative control: one ring check per fixed set still fails every
+    # sector over that set, in the report and in the CLI's verify output
+    a, theta = random_generic_instance(random.Random(1), 2, 5)
+    comps = inertia_components(lawrence_model(a, theta))
+    bad, count = Counter(c.fixed_columns for c in comps).most_common(1)[0]
+    assert count >= 2
+    named = [c.g for c in comps if c.fixed_columns == bad]
+
+    tables, checks, _ = _spy_verify(monkeypatch, fail_fixed=bad)
+    rep = verify_orbifold_iso(a, theta, 5)
+    assert not rep.ok
+    assert [g for g, _ in rep.ring_failures] == named
+    assert all(r.reason == "forced failure" for _, r in rep.ring_failures)
+
+    tables.clear()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [list(r) for r in a.matrix.entries],
+                                "theta": list(theta), "kind": "lawrence"}))
+    assert main(["verify", "--input", str(path)]) == EXIT_VERIFY_FAILED
+    failures = json.loads(capsys.readouterr().out)["orbifold_iso"]["failures"]
+    assert failures == [
+        {"kind": "ring", "v": g.as_strings(), "failing_degree": 1, "reason": "forced failure"}
+        for g in named
+    ]
 
 
 def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypatch):

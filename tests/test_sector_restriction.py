@@ -181,3 +181,25 @@ def test_pairs_decide_each_common_set_once(monkeypatch):
     assert set(decided) == commons
     assert max(decided.values()) == 1
     assert len(pairs) > len(commons)
+
+
+def test_inertia_elements_decide_each_fixed_set_once(monkeypatch):
+    model = lawrence_model(*random_generic_instance(random.Random(1), 2, 4))
+    a = model.base
+    candidates = set()
+    for basis in inertia_module.column_bases(a):
+        candidates |= inertia_module.stabilizer_elements(a, basis)
+    decided = collections.Counter()
+    stable_fixed = inertia_module._stable_fixed
+
+    def counted(m, cols):
+        decided[cols] += 1
+        return stable_fixed(m, cols)
+
+    monkeypatch.setattr(inertia_module, "_stable_fixed", counted)
+    elems = inertia_module.inertia_elements(model)
+    assert set(decided) == {inertia_module.fixed_columns(a, g) for g in candidates}
+    assert max(decided.values()) == 1
+    assert len(candidates) > len(decided)
+    monkeypatch.setattr(inertia_module, "_stable_fixed", stable_fixed)
+    assert elems == sorted(g for g in candidates if inertia_module._in_inertia(model, g))
