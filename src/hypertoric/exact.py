@@ -324,12 +324,11 @@ def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
-    """All v in (Q/Z)^d with M^T * v integral, for a nonsingular square M.
-
-    Each element is returned in canonical form: entries are Fractions in
-    [0, 1) in lowest terms.  The result has exactly |det M| elements.
-    """
+def cokernel_torsion_numerators(m: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
+    """All v in (Q/Z)^d with M^T * v integral, for a nonsingular square M, as
+    integer numerators over one common denominator N: returns (N, rows) with
+    each v = row / N and every entry in [0, N).  The rows are distinct and
+    there are exactly |det M| of them; a row need not be in lowest terms."""
     if m.rows != m.cols:
         raise ValueError("cokernel enumeration requires a square matrix")
     d = m.rows
@@ -345,11 +344,11 @@ def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
     # bumping k_i by one adds V[:, i] * (big / d_i) to the common-denominator
     # numerators
     inc = [[vrows[j][i] * (big // diag[i]) % big for j in range(d)] for i in range(d)]
-    out = set()
+    out = []
     nums = [0] * d
     ks = [0] * d
     while True:
-        out.add(tuple(Fraction(x % big, big) for x in nums))
+        out.append(tuple(x % big for x in nums))
         i = d - 1
         while i >= 0:
             ks[i] += 1
@@ -366,4 +365,15 @@ def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
             i -= 1
         if i < 0:
             break
-    return out
+    return big, out
+
+
+def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
+    """All v in (Q/Z)^d with M^T * v integral, for a nonsingular square M.
+
+    Each element is returned in canonical form: entries are Fractions in
+    [0, 1) in lowest terms.  The result has exactly |det M| elements.  This
+    is the Fraction view of ``cokernel_torsion_numerators``.
+    """
+    big, rows = cokernel_torsion_numerators(m)
+    return {tuple(Fraction(x, big) for x in row) for row in rows}

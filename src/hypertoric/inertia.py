@@ -24,7 +24,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .characters import CharacterClass
-from .exact import cokernel_torsion_elements, hnf
+from .exact import cokernel_torsion_numerators, hnf
 from .model import (
     SigmaSet,
     StableArrangement,
@@ -148,12 +148,14 @@ class DoubleInertiaComponent:
 
 def stabilizer_elements(a: WeightMatrix, basis) -> set[TorsionElement]:
     """The finite group of elements acting trivially on the basis columns:
-    all v with <a_j, v> integral for j in the basis; order |det A_C|."""
+    all v with <a_j, v> integral for j in the basis; order |det A_C|.  Built
+    from the integer numerators of the cokernel walk, with no Fractions."""
     basis = tuple(sorted(basis))
     sub = a.columns_matrix(basis)
     if sub.rows != sub.cols or sub.det() == 0:
         raise ValueError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    return {TorsionElement.from_fractions(v) for v in cokernel_torsion_elements(sub)}
+    big, rows = cokernel_torsion_numerators(sub)
+    return {TorsionElement._reduced(big, row) for row in rows}
 
 
 def fixed_columns(a: WeightMatrix, g: TorsionElement) -> frozenset[int]:
@@ -198,7 +200,10 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
             stable[fixed] = _stable_fixed(model, fixed)
         if stable[fixed]:
             out.append(g)
-    return sorted(out)
+    # a/N < b/M exactly when a*(L/N) < b*(L/M) for a common multiple L of
+    # the orders, so one int key per element sorts as ``__lt__`` does
+    big = lcm(*(g.order for g in out))
+    return sorted(out, key=lambda g: tuple(a * (big // g.order) for a in g.nums))
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:

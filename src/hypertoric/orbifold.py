@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .characters import CharacterClass
 from .chow import (
@@ -53,6 +52,52 @@ def log_trace(g: TorsionElement, v: CharacterClass) -> CharacterClass:
     return CharacterClass.build(v.dim, terms)
 
 
+class _Obstructions:
+    """The obstruction classes of one model's pairs of inertia elements.
+
+    Per character w_k of the model's tangent class, an element g has the
+    exponent e_k(g) = <w_k, nums> mod ord g; the exponent vector of each
+    element is computed once, on first use.  The *selection* of an ordered
+    pair is the int tuple of the k with e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1,
+    which is the rule of ``obstruction``; the obstruction class is those
+    terms of the tangent class, so it depends on the pair only through its
+    selection and is built and bundle-tested once per distinct selection.
+    A selection that fails the test is never stored: every pair that has it
+    raises ``ObstructionError`` again."""
+
+    def __init__(self, model: StackModel):
+        self.model = model
+        self._terms = model.tangent_class.terms
+        self._exponents: dict = {}
+        self._classes: dict = {}
+
+    def _exponent_vector(self, g: TorsionElement) -> tuple[int, ...]:
+        e = self._exponents.get(g)
+        if e is None:
+            e = self._exponents[g] = tuple(g.exponent(w) for w, _ in self._terms)
+        return e
+
+    def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
+        """Indices of the tangent terms in the obstruction of (g1, g2), whose
+        class is checked to be a bundle."""
+        n1, n2 = g1.order, g2.order
+        both = n1 * n2
+        exps = zip(self._exponent_vector(g1), self._exponent_vector(g2))
+        sel = tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
+        if sel not in self._classes:
+            # a subsequence of sorted, distinct, nonzero terms is a canonical class
+            out = CharacterClass(self.model.d, tuple(self._terms[k] for k in sel), Fraction(0))
+            if not out.is_bundle():
+                raise ObstructionError(
+                    "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out)
+                )
+            self._classes[sel] = out
+        return sel
+
+    def class_of(self, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
+        return self._classes[self.selection(g1, g2)]
+
+
 def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
     """Obstruction class of the ordered pair (g1, g2), from the model's
     tangent class restricted to the common fixed locus (restriction keeps
@@ -66,22 +111,16 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     Over M = lcm(ord g1, ord g2) the three fractional parts are
     e1/M, e2/M and e3/M with e3 = -(e1 + e2) mod M, so their sum is 0, 1
     or 2; it is 0 exactly when w is fixed by both.  The bracket is
-    therefore 1 when e1 + e2 > M and 0 otherwise: w enters with its full
-    multiplicity m or not at all.
+    therefore 1 when e1 + e2 > M, that is frac<w,g1> + frac<w,g2> > 1, and
+    0 otherwise: w enters with its full multiplicity m or not at all.
+
+    The class is thus determined by which terms enter (the pair's
+    selection), so ``SectorGeometry`` and ``verify_obstruction_pullback``
+    keep one kernel per model that computes each element's exponents once
+    and each class once per distinct selection; this function runs the
+    same kernel for one pair.
     """
-    big = lcm(g1.order, g2.order)
-    s1, s2 = big // g1.order, big // g2.order
-    # a subsequence of sorted, distinct, nonzero terms is a canonical class
-    terms = tuple(
-        (w, m) for w, m in model.tangent_class.terms
-        if g1.exponent(w) * s1 + g2.exponent(w) * s2 > big
-    )
-    out = CharacterClass(model.d, terms, Fraction(0))
-    if not out.is_bundle():
-        raise ObstructionError(
-            "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out)
-        )
-    return out
+    return _Obstructions(model).class_of(g1, g2)
 
 
 def euler_poly(bundle: CharacterClass, num_vars: int | None = None) -> IntPoly:
@@ -108,7 +147,10 @@ class SectorGeometry:
     is never cached, so every push through it raises again.  A sector's
     ring depends only on its fixed columns, so sectors with the same fixed
     set share one presentation object, and a product of generators only on
-    its obstruction and the embedding it pushes along."""
+    its obstruction and the embedding it pushes along.  The geometry owns
+    one obstruction kernel: each element's tangent exponents are computed
+    once, and each obstruction class once per distinct set of tangent terms
+    (its selection), which is all the class depends on."""
 
     model: StackModel
     truncation: int
@@ -118,8 +160,10 @@ class SectorGeometry:
     _by_pair: dict = field(default_factory=dict)
     _presentations: dict = field(default_factory=dict)
     _embeddings: dict = field(default_factory=dict)
+    obstructions: _Obstructions = field(init=False)
 
     def __post_init__(self):
+        self.obstructions = _Obstructions(self.model)
         self.components = tuple(inertia_components(self.model))
         self.pairs = tuple(_pairs(self.model, {c.g: c.fixed_columns for c in self.components}))
         self._by_element = {c.g: c for c in self.components}
@@ -182,8 +226,7 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
         geo.component(beta.component)
         return _zero_class(model.d)
     target = geo.component(pair.target)
-    obs = obstruction(model, pair.g1, pair.g2)
-    eu = euler_poly(obs, model.d)
+    eu = euler_poly(geo.obstructions.class_of(pair.g1, pair.g2), model.d)
     # the geometry hands out checked embeddings: push without a re-check
     emb = geo.embedding(pair.common_fixed, target.fixed_columns)
     pushed = alpha.poly * beta.poly * eu * emb.euler
@@ -229,8 +272,10 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     target's, reduced in the target's presentation.  It depends on the pair
     only through the key (obstruction, common fixed set, target fixed set),
     so ``star`` and ``reduce_class`` run once per key and every later pair
-    with that key gets the same polynomial and coordinates; each pair's
-    obstruction is still computed, so a non-bundle still raises."""
+    with that key gets the same polynomial and coordinates.  The obstruction
+    enters the key as its selection, the int tuple of the tangent terms it
+    consists of, which determines it; each stable pair's selection is still
+    evaluated and bundle-tested, so a non-bundle still raises."""
     floor = bound if bound is not None else 2 * model.num_coords
     geo = SectorGeometry(model, truncation=floor)
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).  No
@@ -245,7 +290,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
             products[(g1, g2)] = ProductEntry(g1, g2, None, IntPoly.zero(model.d), ())
             continue
         target_fixed = geo.component(pair.target).fixed_columns
-        key = (obstruction(model, g1, g2), pair.common_fixed, target_fixed)
+        key = (geo.obstructions.selection(g1, g2), pair.common_fixed, target_fixed)
         if key not in by_key:
             poly = star(geo, geo.generator(g1), geo.generator(g2)).poly
             by_key[key] = (poly, reduce_class(geo.presentation_for(target_fixed), poly))
@@ -273,7 +318,13 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     """On every double-inertia component, the obstruction class computed from
     the moment-fiber tangent data must equal the restriction of the ambient
     one (restriction keeps all characters, so this is equality of exact
-    character multisets), and both must be genuine bundles."""
+    character multisets), and both must be genuine bundles.
+
+    Each side has its own obstruction kernel, built from that model's own
+    tangent class, so each side's tangent exponents are computed once per
+    element and each class once per distinct selection; the classes, not
+    the selections, are compared.  A non-bundle selection is never cached,
+    so every pair that has it is listed in ``failures``."""
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
     pairs = double_inertia(ambient)
@@ -281,11 +332,12 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
         return ObstructionPullbackReport(
             False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
         )
+    obs_ambient, obs_fiber = _Obstructions(ambient), _Obstructions(fiber)
     failures = []
     for p in pairs:
         try:
-            r_ambient = obstruction(ambient, p.g1, p.g2)
-            r_fiber = obstruction(fiber, p.g1, p.g2)
+            r_ambient = obs_ambient.class_of(p.g1, p.g2)
+            r_fiber = obs_fiber.class_of(p.g1, p.g2)
         except ObstructionError as exc:
             failures.append(PullbackCheck(p.g1, p.g2, False, str(exc)))
             continue

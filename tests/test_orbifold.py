@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -13,6 +14,7 @@ from hypertoric import (
     GradedClass,
     GysinError,
     IntPoly,
+    ObstructionError,
     SectorEmbedding,
     SectorGeometry,
     TorsionElement,
@@ -360,3 +362,88 @@ def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypat
     for _ in range(2):
         with pytest.raises(GysinError):
             star(geo, geo.generator(omega), geo.generator(omega))
+
+
+def test_obstruction_kernel_work_counts(monkeypatch):
+    # one exponent evaluation per (element, tangent term) beyond those of the
+    # inertia pass, and one CharacterClass per distinct selection (distinct
+    # selections are distinct classes)
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    model = lawrence_model(a, theta)
+    fresh = SectorGeometry(model, truncation=4)
+    classes = {fresh.obstructions.class_of(p.g1, p.g2) for p in fresh.pairs}
+    assert len(classes) < len(fresh.pairs)
+
+    calls = Counter()
+    exponent = TorsionElement.exponent
+
+    def counted_exponent(g, w):
+        calls[g, tuple(w)] += 1
+        return exponent(g, w)
+
+    monkeypatch.setattr(TorsionElement, "exponent", counted_exponent)
+    inertia_components(model)
+    baseline, calls = calls, Counter()
+    made = []
+    monkeypatch.setattr(orbifold_module, "CharacterClass", _counted(made, CharacterClass))
+    orbifold_table(model, 4)
+
+    extra = calls - baseline
+    tangent = {w for w, _ in model.tangent_class.terms}
+    assert extra and set(extra.values()) == {1}
+    assert {w for _, w in extra} <= tangent
+    assert len(made) == len(classes)
+
+
+def _fiber_with_negative_term(monkeypatch, a, theta):
+    """Give the moment fiber multiplicity -1 on the tangent character that
+    enters the most obstructions; return that character and the ambient
+    geometry."""
+    geo = SectorGeometry(lawrence_model(a, theta), truncation=4)
+    entering = Counter(w for p in geo.pairs
+                       for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms)
+    bad, _ = entering.most_common(1)[0]
+    fiber = orbifold_module._moment_fiber
+
+    def broken(lm):
+        out = fiber(lm)
+        tangent = out.tangent_class
+        terms = tuple((w, Fraction(-1) if w == bad else m) for w, m in tangent.terms)
+        return dataclasses.replace(out, tangent_class=CharacterClass(out.d, terms, tangent.trivial))
+
+    monkeypatch.setattr(orbifold_module, "_moment_fiber", broken)
+    return bad, geo
+
+
+def test_pullback_lists_every_pair_with_a_non_bundle_selection(monkeypatch):
+    # negative control: a failing selection is never cached, so every pair
+    # whose selection holds the broken term fails, not only the first
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
+    expected = [(p.g1, p.g2) for p in geo.pairs
+                if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
+    assert 2 <= len(expected) < len(geo.pairs)
+
+    rep = verify_obstruction_pullback(a, theta)
+    assert not rep.ok and rep.checked == len(geo.pairs)
+    assert [(f.g1, f.g2) for f in rep.failures] == expected
+    assert all("not a bundle" in f.detail for f in rep.failures)
+
+
+def test_table_of_a_non_bundle_model_raises(monkeypatch):
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    _fiber_with_negative_term(monkeypatch, a, theta)
+    broken = orbifold_module._moment_fiber(lawrence_model(a, theta))
+    with pytest.raises(ObstructionError):
+        orbifold_table(broken, 4)
+    geo = SectorGeometry(broken, truncation=4)
+    failing = []
+    for p in geo.pairs:
+        try:
+            geo.obstructions.class_of(p.g1, p.g2)
+        except ObstructionError:
+            failing.append(p)
+    assert len(failing) >= 2
+    for p in failing:
+        with pytest.raises(ObstructionError):
+            geo.obstructions.class_of(p.g1, p.g2)

@@ -17,13 +17,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
+    IntMatrix,
     ModelError,
     ObstructionError,
+    SectorGeometry,
     TorsionElement,
     WeightMatrix,
     age,
+    cokernel_torsion_elements,
     direct_model,
     fixed_columns,
     hypertoric_model,
@@ -31,6 +35,8 @@ from hypertoric import (
     lawrence_model,
     log_trace,
     obstruction,
+    stabilizer_elements,
+    verify_obstruction_pullback,
 )
 from hypertoric.sampling import random_generic_instance
 
@@ -179,3 +185,54 @@ def test_negative_tangent_multiplicity_is_not_a_bundle(mu3_model, omega):
         obstruction(bad, omega, omega)
     with pytest.raises(ModelError, match="integers"):
         dataclasses.replace(mu3_model, tangent_class=CharacterClass.build(1, [((2,), Fraction(1, 2))]))
+
+
+# (seed, d, n) of random_generic_instance for the obstruction kernel oracle
+_KERNEL_DRAWS = [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]
+
+
+@pytest.mark.parametrize("seed, d, n", _KERNEL_DRAWS)
+def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
+    # every ordered stable pair, through the geometry's kernel and through
+    # the two kernels of verify_obstruction_pullback
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    for model in (lawrence_model(a, theta), hypertoric_model(a, theta)):
+        geo = SectorGeometry(model, truncation=4)
+        assert len(geo.components) > 1
+        for p in geo.pairs:
+            assert geo.obstructions.class_of(p.g1, p.g2) == ref_obstruction(model, p.g1.v, p.g2.v)
+
+    seen = []
+    class_of = orbifold_module._Obstructions.class_of
+
+    def spy(kernel, g1, g2):
+        out = class_of(kernel, g1, g2)
+        seen.append((kernel.model, g1, g2, out))
+        return out
+
+    monkeypatch.setattr(orbifold_module._Obstructions, "class_of", spy)
+    rep = verify_obstruction_pullback(a, theta)
+    assert rep.ok
+    assert len(seen) == 2 * rep.checked
+    assert {m.kind for m, *_ in seen} == {"lawrence", "hypertoric"}
+    for model, g1, g2, out in seen:
+        assert out == ref_obstruction(model, g1.v, g2.v)
+
+
+def _nonsingular(rng, d):
+    while True:
+        m = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(d)] for _ in range(d)])
+        if m.det():
+            return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stabilizer_elements_match_the_fraction_walk(d):
+    rng = random.Random(700 + d)
+    for _ in range(12):
+        m = _nonsingular(rng, d)
+        a = WeightMatrix(m)
+        got = stabilizer_elements(a, range(1, d + 1))
+        ref = {TorsionElement.from_fractions(v) for v in cokernel_torsion_elements(m)}
+        assert got == ref
+        assert len(got) == abs(m.det())
