@@ -114,6 +114,7 @@ def _cmd_chowring(model: StackModel, args) -> tuple[int, dict]:
 
 def _cmd_orbifold_table(model: StackModel, args) -> tuple[int, dict]:
     table = orbifold_table(model, args.degree)
+    elems = [c.g for c in table.components]
     out = {
         "components": [
             {"v": c.g.as_strings(), "age": str(c.age), "fixed": sorted(c.fixed_columns)}
@@ -126,7 +127,8 @@ def _cmd_orbifold_table(model: StackModel, args) -> tuple[int, dict]:
                 "target": e.target.as_strings() if e.target is not None else None,
                 "poly": format_poly(e.poly),
             }
-            for e in table.products.values()
+            # every ordered pair; the table stores only the stable ones
+            for e in (table.entry(g1, g2) for g1 in elems for g2 in elems)
         ],
     }
     return EXIT_OK, out

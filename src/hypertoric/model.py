@@ -169,9 +169,6 @@ class StackModel:
     def coordinate_char(self, j: int) -> tuple[int, ...]:
         return self.weights.column(j)
 
-    def coordinate_label(self, j: int) -> str:
-        return self.arrangement.labels[j - 1]
-
     def coords_of_columns(self, cols) -> frozenset[int]:
         """Ambient coordinate indices lying over the given base columns."""
         cols = set(cols)

@@ -9,7 +9,6 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -249,23 +248,25 @@ class ProductEntry:
 
 @dataclass
 class OrbifoldTable:
-    """Structure constants of the star product on sector generators."""
+    """Structure constants of the star product on sector generators: one
+    entry per pair of the double inertia, in pair order; absent means zero."""
 
-    model: StackModel
     geometry: SectorGeometry
     components: tuple[InertiaComponent, ...]
     products: dict
 
     def entry(self, g1, g2) -> ProductEntry:
-        return self.products[(g1, g2)]
-
-    def generator(self, g) -> GradedClass:
-        return self.geometry.generator(g)
+        """The stored entry, else the zero entry; a non-sector raises ValueError."""
+        found = self.products.get((g1, g2))
+        if found is not None:
+            return found
+        self.geometry.component(g1)
+        self.geometry.component(g2)
+        return ProductEntry(g1, g2, None, IntPoly.zero(self.geometry.model.d), ())
 
 
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
-    """All pairwise generator products.  Pairs with empty double component
-    get the zero polynomial (their target may not be a sector at all).
+    """The generator products of the double inertia's pairs; absent means zero.
 
     A generator product is the Euler polynomial of the pair's obstruction
     class times the normal Euler factor of the common fixed locus in the
@@ -283,12 +284,8 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     geo.truncation = max(floor, int(2 * max(c.age for c in geo.components)) + 1)
     products = {}
     by_key: dict = {}
-    elems = [c.g for c in geo.components]
-    for g1, g2 in itertools.product(elems, repeat=2):
-        pair = geo.pair(g1, g2)
-        if pair is None:
-            products[(g1, g2)] = ProductEntry(g1, g2, None, IntPoly.zero(model.d), ())
-            continue
+    for pair in geo.pairs:
+        g1, g2 = pair.g1, pair.g2
         target_fixed = geo.component(pair.target).fixed_columns
         key = (geo.obstructions.selection(g1, g2), pair.common_fixed, target_fixed)
         if key not in by_key:
@@ -296,7 +293,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
             by_key[key] = (poly, reduce_class(geo.presentation_for(target_fixed), poly))
         poly, coords = by_key[key]
         products[(g1, g2)] = ProductEntry(g1, g2, pair.target, poly, coords)
-    return OrbifoldTable(model, geo, geo.components, products)
+    return OrbifoldTable(geo, geo.components, products)
 
 
 @dataclass(frozen=True)
@@ -371,7 +368,8 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     A sector's ring is the presentation of its fixed set, one object per
     fixed set in each geometry, so the ring map is checked once per
     distinct (ambient fixed set, fiber fixed set); every sector over a
-    failing pair is listed in ``ring_failures``."""
+    failing pair is listed in ``ring_failures``.  Products are compared on
+    the ambient pairs, then the fiber-only ones, each a product failure."""
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
     table_a = orbifold_table(ambient, bound)
@@ -399,8 +397,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     ]
 
     product_failures = []
-    for key, entry_a in table_a.products.items():
-        entry_f = table_f.products[key]
+    fiber_only = [key for key in table_f.products if key not in table_a.products]
+    for key in [*table_a.products, *fiber_only]:
+        entry_a, entry_f = table_a.entry(*key), table_f.entry(*key)
         if entry_a.target != entry_f.target or entry_a.coords != entry_f.coords:
             product_failures.append((key, entry_a, entry_f))
 

@@ -287,6 +287,51 @@ def test_memoized_table_equals_per_pair_star(build, seed, d, n):
         assert len(elems) >= 200
 
 
+# A = [[2, 3]]: 4 sectors, 12 of their 16 ordered pairs stable
+_A23 = WeightMatrix.from_rows([[2, 3]])
+
+_SPARSE_MODELS = [
+    (build, seed, d, n)
+    for build in (lawrence_model, hypertoric_model)
+    for seed, d, n in [(1, 1, 4), (1, 2, 4), (3, 2, 5), (4, 3, 5)]
+] + [(hypertoric_model, None, 1, 2), (lawrence_model, None, 1, 2)]
+
+
+@pytest.mark.parametrize("build, seed, d, n", _SPARSE_MODELS)
+def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
+    if seed is None:
+        model = build(_A23, [1])
+    else:
+        model = build(*random_generic_instance(random.Random(seed), d, n))
+    made = []
+    monkeypatch.setattr(orbifold_module, "ProductEntry",
+                        _counted(made, orbifold_module.ProductEntry))
+    table = orbifold_table(model, 5)
+    geo = table.geometry
+    assert len(made) == len(geo.pairs)
+    assert list(table.products) == [(p.g1, p.g2) for p in geo.pairs]
+
+    elems = [c.g for c in table.components]
+    zeros = 0
+    for g1, g2 in itertools.product(elems, repeat=2):
+        entry = table.entry(g1, g2)
+        if geo.pair(g1, g2) is None:
+            zeros += 1
+            assert (entry.g1, entry.g2, entry.target, entry.poly, entry.coords) == (
+                g1, g2, None, IntPoly.zero(d), ())
+        else:
+            assert entry is table.products[(g1, g2)] and entry.target is not None
+    assert zeros == len(elems) ** 2 - len(geo.pairs)
+    if seed is None:
+        assert (len(elems), len(geo.pairs)) == (4, 12)
+
+    stranger = TorsionElement.from_fractions([Fraction(1, 1009)] * d)
+    assert stranger not in elems
+    for args in [(stranger, elems[0]), (elems[0], stranger), (stranger, stranger)]:
+        with pytest.raises(ValueError):
+            table.entry(*args)
+
+
 def _spy_verify(monkeypatch, fail_fixed=None):
     """Record the tables and the ring checks of ``verify_orbifold_iso``;
     with ``fail_fixed``, the check of the ambient ring over that fixed set
@@ -350,6 +395,57 @@ def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monk
         {"kind": "ring", "v": g.as_strings(), "failing_degree": 1, "reason": "forced failure"}
         for g in named
     ]
+
+
+def _edit_fiber_table(monkeypatch, edit):
+    """Apply ``edit`` to each fiber table's products: every second table
+    built, since ``verify_orbifold_iso`` builds the ambient one first."""
+    table = orbifold_module.orbifold_table
+    built = []
+
+    def edited(*args):
+        built.append(table(*args))
+        if len(built) % 2 == 0:
+            edit(built[-1])
+        return built[-1]
+
+    monkeypatch.setattr(orbifold_module, "orbifold_table", edited)
+
+
+def _lose_pair(table):
+    keys = list(table.products)
+    lost = keys[len(keys) // 2]
+    del table.products[lost]
+    return lost
+
+
+def _gain_pair(table):
+    elems = [c.g for c in table.components]
+    gained = next((g1, g2) for g1 in elems for g2 in elems if (g1, g2) not in table.products)
+    g1, g2 = gained
+    table.products[gained] = orbifold_module.ProductEntry(
+        g1, g2, g1 + g2, IntPoly.one(g1.d), (1,))
+    return gained
+
+
+@pytest.mark.parametrize("edit", [_lose_pair, _gain_pair])
+def test_pair_stable_on_one_side_is_a_product_failure(edit, tmp_path, capsys, monkeypatch):
+    # negative control: a stable pair missing from the fiber table, or a
+    # fiber-only pair, is reported, in the report and in the CLI's verify output
+    edited = []
+    _edit_fiber_table(monkeypatch, lambda table: edited.append(edit(table)))
+    rep = verify_orbifold_iso(_A23, [1], 5)
+    assert not rep.ok
+    assert [key for key, _, _ in rep.product_failures] == edited
+    assert not rep.ring_failures and not rep.age_failures
+
+    edited.clear()
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[2, 3]], "theta": [1], "kind": "hypertoric"}))
+    assert main(["verify", "--input", str(path)]) == EXIT_VERIFY_FAILED
+    (g1, g2), = edited
+    failures = json.loads(capsys.readouterr().out)["orbifold_iso"]["failures"]
+    assert failures == [{"kind": "product", "g1": g1.as_strings(), "g2": g2.as_strings()}]
 
 
 def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypatch):
