@@ -197,7 +197,10 @@ def ring_map_is_iso(
     and the induced map must be surjective: the Hermite basis of the images
     and the target relations is the identity.  Equal invariants plus
     surjectivity give bijectivity for finitely generated abelian groups.
+    A ``bound`` below 1 compares nothing and raises ``ValueError``.
     """
+    if bound < 1:
+        raise ValueError("bound must be at least 1, got %d" % bound)
     images = list(var_images)
     if len(images) != src.num_vars:
         raise ValueError("expected %d variable images" % src.num_vars)

@@ -17,11 +17,10 @@ these ints; Fractions appear only where a value leaves the module.
 from __future__ import annotations
 
 import functools
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 
 from .characters import CharacterClass
 from .exact import cokernel_torsion_numerators, hnf
@@ -49,15 +48,22 @@ class TorsionElement:
     ``order`` is the order N of the element and ``nums`` its integer
     numerators, each in [0, N), with gcd(N, *nums) = 1; the constructor
     refuses any other form, so equality and hashing compare int tuples.
-    Elements sort as their canonical vectors ``v`` do."""
+    The hash is computed once, at construction, since elements key the
+    exponent tables, the pair maps and the sector lookups.  Elements sort
+    as their canonical vectors ``v`` do."""
 
     order: int
     nums: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
         if n < 1 or not all(0 <= a < n for a in self.nums) or gcd(n, *self.nums) != 1:
             raise ValueError("not a canonical torsion element: %r over %r" % (self.nums, n))
+        object.__setattr__(self, "_hash", hash((n, self.nums)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def _reduced(order: int, nums) -> "TorsionElement":
@@ -200,10 +206,16 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
             stable[fixed] = _stable_fixed(model, fixed)
         if stable[fixed]:
             out.append(g)
-    # a/N < b/M exactly when a*(L/N) < b*(L/M) for a common multiple L of
-    # the orders, so one int key per element sorts as ``__lt__`` does
-    big = lcm(*(g.order for g in out))
-    return sorted(out, key=lambda g: tuple(a * (big // g.order) for a in g.nums))
+    _, scaled = _over_common_order(out)
+    return sorted(out, key=scaled.__getitem__)
+
+
+def _over_common_order(elements) -> tuple[int, dict]:
+    """The lcm L of the elements' orders, and each element's numerators
+    over L.  a/N < b/M exactly when a*(L/N) < b*(L/M), so these int keys
+    sort as ``__lt__`` does, and the keys of a sum are the keys added mod L."""
+    big = lcm(*(g.order for g in elements))
+    return big, {g: tuple(a * (big // g.order) for a in g.nums) for g in elements}
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:
@@ -264,16 +276,39 @@ def inertia_components(model: StackModel) -> list[InertiaComponent]:
 
 def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
     """Ordered pairs of the inertia elements keyed in ``fixed`` (element ->
-    fixed columns, in sector order) whose common fixed columns pass
-    ``_stable_fixed``, decided once per distinct common set."""
+    fixed columns, every sector in sector order) whose common fixed columns
+    pass ``_stable_fixed``.
+
+    The elements are grouped by fixed set, and stability is decided once
+    per pair of fixed sets (once per distinct common set), so only stable
+    pairs are ever formed.  Each fixed set's stable partners are sorted
+    back into sector order, so the pairs come out as the walk over all
+    ordered pairs gives them: g1 in sector order, then g2.
+
+    The sum of a stable pair fixes the common set, so it is a sector too;
+    it is looked up by its numerators over the common order, not built."""
+    big, scaled = _over_common_order(fixed)
+    by_scaled = {v: g for g, v in scaled.items()}
+    groups: dict[frozenset[int], list] = {}
+    for i, (g, f) in enumerate(fixed.items()):
+        groups.setdefault(f, []).append((i, g))
     stable: dict[frozenset[int], bool] = {}
+    partners = {}
+    for f1 in groups:
+        row = []
+        for f2, members in groups.items():
+            common = f1 & f2
+            if common not in stable:
+                stable[common] = _stable_fixed(model, common)
+            if stable[common]:
+                row += [(i, g, common) for i, g in members]
+        row.sort(key=itemgetter(0))
+        partners[f1] = row
     out = []
-    for (g1, f1), (g2, f2) in itertools.product(fixed.items(), repeat=2):
-        common = f1 & f2
-        if common not in stable:
-            stable[common] = _stable_fixed(model, common)
-        if stable[common]:
-            out.append(DoubleInertiaComponent(g1, g2, common, g1 + g2))
+    for g1, f1 in fixed.items():
+        for _, g2, common in partners[f1]:
+            target = by_scaled[tuple((x + y) % big for x, y in zip(scaled[g1], scaled[g2]))]
+            out.append(DoubleInertiaComponent(g1, g2, common, target))
     return out
 
 

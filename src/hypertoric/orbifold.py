@@ -9,6 +9,7 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +27,6 @@ from .inertia import (
     InertiaComponent,
     TorsionElement,
     _pairs,
-    double_inertia,
     inertia_components,
     sector_model,
 )
@@ -77,13 +77,18 @@ class _Obstructions:
         return e
 
     def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
-        """Indices of the tangent terms in the obstruction of (g1, g2), whose
-        class is checked to be a bundle."""
+        """Indices of the tangent terms in the obstruction of (g1, g2)."""
         n1, n2 = g1.order, g2.order
         both = n1 * n2
         exps = zip(self._exponent_vector(g1), self._exponent_vector(g2))
-        sel = tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
-        if sel not in self._classes:
+        return tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
+
+    def class_for(self, sel: tuple[int, ...], g1: TorsionElement,
+                  g2: TorsionElement) -> CharacterClass:
+        """The class of the selection ``sel`` of (g1, g2), checked to be a
+        bundle; the pair only names a failure."""
+        out = self._classes.get(sel)
+        if out is None:
             # a subsequence of sorted, distinct, nonzero terms is a canonical class
             out = CharacterClass(self.model.d, tuple(self._terms[k] for k in sel), Fraction(0))
             if not out.is_bundle():
@@ -91,10 +96,42 @@ class _Obstructions:
                     "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out)
                 )
             self._classes[sel] = out
-        return sel
+        return out
 
     def class_of(self, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
-        return self._classes[self.selection(g1, g2)]
+        return self.class_for(self.selection(g1, g2), g1, g2)
+
+
+class _Analysis:
+    """The inertia analysis of one model, read by every verifier and table
+    of that model: the sectors, the stable pairs (the double inertia), each
+    pair's obstruction selection, computed once, and the obstruction kernel
+    that turns a selection into its bundle-tested class.  Nothing here
+    depends on a degree bound.  Every reader of the memo gets the same
+    object, so only the kernel's own caches ever change."""
+
+    def __init__(self, model: StackModel):
+        self.model = model
+        self.components = tuple(inertia_components(model))
+        self.pairs = tuple(_pairs(model, {c.g: c.fixed_columns for c in self.components}))
+        self.obstructions = _Obstructions(model)
+        self.selections = tuple(self.obstructions.selection(p.g1, p.g2) for p in self.pairs)
+        self.by_element = {c.g: c for c in self.components}
+        self.by_pair = {(p.g1, p.g2): i for i, p in enumerate(self.pairs)}
+
+    def obstruction_of(self, i: int) -> CharacterClass:
+        """The class of pair ``i``; a non-bundle raises ``ObstructionError``."""
+        p = self.pairs[i]
+        return self.obstructions.class_for(self.selections[i], p.g1, p.g2)
+
+
+@functools.lru_cache(maxsize=2)
+def _analysis(model: StackModel) -> _Analysis:
+    """The analysis of ``model``, keyed by its value: equal models share
+    one, and a model with other data (another tangent class, say) gets its
+    own.  Two entries hold the ambient model and the fiber of one
+    ``verify``, whose two checks both read them."""
+    return _Analysis(model)
 
 
 def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
@@ -114,9 +151,9 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     0 otherwise: w enters with its full multiplicity m or not at all.
 
     The class is thus determined by which terms enter (the pair's
-    selection), so ``SectorGeometry`` and ``verify_obstruction_pullback``
-    keep one kernel per model that computes each element's exponents once
-    and each class once per distinct selection; this function runs the
+    selection), so each model's shared analysis keeps one kernel that
+    computes each element's exponents once and each class once per
+    distinct selection, and both verifiers read it; this function runs the
     same kernel for one pair.
     """
     return _Obstructions(model).class_of(g1, g2)
@@ -139,43 +176,42 @@ def euler_poly(bundle: CharacterClass, num_vars: int | None = None) -> IntPoly:
 
 @dataclass
 class SectorGeometry:
-    """The one inertia analysis of a model: one inertia pass gives the
-    sectors and their pairs.  Sector models and presentations are built
-    lazily, once per fixed-column set (so ``truncation`` may be raised
-    before the first), and each embedding is checked once; a failed check
-    is never cached, so every push through it raises again.  A sector's
-    ring depends only on its fixed columns, so sectors with the same fixed
-    set share one presentation object, and a product of generators only on
-    its obstruction and the embedding it pushes along.  The geometry owns
-    one obstruction kernel: each element's tangent exponents are computed
-    once, and each obstruction class once per distinct set of tangent terms
-    (its selection), which is all the class depends on."""
+    """A model's inertia analysis with the rings over it, at one
+    truncation.  The sectors, pairs, selections and obstruction kernel are
+    the model's shared analysis (``_analysis``), computed once per model
+    value and read by ``verify_obstruction_pullback`` too.  Sector models
+    and presentations are built lazily, once per fixed-column set and per
+    geometry (so ``truncation`` may be raised before the first), and each
+    embedding is checked once; a failed check is never cached, so every
+    push through it raises again.  A sector's ring depends only on its
+    fixed columns, so sectors with the same fixed set share one
+    presentation object, and a product of generators only on its
+    obstruction and the embedding it pushes along."""
 
     model: StackModel
     truncation: int
-    components: tuple[InertiaComponent, ...] = ()
-    pairs: tuple[DoubleInertiaComponent, ...] = ()
-    _by_element: dict = field(default_factory=dict)
-    _by_pair: dict = field(default_factory=dict)
+    analysis: _Analysis = field(init=False, repr=False)
+    components: tuple[InertiaComponent, ...] = field(init=False)
+    pairs: tuple[DoubleInertiaComponent, ...] = field(init=False)
+    obstructions: _Obstructions = field(init=False, repr=False)
     _presentations: dict = field(default_factory=dict)
     _embeddings: dict = field(default_factory=dict)
-    obstructions: _Obstructions = field(init=False)
 
     def __post_init__(self):
-        self.obstructions = _Obstructions(self.model)
-        self.components = tuple(inertia_components(self.model))
-        self.pairs = tuple(_pairs(self.model, {c.g: c.fixed_columns for c in self.components}))
-        self._by_element = {c.g: c for c in self.components}
-        self._by_pair = {(p.g1, p.g2): p for p in self.pairs}
+        self.analysis = _analysis(self.model)
+        self.components = self.analysis.components
+        self.pairs = self.analysis.pairs
+        self.obstructions = self.analysis.obstructions
 
     def component(self, g: TorsionElement) -> InertiaComponent:
         try:
-            return self._by_element[g]
+            return self.analysis.by_element[g]
         except KeyError:
             raise ValueError("element %s is not an inertia element" % g) from None
 
     def pair(self, g1, g2) -> DoubleInertiaComponent | None:
-        return self._by_pair.get((g1, g2))
+        i = self.analysis.by_pair.get((g1, g2))
+        return None if i is None else self.pairs[i]
 
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
         key = tuple(sorted(fixed))
@@ -219,13 +255,14 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     model = geo.model
     if alpha.is_zero or beta.is_zero:
         return _zero_class(model.d)
-    pair = geo.pair(alpha.component, beta.component)
-    if pair is None:
+    i = geo.analysis.by_pair.get((alpha.component, beta.component))
+    if i is None:
         geo.component(alpha.component)
         geo.component(beta.component)
         return _zero_class(model.d)
+    pair = geo.pairs[i]
     target = geo.component(pair.target)
-    eu = euler_poly(geo.obstructions.class_of(pair.g1, pair.g2), model.d)
+    eu = euler_poly(geo.analysis.obstruction_of(i), model.d)
     # the geometry hands out checked embeddings: push without a re-check
     emb = geo.embedding(pair.common_fixed, target.fixed_columns)
     pushed = alpha.poly * beta.poly * eu * emb.euler
@@ -268,6 +305,11 @@ class OrbifoldTable:
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
     """The generator products of the double inertia's pairs; absent means zero.
 
+    The table's geometry reads the model's shared analysis (``_analysis``),
+    so its sectors, pairs and pair selections are those the pullback check
+    reads; its presentations, embeddings and truncation are its own, since
+    they depend on ``bound``.
+
     A generator product is the Euler polynomial of the pair's obstruction
     class times the normal Euler factor of the common fixed locus in the
     target's, reduced in the target's presentation.  It depends on the pair
@@ -276,18 +318,20 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     with that key gets the same polynomial and coordinates.  The obstruction
     enters the key as its selection, the int tuple of the tangent terms it
     consists of, which determines it; each stable pair's selection is still
-    evaluated and bundle-tested, so a non-bundle still raises."""
+    bundle-tested, so a non-bundle still raises."""
     floor = bound if bound is not None else 2 * model.num_coords
     geo = SectorGeometry(model, truncation=floor)
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).  No
     # presentation is built yet, so the truncation can still cover them.
     geo.truncation = max(floor, int(2 * max(c.age for c in geo.components)) + 1)
+    analysis = geo.analysis
     products = {}
     by_key: dict = {}
-    for pair in geo.pairs:
+    for i, pair in enumerate(geo.pairs):
         g1, g2 = pair.g1, pair.g2
+        analysis.obstruction_of(i)  # the bundle test; a failure raises here
         target_fixed = geo.component(pair.target).fixed_columns
-        key = (geo.obstructions.selection(g1, g2), pair.common_fixed, target_fixed)
+        key = (analysis.selections[i], pair.common_fixed, target_fixed)
         if key not in by_key:
             poly = star(geo, geo.generator(g1), geo.generator(g2)).poly
             by_key[key] = (poly, reduce_class(geo.presentation_for(target_fixed), poly))
@@ -317,24 +361,24 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     one (restriction keeps all characters, so this is equality of exact
     character multisets), and both must be genuine bundles.
 
-    Each side has its own obstruction kernel, built from that model's own
-    tangent class, so each side's tangent exponents are computed once per
-    element and each class once per distinct selection; the classes, not
-    the selections, are compared.  A non-bundle selection is never cached,
-    so every pair that has it is listed in ``failures``."""
-    ambient = lawrence_model(a, theta)
-    fiber = _moment_fiber(ambient)
-    pairs = double_inertia(ambient)
-    if [(p.g1, p.g2) for p in double_inertia(fiber)] != [(p.g1, p.g2) for p in pairs]:
+    Each side is read from its own model's shared analysis (``_analysis``):
+    its pairs, its pair selections, and its obstruction kernel, built from
+    that model's own tangent class, so ``verify_orbifold_iso`` on the same
+    input reuses them.  Each class is built once per distinct selection;
+    the classes, not the selections, are compared.  A non-bundle selection
+    is never cached, so every pair that has it is listed in ``failures``."""
+    model = lawrence_model(a, theta)
+    ambient, fiber = _analysis(model), _analysis(_moment_fiber(model))
+    pairs = ambient.pairs
+    if [(p.g1, p.g2) for p in fiber.pairs] != [(p.g1, p.g2) for p in pairs]:
         return ObstructionPullbackReport(
             False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
         )
-    obs_ambient, obs_fiber = _Obstructions(ambient), _Obstructions(fiber)
     failures = []
-    for p in pairs:
+    for i, p in enumerate(pairs):
         try:
-            r_ambient = obs_ambient.class_of(p.g1, p.g2)
-            r_fiber = obs_fiber.class_of(p.g1, p.g2)
+            r_ambient = ambient.obstruction_of(i)
+            r_fiber = fiber.obstruction_of(i)
         except ObstructionError as exc:
             failures.append(PullbackCheck(p.g1, p.g2, False, str(exc)))
             continue
@@ -369,7 +413,10 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     fixed set in each geometry, so the ring map is checked once per
     distinct (ambient fixed set, fiber fixed set); every sector over a
     failing pair is listed in ``ring_failures``.  Products are compared on
-    the ambient pairs, then the fiber-only ones, each a product failure."""
+    the ambient pairs, then the fiber-only ones, each a product failure.
+    A ``bound`` below 1 compares no ring and raises ``ValueError``."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1, got %d" % bound)
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
     table_a = orbifold_table(ambient, bound)

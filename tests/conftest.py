@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     TorsionElement,
     WeightMatrix,
@@ -9,6 +10,13 @@ from hypertoric import (
     hypertoric_model,
     lawrence_model,
 )
+
+
+@pytest.fixture(autouse=True)
+def _no_memoized_analysis():
+    # each test starts with an empty analysis memo, so no test depends on
+    # which models an earlier one analysed
+    orbifold_module._analysis.cache_clear()
 
 
 @pytest.fixture

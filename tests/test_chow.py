@@ -125,6 +125,18 @@ def test_iso_t_to_zero_fails_at_degree_1(z3t):
     assert rep.failing_degree == 1
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_iso_refuses_a_bound_below_one(z3t, bound):
+    # t -> 2t from Z[t] onto Z[t]/(3t) fails at degree 1; a bound below 1
+    # would compare nothing and report an isomorphism
+    z = zpres()
+    with pytest.raises(ValueError, match="bound must be at least 1, got %d" % bound):
+        ring_map_is_iso(z, z3t, [T.scale(2)], bound)
+    rep = ring_map_is_iso(z, z3t, [T.scale(2)], 1)
+    assert not rep.is_iso and rep.failing_degree == 1
+    assert "graded groups differ" in rep.reason
+
+
 def test_iso_unit_scaling(z3t):
     rep = ring_map_is_iso(z3t, z3t, [T.scale(2)], 6)
     assert rep.is_iso

@@ -482,6 +482,8 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     baseline, calls = calls, Counter()
     made = []
     monkeypatch.setattr(orbifold_module, "CharacterClass", _counted(made, CharacterClass))
+    # the table's own first analysis, not the one ``fresh`` memoized
+    orbifold_module._analysis.cache_clear()
     orbifold_table(model, 4)
 
     extra = calls - baseline
@@ -543,3 +545,83 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
     for p in failing:
         with pytest.raises(ObstructionError):
             geo.obstructions.class_of(p.g1, p.g2)
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_verify_orbifold_iso_refuses_a_bound_below_one(a12, bound):
+    # a bound below 1 would compare no ring and report a vacuous pass
+    with pytest.raises(ValueError, match="bound must be at least 1, got %d" % bound):
+        verify_orbifold_iso(a12, [1], bound)
+    assert verify_orbifold_iso(a12, [1], 1).ok
+
+
+def test_one_analysis_per_side_per_verify(monkeypatch):
+    # the pullback and the iso check of one input share each side's
+    # inertia pass, pair walk and pair selections
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    enumerations, walks, selections = [], [], []
+    monkeypatch.setattr(inertia_module, "inertia_elements",
+                        _counted(enumerations, inertia_module.inertia_elements))
+    walk = _counted(walks, inertia_module._pairs)
+    for module in (inertia_module, orbifold_module):
+        monkeypatch.setattr(module, "_pairs", walk)
+    monkeypatch.setattr(orbifold_module._Obstructions, "selection",
+                        _counted(selections, orbifold_module._Obstructions.selection))
+
+    pull = verify_obstruction_pullback(a, theta)
+    iso = verify_orbifold_iso(a, theta, 5)
+    assert pull.ok and iso.ok and pull.checked > 1
+    assert len(enumerations) == len(walks) == 2
+    assert {model.kind for model, in enumerations} == {"lawrence", "hypertoric"}
+    per_pair = Counter((kernel.model.kind, g1, g2) for kernel, g1, g2 in selections)
+    assert len(per_pair) == 2 * pull.checked
+    assert set(per_pair.values()) == {1}
+
+
+def test_memo_is_keyed_by_the_model_value(monkeypatch):
+    # a memo warmed by an unpatched run must not answer for a fiber with
+    # another tangent class: every failing pair is still listed
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    assert verify_obstruction_pullback(a, theta).ok
+    assert orbifold_module._analysis.cache_info().currsize == 2
+    bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
+    expected = [(p.g1, p.g2) for p in geo.pairs
+                if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
+    assert 2 <= len(expected) < len(geo.pairs)
+
+    rep = verify_obstruction_pullback(a, theta)
+    assert [(f.g1, f.g2) for f in rep.failures] == expected
+    assert all("not a bundle" in f.detail for f in rep.failures)
+    with pytest.raises(ObstructionError):
+        verify_orbifold_iso(a, theta, 5)
+
+
+def test_tables_at_two_bounds_equal_cold_ones():
+    # the shared analysis carries no bound: tables and reports at bounds 3
+    # and 5, one after the other, equal each computed on an empty memo
+    a, theta = random_generic_instance(random.Random(1), 2, 5)
+    model = lawrence_model(a, theta)
+    warm = [orbifold_table(model, b) for b in (3, 5)]
+    assert warm[0].geometry.analysis is warm[1].geometry.analysis
+    warm_reports = [verify_orbifold_iso(a, theta, b) for b in (3, 5)]
+    for b, table, report in zip((3, 5), warm, warm_reports):
+        orbifold_module._analysis.cache_clear()
+        cold = orbifold_table(model, b)
+        assert cold.geometry.analysis is not table.geometry.analysis
+        assert cold.geometry.truncation == table.geometry.truncation
+        assert cold.components == table.components
+        assert cold.products == table.products
+        orbifold_module._analysis.cache_clear()
+        assert verify_orbifold_iso(a, theta, b) == report
+
+
+def test_memo_holds_at_most_two_analyses():
+    inputs = [random_generic_instance(random.Random(seed), 2, 4) for seed in (1, 2, 3)]
+    for a, theta in inputs:
+        assert verify_obstruction_pullback(a, theta).ok
+    info = orbifold_module._analysis.cache_info()
+    assert (info.currsize, info.misses) == (2, 6)
+    # the two held are the ambient and the fiber of the latest input
+    assert verify_orbifold_iso(*inputs[-1], 5).ok
+    after = orbifold_module._analysis.cache_info()
+    assert (after.currsize, after.misses, after.hits - info.hits) == (2, 6, 2)

@@ -3,10 +3,12 @@
 The oracle builds each sector the long way, on the column subset with the
 model's own builder, and compares it with ``sector_model``; the work counts
 check that a table builds no model after the top-level one and that the
-stability of a common fixed set is decided once.
+stability of a common fixed set is decided once; the order oracle holds the
+pair walk to the order of the walk over all ordered pairs.
 """
 
 import collections
+import itertools
 import random
 
 import pytest
@@ -23,7 +25,7 @@ from hypertoric import (
     orbifold_table,
     sector_model,
 )
-from hypertoric.inertia import _pairs
+from hypertoric.inertia import DoubleInertiaComponent, _pairs
 from hypertoric.sampling import random_generic_instance
 
 BUILDERS = ("lawrence_model", "hypertoric_model", "direct_model")
@@ -203,3 +205,30 @@ def test_inertia_elements_decide_each_fixed_set_once(monkeypatch):
     assert len(candidates) > len(decided)
     monkeypatch.setattr(inertia_module, "_stable_fixed", stable_fixed)
     assert elems == sorted(g for g in candidates if inertia_module._in_inertia(model, g))
+
+
+def product_walk_pairs(model, fixed):
+    """The double inertia by the walk over all ordered pairs of sectors, in
+    ``itertools.product`` order: g1 in sector order, then g2."""
+    stable = {}
+    out = []
+    for (g1, f1), (g2, f2) in itertools.product(fixed.items(), repeat=2):
+        common = f1 & f2
+        if common not in stable:
+            stable[common] = inertia_module._stable_fixed(model, common)
+        if stable[common]:
+            out.append(DoubleInertiaComponent(g1, g2, common, g1 + g2))
+    return out
+
+
+def test_grouped_pairs_keep_the_product_order(mu3_model):
+    interleaved = 0
+    models = [*_git_models(), ("mu3", mu3_model), *_theta_direct_models()]
+    for name, model in models:
+        fixed = {c.g: c.fixed_columns for c in inertia_components(model)}
+        assert _pairs(model, fixed) == product_walk_pairs(model, fixed), name
+        # a fixed set whose sectors are not adjacent in sector order, so
+        # the grouped walk must sort its partners back
+        runs = [f for f, _ in itertools.groupby(fixed.values())]
+        interleaved += len(runs) > len(set(runs))
+    assert interleaved >= 10

@@ -203,14 +203,16 @@ def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
             assert geo.obstructions.class_of(p.g1, p.g2) == ref_obstruction(model, p.g1.v, p.g2.v)
 
     seen = []
-    class_of = orbifold_module._Obstructions.class_of
+    class_for = orbifold_module._Obstructions.class_for
 
-    def spy(kernel, g1, g2):
-        out = class_of(kernel, g1, g2)
+    def spy(kernel, sel, g1, g2):
+        out = class_for(kernel, sel, g1, g2)
         seen.append((kernel.model, g1, g2, out))
         return out
 
-    monkeypatch.setattr(orbifold_module._Obstructions, "class_of", spy)
+    monkeypatch.setattr(orbifold_module._Obstructions, "class_for", spy)
+    # the pullback's own first analysis, not the geometries' above
+    orbifold_module._analysis.cache_clear()
     rep = verify_obstruction_pullback(a, theta)
     assert rep.ok
     assert len(seen) == 2 * rep.checked
