@@ -1,8 +1,10 @@
 # Exact local product structure over each sigma chart.
 #
 # Over the chart where the sigma coordinates are invertible, the doubled
-# coordinate space splits as (moment fiber) x (affine d-space), with the
-# fiber coordinate z_i reading off the i-th (row-reduced) moment value.
+# coordinate space splits as (moment fiber) x (affine d-space): the fiber
+# coordinates z are the moment value in the basis of the chart's columns,
+# mu(q) = sum z_i a_{b_i}, and the base point moves each partner coordinate
+# back by z_i over its pivot coordinate.
 # Everything below is exact rational arithmetic: the round-trips are
 # equalities of Fractions, not approximations.
 

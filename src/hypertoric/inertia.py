@@ -261,7 +261,7 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     labels = _coordinate_labels(len(keep), model.doubled)
     tangent = model.tangent_class - CharacterClass.build(model.d, dead)
     return StackModel(model.kind, sub, WeightMatrix.from_rows(zip(*chars)), model.theta,
-                      StableArrangement(sigmas, tuple(unstable), chars, labels),
+                      StableArrangement(sigmas, tuple(unstable), labels),
                       tangent, model.moment_rank)
 
 

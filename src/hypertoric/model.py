@@ -66,7 +66,10 @@ class WeightMatrix:
         return self.matrix.column(j - 1)
 
     def columns_matrix(self, cols) -> IntMatrix:
-        """Square-ish submatrix of the 1-based columns, in ascending order."""
+        """Square-ish submatrix of the 1-based columns, in ascending order;
+        a column outside 1..n is refused, not read from the other end."""
+        if not all(1 <= j <= self.n for j in cols):
+            raise ModelError("columns {%s} are not all in 1..%d" % (",".join(map(str, cols)), self.n))
         return self.matrix.submatrix_columns(sorted(j - 1 for j in cols))
 
 
@@ -116,12 +119,12 @@ class GenericReport:
 @dataclass(frozen=True)
 class StableArrangement:
     """Stable-locus combinatorics of a model: the sigma sets, the minimal
-    unstable coordinate sets they determine, and the ambient coordinates
-    with their characters."""
+    unstable coordinate sets they determine, and the ambient coordinate
+    labels.  The coordinate characters are the columns of
+    ``StackModel.weights``."""
 
     sigma_sets: tuple[SigmaSet, ...]
     unstable_minimal: tuple[frozenset[int], ...]
-    ambient_chars: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
 
@@ -256,18 +259,8 @@ def moment_eval(a: WeightMatrix, point) -> tuple[Fraction, ...]:
     p = as_fraction_vector(point)
     if len(p) != 2 * a.n:
         raise ValueError("point must have %d coordinates" % (2 * a.n))
-    return _moment(a.matrix.entries, a.n, p)
-
-
-def _moment(rows, n: int, point, skip=()) -> tuple[Fraction, ...]:
-    """sum_j a_ij x_j y_j for each row of a weight matrix with n columns,
-    leaving out the 0-based columns in ``skip``."""
-    p = as_fraction_vector(point)
-    xs, ys = p[:n], p[n:]
-    return tuple(
-        sum((row[j] * xs[j] * ys[j] for j in range(n) if j not in skip), Fraction(0))
-        for row in rows
-    )
+    xys = [x * y for x, y in zip(p[:a.n], p[a.n:])]
+    return tuple(sum((e * xy for e, xy in zip(row, xys)), Fraction(0)) for row in a.matrix.entries)
 
 
 def _coordinate_labels(n: int, doubled: bool) -> tuple[str, ...]:
@@ -304,7 +297,7 @@ def lawrence_model(a: WeightMatrix, theta) -> StackModel:
     theta, sigmas, unstable = _git_arrangement(a, theta, doubled=True)
     doubled = lawrence_double(a)
     chars = tuple(doubled.column(j) for j in range(1, doubled.n + 1))
-    arrangement = StableArrangement(sigmas, unstable, chars, _coordinate_labels(a.n, True))
+    arrangement = StableArrangement(sigmas, unstable, _coordinate_labels(a.n, True))
     return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, chars), 0)
 
 
@@ -343,12 +336,12 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
                     raise ModelError("unstable sets must form an antichain")
         sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
         theta_t = tuple(int(c) for c in theta) if theta is not None else None
-        arrangement = StableArrangement((), tuple(sets), chars, labels)
+        arrangement = StableArrangement((), tuple(sets), labels)
         return StackModel(DIRECT, a, a, theta_t, arrangement, tangent, 0)
     if theta is None:
         raise ModelError("direct model needs either unstable sets or a character")
     theta, sigmas, unstable_sets = _git_arrangement(a, theta, doubled=False)
-    arrangement = StableArrangement(sigmas, unstable_sets, chars, labels)
+    arrangement = StableArrangement(sigmas, unstable_sets, labels)
     return StackModel(DIRECT, a, a, theta, arrangement, tangent, 0)
 
 

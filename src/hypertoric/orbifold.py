@@ -159,16 +159,15 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     return _Obstructions(model).class_of(g1, g2)
 
 
-def euler_poly(bundle: CharacterClass, num_vars: int | None = None) -> IntPoly:
+def euler_poly(bundle: CharacterClass) -> IntPoly:
     """Top Chern class of a character bundle: the product of the linear
     forms <w, t>, with multiplicity.  The empty bundle gives 1; any trivial
     summand contributes a zero factor."""
     if not bundle.is_bundle():
         raise ValueError("euler class needs nonnegative integer multiplicities: %s" % bundle)
-    d = bundle.dim if num_vars is None else num_vars
     if bundle.trivial > 0:
-        return IntPoly.zero(d)
-    out = IntPoly.one(d)
+        return IntPoly.zero(bundle.dim)
+    out = IntPoly.one(bundle.dim)
     for w, m in bundle.terms:
         out = out * IntPoly.linear_form(w) ** int(m)
     return out
@@ -179,9 +178,9 @@ class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation.  The sectors, pairs, selections and obstruction kernel are
     the model's shared analysis (``_analysis``), computed once per model
-    value and read by ``verify_obstruction_pullback`` too.  Sector models
-    and presentations are built lazily, once per fixed-column set and per
-    geometry (so ``truncation`` may be raised before the first), and each
+    value and read by ``verify_obstruction_pullback`` too; a caller that
+    already holds it passes it in.  Sector models and presentations are
+    built lazily, once per fixed-column set and per geometry, and each
     embedding is checked once; a failed check is never cached, so every
     push through it raises again.  A sector's ring depends only on its
     fixed columns, so sectors with the same fixed set share one
@@ -190,7 +189,7 @@ class SectorGeometry:
 
     model: StackModel
     truncation: int
-    analysis: _Analysis = field(init=False, repr=False)
+    analysis: _Analysis = field(default=None, repr=False)
     components: tuple[InertiaComponent, ...] = field(init=False)
     pairs: tuple[DoubleInertiaComponent, ...] = field(init=False)
     obstructions: _Obstructions = field(init=False, repr=False)
@@ -198,7 +197,8 @@ class SectorGeometry:
     _embeddings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.analysis = _analysis(self.model)
+        if self.analysis is None:
+            self.analysis = _analysis(self.model)
         self.components = self.analysis.components
         self.pairs = self.analysis.pairs
         self.obstructions = self.analysis.obstructions
@@ -262,7 +262,7 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
         return _zero_class(model.d)
     pair = geo.pairs[i]
     target = geo.component(pair.target)
-    eu = euler_poly(geo.analysis.obstruction_of(i), model.d)
+    eu = euler_poly(geo.analysis.obstruction_of(i))
     # the geometry hands out checked embeddings: push without a re-check
     emb = geo.embedding(pair.common_fixed, target.fixed_columns)
     pushed = alpha.poly * beta.poly * eu * emb.euler
@@ -320,11 +320,10 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     consists of, which determines it; each stable pair's selection is still
     bundle-tested, so a non-bundle still raises."""
     floor = bound if bound is not None else 2 * model.num_coords
-    geo = SectorGeometry(model, truncation=floor)
-    # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).  No
-    # presentation is built yet, so the truncation can still cover them.
-    geo.truncation = max(floor, int(2 * max(c.age for c in geo.components)) + 1)
-    analysis = geo.analysis
+    # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
+    analysis = _analysis(model)
+    top_age = max(c.age for c in analysis.components)
+    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), analysis)
     products = {}
     by_key: dict = {}
     for i, pair in enumerate(geo.pairs):

@@ -10,14 +10,13 @@ points.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import IntMatrix, as_fraction_vector, solve_rational
+from .exact import as_fraction_vector
 from .inertia import TorsionElement, inertia_elements
-from .model import SigmaSet, StackModel, WeightMatrix, _moment, column_bases, moment_eval, sigma_set
+from .model import SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
 
 
 @dataclass(frozen=True)
@@ -56,21 +55,23 @@ def hypertoric_normal_data(model: StackModel) -> LocalModelSRE:
 class ChartInstance:
     """One sigma chart, ready for exact evaluation.
 
-    ``pivot_order`` is the row permutation (applied to the weight matrix as
-    a unimodular row operation) making every pivot entry nonzero;
-    ``pivots`` lists (row, column, tag) with tag 'x' or 'y' naming which of
-    the two coordinates over the column is the chart denominator.
+    ``pivots`` lists (column, tag) over the basis columns in ascending
+    order, the order ``lambda_coeffs`` uses; tag 'x' or 'y' names which of
+    the two coordinates over the column is the chart denominator, and the
+    other one is its partner.  The fiber coordinates of a chart point q are
+    its moment value in the basis of those columns: mu(q) = sum z_i a_{b_i}.
     """
 
     sigma: SigmaSet
-    n: int
-    reduced: IntMatrix
-    pivot_order: tuple[int, ...]
-    pivots: tuple[tuple[int, int, str], ...]
+    a: WeightMatrix
+
+    @property
+    def n(self) -> int:
+        return self.a.n
 
     @property
     def d(self) -> int:
-        return self.reduced.rows
+        return self.a.d
 
     @property
     def base_point_dim(self) -> int:
@@ -80,48 +81,39 @@ class ChartInstance:
     def fiber_dim(self) -> int:
         return self.d
 
+    @property
+    def pivots(self) -> tuple[tuple[int, str], ...]:
+        return tuple(sorted(zip(self.sigma.basis, self.sigma.tags)))
+
     def _coord_index(self, column: int, tag: str) -> int:
         return (column - 1) if tag == "x" else (self.n + column - 1)
 
     def pivot_values(self, point) -> list[Fraction]:
-        return [point[self._coord_index(col, tag)] for _, col, tag in self.pivots]
+        return [point[self._coord_index(col, tag)] for col, tag in self.pivots]
 
     def partner_index(self, i: int) -> int:
-        _, col, tag = self.pivots[i]
+        col, tag = self.pivots[i]
         return self._coord_index(col, "y" if tag == "x" else "x")
 
     def in_chart(self, point) -> bool:
         return all(v != 0 for v in self.pivot_values(point))
 
     def moment(self, point) -> tuple[Fraction, ...]:
-        return _moment(self.reduced.entries, self.n, point)
-
-    def _pivot_submatrix(self) -> IntMatrix:
-        return self.reduced.submatrix_columns([col - 1 for _, col, _ in self.pivots])
-
-    def _offpivot_moment(self, point) -> tuple[Fraction, ...]:
-        return _moment(self.reduced.entries, self.n, point, skip={c - 1 for _, c, _ in self.pivots})
+        return moment_eval(self.a, point)
 
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:
-    """Fix the deterministic pivot data: basis columns ordered x-tagged then
-    y-tagged, and the lexicographically smallest row permutation putting a
-    nonzero entry on every pivot."""
-    ordered = [(col, tag) for col, tag in zip(sigma.basis, sigma.tags) if tag == "x"]
-    ordered += [(col, tag) for col, tag in zip(sigma.basis, sigma.tags) if tag == "y"]
-    d = a.d
-    for perm in itertools.permutations(range(d)):
-        if all(a.matrix[perm[i], ordered[i][0] - 1] != 0 for i in range(d)):
-            reduced = IntMatrix.from_rows([a.matrix.row(i) for i in perm])
-            pivots = tuple((i, ordered[i][0], ordered[i][1]) for i in range(d))
-            return ChartInstance(sigma, a.n, reduced, tuple(perm), pivots)
-    raise ValueError("no row permutation makes all pivots nonzero; columns are not a basis")
+    """The chart of a sigma set whose columns are a basis; dependent
+    columns are refused, naming them."""
+    if len(sigma.basis) != a.d or a.columns_matrix(sigma.basis).det() == 0:
+        raise ValueError("columns {%s} are not a basis: no chart" % ",".join(map(str, sigma.basis)))
+    return ChartInstance(sigma, a)
 
 
 def chart_forward(chart: ChartInstance, base_point, z) -> tuple[Fraction, ...]:
     """Map (base point on the moment fiber, fiber coordinates z) into the
-    chart: shift each solved coordinate so that the i-th reduced moment value
-    of the image equals a_ii * z_i.  z = 0 returns the base point."""
+    chart: moving the partner of pivot i by z_i / pivot_i adds z_i a_{b_i}
+    to the moment value.  z = 0 returns the base point."""
     p = list(as_fraction_vector(base_point))
     zv = as_fraction_vector(z)
     if len(p) != 2 * chart.n:
@@ -132,38 +124,26 @@ def chart_forward(chart: ChartInstance, base_point, z) -> tuple[Fraction, ...]:
         raise ValueError("base point is outside the chart (a pivot coordinate vanishes)")
     if any(chart.moment(p)):
         raise ValueError("base point is not on the moment fiber")
-    rhs = [chart.reduced[i, col - 1] * zv[i] for i, (_, col, _) in enumerate(chart.pivots)]
-    return _shift_partners(chart, p, rhs)
+    return _shift_partners(chart, p, zv)
 
 
-def _shift_partners(chart: ChartInstance, p: list[Fraction], rhs) -> tuple[Fraction, ...]:
-    w = solve_rational(chart._pivot_submatrix(), rhs)
-    assert w is not None
-    pivots = chart.pivot_values(p)
-    for i in range(chart.d):
-        p[chart.partner_index(i)] += w[i] / pivots[i]
+def _shift_partners(chart: ChartInstance, p: list[Fraction], z) -> tuple[Fraction, ...]:
+    for i, pivot in enumerate(chart.pivot_values(p)):
+        p[chart.partner_index(i)] += z[i] / pivot
     return tuple(p)
 
 
 def chart_inverse(chart: ChartInstance, point) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Split a chart point into (moment-fiber base point, fiber coordinates):
-    z_i is the i-th reduced moment value over the pivot entry, and the base
-    point re-solves the partner coordinates to put the moment map at zero."""
+    z is the moment value in the basis of the pivot columns, and the base
+    point undoes the partner shift of ``chart_forward``."""
     q = list(as_fraction_vector(point))
     if len(q) != 2 * chart.n:
         raise ValueError("point must have %d coordinates" % (2 * chart.n))
     if not chart.in_chart(q):
         raise ValueError("point is outside the chart (a pivot coordinate vanishes)")
-    mu = chart.moment(q)
-    z = tuple(mu[i] / chart.reduced[i, col - 1] for i, (_, col, _) in enumerate(chart.pivots))
-    rest = chart._offpivot_moment(q)
-    u = solve_rational(chart._pivot_submatrix(), [-r for r in rest])
-    assert u is not None
-    pivots = chart.pivot_values(q)
-    base = list(q)
-    for i in range(chart.d):
-        base[chart.partner_index(i)] = u[i] / pivots[i]
-    return tuple(base), z
+    z = lambda_coeffs(chart.a, chart.sigma.basis, chart.moment(q))
+    return _shift_partners(chart, q, [-c for c in z]), z
 
 
 def random_rational_point(rng: random.Random, dim: int, bound: int = 9) -> tuple[Fraction, ...]:

@@ -61,6 +61,13 @@ def test_lambda_multiply_back(a_2x3):
     assert combo == [1, 0]
 
 
+def test_lambda_refuses_columns_outside_the_matrix(a12):
+    # column 0 once read column n through a negative index
+    for basis in ((0,), (3,)):
+        with pytest.raises(ModelError, match="not all in 1..2"):
+            lambda_coeffs(a12, basis, [1])
+
+
 def test_sigma_sign_rule(a12, a_2x3):
     assert sigma_set(a12, (1,), [1]).labels() == ("x1",)
     assert sigma_set(a12, (2,), [1]).labels() == ("x2",)

@@ -79,7 +79,7 @@ def test_obstruction_symmetric():
 
 
 def test_euler_poly():
-    assert str(euler_poly(CharacterClass.zero(1), 1)) == "1"
+    assert str(euler_poly(CharacterClass.zero(1))) == "1"
     assert str(euler_poly(chi((2,)))) == "2*t1"
     two = CharacterClass.build(1, [((1,), 1), ((2,), 1)])
     assert str(euler_poly(two)) == "2*t1^2"

@@ -5,11 +5,13 @@ import pytest
 
 from hypertoric import (
     LocalModelSRE,
+    SigmaSet,
     TorsionElement,
     WeightMatrix,
     build_chart,
     chart_forward,
     chart_inverse,
+    column_bases,
     hypertoric_model,
     hypertoric_normal_data,
     moment_eval,
@@ -88,7 +90,7 @@ def test_chart_zero_fiber_is_identity(a12):
 def test_chart_second_pivot_column(a12):
     sigma = sigma_set(a12, (2,), [1])
     chart = build_chart(a12, sigma)
-    assert chart.pivots == ((0, 2, "x"),)
+    assert chart.pivots == ((2, "x"),)
     q = (Fraction(1), Fraction(1), Fraction(1), Fraction(1))
     base, z = chart_inverse(chart, q)
     assert moment_eval(a12, base) == (Fraction(0),)
@@ -142,3 +144,43 @@ def test_verify_charts_random_instances():
         a, theta = random_generic_instance(rng, d, rng.randint(d, 4))
         rep = verify_charts(a, theta, samples=20, seed=rng.randint(0, 999))
         assert rep.ok, (a.matrix.entries, theta)
+
+
+def test_build_chart_refuses_dependent_columns():
+    # columns 1 and 2 are equal; a nonzero diagonal alone does not make a basis
+    a = WeightMatrix.from_rows([[1, 1, 0], [1, 1, 1]])
+    with pytest.raises(ValueError, match=r"columns \{1,2\} are not a basis"):
+        build_chart(a, SigmaSet((1, 2), ("x", "x")))
+    # column 0 is not column n
+    with pytest.raises(ValueError, match=r"columns \{0,3\} are not all in 1..3"):
+        build_chart(a, SigmaSet((0, 3), ("x", "x")))
+
+
+def test_chart_coordinates_are_the_moment_in_the_pivot_basis():
+    # mu(q) = sum z_i a_{b_i} over the pivot columns, both round trips are
+    # exact, and for d = 1 z is the moment over the pivot entry
+    rng = random.Random(73)
+    for d in (1, 2, 3):
+        for _ in range(3):
+            a, theta = random_generic_instance(rng, d, rng.randint(d, d + 2))
+            for basis in column_bases(a):
+                chart = build_chart(a, sigma_set(a, basis, theta))
+                assert [col for col, _ in chart.pivots] == sorted(basis)
+                done = 0
+                while done < 5:
+                    q = random_rational_point(rng, 2 * a.n)
+                    if not chart.in_chart(q):
+                        continue
+                    done += 1
+                    base, z = chart_inverse(chart, q)
+                    spanned = tuple(
+                        sum(z[i] * a.column(col)[r] for i, (col, _) in enumerate(chart.pivots))
+                        for r in range(d)
+                    )
+                    assert moment_eval(a, q) == spanned
+                    assert moment_eval(a, base) == (0,) * d
+                    assert chart_forward(chart, base, z) == q
+                    z2 = random_rational_point(rng, d)
+                    assert chart_inverse(chart, chart_forward(chart, base, z2)) == (base, z2)
+                    if d == 1:
+                        assert z == (moment_eval(a, q)[0] / a.column(basis[0])[0],)
