@@ -178,18 +178,17 @@ class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation.  The sectors, pairs, selections and obstruction kernel are
     the model's shared analysis (``_analysis``), computed once per model
-    value and read by ``verify_obstruction_pullback`` too; a caller that
-    already holds it passes it in.  Sector models and presentations are
-    built lazily, once per fixed-column set and per geometry, and each
-    embedding is checked once; a failed check is never cached, so every
-    push through it raises again.  A sector's ring depends only on its
-    fixed columns, so sectors with the same fixed set share one
+    value and read by ``verify_obstruction_pullback`` too.  Sector models
+    and presentations are built lazily, once per fixed-column set and per
+    geometry, and each embedding is checked once; a failed check is never
+    cached, so every push through it raises again.  A sector's ring depends
+    only on its fixed columns, so sectors with the same fixed set share one
     presentation object, and a product of generators only on its
     obstruction and the embedding it pushes along."""
 
     model: StackModel
     truncation: int
-    analysis: _Analysis = field(default=None, repr=False)
+    analysis: _Analysis = field(init=False, repr=False)
     components: tuple[InertiaComponent, ...] = field(init=False)
     pairs: tuple[DoubleInertiaComponent, ...] = field(init=False)
     obstructions: _Obstructions = field(init=False, repr=False)
@@ -197,8 +196,7 @@ class SectorGeometry:
     _embeddings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.analysis is None:
-            self.analysis = _analysis(self.model)
+        self.analysis = _analysis(self.model)
         self.components = self.analysis.components
         self.pairs = self.analysis.pairs
         self.obstructions = self.analysis.obstructions
@@ -321,9 +319,9 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     bundle-tested, so a non-bundle still raises."""
     floor = bound if bound is not None else 2 * model.num_coords
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
-    analysis = _analysis(model)
-    top_age = max(c.age for c in analysis.components)
-    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), analysis)
+    top_age = max(c.age for c in _analysis(model).components)
+    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
+    analysis = geo.analysis
     products = {}
     by_key: dict = {}
     for i, pair in enumerate(geo.pairs):

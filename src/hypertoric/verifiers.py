@@ -98,15 +98,13 @@ class ChartInstance:
     def in_chart(self, point) -> bool:
         return all(v != 0 for v in self.pivot_values(point))
 
-    def moment(self, point) -> tuple[Fraction, ...]:
-        return moment_eval(self.a, point)
-
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:
     """The chart of a sigma set whose columns are a basis; dependent
     columns are refused, naming them."""
-    if len(sigma.basis) != a.d or a.columns_matrix(sigma.basis).det() == 0:
-        raise ValueError("columns {%s} are not a basis: no chart" % ",".join(map(str, sigma.basis)))
+    if len(sigma.basis) != a.d:
+        raise ValueError("columns {%s} are not a basis" % ",".join(map(str, sigma.basis)))
+    lambda_coeffs(a, sigma.basis, (0,) * a.d)  # refuses dependent columns
     return ChartInstance(sigma, a)
 
 
@@ -122,7 +120,7 @@ def chart_forward(chart: ChartInstance, base_point, z) -> tuple[Fraction, ...]:
         raise ValueError("fiber vector must have %d coordinates" % chart.d)
     if not chart.in_chart(p):
         raise ValueError("base point is outside the chart (a pivot coordinate vanishes)")
-    if any(chart.moment(p)):
+    if any(moment_eval(chart.a, p)):
         raise ValueError("base point is not on the moment fiber")
     return _shift_partners(chart, p, zv)
 
@@ -142,7 +140,7 @@ def chart_inverse(chart: ChartInstance, point) -> tuple[tuple[Fraction, ...], tu
         raise ValueError("point must have %d coordinates" % (2 * chart.n))
     if not chart.in_chart(q):
         raise ValueError("point is outside the chart (a pivot coordinate vanishes)")
-    z = lambda_coeffs(chart.a, chart.sigma.basis, chart.moment(q))
+    z = lambda_coeffs(chart.a, chart.sigma.basis, moment_eval(chart.a, q))
     return _shift_partners(chart, q, [-c for c in z]), z
 
 

@@ -1,11 +1,13 @@
 """Sector ring ranks against the Tutte polynomial of the fixed columns.
 
 The rational Betti numbers of a Lawrence toric or hypertoric variety are the
-h-numbers of the column matroid of its weight matrix (Hausel-Sturmfels,
+h-numbers of its hyperplane arrangement's matroid, the Gale dual of the
+column matroid of its weight matrix (Hausel-Sturmfels,
 *Toric hyperKahler varieties*, Thm 1.1; Proudfoot, *A survey of hypertoric
 geometry and topology*, section 3): the free rank of the degree-k piece of
 the ring of the columns F is the coefficient of y^(|F|-r-k) in T_{A|F}(1, y),
-with r the rank of A|F, and 0 above degree |F|-r.
+which is the dual's T(y, 1), with r the rank of A|F, and 0 above degree
+|F|-r.
 
 Each sector ring is the ring of its fixed columns, so every sector fixed set
 of a model gives one such identity.  The oracle reads nothing of the stable

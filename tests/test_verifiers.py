@@ -129,8 +129,8 @@ def test_verify_charts_named(a12, a11):
 
 
 def test_verify_charts_needs_row_permutation():
-    # first pivot column has a zero in the first row: the chart builder must
-    # reorder rows before solving
+    # a pivot column with a zero in the first row still gives a chart, with
+    # no row reordering
     a = WeightMatrix.from_rows([[0, 1, 1], [1, 0, 1]])
     theta = (2, 1)
     rep = verify_charts(a, theta, samples=25, seed=3)
