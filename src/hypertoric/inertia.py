@@ -244,7 +244,7 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     of the model's, and its tangent class loses the deleted characters.
     """
     keep = sorted(fixed)
-    sub = WeightMatrix(model.base.matrix.submatrix_columns([j - 1 for j in keep]))
+    sub = WeightMatrix(model.base.columns_matrix(keep))
     alive = sorted(model.coords_of_columns(fixed))
     coord = {i: k for k, i in enumerate(alive, 1)}
     column = {j: k for k, j in enumerate(keep, 1)}

@@ -2,11 +2,11 @@
 
 Encodes the weight matrix A and character theta, computes column bases,
 basis coefficients, sigma sets and their sign rule, genericity, the minimal
-unstable coordinate sets, the doubled weight matrix of the cotangent-type
-model, and exact moment-map evaluation.
+unstable coordinate sets (one per hyperplane spanned by columns), the doubled
+weight matrix of the cotangent-type model, and exact moment-map evaluation.
 
-Column indices are 1-based throughout the public API (columns 1..n).  In a
-doubled model the coordinate j is x_j for j <= n and y_{j-n} for j > n.
+Column indices are 1-based throughout the public API (columns 1..n; others
+are refused).  In a doubled model coordinate j is x_j for j <= n, else y_{j-n}.
 """
 
 from __future__ import annotations
@@ -63,14 +63,19 @@ class WeightMatrix:
 
     def column(self, j: int) -> tuple[int, ...]:
         """Weight of coordinate x_j (1-based)."""
-        return self.matrix.column(j - 1)
+        return self.matrix.column(self._checked((j,))[0] - 1)
 
     def columns_matrix(self, cols) -> IntMatrix:
-        """Square-ish submatrix of the 1-based columns, in ascending order;
-        a column outside 1..n is refused, not read from the other end."""
+        """Square-ish submatrix of the 1-based columns, in ascending order."""
+        return self.matrix.submatrix_columns(sorted(j - 1 for j in self._checked(cols)))
+
+    def _checked(self, cols) -> tuple[int, ...]:
+        """The 1-based columns, refused unless all are in 1..n: column 0 or
+        a negative one must not be read from the other end."""
+        cols = tuple(cols)
         if not all(1 <= j <= self.n for j in cols):
             raise ModelError("columns {%s} are not all in 1..%d" % (",".join(map(str, cols)), self.n))
-        return self.matrix.submatrix_columns(sorted(j - 1 for j in cols))
+        return cols
 
 
 @dataclass(frozen=True)
@@ -81,20 +86,6 @@ class SigmaSet:
 
     basis: tuple[int, ...]
     tags: tuple[str, ...]
-
-    def coords(self, n: int, doubled: bool = True) -> frozenset[int]:
-        """Coordinate indices: x_j -> j, y_j -> n + j (doubled models)."""
-        out = set()
-        for j, tag in zip(self.basis, self.tags):
-            if tag == "x":
-                out.add(j)
-            elif doubled:
-                out.add(n + j)
-            else:
-                raise ModelError(
-                    "sigma set selects dual coordinate y%d but the model is not doubled" % j
-                )
-        return frozenset(out)
 
     def labels(self) -> tuple[str, ...]:
         return tuple("%s%d" % (tag, j) for j, tag in zip(self.basis, self.tags))
@@ -119,8 +110,9 @@ class GenericReport:
 @dataclass(frozen=True)
 class StableArrangement:
     """Stable-locus combinatorics of a model: the sigma sets, the minimal
-    unstable coordinate sets they determine, and the ambient coordinate
-    labels.  The coordinate characters are the columns of
+    unstable coordinate sets (the minimal sets meeting every sigma set; for
+    a GIT model, one per hyperplane spanned by columns), and the ambient
+    coordinate labels.  The coordinate characters are the columns of
     ``StackModel.weights``."""
 
     sigma_sets: tuple[SigmaSet, ...]
@@ -174,7 +166,7 @@ class StackModel:
 
     def coords_of_columns(self, cols) -> frozenset[int]:
         """Ambient coordinate indices lying over the given base columns."""
-        cols = set(cols)
+        cols = set(self.base._checked(cols))
         if self.doubled:
             return frozenset(cols | {self.n + j for j in cols})
         return frozenset(cols)
@@ -227,24 +219,18 @@ def check_generic(a: WeightMatrix, theta) -> GenericReport:
     return GenericReport(not violations, violations)
 
 
-def minimal_unstable_sets(coord_sets) -> list[frozenset[int]]:
-    """Inclusion-minimal sets hitting every given coordinate set, ordered by
-    (size, sorted elements).  Exhaustive: intended for desk-scale inputs."""
-    targets = [frozenset(s) for s in coord_sets]
-    if not targets:
-        raise ModelError("no sigma sets: nothing is stable")
-    if any(not t for t in targets):
-        raise ModelError("empty sigma set cannot be hit")
-    universe = sorted(set().union(*targets))
-    found: list[frozenset[int]] = []
-    for size in range(1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            cand = frozenset(combo)
-            if any(prev <= cand for prev in found):
-                continue
-            if all(cand & t for t in targets):
-                found.append(cand)
-    return found
+def minimal_unstable_sets(sigma_sets, n: int) -> list[frozenset[int]]:
+    """One minimal unstable coordinate set per hyperplane spanned by columns,
+    read off the sigma sets of all column bases and ordered by (size, sorted
+    elements).  The d-1 columns S of a basis span a hyperplane H; theta is
+    lambda_k a_k modulo H in every basis S + {k}, so the set of H is the
+    coordinate each such sigma set selects for k (x_k -> k, y_k -> n + k)."""
+    hyperplanes: dict[tuple[int, ...], set[int]] = {}
+    for sigma in sigma_sets:
+        for i, (k, tag) in enumerate(zip(sigma.basis, sigma.tags)):
+            rest = sigma.basis[:i] + sigma.basis[i + 1:]
+            hyperplanes.setdefault(rest, set()).add(k if tag == "x" else n + k)
+    return sorted({frozenset(s) for s in hyperplanes.values()}, key=lambda s: (len(s), sorted(s)))
 
 
 def lawrence_double(a: WeightMatrix) -> WeightMatrix:
@@ -282,8 +268,10 @@ def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     if walls:
         raise NonGenericError(GenericReport(False, walls))
     sigmas = tuple(sigma for sigma, _ in rules)
-    unstable = tuple(minimal_unstable_sets([s.coords(a.n, doubled=doubled) for s in sigmas]))
-    return theta, sigmas, unstable
+    dual = [j for s in sigmas for j, tag in zip(s.basis, s.tags) if tag == "y"]
+    if dual and not doubled:
+        raise ModelError("sigma set selects dual coordinate y%d but the model is not doubled" % dual[0])
+    return theta, sigmas, tuple(minimal_unstable_sets(sigmas, a.n))
 
 
 def _tangent_class(d: int, chars) -> CharacterClass:

@@ -180,6 +180,13 @@ def test_nongeneric_message_same_on_both_paths(nongeneric, capsys):
     assert json.loads(via_sre)["error"].startswith("non-generic: basis {1,2}")
 
 
+def test_direct_model_with_a_dual_coordinate_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "direct.json", {"A": [[1, 0, 1], [0, 1, 1]], "theta": [1, -1], "kind": "direct"})
+    assert main(["analyze", "--input", path]) == EXIT_INPUT_ERROR
+    reason = "sigma set selects dual coordinate y2 but the model is not doubled"
+    assert json.loads(capsys.readouterr().err) == {"error": reason}
+
+
 @pytest.mark.parametrize(
     "payload, reason",
     [

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,8 +20,11 @@ from hypertoric import (
     minimal_unstable_sets,
     model_from_dict,
     moment_eval,
+    sector_model,
     sigma_set,
 )
+from hypertoric.exact import IntMatrix
+from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
 
 def test_weight_matrix_rejects_rank_deficient():
@@ -107,27 +112,36 @@ def brute_force_min_hitting(sets):
     return [h for h in hitting if not any(o < h for o in hitting)]
 
 
+def git_sigma_sets(a, theta):
+    return [sigma_set(a, basis, theta) for basis in column_bases(a)]
+
+
 def test_minimal_unstable_singletons():
-    assert minimal_unstable_sets([{1}, {2}]) == [frozenset({1, 2})]
-    assert minimal_unstable_sets([{1}, {2}, {3}]) == [frozenset({1, 2, 3})]
+    # d = 1, positive columns: the sigma sets are the singletons {x_j}
+    for rows in ([[1, 2]], [[1, 2, 3]]):
+        a = WeightMatrix.from_rows(rows)
+        assert minimal_unstable_sets(git_sigma_sets(a, [1]), a.n) == [frozenset(range(1, a.n + 1))]
 
 
 def test_minimal_unstable_overlap():
-    got = minimal_unstable_sets([{1, 2}, {2, 3}])
+    # columns 1 and 3 parallel: the sigma sets are {x1,x2} and {x2,x3}
+    a = WeightMatrix.from_rows([[1, 0, 2], [0, 1, 0]])
+    sigmas = [sigma_coords_of(a.n, s) for s in git_sigma_sets(a, [1, 1])]
+    assert sorted(sigmas, key=sorted) == [frozenset({1, 2}), frozenset({2, 3})]
+    got = minimal_unstable_sets(git_sigma_sets(a, [1, 1]), a.n)
     assert got == [frozenset({2}), frozenset({1, 3})]
     assert sorted(got, key=lambda s: (len(s), sorted(s))) == sorted(
-        brute_force_min_hitting([{1, 2}, {2, 3}]), key=lambda s: (len(s), sorted(s))
+        brute_force_min_hitting(sigmas), key=lambda s: (len(s), sorted(s))
     )
 
 
 def test_minimal_unstable_is_antichain_random():
     rng = random.Random(5)
-    for _ in range(20):
-        sets = [
-            frozenset(rng.sample(range(1, 7), rng.randint(1, 3)))
-            for _ in range(rng.randint(1, 4))
-        ]
-        got = minimal_unstable_sets(sets)
+    for i in range(20):
+        d = 1 + i % 3
+        a, theta = random_generic_instance(rng, d, rng.randint(d + 1, 6))
+        sets = [sigma_coords_of(a.n, s) for s in git_sigma_sets(a, theta)]
+        got = minimal_unstable_sets(git_sigma_sets(a, theta), a.n)
         for s in got:
             assert all(s & t for t in sets)
         for s1, s2 in itertools.combinations(got, 2):
@@ -135,6 +149,54 @@ def test_minimal_unstable_is_antichain_random():
         assert sorted(got, key=lambda s: (len(s), sorted(s))) == sorted(
             brute_force_min_hitting(sets), key=lambda s: (len(s), sorted(s))
         )
+
+
+def sigma_coords_of(n, sigma):
+    """Coordinate indices of a sigma set: x_j -> j, y_j -> n + j."""
+    return frozenset(j if tag == "x" else n + j for j, tag in zip(sigma.basis, sigma.tags))
+
+
+def direct_instance(rng, d, n):
+    """A theta-built direct model: each column a positive multiple of one of
+    d independent rays, or zero, and theta inside the cone of the rays, so
+    every basis selects only x's."""
+    rays = [[0] * d for _ in range(d)]
+    while not IntMatrix.from_rows(rays).det():
+        rays = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    picks = list(range(d)) + [rng.randrange(-1, d) for _ in range(n - d)]
+    rng.shuffle(picks)
+    # pick -1 is a zero column
+    scales = [rng.randint(1, 3) if k >= 0 else 0 for k in picks]
+    cols = [[s * e for e in rays[k]] for k, s in zip(picks, scales)]
+    weights = [rng.randint(1, 3) for _ in rays]
+    theta = [sum(w * ray[i] for w, ray in zip(weights, rays)) for i in range(d)]
+    return direct_model(WeightMatrix.from_rows(list(zip(*cols))), theta=theta)
+
+
+def oracle_models():
+    rng = random.Random(11)
+    for i in range(60):
+        d = 1 + i % 3
+        a, theta = random_generic_instance(rng, d, rng.randint(d + 1, 7))
+        yield lawrence_model(a, theta)
+        yield hypertoric_model(a, theta)
+    for i in range(45):
+        d = 1 + i % 3
+        yield direct_instance(rng, d, rng.randint(d, 7))
+    # a zero column, parallel columns, and both in a direct model
+    yield lawrence_model(WeightMatrix.from_rows([[0, 1, -2]]), [1])
+    yield hypertoric_model(WeightMatrix.from_rows([[1, 2, 0, 1], [0, 0, 1, 1]]), [3, 1])
+    yield direct_model(WeightMatrix.from_rows([[1, 2, 0, 0], [0, 0, 1, 0]]), theta=[1, 1])
+
+
+def test_unstable_sets_are_the_minimal_transversals_of_the_sigma_sets():
+    checked = 0
+    for model in oracle_models():
+        arr = model.arrangement
+        expected = brute_force_min_hitting([sigma_coords_of(model.n, s) for s in arr.sigma_sets])
+        assert list(arr.unstable_minimal) == expected, (model.kind, model.base, model.theta)
+        checked += 1
+    assert checked == 168
 
 
 def test_lawrence_double(a12):
@@ -193,10 +255,9 @@ def test_model_rejects_zero_theta(a12):
 
 def test_unstable_sets_hit_every_sigma(tp12_lawrence):
     arr = tp12_lawrence.arrangement
-    n = tp12_lawrence.n
     for s in arr.unstable_minimal:
         for sig in arr.sigma_sets:
-            assert s & sig.coords(n)
+            assert s & sigma_coords_of(tp12_lawrence.n, sig)
 
 
 def test_hypertoric_tangent_is_lawrence_minus_d_trivial(tp12_lawrence, tp12_hypertoric):
@@ -233,3 +294,74 @@ def test_model_from_dict_variants(a12):
         model_from_dict({"A": [[1, 2]], "theta": [1], "kind": "toric"})
     with pytest.raises(NonGenericError):
         model_from_dict({"A": [[1, 0, 1], [0, 1, 1]], "theta": [1, 0], "kind": "lawrence"})
+
+
+def test_reach_builds_certify_minimal_transversals():
+    for d, n in ((2, 14), (3, 12)):
+        start = time.perf_counter()
+        model = lawrence_model(*random_generic_instance(random.Random(1), d, n))
+        assert time.perf_counter() - start < 2.0, (d, n)
+        sigmas = [sigma_coords_of(model.n, s) for s in model.arrangement.sigma_sets]
+        for u in model.arrangement.unstable_minimal:
+            assert all(u & s for s in sigmas)
+            assert all(any(not (u - {c}) & s for s in sigmas) for c in u)
+
+
+@pytest.mark.parametrize(
+    "rows, theta, k",
+    [([[1, 2]], [-1], 1), ([[1, 0, 1], [0, 1, 1]], [1, -1], 2),
+     ([[1, 0, 1], [0, 1, 1]], [-1, 2], 1), ([[1, 1, 1], [0, 1, 2]], [3, -1], 2)],
+)
+def test_direct_model_refuses_a_dual_coordinate(rows, theta, k):
+    message = "sigma set selects dual coordinate y%d but the model is not doubled" % k
+    with pytest.raises(ModelError, match="^%s$" % message):
+        direct_model(WeightMatrix.from_rows(rows), theta=theta)
+
+
+def on_a_wall(a, theta):
+    """Integer hyperplane rule: theta lies on a wall iff det [A_S | theta] = 0
+    for some d-1 columns S whose cofactors (the normal of their span) are
+    not all zero."""
+    for cols in itertools.combinations(range(1, a.n + 1), a.d - 1):
+        sub = [[a.column(j)[r] for j in cols] for r in range(a.d)]
+        normal = [IntMatrix.from_rows([row + [int(r == i)] for r, row in enumerate(sub)]).det()
+                  for i in range(a.d)]
+        if any(normal) and not sum(u * t for u, t in zip(normal, theta)):
+            return True
+    return False
+
+
+def test_genericity_agrees_with_the_hyperplane_rule():
+    # check_generic solves each basis in Fractions; the rule pairs theta
+    # with integer hyperplane normals: they must find the same walls
+    rng = random.Random(4)
+    walls = 0
+    for i in range(240):
+        d = 1 + i % 3
+        a = random_weight_matrix(rng, d, rng.randint(d, 6))
+        if i % 2:
+            cols = rng.sample(range(1, a.n + 1), d - 1)
+            theta = [sum(rng.randint(-2, 2) * a.column(j)[r] for j in cols) for r in range(d)]
+        else:
+            theta = [rng.randint(-4, 4) for _ in range(d)]
+        generic = check_generic(a, theta).generic
+        walls += not generic
+        assert generic != on_a_wall(a, theta), (a, theta)
+    assert 60 < walls < 180
+
+
+def test_indices_outside_the_matrix_are_refused():
+    # index 0 and n + 1 were read from the other end, or died in IndexError
+    a = WeightMatrix.from_rows([[1, 2, 3]])
+    m = lawrence_model(a, [1])
+    for call, bad in [
+        (lambda: a.column(0), "{0}"), (lambda: a.column(-1), "{-1}"), (lambda: a.column(4), "{4}"),
+        (lambda: m.coordinate_char(0), "{0}"), (lambda: m.coordinate_char(7), "{7}"),
+        (lambda: m.coords_of_columns({0}), "{0}"), (lambda: m.coords_of_columns({4}), "{4}"),
+        (lambda: sector_model(m, frozenset({0, 1})), "{0,1}"),
+        (lambda: sector_model(m, frozenset({1, 4})), "{1,4}"),
+    ]:
+        with pytest.raises(ModelError, match=re.escape("columns %s are not all in" % bad)):
+            call()
+    assert a.column(3) == (3,) and m.coordinate_char(6) == (-3,)
+    assert m.coords_of_columns({1, 3}) == {1, 3, 4, 6}
