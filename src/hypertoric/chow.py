@@ -4,10 +4,9 @@ A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
 is the linear form <w, t>).  Each graded piece, up to a truncation bound, is
 Z^m over its monomials modulo the relation lattice, held as the reduced
-Hermite basis of that lattice.  The basis gives canonical coordinates, the
-rank, the torsion (through its invariant factors) and the surjectivity test
-of graded ring-map isomorphism checks; Gysin pushforwards along sector
-embeddings are checked in the same canonical coordinates.
+Hermite basis of that lattice, which is unique per lattice.  Rank and
+torsion are read off the basis, and it gives canonical coordinates, in
+which ring-map isomorphisms and Gysin pushforwards are checked.
 """
 
 from __future__ import annotations
@@ -28,29 +27,33 @@ class GysinError(ValueError):
 class GradedPiece:
     """Degree-k piece of a presentation as an abelian group.
 
-    ``monomials`` is the free basis, ``basis`` the reduced Hermite basis of
-    the relation lattice over it (``exact.hnf``), ``free_rank`` the number
-    of monomials less the rank of that lattice, and ``torsion`` its
-    invariant factors above 1.
+    ``monomials`` is the free basis and ``basis`` the reduced Hermite basis
+    of the relation lattice over it (``exact.hnf``), so two pieces are equal
+    exactly when their lattices are.  Rank and torsion are read off it.
     """
 
     degree: int
     monomials: tuple[tuple[int, ...], ...]
     basis: tuple[tuple[int, ...], ...]
-    free_rank: int
-    torsion: tuple[int, ...]
+
+    @property
+    def free_rank(self) -> int:
+        return len(self.monomials) - len(self.basis)
 
     @property
     def invariants(self) -> tuple[int, tuple[int, ...]]:
-        return (self.free_rank, self.torsion)
+        """The free rank and the invariant factors above 1."""
+        factors = invariant_factors(self.basis, len(self.monomials))
+        return (self.free_rank, tuple(d for d in factors if d > 1))
 
     def describe_group(self) -> str:
+        free, torsion = self.invariants
         parts = []
-        if self.free_rank == 1:
+        if free == 1:
             parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append("Z^%d" % self.free_rank)
-        parts.extend("Z/%d" % t for t in self.torsion)
+        elif free > 1:
+            parts.append("Z^%d" % free)
+        parts.extend("Z/%d" % t for t in torsion)
         return " x ".join(parts) if parts else "0"
 
     def canonical(self, coeffs) -> tuple[int, ...]:
@@ -72,7 +75,7 @@ class GradedPiece:
 @dataclass(eq=True)
 class GradedRingPresentation:
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
-    ``truncation``.  Graded pieces are cached lazily."""
+    ``truncation`` (at least 0).  Graded pieces are cached lazily."""
 
     num_vars: int
     relations: tuple[IntPoly, ...]
@@ -80,6 +83,8 @@ class GradedRingPresentation:
     _pieces: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.truncation < 0:
+            raise ValueError("truncation must be nonnegative, got %d" % self.truncation)
         for r in self.relations:
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
@@ -123,25 +128,19 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
         for m in monomials_of_degree(pres.num_vars, k - e):
             shifted = rel * IntPoly.from_dict(pres.num_vars, {m: 1})
             columns.append(shifted.coefficients_on(monos))
-    basis = hnf(columns, len(monos))
-    torsion = tuple(d for d in invariant_factors(basis, len(monos)) if d > 1)
-    return GradedPiece(k, monos, basis, len(monos) - len(basis), torsion)
+    return GradedPiece(k, monos, hnf(columns, len(monos)))
 
 
 def _relations_from_model(model: StackModel) -> list[IntPoly]:
     d = model.d
-    rels = []
+    rels = set()
     for s in model.arrangement.unstable_minimal:
         poly = IntPoly.one(d)
         for j in sorted(s):
             poly = poly * IntPoly.linear_form(model.coordinate_char(j))
         if not poly.is_zero:
-            rels.append(poly)
-    uniq = []
-    for r in sorted(rels, key=lambda p: (p.homogeneous_degree(), p.terms)):
-        if r not in uniq:
-            uniq.append(r)
-    return uniq
+            rels.add(poly)
+    return sorted(rels, key=lambda p: (p.homogeneous_degree(), p.terms))
 
 
 def presentation(model: StackModel, truncation: int | None = None) -> GradedRingPresentation:
@@ -172,8 +171,6 @@ def reduce_class(pres: GradedRingPresentation, poly: IntPoly, degree: int | None
 
 
 def is_zero_class(pres: GradedRingPresentation, poly: IntPoly) -> bool:
-    if poly.is_zero:
-        return True
     return not any(reduce_class(pres, poly))
 
 
@@ -192,12 +189,13 @@ def ring_map_is_iso(
 ) -> IsoReport:
     """Degreewise bijectivity of the graded ring map t_i -> var_images[i].
 
-    For each degree k <= bound: the map must send source relations of degree
-    k into the target ideal, the graded groups must have equal invariants,
-    and the induced map must be surjective: the Hermite basis of the images
-    and the target relations is the identity.  Equal invariants plus
-    surjectivity give bijectivity for finitely generated abelian groups.
-    A ``bound`` below 1 compares nothing and raises ``ValueError``.
+    For each degree k <= bound, with the images of the source monomials as
+    a matrix: every source Hermite basis row, pushed through it, must reduce
+    to zero in the target (once lower degrees pass, that checks the degree-k
+    relations), the groups must have equal invariants, and the Hermite basis
+    of the images and the target relations must be the identity (the map is
+    onto).  Equal invariants plus surjectivity give bijectivity for finitely
+    generated abelian groups.  A ``bound`` below 1 raises ``ValueError``.
     """
     if bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
@@ -212,31 +210,23 @@ def ring_map_is_iso(
 
     def image_of_monomial(exps) -> IntPoly:
         out = IntPoly.one(dst.num_vars)
-        for i, e in enumerate(exps):
-            for _ in range(e):
-                out = out * images[i]
-        return out
-
-    def image_of_poly(p: IntPoly) -> IntPoly:
-        out = IntPoly.zero(dst.num_vars)
-        for exps, c in p.terms:
-            out = out + image_of_monomial(exps).scale(c)
+        for img, e in zip(images, exps):
+            out = out * img ** e
         return out
 
     for k in range(bound + 1):
-        for rel in src.relations:
-            if rel.homogeneous_degree() == k:
-                if not is_zero_class(dst, image_of_poly(rel)):
-                    return IsoReport(False, k, "relation %s does not map into the target ideal" % rel)
-        sp = src.piece(k)
-        dp = dst.piece(k)
+        sp, dp = src.piece(k), dst.piece(k)
+        columns = [image_of_monomial(m).coefficients_on(dp.monomials) for m in sp.monomials]
+        for row in sp.basis:
+            pushed = [sum(c * x for c, x in zip(row, col)) for col in zip(*columns)]
+            if any(dp.canonical(pushed)):
+                return IsoReport(False, k, "relations of degree %d do not map into the target ideal" % k)
         if sp.invariants != dp.invariants:
             return IsoReport(
                 False, k,
                 "graded groups differ: %s vs %s" % (sp.describe_group(), dp.describe_group()),
             )
         n_dst = len(dp.monomials)
-        columns = [image_of_monomial(m).coefficients_on(dp.monomials) for m in sp.monomials]
         if hnf(columns + list(dp.basis), n_dst) != IntMatrix.identity(n_dst).entries:
             return IsoReport(False, k, "induced map is not surjective in degree %d" % k)
     return IsoReport(True)

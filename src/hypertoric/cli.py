@@ -10,6 +10,9 @@ Subcommands mirror the library modules so each check is one invocation:
   chart-check     exact round-trips through every sigma chart
   sre-check       strong-embedding condition on local normal data
 
+Every subcommand takes ``--input`` and ``--format``; ``--degree`` belongs to
+chowring, orbifold-table and verify, ``--seed`` and ``--samples`` to
+chart-check, and any other flag is refused.
 Exit codes: 0 success/verified, 1 verification failure, 2 input error.
 All rationals are serialized as 'p/q' strings; output is deterministic for
 a fixed input and seed.
@@ -293,11 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the JSON model file")
-        p.add_argument("--degree", "-D", type=int, default=None, help="truncation bound")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--samples", type=int, default=100, help="sample count per chart")
+        if name in _DEGREE_COMMANDS:
+            p.add_argument("--degree", "-D", type=int, default=None, help="truncation bound")
+        if name == "chart-check":
+            p.add_argument("--seed", type=int, default=0, help="random seed")
+            p.add_argument("--samples", type=int, default=100, help="sample count per chart")
         p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
+
+
+_DEGREE_COMMANDS = ("chowring", "orbifold-table", "verify")
 
 
 _MODEL_COMMANDS = {
@@ -311,9 +319,9 @@ _MODEL_COMMANDS = {
 
 
 def run(args) -> int:
-    if args.degree is not None and args.degree < 1:
+    if args.command in _DEGREE_COMMANDS and args.degree is not None and args.degree < 1:
         raise InputError("--degree must be at least 1")
-    if args.samples < 1:
+    if args.command == "chart-check" and args.samples < 1:
         raise InputError("--samples must be at least 1")
     if args.command == "sre-check":
         code, payload = _cmd_sre_check(args)

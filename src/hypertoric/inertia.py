@@ -234,8 +234,8 @@ def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
 
 def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     """The sector of the fixed columns: the model restricted to the
-    coordinates over them, renumbered x's then y's, with the same kind,
-    character and moment rank.
+    coordinates over them, renumbered x's then y's, with the same kind and
+    character.
 
     A point of that coordinate subspace lies in a chart of the model exactly
     when the chart's basis lies in ``fixed``, so the restricted stable locus
@@ -261,8 +261,7 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     labels = _coordinate_labels(len(keep), model.doubled)
     tangent = model.tangent_class - CharacterClass.build(model.d, dead)
     return StackModel(model.kind, sub, WeightMatrix.from_rows(zip(*chars)), model.theta,
-                      StableArrangement(sigmas, tuple(unstable), labels),
-                      tangent, model.moment_rank)
+                      StableArrangement(sigmas, tuple(unstable), labels), tangent)
 
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:

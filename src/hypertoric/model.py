@@ -138,7 +138,6 @@ class StackModel:
     theta: tuple[int, ...] | None
     arrangement: StableArrangement
     tangent_class: CharacterClass
-    moment_rank: int
 
     def __post_init__(self):
         # ages and obstructions are computed on integer multiplicities
@@ -286,18 +285,20 @@ def lawrence_model(a: WeightMatrix, theta) -> StackModel:
     doubled = lawrence_double(a)
     chars = tuple(doubled.column(j) for j in range(1, doubled.n + 1))
     arrangement = StableArrangement(sigmas, unstable, _coordinate_labels(a.n, True))
-    return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, chars), 0)
+    return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, chars))
 
 
 def _moment_fiber(lm: StackModel) -> StackModel:
-    """The moment fiber of a Lawrence model (see ``hypertoric_model``)."""
+    """The moment fiber of a Lawrence model (see ``hypertoric_model``): the
+    same arrangement, kind hypertoric, and d trivial summands less."""
     tangent = lm.tangent_class + CharacterClass.build(lm.d, trivial=-lm.d)
-    return StackModel(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement, tangent, lm.d)
+    return StackModel(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement, tangent)
 
 
 def hypertoric_model(a: WeightMatrix, theta) -> StackModel:
     """Moment-fiber model inside the Lawrence model: same arrangement, with
-    d trivial tangent directions removed and moment rank d."""
+    the d trivial tangent directions of the moment map removed.  Its kind
+    and tangent class tell it apart from the Lawrence model."""
     return _moment_fiber(lawrence_model(a, theta))
 
 
@@ -325,12 +326,12 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
         sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
         theta_t = tuple(int(c) for c in theta) if theta is not None else None
         arrangement = StableArrangement((), tuple(sets), labels)
-        return StackModel(DIRECT, a, a, theta_t, arrangement, tangent, 0)
+        return StackModel(DIRECT, a, a, theta_t, arrangement, tangent)
     if theta is None:
         raise ModelError("direct model needs either unstable sets or a character")
     theta, sigmas, unstable_sets = _git_arrangement(a, theta, doubled=False)
     arrangement = StableArrangement(sigmas, unstable_sets, labels)
-    return StackModel(DIRECT, a, a, theta, arrangement, tangent, 0)
+    return StackModel(DIRECT, a, a, theta, arrangement, tangent)
 
 
 def model_from_dict(data: dict) -> StackModel:

@@ -59,6 +59,8 @@ def test_graded_groups(z3t, z2t2):
 def test_graded_group_truncation_guard(z3t):
     with pytest.raises(ValueError):
         graded_group(z3t, 9)
+    with pytest.raises(ValueError, match="truncation must be nonnegative, got -1"):
+        zpres(T.scale(3), truncation=-1)
 
 
 def test_graded_invariants_independent_of_relation_order():
@@ -153,6 +155,25 @@ def test_iso_not_surjective_branch(z3t):
         assert not rep.is_iso and rep.failing_degree == 1
         assert rep.reason == "induced map is not surjective in degree 1"
     assert ring_map_is_iso(z3t, z3t, [T.scale(2)], 4).is_iso
+
+
+def test_iso_well_definedness_branch():
+    # the identity on variables is well defined only when every source
+    # relation lands in the target ideal
+    t1, t2 = IntPoly.variable(2, 0), IntPoly.variable(2, 1)
+    cases = [
+        (zpres(T.scale(2)), zpres(T.scale(4)), [T], 1),
+        (GradedRingPresentation(2, (t1 * t2,), 6), GradedRingPresentation(2, (t1 * t1,), 6),
+         [t1, t2], 2),
+    ]
+    for src, dst, images, degree in cases:
+        rep = ring_map_is_iso(src, dst, images, 4)
+        assert not rep.is_iso and rep.failing_degree == degree
+        assert "target ideal" in rep.reason
+    # the other way round the map is well defined, and the groups differ
+    rep = ring_map_is_iso(zpres(T.scale(4)), zpres(T.scale(2)), [T], 4)
+    assert not rep.is_iso and rep.failing_degree == 1
+    assert "graded groups differ" in rep.reason
 
 
 def test_iso_composition(z3t):

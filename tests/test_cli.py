@@ -123,9 +123,9 @@ def test_analyze_subcommand(tp12, capsys):
 
 
 def test_output_is_deterministic(bmu3, capsys):
-    main(["orbifold-table", "--input", bmu3, "--degree", "4", "--seed", "9"])
+    main(["orbifold-table", "--input", bmu3, "--degree", "4"])
     first = capsys.readouterr().out
-    main(["orbifold-table", "--input", bmu3, "--degree", "4", "--seed", "9"])
+    main(["orbifold-table", "--input", bmu3, "--degree", "4"])
     second = capsys.readouterr().out
     assert first == second
 
@@ -133,6 +133,32 @@ def test_output_is_deterministic(bmu3, capsys):
 def test_bad_flags_exit_2(tp12, capsys):
     assert main(["chowring", "--input", tp12, "--degree", "0"]) == EXIT_INPUT_ERROR
     assert main(["chart-check", "--input", tp12, "--samples", "0"]) == EXIT_INPUT_ERROR
+
+
+def test_analyze_refuses_a_degree(tp12, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", tp12, "--degree", "3"])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "unrecognized arguments: --degree 3" in capsys.readouterr().err
+
+
+_OWNED = {"--degree": {"chowring", "orbifold-table", "verify"},
+          "--seed": {"chart-check"}, "--samples": {"chart-check"}}
+
+
+@pytest.mark.parametrize("command", ["analyze", "inertia", "chowring", "orbifold-table",
+                                     "verify", "chart-check", "sre-check"])
+def test_each_subcommand_takes_only_its_flags(command, tp12, capsys):
+    # a flag the subcommand would not read exits 2 instead of being ignored
+    for flag, owners in _OWNED.items():
+        argv = [command, "--input", tp12, flag, "3"]
+        if command in owners:
+            assert main(argv) == EXIT_OK
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INPUT_ERROR
+    assert main([command, "--input", tp12, "--format", "text"]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

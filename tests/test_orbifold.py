@@ -12,6 +12,7 @@ import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
     GradedClass,
+    GradedRingPresentation,
     GysinError,
     IntPoly,
     ObstructionError,
@@ -26,6 +27,7 @@ from hypertoric import (
     log_trace,
     obstruction,
     orbifold_table,
+    presentation,
     reduce_class,
     star,
     verify_obstruction_pullback,
@@ -338,20 +340,20 @@ def _spy_verify(monkeypatch, fail_fixed=None):
     reports a forced failure."""
     tables, checks, stars = [], [], []
     table = orbifold_module.orbifold_table
-    iso = orbifold_module.ring_map_is_iso
+    iso = orbifold_module._same_ring
 
     def spy_table(*args):
         tables.append(table(*args))
         return tables[-1]
 
-    def spy_iso(src, dst, images, bound):
+    def spy_iso(src, dst, bound):
         checks.append((src, dst))
         if fail_fixed is not None and src is tables[0].geometry.presentation_for(fail_fixed):
             return IsoReport(False, 1, "forced failure")
-        return iso(src, dst, images, bound)
+        return iso(src, dst, bound)
 
     monkeypatch.setattr(orbifold_module, "orbifold_table", spy_table)
-    monkeypatch.setattr(orbifold_module, "ring_map_is_iso", spy_iso)
+    monkeypatch.setattr(orbifold_module, "_same_ring", spy_iso)
     monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
     return tables, checks, stars
 
@@ -446,6 +448,47 @@ def test_pair_stable_on_one_side_is_a_product_failure(edit, tmp_path, capsys, mo
     (g1, g2), = edited
     failures = json.loads(capsys.readouterr().out)["orbifold_iso"]["failures"]
     assert failures == [{"kind": "product", "g1": g1.as_strings(), "g2": g2.as_strings()}]
+
+
+@pytest.mark.parametrize("bound", [2, 5])
+def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
+        bound, tmp_path, capsys, monkeypatch):
+    # negative control with a real lattice difference: the fiber ring over
+    # the most shared fixed set gains t1^2, which is not in its degree-2
+    # lattice; the relation goes in once the fiber table is built, since
+    # this set is the subsector of a checked embedding that t1^2 would fail
+    a, theta = random_generic_instance(random.Random(1), 2, 5)
+    comps = inertia_components(lawrence_model(a, theta))
+    bad, count = Counter(c.fixed_columns for c in comps).most_common(1)[0]
+    assert count >= 2
+    named = [c.g for c in comps if c.fixed_columns == bad]
+    extra = IntPoly.from_dict(2, {(2, 0): 1})
+
+    def enlarge(table):
+        geo = table.geometry
+        pres = geo.presentation_for(bad)
+        assert any(reduce_class(pres, extra))
+        geo._presentations[tuple(sorted(bad))] = GradedRingPresentation(
+            pres.num_vars, pres.relations + (extra,), pres.truncation)
+
+    _edit_fiber_table(monkeypatch, enlarge)
+    rep = verify_orbifold_iso(a, theta, bound)
+    assert not rep.ok and not rep.product_failures and not rep.age_failures
+    assert [g for g, _ in rep.ring_failures] == named
+    assert {(r.failing_degree, r.reason) for _, r in rep.ring_failures} == {
+        (2, "relation lattices differ in degree 2")}
+
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [list(r) for r in a.matrix.entries],
+                                "theta": list(theta), "kind": "lawrence"}))
+    argv = ["verify", "--input", str(path), "--degree", str(bound)]
+    assert main(argv) == EXIT_VERIFY_FAILED
+    failures = json.loads(capsys.readouterr().out)["orbifold_iso"]["failures"]
+    assert failures == [
+        {"kind": "ring", "v": g.as_strings(), "failing_degree": 2,
+         "reason": "relation lattices differ in degree 2"}
+        for g in named
+    ]
 
 
 def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypatch):
@@ -553,6 +596,26 @@ def test_verify_orbifold_iso_refuses_a_bound_below_one(a12, bound):
     with pytest.raises(ValueError, match="bound must be at least 1, got %d" % bound):
         verify_orbifold_iso(a12, [1], bound)
     assert verify_orbifold_iso(a12, [1], 1).ok
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_orbifold_table_refuses_a_bound_below_one(bound):
+    # such a bound used to give the default truncation, as if none were given
+    m = lawrence_model(*random_generic_instance(random.Random(1), 1, 3))
+    with pytest.raises(ValueError, match="bound must be at least 1, got %d" % bound):
+        orbifold_table(m, bound)
+    assert orbifold_table(m, 1).geometry.truncation >= 1
+
+
+def test_negative_truncation_is_refused():
+    # a presentation truncated below 0 used to be built, and every piece raised
+    m = lawrence_model(*random_generic_instance(random.Random(1), 1, 3))
+    with pytest.raises(ValueError, match="truncation must be nonnegative, got -1"):
+        presentation(m, -1)
+    geo = SectorGeometry(m, -2)
+    with pytest.raises(ValueError, match="truncation must be nonnegative, got -2"):
+        geo.sector_presentation(geo.components[0].g)
+    assert presentation(m, 0).piece(0).describe_group() == "Z"
 
 
 def test_one_analysis_per_side_per_verify(monkeypatch):
