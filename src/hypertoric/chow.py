@@ -2,16 +2,23 @@
 
 A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
-is the linear form <w, t>).  Each graded piece, up to a truncation bound, is
-Z^m over its monomials modulo the relation lattice, held as the reduced
-Hermite basis of that lattice, which is unique per lattice.  Rank and
-torsion are read off the basis, and it gives canonical coordinates, in
-which ring-map isomorphisms and Gysin pushforwards are checked.
+is the linear form <w, t>); a presentation built from a model keeps each
+relation's multiset of characters next to it.  Each graded piece, up to a
+truncation bound, is Z^m over its monomials modulo the relation lattice,
+held as the reduced Hermite basis of that lattice, which is unique per
+lattice.  Piece k is built from piece k-1: the degree-k part of the ideal
+is spanned by t_i times the degree-(k-1) part and the relations of degree
+exactly k.  Rank and torsion are read off the basis, and it gives
+canonical coordinates, in which ring-map isomorphisms and Gysin
+pushforwards are checked.  A Gysin check takes a product relation's
+divisibility, read off character multisets, as proof of membership, and
+runs the lattice test only where no such certificate exists.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .exact import IntMatrix, hermite_reduce, hnf, invariant_factors
@@ -75,11 +82,17 @@ class GradedPiece:
 @dataclass(eq=True)
 class GradedRingPresentation:
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
-    ``truncation`` (at least 0).  Graded pieces are cached lazily."""
+    ``truncation`` (at least 0).  Graded pieces are cached lazily.
+
+    ``characters`` is None, or, for a presentation made by
+    ``from_characters``, one sorted multiset of characters per relation
+    whose product of linear forms is that relation.  It is a certificate,
+    not part of the ring's value: equality compares the relations only."""
 
     num_vars: int
     relations: tuple[IntPoly, ...]
     truncation: int
+    characters: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _pieces: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
@@ -92,6 +105,24 @@ class GradedRingPresentation:
                 raise ValueError("relation %s is not homogeneous" % r)
             if r.homogeneous_degree() == 0:
                 raise ValueError("degree-0 relation makes the ring trivial")
+
+    @staticmethod
+    def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
+        """The ring of the products of linear forms, one per multiset of
+        characters: zero products are dropped, equal ones kept once, with
+        the first multiset that gives them as their certificate."""
+        by_poly: dict = {}
+        for chars in multisets:
+            chars = tuple(sorted(tuple(w) for w in chars))
+            poly = IntPoly.one(num_vars)
+            for w in chars:
+                poly = poly * IntPoly.linear_form(w)
+            if not poly.is_zero:
+                by_poly.setdefault(poly, chars)
+        rels = sorted(by_poly, key=lambda p: (p.homogeneous_degree(), p.terms))
+        out = GradedRingPresentation(num_vars, tuple(rels), truncation)
+        out.characters = tuple(by_poly[r] for r in rels)
+        return out
 
     def piece(self, k: int) -> GradedPiece:
         if k < 0 or k > self.truncation:
@@ -119,36 +150,35 @@ class GradedClass:
 
 
 def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
+    """Piece ``k`` from piece ``k - 1``: the Hermite basis of t_i times each
+    basis row of the lower piece, for every variable t_i, and of the
+    relations of degree exactly ``k``.  Over Z these span the degree-k part
+    of the ideal, so the basis is that of the full Macaulay matrix."""
     monos = tuple(monomials_of_degree(pres.num_vars, k))
-    columns = []
-    for rel in pres.relations:
-        e = rel.homogeneous_degree()
-        if e > k:
-            continue
-        for m in monomials_of_degree(pres.num_vars, k - e):
-            shifted = rel * IntPoly.from_dict(pres.num_vars, {m: 1})
-            columns.append(shifted.coefficients_on(monos))
-    return GradedPiece(k, monos, hnf(columns, len(monos)))
-
-
-def _relations_from_model(model: StackModel) -> list[IntPoly]:
-    d = model.d
-    rels = set()
-    for s in model.arrangement.unstable_minimal:
-        poly = IntPoly.one(d)
-        for j in sorted(s):
-            poly = poly * IntPoly.linear_form(model.coordinate_char(j))
-        if not poly.is_zero:
-            rels.add(poly)
-    return sorted(rels, key=lambda p: (p.homogeneous_degree(), p.terms))
+    width = len(monos)
+    vectors = [rel.coefficients_on(monos) for rel in pres.relations
+               if rel.homogeneous_degree() == k]
+    if k > 0:
+        lower = pres.piece(k - 1)
+        index = {m: j for j, m in enumerate(monos)}
+        for i in range(pres.num_vars):
+            times_ti = [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in lower.monomials]
+            for row in lower.basis:
+                v = [0] * width
+                for j, c in zip(times_ti, row):
+                    v[j] = c
+                vectors.append(v)
+    return GradedPiece(k, monos, hnf(vectors, width))
 
 
 def presentation(model: StackModel, truncation: int | None = None) -> GradedRingPresentation:
     """Sector ring presentation of a model: one product relation per minimal
-    unstable set.  Default truncation is twice the ambient coordinate count."""
+    unstable set, with its characters as the certificate of its factors.
+    Default truncation is twice the ambient coordinate count."""
     if truncation is None:
         truncation = 2 * model.num_coords
-    return GradedRingPresentation(model.d, tuple(_relations_from_model(model)), truncation)
+    multisets = [[model.coordinate_char(j) for j in s] for s in model.arrangement.unstable_minimal]
+    return GradedRingPresentation.from_characters(model.d, multisets, truncation)
 
 
 def graded_group(pres: GradedRingPresentation, k: int) -> GradedPiece:
@@ -253,26 +283,53 @@ class SectorEmbedding:
     def check(self) -> None:
         """Per-instance well-definedness: restriction must kill ambient
         relations, and pushing a sub relation must land in the ambient ideal.
-        Failures raise loudly; nothing is silently accepted."""
-        for rel in self.ambient.relations:
-            if rel.homogeneous_degree() <= self.sub.truncation:
-                if not is_zero_class(self.sub, rel):
-                    raise GysinError(
-                        "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
-                    )
-        eu = self.euler
-        shift = 0 if eu.is_zero else eu.homogeneous_degree()
-        for rel in self.sub.relations:
-            pushed = rel * eu
-            if pushed.is_zero:
+        Failures raise loudly; nothing is silently accepted.
+
+        A product of linear forms divides another when its multiset of
+        characters is contained, with multiplicity, in the other's.  So an
+        ambient relation containing some sub relation's characters is zero
+        on the subsector, and a sub relation whose characters plus the
+        normal characters contain some ambient relation's pushes into the
+        ambient ideal.  Where both presentations carry characters, such a
+        containment is the proof; the lattice test runs for every relation
+        without one."""
+        sub_chars = _counters(self.sub)
+        amb_chars = _counters(self.ambient)
+        for i, rel in enumerate(self.ambient.relations):
+            if rel.homogeneous_degree() > self.sub.truncation:
                 continue
+            if amb_chars and any(_contains(amb_chars[i], c) for c in sub_chars):
+                continue
+            if not is_zero_class(self.sub, rel):
+                raise GysinError(
+                    "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
+                )
+        eu = self.euler
+        if eu.is_zero:
+            return
+        shift = eu.homogeneous_degree()
+        normal = Counter(self.normal_chars)
+        for i, rel in enumerate(self.sub.relations):
             if rel.homogeneous_degree() + shift > self.ambient.truncation:
                 continue
-            if not is_zero_class(self.ambient, pushed):
+            if sub_chars:
+                pushed = sub_chars[i] + normal
+                if any(_contains(pushed, c) for c in amb_chars):
+                    continue
+            if not is_zero_class(self.ambient, rel * eu):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
                     "is nonzero in the ambient ring" % rel
                 )
+
+
+def _counters(pres: GradedRingPresentation) -> list[Counter]:
+    """The character multisets of the relations; empty without them."""
+    return [Counter(chars) for chars in pres.characters or ()]
+
+
+def _contains(big: Counter, small: Counter) -> bool:
+    return all(big[w] >= m for w, m in small.items())
 
 
 def gysin_push(embedding: SectorEmbedding, poly: IntPoly) -> IntPoly:

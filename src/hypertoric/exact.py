@@ -142,16 +142,22 @@ def hnf(vectors, width: int) -> tuple[tuple[int, ...], ...]:
     The first nonzero entry of each row (its pivot) is positive, pivots
     move strictly right down the rows, and every entry above a pivot lies
     in [0, pivot).  The basis depends only on the lattice, and its length is
-    the rank.  Vectors are inserted one at a time by gcd steps on pivot
-    columns, and the basis is re-reduced after every insertion, so between
-    insertions it is the reduced basis of the lattice so far and its entries
-    stay small; no transform is tracked.
+    the rank.  Vectors are taken one at a time and first reduced by the
+    basis so far (``hermite_reduce``); one that reduces to zero is already
+    in the lattice and is skipped.  The rest are inserted by gcd steps on
+    pivot columns, and the basis is re-reduced after every insertion, so
+    between insertions it is the reduced basis of the lattice so far and its
+    entries stay small; no transform is tracked.
     """
     rows: dict[int, list[int]] = {}
+    basis: list[list[int]] = []  # the rows in pivot order
     for vec in vectors:
         v = list(vec)
         if len(v) != width:
             raise ValueError("vector of length %d in a lattice of width %d" % (len(v), width))
+        v = hermite_reduce(v, basis)
+        if not any(v):
+            continue
         for c in range(width):
             if not v[c]:
                 continue
@@ -165,7 +171,8 @@ def hnf(vectors, width: int) -> tuple[tuple[int, ...], ...]:
         order = sorted(rows)
         for i, c in enumerate(order):
             rows[c] = hermite_reduce(rows[c], [rows[k] for k in order[i + 1:]])
-    return tuple(tuple(rows[c]) for c in sorted(rows))
+        basis = [rows[c] for c in order]
+    return tuple(tuple(row) for row in basis)
 
 
 def invariant_factors(vectors, width: int) -> tuple[int, ...]:

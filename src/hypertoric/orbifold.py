@@ -173,18 +173,50 @@ def euler_poly(bundle: CharacterClass) -> IntPoly:
     return out
 
 
+def _ring_key(pres: GradedRingPresentation) -> tuple:
+    return (pres.num_vars, pres.relations, pres.truncation)
+
+
+class _RingStore:
+    """The rings of one ``orbifold_table`` or ``verify_orbifold_iso`` call,
+    keyed by value: one presentation object, with its one piece cache, per
+    (num_vars, relations, truncation), and one embedding per (sub ring,
+    ambient ring, normal characters), checked once.  A failed check is never
+    stored, so every push through it raises again.  Every geometry of the
+    call reads the same store, so the fiber of ``verify`` reads the rings
+    the ambient side has already built."""
+
+    def __init__(self):
+        self._rings: dict = {}
+        self._embeddings: dict = {}
+
+    def ring(self, pres: GradedRingPresentation) -> GradedRingPresentation:
+        """The stored presentation equal to ``pres``; ``pres`` if new."""
+        return self._rings.setdefault(_ring_key(pres), pres)
+
+    def embedding(self, sub, ambient, normal_chars) -> SectorEmbedding:
+        key = (_ring_key(sub), _ring_key(ambient), normal_chars)
+        emb = self._embeddings.get(key)
+        if emb is None:
+            emb = SectorEmbedding(sub=sub, ambient=ambient, normal_chars=normal_chars)
+            emb.check()
+            self._embeddings[key] = emb
+        return emb
+
+
 @dataclass
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation.  The sectors, pairs, selections and obstruction kernel are
     the model's shared analysis (``_analysis``), computed once per model
     value and read by ``verify_obstruction_pullback`` too.  Sector models
-    and presentations are built lazily, once per fixed-column set and per
-    geometry, and each embedding is checked once; a failed check is never
-    cached, so every push through it raises again.  A sector's ring depends
-    only on its fixed columns, so sectors with the same fixed set share one
-    presentation object, and a product of generators only on its
-    obstruction and the embedding it pushes along."""
+    are built lazily, once per fixed-column set and per geometry; their
+    presentations and the embeddings between them come from the ring store
+    (``_RingStore``), one per value, so geometries that share a store share
+    equal rings and checks.  A sector's ring depends only on its fixed
+    columns, so sectors with the same fixed set share one presentation
+    object, and a product of generators only on its obstruction and the
+    embedding it pushes along.  A negative truncation raises ``ValueError``."""
 
     model: StackModel
     truncation: int
@@ -194,8 +226,11 @@ class SectorGeometry:
     obstructions: _Obstructions = field(init=False, repr=False)
     _presentations: dict = field(default_factory=dict)
     _embeddings: dict = field(default_factory=dict)
+    _rings: _RingStore = field(default_factory=_RingStore, repr=False)
 
     def __post_init__(self):
+        if self.truncation < 0:
+            raise ValueError("truncation must be nonnegative, got %d" % self.truncation)
         self.analysis = _analysis(self.model)
         self.components = self.analysis.components
         self.pairs = self.analysis.pairs
@@ -214,8 +249,8 @@ class SectorGeometry:
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
         key = tuple(sorted(fixed))
         if key not in self._presentations:
-            sub = sector_model(self.model, fixed)
-            self._presentations[key] = presentation(sub, truncation=self.truncation)
+            pres = presentation(sector_model(self.model, fixed), truncation=self.truncation)
+            self._presentations[key] = self._rings.ring(pres)
         return self._presentations[key]
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
@@ -225,13 +260,11 @@ class SectorGeometry:
         key = (small, big)
         if key not in self._embeddings:
             coords = [i for j in sorted(big - small) for i in sorted(self.model.coords_of_columns({j}))]
-            emb = SectorEmbedding(
-                sub=self.presentation_for(small),
-                ambient=self.presentation_for(big),
-                normal_chars=tuple(self.model.coordinate_char(i) for i in coords),
+            self._embeddings[key] = self._rings.embedding(
+                self.presentation_for(small),
+                self.presentation_for(big),
+                tuple(self.model.coordinate_char(i) for i in coords),
             )
-            emb.check()
-            self._embeddings[key] = emb
         return self._embeddings[key]
 
     def generator(self, g: TorsionElement) -> GradedClass:
@@ -305,8 +338,8 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
 
     The table's geometry reads the model's shared analysis (``_analysis``),
     so its sectors, pairs and pair selections are those the pullback check
-    reads; its presentations, embeddings and truncation are its own, since
-    they depend on ``bound``.
+    reads; its truncation is its own, since it depends on ``bound``, and its
+    presentations and embeddings come from a ring store of its own.
 
     A generator product is the Euler polynomial of the pair's obstruction
     class times the normal Euler factor of the common fixed locus in the
@@ -317,12 +350,17 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     enters the key as its selection, the int tuple of the tangent terms it
     consists of, which determines it; each stable pair's selection is still
     bundle-tested, so a non-bundle still raises.  A bound below 1 raises."""
+    return _table(model, bound, _RingStore())
+
+
+def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldTable:
+    """``orbifold_table`` with its rings read from, and added to, ``rings``."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     floor = bound if bound is not None else 2 * model.num_coords
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
     top_age = max(c.age for c in _analysis(model).components)
-    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
+    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), _rings=rings)
     analysis = geo.analysis
     products = {}
     by_key: dict = {}
@@ -402,9 +440,15 @@ class OrbifoldIsoReport:
 
 
 def _same_ring(pres_a, pres_f, bound: int) -> IsoReport:
-    """``ring_map_is_iso`` for the identity on variables, up to ``bound``: it
-    is well defined iff the ambient lattice lies in the fiber's, and onto, so
-    (f.g. abelian groups are Hopfian) bijective in degree k iff the pieces are."""
+    """``ring_map_is_iso`` for the identity on variables, up to ``bound``.
+
+    Equal relation lists span equal ideals, so their pieces are equal in
+    every degree; that is the certificate.  Otherwise the pieces are
+    compared: the map is well defined iff the ambient lattice lies in the
+    fiber's, and onto, so (f.g. abelian groups are Hopfian) bijective in
+    degree k iff the pieces are."""
+    if pres_a.num_vars == pres_f.num_vars and pres_a.relations == pres_f.relations:
+        return IsoReport(True)
     for k in range(bound + 1):
         if pres_a.piece(k) != pres_f.piece(k):
             return IsoReport(False, k, "relation lattices differ in degree %d" % k)
@@ -418,16 +462,20 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     identical ages.  Both tables are computed end-to-end from their own
     model data.
 
-    A sector's ring is the presentation of its fixed set, one object per
-    fixed set in each geometry, so the rings are compared piece by piece
-    (``_same_ring``) once per distinct (ambient fixed set, fiber fixed
-    set); every sector over a failing pair is listed in ``ring_failures``.
-    Products are compared on the ambient pairs, then the fiber-only ones,
-    each a product failure.  A ``bound`` below 1 raises ``ValueError``."""
+    The two tables share one ring store (``_RingStore``) for this call, so
+    each distinct ring is one presentation, with its pieces built once, and
+    each distinct embedding is built and checked once, whichever side
+    needs it first.  A sector's ring is the presentation of its fixed set,
+    so the rings are compared (``_same_ring``) once per distinct (ambient
+    fixed set, fiber fixed set); every sector over a failing pair is listed
+    in ``ring_failures``.  Products are compared on the ambient pairs, then
+    the fiber-only ones, each a product failure.  A ``bound`` below 1
+    raises ``ValueError``."""
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
-    table_a = orbifold_table(ambient, bound)
-    table_f = orbifold_table(fiber, bound)
+    rings = _RingStore()
+    table_a = _table(ambient, bound, rings)
+    table_f = _table(fiber, bound, rings)
     if [c.g for c in table_a.components] != [c.g for c in table_f.components]:
         return OrbifoldIsoReport(False, 0, detail="inertia element sets differ")
 

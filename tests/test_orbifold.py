@@ -35,6 +35,7 @@ from hypertoric import (
 )
 from hypertoric.chow import IsoReport
 from hypertoric.cli import EXIT_VERIFY_FAILED, main
+from hypertoric.orbifold import _ring_key
 from hypertoric.sampling import random_generic_instance
 
 
@@ -238,8 +239,9 @@ def _product_keys(geo):
 @pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
 def test_orbifold_table_analyses_once(name, request, monkeypatch):
     # one inertia pass, one sector model per distinct fixed set, one Gysin
-    # check per distinct embedding and one star per distinct product key,
-    # for the table's single geometry
+    # check per distinct embedding value and one star per distinct product
+    # key, for the table's single geometry; on mu3 two fixed sets share the
+    # ring Z[t]/(3t), and their two identity embeddings are one value
     model = request.getfixturevalue(name)
     enumerations, built, checked, stars = [], [], [], []
 
@@ -254,9 +256,13 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     assert len(enumerations) == 1
     fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
     assert sorted(sorted(fixed) for _, fixed in built) == sorted(sorted(f) for f in fixed_sets)
-    embeddings = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
-    assert len(checked) == len(embeddings)
-    assert len({id(emb) for (emb,) in checked}) == len(embeddings)
+    fixed_pairs = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
+    embeddings = {id(e): e for e in (geo.embedding(*fp) for fp in fixed_pairs)}
+    values = {(_ring_key(e.sub), _ring_key(e.ambient), e.normal_chars) for e in embeddings.values()}
+    assert len(checked) == len(embeddings) == len(values)
+    assert {id(emb) for (emb,) in checked} == set(embeddings)
+    if name == "mu3_model":
+        assert len(values) < len(fixed_pairs)
     assert len(stars) == len(_product_keys(geo))
 
 
@@ -339,7 +345,7 @@ def _spy_verify(monkeypatch, fail_fixed=None):
     with ``fail_fixed``, the check of the ambient ring over that fixed set
     reports a forced failure."""
     tables, checks, stars = [], [], []
-    table = orbifold_module.orbifold_table
+    table = orbifold_module._table
     iso = orbifold_module._same_ring
 
     def spy_table(*args):
@@ -352,7 +358,7 @@ def _spy_verify(monkeypatch, fail_fixed=None):
             return IsoReport(False, 1, "forced failure")
         return iso(src, dst, bound)
 
-    monkeypatch.setattr(orbifold_module, "orbifold_table", spy_table)
+    monkeypatch.setattr(orbifold_module, "_table", spy_table)
     monkeypatch.setattr(orbifold_module, "_same_ring", spy_iso)
     monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
     return tables, checks, stars
@@ -402,7 +408,7 @@ def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monk
 def _edit_fiber_table(monkeypatch, edit):
     """Apply ``edit`` to each fiber table's products: every second table
     built, since ``verify_orbifold_iso`` builds the ambient one first."""
-    table = orbifold_module.orbifold_table
+    table = orbifold_module._table
     built = []
 
     def edited(*args):
@@ -411,7 +417,7 @@ def _edit_fiber_table(monkeypatch, edit):
             edit(built[-1])
         return built[-1]
 
-    monkeypatch.setattr(orbifold_module, "orbifold_table", edited)
+    monkeypatch.setattr(orbifold_module, "_table", edited)
 
 
 def _lose_pair(table):
@@ -608,13 +614,14 @@ def test_orbifold_table_refuses_a_bound_below_one(bound):
 
 
 def test_negative_truncation_is_refused():
-    # a presentation truncated below 0 used to be built, and every piece raised
+    # a presentation truncated below 0 used to be built, and every piece
+    # raised; a geometry truncated below 0 used to be built, and refused
+    # only at its first presentation
     m = lawrence_model(*random_generic_instance(random.Random(1), 1, 3))
     with pytest.raises(ValueError, match="truncation must be nonnegative, got -1"):
         presentation(m, -1)
-    geo = SectorGeometry(m, -2)
     with pytest.raises(ValueError, match="truncation must be nonnegative, got -2"):
-        geo.sector_presentation(geo.components[0].g)
+        SectorGeometry(m, -2)
     assert presentation(m, 0).piece(0).describe_group() == "Z"
 
 

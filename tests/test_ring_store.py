@@ -1,0 +1,216 @@
+"""One owner per ring value, and the exact certificates that skip work.
+
+Within one ``verify_orbifold_iso`` call both tables read one ring store:
+each distinct ring is one presentation whose pieces are built once, and
+each distinct embedding is checked once.  Two certificates stand in for
+lattice work: equal relation lists prove two rings equal (``_same_ring``),
+and containment of character multisets proves a product relation divides
+another (``SectorEmbedding.check``).  The negative controls here show that
+the lattice test still decides wherever no certificate exists.
+"""
+
+import random
+from collections import Counter
+
+import pytest
+
+import hypertoric.chow as chow_module
+from hypertoric import (
+    GradedRingPresentation,
+    GysinError,
+    IntPoly,
+    SectorEmbedding,
+    SectorGeometry,
+    lawrence_model,
+    ring_map_is_iso,
+    verify_orbifold_iso,
+)
+from hypertoric.model import _moment_fiber
+from hypertoric.orbifold import _ring_key, _same_ring
+from hypertoric.sampling import random_generic_instance
+
+T = IntPoly.variable(1, 0)
+T1, T2 = IntPoly.variable(2, 0), IntPoly.variable(2, 1)
+
+
+def _record_work(monkeypatch):
+    """Spy on piece builds and embedding checks: (ring value, degree) per
+    build and embedding value per check."""
+    builds, checks = Counter(), Counter()
+    build, check = chow_module._build_piece, SectorEmbedding.check
+
+    def spy_build(pres, k):
+        builds[(_ring_key(pres), k)] += 1
+        return build(pres, k)
+
+    def spy_check(emb):
+        checks[(_ring_key(emb.sub), _ring_key(emb.ambient), emb.normal_chars)] += 1
+        return check(emb)
+
+    monkeypatch.setattr(chow_module, "_build_piece", spy_build)
+    monkeypatch.setattr(SectorEmbedding, "check", spy_check)
+    return builds, checks
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)])
+def test_each_ring_value_and_embedding_has_one_owner_per_verify(seed, d, n, monkeypatch):
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    builds, checks = _record_work(monkeypatch)
+    assert verify_orbifold_iso(a, theta, 5).ok
+    assert builds and checks
+    assert set(builds.values()) == {1}
+    assert set(checks.values()) == {1}
+
+    # the store lives for one call only: a second call builds and checks
+    # everything again, once each
+    first = (dict(builds), dict(checks))
+    builds.clear()
+    checks.clear()
+    assert verify_orbifold_iso(a, theta, 5).ok
+    assert (dict(builds), dict(checks)) == first
+
+
+def test_separate_tables_do_not_share_rings(monkeypatch):
+    # geometries with their own stores build their own pieces, so a second
+    # geometry of the same model rebuilds what the first built
+    model = lawrence_model(*random_generic_instance(random.Random(1), 2, 4))
+    builds, _ = _record_work(monkeypatch)
+    geos = [SectorGeometry(model, 3) for _ in range(2)]
+    for geo in geos:
+        for c in geo.components:
+            geo.sector_presentation(c.g).piece(3)
+    assert builds and set(builds.values()) == {2}
+    fixed = geos[0].components[0].fixed_columns
+    assert geos[0].presentation_for(fixed) is not geos[1].presentation_for(fixed)
+
+
+def test_fiber_reads_the_ambient_rings():
+    # with one store, the ambient and fiber geometries hand out the same
+    # presentation object for equal rings
+    model = lawrence_model(*random_generic_instance(random.Random(3), 2, 5))
+    geo_a = SectorGeometry(model, 5)
+    geo_f = SectorGeometry(_moment_fiber(model), 5, _rings=geo_a._rings)
+    shared = 0
+    for ca, cf in zip(geo_a.components, geo_f.components):
+        pa = geo_a.presentation_for(ca.fixed_columns)
+        pf = geo_f.presentation_for(cf.fixed_columns)
+        assert (pa is pf) == (pa == pf)
+        shared += pa is pf
+    assert shared == len(geo_a.components)
+
+
+# --- _same_ring: the relation-equality certificate and its fallback -------
+
+def test_equal_relation_lists_need_no_piece():
+    rels = (T1 * T2, (T1 * T1).scale(3))
+    pres_a, pres_f = (GradedRingPresentation(2, rels, 5) for _ in range(2))
+    assert _same_ring(pres_a, pres_f, 5).is_iso
+    assert not pres_a._pieces and not pres_f._pieces
+
+
+def test_same_ideal_by_other_relations_passes_through_the_pieces():
+    # (t1, t2^2) and (t1, t2^2 + t1*t2) are one ideal by two generator lists
+    pres_a = GradedRingPresentation(2, (T1, T2 * T2), 5)
+    pres_f = GradedRingPresentation(2, (T1, T2 * T2 + T1 * T2), 5)
+    assert pres_a.relations != pres_f.relations
+    assert _same_ring(pres_a, pres_f, 5).is_iso
+    assert sorted(pres_a._pieces) == sorted(pres_f._pieces) == list(range(6))
+
+
+@pytest.mark.parametrize("rels_a, rels_f", [
+    ((T1 * T1,), (T1 * T1, T1 * T2 * T2)),           # lattices first differ in degree 3
+    ((T1 * T2.scale(2),), (T1 * T2,)),               # in degree 2, by torsion
+    ((T1,), (T2,)),                                  # in degree 1
+    ((T1 * T1 * T1,), (T1 * T1 * T1, T2 ** 4)),      # in degree 4
+])
+def test_different_ideals_fail_where_the_identity_map_fails(rels_a, rels_f):
+    variables = [IntPoly.variable(2, i) for i in range(2)]
+    for src, dst in ((rels_a, rels_f), (rels_f, rels_a)):
+        pres_a = GradedRingPresentation(2, src, 5)
+        pres_f = GradedRingPresentation(2, dst, 5)
+        got = _same_ring(pres_a, pres_f, 5)
+        want = ring_map_is_iso(pres_a, pres_f, variables, 5)
+        assert not got.is_iso
+        assert got.failing_degree == want.failing_degree
+
+
+# --- SectorEmbedding.check: divisibility certificates and the lattice test
+
+def _ring(*multisets, nvars=1, truncation=6):
+    return GradedRingPresentation.from_characters(nvars, multisets, truncation)
+
+
+def _lattice_tests(monkeypatch):
+    """Record the relations the lattice test is asked about."""
+    asked = []
+    test = chow_module.is_zero_class
+
+    def spy(pres, poly):
+        asked.append(poly)
+        return test(pres, poly)
+
+    monkeypatch.setattr(chow_module, "is_zero_class", spy)
+    return asked
+
+
+def test_from_characters_keeps_a_certificate_per_relation():
+    pres = _ring([(1,), (1,)], [(-1,), (-1,)], [(3,)])
+    # t^2 from two multisets is one relation with the first certificate
+    assert [str(r) for r in pres.relations] == ["3*t1", "t1^2"]
+    assert pres.characters == (((3,),), ((1,), (1,)))
+    assert pres == GradedRingPresentation(1, (T.scale(3), T * T), 6)
+    # a zero character gives a zero product, which is dropped
+    assert _ring([(0,)], [(2,)]).relations == (T.scale(2),)
+
+
+def test_no_certificate_reaches_the_lattice_test_and_raises(monkeypatch):
+    # Z[t]/(2t) inside Z[t]/(t): no sub multiset lies in {1}, and t is
+    # nonzero in Z[t]/(2t), so the restriction is refused by the lattice test
+    asked = _lattice_tests(monkeypatch)
+    emb = SectorEmbedding(_ring([(2,)]), _ring([(1,)]), ())
+    with pytest.raises(GysinError, match="restriction ill-defined"):
+        emb.check()
+    assert asked == [T]
+
+
+def test_no_certificate_but_a_member_passes_the_lattice_test(monkeypatch):
+    # t1 + t2 lies in (t1, t2) though neither divides it; the pushes of t1
+    # and t2 are certified by the ambient relations t1 and t2
+    asked = _lattice_tests(monkeypatch)
+    sub = _ring([(1, 0)], [(0, 1)], nvars=2)
+    ambient = _ring([(1, 1)], [(1, 0)], [(0, 1)], nvars=2)
+    SectorEmbedding(sub, ambient, ()).check()
+    assert asked == [T1 + T2]
+
+
+@pytest.mark.parametrize("sub, ambient, normal, message", [
+    # restriction: t is not divisible by t^2, though {1} is in {1} as a set
+    (_ring([(1,), (1,)]), _ring([(1,)]), (), "restriction ill-defined"),
+    # pushforward: t times t is not divisible by t^3, though {1, 1} and
+    # {1, 1, 1} are the same set
+    (_ring([(1,)]), _ring([(1,), (1,), (1,)]), ((1,),), "pushforward ill-defined"),
+], ids=["restriction", "pushforward"])
+def test_containment_counts_multiplicity(sub, ambient, normal, message, monkeypatch):
+    asked = _lattice_tests(monkeypatch)
+    with pytest.raises(GysinError, match=message):
+        SectorEmbedding(sub, ambient, normal).check()
+    assert len(asked) == 1
+
+
+def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
+    # on these models a certificate settles every check, and the lattice
+    # test, run on the same rings without their characters, agrees
+    asked = _lattice_tests(monkeypatch)
+    embeddings = []
+    for seed, d, n in [(1, 2, 5), (2, 3, 5), (1, 1, 6)]:
+        model = lawrence_model(*random_generic_instance(random.Random(seed), d, n))
+        geo = SectorGeometry(model, 5)
+        for p in geo.pairs:
+            embeddings.append(geo.embedding(p.common_fixed, geo.component(p.target).fixed_columns))
+    assert len({id(e) for e in embeddings}) > 20
+    assert asked == []
+    for emb in {id(e): e for e in embeddings}.values():
+        sub, ambient = (GradedRingPresentation(p.num_vars, p.relations, p.truncation)
+                        for p in (emb.sub, emb.ambient))
+        SectorEmbedding(sub, ambient, emb.normal_chars).check()
+    assert asked
