@@ -232,6 +232,22 @@ def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
     return Fraction(total, g.order)
 
 
+def sector_unstable_sets(model: StackModel, fixed: frozenset[int]) -> list[frozenset[int]]:
+    """The minimal unstable sets of the sector of the fixed columns, in the
+    model's coordinates: the minimal traces of the model's minimal unstable
+    sets on the coordinates over ``fixed``, ordered by (size, sorted
+    elements).  An empty trace means the fixed locus lies in the unstable
+    locus, and raises ``ValueError``.  The one owner of the trace rule:
+    ``sector_model`` renumbers these sets, and the sector rings of an
+    orbifold geometry read their characters."""
+    alive = model.coords_of_columns(fixed)
+    traces = {s & alive for s in model.arrangement.unstable_minimal}
+    if frozenset() in traces:
+        raise ValueError("fixed locus lies in the unstable locus")
+    return sorted((s for s in traces if not any(t < s for t in traces)),
+                  key=lambda s: (len(s), sorted(s)))
+
+
 def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     """The sector of the fixed columns: the model restricted to the
     coordinates over them, renumbered x's then y's, with the same kind and
@@ -241,19 +257,15 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
     when the chart's basis lies in ``fixed``, so the restricted stable locus
     is the stable locus of the smaller model: its sigma sets are the model's
     sigma sets on ``fixed``, its minimal unstable sets the minimal traces
-    of the model's, and its tangent class loses the deleted characters.
+    of the model's (``sector_unstable_sets``; the renumbering keeps their
+    order), and its tangent class loses the deleted characters.
     """
     keep = sorted(fixed)
     sub = WeightMatrix(model.base.columns_matrix(keep))
     alive = sorted(model.coords_of_columns(fixed))
     coord = {i: k for k, i in enumerate(alive, 1)}
     column = {j: k for k, j in enumerate(keep, 1)}
-    traces = {frozenset(coord[i] for i in s if i in coord)
-              for s in model.arrangement.unstable_minimal}
-    if frozenset() in traces:
-        raise ValueError("fixed locus lies in the unstable locus")
-    unstable = sorted((s for s in traces if not any(t < s for t in traces)),
-                      key=lambda s: (len(s), sorted(s)))
+    unstable = [frozenset(coord[i] for i in s) for s in sector_unstable_sets(model, fixed)]
     sigmas = tuple(SigmaSet(tuple(column[j] for j in s.basis), s.tags)
                    for s in model.arrangement.sigma_sets if fixed.issuperset(s.basis))
     chars = tuple(model.coordinate_char(i) for i in alive)

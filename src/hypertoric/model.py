@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .characters import CharacterClass
 from .exact import IntMatrix, as_fraction_vector, hnf, solve_rational
@@ -196,10 +197,34 @@ def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
 
 def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
     """The sigma set of a sorted basis, with the (basis, column) pairs whose
-    coefficient is zero (the walls theta sits on)."""
-    lams = lambda_coeffs(a, basis, theta)
-    walls = [(basis, j) for j, lam in zip(basis, lams) if lam == 0]
-    return SigmaSet(basis, tuple("x" if lam > 0 else "y" for lam in lams)), walls
+    coefficient is zero (the walls theta sits on).
+
+    By Cramer's rule lambda_j = det A_B^(j<-theta) / det A_B, where the
+    numerator has theta in place of column j, so sign(lambda_j) is the
+    product of the signs of two integer determinants and lambda_j is zero
+    exactly when the numerator is; a rational theta is scaled to an integer
+    one first, which keeps every sign."""
+    sub = a.columns_matrix(basis)
+    det = sub.det()
+    if det == 0:
+        raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
+    theta = _integral(theta)
+    if len(theta) != sub.rows:
+        raise ValueError("right-hand side length %d does not match %d rows" % (len(theta), sub.rows))
+    tags, walls = [], []
+    for k, j in enumerate(basis):
+        num = IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
+        if not num:
+            walls.append((basis, j))
+        tags.append("x" if num * det > 0 else "y")
+    return SigmaSet(basis, tuple(tags)), walls
+
+
+def _integral(theta) -> tuple[int, ...]:
+    """A positive multiple of ``theta`` with integer entries."""
+    values = as_fraction_vector(theta)
+    scale = lcm(*(x.denominator for x in values))
+    return tuple(int(x * scale) for x in values)
 
 
 def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:

@@ -19,7 +19,6 @@ from .chow import (
     GradedRingPresentation,
     IsoReport,
     SectorEmbedding,
-    presentation,
     reduce_class,
 )
 from .inertia import (
@@ -28,7 +27,7 @@ from .inertia import (
     TorsionElement,
     _pairs,
     inertia_components,
-    sector_model,
+    sector_unstable_sets,
 )
 from .model import StackModel, WeightMatrix, _moment_fiber, lawrence_model
 from .poly import IntPoly
@@ -108,7 +107,8 @@ class _Analysis:
     pair's obstruction selection, computed once, and the obstruction kernel
     that turns a selection into its bundle-tested class.  Nothing here
     depends on a degree bound.  Every reader of the memo gets the same
-    object, so only the kernel's own caches ever change."""
+    object, so only the kernel's own caches and the pair index ever
+    change."""
 
     def __init__(self, model: StackModel):
         self.model = model
@@ -117,7 +117,12 @@ class _Analysis:
         self.obstructions = _Obstructions(model)
         self.selections = tuple(self.obstructions.selection(p.g1, p.g2) for p in self.pairs)
         self.by_element = {c.g: c for c in self.components}
-        self.by_pair = {(p.g1, p.g2): i for i, p in enumerate(self.pairs)}
+
+    @functools.cached_property
+    def by_pair(self) -> dict:
+        """Pair index by (g1, g2), built on first use: ``star`` and
+        ``SectorGeometry.pair`` read it, ``verify`` does not."""
+        return {(p.g1, p.g2): i for i, p in enumerate(self.pairs)}
 
     def obstruction_of(self, i: int) -> CharacterClass:
         """The class of pair ``i``; a non-bundle raises ``ObstructionError``."""
@@ -179,20 +184,39 @@ def _ring_key(pres: GradedRingPresentation) -> tuple:
 
 class _RingStore:
     """The rings of one ``orbifold_table`` or ``verify_orbifold_iso`` call,
-    keyed by value: one presentation object, with its one piece cache, per
-    (num_vars, relations, truncation), and one embedding per (sub ring,
-    ambient ring, normal characters), checked once.  A failed check is never
-    stored, so every push through it raises again.  Every geometry of the
-    call reads the same store, so the fiber of ``verify`` reads the rings
-    the ambient side has already built."""
+    and the generator products over them, keyed by value:
+
+    - one presentation per (num_vars, character multisets, truncation),
+      found before any polynomial is multiplied, and one presentation
+      object, with its one piece cache, per ring value (num_vars,
+      relations, truncation);
+    - one embedding per (sub ring, ambient ring, normal characters),
+      checked once; a failed check is never stored, so every push through
+      it raises again;
+    - one Euler polynomial per obstruction class, and one generator product
+      per (obstruction class, embedding).
+
+    Every geometry of the call reads the same store, so the fiber of
+    ``verify`` reads the rings, checks and products the ambient side has
+    already built.  A fiber class or ring that differs from the ambient one
+    is another key, so it is built from the fiber's own data."""
 
     def __init__(self):
+        self._by_characters: dict = {}
         self._rings: dict = {}
         self._embeddings: dict = {}
+        self._eulers: dict = {}
+        self._products: dict = {}
 
-    def ring(self, pres: GradedRingPresentation) -> GradedRingPresentation:
-        """The stored presentation equal to ``pres``; ``pres`` if new."""
-        return self._rings.setdefault(_ring_key(pres), pres)
+    def presentation(self, num_vars: int, multisets: tuple, truncation: int) -> GradedRingPresentation:
+        """The ring of the products of linear forms of ``multisets`` (each a
+        sorted tuple of characters), as ``from_characters`` builds it."""
+        key = (num_vars, multisets, truncation)
+        pres = self._by_characters.get(key)
+        if pres is None:
+            built = GradedRingPresentation.from_characters(num_vars, multisets, truncation)
+            pres = self._by_characters[key] = self._rings.setdefault(_ring_key(built), built)
+        return pres
 
     def embedding(self, sub, ambient, normal_chars) -> SectorEmbedding:
         key = (_ring_key(sub), _ring_key(ambient), normal_chars)
@@ -203,19 +227,44 @@ class _RingStore:
             self._embeddings[key] = emb
         return emb
 
+    def product(self, obstruction_class: CharacterClass, emb: SectorEmbedding) -> tuple:
+        """The generator product of an obstruction class pushed along an
+        embedding of this store: the class's Euler polynomial times the
+        normal Euler polynomial, refused above the target's truncation, with
+        its canonical coordinates in the target ring.  The store holds each
+        embedding it hands out, one object per value, so the object's
+        identity keys its value."""
+        key = (obstruction_class, id(emb))
+        out = self._products.get(key)
+        if out is None:
+            eu = self._eulers.get(obstruction_class)
+            if eu is None:
+                eu = self._eulers[obstruction_class] = euler_poly(obstruction_class)
+            poly = eu * emb.euler
+            _check_truncation(poly, emb.ambient.truncation)
+            out = self._products[key] = (poly, reduce_class(emb.ambient, poly))
+        return out
+
+
+def _check_truncation(poly: IntPoly, truncation: int) -> None:
+    deg = poly.homogeneous_degree()
+    if deg is not None and deg > truncation:
+        raise ValueError("product degree %d exceeds the truncation bound %d" % (deg, truncation))
+
 
 @dataclass
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation.  The sectors, pairs, selections and obstruction kernel are
     the model's shared analysis (``_analysis``), computed once per model
-    value and read by ``verify_obstruction_pullback`` too.  Sector models
-    are built lazily, once per fixed-column set and per geometry; their
-    presentations and the embeddings between them come from the ring store
-    (``_RingStore``), one per value, so geometries that share a store share
-    equal rings and checks.  A sector's ring depends only on its fixed
-    columns, so sectors with the same fixed set share one presentation
-    object, and a product of generators only on its obstruction and the
+    value and read by ``verify_obstruction_pullback`` too.  A sector's ring
+    depends only on its fixed columns: it is read straight from the
+    characters of the sector's minimal unstable sets
+    (``inertia.sector_unstable_sets``), with no sector model built, once per
+    fixed set and per geometry.  Presentations, the embeddings between them
+    and the generator products come from the ring store (``_RingStore``),
+    one per value, so geometries that share a store share them; a
+    generator product depends only on its obstruction class and the
     embedding it pushes along.  A negative truncation raises ``ValueError``."""
 
     model: StackModel
@@ -247,11 +296,17 @@ class SectorGeometry:
         return None if i is None else self.pairs[i]
 
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
+        """The sector ring over ``fixed``; an unstable fixed set raises
+        ``ValueError``, as ``sector_model`` does."""
         key = tuple(sorted(fixed))
-        if key not in self._presentations:
-            pres = presentation(sector_model(self.model, fixed), truncation=self.truncation)
-            self._presentations[key] = self._rings.ring(pres)
-        return self._presentations[key]
+        pres = self._presentations.get(key)
+        if pres is None:
+            char = self.model.coordinate_char
+            multisets = tuple(tuple(sorted(char(i) for i in s))
+                              for s in sector_unstable_sets(self.model, fixed))
+            pres = self._presentations[key] = self._rings.presentation(
+                self.model.d, multisets, self.truncation)
+        return pres
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
         return self.presentation_for(self.component(g).fixed_columns)
@@ -267,6 +322,15 @@ class SectorGeometry:
             )
         return self._embeddings[key]
 
+    def product(self, i: int) -> tuple:
+        """The generator product of pair ``i`` and its coordinates in the
+        target's ring, from the store; a non-bundle obstruction raises
+        ``ObstructionError``."""
+        obstruction_class = self.analysis.obstruction_of(i)
+        pair = self.pairs[i]
+        emb = self.embedding(pair.common_fixed, self.component(pair.target).fixed_columns)
+        return self._rings.product(obstruction_class, emb)
+
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
 
@@ -279,9 +343,10 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     """Orbifold product of two sector classes of ``geo.model``.
 
     Pull both classes to the common fixed locus (the identity on polynomial
-    representatives), multiply by the Euler polynomial of the obstruction
-    class, and push into the target sector along the normal Euler factor of
-    the embedding of the common locus into the target fixed locus.
+    representatives), multiply by the generator product of their pair: the
+    Euler polynomial of the obstruction class times the normal Euler factor
+    of the embedding of the common locus into the target fixed locus, read
+    from the geometry's ring store.
     """
     model = geo.model
     if alpha.is_zero or beta.is_zero:
@@ -291,18 +356,10 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
         geo.component(alpha.component)
         geo.component(beta.component)
         return _zero_class(model.d)
-    pair = geo.pairs[i]
-    target = geo.component(pair.target)
-    eu = euler_poly(geo.analysis.obstruction_of(i))
-    # the geometry hands out checked embeddings: push without a re-check
-    emb = geo.embedding(pair.common_fixed, target.fixed_columns)
-    pushed = alpha.poly * beta.poly * eu * emb.euler
-    deg = pushed.homogeneous_degree()
-    if deg is not None and deg > geo.truncation:
-        raise ValueError(
-            "product degree %d exceeds the truncation bound %d" % (deg, geo.truncation)
-        )
-    return GradedClass(pair.target, pushed)
+    product, _ = geo.product(i)
+    pushed = alpha.poly * beta.poly * product
+    _check_truncation(pushed, geo.truncation)
+    return GradedClass(geo.pairs[i].target, pushed)
 
 
 @dataclass(frozen=True)
@@ -339,13 +396,14 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     The table's geometry reads the model's shared analysis (``_analysis``),
     so its sectors, pairs and pair selections are those the pullback check
     reads; its truncation is its own, since it depends on ``bound``, and its
-    presentations and embeddings come from a ring store of its own.
+    presentations, embeddings and products come from a ring store of its
+    own.
 
     A generator product is the Euler polynomial of the pair's obstruction
     class times the normal Euler factor of the common fixed locus in the
-    target's, reduced in the target's presentation.  It depends on the pair
-    only through the key (obstruction, common fixed set, target fixed set),
-    so ``star`` and ``reduce_class`` run once per key and every later pair
+    target's, reduced in the target's presentation; the ring store builds
+    it once per (class, embedding).  The table looks it up once per key
+    (obstruction, common fixed set, target fixed set), and every later pair
     with that key gets the same polynomial and coordinates.  The obstruction
     enters the key as its selection, the int tuple of the tangent terms it
     consists of, which determines it; each stable pair's selection is still
@@ -354,7 +412,8 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
 
 
 def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldTable:
-    """``orbifold_table`` with its rings read from, and added to, ``rings``."""
+    """``orbifold_table`` with its rings and products read from, and added
+    to, ``rings``."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     floor = bound if bound is not None else 2 * model.num_coords
@@ -365,15 +424,14 @@ def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldT
     products = {}
     by_key: dict = {}
     for i, pair in enumerate(geo.pairs):
-        g1, g2 = pair.g1, pair.g2
         analysis.obstruction_of(i)  # the bundle test; a failure raises here
-        target_fixed = geo.component(pair.target).fixed_columns
-        key = (analysis.selections[i], pair.common_fixed, target_fixed)
-        if key not in by_key:
-            poly = star(geo, geo.generator(g1), geo.generator(g2)).poly
-            by_key[key] = (poly, reduce_class(geo.presentation_for(target_fixed), poly))
-        poly, coords = by_key[key]
-        products[(g1, g2)] = ProductEntry(g1, g2, pair.target, poly, coords)
+        key = (analysis.selections[i], pair.common_fixed,
+               analysis.by_element[pair.target].fixed_columns)
+        found = by_key.get(key)
+        if found is None:
+            found = by_key[key] = geo.product(i)
+        poly, coords = found
+        products[(pair.g1, pair.g2)] = ProductEntry(pair.g1, pair.g2, pair.target, poly, coords)
     return OrbifoldTable(geo, geo.components, products)
 
 
@@ -401,9 +459,12 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     Each side is read from its own model's shared analysis (``_analysis``):
     its pairs, its pair selections, and its obstruction kernel, built from
     that model's own tangent class, so ``verify_orbifold_iso`` on the same
-    input reuses them.  Each class is built once per distinct selection;
-    the classes, not the selections, are compared.  A non-bundle selection
-    is never cached, so every pair that has it is listed in ``failures``."""
+    input reuses them.  Each class is built once per distinct selection,
+    and the two sides' classes, not their selections, are compared once per
+    distinct (ambient selection, fiber selection).  Every pair is still
+    bundle-tested and a failing pair is listed on its own: a non-bundle
+    selection is never cached, so every pair that has it is listed in
+    ``failures``, and so is every pair whose two classes differ."""
     model = lawrence_model(a, theta)
     ambient, fiber = _analysis(model), _analysis(_moment_fiber(model))
     pairs = ambient.pairs
@@ -412,6 +473,7 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
             False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
         )
     failures = []
+    same: dict = {}
     for i, p in enumerate(pairs):
         try:
             r_ambient = ambient.obstruction_of(i)
@@ -419,7 +481,11 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
         except ObstructionError as exc:
             failures.append(PullbackCheck(p.g1, p.g2, False, str(exc)))
             continue
-        if r_ambient != r_fiber:
+        key = (ambient.selections[i], fiber.selections[i])
+        equal = same.get(key)
+        if equal is None:
+            equal = same[key] = r_ambient == r_fiber
+        if not equal:
             failures.append(
                 PullbackCheck(
                     p.g1, p.g2, False,

@@ -24,6 +24,7 @@ from hypertoric import (
     sigma_set,
 )
 from hypertoric.exact import IntMatrix
+from hypertoric.model import _sign_rule
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
 
@@ -332,8 +333,8 @@ def on_a_wall(a, theta):
 
 
 def test_genericity_agrees_with_the_hyperplane_rule():
-    # check_generic solves each basis in Fractions; the rule pairs theta
-    # with integer hyperplane normals: they must find the same walls
+    # check_generic reads each basis's Cramer numerators; the rule pairs
+    # theta with integer hyperplane normals: they must find the same walls
     rng = random.Random(4)
     walls = 0
     for i in range(240):
@@ -348,6 +349,35 @@ def test_genericity_agrees_with_the_hyperplane_rule():
         walls += not generic
         assert generic != on_a_wall(a, theta), (a, theta)
     assert 60 < walls < 180
+
+
+def test_integer_sign_rule_matches_the_fraction_solve():
+    # oracle: the signs and walls of the sign rule, read off integer
+    # determinants, against the Fraction coefficients of lambda_coeffs, on
+    # generic, wall-lying and rational characters
+    rng = random.Random(11)
+    walls = rational = 0
+    for i in range(150):
+        d = 1 + i % 3
+        a = random_weight_matrix(rng, d, rng.randint(d, 6))
+        if i % 3 == 1:
+            cols = rng.sample(range(1, a.n + 1), d)
+            theta = [sum(rng.randint(-2, 2) * a.column(j)[r] for j in cols[:-1]) for r in range(d)]
+        elif i % 3 == 2:
+            theta = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+            rational += any(x.denominator > 1 for x in theta)
+        else:
+            theta = [rng.randint(-4, 4) for _ in range(d)]
+        for basis in column_bases(a):
+            sigma, found = _sign_rule(a, basis, theta)
+            lams = lambda_coeffs(a, basis, theta)
+            assert sigma.basis == basis
+            assert sigma.tags == tuple("x" if lam > 0 else "y" for lam in lams), (a, basis, theta)
+            assert found == [(basis, j) for j, lam in zip(basis, lams) if lam == 0], (a, basis, theta)
+            walls += len(found)
+    assert walls > 50 and rational > 20
+    with pytest.raises(ModelError, match="not a basis"):
+        _sign_rule(WeightMatrix.from_rows([[1, 2, 0], [2, 4, 1]]), (1, 2), [1, 0])
 
 
 def test_indices_outside_the_matrix_are_refused():

@@ -236,26 +236,67 @@ def _product_keys(geo):
     }
 
 
+def _product_values(geo):
+    """What the ring store builds a generator product from: the obstruction
+    class and the value of the embedding it pushes along."""
+    out = set()
+    for p in geo.pairs:
+        emb = geo.embedding(p.common_fixed, geo.component(p.target).fixed_columns)
+        out.add((obstruction(geo.model, p.g1, p.g2),
+                 (_ring_key(emb.sub), _ring_key(emb.ambient), emb.normal_chars)))
+    return out
+
+
+def _multiset_lists(geo, build_sector):
+    """The (num_vars, character multisets, truncation) of every fixed set a
+    table of ``geo`` reads, from the sector models themselves."""
+    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
+    out = set()
+    for fixed in fixed_sets:
+        sec = build_sector(geo.model, fixed)
+        multisets = tuple(tuple(sorted(sec.coordinate_char(j) for j in s))
+                          for s in sec.arrangement.unstable_minimal)
+        out.add((geo.model.d, multisets, geo.truncation))
+    return out
+
+
+def _spy_work(monkeypatch):
+    """Record the work of the table path: sector models, presentations made
+    from characters, Euler polynomials, products reduced into their target
+    ring, and ``star`` calls."""
+    work = {name: [] for name in ("sector_models", "presentations", "eulers", "products", "stars")}
+    monkeypatch.setattr(inertia_module, "sector_model",
+                        _counted(work["sector_models"], inertia_module.sector_model))
+    monkeypatch.setattr(GradedRingPresentation, "from_characters", staticmethod(
+        _counted(work["presentations"], GradedRingPresentation.from_characters)))
+    for name, fn in (("eulers", "euler_poly"), ("products", "reduce_class"), ("stars", "star")):
+        monkeypatch.setattr(orbifold_module, fn, _counted(work[name], getattr(orbifold_module, fn)))
+    return work
+
+
 @pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
 def test_orbifold_table_analyses_once(name, request, monkeypatch):
-    # one inertia pass, one sector model per distinct fixed set, one Gysin
-    # check per distinct embedding value and one star per distinct product
-    # key, for the table's single geometry; on mu3 two fixed sets share the
-    # ring Z[t]/(3t), and their two identity embeddings are one value
+    # one inertia pass, no sector model, one presentation per distinct
+    # multiset list, one Gysin check per distinct embedding value, one Euler
+    # polynomial per distinct class and one product per distinct (class,
+    # embedding value), for the table's single geometry, and no ``star``; on
+    # mu3 two fixed sets share the ring Z[t]/(3t), and their two identity
+    # embeddings are one value
     model = request.getfixturevalue(name)
-    enumerations, built, checked, stars = [], [], [], []
+    build_sector = inertia_module.sector_model
+    enumerations, checked = [], []
 
     monkeypatch.setattr(inertia_module, "inertia_elements",
                         _counted(enumerations, inertia_module.inertia_elements))
-    monkeypatch.setattr(orbifold_module, "sector_model",
-                        _counted(built, orbifold_module.sector_model))
     monkeypatch.setattr(SectorEmbedding, "check", _counted(checked, SectorEmbedding.check))
-    monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
+    work = _spy_work(monkeypatch)
 
     geo = orbifold_table(model, 4).geometry
+    done = {name: len(calls) for name, calls in work.items()}
     assert len(enumerations) == 1
-    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
-    assert sorted(sorted(fixed) for _, fixed in built) == sorted(sorted(f) for f in fixed_sets)
+    assert done["sector_models"] == done["stars"] == 0
+    lists = _multiset_lists(geo, build_sector)
+    assert sorted(work["presentations"]) == sorted(lists)
     fixed_pairs = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
     embeddings = {id(e): e for e in (geo.embedding(*fp) for fp in fixed_pairs)}
     values = {(_ring_key(e.sub), _ring_key(e.ambient), e.normal_chars) for e in embeddings.values()}
@@ -263,7 +304,9 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     assert {id(emb) for (emb,) in checked} == set(embeddings)
     if name == "mu3_model":
         assert len(values) < len(fixed_pairs)
-    assert len(stars) == len(_product_keys(geo))
+    classes = {geo.obstructions.class_of(p.g1, p.g2) for p in geo.pairs}
+    assert sorted(map(str, (c for c, in work["eulers"]))) == sorted(map(str, classes))
+    assert done["products"] == len(_product_values(geo)) <= len(_product_keys(geo))
 
 
 # (builder, seed, d, n) of random_generic_instance; the last has 204 sectors
@@ -341,10 +384,10 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
 
 
 def _spy_verify(monkeypatch, fail_fixed=None):
-    """Record the tables and the ring checks of ``verify_orbifold_iso``;
-    with ``fail_fixed``, the check of the ambient ring over that fixed set
-    reports a forced failure."""
-    tables, checks, stars = [], [], []
+    """Record the tables, the ring checks and the work (``_spy_work``) of
+    ``verify_orbifold_iso``; with ``fail_fixed``, the check of the ambient
+    ring over that fixed set reports a forced failure."""
+    tables, checks = [], []
     table = orbifold_module._table
     iso = orbifold_module._same_ring
 
@@ -360,22 +403,34 @@ def _spy_verify(monkeypatch, fail_fixed=None):
 
     monkeypatch.setattr(orbifold_module, "_table", spy_table)
     monkeypatch.setattr(orbifold_module, "_same_ring", spy_iso)
-    monkeypatch.setattr(orbifold_module, "star", _counted(stars, orbifold_module.star))
-    return tables, checks, stars
+    return tables, checks, _spy_work(monkeypatch)
 
 
 @pytest.mark.parametrize("seed, d, n", [(1, 2, 4), (1, 2, 5), (3, 2, 5)])
 def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     a, theta = random_generic_instance(random.Random(seed), d, n)
-    tables, checks, stars = _spy_verify(monkeypatch)
+    build_sector = inertia_module.sector_model
+    tables, checks, work = _spy_verify(monkeypatch)
     assert verify_orbifold_iso(a, theta, 5).ok
+    done = {name: len(calls) for name, calls in work.items()}
     ambient, fiber = tables
     rings = {(ca.fixed_columns, cf.fixed_columns)
              for ca, cf in zip(ambient.components, fiber.components)}
     assert len(checks) == len(rings) < len(ambient.components)
     assert len({(id(src), id(dst)) for src, dst in checks}) == len(checks)
+    assert done["sector_models"] == done["stars"] == 0
+    # one presentation per distinct multiset list, whichever side asks first
+    lists = set().union(*(_multiset_lists(t.geometry, build_sector) for t in tables))
+    assert sorted(work["presentations"]) == sorted(lists)
+    # one Euler polynomial per distinct class and one product per distinct
+    # (class, embedding value) of both tables together; the fiber's values
+    # are all the ambient's here, so there are fewer products than keys
+    classes = {t.geometry.obstructions.class_of(p.g1, p.g2) for t in tables for p in t.geometry.pairs}
+    assert done["eulers"] == len(classes)
+    values = _product_values(ambient.geometry)
+    assert _product_values(fiber.geometry) <= values
     keys = sum(len(_product_keys(t.geometry)) for t in tables)
-    assert len(stars) == keys < sum(len(t.geometry.pairs) for t in tables)
+    assert done["products"] == len(values) < keys < sum(len(t.geometry.pairs) for t in tables)
 
 
 def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
@@ -542,10 +597,10 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     assert len(made) == len(classes)
 
 
-def _fiber_with_negative_term(monkeypatch, a, theta):
-    """Give the moment fiber multiplicity -1 on the tangent character that
-    enters the most obstructions; return that character and the ambient
-    geometry."""
+def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
+    """Give the moment fiber ``multiplicity`` (by default -1) on the tangent
+    character that enters the most obstructions; return that character and
+    the ambient geometry."""
     geo = SectorGeometry(lawrence_model(a, theta), truncation=4)
     entering = Counter(w for p in geo.pairs
                        for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms)
@@ -555,7 +610,7 @@ def _fiber_with_negative_term(monkeypatch, a, theta):
     def broken(lm):
         out = fiber(lm)
         tangent = out.tangent_class
-        terms = tuple((w, Fraction(-1) if w == bad else m) for w, m in tangent.terms)
+        terms = tuple((w, Fraction(multiplicity) if w == bad else m) for w, m in tangent.terms)
         return dataclasses.replace(out, tangent_class=CharacterClass(out.d, terms, tangent.trivial))
 
     monkeypatch.setattr(orbifold_module, "_moment_fiber", broken)
@@ -575,6 +630,29 @@ def test_pullback_lists_every_pair_with_a_non_bundle_selection(monkeypatch):
     assert not rep.ok and rep.checked == len(geo.pairs)
     assert [(f.g1, f.g2) for f in rep.failures] == expected
     assert all("not a bundle" in f.detail for f in rep.failures)
+
+
+def test_fiber_with_a_doubled_character_fails_every_pair_it_enters(monkeypatch):
+    # negative control: multiplicity 2 on the most entering character keeps
+    # a bundle but changes the class, so the fiber's classes and products
+    # are other store keys, built from the fiber's own data; every pair
+    # whose selection holds the character fails the pullback and its
+    # product, and every sector that moves it fails its age
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    bad, geo = _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=2)
+    expected = [(p.g1, p.g2) for p in geo.pairs
+                if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
+
+    rep = verify_obstruction_pullback(a, theta)
+    assert (rep.ok, rep.checked, len(rep.failures)) == (False, 84, 21)
+    assert [(f.g1, f.g2) for f in rep.failures] == expected
+    assert all(f.detail.startswith("ambient ") and "2*chi" in f.detail for f in rep.failures)
+
+    iso = verify_orbifold_iso(a, theta, 5)
+    assert not iso.ok and not iso.ring_failures
+    assert (len(iso.product_failures), len(iso.age_failures)) == (21, 10)
+    assert [key for key, _, _ in iso.product_failures] == expected
+    assert [g for g, _, _ in iso.age_failures] == [c.g for c in geo.components if not c.g.fixes(bad)]
 
 
 def test_table_of_a_non_bundle_model_raises(monkeypatch):
