@@ -9,10 +9,11 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
+from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
 from .characters import CharacterClass
 from .chow import (
     GradedClass,
@@ -25,16 +26,10 @@ from .inertia import (
     DoubleInertiaComponent,
     InertiaComponent,
     TorsionElement,
-    _pairs,
-    inertia_components,
     sector_unstable_sets,
 )
 from .model import StackModel, WeightMatrix, _moment_fiber, lawrence_model
 from .poly import IntPoly
-
-
-class ObstructionError(ValueError):
-    """Obstruction class failed to be a bundle: the model is inconsistent."""
 
 
 def log_trace(g: TorsionElement, v: CharacterClass) -> CharacterClass:
@@ -48,95 +43,6 @@ def log_trace(g: TorsionElement, v: CharacterClass) -> CharacterClass:
             # m * frac<w, g>, with frac<w, g> = e / order
             terms.append((w, Fraction(m.numerator * e, m.denominator * g.order)))
     return CharacterClass.build(v.dim, terms)
-
-
-class _Obstructions:
-    """The obstruction classes of one model's pairs of inertia elements.
-
-    Per character w_k of the model's tangent class, an element g has the
-    exponent e_k(g) = <w_k, nums> mod ord g; the exponent vector of each
-    element is computed once, on first use.  The *selection* of an ordered
-    pair is the int tuple of the k with e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1,
-    which is the rule of ``obstruction``; the obstruction class is those
-    terms of the tangent class, so it depends on the pair only through its
-    selection and is built and bundle-tested once per distinct selection.
-    A selection that fails the test is never stored: every pair that has it
-    raises ``ObstructionError`` again."""
-
-    def __init__(self, model: StackModel):
-        self.model = model
-        self._terms = model.tangent_class.terms
-        self._exponents: dict = {}
-        self._classes: dict = {}
-
-    def _exponent_vector(self, g: TorsionElement) -> tuple[int, ...]:
-        e = self._exponents.get(g)
-        if e is None:
-            e = self._exponents[g] = tuple(g.exponent(w) for w, _ in self._terms)
-        return e
-
-    def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
-        """Indices of the tangent terms in the obstruction of (g1, g2)."""
-        n1, n2 = g1.order, g2.order
-        both = n1 * n2
-        exps = zip(self._exponent_vector(g1), self._exponent_vector(g2))
-        return tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
-
-    def class_for(self, sel: tuple[int, ...], g1: TorsionElement,
-                  g2: TorsionElement) -> CharacterClass:
-        """The class of the selection ``sel`` of (g1, g2), checked to be a
-        bundle; the pair only names a failure."""
-        out = self._classes.get(sel)
-        if out is None:
-            # a subsequence of sorted, distinct, nonzero terms is a canonical class
-            out = CharacterClass(self.model.d, tuple(self._terms[k] for k in sel), Fraction(0))
-            if not out.is_bundle():
-                raise ObstructionError(
-                    "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out)
-                )
-            self._classes[sel] = out
-        return out
-
-    def class_of(self, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
-        return self.class_for(self.selection(g1, g2), g1, g2)
-
-
-class _Analysis:
-    """The inertia analysis of one model, read by every verifier and table
-    of that model: the sectors, the stable pairs (the double inertia), each
-    pair's obstruction selection, computed once, and the obstruction kernel
-    that turns a selection into its bundle-tested class.  Nothing here
-    depends on a degree bound.  Every reader of the memo gets the same
-    object, so only the kernel's own caches and the pair index ever
-    change."""
-
-    def __init__(self, model: StackModel):
-        self.model = model
-        self.components = tuple(inertia_components(model))
-        self.pairs = tuple(_pairs(model, {c.g: c.fixed_columns for c in self.components}))
-        self.obstructions = _Obstructions(model)
-        self.selections = tuple(self.obstructions.selection(p.g1, p.g2) for p in self.pairs)
-        self.by_element = {c.g: c for c in self.components}
-
-    @functools.cached_property
-    def by_pair(self) -> dict:
-        """Pair index by (g1, g2), built on first use: ``star`` and
-        ``SectorGeometry.pair`` read it, ``verify`` does not."""
-        return {(p.g1, p.g2): i for i, p in enumerate(self.pairs)}
-
-    def obstruction_of(self, i: int) -> CharacterClass:
-        """The class of pair ``i``; a non-bundle raises ``ObstructionError``."""
-        p = self.pairs[i]
-        return self.obstructions.class_for(self.selections[i], p.g1, p.g2)
-
-
-@functools.lru_cache(maxsize=2)
-def _analysis(model: StackModel) -> _Analysis:
-    """The analysis of ``model``, keyed by its value: equal models share
-    one, and a model with other data (another tangent class, say) gets its
-    own.  Two entries hold the ambient model and the fiber of one
-    ``verify``, whose two checks both read them."""
-    return _Analysis(model)
 
 
 def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
@@ -255,23 +161,25 @@ def _check_truncation(poly: IntPoly, truncation: int) -> None:
 @dataclass
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
-    truncation.  The sectors, pairs, selections and obstruction kernel are
-    the model's shared analysis (``_analysis``), computed once per model
-    value and read by ``verify_obstruction_pullback`` too.  A sector's ring
-    depends only on its fixed columns: it is read straight from the
-    characters of the sector's minimal unstable sets
-    (``inertia.sector_unstable_sets``), with no sector model built, once per
-    fixed set and per geometry.  Presentations, the embeddings between them
-    and the generator products come from the ring store (``_RingStore``),
-    one per value, so geometries that share a store share them; a
-    generator product depends only on its obstruction class and the
-    embedding it pushes along.  A negative truncation raises ``ValueError``."""
+    truncation.  The sectors, the blocks of stable pairs, the product keys
+    and the obstruction kernel are the shared analysis of the model's read
+    data (``_analysis``), computed once per value and read by
+    ``verify_obstruction_pullback`` and by every model with equal data, the
+    moment fiber of a Lawrence model among them; a caller that already
+    holds that analysis passes it.  A sector's ring depends only on its
+    fixed columns: it is read straight from the characters of the sector's
+    minimal unstable sets (``inertia.sector_unstable_sets``), with no
+    sector model built, once per fixed set and per geometry.
+    Presentations, the embeddings between them and the generator products
+    come from the ring store (``_RingStore``), one per value, so
+    geometries that share a store share them; a generator product depends
+    only on its obstruction class and the embedding it pushes along.  A
+    negative truncation raises ``ValueError``."""
 
     model: StackModel
     truncation: int
-    analysis: _Analysis = field(init=False, repr=False)
+    analysis: _Analysis | None = field(default=None, repr=False)
     components: tuple[InertiaComponent, ...] = field(init=False)
-    pairs: tuple[DoubleInertiaComponent, ...] = field(init=False)
     obstructions: _Obstructions = field(init=False, repr=False)
     _presentations: dict = field(default_factory=dict)
     _embeddings: dict = field(default_factory=dict)
@@ -280,20 +188,28 @@ class SectorGeometry:
     def __post_init__(self):
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % self.truncation)
-        self.analysis = _analysis(self.model)
+        if self.analysis is None:
+            self.analysis = _analysis(_Reads(self.model))
         self.components = self.analysis.components
-        self.pairs = self.analysis.pairs
         self.obstructions = self.analysis.obstructions
 
+    @property
+    def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
+        """The expanded double inertia, in pair order."""
+        return self.analysis.pairs
+
     def component(self, g: TorsionElement) -> InertiaComponent:
-        try:
-            return self.analysis.by_element[g]
-        except KeyError:
-            raise ValueError("element %s is not an inertia element" % g) from None
+        i = self.analysis.index.get(g)
+        if i is None:
+            raise ValueError("element %s is not an inertia element" % g)
+        return self.components[i]
 
     def pair(self, g1, g2) -> DoubleInertiaComponent | None:
-        i = self.analysis.by_pair.get((g1, g2))
-        return None if i is None else self.pairs[i]
+        found = self.analysis.locate(g1, g2)
+        if found is None:
+            return None
+        k, target = found
+        return DoubleInertiaComponent(g1, g2, self.analysis.keys[k][1], target)
 
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
         """The sector ring over ``fixed``; an unstable fixed set raises
@@ -322,14 +238,12 @@ class SectorGeometry:
             )
         return self._embeddings[key]
 
-    def product(self, i: int) -> tuple:
-        """The generator product of pair ``i`` and its coordinates in the
-        target's ring, from the store; a non-bundle obstruction raises
-        ``ObstructionError``."""
-        obstruction_class = self.analysis.obstruction_of(i)
-        pair = self.pairs[i]
-        emb = self.embedding(pair.common_fixed, self.component(pair.target).fixed_columns)
-        return self._rings.product(obstruction_class, emb)
+    def product(self, obstruction_class: CharacterClass, common: frozenset[int],
+                target_fixed: frozenset[int]) -> tuple:
+        """The generator product of a pair with this obstruction class,
+        common fixed set and target fixed set, and its coordinates in the
+        target's ring, from the store."""
+        return self._rings.product(obstruction_class, self.embedding(common, target_fixed))
 
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
@@ -351,19 +265,21 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     model = geo.model
     if alpha.is_zero or beta.is_zero:
         return _zero_class(model.d)
-    i = geo.analysis.by_pair.get((alpha.component, beta.component))
-    if i is None:
+    found = geo.analysis.locate(alpha.component, beta.component)
+    if found is None:
         geo.component(alpha.component)
         geo.component(beta.component)
         return _zero_class(model.d)
-    product, _ = geo.product(i)
+    k, target = found
+    mask, common, target_fixed = geo.analysis.keys[k]
+    obstruction_class = geo.obstructions.class_for(mask, alpha.component, beta.component)
+    product, _ = geo.product(obstruction_class, common, target_fixed)
     pushed = alpha.poly * beta.poly * product
     _check_truncation(pushed, geo.truncation)
-    return GradedClass(geo.pairs[i].target, pushed)
+    return GradedClass(target, pushed)
 
 
-@dataclass(frozen=True)
-class ProductEntry:
+class ProductEntry(NamedTuple):
     g1: TorsionElement
     g2: TorsionElement
     target: TorsionElement | None
@@ -374,11 +290,36 @@ class ProductEntry:
 @dataclass
 class OrbifoldTable:
     """Structure constants of the star product on sector generators: one
-    entry per pair of the double inertia, in pair order; absent means zero."""
+    generator product per product key of the geometry's analysis, in
+    ``values``, and one entry per pair of the double inertia, in pair
+    order, in ``products``, expanded on first use; absent means zero."""
 
     geometry: SectorGeometry
     components: tuple[InertiaComponent, ...]
-    products: dict
+    values: tuple
+    _products: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def analysis(self) -> _Analysis:
+        return self.geometry.analysis
+
+    @property
+    def products(self) -> dict:
+        if self._products is None:
+            self._products = {(e.g1, e.g2): e for e in self.entries()}
+        return self._products
+
+    def entries(self, keys=None):
+        """A ``ProductEntry`` per pair, in pair order; with ``keys``, only
+        for the pairs whose key index is in it."""
+        analysis = self.analysis
+        double, ids = analysis.double, analysis.ids
+        el = double.elements
+        for i1, i2, b, pos in double.walk():
+            k = ids[b][pos]
+            if keys is None or k in keys:
+                poly, coords = self.values[k]
+                yield ProductEntry(el[i1], el[i2], el[double.target(i1, i2)], poly, coords)
 
     def entry(self, g1, g2) -> ProductEntry:
         """The stored entry, else the zero entry; a non-sector raises ValueError."""
@@ -393,21 +334,20 @@ class OrbifoldTable:
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
     """The generator products of the double inertia's pairs; absent means zero.
 
-    The table's geometry reads the model's shared analysis (``_analysis``),
-    so its sectors, pairs and pair selections are those the pullback check
-    reads; its truncation is its own, since it depends on ``bound``, and its
-    presentations, embeddings and products come from a ring store of its
-    own.
+    The table's geometry reads the shared analysis of the model's read data
+    (``_analysis``), so its sectors, blocks and product keys are those the
+    pullback check reads; its truncation is its own, since it depends on
+    ``bound``, and its presentations, embeddings and products come from a
+    ring store of its own.
 
     A generator product is the Euler polynomial of the pair's obstruction
     class times the normal Euler factor of the common fixed locus in the
     target's, reduced in the target's presentation; the ring store builds
-    it once per (class, embedding).  The table looks it up once per key
-    (obstruction, common fixed set, target fixed set), and every later pair
-    with that key gets the same polynomial and coordinates.  The obstruction
-    enters the key as its selection, the int tuple of the tangent terms it
-    consists of, which determines it; each stable pair's selection is still
-    bundle-tested, so a non-bundle still raises.  A bound below 1 raises."""
+    it once per (class, embedding).  The table looks it up once per product
+    key (selection, common fixed set, target fixed set) of the analysis,
+    not once per pair, and ``products`` expands the keys to the pairs.
+    Each distinct selection is bundle-tested; a non-bundle raises, naming
+    the first pair in pair order that has one.  A bound below 1 raises."""
     return _table(model, bound, _RingStore())
 
 
@@ -417,34 +357,29 @@ def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldT
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     floor = bound if bound is not None else 2 * model.num_coords
+    analysis = _analysis(_Reads(model))
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
-    top_age = max(c.age for c in _analysis(model).components)
-    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), _rings=rings)
-    analysis = geo.analysis
-    products = {}
-    by_key: dict = {}
-    for i, pair in enumerate(geo.pairs):
-        analysis.obstruction_of(i)  # the bundle test; a failure raises here
-        key = (analysis.selections[i], pair.common_fixed,
-               analysis.by_element[pair.target].fixed_columns)
-        found = by_key.get(key)
-        if found is None:
-            found = by_key[key] = geo.product(i)
-        poly, coords = found
-        products[(pair.g1, pair.g2)] = ProductEntry(pair.g1, pair.g2, pair.target, poly, coords)
-    return OrbifoldTable(geo, geo.components, products)
+    top_age = max(c.age for c in analysis.components)
+    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), analysis, _rings=rings)
+    values = []
+    for mask, common, target_fixed in analysis.keys:
+        obstruction_class = analysis.obstructions.bundle(mask)
+        if obstruction_class is None:
+            # raise, naming the first pair in pair order whose selection fails
+            for g1, g2, k in analysis.walk():
+                analysis.obstructions.class_for(analysis.keys[k][0], g1, g2)
+        values.append(geo.product(obstruction_class, common, target_fixed))
+    return OrbifoldTable(geo, geo.components, tuple(values))
 
 
-@dataclass(frozen=True)
-class PullbackCheck:
+class PullbackCheck(NamedTuple):
     g1: TorsionElement
     g2: TorsionElement
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ObstructionPullbackReport:
+class ObstructionPullbackReport(NamedTuple):
     ok: bool
     checked: int
     failures: tuple[PullbackCheck, ...]
@@ -456,47 +391,56 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     one (restriction keeps all characters, so this is equality of exact
     character multisets), and both must be genuine bundles.
 
-    Each side is read from its own model's shared analysis (``_analysis``):
-    its pairs, its pair selections, and its obstruction kernel, built from
-    that model's own tangent class, so ``verify_orbifold_iso`` on the same
-    input reuses them.  Each class is built once per distinct selection,
-    and the two sides' classes, not their selections, are compared once per
-    distinct (ambient selection, fiber selection).  Every pair is still
-    bundle-tested and a failing pair is listed on its own: a non-bundle
-    selection is never cached, so every pair that has it is listed in
-    ``failures``, and so is every pair whose two classes differ."""
+    Each side reads the shared analysis of its model's read data
+    (``_analysis``), so ``verify_orbifold_iso`` on the same input reuses
+    them.  A fiber whose read data are the ambient's (the moment fiber of a
+    Lawrence model: the same base, arrangement and tangent terms, only the
+    trivial summand differs) reads the ambient's analysis, and its classes
+    are compared once per distinct selection.  A fiber with other data has
+    its own analysis; its pair list is compared with the ambient's, and the
+    two sides' classes are compared once per distinct (ambient selection,
+    fiber selection).  Every selection is bundle-tested, and a failing pair
+    is listed on its own: every pair whose selection is not a bundle, and
+    every pair whose two classes differ, is in ``failures``, in pair
+    order."""
     model = lawrence_model(a, theta)
-    ambient, fiber = _analysis(model), _analysis(_moment_fiber(model))
-    pairs = ambient.pairs
-    if [(p.g1, p.g2) for p in fiber.pairs] != [(p.g1, p.g2) for p in pairs]:
-        return ObstructionPullbackReport(
-            False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
-        )
-    failures = []
-    same: dict = {}
-    for i, p in enumerate(pairs):
-        try:
-            r_ambient = ambient.obstruction_of(i)
-            r_fiber = fiber.obstruction_of(i)
-        except ObstructionError as exc:
-            failures.append(PullbackCheck(p.g1, p.g2, False, str(exc)))
-            continue
-        key = (ambient.selections[i], fiber.selections[i])
-        equal = same.get(key)
-        if equal is None:
-            equal = same[key] = r_ambient == r_fiber
-        if not equal:
-            failures.append(
-                PullbackCheck(
-                    p.g1, p.g2, False,
-                    "ambient %s vs fiber %s" % (r_ambient, r_fiber),
-                )
+    ambient = _analysis(_Reads(model))
+    fiber = _analysis(_Reads(_moment_fiber(model)))
+    if fiber is ambient:
+        per_pair = None
+        combos = {(mask, mask): None for mask, _, _ in ambient.keys}
+    else:
+        if [(p.g1, p.g2) for p in fiber.pairs] != [(p.g1, p.g2) for p in ambient.pairs]:
+            return ObstructionPullbackReport(
+                False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
             )
-    return ObstructionPullbackReport(not failures, len(pairs), tuple(failures))
+        per_pair = [(ambient.keys[ka][0], fiber.keys[kf][0])
+                    for (_, _, ka), (_, _, kf) in zip(ambient.walk(), fiber.walk())]
+        combos = dict.fromkeys(per_pair)
+    failing = set()
+    for mask_a, mask_f in combos:
+        r_ambient = ambient.obstructions.bundle(mask_a)
+        r_fiber = fiber.obstructions.bundle(mask_f)
+        if r_ambient is None or r_fiber is None or r_ambient != r_fiber:
+            failing.add((mask_a, mask_f))
+    failures = []
+    if failing:
+        masks = per_pair or ((ambient.keys[k][0],) * 2 for _, _, k in ambient.walk())
+        for (g1, g2, _), (mask_a, mask_f) in zip(ambient.walk(), masks):
+            if (mask_a, mask_f) not in failing:
+                continue
+            try:
+                r_ambient = ambient.obstructions.class_for(mask_a, g1, g2)
+                r_fiber = fiber.obstructions.class_for(mask_f, g1, g2)
+            except ObstructionError as exc:
+                failures.append(PullbackCheck(g1, g2, False, str(exc)))
+                continue
+            failures.append(
+                PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
+    return ObstructionPullbackReport(not failures, len(ambient.double), tuple(failures))
 
 
-@dataclass(frozen=True)
-class OrbifoldIsoReport:
+class OrbifoldIsoReport(NamedTuple):
     ok: bool
     components: int
     ring_failures: tuple = ()
@@ -534,9 +478,10 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     needs it first.  A sector's ring is the presentation of its fixed set,
     so the rings are compared (``_same_ring``) once per distinct (ambient
     fixed set, fiber fixed set); every sector over a failing pair is listed
-    in ``ring_failures``.  Products are compared on the ambient pairs, then
-    the fiber-only ones, each a product failure.  A ``bound`` below 1
-    raises ``ValueError``."""
+    in ``ring_failures``.  Products are compared by ``_product_failures``:
+    once per product key when the fiber reads the ambient's analysis, and
+    every failing pair is listed, the ambient pairs first, then the
+    fiber-only ones.  A ``bound`` below 1 raises ``ValueError``."""
     ambient = lawrence_model(a, theta)
     fiber = _moment_fiber(ambient)
     rings = _RingStore()
@@ -563,13 +508,7 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
         if ca.age != cf.age
     ]
 
-    product_failures = []
-    fiber_only = [key for key in table_f.products if key not in table_a.products]
-    for key in [*table_a.products, *fiber_only]:
-        entry_a, entry_f = table_a.entry(*key), table_f.entry(*key)
-        if entry_a.target != entry_f.target or entry_a.coords != entry_f.coords:
-            product_failures.append((key, entry_a, entry_f))
-
+    product_failures = _product_failures(table_a, table_f)
     ok = not (ring_failures or age_failures or product_failures)
     return OrbifoldIsoReport(
         ok,
@@ -578,3 +517,30 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
         tuple(product_failures),
         tuple(age_failures),
     )
+
+
+def _product_failures(table_a: OrbifoldTable, table_f: OrbifoldTable) -> list:
+    """The pairs whose two entries differ in target or coordinates, as
+    (key, ambient entry, fiber entry), in the ambient table's pair order,
+    then the fiber-only pairs.
+
+    Two tables over one analysis have the same pairs, targets and keys, so
+    their values are compared once per key, and only the pairs of a
+    failing key are expanded.  Tables over two analyses, or whose
+    ``products`` were handed out (and so may have been edited), are
+    compared entry by entry."""
+    if table_a.analysis is table_f.analysis and table_a._products is table_f._products is None:
+        failing = {k for k, (value_a, value_f) in enumerate(zip(table_a.values, table_f.values))
+                   if value_a[1] != value_f[1]}
+        if not failing:
+            return []
+        return [((ea.g1, ea.g2), ea, ef)
+                for ea, ef in zip(table_a.entries(failing), table_f.entries(failing))]
+    failures = []
+    fiber_only = [key for key in table_f.products if key not in table_a.products]
+    for key in [*table_a.products, *fiber_only]:
+        entry_a, entry_f = table_a.entry(*key), table_f.entry(*key)
+        if entry_a.target != entry_f.target or entry_a.coords != entry_f.coords:
+            failures.append((key, entry_a, entry_f))
+    return failures
+

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.analysis as analysis_module
 import hypertoric.inertia as inertia_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
@@ -359,8 +360,11 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
                         _counted(made, orbifold_module.ProductEntry))
     table = orbifold_table(model, 5)
     geo = table.geometry
-    assert len(made) == len(geo.pairs)
+    # the table holds one product per key; its entries are the expanded
+    # view, one per pair, built on first use
+    assert made == [] and len(table.values) <= len(geo.pairs)
     assert list(table.products) == [(p.g1, p.g2) for p in geo.pairs]
+    assert len(made) == len(geo.pairs)
 
     elems = [c.g for c in table.components]
     zeros = 0
@@ -585,7 +589,7 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     inertia_components(model)
     baseline, calls = calls, Counter()
     made = []
-    monkeypatch.setattr(orbifold_module, "CharacterClass", _counted(made, CharacterClass))
+    monkeypatch.setattr(analysis_module, "CharacterClass", _counted(made, CharacterClass))
     # the table's own first analysis, not the one ``fresh`` memoized
     orbifold_module._analysis.cache_clear()
     orbifold_table(model, 4)
@@ -703,27 +707,34 @@ def test_negative_truncation_is_refused():
     assert presentation(m, 0).piece(0).describe_group() == "Z"
 
 
-def test_one_analysis_per_side_per_verify(monkeypatch):
-    # the pullback and the iso check of one input share each side's
-    # inertia pass, pair walk and pair selections
+def test_one_analysis_per_verify(monkeypatch):
+    # the pullback and the iso check of one input, ambient and fiber alike,
+    # share one inertia pass, one block walk and one selection per pair;
+    # no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
-    enumerations, walks, selections = [], [], []
+    enumerations, walks, expansions, selections = [], [], [], []
     monkeypatch.setattr(inertia_module, "inertia_elements",
                         _counted(enumerations, inertia_module.inertia_elements))
-    walk = _counted(walks, inertia_module._pairs)
-    for module in (inertia_module, orbifold_module):
-        monkeypatch.setattr(module, "_pairs", walk)
-    monkeypatch.setattr(orbifold_module._Obstructions, "selection",
-                        _counted(selections, orbifold_module._Obstructions.selection))
+    walk = _counted(walks, inertia_module._blocks)
+    for module in (inertia_module, analysis_module):
+        monkeypatch.setattr(module, "_blocks", walk)
+    monkeypatch.setattr(inertia_module, "_pairs", _counted(expansions, inertia_module._pairs))
+    monkeypatch.setattr(inertia_module.DoubleInertia, "pairs",
+                        _counted(expansions, inertia_module.DoubleInertia.pairs))
+    monkeypatch.setattr(orbifold_module._Analysis, "_selections",
+                        _counted(selections, orbifold_module._Analysis._selections))
 
     pull = verify_obstruction_pullback(a, theta)
     iso = verify_orbifold_iso(a, theta, 5)
     assert pull.ok and iso.ok and pull.checked > 1
-    assert len(enumerations) == len(walks) == 2
-    assert {model.kind for model, in enumerations} == {"lawrence", "hypertoric"}
-    per_pair = Counter((kernel.model.kind, g1, g2) for kernel, g1, g2 in selections)
-    assert len(per_pair) == 2 * pull.checked
-    assert set(per_pair.values()) == {1}
+    assert len(enumerations) == len(walks) == 1
+    assert {model.kind for model, in enumerations} == {"lawrence"}
+    assert expansions == []
+    assert orbifold_module._analysis.cache_info().currsize == 1
+    # each block's selections once, so each pair's once
+    analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
+    assert [block for _, block in selections] == list(analysis.double.blocks)
+    assert sum(len(b.rows) * len(b.cols) for b in analysis.double.blocks) == pull.checked
 
 
 def test_memo_is_keyed_by_the_model_value(monkeypatch):
@@ -731,7 +742,8 @@ def test_memo_is_keyed_by_the_model_value(monkeypatch):
     # another tangent class: every failing pair is still listed
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     assert verify_obstruction_pullback(a, theta).ok
-    assert orbifold_module._analysis.cache_info().currsize == 2
+    # the ambient and its moment fiber read equal data: one analysis
+    assert orbifold_module._analysis.cache_info().currsize == 1
     bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
     expected = [(p.g1, p.g2) for p in geo.pairs
                 if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
@@ -768,9 +780,10 @@ def test_memo_holds_at_most_two_analyses():
     for a, theta in inputs:
         assert verify_obstruction_pullback(a, theta).ok
     info = orbifold_module._analysis.cache_info()
-    assert (info.currsize, info.misses) == (2, 6)
-    # the two held are the ambient and the fiber of the latest input; each
-    # table reads the memo twice, for its truncation and for its geometry
+    # one miss per input: its fiber reads the ambient's analysis
+    assert (info.currsize, info.misses, info.hits) == (2, 3, 3)
+    # the two held are the analyses of the two latest inputs; each table
+    # reads the memo once, and its geometry reads the table's analysis
     assert verify_orbifold_iso(*inputs[-1], 5).ok
     after = orbifold_module._analysis.cache_info()
-    assert (after.currsize, after.misses, after.hits - info.hits) == (2, 6, 4)
+    assert (after.currsize, after.misses, after.hits - info.hits) == (2, 3, 2)

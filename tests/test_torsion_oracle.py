@@ -193,32 +193,43 @@ _KERNEL_DRAWS = [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]
 
 @pytest.mark.parametrize("seed, d, n", _KERNEL_DRAWS)
 def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
-    # every ordered stable pair, through the geometry's kernel and through
-    # the two kernels of verify_obstruction_pullback
+    # every ordered stable pair through the geometry's kernel, and every
+    # class verify_obstruction_pullback builds, one per distinct selection,
+    # on every pair with that selection: each against the reference of the
+    # ambient model and, computed on its own, of the fiber model
     a, theta = random_generic_instance(random.Random(seed), d, n)
-    for model in (lawrence_model(a, theta), hypertoric_model(a, theta)):
+    ambient, fiber = lawrence_model(a, theta), hypertoric_model(a, theta)
+    for model in (ambient, fiber):
         geo = SectorGeometry(model, truncation=4)
         assert len(geo.components) > 1
         for p in geo.pairs:
             assert geo.obstructions.class_of(p.g1, p.g2) == ref_obstruction(model, p.g1.v, p.g2.v)
 
-    seen = []
-    class_for = orbifold_module._Obstructions.class_for
+    built = {}
+    bundle = orbifold_module._Obstructions.bundle
 
-    def spy(kernel, sel, g1, g2):
-        out = class_for(kernel, sel, g1, g2)
-        seen.append((kernel.model, g1, g2, out))
+    def spy(kernel, mask):
+        out = bundle(kernel, mask)
+        built.setdefault(mask, []).append(out)
         return out
 
-    monkeypatch.setattr(orbifold_module._Obstructions, "class_for", spy)
+    monkeypatch.setattr(orbifold_module._Obstructions, "bundle", spy)
     # the pullback's own first analysis, not the geometries' above
     orbifold_module._analysis.cache_clear()
     rep = verify_obstruction_pullback(a, theta)
     assert rep.ok
-    assert len(seen) == 2 * rep.checked
-    assert {m.kind for m, *_ in seen} == {"lawrence", "hypertoric"}
-    for model, g1, g2, out in seen:
-        assert out == ref_obstruction(model, g1.v, g2.v)
+    kernel = orbifold_module._Obstructions(ambient)
+    with_selection = {}
+    for p in geo.pairs:
+        mask = sum(1 << k for k in kernel.selection(p.g1, p.g2))
+        with_selection.setdefault(mask, []).append(p)
+    assert sorted(built) == sorted(with_selection)
+    assert len(built) < rep.checked == len(geo.pairs)
+    for mask, outs in built.items():
+        for p in with_selection[mask]:
+            ref_a = ref_obstruction(ambient, p.g1.v, p.g2.v)
+            ref_f = ref_obstruction(fiber, p.g1.v, p.g2.v)
+            assert all(out == ref_a == ref_f for out in outs)
 
 
 def _nonsingular(rng, d):
