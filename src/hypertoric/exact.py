@@ -1,18 +1,18 @@
 """Exact integer linear algebra.
 
 Matrices over the integers; the reduced Hermite basis of a lattice, with
-reduction modulo it and its invariant factors; Smith normal form with
-transforming matrices; exact rational linear solving; and enumeration of
-the torsion points of a finite cokernel.  Every number is a Python ``int``
-or ``fractions.Fraction``; no fixed-width arithmetic or floating point
-appears anywhere in this package.
+reduction modulo it, its invariant factors and the walk over the dual of
+Z^d / L; exact rational linear solving; Smith normal form with transforms,
+a public contract that no other computation here calls.  Every number is a
+Python ``int`` or ``fractions.Fraction``; no fixed-width arithmetic or
+floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
@@ -331,48 +331,31 @@ def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-def cokernel_torsion_numerators(m: IntMatrix) -> tuple[int, list[tuple[int, ...]]]:
-    """All v in (Q/Z)^d with M^T * v integral, for a nonsingular square M, as
-    integer numerators over one common denominator N: returns (N, rows) with
-    each v = row / N and every entry in [0, N).  The rows are distinct and
-    there are exactly |det M| of them; a row need not be in lowest terms."""
-    if m.rows != m.cols:
-        raise ValueError("cokernel enumeration requires a square matrix")
-    d = m.rows
-    res = snf(m.transpose())
-    diag = res.diagonal()
-    if any(e == 0 for e in diag):
-        raise ValueError("matrix is singular")
-    # M^T v integral  <=>  D w integral with w = V^{-1} v, so w_i runs over
-    # k_i/d_i and v = V w mod Z^d.  The grid is walked with a mixed-radix
-    # counter so each step is d integer additions.
-    big = lcm(*diag) if diag else 1
-    vrows = res.V.entries
-    # bumping k_i by one adds V[:, i] * (big / d_i) to the common-denominator
-    # numerators
-    inc = [[vrows[j][i] * (big // diag[i]) % big for j in range(d)] for i in range(d)]
-    out = []
-    nums = [0] * d
-    ks = [0] * d
-    while True:
-        out.append(tuple(x % big for x in nums))
-        i = d - 1
-        while i >= 0:
-            ks[i] += 1
-            if ks[i] < diag[i]:
-                step = inc[i]
-                for j in range(d):
-                    nums[j] += step[j]
-                break
-            ks[i] = 0
-            step = inc[i]
-            back = diag[i] - 1
-            for j in range(d):
-                nums[j] -= back * step[j]
-            i -= 1
-        if i < 0:
-            break
-    return big, out
+def cokernel_torsion_numerators(basis) -> tuple[int, list[tuple[int, ...]]]:
+    """All v in (Q/Z)^d with H v integral, for a full-rank Hermite basis H as
+    ``hnf`` returns it: the dual of Z^d / L for the lattice L of its rows.
+    Returns (N, rows), N = |det H| the product of the pivots, each v = row / N
+    with entries in [0, N); the N rows are distinct, not all in lowest terms.
+
+    From the last coordinate up, v_i = (k_i - sum_{j>i} H_ij v_j) / p_i with
+    k_i in [0, p_i); raising k_i by one adds N H^-1 e_i, zero below i.  So
+    each pivot p > 1 repeats every coordinate's list of numerators p times,
+    adding the multiples of its step; the rows are zipped once, at the end."""
+    d = len(basis)
+    pivots = [basis[i][i] for i in range(d)]
+    big = prod(pivots)
+    cols = [[0] for _ in range(d)]
+    for i in reversed(range(d)):
+        p = pivots[i]
+        if p == 1:
+            continue
+        step = [0] * d
+        step[i] = big // p
+        for r in reversed(range(i)):
+            step[r] = -sum(basis[r][j] * step[j] for j in range(r + 1, i + 1)) // pivots[r]
+        cols = [[x + y for y in range(0, p * s, s) for x in col] if s else col * p
+                for col, s in zip(cols, step)]
+    return big, list(zip(*([x % big for x in col] for col in cols)))
 
 
 def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
@@ -380,7 +363,11 @@ def cokernel_torsion_elements(m: IntMatrix) -> set[tuple[Fraction, ...]]:
 
     Each element is returned in canonical form: entries are Fractions in
     [0, 1) in lowest terms.  The result has exactly |det M| elements.  This
-    is the Fraction view of ``cokernel_torsion_numerators``.
+    is the Fraction view of ``cokernel_torsion_numerators`` of the Hermite
+    basis of the columns of M.
     """
-    big, rows = cokernel_torsion_numerators(m)
+    basis = hnf(m.transpose().entries, m.rows)
+    if m.rows != m.cols or len(basis) != m.rows:
+        raise ValueError("cokernel enumeration requires a nonsingular square matrix")
+    big, rows = cokernel_torsion_numerators(basis)
     return {tuple(Fraction(x, big) for x in row) for row in rows}

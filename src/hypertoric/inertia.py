@@ -24,7 +24,7 @@ from operator import itemgetter, mul
 from typing import NamedTuple
 
 from .characters import CharacterClass
-from .exact import cokernel_torsion_numerators, hnf
+from .exact import cokernel_torsion_numerators
 from .model import (
     SigmaSet,
     StableArrangement,
@@ -98,14 +98,20 @@ class TorsionElement:
     def is_identity(self) -> bool:
         return self.order == 1
 
+    def _same_d(self, other: "TorsionElement"):
+        if self.d != other.d:
+            raise ValueError("torsion elements of dimensions %d and %d" % (self.d, other.d))
+
     def __lt__(self, other: "TorsionElement") -> bool:
         if not isinstance(other, TorsionElement):
             return NotImplemented
+        self._same_d(other)
         # a/N < b/M  <=>  a*M < b*N, entry by entry
         return (tuple(a * other.order for a in self.nums)
                 < tuple(b * self.order for b in other.nums))
 
     def __add__(self, other: "TorsionElement") -> "TorsionElement":
+        self._same_d(other)
         order = lcm(self.order, other.order)
         s, t = order // self.order, order // other.order
         return TorsionElement._reduced(order, [a * s + b * t for a, b in zip(self.nums, other.nums)])
@@ -153,13 +159,18 @@ class DoubleInertiaComponent(NamedTuple):
 
 def stabilizer_elements(a: WeightMatrix, basis) -> set[TorsionElement]:
     """The finite group of elements acting trivially on the basis columns:
-    all v with <a_j, v> integral for j in the basis; order |det A_C|.  Built
-    from the integer numerators of the cokernel walk, with no Fractions."""
-    basis = tuple(sorted(basis))
-    sub = a.columns_matrix(basis)
-    if sub.rows != sub.cols or sub.det() == 0:
-        raise ValueError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    big, rows = cokernel_torsion_numerators(sub)
+    all v with <a_j, v> integral for j in the basis; order |det A_B|.  Refuses
+    columns whose Hermite basis has fewer than d rows."""
+    basis = tuple(basis)
+    lattice = a.lattice(basis)
+    if len(basis) != a.d or len(lattice) != a.d:
+        raise ValueError("columns {%s} are not a basis" % ",".join(map(str, sorted(basis))))
+    return _dual_elements(lattice)
+
+
+def _dual_elements(lattice) -> set[TorsionElement]:
+    """The dual of a full-rank lattice given by its Hermite basis."""
+    big, rows = cokernel_torsion_numerators(lattice)
     return {TorsionElement._reduced(big, row) for row in rows}
 
 
@@ -174,7 +185,7 @@ def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
     survive meets the stable locus: no minimal unstable set lives on the
     dead coordinates.  The test for a sector and a pair of sectors alike."""
     a = model.base
-    if len(cols) < a.d or len(hnf((a.column(j) for j in cols), a.d)) != a.d:
+    if len(cols) < a.d or len(a.lattice(cols)) != a.d:
         return False
     dead = model.coords_of_columns(set(range(1, model.n + 1)) - cols)
     return not any(s <= dead for s in model.arrangement.unstable_minimal)
@@ -191,12 +202,13 @@ def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
 def inertia_elements(model: StackModel) -> list[TorsionElement]:
     """All torsion elements with stable fixed points: the union of the basis
     stabilizers, kept when the fixed locus meets the stable locus, decided
-    once per distinct fixed-column set.  Sorted by canonical coordinates;
+    once per distinct fixed-column set.  Each distinct basis lattice, keyed
+    by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
     a = model.base
     candidates: set[TorsionElement] = set()
-    for basis in column_bases(a):
-        candidates |= stabilizer_elements(a, basis)
+    for lattice in dict.fromkeys(a.lattice(basis) for basis in column_bases(a)):
+        candidates |= _dual_elements(lattice)
     stable: dict[frozenset[int], bool] = {}
     out = []
     for g in candidates:

@@ -70,6 +70,11 @@ class WeightMatrix:
         """Square-ish submatrix of the 1-based columns, in ascending order."""
         return self.matrix.submatrix_columns(sorted(j - 1 for j in self._checked(cols)))
 
+    def lattice(self, cols) -> tuple[tuple[int, ...], ...]:
+        """The reduced Hermite basis of the lattice the 1-based columns span;
+        its length is their rank."""
+        return hnf((self.matrix.column(j - 1) for j in self._checked(cols)), self.d)
+
     def _checked(self, cols) -> tuple[int, ...]:
         """The 1-based columns, refused unless all are in 1..n: column 0 or
         a negative one must not be read from the other end."""
@@ -280,11 +285,24 @@ def _coordinate_labels(n: int, doubled: bool) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _int_character(theta) -> tuple[int, ...]:
+    """``theta`` as ints.  An entry with a fractional part is refused, not
+    truncated: a model is built at the character it is given or not at all."""
+    out = []
+    for c in theta:
+        q = Fraction(c)
+        if q.denominator != 1:
+            raise ModelError("character theta must be integral, got entry %s" % (c,))
+        out.append(q.numerator)
+    return tuple(out)
+
+
 def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     """The int character, sigma sets and minimal unstable sets of a GIT
-    model, with one solve per column basis.  A zero character is refused; a
-    non-generic one raises with every wall ``check_generic`` reports."""
-    theta = tuple(int(c) for c in theta)
+    model, with one solve per column basis.  A zero character and a
+    non-integral one are refused; a non-generic one raises with every wall
+    ``check_generic`` reports."""
+    theta = _int_character(theta)
     if not any(theta):
         raise ModelError("character theta must be nonzero")
     rules = [_sign_rule(a, basis, theta) for basis in column_bases(a)]
@@ -349,7 +367,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
                 if s1 < s2:
                     raise ModelError("unstable sets must form an antichain")
         sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-        theta_t = tuple(int(c) for c in theta) if theta is not None else None
+        theta_t = _int_character(theta) if theta is not None else None
         arrangement = StableArrangement((), tuple(sets), labels)
         return StackModel(DIRECT, a, a, theta_t, arrangement, tangent)
     if theta is None:

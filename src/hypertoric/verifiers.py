@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exact import as_fraction_vector
 from .inertia import TorsionElement, inertia_elements
-from .model import SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
+from .model import ModelError, SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
 
 
 @dataclass(frozen=True)
@@ -100,11 +100,10 @@ class ChartInstance:
 
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:
-    """The chart of a sigma set whose columns are a basis; dependent
-    columns are refused, naming them."""
-    if len(sigma.basis) != a.d:
-        raise ValueError("columns {%s} are not a basis" % ",".join(map(str, sigma.basis)))
-    lambda_coeffs(a, sigma.basis, (0,) * a.d)  # refuses dependent columns
+    """The chart of a sigma set whose columns are a basis: d columns of
+    Hermite rank d.  Other columns are refused, naming them."""
+    if len(sigma.basis) != a.d or len(a.lattice(sigma.basis)) != a.d:
+        raise ModelError("columns {%s} are not a basis" % ",".join(map(str, sorted(sigma.basis))))
     return ChartInstance(sigma, a)
 
 

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hypertoric import (
@@ -13,6 +13,7 @@ from hypertoric import (
     snf,
     solve_rational,
 )
+from hypertoric.exact import cokernel_torsion_numerators, hnf
 
 
 def assert_snf_contract(m, res):
@@ -154,6 +155,23 @@ def test_cokernel_canonical_form_and_size():
         for v in got:
             assert all(0 <= x < 1 for x in v)
             assert all(val.denominator == 1 for val in mt.mul_vector(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_hermite_walk_gives_each_dual_element_once(d, data):
+    # the walk over the Hermite basis of the columns of M gives |det M|
+    # distinct rows over N, and each pairs integrally with every column
+    entries = [[data.draw(st.integers(-9, 9)) for _ in range(d)] for _ in range(d)]
+    m = IntMatrix.from_rows(entries)
+    det = m.det()
+    assume(det)
+    big, rows = cokernel_torsion_numerators(hnf(m.transpose().entries, d))
+    assert big == abs(det)
+    assert len(set(rows)) == len(rows) == abs(det)
+    for row in rows:
+        assert all(0 <= x < big for x in row)
+        assert all(sum(a * x for a, x in zip(col, row)) % big == 0 for col in m.transpose().entries)
 
 
 def test_cokernel_brute_force_cross_check():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.inertia as inertia_module
 from hypertoric import (
     TorsionElement,
     WeightMatrix,
@@ -31,6 +32,32 @@ def test_torsion_element_canonical_form():
     assert g.order == 6
     assert (-g).v == (Fraction(2, 3), Fraction(1, 2))
     assert (g + (-g)).is_identity
+
+
+def test_elements_of_different_dimensions_do_not_mix():
+    # zipped, (1/2, 0) + (1/3) was (5/6)
+    g, h = TorsionElement(2, (1, 0)), TorsionElement(3, (1,))
+    for op in (lambda x, y: x + y, lambda x, y: x < y, lambda x, y: x > y):
+        with pytest.raises(ValueError, match="dimensions 2 and 1|dimensions 1 and 2"):
+            op(g, h)
+    assert TorsionElement(2, (1, 0)) + TorsionElement(2, (1, 1)) == TorsionElement(2, (0, 1))
+    assert TorsionElement(3, (1,)) < TorsionElement(2, (1,))
+
+
+def test_bases_spanning_one_lattice_are_walked_once(monkeypatch):
+    # columns 1 and 2 span 2Z, column 3 spans 3Z: three bases, two lattices
+    a = WeightMatrix.from_rows([[2, -2, 3]])
+    walked = []
+
+    def spy(basis):
+        walked.append(basis)
+        return walk(basis)
+
+    walk = inertia_module.cokernel_torsion_numerators
+    monkeypatch.setattr(inertia_module, "cokernel_torsion_numerators", spy)
+    got = inertia_elements(lawrence_model(a, [1]))
+    assert sorted(walked) == [((2,),), ((3,),)]
+    assert got == sorted(elems(["0", "1/2", "1/3", "2/3"]))
 
 
 def test_stabilizer_examples(a12):

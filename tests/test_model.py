@@ -254,6 +254,26 @@ def test_model_rejects_zero_theta(a12):
         lawrence_model(a12, [0])
 
 
+def test_non_integral_theta_is_refused_not_truncated(a12, a_2x3):
+    # truncated, (3/2, 1/2) became the wall (1, 0) and 1/2 became zero,
+    # though check_generic calls both characters generic
+    assert check_generic(a_2x3, (Fraction(3, 2), Fraction(1, 2))).generic
+    for a, theta, entry in ((a_2x3, (Fraction(3, 2), Fraction(1, 2)), "3/2"),
+                            (a12, [Fraction(1, 2)], "1/2"),
+                            (a12, [1.5], "1.5")):
+        for build in (lawrence_model, hypertoric_model):
+            with pytest.raises(ModelError, match="theta must be integral, got entry %s" % entry):
+                build(a, theta)
+        with pytest.raises(ModelError, match="got entry %s" % entry):
+            direct_model(a, unstable=[[1]], theta=theta)
+    with pytest.raises(ModelError, match="got entry 1/2"):
+        direct_model(a12, theta=[Fraction(1, 2)])
+    # integral values of any type keep working
+    for theta in ([2], [Fraction(4, 2)], [2.0]):
+        assert lawrence_model(a12, theta).theta == (2,)
+        assert direct_model(a12, unstable=[[1, 2]], theta=theta).theta == (2,)
+
+
 def test_unstable_sets_hit_every_sigma(tp12_lawrence):
     arr = tp12_lawrence.arrangement
     for s in arr.unstable_minimal:
