@@ -8,17 +8,30 @@ tangent classes, logarithmic traces and obstruction classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .value import Value
 
-@dataclass(frozen=True)
-class CharacterClass:
+
+class CharacterClass(Value):
     """terms: sorted ((w, mult), ...) over nonzero characters w, mult != 0."""
 
-    dim: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    trivial: Fraction
+    __slots__ = _fields = ("dim", "terms", "trivial")
+
+    def __init__(self, dim: int, terms: tuple[tuple[tuple[int, ...], Fraction], ...],
+                 trivial: Fraction):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "trivial", trivial)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # a tuple compares identical items without calling their __eq__
+            return (self.dim, self.terms, self.trivial) == (other.dim, other.terms, other.trivial)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.terms, self.trivial))
 
     @staticmethod
     def build(dim: int, terms=None, trivial=0) -> "CharacterClass":

@@ -19,19 +19,19 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .exact import IntMatrix, hermite_reduce, hnf, invariant_factors
 from .model import StackModel
 from .poly import IntPoly, monomials_of_degree
+from .value import Value
 
 
 class GysinError(ValueError):
     """Pushforward well-definedness check failed for an embedding."""
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(NamedTuple):
     """Degree-k piece of a presentation as an abelian group.
 
     ``monomials`` is the free basis and ``basis`` the reduced Hermite basis
@@ -79,7 +79,6 @@ class GradedPiece:
         return IntPoly.from_dict(nvars, dict(zip(self.monomials, coords)))
 
 
-@dataclass(eq=True)
 class GradedRingPresentation:
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
     ``truncation`` (at least 0).  Graded pieces are cached lazily.
@@ -87,24 +86,36 @@ class GradedRingPresentation:
     ``characters`` is None, or, for a presentation made by
     ``from_characters``, one sorted multiset of characters per relation
     whose product of linear forms is that relation.  It is a certificate,
-    not part of the ring's value: equality compares the relations only."""
+    not part of the ring's value: equality compares the relations only,
+    and a presentation is not hashable."""
 
-    num_vars: int
-    relations: tuple[IntPoly, ...]
-    truncation: int
-    characters: tuple | None = field(default=None, init=False, compare=False, repr=False)
-    _pieces: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("num_vars", "relations", "truncation", "characters", "_pieces")
 
-    def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative, got %d" % self.truncation)
-        for r in self.relations:
+    def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
+        if truncation < 0:
+            raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        for r in relations:
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
             if not r.is_homogeneous():
                 raise ValueError("relation %s is not homogeneous" % r)
             if r.homogeneous_degree() == 0:
                 raise ValueError("degree-0 relation makes the ring trivial")
+        self.num_vars, self.relations, self.truncation = num_vars, relations, truncation
+        self.characters: tuple | None = None
+        self._pieces: dict = {}
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.num_vars, self.relations, self.truncation) == (
+                other.num_vars, other.relations, other.truncation)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return "GradedRingPresentation(num_vars=%r, relations=%r, truncation=%r)" % (
+            self.num_vars, self.relations, self.truncation)
 
     @staticmethod
     def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
@@ -132,13 +143,15 @@ class GradedRingPresentation:
         return self._pieces[k]
 
 
-@dataclass(frozen=True)
-class GradedClass:
+class GradedClass(Value):
     """A homogeneous class on one inertia sector (``component`` None marks
     the zero class with no sector attached)."""
 
-    component: object
-    poly: IntPoly
+    __slots__ = _fields = ("component", "poly")
+
+    def __init__(self, component: object, poly: IntPoly):
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "poly", poly)
 
     @property
     def degree(self):
@@ -204,8 +217,7 @@ def is_zero_class(pres: GradedRingPresentation, poly: IntPoly) -> bool:
     return not any(reduce_class(pres, poly))
 
 
-@dataclass(frozen=True)
-class IsoReport:
+class IsoReport(NamedTuple):
     is_iso: bool
     failing_degree: int | None = None
     reason: str | None = None
@@ -262,16 +274,20 @@ def ring_map_is_iso(
     return IsoReport(True)
 
 
-@dataclass(frozen=True)
-class SectorEmbedding:
+class SectorEmbedding(Value):
     """Closed embedding of a smaller sector into a bigger one, over the same
     polynomial variables.  ``normal_chars`` are the characters of the
     deleted coordinates; their product of linear forms is the normal Euler
-    polynomial."""
+    polynomial.  No slots, so ``euler`` can cache; an embedding is not
+    hashable, as its presentations are not."""
 
-    sub: GradedRingPresentation
-    ambient: GradedRingPresentation
-    normal_chars: tuple[tuple[int, ...], ...]
+    _fields = ("sub", "ambient", "normal_chars")
+
+    def __init__(self, sub: GradedRingPresentation, ambient: GradedRingPresentation,
+                 normal_chars: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "normal_chars", normal_chars)
 
     @functools.cached_property
     def euler(self) -> IntPoly:

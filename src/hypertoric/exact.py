@@ -10,9 +10,11 @@ floating point appears anywhere in this package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import NamedTuple
+
+from .value import Value
 
 
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
@@ -20,20 +22,20 @@ def as_fraction_vector(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Immutable integer matrix, stored row-major as nested tuples."""
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        widths = {len(row) for row in self.entries}
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        widths = {len(row) for row in entries}
         if len(widths) > 1:
             raise ValueError("rows have inconsistent lengths")
-        for row in self.entries:
+        for row in entries:
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError("matrix entries must be plain ints, got %r" % (e,))
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -192,8 +194,7 @@ def invariant_factors(vectors, width: int) -> tuple[int, ...]:
     return tuple(diag)
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(NamedTuple):
     """Smith normal form data: U * M * V = D with U, V unimodular and the
     diagonal of D a divisibility chain d1 | d2 | ..."""
 

@@ -17,7 +17,6 @@ these ints; Fractions appear only where a value leaves the module.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter, mul
@@ -33,6 +32,7 @@ from .model import (
     _coordinate_labels,
     column_bases,
 )
+from .value import Value
 
 
 def fractional(q: Fraction) -> Fraction:
@@ -42,8 +42,7 @@ def fractional(q: Fraction) -> Fraction:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class TorsionElement:
+class TorsionElement(Value):
     """A finite-order torus element v = nums / order in (Q/Z)^d.
 
     ``order`` is the order N of the element and ``nums`` its integer
@@ -53,15 +52,20 @@ class TorsionElement:
     exponent tables, the pair maps and the sector lookups.  Elements sort
     as their canonical vectors ``v`` do."""
 
-    order: int
-    nums: tuple[int, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    _fields = ("order", "nums")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        n = self.order
-        if n < 1 or not all(0 <= a < n for a in self.nums) or gcd(n, *self.nums) != 1:
-            raise ValueError("not a canonical torsion element: %r over %r" % (self.nums, n))
-        object.__setattr__(self, "_hash", hash((n, self.nums)))
+    def __init__(self, order: int, nums: tuple[int, ...]):
+        if order < 1 or not all(0 <= a < order for a in nums) or gcd(order, *nums) != 1:
+            raise ValueError("not a canonical torsion element: %r over %r" % (nums, order))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "_hash", hash((order, nums)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.order == other.order and self.nums == other.nums
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
@@ -205,6 +209,12 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     once per distinct fixed-column set.  Each distinct basis lattice, keyed
     by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
+    return [g for g, _ in _sectors(model)]
+
+
+def _sectors(model: StackModel) -> list[tuple[TorsionElement, frozenset[int]]]:
+    """The walk behind ``inertia_elements``: each sector's element with its
+    fixed columns, in sector order, each ``fixed_columns`` computed once."""
     a = model.base
     candidates: set[TorsionElement] = set()
     for lattice in dict.fromkeys(a.lattice(basis) for basis in column_bases(a)):
@@ -216,9 +226,9 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
         if fixed not in stable:
             stable[fixed] = _stable_fixed(model, fixed)
         if stable[fixed]:
-            out.append(g)
-    _, scaled = _over_common_order(out)
-    return sorted(out, key=scaled.__getitem__)
+            out.append((g, fixed))
+    _, scaled = _over_common_order([g for g, _ in out])
+    return sorted(out, key=lambda sector: scaled[sector[0]])
 
 
 def _over_common_order(elements) -> tuple[int, dict]:
@@ -289,11 +299,7 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
-    a = model.base
-    return [
-        InertiaComponent(g, fixed_columns(a, g), _age_of(model, g))
-        for g in inertia_elements(model)
-    ]
+    return [InertiaComponent(g, fixed, _age_of(model, g)) for g, fixed in _sectors(model)]
 
 
 class PairBlock:
@@ -427,4 +433,4 @@ def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
     contain a column basis and meet the stable locus."""
-    return _pairs(model, {g: fixed_columns(model.base, g) for g in inertia_elements(model)})
+    return _pairs(model, dict(_sectors(model)))

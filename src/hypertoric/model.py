@@ -12,12 +12,13 @@ are refused).  In a doubled model coordinate j is x_j for j <= n, else y_{j-n}.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .characters import CharacterClass
 from .exact import IntMatrix, as_fraction_vector, hnf, solve_rational
+from .value import Value
 
 LAWRENCE = "lawrence"
 HYPERTORIC = "hypertoric"
@@ -37,18 +38,18 @@ class NonGenericError(ModelError):
         super().__init__("non-generic character: " + report.describe())
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+class WeightMatrix(Value):
     """The d x n integer matrix of torus weights; column j is the character
     of the coordinate x_j.  Must have full rank d over Q."""
 
-    matrix: IntMatrix
+    __slots__ = _fields = ("matrix",)
 
-    def __post_init__(self):
-        if self.matrix.rows == 0 or self.matrix.cols == 0:
+    def __init__(self, matrix: IntMatrix):
+        if matrix.rows == 0 or matrix.cols == 0:
             raise ModelError("weight matrix must be nonempty")
-        if len(hnf(self.matrix.entries, self.matrix.cols)) != self.matrix.rows:
+        if len(hnf(matrix.entries, matrix.cols)) != matrix.rows:
             raise ModelError("rank deficient: weight matrix must have full row rank")
+        object.__setattr__(self, "matrix", matrix)
 
     @staticmethod
     def from_rows(rows) -> "WeightMatrix":
@@ -84,8 +85,7 @@ class WeightMatrix:
         return cols
 
 
-@dataclass(frozen=True)
-class SigmaSet:
+class SigmaSet(NamedTuple):
     """Coordinates selected by the signs of the basis coefficients: the
     x-coordinate of a column with positive coefficient, the y-coordinate of
     one with negative coefficient."""
@@ -97,8 +97,7 @@ class SigmaSet:
         return tuple("%s%d" % (tag, j) for j, tag in zip(self.basis, self.tags))
 
 
-@dataclass(frozen=True)
-class GenericReport:
+class GenericReport(NamedTuple):
     """Outcome of the genericity check; violations name (basis, column)."""
 
     generic: bool
@@ -113,8 +112,7 @@ class GenericReport:
         )
 
 
-@dataclass(frozen=True)
-class StableArrangement:
+class StableArrangement(NamedTuple):
     """Stable-locus combinatorics of a model: the sigma sets, the minimal
     unstable coordinate sets (the minimal sets meeting every sigma set; for
     a GIT model, one per hyperplane spanned by columns), and the ambient
@@ -126,8 +124,7 @@ class StableArrangement:
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class StackModel:
+class StackModel(Value):
     """A Lawrence, hypertoric or direct toric model ready for the inertia
     and Chow machinery.
 
@@ -138,17 +135,16 @@ class StackModel:
     character.
     """
 
-    kind: str
-    base: WeightMatrix
-    weights: WeightMatrix
-    theta: tuple[int, ...] | None
-    arrangement: StableArrangement
-    tangent_class: CharacterClass
+    __slots__ = _fields = ("kind", "base", "weights", "theta", "arrangement", "tangent_class")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, base: WeightMatrix, weights: WeightMatrix,
+                 theta: tuple[int, ...] | None, arrangement: StableArrangement,
+                 tangent_class: CharacterClass):
         # ages and obstructions are computed on integer multiplicities
-        if any(m.denominator != 1 for _, m in self.tangent_class.terms):
-            raise ModelError("tangent class multiplicities must be integers: %s" % self.tangent_class)
+        if any(m.denominator != 1 for _, m in tangent_class.terms):
+            raise ModelError("tangent class multiplicities must be integers: %s" % tangent_class)
+        for name, value in zip(self._fields, (kind, base, weights, theta, arrangement, tangent_class)):
+            object.__setattr__(self, name, value)
 
     @property
     def d(self) -> int:

@@ -9,7 +9,6 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -158,7 +157,6 @@ def _check_truncation(poly: IntPoly, truncation: int) -> None:
         raise ValueError("product degree %d exceeds the truncation bound %d" % (deg, truncation))
 
 
-@dataclass
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation.  The sectors, the blocks of stable pairs, the product keys
@@ -176,22 +174,18 @@ class SectorGeometry:
     only on its obstruction class and the embedding it pushes along.  A
     negative truncation raises ``ValueError``."""
 
-    model: StackModel
-    truncation: int
-    analysis: _Analysis | None = field(default=None, repr=False)
-    components: tuple[InertiaComponent, ...] = field(init=False)
-    obstructions: _Obstructions = field(init=False, repr=False)
-    _presentations: dict = field(default_factory=dict)
-    _embeddings: dict = field(default_factory=dict)
-    _rings: _RingStore = field(default_factory=_RingStore, repr=False)
-
-    def __post_init__(self):
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative, got %d" % self.truncation)
-        if self.analysis is None:
-            self.analysis = _analysis(_Reads(self.model))
-        self.components = self.analysis.components
-        self.obstructions = self.analysis.obstructions
+    def __init__(self, model: StackModel, truncation: int, analysis: _Analysis | None = None,
+                 _rings: _RingStore | None = None):
+        if truncation < 0:
+            raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        self.model = model
+        self.truncation = truncation
+        self.analysis = analysis if analysis is not None else _analysis(_Reads(model))
+        self.components: tuple[InertiaComponent, ...] = self.analysis.components
+        self.obstructions: _Obstructions = self.analysis.obstructions
+        self._presentations: dict = {}
+        self._embeddings: dict = {}
+        self._rings = _rings if _rings is not None else _RingStore()
 
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
@@ -287,17 +281,18 @@ class ProductEntry(NamedTuple):
     coords: tuple[int, ...]
 
 
-@dataclass
 class OrbifoldTable:
     """Structure constants of the star product on sector generators: one
     generator product per product key of the geometry's analysis, in
     ``values``, and one entry per pair of the double inertia, in pair
     order, in ``products``, expanded on first use; absent means zero."""
 
-    geometry: SectorGeometry
-    components: tuple[InertiaComponent, ...]
-    values: tuple
-    _products: dict | None = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, geometry: SectorGeometry, components: tuple[InertiaComponent, ...],
+                 values: tuple):
+        self.geometry = geometry
+        self.components = components
+        self.values = values
+        self._products: dict | None = None
 
     @property
     def analysis(self) -> _Analysis:

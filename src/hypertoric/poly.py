@@ -7,7 +7,7 @@ with t1 > t2 > ... > td, and coefficients are arbitrary-precision ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .value import Value
 
 
 def monomials_of_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
@@ -33,12 +33,22 @@ def _term_key(exps: tuple[int, ...]) -> tuple:
     return (sum(exps), exps)
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(Value):
     """Immutable integer polynomial; terms sorted descending, no zero coeffs."""
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = _fields = ("nvars", "terms")
+
+    def __init__(self, nvars: int, terms: tuple[tuple[tuple[int, ...], int], ...]):
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.nvars == other.nvars and self.terms == other.terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.terms))
 
     @staticmethod
     def from_dict(nvars: int, coeffs: dict) -> "IntPoly":

@@ -11,21 +11,25 @@ points.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact import as_fraction_vector
 from .inertia import TorsionElement, inertia_elements
 from .model import ModelError, SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
+from .value import Value
 
 
-@dataclass(frozen=True)
-class LocalModelSRE:
+class LocalModelSRE(Value):
     """Local model at a point: generators of the (finite abelian) inertia
     group and the characters acting on the normal-bundle fiber."""
 
-    generators: tuple[TorsionElement, ...]
-    normal_weights: tuple[tuple[int, ...], ...]
+    __slots__ = _fields = ("generators", "normal_weights")
+
+    def __init__(self, generators: tuple[TorsionElement, ...],
+                 normal_weights: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "normal_weights", normal_weights)
 
     @staticmethod
     def cyclic(order: int, weights) -> "LocalModelSRE":
@@ -51,8 +55,7 @@ def hypertoric_normal_data(model: StackModel) -> LocalModelSRE:
     return LocalModelSRE(tuple(inertia_elements(model)), (zero,) * model.d)
 
 
-@dataclass(frozen=True)
-class ChartInstance:
+class ChartInstance(Value):
     """One sigma chart, ready for exact evaluation.
 
     ``pivots`` lists (column, tag) over the basis columns in ascending
@@ -62,8 +65,11 @@ class ChartInstance:
     its moment value in the basis of those columns: mu(q) = sum z_i a_{b_i}.
     """
 
-    sigma: SigmaSet
-    a: WeightMatrix
+    __slots__ = _fields = ("sigma", "a")
+
+    def __init__(self, sigma: SigmaSet, a: WeightMatrix):
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "a", a)
 
     @property
     def n(self) -> int:
@@ -150,16 +156,14 @@ def random_rational_point(rng: random.Random, dim: int, bound: int = 9) -> tuple
     )
 
 
-@dataclass(frozen=True)
-class ChartCheck:
+class ChartCheck(NamedTuple):
     sigma_labels: tuple[str, ...]
     samples: int
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ChartReport:
+class ChartReport(NamedTuple):
     ok: bool
     charts: tuple[ChartCheck, ...]
 

@@ -9,6 +9,7 @@ from hypertoric import (
     TorsionElement,
     WeightMatrix,
     age,
+    column_bases,
     double_inertia,
     fixed_columns,
     fractional,
@@ -185,3 +186,26 @@ def test_inertia_components_sorted(mu3_model):
     comps = inertia_components(mu3_model)
     assert [c.g.v[0] for c in comps] == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
     assert all(c.age == (0 if c.g.is_identity else 1) for c in comps)
+
+
+@pytest.mark.parametrize("walk", [inertia_components, double_inertia, inertia_elements])
+def test_fixed_columns_run_once_per_candidate(walk, mu3_model, monkeypatch):
+    # the walk decides stability on each candidate's fixed columns and hands
+    # the same set on with the sector; no sector recomputes it.  On mu3 the
+    # candidate 1/2 fixes columns {1, 3}, whose locus is unstable
+    model, a = mu3_model, mu3_model.base
+    candidates = set().union(*(stabilizer_elements(a, b) for b in column_bases(a)))
+    seen = []
+
+    def spy(weights, g):
+        seen.append(g)
+        return fixed(weights, g)
+
+    fixed = inertia_module.fixed_columns
+    monkeypatch.setattr(inertia_module, "fixed_columns", spy)
+    walk(model)
+    assert sorted(seen) == sorted(candidates)
+    monkeypatch.undo()
+    comps = inertia_components(model)
+    assert len(comps) < len(candidates)
+    assert all(c.fixed_columns == fixed_columns(a, c.g) for c in comps)

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import random
@@ -287,8 +286,8 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     build_sector = inertia_module.sector_model
     enumerations, checked = [], []
 
-    monkeypatch.setattr(inertia_module, "inertia_elements",
-                        _counted(enumerations, inertia_module.inertia_elements))
+    monkeypatch.setattr(inertia_module, "_sectors",
+                        _counted(enumerations, inertia_module._sectors))
     monkeypatch.setattr(SectorEmbedding, "check", _counted(checked, SectorEmbedding.check))
     work = _spy_work(monkeypatch)
 
@@ -615,7 +614,7 @@ def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
         out = fiber(lm)
         tangent = out.tangent_class
         terms = tuple((w, Fraction(multiplicity) if w == bad else m) for w, m in tangent.terms)
-        return dataclasses.replace(out, tangent_class=CharacterClass(out.d, terms, tangent.trivial))
+        return out.replace(tangent_class=CharacterClass(out.d, terms, tangent.trivial))
 
     monkeypatch.setattr(orbifold_module, "_moment_fiber", broken)
     return bad, geo
@@ -713,8 +712,8 @@ def test_one_analysis_per_verify(monkeypatch):
     # no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     enumerations, walks, expansions, selections = [], [], [], []
-    monkeypatch.setattr(inertia_module, "inertia_elements",
-                        _counted(enumerations, inertia_module.inertia_elements))
+    monkeypatch.setattr(inertia_module, "_sectors",
+                        _counted(enumerations, inertia_module._sectors))
     walk = _counted(walks, inertia_module._blocks)
     for module in (inertia_module, analysis_module):
         monkeypatch.setattr(module, "_blocks", walk)

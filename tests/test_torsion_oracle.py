@@ -7,7 +7,6 @@ library stores numerators over the order and computes on ints; both must
 agree on every sector and every ordered pair of sectors of seeded models.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -180,11 +179,11 @@ def test_constructor_refuses_non_canonical(order, nums):
 
 
 def test_negative_tangent_multiplicity_is_not_a_bundle(mu3_model, omega):
-    bad = dataclasses.replace(mu3_model, tangent_class=CharacterClass.build(1, [((2,), -1)]))
+    bad = mu3_model.replace(tangent_class=CharacterClass.build(1, [((2,), -1)]))
     with pytest.raises(ObstructionError):
         obstruction(bad, omega, omega)
     with pytest.raises(ModelError, match="integers"):
-        dataclasses.replace(mu3_model, tangent_class=CharacterClass.build(1, [((2,), Fraction(1, 2))]))
+        mu3_model.replace(tangent_class=CharacterClass.build(1, [((2,), Fraction(1, 2))]))
 
 
 # (seed, d, n) of random_generic_instance for the obstruction kernel oracle
