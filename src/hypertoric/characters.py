@@ -10,19 +10,23 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .exact import as_int
 from .value import Value
 
 
 class CharacterClass(Value):
-    """terms: sorted ((w, mult), ...) over nonzero characters w, mult != 0."""
+    """terms: sorted ((w, mult), ...) over nonzero characters w, mult != 0.
+    The hash is computed once: classes key the generator products."""
 
-    __slots__ = _fields = ("dim", "terms", "trivial")
+    _fields = ("dim", "terms", "trivial")
+    __slots__ = _fields + ("_hash",)
 
     def __init__(self, dim: int, terms: tuple[tuple[tuple[int, ...], Fraction], ...],
                  trivial: Fraction):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trivial", trivial)
+        object.__setattr__(self, "_hash", hash((dim, terms, trivial)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -31,14 +35,14 @@ class CharacterClass(Value):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.terms, self.trivial))
+        return self._hash
 
     @staticmethod
     def build(dim: int, terms=None, trivial=0) -> "CharacterClass":
         acc: dict[tuple[int, ...], Fraction] = {}
         triv = Fraction(trivial)
         for w, mult in terms or []:
-            w = tuple(int(c) for c in w)
+            w = tuple(map(as_int, w))
             if len(w) != dim:
                 raise ValueError("character %r has wrong length for dim %d" % (w, dim))
             m = Fraction(mult)

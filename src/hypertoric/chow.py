@@ -8,11 +8,14 @@ truncation bound, is Z^m over its monomials modulo the relation lattice,
 held as the reduced Hermite basis of that lattice, which is unique per
 lattice.  Piece k is built from piece k-1: the degree-k part of the ideal
 is spanned by t_i times the degree-(k-1) part and the relations of degree
-exactly k.  Rank and torsion are read off the basis, and it gives
-canonical coordinates, in which ring-map isomorphisms and Gysin
-pushforwards are checked.  A Gysin check takes a product relation's
-divisibility, read off character multisets, as proof of membership, and
-runs the lattice test only where no such certificate exists.
+exactly k.  Every product of linear forms (relations, normal Euler classes,
+generator products) is one kernel, ``product_coefficients``, that moves its
+dense coefficient vector along the same cached "t_i times a monomial" maps.
+Rank and torsion are read off the basis, and it gives canonical
+coordinates, in which ring-map isomorphisms and Gysin pushforwards are
+checked.  A Gysin check takes a product relation's divisibility, read off
+character multisets, as proof of membership, and runs the lattice test
+only where no such certificate exists.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import functools
 from collections import Counter
 from typing import NamedTuple
 
-from .exact import IntMatrix, hermite_reduce, hnf, invariant_factors
+from .exact import IntMatrix, as_int, hermite_reduce, hnf, invariant_factors
 from .model import StackModel
 from .poly import IntPoly, monomials_of_degree
 from .value import Value
@@ -124,10 +127,8 @@ class GradedRingPresentation:
         the first multiset that gives them as their certificate."""
         by_poly: dict = {}
         for chars in multisets:
-            chars = tuple(sorted(tuple(w) for w in chars))
-            poly = IntPoly.one(num_vars)
-            for w in chars:
-                poly = poly * IntPoly.linear_form(w)
+            chars = tuple(sorted(tuple(map(as_int, w)) for w in chars))
+            poly = product_of_forms(num_vars, chars)
             if not poly.is_zero:
                 by_poly.setdefault(poly, chars)
         rels = sorted(by_poly, key=lambda p: (p.homogeneous_degree(), p.terms))
@@ -162,23 +163,60 @@ class GradedClass(Value):
         return self.poly.is_zero
 
 
+@functools.lru_cache(maxsize=256)
+def _monomials(num_vars: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(monomials_of_degree(num_vars, k))
+
+
+@functools.lru_cache(maxsize=256)
+def _times_t(num_vars: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """Per variable t_i, the position among the degree-(k+1) monomials of
+    t_i times each degree-k monomial, in order."""
+    index = {m: j for j, m in enumerate(_monomials(num_vars, k + 1))}
+    return tuple(tuple(index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in _monomials(num_vars, k))
+                 for i in range(num_vars))
+
+
+def product_coefficients(num_vars: int, chars) -> list[int]:
+    """The product of the linear forms <w, t> of ``chars``, with
+    multiplicity, as its coefficients over the monomials of degree
+    ``len(chars)`` in ``monomials_of_degree`` order: each factor adds
+    w_i times the vector so far, moved along the map of t_i."""
+    vec = [1]
+    for k, w in enumerate(chars):
+        if len(w) != num_vars:
+            raise ValueError("character %r has wrong length for %d variables" % (w, num_vars))
+        out = [0] * len(_monomials(num_vars, k + 1))
+        for wi, moved in zip(w, _times_t(num_vars, k)):
+            if wi:
+                for j, c in zip(moved, vec):
+                    out[j] += wi * c
+        vec = out
+    return vec
+
+
+def product_of_forms(num_vars: int, chars) -> IntPoly:
+    """The product of the linear forms <w, t> of ``chars``, with multiplicity."""
+    # one degree's monomials in graded-lex order are already in term order
+    coeffs = zip(_monomials(num_vars, len(chars)), product_coefficients(num_vars, chars))
+    return IntPoly(num_vars, tuple((m, c) for m, c in coeffs if c))
+
+
 def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
     """Piece ``k`` from piece ``k - 1``: the Hermite basis of t_i times each
     basis row of the lower piece, for every variable t_i, and of the
     relations of degree exactly ``k``.  Over Z these span the degree-k part
     of the ideal, so the basis is that of the full Macaulay matrix."""
-    monos = tuple(monomials_of_degree(pres.num_vars, k))
+    monos = _monomials(pres.num_vars, k)
     width = len(monos)
     vectors = [rel.coefficients_on(monos) for rel in pres.relations
                if rel.homogeneous_degree() == k]
     if k > 0:
         lower = pres.piece(k - 1)
-        index = {m: j for j, m in enumerate(monos)}
-        for i in range(pres.num_vars):
-            times_ti = [index[m[:i] + (m[i] + 1,) + m[i + 1:]] for m in lower.monomials]
+        for moved in _times_t(pres.num_vars, k - 1):
             for row in lower.basis:
                 v = [0] * width
-                for j, c in zip(times_ti, row):
+                for j, c in zip(moved, row):
                     v[j] = c
                 vectors.append(v)
     return GradedPiece(k, monos, hnf(vectors, width))
@@ -250,15 +288,12 @@ def ring_map_is_iso(
         if not img.is_zero and img.homogeneous_degree() != 1:
             raise ValueError("variable image %s is not homogeneous of degree 1" % img)
 
-    def image_of_monomial(exps) -> IntPoly:
-        out = IntPoly.one(dst.num_vars)
-        for img, e in zip(images, exps):
-            out = out * img ** e
-        return out
-
+    # each image is a linear form, so a monomial's image is a product of them
+    forms = [img.coefficients_on(_monomials(dst.num_vars, 1)) for img in images]
     for k in range(bound + 1):
         sp, dp = src.piece(k), dst.piece(k)
-        columns = [image_of_monomial(m).coefficients_on(dp.monomials) for m in sp.monomials]
+        columns = [product_coefficients(dst.num_vars, [w for w, e in zip(forms, m) for _ in range(e)])
+                   for m in sp.monomials]
         for row in sp.basis:
             pushed = [sum(c * x for c, x in zip(row, col)) for col in zip(*columns)]
             if any(dp.canonical(pushed)):
@@ -287,14 +322,11 @@ class SectorEmbedding(Value):
                  normal_chars: tuple[tuple[int, ...], ...]):
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "normal_chars", normal_chars)
+        object.__setattr__(self, "normal_chars", tuple(tuple(map(as_int, w)) for w in normal_chars))
 
     @functools.cached_property
     def euler(self) -> IntPoly:
-        out = IntPoly.one(self.ambient.num_vars)
-        for w in self.normal_chars:
-            out = out * IntPoly.linear_form(w)
-        return out
+        return product_of_forms(self.ambient.num_vars, self.normal_chars)
 
     def check(self) -> None:
         """Per-instance well-definedness: restriction must kill ambient
@@ -320,10 +352,9 @@ class SectorEmbedding(Value):
                 raise GysinError(
                     "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
                 )
-        eu = self.euler
-        if eu.is_zero:
-            return
-        shift = eu.homogeneous_degree()
+        if not all(map(any, self.normal_chars)):
+            return  # a zero character: the normal Euler class is zero
+        shift = len(self.normal_chars)
         normal = Counter(self.normal_chars)
         for i, rel in enumerate(self.sub.relations):
             if rel.homogeneous_degree() + shift > self.ambient.truncation:
@@ -332,7 +363,7 @@ class SectorEmbedding(Value):
                 pushed = sub_chars[i] + normal
                 if any(_contains(pushed, c) for c in amb_chars):
                     continue
-            if not is_zero_class(self.ambient, rel * eu):
+            if not is_zero_class(self.ambient, rel * self.euler):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
                     "is nonzero in the ambient ring" % rel

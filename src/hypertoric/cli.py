@@ -285,15 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact orbifold Chow machinery for Lawrence and hypertoric models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "analyze",
-        "inertia",
-        "chowring",
-        "orbifold-table",
-        "verify",
-        "chart-check",
-        "sre-check",
-    ):
+    for name in (*_MODEL_COMMANDS, "sre-check"):
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the JSON model file")
         if name in _DEGREE_COMMANDS:

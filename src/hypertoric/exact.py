@@ -22,6 +22,17 @@ def as_fraction_vector(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
 
 
+def as_int(value) -> int:
+    """``value`` as an int: one with a fractional part is refused with
+    ``ValueError``, not truncated as ``int`` would."""
+    if value.__class__ is int:
+        return value
+    q = Fraction(value)
+    if q.denominator != 1:
+        raise ValueError("expected an integer, got %s" % (value,))
+    return q.numerator
+
+
 class IntMatrix(Value):
     """Immutable integer matrix, stored row-major as nested tuples."""
 
@@ -39,7 +50,7 @@ class IntMatrix(Value):
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(e) for e in row) for row in rows))
+        return IntMatrix(tuple(tuple(map(as_int, row)) for row in rows))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

@@ -17,7 +17,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .characters import CharacterClass
-from .exact import IntMatrix, as_fraction_vector, hnf, solve_rational
+from .exact import IntMatrix, as_fraction_vector, as_int, hnf, solve_rational
 from .value import Value
 
 LAWRENCE = "lawrence"
@@ -53,7 +53,7 @@ class WeightMatrix(Value):
 
     @staticmethod
     def from_rows(rows) -> "WeightMatrix":
-        return WeightMatrix(IntMatrix.from_rows(rows))
+        return WeightMatrix(IntMatrix(tuple(_int_entries(row, "weight matrix") for row in rows)))
 
     @property
     def d(self) -> int:
@@ -281,15 +281,15 @@ def _coordinate_labels(n: int, doubled: bool) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _int_character(theta) -> tuple[int, ...]:
-    """``theta`` as ints.  An entry with a fractional part is refused, not
-    truncated: a model is built at the character it is given or not at all."""
+def _int_entries(values, what: str) -> tuple[int, ...]:
+    """``values`` as ints.  An entry with a fractional part is refused, not
+    truncated: a model is built at the data it is given or not at all."""
     out = []
-    for c in theta:
-        q = Fraction(c)
-        if q.denominator != 1:
-            raise ModelError("character theta must be integral, got entry %s" % (c,))
-        out.append(q.numerator)
+    for c in values:
+        try:
+            out.append(as_int(c))
+        except ValueError:
+            raise ModelError("%s must be integral, got entry %s" % (what, c)) from None
     return tuple(out)
 
 
@@ -298,7 +298,7 @@ def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     model, with one solve per column basis.  A zero character and a
     non-integral one are refused; a non-generic one raises with every wall
     ``check_generic`` reports."""
-    theta = _int_character(theta)
+    theta = _int_entries(theta, "character theta")
     if not any(theta):
         raise ModelError("character theta must be nonzero")
     rules = [_sign_rule(a, basis, theta) for basis in column_bases(a)]
@@ -354,7 +354,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     if unstable is not None:
         sets = []
         for s in unstable:
-            fs = frozenset(int(j) for j in s)
+            fs = frozenset(_int_entries(s, "unstable set"))
             if not fs or not fs <= set(range(1, a.n + 1)):
                 raise ModelError("unstable set %r is not a nonempty set of columns 1..%d" % (sorted(fs), a.n))
             sets.append(fs)
@@ -363,7 +363,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
                 if s1 < s2:
                     raise ModelError("unstable sets must form an antichain")
         sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-        theta_t = _int_character(theta) if theta is not None else None
+        theta_t = _int_entries(theta, "character theta") if theta is not None else None
         arrangement = StableArrangement((), tuple(sets), labels)
         return StackModel(DIRECT, a, a, theta_t, arrangement, tangent)
     if theta is None:

@@ -9,6 +9,7 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -19,7 +20,8 @@ from .chow import (
     GradedRingPresentation,
     IsoReport,
     SectorEmbedding,
-    reduce_class,
+    product_coefficients,
+    product_of_forms,
 )
 from .inertia import (
     DoubleInertiaComponent,
@@ -27,7 +29,7 @@ from .inertia import (
     TorsionElement,
     sector_unstable_sets,
 )
-from .model import StackModel, WeightMatrix, _moment_fiber, lawrence_model
+from .model import StackModel, WeightMatrix, _int_entries, _moment_fiber, lawrence_model
 from .poly import IntPoly
 
 
@@ -73,14 +75,18 @@ def euler_poly(bundle: CharacterClass) -> IntPoly:
     """Top Chern class of a character bundle: the product of the linear
     forms <w, t>, with multiplicity.  The empty bundle gives 1; any trivial
     summand contributes a zero factor."""
+    factors = _euler_factors(bundle)
+    return IntPoly.zero(bundle.dim) if factors is None else product_of_forms(bundle.dim, factors)
+
+
+def _euler_factors(bundle: CharacterClass) -> list | None:
+    """The characters of a bundle's Euler polynomial, with multiplicity, or
+    None when a trivial summand makes it zero."""
     if not bundle.is_bundle():
         raise ValueError("euler class needs nonnegative integer multiplicities: %s" % bundle)
-    if bundle.trivial > 0:
-        return IntPoly.zero(bundle.dim)
-    out = IntPoly.one(bundle.dim)
-    for w, m in bundle.terms:
-        out = out * IntPoly.linear_form(w) ** int(m)
-    return out
+    if bundle.trivial:
+        return None
+    return [w for w, m in bundle.terms for _ in range(m.numerator)]
 
 
 def _ring_key(pres: GradedRingPresentation) -> tuple:
@@ -98,8 +104,8 @@ class _RingStore:
     - one embedding per (sub ring, ambient ring, normal characters),
       checked once; a failed check is never stored, so every push through
       it raises again;
-    - one Euler polynomial per obstruction class, and one generator product
-      per (obstruction class, embedding).
+    - one generator product per (obstruction class, embedding), built by
+      one kernel run over the class's characters and the normal ones.
 
     Every geometry of the call reads the same store, so the fiber of
     ``verify`` reads the rings, checks and products the ambient side has
@@ -110,7 +116,6 @@ class _RingStore:
         self._by_characters: dict = {}
         self._rings: dict = {}
         self._embeddings: dict = {}
-        self._eulers: dict = {}
         self._products: dict = {}
 
     def presentation(self, num_vars: int, multisets: tuple, truncation: int) -> GradedRingPresentation:
@@ -136,25 +141,30 @@ class _RingStore:
         """The generator product of an obstruction class pushed along an
         embedding of this store: the class's Euler polynomial times the
         normal Euler polynomial, refused above the target's truncation, with
-        its canonical coordinates in the target ring.  The store holds each
+        its canonical coordinates in the target ring: one kernel product over
+        the class's characters and the normal ones.  The store holds each
         embedding it hands out, one object per value, so the object's
         identity keys its value."""
         key = (obstruction_class, id(emb))
         out = self._products.get(key)
         if out is None:
-            eu = self._eulers.get(obstruction_class)
-            if eu is None:
-                eu = self._eulers[obstruction_class] = euler_poly(obstruction_class)
-            poly = eu * emb.euler
-            _check_truncation(poly, emb.ambient.truncation)
-            out = self._products[key] = (poly, reduce_class(emb.ambient, poly))
+            chars = _euler_factors(obstruction_class)
+            target = emb.ambient
+            if chars is None or not all(map(any, emb.normal_chars)):
+                out = (IntPoly.zero(target.num_vars), ())
+            else:
+                chars += emb.normal_chars
+                _check_truncation(len(chars), target.truncation)
+                piece = target.piece(len(chars))
+                vec = product_coefficients(target.num_vars, chars)
+                out = (piece.representative(vec), piece.canonical(vec))
+            self._products[key] = out
         return out
 
 
-def _check_truncation(poly: IntPoly, truncation: int) -> None:
-    deg = poly.homogeneous_degree()
-    if deg is not None and deg > truncation:
-        raise ValueError("product degree %d exceeds the truncation bound %d" % (deg, truncation))
+def _check_truncation(degree: int | None, truncation: int) -> None:
+    if degree is not None and degree > truncation:
+        raise ValueError("product degree %d exceeds the truncation bound %d" % (degree, truncation))
 
 
 class SectorGeometry:
@@ -269,7 +279,7 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     obstruction_class = geo.obstructions.class_for(mask, alpha.component, beta.component)
     product, _ = geo.product(obstruction_class, common, target_fixed)
     pushed = alpha.poly * beta.poly * product
-    _check_truncation(pushed, geo.truncation)
+    _check_truncation(pushed.homogeneous_degree(), geo.truncation)
     return GradedClass(target, pushed)
 
 
@@ -398,9 +408,8 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     is listed on its own: every pair whose selection is not a bundle, and
     every pair whose two classes differ, is in ``failures``, in pair
     order."""
-    model = lawrence_model(a, theta)
-    ambient = _analysis(_Reads(model))
-    fiber = _analysis(_Reads(_moment_fiber(model)))
+    models = _lawrence_pair(a, _int_entries(theta, "character theta"))
+    ambient, fiber = (_analysis(_Reads(m)) for m in models)
     if fiber is ambient:
         per_pair = None
         combos = {(mask, mask): None for mask, _, _ in ambient.keys}
@@ -433,6 +442,15 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
             failures.append(
                 PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
     return ObstructionPullbackReport(not failures, len(ambient.double), tuple(failures))
+
+
+@functools.lru_cache(maxsize=2)
+def _lawrence_pair(a: WeightMatrix, theta: tuple[int, ...]) -> tuple[StackModel, StackModel]:
+    """The Lawrence model of ``(a, theta)``, ``theta`` as ints, and its
+    moment fiber: the pullback and the iso check of one input read one
+    pair.  A build that raises is not stored."""
+    ambient = lawrence_model(a, theta)
+    return ambient, _moment_fiber(ambient)
 
 
 class OrbifoldIsoReport(NamedTuple):
@@ -477,8 +495,7 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     once per product key when the fiber reads the ambient's analysis, and
     every failing pair is listed, the ambient pairs first, then the
     fiber-only ones.  A ``bound`` below 1 raises ``ValueError``."""
-    ambient = lawrence_model(a, theta)
-    fiber = _moment_fiber(ambient)
+    ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
     rings = _RingStore()
     table_a = _table(ambient, bound, rings)
     table_f = _table(fiber, bound, rings)

@@ -7,26 +7,18 @@ with t1 > t2 > ... > td, and coefficients are arbitrary-precision ints.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
+from .exact import as_int
 from .value import Value
 
 
 def monomials_of_degree(nvars: int, k: int) -> list[tuple[int, ...]]:
-    """Exponent tuples of total degree k, in descending graded-lex order."""
+    """Exponent tuples of total degree k, in descending graded-lex order:
+    the multisets of k variable indices in ascending order, counted."""
     if k < 0:
         return []
-    if nvars == 0:
-        return [()] if k == 0 else []
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), k, nvars)
-    return out
+    return [tuple(map(c.count, range(nvars))) for c in combinations_with_replacement(range(nvars), k)]
 
 
 def _term_key(exps: tuple[int, ...]) -> tuple:
@@ -52,7 +44,7 @@ class IntPoly(Value):
 
     @staticmethod
     def from_dict(nvars: int, coeffs: dict) -> "IntPoly":
-        items = [(tuple(e), int(c)) for e, c in coeffs.items() if c]
+        items = [(tuple(e), as_int(c)) for e, c in coeffs.items() if c]
         for exps, _ in items:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError("bad exponent tuple %r for %d variables" % (exps, nvars))
@@ -80,12 +72,8 @@ class IntPoly(Value):
     @staticmethod
     def linear_form(w) -> "IntPoly":
         """The degree-1 form <w, t> = w_1 t_1 + ... + w_d t_d."""
-        w = tuple(int(c) for c in w)
-        nvars = len(w)
-        return IntPoly.from_dict(
-            nvars,
-            {tuple(1 if j == i else 0 for j in range(nvars)): w[i] for i in range(nvars)},
-        )
+        w = tuple(map(as_int, w))
+        return IntPoly.from_dict(len(w), dict(zip(monomials_of_degree(len(w), 1), w)))
 
     @property
     def is_zero(self) -> bool:

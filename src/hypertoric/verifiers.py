@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact import as_fraction_vector
+from .exact import as_fraction_vector, as_int
 from .inertia import TorsionElement, inertia_elements
 from .model import ModelError, SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
 from .value import Value
@@ -38,7 +38,7 @@ class LocalModelSRE(Value):
         if order < 1:
             raise ValueError("group order must be positive")
         gen = TorsionElement.from_fractions([Fraction(1, order)])
-        return LocalModelSRE((gen,), tuple((int(w),) for w in weights))
+        return LocalModelSRE((gen,), tuple((as_int(w),) for w in weights))
 
 
 def sre_condition_iii(local: LocalModelSRE) -> bool:

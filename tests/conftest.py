@@ -14,9 +14,10 @@ from hypertoric import (
 
 @pytest.fixture(autouse=True)
 def _no_memoized_analysis():
-    # each test starts with an empty analysis memo, so no test depends on
-    # which models an earlier one analysed
+    # each test starts with empty analysis and model memos, so no test
+    # depends on which models an earlier one built or analysed
     orbifold_module._analysis.cache_clear()
+    orbifold_module._lawrence_pair.cache_clear()
 
 
 @pytest.fixture

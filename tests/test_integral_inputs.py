@@ -1,0 +1,95 @@
+"""Integer inputs with a fractional part are refused, not truncated.
+
+Each entry point below used to pass its input through ``int``, which
+truncates: 1.5 became 1 and 7/2 became 3, and the result answered a
+question nobody asked.  Now each raises ``ValueError`` naming the value (a
+``ModelError`` for model inputs), and an integral value of any type
+(``2``, ``Fraction(4, 2)``, ``2.0``) keeps working.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from hypertoric import (
+    CharacterClass,
+    GradedRingPresentation,
+    IntMatrix,
+    IntPoly,
+    LocalModelSRE,
+    ModelError,
+    SectorEmbedding,
+    WeightMatrix,
+    direct_model,
+)
+from hypertoric.exact import as_int
+
+INTEGRAL = [2, Fraction(4, 2), 2.0]
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(7, 2), -0.25])
+def test_as_int_refuses_a_fractional_part(value):
+    with pytest.raises(ValueError, match="expected an integer, got %s" % value):
+        as_int(value)
+
+
+@pytest.mark.parametrize("value", INTEGRAL)
+def test_as_int_takes_integral_values_of_any_type(value):
+    assert as_int(value) == 2 and type(as_int(value)) is int
+
+
+def test_weight_matrix_refuses_a_fractional_entry():
+    with pytest.raises(ModelError, match="weight matrix must be integral, got entry 1.5"):
+        WeightMatrix.from_rows([[1.5, 2]])
+    with pytest.raises(ValueError, match="got 1.5"):
+        IntMatrix.from_rows([[1.5, 2]])
+    for x in INTEGRAL:
+        assert WeightMatrix.from_rows([[x, 1]]).matrix.entries == ((2, 1),)
+        assert IntMatrix.from_rows([[x]]).entries == ((2,),)
+
+
+def test_poly_from_dict_refuses_a_fractional_coefficient():
+    with pytest.raises(ValueError, match="got 7/2"):
+        IntPoly.from_dict(1, {(1,): Fraction(7, 2)})
+    for x in INTEGRAL:
+        assert str(IntPoly.from_dict(1, {(1,): x})) == "2*t1"
+
+
+def test_linear_form_refuses_a_fractional_weight():
+    with pytest.raises(ValueError, match="got 1.5"):
+        IntPoly.linear_form((1.5, 2))
+    for x in INTEGRAL:
+        assert str(IntPoly.linear_form((x, 1))) == "2*t1 + t2"
+
+
+def test_character_class_refuses_a_fractional_character():
+    with pytest.raises(ValueError, match="got 1.7"):
+        CharacterClass.build(1, [((1.7,), 1)])
+    for x in INTEGRAL:
+        assert CharacterClass.build(1, [((x,), 1)]) == CharacterClass.build(1, [((2,), 1)])
+
+
+def test_direct_model_refuses_a_fractional_unstable_column():
+    a = WeightMatrix.from_rows([[1, 2]])
+    with pytest.raises(ModelError, match="unstable set must be integral, got entry 1.5"):
+        direct_model(a, unstable=[[1.5]])
+    for x in INTEGRAL:
+        assert direct_model(a, unstable=[[x]]).arrangement.unstable_minimal == (frozenset({2}),)
+
+
+def test_cyclic_local_model_refuses_a_fractional_weight():
+    with pytest.raises(ValueError, match="got 1.5"):
+        LocalModelSRE.cyclic(3, [1.5])
+    for x in INTEGRAL:
+        assert LocalModelSRE.cyclic(3, [x]).normal_weights == ((2,),)
+
+
+def test_products_of_linear_forms_refuse_a_fractional_character():
+    with pytest.raises(ValueError, match="got 1.5"):
+        GradedRingPresentation.from_characters(1, [[(1.5,)]], 2)
+    ring = GradedRingPresentation.from_characters(1, [[(3,)]], 2)
+    with pytest.raises(ValueError, match="got 1.5"):
+        SectorEmbedding(ring, ring, ((1.5,),))
+    for x in INTEGRAL:
+        assert GradedRingPresentation.from_characters(1, [[(x,)]], 2).characters == (((2,),),)
+        assert str(SectorEmbedding(ring, ring, ((x,),)).euler) == "2*t1"

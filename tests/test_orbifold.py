@@ -8,6 +8,7 @@ import pytest
 
 import hypertoric.analysis as analysis_module
 import hypertoric.inertia as inertia_module
+import hypertoric.model as model_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
@@ -15,6 +16,7 @@ from hypertoric import (
     GradedRingPresentation,
     GysinError,
     IntPoly,
+    NonGenericError,
     ObstructionError,
     SectorEmbedding,
     SectorGeometry,
@@ -247,6 +249,13 @@ def _product_values(geo):
     return out
 
 
+def _nonzero(values):
+    """The product values whose product is nonzero, by the old rule: the
+    class's Euler polynomial and the normal one are both nonzero."""
+    return {(c, emb) for c, emb in values
+            if not euler_poly(c).is_zero and all(not IntPoly.linear_form(w).is_zero for w in emb[2])}
+
+
 def _multiset_lists(geo, build_sector):
     """The (num_vars, character multisets, truncation) of every fixed set a
     table of ``geo`` reads, from the sector models themselves."""
@@ -262,14 +271,14 @@ def _multiset_lists(geo, build_sector):
 
 def _spy_work(monkeypatch):
     """Record the work of the table path: sector models, presentations made
-    from characters, Euler polynomials, products reduced into their target
-    ring, and ``star`` calls."""
+    from characters, Euler polynomials, the ring store's generator products
+    (each one run of the product kernel), and ``star`` calls."""
     work = {name: [] for name in ("sector_models", "presentations", "eulers", "products", "stars")}
     monkeypatch.setattr(inertia_module, "sector_model",
                         _counted(work["sector_models"], inertia_module.sector_model))
     monkeypatch.setattr(GradedRingPresentation, "from_characters", staticmethod(
         _counted(work["presentations"], GradedRingPresentation.from_characters)))
-    for name, fn in (("eulers", "euler_poly"), ("products", "reduce_class"), ("stars", "star")):
+    for name, fn in (("eulers", "euler_poly"), ("products", "product_coefficients"), ("stars", "star")):
         monkeypatch.setattr(orbifold_module, fn, _counted(work[name], getattr(orbifold_module, fn)))
     return work
 
@@ -277,11 +286,11 @@ def _spy_work(monkeypatch):
 @pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
 def test_orbifold_table_analyses_once(name, request, monkeypatch):
     # one inertia pass, no sector model, one presentation per distinct
-    # multiset list, one Gysin check per distinct embedding value, one Euler
-    # polynomial per distinct class and one product per distinct (class,
-    # embedding value), for the table's single geometry, and no ``star``; on
-    # mu3 two fixed sets share the ring Z[t]/(3t), and their two identity
-    # embeddings are one value
+    # multiset list, one Gysin check per distinct embedding value, no Euler
+    # polynomial, one kernel product per distinct (class, embedding value)
+    # with a nonzero product, for the table's single geometry, and no
+    # ``star``; on mu3 two fixed sets share the ring Z[t]/(3t), and their
+    # two identity embeddings are one value
     model = request.getfixturevalue(name)
     build_sector = inertia_module.sector_model
     enumerations, checked = [], []
@@ -304,9 +313,9 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     assert {id(emb) for (emb,) in checked} == set(embeddings)
     if name == "mu3_model":
         assert len(values) < len(fixed_pairs)
-    classes = {geo.obstructions.class_of(p.g1, p.g2) for p in geo.pairs}
-    assert sorted(map(str, (c for c, in work["eulers"]))) == sorted(map(str, classes))
-    assert done["products"] == len(_product_values(geo)) <= len(_product_keys(geo))
+    assert done["eulers"] == 0
+    nonzero = _nonzero(_product_values(geo))
+    assert done["products"] == len(nonzero) <= len(_product_values(geo)) <= len(_product_keys(geo))
 
 
 # (builder, seed, d, n) of random_generic_instance; the last has 204 sectors
@@ -425,15 +434,15 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     # one presentation per distinct multiset list, whichever side asks first
     lists = set().union(*(_multiset_lists(t.geometry, build_sector) for t in tables))
     assert sorted(work["presentations"]) == sorted(lists)
-    # one Euler polynomial per distinct class and one product per distinct
-    # (class, embedding value) of both tables together; the fiber's values
-    # are all the ambient's here, so there are fewer products than keys
-    classes = {t.geometry.obstructions.class_of(p.g1, p.g2) for t in tables for p in t.geometry.pairs}
-    assert done["eulers"] == len(classes)
+    # no Euler polynomial, and one kernel product per distinct (class,
+    # embedding value) of both tables together; the fiber's values are all
+    # the ambient's here, so there are fewer products than keys
+    assert done["eulers"] == 0
     values = _product_values(ambient.geometry)
     assert _product_values(fiber.geometry) <= values
     keys = sum(len(_product_keys(t.geometry)) for t in tables)
-    assert done["products"] == len(values) < keys < sum(len(t.geometry.pairs) for t in tables)
+    assert done["products"] == len(_nonzero(values))
+    assert len(values) < keys < sum(len(t.geometry.pairs) for t in tables)
 
 
 def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
@@ -617,6 +626,8 @@ def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
         return out.replace(tangent_class=CharacterClass(out.d, terms, tangent.trivial))
 
     monkeypatch.setattr(orbifold_module, "_moment_fiber", broken)
+    # the verifiers' model pairs built before the patch hold the unbroken fiber
+    orbifold_module._lawrence_pair.cache_clear()
     return bad, geo
 
 
@@ -734,6 +745,34 @@ def test_one_analysis_per_verify(monkeypatch):
     analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
     assert [block for _, block in selections] == list(analysis.double.blocks)
     assert sum(len(b.rows) * len(b.cols) for b in analysis.double.blocks) == pull.checked
+
+
+def test_one_model_pair_per_verify_input(monkeypatch, a_2x3):
+    # the pullback and the iso check of one input read one Lawrence model
+    # and its fiber, so the arrangement is computed once; an integral
+    # character of another type is the same input, another input arranges
+    # again, and a non-generic character raises on every call, since a
+    # failed build is not stored
+    arranged = []
+    arrange = model_module._git_arrangement
+
+    def spy(*args, **kwargs):
+        arranged.append(args)
+        return arrange(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_git_arrangement", spy)
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    assert verify_obstruction_pullback(a, theta).ok
+    assert verify_orbifold_iso(a, [Fraction(t) for t in theta], 5).ok
+    assert len(arranged) == 1
+    b, phi = random_generic_instance(random.Random(1), 2, 4)
+    assert verify_obstruction_pullback(b, phi).ok and verify_orbifold_iso(b, phi, 5).ok
+    assert len(arranged) == 2
+    for _ in range(2):
+        for verify in (verify_obstruction_pullback, verify_orbifold_iso):
+            with pytest.raises(NonGenericError):
+                verify(a_2x3, [1, 0])
+    assert len(arranged) == 6
 
 
 def test_memo_is_keyed_by_the_model_value(monkeypatch):

@@ -1,0 +1,150 @@
+"""The product kernel and the ring store's products against the chains of
+polynomial products they replaced.
+
+``chow.product_coefficients`` turns a multiset of characters into the
+coefficients of its product of linear forms over the monomials of its
+degree; its reference is the chain of ``IntPoly.linear_form`` products.
+``orbifold._RingStore.product`` builds a generator product as one kernel
+run over the obstruction class's characters and the normal ones; its
+reference, ``old_product`` below, multiplies the class's Euler polynomial
+by the normal one factor by factor and reduces the result with
+``reduce_class``.  Both must agree exactly, errors included.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypertoric import (
+    CharacterClass,
+    GradedRingPresentation,
+    IntPoly,
+    SectorEmbedding,
+    euler_poly,
+    gysin_push,
+    hypertoric_model,
+    lawrence_model,
+    orbifold_table,
+    reduce_class,
+)
+from hypertoric.chow import product_coefficients
+from hypertoric.orbifold import _RingStore
+from hypertoric.poly import monomials_of_degree
+from hypertoric.sampling import random_generic_instance
+
+
+def chain(d, chars):
+    out = IntPoly.one(d)
+    for w in chars:
+        out = out * IntPoly.linear_form(w)
+    return out
+
+
+def old_euler(bundle):
+    if not bundle.is_bundle():
+        raise ValueError("euler class needs nonnegative integer multiplicities: %s" % bundle)
+    if bundle.trivial > 0:
+        return IntPoly.zero(bundle.dim)
+    out = IntPoly.one(bundle.dim)
+    for w, m in bundle.terms:
+        out = out * IntPoly.linear_form(w) ** int(m)
+    return out
+
+
+def old_product(bundle, emb):
+    poly = old_euler(bundle) * chain(emb.ambient.num_vars, emb.normal_chars)
+    deg = poly.homogeneous_degree()
+    if deg is not None and deg > emb.ambient.truncation:
+        raise ValueError("product degree %d exceeds the truncation bound %d"
+                         % (deg, emb.ambient.truncation))
+    return poly, reduce_class(emb.ambient, poly)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("raised", str(exc))
+
+
+_chars = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_chars)
+def test_kernel_equals_the_chain_of_linear_forms(case):
+    # zero characters are drawn too: their products are zero vectors
+    d, chars = case
+    expected = chain(d, chars).coefficients_on(monomials_of_degree(d, len(chars)))
+    assert tuple(product_coefficients(d, chars)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_chars, st.lists(st.integers(0, 2), max_size=4), st.integers(0, 1))
+def test_euler_poly_equals_the_chain(case, mults, trivial):
+    d, chars = case
+    bundle = CharacterClass.build(d, list(zip(chars, mults)), trivial=trivial)
+    assert euler_poly(bundle) == old_euler(bundle)
+
+
+def test_kernel_refuses_a_character_of_the_wrong_length():
+    with pytest.raises(ValueError, match="wrong length"):
+        product_coefficients(2, [(1, 2), (1, 2, 3)])
+
+
+def _stores():
+    """(store, geometry) of the tables of seeded models, each store holding
+    every embedding its table pushes along."""
+    for build in (lawrence_model, hypertoric_model):
+        for seed, d, n in [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
+            geo = orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3).geometry
+            yield geo._rings, geo
+
+
+def test_store_products_equal_the_old_products():
+    checked = zeros = refused = 0
+    for store, geo in _stores():
+        analysis = geo.analysis
+        d = geo.model.d
+        for mask, common, target_fixed in analysis.keys:
+            emb = geo.embedding(common, target_fixed)
+            bundle = analysis.obstructions.bundle(mask)
+            wide = CharacterClass.build(d, [(emb.normal_chars[0] if emb.normal_chars
+                                             else (1,) * d, geo.truncation + 1)])
+            for c in (bundle, bundle + CharacterClass.build(d, trivial=1), wide):
+                expected = outcome(old_product, c, emb)
+                # a fresh store, so no entry answers for another class
+                fresh = _RingStore()
+                got = outcome(fresh.product, c, fresh.embedding(emb.sub, emb.ambient, emb.normal_chars))
+                assert got == expected
+                assert outcome(store.product, c, emb) == expected
+                checked += 1
+                zeros += expected[1] == ()
+                refused += expected[0] == "raised"
+            assert store.product(bundle, emb) is store.product(bundle, emb)
+    assert checked > 500 and zeros > 0 and refused > 0
+
+
+def test_zero_normal_character_gives_a_zero_product_with_no_truncation_check():
+    # a zero normal character kills the product before any degree is read
+    ring = GradedRingPresentation.from_characters(1, [[(3,)]], 2)
+    store = _RingStore()
+    emb = store.embedding(ring, ring, ((0,), (1,)))
+    big = CharacterClass.build(1, [((1,), 5)])
+    assert store.product(big, emb) == old_product(big, emb) == (IntPoly.zero(1), ())
+    with pytest.raises(ValueError, match="nonnegative integer multiplicities"):
+        store.product(CharacterClass.build(1, [((1,), -1)]), emb)
+
+
+def test_embedding_euler_and_gysin_push_equal_the_chain():
+    for _, geo in _stores():
+        for common, target_fixed in {(p.common_fixed, geo.component(p.target).fixed_columns)
+                                     for p in geo.pairs}:
+            emb = geo.embedding(common, target_fixed)
+            fresh = SectorEmbedding(emb.sub, emb.ambient, emb.normal_chars)
+            old = chain(geo.model.d, emb.normal_chars)
+            assert fresh.euler == old
+            assert gysin_push(fresh, IntPoly.one(geo.model.d)) == old
