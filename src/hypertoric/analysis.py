@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 
 from .characters import CharacterClass
-from .inertia import DoubleInertiaComponent, TorsionElement, _blocks, inertia_components
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _blocks, _sectors, _Stability
 from .model import StackModel
 
 
@@ -29,27 +30,36 @@ class _Obstructions:
 
     Per character w_k of the model's tangent class, an element g has the
     exponent e_k(g) = <w_k, nums> mod ord g; the exponent vector of each
-    element is computed once, on first use.  The *selection* of an ordered
-    pair is the set of the k with e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1,
-    which is the rule of ``orbifold.obstruction``, held as an int bitmask (bit k
-    for term k); the obstruction class is those terms of the tangent
-    class, so it depends on the pair only through its selection and is
-    built and bundle-tested once per distinct selection.  A selection that
-    fails the test is never stored: every pair that has it raises
-    ``ObstructionError`` again.  The kernel reads only the dimension and
-    the tangent terms of its model."""
+    element is computed once, on first use, and the age of g is read off
+    it: sum_k m_k e_k(g) / ord g, over the int multiplicities ``mults``.
+    The *selection* of an ordered pair is the set of the k with
+    e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1, which is the rule of
+    ``orbifold.obstruction``, held as an int bitmask (bit k for term k);
+    the obstruction class is those terms of the tangent class, so it
+    depends on the pair only through its selection and is built once per
+    distinct selection.  It is a bundle exactly when it selects no
+    negative multiplicity (``_negative``).  A selection that fails the test
+    is never stored: every pair that has it raises ``ObstructionError``
+    again.  The kernel reads only the dimension and the tangent terms of
+    its model."""
 
     def __init__(self, model: StackModel):
         self.d = model.d
         self.terms = model.tangent_class.terms
+        self.chars = tuple(w for w, _ in self.terms)
+        self.mults = tuple(m.numerator for _, m in self.terms)
+        self._negative = sum(1 << k for k, m in enumerate(self.mults) if m < 0)
         self._exponents: dict = {}
         self._classes: dict = {}
 
     def exponent_vector(self, g: TorsionElement) -> tuple[int, ...]:
         e = self._exponents.get(g)
         if e is None:
-            e = self._exponents[g] = tuple(g.exponent(w) for w, _ in self.terms)
+            e = self._exponents[g] = tuple(map(g.exponent, self.chars))
         return e
+
+    def age(self, g: TorsionElement) -> Fraction:
+        return Fraction(sum(map(mul, self.mults, self.exponent_vector(g))), g.order)
 
     def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
         """Indices of the tangent terms in the obstruction of (g1, g2)."""
@@ -68,10 +78,9 @@ class _Obstructions:
         bundle."""
         out = self._classes.get(mask)
         if out is None:
-            out = self._class(mask)
-            if not out.is_bundle():
+            if mask & self._negative:
                 return None
-            self._classes[mask] = out
+            out = self._classes[mask] = self._class(mask)
         return out
 
     def class_for(self, mask: int, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
@@ -111,10 +120,11 @@ class _Reads:
 class _Analysis:
     """The inertia analysis of one value of read data (``_Reads``), shared
     by every table and verifier of every model with that data: the
-    sectors, the double inertia as blocks of fixed-set pairs
-    (``inertia.DoubleInertia``), the obstruction kernel, and each pair's
-    product key (selection, common fixed set, target fixed set), on which
-    its generator product depends.  The distinct keys are ``keys``;
+    sectors, their ages read off the kernel's exponent vectors, the double
+    inertia as blocks of fixed-set pairs (``inertia.DoubleInertia``; the
+    sectors and the blocks read one ``inertia._Stability`` table), the
+    obstruction kernel, and each pair's product key (selection, common
+    fixed set, target fixed set), on which its generator product depends.  The distinct keys are ``keys``;
     ``ids[b]`` holds the key index of each pair of block ``b``, row-major,
     the only per-pair data kept.  Per-pair objects are built only at the
     boundary (``pairs``, ``walk``).
@@ -130,10 +140,12 @@ class _Analysis:
     t1 + t2 > L: one addition and one mask give a pair's selection."""
 
     def __init__(self, model: StackModel):
-        self.components = tuple(inertia_components(model))
-        self.index = {c.g: i for i, c in enumerate(self.components)}
-        self.double = _blocks(model, {c.g: c.fixed_columns for c in self.components})
+        stable = _Stability(model)
+        sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
+        self.components = tuple(InertiaComponent(g, fixed, kernel.age(g)) for g, fixed, _ in sectors)
+        self.index = {c.g: i for i, c in enumerate(self.components)}
+        self.double = _blocks(stable, sectors)
         big = self.double.big
         width = big.bit_length()
         fields = [k * (width + 1) for k in range(len(kernel.terms))]

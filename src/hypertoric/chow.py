@@ -13,14 +13,14 @@ generator products) is one kernel, ``product_coefficients``, that moves its
 dense coefficient vector along the same cached "t_i times a monomial" maps.
 Rank and torsion are read off the basis, and it gives canonical
 coordinates, in which ring-map isomorphisms and Gysin pushforwards are
-checked.  A Gysin check takes a product relation's divisibility, read off
-character multisets, as proof of membership, and runs the lattice test
-only where no such certificate exists.
+checked; a Gysin check runs the lattice test only where the presentations'
+character multisets give no certificate.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from typing import NamedTuple
 
@@ -86,26 +86,33 @@ class GradedRingPresentation:
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
     ``truncation`` (at least 0).  Graded pieces are cached lazily.
 
-    ``characters`` is None, or, for a presentation made by
-    ``from_characters``, one sorted multiset of characters per relation
-    whose product of linear forms is that relation.  It is a certificate,
-    not part of the ring's value: equality compares the relations only,
-    and a presentation is not hashable."""
+    Each presentation holds its read-once tables: ``degrees``, the degree
+    of each relation, read as the relations are validated, and, for a
+    presentation made by ``from_characters``, ``characters``, one sorted
+    multiset of characters per relation whose product of linear forms is
+    that relation, with ``counters``, the same multisets as ``Counter``s;
+    otherwise ``characters`` is None and ``counters`` empty.  The multisets
+    are a certificate, not part of the ring's value: equality compares the
+    relations only, and a presentation is not hashable."""
 
-    __slots__ = ("num_vars", "relations", "truncation", "characters", "_pieces")
+    __slots__ = ("num_vars", "relations", "truncation", "degrees", "characters", "counters", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        degrees = []
         for r in relations:
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
             if not r.is_homogeneous():
                 raise ValueError("relation %s is not homogeneous" % r)
-            if r.homogeneous_degree() == 0:
+            degrees.append(r.homogeneous_degree())
+            if not degrees[-1]:
                 raise ValueError("degree-0 relation makes the ring trivial")
         self.num_vars, self.relations, self.truncation = num_vars, relations, truncation
+        self.degrees = tuple(degrees)
         self.characters: tuple | None = None
+        self.counters: tuple[Counter, ...] = ()
         self._pieces: dict = {}
 
     def __eq__(self, other):
@@ -131,9 +138,11 @@ class GradedRingPresentation:
             poly = product_of_forms(num_vars, chars)
             if not poly.is_zero:
                 by_poly.setdefault(poly, chars)
-        rels = sorted(by_poly, key=lambda p: (p.homogeneous_degree(), p.terms))
+        # a nonzero product of k linear forms has degree k
+        rels = sorted(by_poly, key=lambda p: (len(by_poly[p]), p.terms))
         out = GradedRingPresentation(num_vars, tuple(rels), truncation)
         out.characters = tuple(by_poly[r] for r in rels)
+        out.counters = tuple(map(Counter, out.characters))
         return out
 
     def piece(self, k: int) -> GradedPiece:
@@ -209,8 +218,8 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
     of the ideal, so the basis is that of the full Macaulay matrix."""
     monos = _monomials(pres.num_vars, k)
     width = len(monos)
-    vectors = [rel.coefficients_on(monos) for rel in pres.relations
-               if rel.homogeneous_degree() == k]
+    vectors = [rel.coefficients_on(monos) for rel, deg in zip(pres.relations, pres.degrees)
+               if deg == k]
     if k > 0:
         lower = pres.piece(k - 1)
         for moved in _times_t(pres.num_vars, k - 1):
@@ -338,31 +347,18 @@ class SectorEmbedding(Value):
         ambient relation containing some sub relation's characters is zero
         on the subsector, and a sub relation whose characters plus the
         normal characters contain some ambient relation's pushes into the
-        ambient ideal.  Where both presentations carry characters, such a
-        containment is the proof; the lattice test runs for every relation
-        without one."""
-        sub_chars = _counters(self.sub)
-        amb_chars = _counters(self.ambient)
-        for i, rel in enumerate(self.ambient.relations):
-            if rel.homogeneous_degree() > self.sub.truncation:
-                continue
-            if amb_chars and any(_contains(amb_chars[i], c) for c in sub_chars):
-                continue
+        ambient ideal.  Such a containment, read off the presentations'
+        ``counters``, is the proof; the lattice test runs for every relation
+        without one (``_uncertified``)."""
+        for rel in _uncertified(self.ambient, self.sub.truncation, self.sub, {}):
             if not is_zero_class(self.sub, rel):
                 raise GysinError(
                     "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
                 )
         if not all(map(any, self.normal_chars)):
             return  # a zero character: the normal Euler class is zero
-        shift = len(self.normal_chars)
-        normal = Counter(self.normal_chars)
-        for i, rel in enumerate(self.sub.relations):
-            if rel.homogeneous_degree() + shift > self.ambient.truncation:
-                continue
-            if sub_chars:
-                pushed = sub_chars[i] + normal
-                if any(_contains(pushed, c) for c in amb_chars):
-                    continue
+        limit = self.ambient.truncation - len(self.normal_chars)
+        for rel in _uncertified(self.sub, limit, self.ambient, Counter(self.normal_chars)):
             if not is_zero_class(self.ambient, rel * self.euler):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
@@ -370,13 +366,13 @@ class SectorEmbedding(Value):
                 )
 
 
-def _counters(pres: GradedRingPresentation) -> list[Counter]:
-    """The character multisets of the relations; empty without them."""
-    return [Counter(chars) for chars in pres.characters or ()]
-
-
-def _contains(big: Counter, small: Counter) -> bool:
-    return all(big[w] >= m for w, m in small.items())
+def _uncertified(pres, limit: int, other, more: dict) -> list[IntPoly]:
+    """The relations of ``pres`` of degree at most ``limit`` with no
+    certificate: no relation multiset of ``other`` lies in theirs plus
+    ``more``, with multiplicity (all of them, if either has no multisets)."""
+    return [rel for rel, deg, chars in itertools.zip_longest(pres.relations, pres.degrees, pres.counters)
+            if deg <= limit and not (chars and any(
+                all(chars.get(w, 0) + more.get(w, 0) >= m for w, m in c.items()) for c in other.counters))]
 
 
 def gysin_push(embedding: SectorEmbedding, poly: IntPoly) -> IntPoly:

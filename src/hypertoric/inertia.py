@@ -5,6 +5,7 @@ stable locus, computes their fixed coordinate sets and ages, and realizes a
 sector as the restriction of its model to the coordinates over the fixed
 columns: the sector's sigma sets, unstable sets and tangent class are read
 off the model's, with one rule for every kind and no model rebuilt.
+Stability is decided on column sets held as int bitmasks (``_Stability``).
 
 A torsion torus element v in (Q/Z)^d is stored as integer numerators over
 its order N: v = nums / N with every numerator in [0, N) and
@@ -24,14 +25,7 @@ from typing import NamedTuple
 
 from .characters import CharacterClass
 from .exact import cokernel_torsion_numerators
-from .model import (
-    SigmaSet,
-    StableArrangement,
-    StackModel,
-    WeightMatrix,
-    _coordinate_labels,
-    column_bases,
-)
+from .model import SigmaSet, StableArrangement, StackModel, WeightMatrix, _coordinate_labels, column_bases
 from .value import Value
 
 
@@ -179,28 +173,61 @@ def _dual_elements(lattice) -> set[TorsionElement]:
 
 
 def fixed_columns(a: WeightMatrix, g: TorsionElement) -> frozenset[int]:
-    """Columns j with <a_j, v> integral.  In a doubled model x_j and y_j are
-    fixed together since the dual coordinate carries -a_j."""
-    return frozenset(j for j, w in enumerate(zip(*a.matrix.entries), 1) if not g.exponent(w))
+    """Columns j with <a_j, v> integral, that is <a_j, nums> = 0 mod the
+    order.  In a doubled model x_j and y_j are fixed together since the dual
+    coordinate carries -a_j."""
+    nums, order = g.nums, g.order
+    return frozenset(j for j, w in enumerate(a.columns, 1) if not sum(map(mul, w, nums)) % order)
 
 
-def _stable_fixed(model: StackModel, cols: frozenset[int]) -> bool:
-    """The columns contain a column basis, and the locus where exactly they
-    survive meets the stable locus: no minimal unstable set lives on the
-    dead coordinates.  The test for a sector and a pair of sectors alike."""
-    a = model.base
-    if len(cols) < a.d or len(a.lattice(cols)) != a.d:
-        return False
-    dead = model.coords_of_columns(set(range(1, model.n + 1)) - cols)
-    return not any(s <= dead for s in model.arrangement.unstable_minimal)
+def _mask(indices) -> int:
+    """The int bitmask of distinct column or coordinate indices: bit j for j."""
+    return sum(1 << j for j in indices)
+
+
+class _Stability:
+    """One model's stability rule on column sets held as int bitmasks
+    (``_mask``), decided once per mask, for sectors and pairs alike.  A set
+    passes when it contains a basis mask (so its rank is d, with no Hermite
+    form) and no minimal unstable coordinate mask lies in the dead
+    coordinates: over a dead column mask D they are D | D << n in a doubled
+    model (y_j is bit n + j), else D.  ``bases`` are the sigma-set bases,
+    one per column basis; a model with none (a direct model built from
+    unstable sets) reads ``column_bases`` once."""
+
+    __slots__ = ("bases", "_basis_masks", "_unstable", "_all", "_shift", "_decided")
+
+    def __init__(self, model: StackModel):
+        self.bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
+        self._basis_masks = tuple(map(_mask, self.bases))
+        self._unstable = tuple(map(_mask, model.arrangement.unstable_minimal))
+        self._all = _mask(range(1, model.n + 1))
+        self._shift = model.n if model.doubled else 0
+        self._decided: dict[int, bool] = {}
+
+    def __call__(self, mask: int) -> bool:
+        out = self._decided.get(mask)
+        if out is None:
+            out = self._decided[mask] = self._decide(mask)
+        return out
+
+    def _decide(self, mask: int) -> bool:
+        if not any(b & mask == b for b in self._basis_masks):
+            return False
+        dead = self._all & ~mask
+        dead |= dead << self._shift
+        return not any(u & dead == u for u in self._unstable)
+
+
+def _stable_fixed(model: StackModel, cols) -> bool:
+    """The stability rule (``_Stability``) for one set of columns."""
+    return _Stability(model)(_mask(cols))
 
 
 def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
     """An element of the model's dimension whose fixed columns pass
     ``_stable_fixed``; it fixes a basis, so that basis's stabilizer has it."""
-    if g.d != model.d:
-        return False
-    return _stable_fixed(model, fixed_columns(model.base, g))
+    return g.d == model.d and _stable_fixed(model, fixed_columns(model.base, g))
 
 
 def inertia_elements(model: StackModel) -> list[TorsionElement]:
@@ -209,25 +236,27 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     once per distinct fixed-column set.  Each distinct basis lattice, keyed
     by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
-    return [g for g, _ in _sectors(model)]
+    return [g for g, _, _ in _sectors(model, _Stability(model))]
 
 
-def _sectors(model: StackModel) -> list[tuple[TorsionElement, frozenset[int]]]:
+def _sectors(model: StackModel, stable: _Stability) -> list[tuple[TorsionElement, frozenset[int], int]]:
     """The walk behind ``inertia_elements``: each sector's element with its
-    fixed columns, in sector order, each ``fixed_columns`` computed once."""
+    fixed columns, as a set and a mask, in sector order; the candidates are
+    the duals of the lattices of ``stable.bases``."""
     a = model.base
     candidates: set[TorsionElement] = set()
-    for lattice in dict.fromkeys(a.lattice(basis) for basis in column_bases(a)):
+    for lattice in dict.fromkeys(a.lattice(basis) for basis in stable.bases):
         candidates |= _dual_elements(lattice)
-    stable: dict[frozenset[int], bool] = {}
+    kept: dict[frozenset[int], int] = {}
     out = []
     for g in candidates:
         fixed = fixed_columns(a, g)
-        if fixed not in stable:
-            stable[fixed] = _stable_fixed(model, fixed)
-        if stable[fixed]:
-            out.append((g, fixed))
-    _, scaled = _over_common_order([g for g, _ in out])
+        mask = kept.get(fixed)
+        if mask is None:
+            mask = kept[fixed] = _mask(fixed)
+        if stable(mask):
+            out.append((g, fixed, mask))
+    _, scaled = _over_common_order([g for g, _, _ in out])
     return sorted(out, key=lambda sector: scaled[sector[0]])
 
 
@@ -299,12 +328,13 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
-    return [InertiaComponent(g, fixed, _age_of(model, g)) for g, fixed in _sectors(model)]
+    return [InertiaComponent(g, fixed, _age_of(model, g))
+            for g, fixed, _ in _sectors(model, _Stability(model))]
 
 
 class PairBlock:
     """Every ordered pair of a sector over ``fixed1`` and a sector over
-    ``fixed2``, when their common set ``common`` passes ``_stable_fixed``.
+    ``fixed2``, when their common set ``common`` passes ``_Stability``.
     Stability reads only the two fixed sets, so the double inertia is a
     union of such full blocks.  ``rows`` and ``cols`` are the indices of
     the two sets' sectors, in sector order; the block's pairs are
@@ -402,35 +432,30 @@ class DoubleInertia:
                 for i1, i2, k, _ in self.walk()]
 
 
-def _blocks(model: StackModel, fixed: dict) -> DoubleInertia:
-    """The stable pairs of the inertia elements keyed in ``fixed`` (element
-    -> fixed columns, every sector in sector order), as blocks: the
-    elements are grouped by fixed set, and stability is decided once per
-    pair of fixed sets (once per distinct common set), so no pair is
-    formed to decide it."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, f in enumerate(fixed.values()):
-        groups.setdefault(f, []).append(i)
-    stable: dict[frozenset[int], bool] = {}
-    blocks = []
-    for f1, rows in groups.items():
-        for f2, cols in groups.items():
-            common = f1 & f2
-            if common not in stable:
-                stable[common] = _stable_fixed(model, common)
-            if stable[common]:
-                blocks.append(PairBlock(f1, f2, common, tuple(rows), tuple(cols)))
-    return DoubleInertia(fixed, fixed.values(), blocks)
+def _blocks(stable: _Stability, sectors) -> DoubleInertia:
+    """The stable pairs of ``sectors`` ((element, fixed columns, mask), in
+    sector order), as blocks: the sectors are grouped by fixed set, and
+    ``stable`` decides each pair of fixed sets on the mask of the common
+    set, once per distinct common set, so no pair is formed to decide it."""
+    groups: dict[int, list[int]] = {}
+    sets: dict[int, frozenset[int]] = {}
+    for i, (_, fixed, mask) in enumerate(sectors):
+        groups.setdefault(mask, []).append(i)
+        sets[mask] = fixed
+    groups = {mask: tuple(indices) for mask, indices in groups.items()}
+    blocks = [PairBlock(sets[m1], sets[m2], sets[m1] & sets[m2], rows, cols)
+              for m1, rows in groups.items() for m2, cols in groups.items() if stable(m1 & m2)]
+    return DoubleInertia([g for g, _, _ in sectors], [fixed for _, fixed, _ in sectors], blocks)
 
 
 def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
-    """Ordered pairs of the inertia elements keyed in ``fixed`` whose common
-    fixed columns pass ``_stable_fixed``, in the order of the walk over all
-    ordered pairs: the expanded blocks of ``_blocks``."""
-    return _blocks(model, fixed).pairs()
+    """The expanded blocks of ``_blocks`` for the sectors keyed in ``fixed``
+    (element -> fixed columns), in the order of the walk over all pairs."""
+    return _blocks(_Stability(model), [(g, f, _mask(f)) for g, f in fixed.items()]).pairs()
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
     contain a column basis and meet the stable locus."""
-    return _pairs(model, dict(_sectors(model)))
+    stable = _Stability(model)
+    return _blocks(stable, _sectors(model, stable)).pairs()

@@ -40,9 +40,13 @@ class NonGenericError(ModelError):
 
 class WeightMatrix(Value):
     """The d x n integer matrix of torus weights; column j is the character
-    of the coordinate x_j.  Must have full rank d over Q."""
+    of the coordinate x_j.  Must have full rank d over Q.  The matrix is the
+    value; its ``columns``, ``d`` and ``n`` are cache slots set once, and a
+    column argument is read behind one test: a plain int in 1..n, else
+    ``ModelError``."""
 
-    __slots__ = _fields = ("matrix",)
+    _fields = ("matrix",)
+    __slots__ = _fields + ("columns", "d", "n")
 
     def __init__(self, matrix: IntMatrix):
         if matrix.rows == 0 or matrix.cols == 0:
@@ -50,22 +54,19 @@ class WeightMatrix(Value):
         if len(hnf(matrix.entries, matrix.cols)) != matrix.rows:
             raise ModelError("rank deficient: weight matrix must have full row rank")
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "columns", tuple(zip(*matrix.entries)))
+        object.__setattr__(self, "d", matrix.rows)
+        object.__setattr__(self, "n", matrix.cols)
 
     @staticmethod
     def from_rows(rows) -> "WeightMatrix":
         return WeightMatrix(IntMatrix(tuple(_int_entries(row, "weight matrix") for row in rows)))
 
-    @property
-    def d(self) -> int:
-        return self.matrix.rows
-
-    @property
-    def n(self) -> int:
-        return self.matrix.cols
-
     def column(self, j: int) -> tuple[int, ...]:
         """Weight of coordinate x_j (1-based)."""
-        return self.matrix.column(self._checked((j,))[0] - 1)
+        if type(j) is int and 0 < j <= self.n:
+            return self.columns[j - 1]
+        raise ModelError("columns {%s} are not all in 1..%d" % (j, self.n))
 
     def columns_matrix(self, cols) -> IntMatrix:
         """Square-ish submatrix of the 1-based columns, in ascending order."""
@@ -74,13 +75,13 @@ class WeightMatrix(Value):
     def lattice(self, cols) -> tuple[tuple[int, ...], ...]:
         """The reduced Hermite basis of the lattice the 1-based columns span;
         its length is their rank."""
-        return hnf((self.matrix.column(j - 1) for j in self._checked(cols)), self.d)
+        return hnf([self.columns[j - 1] for j in self._checked(cols)], self.d)
 
     def _checked(self, cols) -> tuple[int, ...]:
-        """The 1-based columns, refused unless all are in 1..n: column 0 or
-        a negative one must not be read from the other end."""
+        """The 1-based columns, refused unless all are plain ints in 1..n:
+        neither 0 nor -1 is read from the other end, nor True or 1.0 as 1."""
         cols = tuple(cols)
-        if not all(1 <= j <= self.n for j in cols):
+        if cols and (set(map(type, cols)) != {int} or min(cols) < 1 or max(cols) > self.n):
             raise ModelError("columns {%s} are not all in 1..%d" % (",".join(map(str, cols)), self.n))
         return cols
 
@@ -167,10 +168,8 @@ class StackModel(Value):
 
     def coords_of_columns(self, cols) -> frozenset[int]:
         """Ambient coordinate indices lying over the given base columns."""
-        cols = set(self.base._checked(cols))
-        if self.doubled:
-            return frozenset(cols | {self.n + j for j in cols})
-        return frozenset(cols)
+        cols = self.base._checked(cols)
+        return frozenset(cols + tuple(self.n + j for j in cols) if self.doubled else cols)
 
 
 def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
@@ -322,9 +321,8 @@ def lawrence_model(a: WeightMatrix, theta) -> StackModel:
     linearized at theta.  Non-generic theta is rejected outright."""
     theta, sigmas, unstable = _git_arrangement(a, theta, doubled=True)
     doubled = lawrence_double(a)
-    chars = tuple(doubled.column(j) for j in range(1, doubled.n + 1))
     arrangement = StableArrangement(sigmas, unstable, _coordinate_labels(a.n, True))
-    return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, chars))
+    return StackModel(LAWRENCE, a, doubled, theta, arrangement, _tangent_class(a.d, doubled.columns))
 
 
 def _moment_fiber(lm: StackModel) -> StackModel:
@@ -348,8 +346,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     indices), or pass a character theta whose sign rule selects only
     x-coordinates in every basis (weighted-projective-space style inputs).
     """
-    chars = tuple(a.column(j) for j in range(1, a.n + 1))
-    tangent = _tangent_class(a.d, chars)
+    tangent = _tangent_class(a.d, a.columns)
     labels = _coordinate_labels(a.n, False)
     if unstable is not None:
         sets = []
@@ -373,12 +370,14 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     return StackModel(DIRECT, a, a, theta, arrangement, tangent)
 
 
-def model_from_dict(data: dict) -> StackModel:
+def model_from_dict(data: dict, lawrence_pair=None) -> StackModel:
     """Build a model from the JSON input schema:
 
       {"A": [[...]], "theta": [...], "kind": "lawrence"|"hypertoric"|"direct",
        "unstable": [[...]]}   (unstable: direct models only)
-    """
+
+    A lawrence or hypertoric model is taken from ``lawrence_pair``, if given:
+    a map of ``(A, int theta)`` to the Lawrence model and its moment fiber."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
     if "A" not in data:
@@ -408,6 +407,8 @@ def model_from_dict(data: dict) -> StackModel:
         raise ModelError("%s model requires a character 'theta'" % kind)
     if "unstable" in data:
         raise ModelError("explicit unstable sets are only allowed for direct models")
+    if lawrence_pair is not None:
+        return lawrence_pair(a, _int_entries(theta, "character theta"))[kind == HYPERTORIC]
     builder = lawrence_model if kind == LAWRENCE else hypertoric_model
     return builder(a, theta)
 

@@ -15,20 +15,8 @@ from typing import NamedTuple
 
 from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
 from .characters import CharacterClass
-from .chow import (
-    GradedClass,
-    GradedRingPresentation,
-    IsoReport,
-    SectorEmbedding,
-    product_coefficients,
-    product_of_forms,
-)
-from .inertia import (
-    DoubleInertiaComponent,
-    InertiaComponent,
-    TorsionElement,
-    sector_unstable_sets,
-)
+from .chow import GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, product_coefficients, product_of_forms
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, sector_unstable_sets
 from .model import StackModel, WeightMatrix, _int_entries, _moment_fiber, lawrence_model
 from .poly import IntPoly
 
@@ -60,13 +48,9 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     e1/M, e2/M and e3/M with e3 = -(e1 + e2) mod M, so their sum is 0, 1
     or 2; it is 0 exactly when w is fixed by both.  The bracket is
     therefore 1 when e1 + e2 > M, that is frac<w,g1> + frac<w,g2> > 1, and
-    0 otherwise: w enters with its full multiplicity m or not at all.
-
-    The class is thus determined by which terms enter (the pair's
-    selection), so each model's shared analysis keeps one kernel that
-    computes each element's exponents once and each class once per
-    distinct selection, and both verifiers read it; this function runs the
-    same kernel for one pair.
+    0 otherwise: w enters with its full multiplicity m or not at all.  So
+    the class depends only on which terms enter; this function runs the
+    analysis' kernel (``analysis._Obstructions``) for one pair.
     """
     return _Obstructions(model).class_of(g1, g2)
 
@@ -169,19 +153,14 @@ def _check_truncation(degree: int | None, truncation: int) -> None:
 
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
-    truncation.  The sectors, the blocks of stable pairs, the product keys
-    and the obstruction kernel are the shared analysis of the model's read
-    data (``_analysis``), computed once per value and read by
-    ``verify_obstruction_pullback`` and by every model with equal data, the
-    moment fiber of a Lawrence model among them; a caller that already
-    holds that analysis passes it.  A sector's ring depends only on its
-    fixed columns: it is read straight from the characters of the sector's
-    minimal unstable sets (``inertia.sector_unstable_sets``), with no
-    sector model built, once per fixed set and per geometry.
-    Presentations, the embeddings between them and the generator products
-    come from the ring store (``_RingStore``), one per value, so
-    geometries that share a store share them; a generator product depends
-    only on its obstruction class and the embedding it pushes along.  A
+    truncation.  The analysis is the shared one of the model's read data
+    (``_analysis``); a caller that already holds it passes it.  A sector's
+    ring depends only on its fixed columns: it is read straight from the
+    characters of the sector's minimal unstable sets
+    (``inertia.sector_unstable_sets``), with no sector model built, once
+    per fixed set and per geometry.  Presentations, the embeddings between
+    them and the generator products come from the ring store
+    (``_RingStore``), so geometries that share a store share them.  A
     negative truncation raises ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int, analysis: _Analysis | None = None,
@@ -234,11 +213,13 @@ class SectorGeometry:
     def embedding(self, small: frozenset[int], big: frozenset[int]) -> SectorEmbedding:
         key = (small, big)
         if key not in self._embeddings:
-            coords = [i for j in sorted(big - small) for i in sorted(self.model.coords_of_columns({j}))]
+            model = self.model
+            # column by column, x_j before y_j
+            coords = sorted(model.coords_of_columns(big - small), key=lambda i: ((i - 1) % model.n, i))
             self._embeddings[key] = self._rings.embedding(
                 self.presentation_for(small),
                 self.presentation_for(big),
-                tuple(self.model.coordinate_char(i) for i in coords),
+                tuple(map(model.coordinate_char, coords)),
             )
         return self._embeddings[key]
 
@@ -343,16 +324,12 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     (``_analysis``), so its sectors, blocks and product keys are those the
     pullback check reads; its truncation is its own, since it depends on
     ``bound``, and its presentations, embeddings and products come from a
-    ring store of its own.
-
-    A generator product is the Euler polynomial of the pair's obstruction
-    class times the normal Euler factor of the common fixed locus in the
-    target's, reduced in the target's presentation; the ring store builds
-    it once per (class, embedding).  The table looks it up once per product
-    key (selection, common fixed set, target fixed set) of the analysis,
-    not once per pair, and ``products`` expands the keys to the pairs.
-    Each distinct selection is bundle-tested; a non-bundle raises, naming
-    the first pair in pair order that has one.  A bound below 1 raises."""
+    ring store of its own (``_RingStore``), which builds each generator
+    product once per (class, embedding).  The table looks it up once per
+    product key of the analysis, not once per pair, and ``products``
+    expands the keys to the pairs.  A selection that is not a bundle
+    raises, naming the first pair in pair order that has one.  A bound
+    below 1 raises."""
     return _table(model, bound, _RingStore())
 
 
@@ -397,17 +374,15 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     character multisets), and both must be genuine bundles.
 
     Each side reads the shared analysis of its model's read data
-    (``_analysis``), so ``verify_orbifold_iso`` on the same input reuses
-    them.  A fiber whose read data are the ambient's (the moment fiber of a
-    Lawrence model: the same base, arrangement and tangent terms, only the
-    trivial summand differs) reads the ambient's analysis, and its classes
-    are compared once per distinct selection.  A fiber with other data has
-    its own analysis; its pair list is compared with the ambient's, and the
-    two sides' classes are compared once per distinct (ambient selection,
-    fiber selection).  Every selection is bundle-tested, and a failing pair
-    is listed on its own: every pair whose selection is not a bundle, and
-    every pair whose two classes differ, is in ``failures``, in pair
-    order."""
+    (``_analysis``).  A fiber whose read data are the ambient's (the moment
+    fiber of a Lawrence model) reads the ambient's analysis, and its
+    classes are compared once per distinct selection.  A fiber with other
+    data has its own analysis; its pair list is compared with the
+    ambient's, and the two sides' classes are compared once per distinct
+    (ambient selection, fiber selection).  Every selection is bundle-tested,
+    and a failing pair is listed on its own: every pair whose selection is
+    not a bundle, and every pair whose two classes differ, is in
+    ``failures``, in pair order."""
     models = _lawrence_pair(a, _int_entries(theta, "character theta"))
     ambient, fiber = (_analysis(_Reads(m)) for m in models)
     if fiber is ambient:

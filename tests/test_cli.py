@@ -1,13 +1,17 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 import hypertoric.cli as cli
+import hypertoric.model as model_module
+import hypertoric.orbifold as orbifold_module
 from hypertoric import ObstructionPullbackReport, OrbifoldIsoReport, TorsionElement
 from hypertoric.chow import IsoReport
 from hypertoric.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, InputError, main, parse_model
 from hypertoric.orbifold import PullbackCheck
+from hypertoric.sampling import random_generic_instance
 
 
 def write(tmp_path, name, payload):
@@ -294,3 +298,31 @@ def test_verify_pass_lists_no_failures(tp12, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["obstruction_pullback"]["failures"] == []
     assert data["orbifold_iso"]["failures"] == []
+
+
+@pytest.mark.parametrize("kind", ["lawrence", "hypertoric"])
+@pytest.mark.parametrize("command", ["verify", "chart-check"])
+def test_each_command_arranges_its_input_once(command, kind, tmp_path, capsys, monkeypatch):
+    # verify reads the model the CLI parsed from the verifiers' memo, so the
+    # Lawrence model is arranged once, as for chart-check (verify arranged
+    # it twice); the output is that of a first run on empty memos
+    a, theta = random_generic_instance(random.Random(3), 2, 4)
+    path = write(tmp_path, "m.json", {"A": [list(r) for r in a.matrix.entries],
+                                      "theta": list(theta), "kind": kind})
+    assert main([command, "--input", path]) == EXIT_OK
+    cold = capsys.readouterr().out
+    orbifold_module._lawrence_pair.cache_clear()
+    orbifold_module._analysis.cache_clear()
+    arranged = []
+    arrange = model_module._git_arrangement
+
+    def spy(*args, **kwargs):
+        arranged.append(args)
+        return arrange(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "_git_arrangement", spy)
+    assert main([command, "--input", path]) == EXIT_OK
+    assert len(arranged) == 1
+    assert capsys.readouterr().out == cold
+    parsed = parse_model(path)
+    assert parsed.kind == kind and len(arranged) == 2

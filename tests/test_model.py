@@ -22,6 +22,7 @@ from hypertoric import (
     moment_eval,
     sector_model,
     sigma_set,
+    stabilizer_elements,
 )
 from hypertoric.exact import IntMatrix
 from hypertoric.model import _sign_rule
@@ -415,3 +416,27 @@ def test_indices_outside_the_matrix_are_refused():
             call()
     assert a.column(3) == (3,) and m.coordinate_char(6) == (-3,)
     assert m.coords_of_columns({1, 3}) == {1, 3, 4, 6}
+
+
+def test_column_indices_must_be_plain_ints():
+    # True was read as column 1, and 1.5 put 4.5 among the coordinates;
+    # 1.0 and 1.5 died in a bare TypeError
+    a = WeightMatrix.from_rows([[1, 2, 3]])
+    m = lawrence_model(a, [1])
+    for call, bad in [
+        (lambda: a.column(True), "{True}"), (lambda: a.column(1.5), "{1.5}"),
+        (lambda: a.column(1.0), "{1.0}"), (lambda: a.column("1"), "{1}"),
+        (lambda: a.columns_matrix([1, True]), "{1,True}"), (lambda: a.lattice([1.0]), "{1.0}"),
+        (lambda: m.coords_of_columns([1.5]), "{1.5}"), (lambda: m.coords_of_columns([2, 1.0]), "{2,1.0}"),
+        (lambda: stabilizer_elements(a, [1.0]), "{1.0}"),
+        (lambda: sector_model(m, frozenset({1.5, 2})), "{1.5,2}"),
+    ]:
+        with pytest.raises(ModelError, match=re.escape("columns %s are not all in 1..3" % bad)):
+            call()
+    with pytest.raises(ModelError, match=re.escape("columns {False} are not all in 1..6")):
+        m.coordinate_char(False)
+    assert a.columns == ((1,), (2,), (3,)) and (a.d, a.n) == (1, 3)
+    assert m.coords_of_columns([2, 1]) == {1, 2, 4, 5} and m.coords_of_columns([]) == frozenset()
+    # the cache slots are not part of the value
+    assert a == WeightMatrix(a.matrix) and hash(a) == hash(WeightMatrix(a.matrix))
+    assert a.replace(matrix=IntMatrix.from_rows([[4, 5]])).columns == ((4,), (5,))

@@ -295,8 +295,9 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     build_sector = inertia_module.sector_model
     enumerations, checked = [], []
 
-    monkeypatch.setattr(inertia_module, "_sectors",
-                        _counted(enumerations, inertia_module._sectors))
+    walk = _counted(enumerations, inertia_module._sectors)
+    for module in (inertia_module, analysis_module):
+        monkeypatch.setattr(module, "_sectors", walk)
     monkeypatch.setattr(SectorEmbedding, "check", _counted(checked, SectorEmbedding.check))
     work = _spy_work(monkeypatch)
 
@@ -577,9 +578,10 @@ def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypat
 
 
 def test_obstruction_kernel_work_counts(monkeypatch):
-    # one exponent evaluation per (element, tangent term) beyond those of the
-    # inertia pass, and one CharacterClass per distinct selection (distinct
-    # selections are distinct classes)
+    # one exponent evaluation per (sector, tangent term) for the whole table,
+    # the ages included (fixed columns are read without ``exponent``), and
+    # one CharacterClass per distinct selection (distinct selections are
+    # distinct classes)
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     model = lawrence_model(a, theta)
     fresh = SectorGeometry(model, truncation=4)
@@ -594,18 +596,16 @@ def test_obstruction_kernel_work_counts(monkeypatch):
         return exponent(g, w)
 
     monkeypatch.setattr(TorsionElement, "exponent", counted_exponent)
-    inertia_components(model)
-    baseline, calls = calls, Counter()
     made = []
     monkeypatch.setattr(analysis_module, "CharacterClass", _counted(made, CharacterClass))
     # the table's own first analysis, not the one ``fresh`` memoized
     orbifold_module._analysis.cache_clear()
-    orbifold_table(model, 4)
+    table = orbifold_table(model, 4)
 
-    extra = calls - baseline
-    tangent = {w for w, _ in model.tangent_class.terms}
-    assert extra and set(extra.values()) == {1}
-    assert {w for _, w in extra} <= tangent
+    tangent = [w for w, _ in model.tangent_class.terms]
+    assert len(table.components) > 1 and len(tangent) > 1
+    assert calls == Counter({(c.g, w): 1 for c in table.components for w in tangent})
+    assert [c.age for c in table.components] == [c.age for c in fresh.components]
     assert len(made) == len(classes)
 
 
@@ -723,10 +723,10 @@ def test_one_analysis_per_verify(monkeypatch):
     # no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     enumerations, walks, expansions, selections = [], [], [], []
-    monkeypatch.setattr(inertia_module, "_sectors",
-                        _counted(enumerations, inertia_module._sectors))
+    sectors = _counted(enumerations, inertia_module._sectors)
     walk = _counted(walks, inertia_module._blocks)
     for module in (inertia_module, analysis_module):
+        monkeypatch.setattr(module, "_sectors", sectors)
         monkeypatch.setattr(module, "_blocks", walk)
     monkeypatch.setattr(inertia_module, "_pairs", _counted(expansions, inertia_module._pairs))
     monkeypatch.setattr(inertia_module.DoubleInertia, "pairs",
@@ -738,7 +738,7 @@ def test_one_analysis_per_verify(monkeypatch):
     iso = verify_orbifold_iso(a, theta, 5)
     assert pull.ok and iso.ok and pull.checked > 1
     assert len(enumerations) == len(walks) == 1
-    assert {model.kind for model, in enumerations} == {"lawrence"}
+    assert {model.kind for model, _ in enumerations} == {"lawrence"}
     assert expansions == []
     assert orbifold_module._analysis.cache_info().currsize == 1
     # each block's selections once, so each pair's once

@@ -167,22 +167,32 @@ def test_orbifold_table_builds_no_sector_model_from_scratch(builder, monkeypatch
     assert not calls, dict(calls)
 
 
+def _count_decisions(monkeypatch):
+    """Count the stability table's decisions per column mask."""
+    decided = collections.Counter()
+    decide = inertia_module._Stability._decide
+
+    def counted(table, mask):
+        decided[mask] += 1
+        return decide(table, mask)
+
+    monkeypatch.setattr(inertia_module._Stability, "_decide", counted)
+    return decided
+
+
 def test_pairs_decide_each_common_set_once(monkeypatch):
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 4))
     fixed = {c.g: c.fixed_columns for c in inertia_components(model)}
-    decided = collections.Counter()
-    stable_fixed = inertia_module._stable_fixed
-
-    def counted(m, cols):
-        decided[cols] += 1
-        return stable_fixed(m, cols)
-
-    monkeypatch.setattr(inertia_module, "_stable_fixed", counted)
+    decided = _count_decisions(monkeypatch)
+    ranks = []
+    monkeypatch.setattr(model_module, "hnf", lambda *args: ranks.append(args))
     pairs = _pairs(model, fixed)
     commons = {f1 & f2 for f1 in fixed.values() for f2 in fixed.values()}
-    assert set(decided) == commons
+    assert set(decided) == {inertia_module._mask(c) for c in commons}
     assert max(decided.values()) == 1
     assert len(pairs) > len(commons)
+    # the rank test is basis containment: no Hermite form is computed
+    assert ranks == []
 
 
 def test_inertia_elements_decide_each_fixed_set_once(monkeypatch):
@@ -191,19 +201,13 @@ def test_inertia_elements_decide_each_fixed_set_once(monkeypatch):
     candidates = set()
     for basis in inertia_module.column_bases(a):
         candidates |= inertia_module.stabilizer_elements(a, basis)
-    decided = collections.Counter()
-    stable_fixed = inertia_module._stable_fixed
-
-    def counted(m, cols):
-        decided[cols] += 1
-        return stable_fixed(m, cols)
-
-    monkeypatch.setattr(inertia_module, "_stable_fixed", counted)
+    decided = _count_decisions(monkeypatch)
     elems = inertia_module.inertia_elements(model)
-    assert set(decided) == {inertia_module.fixed_columns(a, g) for g in candidates}
+    fixed_sets = {inertia_module.fixed_columns(a, g) for g in candidates}
+    assert set(decided) == {inertia_module._mask(f) for f in fixed_sets}
     assert max(decided.values()) == 1
     assert len(candidates) > len(decided)
-    monkeypatch.setattr(inertia_module, "_stable_fixed", stable_fixed)
+    monkeypatch.undo()
     assert elems == sorted(g for g in candidates if inertia_module._in_inertia(model, g))
 
 
