@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import mul
 
 from .characters import CharacterClass
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _blocks, _sectors, _Stability
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _blocks, _sectors, _Stability
 from .model import StackModel
 
 
@@ -30,8 +29,8 @@ class _Obstructions:
 
     Per character w_k of the model's tangent class, an element g has the
     exponent e_k(g) = <w_k, nums> mod ord g; the exponent vector of each
-    element is computed once, on first use, and the age of g is read off
-    it: sum_k m_k e_k(g) / ord g, over the int multiplicities ``mults``.
+    element is computed once, on first use, and the analysis reads the age
+    of g off it (``inertia._age``, over the int multiplicities ``mults``).
     The *selection* of an ordered pair is the set of the k with
     e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1, which is the rule of
     ``orbifold.obstruction``, held as an int bitmask (bit k for term k);
@@ -57,9 +56,6 @@ class _Obstructions:
         if e is None:
             e = self._exponents[g] = tuple(map(g.exponent, self.chars))
         return e
-
-    def age(self, g: TorsionElement) -> Fraction:
-        return Fraction(sum(map(mul, self.mults, self.exponent_vector(g))), g.order)
 
     def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
         """Indices of the tangent terms in the obstruction of (g1, g2)."""
@@ -143,7 +139,8 @@ class _Analysis:
         stable = _Stability(model)
         sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
-        self.components = tuple(InertiaComponent(g, fixed, kernel.age(g)) for g, fixed, _ in sectors)
+        self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, kernel.exponent_vector(g), g.order))
+                                for g, fixed, _ in sectors)
         self.index = {c.g: i for i, c in enumerate(self.components)}
         self.double = _blocks(stable, sectors)
         big = self.double.big

@@ -28,7 +28,7 @@ import sys
 from .chow import graded_group, presentation
 from .inertia import TorsionElement, inertia_components
 from .model import DIRECT, ModelError, NonGenericError, StackModel, _json_ints, model_from_dict
-from .orbifold import _lawrence_pair, orbifold_table, verify_obstruction_pullback, verify_orbifold_iso
+from .orbifold import orbifold_table, verify_obstruction_pullback, verify_orbifold_iso
 from .poly import format_poly
 from .verifiers import LocalModelSRE, hypertoric_normal_data, sre_condition_iii, verify_charts
 
@@ -51,17 +51,17 @@ def _load_json(path: str):
         raise InputError("malformed JSON in %s: %s" % (path, exc)) from exc
 
 
-def _model_from_json(data, lawrence_pair=None) -> StackModel:
+def _model_from_json(data) -> StackModel:
     try:
-        return model_from_dict(data, lawrence_pair)
+        return model_from_dict(data)
     except NonGenericError as exc:
         raise InputError("non-generic: %s" % exc.report.describe()) from exc
     except ModelError as exc:
         raise InputError(str(exc)) from exc
 
 
-def parse_model(path: str, lawrence_pair=None) -> StackModel:
-    return _model_from_json(_load_json(path), lawrence_pair)
+def parse_model(path: str) -> StackModel:
+    return _model_from_json(_load_json(path))
 
 
 def _cmd_analyze(model: StackModel, args) -> tuple[int, dict]:
@@ -313,8 +313,7 @@ def run(args) -> int:
     if args.command == "sre-check":
         code, payload = _cmd_sre_check(args)
     else:
-        # verify reads the verifiers' model memo, so the input is built once
-        model = parse_model(args.input, _lawrence_pair if args.command == "verify" else None)
+        model = parse_model(args.input)
         code, payload = _MODEL_COMMANDS[args.command](model, args)
     if args.format == "json":
         print(json.dumps(payload, indent=2))

@@ -191,15 +191,18 @@ class _Stability:
     passes when it contains a basis mask (so its rank is d, with no Hermite
     form) and no minimal unstable coordinate mask lies in the dead
     coordinates: over a dead column mask D they are D | D << n in a doubled
-    model (y_j is bit n + j), else D.  ``bases`` are the sigma-set bases,
-    one per column basis; a model with none (a direct model built from
-    unstable sets) reads ``column_bases`` once."""
+    model (y_j is bit n + j), else D.  ``bases`` are column sets of rank d;
+    by default the sigma-set bases, one per column basis, and a model with
+    none (a direct model built from unstable sets) reads ``column_bases``
+    once."""
 
     __slots__ = ("bases", "_basis_masks", "_unstable", "_all", "_shift", "_decided")
 
-    def __init__(self, model: StackModel):
-        self.bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
-        self._basis_masks = tuple(map(_mask, self.bases))
+    def __init__(self, model: StackModel, bases=None):
+        if bases is None:
+            bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
+        self.bases = bases
+        self._basis_masks = tuple(map(_mask, bases))
         self._unstable = tuple(map(_mask, model.arrangement.unstable_minimal))
         self._all = _mask(range(1, model.n + 1))
         self._shift = model.n if model.doubled else 0
@@ -220,8 +223,12 @@ class _Stability:
 
 
 def _stable_fixed(model: StackModel, cols) -> bool:
-    """The stability rule (``_Stability``) for one set of columns."""
-    return _Stability(model)(_mask(cols))
+    """The stability rule (``_Stability``) for one set of columns, with no
+    walk of the column bases: the rank is read off one Hermite form, and a
+    set of rank d is the one basis its own test needs."""
+    a = model.base
+    cols = tuple(cols)
+    return len(a.lattice(cols)) == a.d and _Stability(model, (cols,))(_mask(cols))
 
 
 def _in_inertia(model: StackModel, g: TorsionElement) -> bool:
@@ -277,9 +284,15 @@ def age(model: StackModel, g: TorsionElement) -> Fraction:
 
 
 def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
-    # frac<w, v> = exponent / order, and tangent multiplicities are integers
-    total = sum(m.numerator * g.exponent(w) for w, m in model.tangent_class.terms)
-    return Fraction(total, g.order)
+    terms = model.tangent_class.terms
+    return _age([m.numerator for _, m in terms], [g.exponent(w) for w, _ in terms], g.order)
+
+
+def _age(mults, exponents, order: int) -> Fraction:
+    """sum_k m_k e_k / order, the age of an element of that order with the
+    exponents e_k on tangent terms of int multiplicities m_k: frac<w, v> is
+    the exponent over the order."""
+    return Fraction(sum(map(mul, mults, exponents)), order)
 
 
 def sector_unstable_sets(model: StackModel, fixed: frozenset[int]) -> list[frozenset[int]]:
@@ -446,12 +459,6 @@ def _blocks(stable: _Stability, sectors) -> DoubleInertia:
     blocks = [PairBlock(sets[m1], sets[m2], sets[m1] & sets[m2], rows, cols)
               for m1, rows in groups.items() for m2, cols in groups.items() if stable(m1 & m2)]
     return DoubleInertia([g for g, _, _ in sectors], [fixed for _, fixed, _ in sectors], blocks)
-
-
-def _pairs(model: StackModel, fixed: dict) -> list[DoubleInertiaComponent]:
-    """The expanded blocks of ``_blocks`` for the sectors keyed in ``fixed``
-    (element -> fixed columns), in the order of the walk over all pairs."""
-    return _blocks(_Stability(model), [(g, f, _mask(f)) for g, f in fixed.items()]).pairs()
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:

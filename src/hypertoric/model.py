@@ -11,6 +11,7 @@ are refused).  In a doubled model coordinate j is x_j for j <= n, else y_{j-n}.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -332,6 +333,15 @@ def _moment_fiber(lm: StackModel) -> StackModel:
     return StackModel(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement, tangent)
 
 
+@functools.lru_cache(maxsize=2)
+def _lawrence_pair(a: WeightMatrix, theta: tuple[int, ...]) -> tuple[StackModel, StackModel]:
+    """The Lawrence model of ``(a, theta)``, ``theta`` as ints, and its
+    moment fiber: a parsed input and the verifiers of it read one pair.
+    A build that raises is not stored."""
+    ambient = lawrence_model(a, theta)
+    return ambient, _moment_fiber(ambient)
+
+
 def hypertoric_model(a: WeightMatrix, theta) -> StackModel:
     """Moment-fiber model inside the Lawrence model: same arrangement, with
     the d trivial tangent directions of the moment map removed.  Its kind
@@ -370,14 +380,14 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
     return StackModel(DIRECT, a, a, theta, arrangement, tangent)
 
 
-def model_from_dict(data: dict, lawrence_pair=None) -> StackModel:
+def model_from_dict(data: dict) -> StackModel:
     """Build a model from the JSON input schema:
 
       {"A": [[...]], "theta": [...], "kind": "lawrence"|"hypertoric"|"direct",
        "unstable": [[...]]}   (unstable: direct models only)
 
-    A lawrence or hypertoric model is taken from ``lawrence_pair``, if given:
-    a map of ``(A, int theta)`` to the Lawrence model and its moment fiber."""
+    A lawrence or hypertoric model is read from the memo of Lawrence models
+    and their moment fibers (``_lawrence_pair``) that the verifiers read."""
     if not isinstance(data, dict):
         raise ModelError("model file must contain a JSON object")
     if "A" not in data:
@@ -407,10 +417,7 @@ def model_from_dict(data: dict, lawrence_pair=None) -> StackModel:
         raise ModelError("%s model requires a character 'theta'" % kind)
     if "unstable" in data:
         raise ModelError("explicit unstable sets are only allowed for direct models")
-    if lawrence_pair is not None:
-        return lawrence_pair(a, _int_entries(theta, "character theta"))[kind == HYPERTORIC]
-    builder = lawrence_model if kind == LAWRENCE else hypertoric_model
-    return builder(a, theta)
+    return _lawrence_pair(a, _int_entries(theta, "character theta"))[kind == HYPERTORIC]
 
 
 def _json_ints(value, what: str, depth: int):

@@ -9,7 +9,6 @@ isomorphic orbifold rings with identical structure constants and ages.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -17,7 +16,7 @@ from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Re
 from .characters import CharacterClass
 from .chow import GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, product_coefficients, product_of_forms
 from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, sector_unstable_sets
-from .model import StackModel, WeightMatrix, _int_entries, _moment_fiber, lawrence_model
+from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
 
 
@@ -417,15 +416,6 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
             failures.append(
                 PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
     return ObstructionPullbackReport(not failures, len(ambient.double), tuple(failures))
-
-
-@functools.lru_cache(maxsize=2)
-def _lawrence_pair(a: WeightMatrix, theta: tuple[int, ...]) -> tuple[StackModel, StackModel]:
-    """The Lawrence model of ``(a, theta)``, ``theta`` as ints, and its
-    moment fiber: the pullback and the iso check of one input read one
-    pair.  A build that raises is not stored."""
-    ambient = lawrence_model(a, theta)
-    return ambient, _moment_fiber(ambient)
 
 
 class OrbifoldIsoReport(NamedTuple):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.model as model_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     TorsionElement,
@@ -17,7 +18,7 @@ def _no_memoized_analysis():
     # each test starts with empty analysis and model memos, so no test
     # depends on which models an earlier one built or analysed
     orbifold_module._analysis.cache_clear()
-    orbifold_module._lawrence_pair.cache_clear()
+    model_module._lawrence_pair.cache_clear()
 
 
 @pytest.fixture

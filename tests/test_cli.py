@@ -303,15 +303,16 @@ def test_verify_pass_lists_no_failures(tp12, capsys):
 @pytest.mark.parametrize("kind", ["lawrence", "hypertoric"])
 @pytest.mark.parametrize("command", ["verify", "chart-check"])
 def test_each_command_arranges_its_input_once(command, kind, tmp_path, capsys, monkeypatch):
-    # verify reads the model the CLI parsed from the verifiers' memo, so the
-    # Lawrence model is arranged once, as for chart-check (verify arranged
-    # it twice); the output is that of a first run on empty memos
+    # every command parses its model through the memo the verifiers read,
+    # so the Lawrence model is arranged once, as for chart-check (verify
+    # arranged it twice); the output is that of a first run on empty memos,
+    # and parsing the input again reads the same model
     a, theta = random_generic_instance(random.Random(3), 2, 4)
     path = write(tmp_path, "m.json", {"A": [list(r) for r in a.matrix.entries],
                                       "theta": list(theta), "kind": kind})
     assert main([command, "--input", path]) == EXIT_OK
     cold = capsys.readouterr().out
-    orbifold_module._lawrence_pair.cache_clear()
+    model_module._lawrence_pair.cache_clear()
     orbifold_module._analysis.cache_clear()
     arranged = []
     arrange = model_module._git_arrangement
@@ -325,4 +326,6 @@ def test_each_command_arranges_its_input_once(command, kind, tmp_path, capsys, m
     assert len(arranged) == 1
     assert capsys.readouterr().out == cold
     parsed = parse_model(path)
-    assert parsed.kind == kind and len(arranged) == 2
+    assert parsed.kind == kind and len(arranged) == 1
+    builder = model_module.lawrence_model if kind == "lawrence" else model_module.hypertoric_model
+    assert parsed == builder(a, theta) and len(arranged) == 2

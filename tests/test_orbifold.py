@@ -617,7 +617,7 @@ def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
     entering = Counter(w for p in geo.pairs
                        for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms)
     bad, _ = entering.most_common(1)[0]
-    fiber = orbifold_module._moment_fiber
+    fiber = model_module._moment_fiber
 
     def broken(lm):
         out = fiber(lm)
@@ -625,9 +625,9 @@ def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
         terms = tuple((w, Fraction(multiplicity) if w == bad else m) for w, m in tangent.terms)
         return out.replace(tangent_class=CharacterClass(out.d, terms, tangent.trivial))
 
-    monkeypatch.setattr(orbifold_module, "_moment_fiber", broken)
+    monkeypatch.setattr(model_module, "_moment_fiber", broken)
     # the verifiers' model pairs built before the patch hold the unbroken fiber
-    orbifold_module._lawrence_pair.cache_clear()
+    model_module._lawrence_pair.cache_clear()
     return bad, geo
 
 
@@ -672,7 +672,7 @@ def test_fiber_with_a_doubled_character_fails_every_pair_it_enters(monkeypatch):
 def test_table_of_a_non_bundle_model_raises(monkeypatch):
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     _fiber_with_negative_term(monkeypatch, a, theta)
-    broken = orbifold_module._moment_fiber(lawrence_model(a, theta))
+    broken = model_module._moment_fiber(lawrence_model(a, theta))
     with pytest.raises(ObstructionError):
         orbifold_table(broken, 4)
     geo = SectorGeometry(broken, truncation=4)
@@ -728,7 +728,6 @@ def test_one_analysis_per_verify(monkeypatch):
     for module in (inertia_module, analysis_module):
         monkeypatch.setattr(module, "_sectors", sectors)
         monkeypatch.setattr(module, "_blocks", walk)
-    monkeypatch.setattr(inertia_module, "_pairs", _counted(expansions, inertia_module._pairs))
     monkeypatch.setattr(inertia_module.DoubleInertia, "pairs",
                         _counted(expansions, inertia_module.DoubleInertia.pairs))
     monkeypatch.setattr(orbifold_module._Analysis, "_selections",

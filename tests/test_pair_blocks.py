@@ -73,7 +73,7 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
         expected = walk_pairs(model)
         fixed = {c.g: c.fixed_columns for c in analysis.components}
         assert list(analysis.pairs) == expected, name
-        assert double_inertia(model) == inertia_module._pairs(model, fixed) == expected, name
+        assert double_inertia(model) == expected, name
         assert len(double) == len(expected)
         elements = double.elements
         for b, (block, ids) in enumerate(zip(double.blocks, analysis.ids)):

@@ -25,7 +25,7 @@ from hypertoric import (
     orbifold_table,
     sector_model,
 )
-from hypertoric.inertia import DoubleInertiaComponent, _pairs
+from hypertoric.inertia import DoubleInertiaComponent
 from hypertoric.sampling import random_generic_instance
 
 BUILDERS = ("lawrence_model", "hypertoric_model", "direct_model")
@@ -56,6 +56,13 @@ def restricted_direct(model, fixed):
                   for s in model.arrangement.unstable_minimal}
     minimal = [s for s in restricted if not any(t < s for t in restricted)]
     return direct_model(sub, unstable=minimal, theta=model.theta)
+
+
+def _pairs(model, fixed):
+    """The expanded blocks for the sectors keyed in ``fixed`` (element ->
+    fixed columns), decided on a fresh stability table, in pair order."""
+    sectors = [(g, f, inertia_module._mask(f)) for g, f in fixed.items()]
+    return inertia_module._blocks(inertia_module._Stability(model), sectors).pairs()
 
 
 def sector_and_pair_sets(model):
