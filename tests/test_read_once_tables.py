@@ -141,6 +141,24 @@ def test_one_column_basis_walk_and_no_rank_form_per_verify(monkeypatch):
     assert ranked and True not in ranked
 
 
+def test_one_off_age_walks_no_column_bases(monkeypatch, mu3_model):
+    # the public age decides its one fixed set with one Hermite rank, and
+    # builds no table of column bases, on a direct model built from
+    # unstable sets (whose table would walk all C(n, d) subsets) and on a
+    # Lawrence model alike
+    walks, ranked = [], []
+    walk, rank = inertia_module.column_bases, model_module.hnf
+    monkeypatch.setattr(inertia_module, "column_bases", lambda m: walks.append(m) or walk(m))
+    monkeypatch.setattr(model_module, "hnf", lambda *args: ranked.append(args) or rank(*args))
+    lawrence = lawrence_model(*random_generic_instance(random.Random(3), 2, 5))
+    for model in (mu3_model, lawrence):
+        for c in inertia_components(model):
+            walks.clear()
+            ranked.clear()
+            assert age(model, c.g) == c.age
+            assert walks == [] and len(ranked) == 1
+
+
 def fraction_age(model, g) -> Fraction:
     total = Fraction(0)
     terms = [*model.tangent_class.terms, ((0,) * model.d, model.tangent_class.trivial)]
