@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import itemgetter
 
 from .characters import CharacterClass
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _blocks, _sectors, _Stability
+from .inertia import (DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _over_common_order, _sectors,
+                      _Stability)
 from .model import StackModel
 
 
@@ -113,27 +115,82 @@ class _Reads:
         return self._hash
 
 
+class PairBlock:
+    """Every ordered pair of a sector over ``fixed1`` and a sector over
+    ``fixed2``, when their common set ``common`` passes ``_Stability``.
+    Stability reads only the two fixed sets, so the double inertia is a
+    union of such full blocks.  ``rows`` and ``cols`` are the indices of
+    the two sets' sectors, in sector order; the block's pairs are
+    ``rows x cols``, row-major, and a pair's position in the block is
+    ``row position * len(cols) + column position``."""
+
+    __slots__ = ("fixed1", "fixed2", "common", "rows", "cols")
+
+    def __init__(self, fixed1: frozenset[int], fixed2: frozenset[int], common: frozenset[int],
+                 rows: tuple[int, ...], cols: tuple[int, ...]):
+        self.fixed1, self.fixed2, self.common = fixed1, fixed2, common
+        self.rows, self.cols = rows, cols
+
+
+def _blocks(stable: _Stability, sectors) -> list[PairBlock]:
+    """The stable pairs of ``sectors`` ((element, fixed columns, mask), in
+    sector order), as blocks: the sectors are grouped by fixed set, and
+    ``stable`` decides each pair of fixed sets on the mask of the common
+    set, once per distinct common set, so no pair is formed to decide it."""
+    groups: dict[int, list[int]] = {}
+    sets: dict[int, frozenset[int]] = {}
+    for i, (_, fixed, mask) in enumerate(sectors):
+        groups.setdefault(mask, []).append(i)
+        sets[mask] = fixed
+    groups = {mask: tuple(indices) for mask, indices in groups.items()}
+    return [PairBlock(sets[m1], sets[m2], sets[m1] & sets[m2], rows, cols)
+            for m1, rows in groups.items() for m2, cols in groups.items() if stable(m1 & m2)]
+
+
+def _packer(big: int, count: int, threshold: int):
+    """Packs of ``count`` ints in [0, big), one int each: a field of
+    ``w + 1`` bits per value, with 2**w > big.  Returns ``(pack, lift,
+    tops, w)``: ``pack(values)``, the pack of 2**w - threshold in every
+    field, and the pack of every field's top bit 2**w.
+
+    A field of pack1 + pack2 + lift holds a + b + 2**w - threshold.  For a
+    threshold of ``big`` or ``big + 1`` that is in [0, 2**(w + 1)), so no
+    field carries into the next, and the field's top bit is set exactly
+    when a + b >= threshold: one addition and one ``& tops`` decide every
+    field at once.  Targets use threshold L, the common order, and
+    subtract L from each field whose bit is set, which leaves the pack of
+    the sum mod L; selections use L + 1, so the bit is t1 + t2 > L."""
+    width = big.bit_length()
+    fields = range(0, count * (width + 1), width + 1)
+
+    def pack(values) -> int:
+        return sum(v << f for f, v in zip(fields, values))
+
+    return pack, pack([2 ** width - threshold] * count), pack([1 << width] * count), width
+
+
 class _Analysis:
     """The inertia analysis of one value of read data (``_Reads``), shared
-    by every table and verifier of every model with that data: the
-    sectors, their ages read off the kernel's exponent vectors, the double
-    inertia as blocks of fixed-set pairs (``inertia.DoubleInertia``; the
-    sectors and the blocks read one ``inertia._Stability`` table), the
-    obstruction kernel, and each pair's product key (selection, common
-    fixed set, target fixed set), on which its generator product depends.  The distinct keys are ``keys``;
-    ``ids[b]`` holds the key index of each pair of block ``b``, row-major,
-    the only per-pair data kept.  Per-pair objects are built only at the
-    boundary (``pairs``, ``walk``).
+    by every table and verifier of every model with that data, and the one
+    owner of its double inertia: the sectors, their ages read off the
+    kernel's exponent vectors, the pair blocks (``PairBlock``; the sectors
+    and the blocks read one ``inertia._Stability`` table), the obstruction
+    kernel, and each pair's product key (selection, common fixed set,
+    target fixed set), on which its generator product depends.  The
+    distinct keys are ``keys``; ``ids[b]`` holds the key index of each pair
+    of block ``b``, row-major, the only per-pair data kept.  ``walk``,
+    ``locate``, ``target`` and ``len`` read the blocks with no pair built;
+    ``pairs`` expands them, on first use.
 
-    Selections are computed inside each block on exponent vectors over
-    the common order L of the sectors, t_k(g) = e_k(g) * (L / ord g), where
-    the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
-    t1 + t2 > L.  A sector's t's are packed into one int, a field of
-    ``w + 1`` bits per tangent term with 2**w > L (``_lows``), and again
-    with 2**w - L - 1 added to each field (``_highs``).  A field of
-    low + high holds t1 + t2 + 2**w - L - 1, in [0, 2**(w + 1)), so no
-    field carries into the next, and its top bit is set exactly when
-    t1 + t2 > L: one addition and one mask give a pair's selection."""
+    The sum of a stable pair fixes the common set, so it is a sector too.
+    It is looked up, not built: each element's numerators over the common
+    order L of the sectors are packed (``_packer``, threshold L), and the
+    folded sum of two packs is the pack of the sum.  A pair's selection is
+    computed on exponent vectors over L, t_k(g) = e_k(g) * (L / ord g),
+    where the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
+    t1 + t2 > L: each sector's t's are packed (threshold L + 1), once as
+    they are (``_lows``) and once with the lift added (``_highs``), so one
+    addition and one mask give a pair's selection."""
 
     def __init__(self, model: StackModel):
         stable = _Stability(model)
@@ -141,59 +198,94 @@ class _Analysis:
         self.obstructions = kernel = _Obstructions(model)
         self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, kernel.exponent_vector(g), g.order))
                                 for g, fixed, _ in sectors)
-        self.index = {c.g: i for i, c in enumerate(self.components)}
-        self.double = _blocks(stable, sectors)
-        big = self.double.big
-        width = big.bit_length()
-        fields = [k * (width + 1) for k in range(len(kernel.terms))]
-        tops = [1 << (f + width) for f in fields]
-        self._lows = [sum(e * (big // c.g.order) << f
-                          for f, e in zip(fields, kernel.exponent_vector(c.g)))
-                      for c in self.components]
-        lift = sum((2 ** width - big - 1) << f for f in fields)
+        self.elements = tuple(c.g for c in self.components)
+        self.index = {g: i for i, g in enumerate(self.elements)}
+        self.blocks = _blocks(stable, sectors)
+        self._block_of = {(b.fixed1, b.fixed2): k for k, b in enumerate(self.blocks)}
+        # every sector pairs with the identity, so every fixed set has a block
+        self._position = [0] * len(sectors)
+        for b in self.blocks:
+            for r, i in enumerate(b.rows):
+                self._position[i] = r
+        big, scaled = _over_common_order(self.elements)
+        pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
+        self._big, self._packs = big, [pack(scaled[g]) for g in self.elements]
+        self._by_pack = {p: i for i, p in enumerate(self._packs)}
+        count = len(kernel.terms)
+        pack, lift, self._tops, width = _packer(big, count, big + 1)
+        self._lows = [pack(e * (big // g.order) for e in kernel.exponent_vector(g)) for g in self.elements]
         self._highs = [p + lift for p in self._lows]
-        self._tops = sum(tops)
+        fixed = [c.fixed_columns for c in self.components]
         key_index: dict = {}
         ids = []
-        for block in self.double.blocks:
+        for block in self.blocks:
             per_pair = list(zip(self._selections(block),
-                                map(self.double.fixed.__getitem__, self.double.targets(block))))
+                                map(fixed.__getitem__, self._targets(block.rows, block.cols))))
             local = dict.fromkeys(per_pair)
             for spread, target_fixed in local:
-                mask = sum(1 << k for k, top in enumerate(tops) if spread & top)
+                mask = sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1)
                 local[spread, target_fixed] = key_index.setdefault(
                     (mask, block.common, target_fixed), len(key_index))
             ids.append(tuple(map(local.__getitem__, per_pair)))
         self.keys = tuple(key_index)
         self.ids = tuple(ids)
 
-    def _selections(self, block) -> list[int]:
+    def _selections(self, block: PairBlock) -> list[int]:
         """Each pair's selection, row-major, with term k at the top bit of
         field k."""
         lows, highs, tops = self._lows, self._highs, self._tops
         cols = [highs[j] for j in block.cols]
         return [(lows[i] + h) & tops for i in block.rows for h in cols]
 
+    def _targets(self, rows, cols) -> list[int]:
+        """``target`` of each pair of ``rows x cols``, row-major."""
+        packs, by_pack, big = self._packs, self._by_pack, self._big
+        lift, tops, width = self._lift, self._sum_tops, self._width
+        cols = [packs[j] for j in cols]
+        return [by_pack[(s := packs[i] + q) - (((s + lift) & tops) >> width) * big]
+                for i in rows for q in cols]
+
+    def target(self, i1: int, i2: int) -> int:
+        """The sector index of the sum of sectors i1 and i2."""
+        return self._targets((i1,), (i2,))[0]
+
+    def __len__(self) -> int:
+        return sum(len(b.rows) * len(b.cols) for b in self.blocks)
+
     def walk(self):
-        """(g1, g2, key index) of every pair, in pair order."""
-        el, ids = self.double.elements, self.ids
-        for i1, i2, b, pos in self.double.walk():
-            yield el[i1], el[i2], ids[b][pos]
+        """(i1, i2, key index) of every pair, in pair order: g1 in sector
+        order, then g2.  Each fixed set's partners are sorted back into
+        sector order."""
+        rows: dict[frozenset[int], list] = {}
+        for b, ids in zip(self.blocks, self.ids):
+            width = len(b.cols)
+            rows.setdefault(b.fixed1, []).extend((j, ids, k, width) for k, j in enumerate(b.cols))
+        for row in rows.values():
+            row.sort(key=itemgetter(0))
+        for i1, c in enumerate(self.components):
+            r = self._position[i1]
+            for i2, ids, k, width in rows[c.fixed_columns]:
+                yield i1, i2, ids[r * width + k]
 
     @functools.cached_property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
-        """The expanded double inertia, built on first use."""
-        return tuple(self.double.pairs())
+        """The expanded double inertia, in pair order, built on first use."""
+        el, keys = self.elements, self.keys
+        return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[self.target(i1, i2)])
+                     for i1, i2, k in self.walk())
 
     def locate(self, g1: TorsionElement, g2: TorsionElement) -> tuple | None:
         """(key index, target) of the pair (g1, g2), or None when it is not
         a stable pair of sectors."""
         i1, i2 = self.index.get(g1), self.index.get(g2)
-        found = None if i1 is None or i2 is None else self.double.locate(i1, i2)
-        if found is None:
+        if i1 is None or i2 is None:
             return None
-        b, pos = found
-        return self.ids[b][pos], self.double.elements[self.double.target(i1, i2)]
+        comps = self.components
+        b = self._block_of.get((comps[i1].fixed_columns, comps[i2].fixed_columns))
+        if b is None:
+            return None
+        pos = self._position[i1] * len(self.blocks[b].cols) + self._position[i2]
+        return self.ids[b][pos], self.elements[self.target(i1, i2)]
 
 
 @functools.lru_cache(maxsize=2)

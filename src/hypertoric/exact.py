@@ -18,8 +18,9 @@ from .value import Value
 
 
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
-    """Coerce a sequence of ints/Fractions/strings like '2/3' to Fractions."""
-    return tuple(Fraction(v) for v in values)
+    """Coerce a sequence of ints/Fractions/strings like '2/3' to Fractions;
+    a ``Fraction`` itself is passed through, not rebuilt."""
+    return tuple(v if v.__class__ is Fraction else Fraction(v) for v in values)
 
 
 def as_int(value) -> int:

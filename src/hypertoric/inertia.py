@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 from .characters import CharacterClass
@@ -345,124 +345,9 @@ def inertia_components(model: StackModel) -> list[InertiaComponent]:
             for g, fixed, _ in _sectors(model, _Stability(model))]
 
 
-class PairBlock:
-    """Every ordered pair of a sector over ``fixed1`` and a sector over
-    ``fixed2``, when their common set ``common`` passes ``_Stability``.
-    Stability reads only the two fixed sets, so the double inertia is a
-    union of such full blocks.  ``rows`` and ``cols`` are the indices of
-    the two sets' sectors, in sector order; the block's pairs are
-    ``rows x cols``, row-major, and a pair's position in the block is
-    ``row position * len(cols) + column position``."""
-
-    __slots__ = ("fixed1", "fixed2", "common", "rows", "cols")
-
-    def __init__(self, fixed1: frozenset[int], fixed2: frozenset[int], common: frozenset[int],
-                 rows: tuple[int, ...], cols: tuple[int, ...]):
-        self.fixed1, self.fixed2, self.common = fixed1, fixed2, common
-        self.rows, self.cols = rows, cols
-
-
-class DoubleInertia:
-    """The stable pairs of a list of sectors, held as blocks of fixed-set
-    pairs (``PairBlock``), in the order of the pairs of fixed sets.
-
-    Nothing is stored per pair: ``walk`` yields the pairs in the order of
-    the walk over all ordered pairs (g1 in sector order, then g2),
-    ``pairs`` expands them into ``DoubleInertiaComponent``s, ``locate``
-    finds one pair's block without a walk, and ``targets`` gives the sums
-    of one block's pairs.
-
-    The sum of a stable pair fixes the common set, so it is a sector too.
-    It is looked up, not built: each element's numerators over the common
-    order L are packed into one int, a field of ``w + 1`` bits per
-    coordinate with 2**w > L, so two packs add field by field with no
-    carry between fields.  Adding 2**w - L to every field sets a field's
-    top bit exactly when its sum reaches L, and subtracting L from those
-    fields leaves the pack of the sum mod L."""
-
-    def __init__(self, elements, fixed, blocks):
-        self.elements = tuple(elements)
-        self.fixed = tuple(fixed)
-        self.blocks = tuple(blocks)
-        self._block_of = {(b.fixed1, b.fixed2): k for k, b in enumerate(self.blocks)}
-        # every sector pairs with the identity, so every fixed set has a block
-        self._position = [0] * len(self.elements)
-        for b in self.blocks:
-            for r, i in enumerate(b.rows):
-                self._position[i] = r
-        self.big, scaled = _over_common_order(self.elements)
-        self._width = width = self.big.bit_length()
-        fields = [k * (width + 1) for k in range(len(self.elements[0].nums))]
-        self._tops = sum(1 << (f + width) for f in fields)
-        self._offset = sum((2 ** width - self.big) << f for f in fields)
-        self._packs = [sum(a << f for f, a in zip(fields, scaled[g])) for g in self.elements]
-        self._by_pack = {p: i for i, p in enumerate(self._packs)}
-
-    def __len__(self) -> int:
-        return sum(len(b.rows) * len(b.cols) for b in self.blocks)
-
-    def walk(self):
-        """(i1, i2, block index, position in the block) of every pair, in
-        pair order: g1 in sector order, then g2.  Each fixed set's partners
-        are sorted back into sector order."""
-        rows: dict[frozenset[int], list] = {}
-        for k, b in enumerate(self.blocks):
-            width = len(b.cols)
-            rows.setdefault(b.fixed1, []).extend((j, k, c, width) for c, j in enumerate(b.cols))
-        for row in rows.values():
-            row.sort(key=itemgetter(0))
-        for i1, f1 in enumerate(self.fixed):
-            r = self._position[i1]
-            for i2, k, c, width in rows[f1]:
-                yield i1, i2, k, r * width + c
-
-    def locate(self, i1: int, i2: int) -> tuple[int, int] | None:
-        """(block index, position) of the pair of sectors i1, i2, or None
-        when the pair is not stable."""
-        k = self._block_of.get((self.fixed[i1], self.fixed[i2]))
-        if k is None:
-            return None
-        return k, self._position[i1] * len(self.blocks[k].cols) + self._position[i2]
-
-    def target(self, i1: int, i2: int) -> int:
-        """The sector index of the sum of sectors i1 and i2."""
-        s = self._packs[i1] + self._packs[i2]
-        return self._by_pack[s - (((s + self._offset) & self._tops) >> self._width) * self.big]
-
-    def targets(self, block: PairBlock) -> list[int]:
-        """``target`` of each pair of the block, row-major."""
-        packs, by_pack, big = self._packs, self._by_pack, self.big
-        offset, tops, width = self._offset, self._tops, self._width
-        cols = [packs[j] for j in block.cols]
-        return [by_pack[(s := packs[i] + q) - (((s + offset) & tops) >> width) * big]
-                for i in block.rows for q in cols]
-
-    def pairs(self) -> list[DoubleInertiaComponent]:
-        """The expanded view: one ``DoubleInertiaComponent`` per pair, in
-        pair order."""
-        el, blocks = self.elements, self.blocks
-        return [DoubleInertiaComponent(el[i1], el[i2], blocks[k].common, el[self.target(i1, i2)])
-                for i1, i2, k, _ in self.walk()]
-
-
-def _blocks(stable: _Stability, sectors) -> DoubleInertia:
-    """The stable pairs of ``sectors`` ((element, fixed columns, mask), in
-    sector order), as blocks: the sectors are grouped by fixed set, and
-    ``stable`` decides each pair of fixed sets on the mask of the common
-    set, once per distinct common set, so no pair is formed to decide it."""
-    groups: dict[int, list[int]] = {}
-    sets: dict[int, frozenset[int]] = {}
-    for i, (_, fixed, mask) in enumerate(sectors):
-        groups.setdefault(mask, []).append(i)
-        sets[mask] = fixed
-    groups = {mask: tuple(indices) for mask, indices in groups.items()}
-    blocks = [PairBlock(sets[m1], sets[m2], sets[m1] & sets[m2], rows, cols)
-              for m1, rows in groups.items() for m2, cols in groups.items() if stable(m1 & m2)]
-    return DoubleInertia([g for g, _, _ in sectors], [fixed for _, fixed, _ in sectors], blocks)
-
-
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
-    contain a column basis and meet the stable locus."""
-    stable = _Stability(model)
-    return _blocks(stable, _sectors(model, stable)).pairs()
+    contain a column basis and meet the stable locus: the expanded pairs
+    of the model's shared analysis (``analysis._Analysis``), in pair order."""
+    from .analysis import _analysis, _Reads  # analysis imports this module
+    return list(_analysis(_Reads(model)).pairs)

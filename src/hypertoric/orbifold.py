@@ -112,7 +112,9 @@ class _RingStore:
         return pres
 
     def embedding(self, sub, ambient, normal_chars) -> SectorEmbedding:
-        key = (_ring_key(sub), _ring_key(ambient), normal_chars)
+        # one presentation object per ring value, kept alive by the
+        # embeddings stored over it, so identities key the ring values
+        key = (id(sub), id(ambient), normal_chars)
         emb = self._embeddings.get(key)
         if emb is None:
             emb = SectorEmbedding(sub=sub, ambient=ambient, normal_chars=normal_chars)
@@ -298,13 +300,11 @@ class OrbifoldTable:
         """A ``ProductEntry`` per pair, in pair order; with ``keys``, only
         for the pairs whose key index is in it."""
         analysis = self.analysis
-        double, ids = analysis.double, analysis.ids
-        el = double.elements
-        for i1, i2, b, pos in double.walk():
-            k = ids[b][pos]
+        el = analysis.elements
+        for i1, i2, k in analysis.walk():
             if keys is None or k in keys:
                 poly, coords = self.values[k]
-                yield ProductEntry(el[i1], el[i2], el[double.target(i1, i2)], poly, coords)
+                yield ProductEntry(el[i1], el[i2], el[analysis.target(i1, i2)], poly, coords)
 
     def entry(self, g1, g2) -> ProductEntry:
         """The stored entry, else the zero entry; a non-sector raises ValueError."""
@@ -347,8 +347,8 @@ def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldT
         obstruction_class = analysis.obstructions.bundle(mask)
         if obstruction_class is None:
             # raise, naming the first pair in pair order whose selection fails
-            for g1, g2, k in analysis.walk():
-                analysis.obstructions.class_for(analysis.keys[k][0], g1, g2)
+            for i1, i2, k in analysis.walk():
+                analysis.obstructions.class_for(analysis.keys[k][0], analysis.elements[i1], analysis.elements[i2])
         values.append(geo.product(obstruction_class, common, target_fixed))
     return OrbifoldTable(geo, geo.components, tuple(values))
 
@@ -373,49 +373,50 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     character multisets), and both must be genuine bundles.
 
     Each side reads the shared analysis of its model's read data
-    (``_analysis``).  A fiber whose read data are the ambient's (the moment
-    fiber of a Lawrence model) reads the ambient's analysis, and its
-    classes are compared once per distinct selection.  A fiber with other
-    data has its own analysis; its pair list is compared with the
-    ambient's, and the two sides' classes are compared once per distinct
-    (ambient selection, fiber selection).  Every selection is bundle-tested,
-    and a failing pair is listed on its own: every pair whose selection is
-    not a bundle, and every pair whose two classes differ, is in
-    ``failures``, in pair order."""
+    (``_analysis``); a fiber whose read data are the ambient's (the moment
+    fiber of a Lawrence model) reads the ambient's analysis.  Two analyses
+    with equal elements, fixed sets and blocks have equal pairs in one
+    order, so the sides are aligned block by block, and the classes are
+    compared once per distinct (ambient key, fiber key) of a pair.  Every
+    selection is bundle-tested, and a failing pair is listed on its own:
+    every pair whose selection is not a bundle, and every pair whose two
+    classes differ, is in ``failures``, in pair order."""
     models = _lawrence_pair(a, _int_entries(theta, "character theta"))
     ambient, fiber = (_analysis(_Reads(m)) for m in models)
     if fiber is ambient:
-        per_pair = None
-        combos = {(mask, mask): None for mask, _, _ in ambient.keys}
+        combos = [(k, k) for k in range(len(ambient.keys))]
+    elif _layout(fiber) == _layout(ambient):
+        combos = dict.fromkeys(pair for ids_a, ids_f in zip(ambient.ids, fiber.ids) for pair in zip(ids_a, ids_f))
     else:
-        if [(p.g1, p.g2) for p in fiber.pairs] != [(p.g1, p.g2) for p in ambient.pairs]:
-            return ObstructionPullbackReport(
-                False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
-            )
-        per_pair = [(ambient.keys[ka][0], fiber.keys[kf][0])
-                    for (_, _, ka), (_, _, kf) in zip(ambient.walk(), fiber.walk())]
-        combos = dict.fromkeys(per_pair)
+        return ObstructionPullbackReport(
+            False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
+        )
     failing = set()
-    for mask_a, mask_f in combos:
-        r_ambient = ambient.obstructions.bundle(mask_a)
-        r_fiber = fiber.obstructions.bundle(mask_f)
-        if r_ambient is None or r_fiber is None or r_ambient != r_fiber:
-            failing.add((mask_a, mask_f))
+    for ka, kf in combos:
+        r_ambient = ambient.obstructions.bundle(ambient.keys[ka][0])
+        if r_ambient is None or r_ambient != fiber.obstructions.bundle(fiber.keys[kf][0]):
+            failing.add((ka, kf))
     failures = []
-    if failing:
-        masks = per_pair or ((ambient.keys[k][0],) * 2 for _, _, k in ambient.walk())
-        for (g1, g2, _), (mask_a, mask_f) in zip(ambient.walk(), masks):
-            if (mask_a, mask_f) not in failing:
-                continue
-            try:
-                r_ambient = ambient.obstructions.class_for(mask_a, g1, g2)
-                r_fiber = fiber.obstructions.class_for(mask_f, g1, g2)
-            except ObstructionError as exc:
-                failures.append(PullbackCheck(g1, g2, False, str(exc)))
-                continue
-            failures.append(
-                PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
-    return ObstructionPullbackReport(not failures, len(ambient.double), tuple(failures))
+    el = ambient.elements
+    walks = zip(ambient.walk(), fiber.walk()) if failing else ()
+    for (i1, i2, ka), (_, _, kf) in walks:
+        if (ka, kf) not in failing:
+            continue
+        g1, g2 = el[i1], el[i2]
+        try:
+            r_ambient = ambient.obstructions.class_for(ambient.keys[ka][0], g1, g2)
+            r_fiber = fiber.obstructions.class_for(fiber.keys[kf][0], g1, g2)
+        except ObstructionError as exc:
+            failures.append(PullbackCheck(g1, g2, False, str(exc)))
+            continue
+        failures.append(PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
+    return ObstructionPullbackReport(not failures, len(ambient), tuple(failures))
+
+
+def _layout(analysis: _Analysis) -> tuple:
+    """What fixes an analysis' pairs and their order: its elements with
+    their fixed sets, and its blocks' pairs of fixed sets."""
+    return ([c[:2] for c in analysis.components], [(b.fixed1, b.fixed2) for b in analysis.blocks])
 
 
 class OrbifoldIsoReport(NamedTuple):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .exact import as_fraction_vector, as_int
 from .inertia import TorsionElement, inertia_elements
-from .model import ModelError, SigmaSet, StackModel, WeightMatrix, column_bases, lambda_coeffs, moment_eval, sigma_set
+from .model import ModelError, SigmaSet, StackModel, WeightMatrix, _integral, _lawrence_pair, lambda_coeffs, moment_eval
 from .value import Value
 
 
@@ -171,11 +171,13 @@ class ChartReport(NamedTuple):
 def verify_charts(a: WeightMatrix, theta, samples: int = 100, seed: int = 0) -> ChartReport:
     """For every sigma chart: sample chart points, split them, check the base
     point kills the original moment map exactly, and check both round-trips
-    reproduce the inputs exactly."""
+    reproduce the inputs exactly.  The sigma sets are those of the Lawrence
+    model of ``(a, theta)``, read from the memo every parse and verifier
+    reads (``model._lawrence_pair``), so the sign rule runs once per column
+    basis; a rational ``theta`` is scaled to an integral one first."""
     rng = random.Random(seed)
     checks = []
-    for basis in column_bases(a):
-        sigma = sigma_set(a, basis, theta)
+    for sigma in _lawrence_pair(a, _integral(theta))[0].arrangement.sigma_sets:
         chart = build_chart(a, sigma)
         detail = ""
         ok = True

@@ -105,6 +105,24 @@ def test_chart_check_subcommand(tp12, capsys):
     assert data["ok"] and len(data["charts"]) == 2
 
 
+def test_chart_check_runs_the_sign_rule_once_per_basis(tmp_path, capsys, monkeypatch):
+    # the parse and the chart verifier read one Lawrence model, so its
+    # arrangement's sign rule is the only one
+    path = write(tmp_path, "m.json", {"A": [[1, 0, 1, 2], [0, 1, 1, -1]], "theta": [2, 1],
+                                       "kind": "hypertoric"})
+    rules = []
+    sign_rule = model_module._sign_rule
+
+    def spy(a, basis, theta):
+        rules.append(basis)
+        return sign_rule(a, basis, theta)
+
+    monkeypatch.setattr(model_module, "_sign_rule", spy)
+    assert main(["chart-check", "--input", path, "--samples", "3"]) == EXIT_OK
+    bases = model_module.column_bases(model_module.WeightMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, -1]]))
+    assert rules == bases and len(json.loads(capsys.readouterr().out)["charts"]) == len(bases) == 6
+
+
 def test_sre_check_fail_path(tmp_path, capsys):
     path = write(tmp_path, "sre.json", {"order": 2, "normal_weights": [[-1], [-1]]})
     assert main(["sre-check", "--input", path]) == EXIT_VERIFY_FAILED

@@ -722,14 +722,11 @@ def test_one_analysis_per_verify(monkeypatch):
     # share one inertia pass, one block walk and one selection per pair;
     # no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
-    enumerations, walks, expansions, selections = [], [], [], []
+    enumerations, walks, selections = [], [], []
     sectors = _counted(enumerations, inertia_module._sectors)
-    walk = _counted(walks, inertia_module._blocks)
     for module in (inertia_module, analysis_module):
         monkeypatch.setattr(module, "_sectors", sectors)
-        monkeypatch.setattr(module, "_blocks", walk)
-    monkeypatch.setattr(inertia_module.DoubleInertia, "pairs",
-                        _counted(expansions, inertia_module.DoubleInertia.pairs))
+    monkeypatch.setattr(analysis_module, "_blocks", _counted(walks, analysis_module._blocks))
     monkeypatch.setattr(orbifold_module._Analysis, "_selections",
                         _counted(selections, orbifold_module._Analysis._selections))
 
@@ -738,12 +735,12 @@ def test_one_analysis_per_verify(monkeypatch):
     assert pull.ok and iso.ok and pull.checked > 1
     assert len(enumerations) == len(walks) == 1
     assert {model.kind for model, _ in enumerations} == {"lawrence"}
-    assert expansions == []
     assert orbifold_module._analysis.cache_info().currsize == 1
     # each block's selections once, so each pair's once
     analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
-    assert [block for _, block in selections] == list(analysis.double.blocks)
-    assert sum(len(b.rows) * len(b.cols) for b in analysis.double.blocks) == pull.checked
+    assert "pairs" not in vars(analysis)
+    assert [block for _, block in selections] == analysis.blocks
+    assert sum(len(b.rows) * len(b.cols) for b in analysis.blocks) == pull.checked == len(analysis)
 
 
 def test_one_model_pair_per_verify_input(monkeypatch, a_2x3):

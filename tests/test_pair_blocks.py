@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.analysis as analysis_module
 import hypertoric.inertia as inertia_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
@@ -69,14 +70,14 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
     nontrivial = 0
     for name, model in [*_models(), ("mu3", mu3_model)]:
         analysis = SectorGeometry(model, 4).analysis
-        double, kernel = analysis.double, analysis.obstructions
+        kernel = analysis.obstructions
         expected = walk_pairs(model)
         fixed = {c.g: c.fixed_columns for c in analysis.components}
         assert list(analysis.pairs) == expected, name
         assert double_inertia(model) == expected, name
-        assert len(double) == len(expected)
-        elements = double.elements
-        for b, (block, ids) in enumerate(zip(double.blocks, analysis.ids)):
+        assert len(analysis) == len(expected)
+        elements = analysis.elements
+        for b, (block, ids) in enumerate(zip(analysis.blocks, analysis.ids)):
             assert {fixed[elements[i]] for i in block.rows} == {block.fixed1}
             assert {fixed[elements[j]] for j in block.cols} == {block.fixed2}
             assert block.common == block.fixed1 & block.fixed2
@@ -87,13 +88,44 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
                 assert mask == sum(1 << k for k in kernel.selection(g1, g2)), name
                 assert common == block.common
                 assert target_fixed == fixed_columns(model.base, g1 + g2)
-                assert double.locate(i1, i2) == (b, pos)
-                assert elements[double.target(i1, i2)] == g1 + g2
-        # the walk visits the blocks' pairs in pair order
-        assert [(elements[i1], elements[i2]) for i1, i2, _, _ in double.walk()] == [
-            (p.g1, p.g2) for p in expected]
-        nontrivial += len(double.blocks) > 1
+                assert analysis.locate(g1, g2) == (ids[pos], g1 + g2)
+                assert elements[analysis.target(i1, i2)] == g1 + g2
+        # the walk visits the blocks' pairs in pair order, with their keys
+        assert list(analysis.walk()) == [
+            (analysis.index[p.g1], analysis.index[p.g2], analysis.locate(p.g1, p.g2)[0]) for p in expected]
+        nontrivial += len(analysis.blocks) > 1
     assert nontrivial >= 10
+
+
+def _packer_vectors(big, count, rng):
+    """Vectors in [0, big): all big - 1, all 0, seeded ones, and for each
+    seeded one x the partners (big + s - x) mod big, s = -1, 0, 1, so that
+    field sums of big - 1, big and big + 1 occur."""
+    seeded = [[rng.randrange(big) for _ in range(count)] for _ in range(6)]
+    partners = [[(big + shift - x) % big for x in v] for v in seeded for shift in (-1, 0, 1)]
+    return [[big - 1] * count, [0] * count, *seeded, *partners]
+
+
+@pytest.mark.parametrize("big", [1, 2, 3, 4, 7, 8, 15, 16, 255, 256, 257])
+def test_packer_agrees_with_per_field_arithmetic(big):
+    # the powers of two are where the field width changes
+    rng = random.Random(6200 + big)
+    w = big.bit_length()
+    for count in range(1, 5):
+        vectors = _packer_vectors(big, count, rng)
+        targets = analysis_module._packer(big, count, big)
+        selections = analysis_module._packer(big, count, big + 1)
+        assert targets[3] == selections[3] == w
+        for pack, _, _, _ in (targets, selections):
+            assert all(pack(v) == sum(x << k * (w + 1) for k, x in enumerate(v)) for v in vectors)
+        for a, b in itertools.product(vectors, repeat=2):
+            pack, lift, tops, _ = targets
+            s = pack(a) + pack(b)
+            folded = s - (((s + lift) & tops) >> w) * big
+            assert folded == sum((x + y) % big << k * (w + 1) for k, (x, y) in enumerate(zip(a, b)))
+            pack, lift, tops, _ = selections
+            spread = (pack(a) + pack(b) + lift) & tops
+            assert spread == sum(1 << k * (w + 1) + w for k, (x, y) in enumerate(zip(a, b)) if x + y > big)
 
 
 def _analysis_of(model):

@@ -13,12 +13,14 @@ import random
 
 import pytest
 
+import hypertoric.analysis as analysis_module
 import hypertoric.inertia as inertia_module
 import hypertoric.model as model_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     WeightMatrix,
     direct_model,
+    double_inertia,
     hypertoric_model,
     inertia_components,
     lawrence_model,
@@ -58,16 +60,18 @@ def restricted_direct(model, fixed):
     return direct_model(sub, unstable=minimal, theta=model.theta)
 
 
-def _pairs(model, fixed):
-    """The expanded blocks for the sectors keyed in ``fixed`` (element ->
-    fixed columns), decided on a fresh stability table, in pair order."""
+def _pair_commons(model, fixed):
+    """The common fixed set of each pair of the blocks for the sectors
+    keyed in ``fixed`` (element -> fixed columns), decided on a fresh
+    stability table, block by block."""
     sectors = [(g, f, inertia_module._mask(f)) for g, f in fixed.items()]
-    return inertia_module._blocks(inertia_module._Stability(model), sectors).pairs()
+    blocks = analysis_module._blocks(inertia_module._Stability(model), sectors)
+    return [b.common for b in blocks for _ in range(len(b.rows) * len(b.cols))]
 
 
 def sector_and_pair_sets(model):
     fixed = {c.g: c.fixed_columns for c in inertia_components(model)}
-    return set(fixed.values()) | {p.common_fixed for p in _pairs(model, fixed)}
+    return set(fixed.values()) | set(_pair_commons(model, fixed))
 
 
 def _git_models():
@@ -193,7 +197,7 @@ def test_pairs_decide_each_common_set_once(monkeypatch):
     decided = _count_decisions(monkeypatch)
     ranks = []
     monkeypatch.setattr(model_module, "hnf", lambda *args: ranks.append(args))
-    pairs = _pairs(model, fixed)
+    pairs = _pair_commons(model, fixed)
     commons = {f1 & f2 for f1 in fixed.values() for f2 in fixed.values()}
     assert set(decided) == {inertia_module._mask(c) for c in commons}
     assert max(decided.values()) == 1
@@ -237,7 +241,7 @@ def test_grouped_pairs_keep_the_product_order(mu3_model):
     models = [*_git_models(), ("mu3", mu3_model), *_theta_direct_models()]
     for name, model in models:
         fixed = {c.g: c.fixed_columns for c in inertia_components(model)}
-        assert _pairs(model, fixed) == product_walk_pairs(model, fixed), name
+        assert double_inertia(model) == product_walk_pairs(model, fixed), name
         # a fixed set whose sectors are not adjacent in sector order, so
         # the grouped walk must sort its partners back
         runs = [f for f, _ in itertools.groupby(fixed.values())]

@@ -5,6 +5,8 @@ import pytest
 
 from hypertoric import (
     LocalModelSRE,
+    ModelError,
+    NonGenericError,
     SigmaSet,
     TorsionElement,
     WeightMatrix,
@@ -126,6 +128,19 @@ def test_verify_charts_named(a12, a11):
     assert verify_charts(a11, [1], samples=50, seed=1).ok
     eye = WeightMatrix.from_rows([[1, 0], [0, 1]])
     assert verify_charts(eye, [1, 1], samples=50, seed=2).ok
+
+
+def test_verify_charts_takes_a_rational_theta_and_refuses_bad_ones(a_2x3):
+    # the charts are read off the Lawrence model of the integral multiple
+    a = WeightMatrix.from_rows([[0, 1, 1], [1, 0, 1]])
+    rational = verify_charts(a, [Fraction(2, 3), Fraction(1, 3)], samples=10, seed=4)
+    assert rational.ok and rational == verify_charts(a, (2, 1), samples=10, seed=4)
+    assert [c.sigma_labels for c in rational.charts] == [
+        sigma_set(a, basis, (2, 1)).labels() for basis in column_bases(a)]
+    with pytest.raises(NonGenericError):
+        verify_charts(a_2x3, [1, 0], samples=1)
+    with pytest.raises(ModelError, match="nonzero"):
+        verify_charts(a_2x3, [0, 0], samples=1)
 
 
 def test_verify_charts_needs_row_permutation():
