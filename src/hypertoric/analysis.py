@@ -180,7 +180,7 @@ class _Analysis:
     distinct keys are ``keys``; ``ids[b]`` holds the key index of each pair
     of block ``b``, row-major, the only per-pair data kept.  ``walk``,
     ``locate``, ``target`` and ``len`` read the blocks with no pair built;
-    ``pairs`` expands them, on first use.
+    ``pairs`` expands them afresh on each read.
 
     The sum of a stable pair fixes the common set, so it is a sector too.
     It is looked up, not built: each element's numerators over the common
@@ -267,9 +267,10 @@ class _Analysis:
             for i2, ids, k, width in rows[c.fixed_columns]:
                 yield i1, i2, ids[r * width + k]
 
-    @functools.cached_property
+    @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
-        """The expanded double inertia, in pair order, built on first use."""
+        """The expanded double inertia, in pair order, built afresh on each
+        read: the memoized analysis keeps no expansion alive."""
         el, keys = self.elements, self.keys
         return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[self.target(i1, i2)])
                      for i1, i2, k in self.walk())

@@ -5,6 +5,13 @@ polynomials, the star product on inertia sectors with its full structure
 table, and the two executable verification routines: obstruction classes
 restrict along the moment-fiber embedding, and the two sides carry
 isomorphic orbifold rings with identical structure constants and ages.
+
+A ``SectorGeometry`` is the one owner of the rings over one analysis at
+one truncation: one presentation per list of character multisets, one
+checked embedding per value, and one generator product per (obstruction
+class, embedding).  Models with equal read data read one geometry within
+a call, so both tables of ``verify_orbifold_iso`` on a Lawrence input
+read one.
 """
 
 from __future__ import annotations
@@ -72,110 +79,57 @@ def _euler_factors(bundle: CharacterClass) -> list | None:
     return [w for w, m in bundle.terms for _ in range(m.numerator)]
 
 
-def _ring_key(pres: GradedRingPresentation) -> tuple:
-    return (pres.num_vars, pres.relations, pres.truncation)
-
-
-class _RingStore:
-    """The rings of one ``orbifold_table`` or ``verify_orbifold_iso`` call,
-    and the generator products over them, keyed by value:
-
-    - one presentation per (num_vars, character multisets, truncation),
-      found before any polynomial is multiplied, and one presentation
-      object, with its one piece cache, per ring value (num_vars,
-      relations, truncation);
-    - one embedding per (sub ring, ambient ring, normal characters),
-      checked once; a failed check is never stored, so every push through
-      it raises again;
-    - one generator product per (obstruction class, embedding), built by
-      one kernel run over the class's characters and the normal ones.
-
-    Every geometry of the call reads the same store, so the fiber of
-    ``verify`` reads the rings, checks and products the ambient side has
-    already built.  A fiber class or ring that differs from the ambient one
-    is another key, so it is built from the fiber's own data."""
-
-    def __init__(self):
-        self._by_characters: dict = {}
-        self._rings: dict = {}
-        self._embeddings: dict = {}
-        self._products: dict = {}
-
-    def presentation(self, num_vars: int, multisets: tuple, truncation: int) -> GradedRingPresentation:
-        """The ring of the products of linear forms of ``multisets`` (each a
-        sorted tuple of characters), as ``from_characters`` builds it."""
-        key = (num_vars, multisets, truncation)
-        pres = self._by_characters.get(key)
-        if pres is None:
-            built = GradedRingPresentation.from_characters(num_vars, multisets, truncation)
-            pres = self._by_characters[key] = self._rings.setdefault(_ring_key(built), built)
-        return pres
-
-    def embedding(self, sub, ambient, normal_chars) -> SectorEmbedding:
-        # one presentation object per ring value, kept alive by the
-        # embeddings stored over it, so identities key the ring values
-        key = (id(sub), id(ambient), normal_chars)
-        emb = self._embeddings.get(key)
-        if emb is None:
-            emb = SectorEmbedding(sub=sub, ambient=ambient, normal_chars=normal_chars)
-            emb.check()
-            self._embeddings[key] = emb
-        return emb
-
-    def product(self, obstruction_class: CharacterClass, emb: SectorEmbedding) -> tuple:
-        """The generator product of an obstruction class pushed along an
-        embedding of this store: the class's Euler polynomial times the
-        normal Euler polynomial, refused above the target's truncation, with
-        its canonical coordinates in the target ring: one kernel product over
-        the class's characters and the normal ones.  The store holds each
-        embedding it hands out, one object per value, so the object's
-        identity keys its value."""
-        key = (obstruction_class, id(emb))
-        out = self._products.get(key)
-        if out is None:
-            chars = _euler_factors(obstruction_class)
-            target = emb.ambient
-            if chars is None or not all(map(any, emb.normal_chars)):
-                out = (IntPoly.zero(target.num_vars), ())
-            else:
-                chars += emb.normal_chars
-                _check_truncation(len(chars), target.truncation)
-                piece = target.piece(len(chars))
-                vec = product_coefficients(target.num_vars, chars)
-                out = (piece.representative(vec), piece.canonical(vec))
-            self._products[key] = out
-        return out
-
-
 def _check_truncation(degree: int | None, truncation: int) -> None:
     if degree is not None and degree > truncation:
         raise ValueError("product degree %d exceeds the truncation bound %d" % (degree, truncation))
 
 
+def _generator_product(obstruction_class: CharacterClass, emb: SectorEmbedding) -> tuple:
+    """The generator product of an obstruction class pushed along a checked
+    embedding: the class's Euler polynomial times the normal Euler
+    polynomial, refused above the target's truncation, with its canonical
+    coordinates in the target ring: one kernel product over the class's
+    characters and the normal ones."""
+    chars = _euler_factors(obstruction_class)
+    target = emb.ambient
+    if chars is None or not all(map(any, emb.normal_chars)):
+        return IntPoly.zero(target.num_vars), ()
+    chars += emb.normal_chars
+    _check_truncation(len(chars), target.truncation)
+    piece = target.piece(len(chars))
+    vec = product_coefficients(target.num_vars, chars)
+    return piece.representative(vec), piece.canonical(vec)
+
+
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
-    truncation.  The analysis is the shared one of the model's read data
-    (``_analysis``); a caller that already holds it passes it.  A sector's
-    ring depends only on its fixed columns: it is read straight from the
+    truncation, and the one owner of those rings.  The analysis is the
+    shared one of the model's read data (``_analysis``).  A sector's ring
+    depends only on its fixed columns: it is read straight from the
     characters of the sector's minimal unstable sets
     (``inertia.sector_unstable_sets``), with no sector model built, once
-    per fixed set and per geometry.  Presentations, the embeddings between
-    them and the generator products come from the ring store
-    (``_RingStore``), so geometries that share a store share them.  A
+    per fixed set, and fixed sets with one list of character multisets
+    share one presentation, with its one piece cache.  The geometry checks
+    one embedding per value (sub ring, ambient ring, normal characters); a
+    failed check is never stored, so every push through it raises again.
+    It builds one generator product per (obstruction class, embedding),
+    by ``_generator_product``.  All of these read only the read data, so a
+    model whose read data are this one's may read this geometry.  A
     negative truncation raises ``ValueError``."""
 
-    def __init__(self, model: StackModel, truncation: int, analysis: _Analysis | None = None,
-                 _rings: _RingStore | None = None):
+    def __init__(self, model: StackModel, truncation: int):
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
         self.model = model
         self.truncation = truncation
-        self.analysis = analysis if analysis is not None else _analysis(_Reads(model))
+        self.analysis = _analysis(_Reads(model))
         self.components: tuple[InertiaComponent, ...] = self.analysis.components
         self.obstructions: _Obstructions = self.analysis.obstructions
         self._presentations: dict = {}
+        self._by_characters: dict = {}
         self._embeddings: dict = {}
-        self._rings = _rings if _rings is not None else _RingStore()
+        self._checked: dict = {}
+        self._products: dict = {}
 
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
@@ -198,38 +152,52 @@ class SectorGeometry:
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
         """The sector ring over ``fixed``; an unstable fixed set raises
         ``ValueError``, as ``sector_model`` does."""
-        key = tuple(sorted(fixed))
-        pres = self._presentations.get(key)
+        pres = self._presentations.get(fixed)
         if pres is None:
             char = self.model.coordinate_char
             multisets = tuple(tuple(sorted(char(i) for i in s))
                               for s in sector_unstable_sets(self.model, fixed))
-            pres = self._presentations[key] = self._rings.presentation(
-                self.model.d, multisets, self.truncation)
+            pres = self._by_characters.get(multisets)
+            if pres is None:
+                pres = self._by_characters[multisets] = GradedRingPresentation.from_characters(
+                    self.model.d, multisets, self.truncation)
+            self._presentations[fixed] = pres
         return pres
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
         return self.presentation_for(self.component(g).fixed_columns)
 
     def embedding(self, small: frozenset[int], big: frozenset[int]) -> SectorEmbedding:
-        key = (small, big)
-        if key not in self._embeddings:
+        emb = self._embeddings.get((small, big))
+        if emb is None:
             model = self.model
             # column by column, x_j before y_j
             coords = sorted(model.coords_of_columns(big - small), key=lambda i: ((i - 1) % model.n, i))
-            self._embeddings[key] = self._rings.embedding(
-                self.presentation_for(small),
-                self.presentation_for(big),
-                tuple(map(model.coordinate_char, coords)),
-            )
-        return self._embeddings[key]
+            sub, ambient = self.presentation_for(small), self.presentation_for(big)
+            normal_chars = tuple(map(model.coordinate_char, coords))
+            # the geometry keeps every presentation it hands out, so their
+            # identities stand for them in the key
+            value = (id(sub), id(ambient), normal_chars)
+            emb = self._checked.get(value)
+            if emb is None:
+                emb = SectorEmbedding(sub=sub, ambient=ambient, normal_chars=normal_chars)
+                emb.check()
+                self._checked[value] = emb
+            self._embeddings[small, big] = emb
+        return emb
 
     def product(self, obstruction_class: CharacterClass, common: frozenset[int],
                 target_fixed: frozenset[int]) -> tuple:
         """The generator product of a pair with this obstruction class,
         common fixed set and target fixed set, and its coordinates in the
-        target's ring, from the store."""
-        return self._rings.product(obstruction_class, self.embedding(common, target_fixed))
+        target's ring, built once per (class, embedding); the geometry keeps
+        each embedding it hands out, so its identity keys its value."""
+        emb = self.embedding(common, target_fixed)
+        key = (obstruction_class, id(emb))
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = _generator_product(obstruction_class, emb)
+        return out
 
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
@@ -245,8 +213,8 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     Pull both classes to the common fixed locus (the identity on polynomial
     representatives), multiply by the generator product of their pair: the
     Euler polynomial of the obstruction class times the normal Euler factor
-    of the embedding of the common locus into the target fixed locus, read
-    from the geometry's ring store.
+    of the embedding of the common locus into the target fixed locus, as
+    the geometry builds it once per (class, embedding).
     """
     model = geo.model
     if alpha.is_zero or beta.is_zero:
@@ -279,16 +247,18 @@ class OrbifoldTable:
     ``values``, and one entry per pair of the double inertia, in pair
     order, in ``products``, expanded on first use; absent means zero."""
 
-    def __init__(self, geometry: SectorGeometry, components: tuple[InertiaComponent, ...],
-                 values: tuple):
+    def __init__(self, geometry: SectorGeometry, values: tuple):
         self.geometry = geometry
-        self.components = components
         self.values = values
         self._products: dict | None = None
 
     @property
     def analysis(self) -> _Analysis:
         return self.geometry.analysis
+
+    @property
+    def components(self) -> tuple[InertiaComponent, ...]:
+        return self.geometry.components
 
     @property
     def products(self) -> dict:
@@ -322,26 +292,30 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     The table's geometry reads the shared analysis of the model's read data
     (``_analysis``), so its sectors, blocks and product keys are those the
     pullback check reads; its truncation is its own, since it depends on
-    ``bound``, and its presentations, embeddings and products come from a
-    ring store of its own (``_RingStore``), which builds each generator
-    product once per (class, embedding).  The table looks it up once per
-    product key of the analysis, not once per pair, and ``products``
-    expands the keys to the pairs.  A selection that is not a bundle
-    raises, naming the first pair in pair order that has one.  A bound
-    below 1 raises."""
-    return _table(model, bound, _RingStore())
+    ``bound``, and so is the geometry, which owns the presentations,
+    embeddings and generator products, each product built once per (class,
+    embedding).  The table looks it up once per product key of the
+    analysis, not once per pair, and ``products`` expands the keys to the
+    pairs.  A selection that is not a bundle raises, naming the first pair
+    in pair order that has one.  A bound below 1 raises."""
+    return _table(model, bound, {})
 
 
-def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldTable:
-    """``orbifold_table`` with its rings and products read from, and added
-    to, ``rings``."""
+def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTable:
+    """``orbifold_table`` with its geometry read from, or added to,
+    ``geometries``, keyed by (read data, bound): a model whose read data
+    are another's reads that model's geometry, with its rings, embeddings
+    and products."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
-    floor = bound if bound is not None else 2 * model.num_coords
-    analysis = _analysis(_Reads(model))
-    # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
-    top_age = max(c.age for c in analysis.components)
-    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1), analysis, _rings=rings)
+    reads = _Reads(model)
+    geo = geometries.get((reads, bound))
+    if geo is None:
+        floor = bound if bound is not None else 2 * model.num_coords
+        # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
+        top_age = max(c.age for c in _analysis(reads).components)
+        geo = geometries[reads, bound] = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
+    analysis = geo.analysis
     values = []
     for mask, common, target_fixed in analysis.keys:
         obstruction_class = analysis.obstructions.bundle(mask)
@@ -350,7 +324,7 @@ def _table(model: StackModel, bound: int | None, rings: _RingStore) -> OrbifoldT
             for i1, i2, k in analysis.walk():
                 analysis.obstructions.class_for(analysis.keys[k][0], analysis.elements[i1], analysis.elements[i2])
         values.append(geo.product(obstruction_class, common, target_fixed))
-    return OrbifoldTable(geo, geo.components, tuple(values))
+    return OrbifoldTable(geo, tuple(values))
 
 
 class PullbackCheck(NamedTuple):
@@ -448,23 +422,26 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     """Compare the full orbifold structure of the ambient model and its
     moment-fiber model: matching sectors, componentwise graded ring
     isomorphism up to ``bound``, identical structure polynomials, and
-    identical ages.  Both tables are computed end-to-end from their own
-    model data.
+    identical ages.
 
-    The two tables share one ring store (``_RingStore``) for this call, so
-    each distinct ring is one presentation, with its pieces built once, and
-    each distinct embedding is built and checked once, whichever side
-    needs it first.  A sector's ring is the presentation of its fixed set,
-    so the rings are compared (``_same_ring``) once per distinct (ambient
-    fixed set, fiber fixed set); every sector over a failing pair is listed
-    in ``ring_failures``.  Products are compared by ``_product_failures``:
+    The two tables share their geometries for this call (``_table``): on
+    a Lawrence input the moment fiber reads the ambient's read data, so
+    both tables read one analysis and one geometry, and the check
+    certifies that the two sides share those data; a fiber with other
+    read data gets a geometry of its own and is computed from its own
+    data.  Within a geometry each list of character multisets is one
+    presentation, with its pieces built once, and each distinct embedding
+    is built and checked once.  A sector's ring is the presentation of its fixed set, so the
+    rings are compared (``_same_ring``) once per distinct (ambient fixed
+    set, fiber fixed set); every sector over a failing pair is listed in
+    ``ring_failures``.  Products are compared by ``_product_failures``:
     once per product key when the fiber reads the ambient's analysis, and
     every failing pair is listed, the ambient pairs first, then the
     fiber-only ones.  A ``bound`` below 1 raises ``ValueError``."""
     ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
-    rings = _RingStore()
-    table_a = _table(ambient, bound, rings)
-    table_f = _table(fiber, bound, rings)
+    geometries: dict = {}
+    table_a = _table(ambient, bound, geometries)
+    table_f = _table(fiber, bound, geometries)
     if [c.g for c in table_a.components] != [c.g for c in table_f.components]:
         return OrbifoldIsoReport(False, 0, detail="inertia element sets differ")
 

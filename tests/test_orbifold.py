@@ -37,8 +37,12 @@ from hypertoric import (
 )
 from hypertoric.chow import IsoReport
 from hypertoric.cli import EXIT_VERIFY_FAILED, main
-from hypertoric.orbifold import _ring_key
 from hypertoric.sampling import random_generic_instance
+
+
+def _ring_key(pres):
+    """A ring's value: equal keys are equal presentations."""
+    return (pres.num_vars, pres.relations, pres.truncation)
 
 
 def chi(w):
@@ -239,7 +243,7 @@ def _product_keys(geo):
 
 
 def _product_values(geo):
-    """What the ring store builds a generator product from: the obstruction
+    """What the geometry builds a generator product from: the obstruction
     class and the value of the embedding it pushes along."""
     out = set()
     for p in geo.pairs:
@@ -271,7 +275,7 @@ def _multiset_lists(geo, build_sector):
 
 def _spy_work(monkeypatch):
     """Record the work of the table path: sector models, presentations made
-    from characters, Euler polynomials, the ring store's generator products
+    from characters, Euler polynomials, the geometry's generator products
     (each one run of the product kernel), and ``star`` calls."""
     work = {name: [] for name in ("sector_models", "presentations", "eulers", "products", "stars")}
     monkeypatch.setattr(inertia_module, "sector_model",
@@ -530,7 +534,9 @@ def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
     # negative control with a real lattice difference: the fiber ring over
     # the most shared fixed set gains t1^2, which is not in its degree-2
     # lattice; the relation goes in once the fiber table is built, since
-    # this set is the subsector of a checked embedding that t1^2 would fail
+    # this set is the subsector of a checked embedding that t1^2 would fail.
+    # The fiber of a Lawrence input reads the ambient's geometry, so the
+    # fiber table first gets a geometry of its own over the same read data
     a, theta = random_generic_instance(random.Random(1), 2, 5)
     comps = inertia_components(lawrence_model(a, theta))
     bad, count = Counter(c.fixed_columns for c in comps).most_common(1)[0]
@@ -539,10 +545,11 @@ def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
     extra = IntPoly.from_dict(2, {(2, 0): 1})
 
     def enlarge(table):
-        geo = table.geometry
+        shared = table.geometry
+        table.geometry = geo = SectorGeometry(shared.model, shared.truncation)
         pres = geo.presentation_for(bad)
         assert any(reduce_class(pres, extra))
-        geo._presentations[tuple(sorted(bad))] = GradedRingPresentation(
+        geo._presentations[bad] = GradedRingPresentation(
             pres.num_vars, pres.relations + (extra,), pres.truncation)
 
     _edit_fiber_table(monkeypatch, enlarge)
@@ -688,6 +695,76 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
             geo.obstructions.class_of(p.g1, p.g2)
 
 
+def _spy_geometries(monkeypatch):
+    """Record the tables and the geometries ``verify_orbifold_iso`` builds,
+    and the fixed set of each sector-ring lookup."""
+    tables, geometries, looked_up = [], [], []
+    table, unstable = orbifold_module._table, orbifold_module.sector_unstable_sets
+
+    def spy_table(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    def spy_geometry(*args):
+        geometries.append(SectorGeometry(*args))
+        return geometries[-1]
+
+    def spy_unstable(model, fixed):
+        looked_up.append(fixed)
+        return unstable(model, fixed)
+
+    monkeypatch.setattr(orbifold_module, "_table", spy_table)
+    monkeypatch.setattr(orbifold_module, "SectorGeometry", spy_geometry)
+    monkeypatch.setattr(orbifold_module, "sector_unstable_sets", spy_unstable)
+    return tables, geometries, looked_up
+
+
+def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
+    # the moment fiber of a Lawrence input reads the ambient's data, so the
+    # two tables of one call are two tables over one geometry, and the ring
+    # of each fixed set either reads is looked up once
+    tables, geometries, looked_up = _spy_geometries(monkeypatch)
+    for seed, d, n in [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)]:
+        for record in (tables, geometries, looked_up):
+            record.clear()
+        assert verify_orbifold_iso(*random_generic_instance(random.Random(seed), d, n), 5).ok
+        ambient, fiber = tables
+        assert ambient is not fiber
+        assert len(geometries) == 1 and ambient.geometry is fiber.geometry is geometries[0]
+        fixed_sets = ({c.fixed_columns for c in ambient.components}
+                      | {common for _, common, _ in ambient.analysis.keys})
+        assert Counter(looked_up) == Counter(fixed_sets)
+
+
+@pytest.mark.parametrize("multiplicity", [2, -1])
+def test_fiber_with_other_read_data_gets_a_geometry_of_its_own(multiplicity, monkeypatch):
+    # a fiber whose tangent class differs reads another analysis, so its
+    # table gets a geometry of its own, which builds its own presentations;
+    # the outcome is the one the negative controls above expect
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    _fiber_with_negative_term(monkeypatch, a, theta, multiplicity)
+    build_sector = inertia_module.sector_model
+    tables, geometries, _ = _spy_geometries(monkeypatch)
+    work = _spy_work(monkeypatch)
+    if multiplicity < 0:
+        with pytest.raises(ObstructionError):
+            verify_orbifold_iso(a, theta, 5)
+    else:
+        rep = verify_orbifold_iso(a, theta, 5)
+        assert not rep.ok and not rep.ring_failures
+        assert (len(rep.product_failures), len(rep.age_failures)) == (21, 10)
+        assert [t.geometry for t in tables] == geometries
+        # each geometry builds one presentation per multiset list it reads
+        lists = _multiset_lists(geometries[0], build_sector)
+        assert sorted(work["presentations"]) == sorted([*lists, *lists])
+    ambient, fiber = geometries
+    assert [g.model.kind for g in geometries] == ["lawrence", "hypertoric"]
+    assert fiber.analysis is not ambient.analysis
+    for c in ambient.components:
+        pres_a, pres_f = (g.presentation_for(c.fixed_columns) for g in geometries)
+        assert pres_a is not pres_f and pres_a == pres_f
+
+
 @pytest.mark.parametrize("bound", [0, -3])
 def test_verify_orbifold_iso_refuses_a_bound_below_one(a12, bound):
     # a bound below 1 would compare no ring and report a vacuous pass
@@ -816,8 +893,9 @@ def test_memo_holds_at_most_two_analyses():
     info = orbifold_module._analysis.cache_info()
     # one miss per input: its fiber reads the ambient's analysis
     assert (info.currsize, info.misses, info.hits) == (2, 3, 3)
-    # the two held are the analyses of the two latest inputs; each table
-    # reads the memo once, and its geometry reads the table's analysis
+    # the two held are the analyses of the two latest inputs; the ambient
+    # table reads the memo once for its truncation and its geometry once,
+    # and the fiber table reads the ambient's geometry
     assert verify_orbifold_iso(*inputs[-1], 5).ok
     after = orbifold_module._analysis.cache_info()
     assert (after.currsize, after.misses, after.hits - info.hits) == (2, 3, 2)

@@ -197,3 +197,17 @@ def test_a_changed_multiplicity_changes_the_ages_it_reads():
     assert any(moved)
     assert all(m == Fraction(c.g.exponent(w), c.g.order)
                for m, c in zip(moved, _analysis_of(ambient).components))
+
+
+def test_the_memoized_analysis_keeps_no_expanded_pairs():
+    # double_inertia expands the memoized analysis' blocks afresh on each
+    # call, so once its list is dropped nothing of it stays on the analysis
+    model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
+    pairs = double_inertia(model)
+    analysis = _analysis_of(model)
+    again = double_inertia(model)
+    assert pairs == again and len(pairs) == len(analysis) > 1
+    assert not any(p is q for p, q in zip(pairs, again))
+    del pairs, again
+    assert _analysis_of(model) is analysis
+    assert "pairs" not in vars(analysis)

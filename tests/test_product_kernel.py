@@ -1,14 +1,15 @@
-"""The product kernel and the ring store's products against the chains of
-polynomial products they replaced.
+"""The product kernel and the geometry's generator products against the
+chains of polynomial products they replaced.
 
 ``chow.product_coefficients`` turns a multiset of characters into the
 coefficients of its product of linear forms over the monomials of its
 degree; its reference is the chain of ``IntPoly.linear_form`` products.
-``orbifold._RingStore.product`` builds a generator product as one kernel
-run over the obstruction class's characters and the normal ones; its
-reference, ``old_product`` below, multiplies the class's Euler polynomial
-by the normal one factor by factor and reduces the result with
-``reduce_class``.  Both must agree exactly, errors included.
+``orbifold._generator_product`` builds a generator product as one kernel
+run over the obstruction class's characters and the normal ones, and a
+``SectorGeometry`` keeps one per (class, embedding); their reference,
+``old_product`` below, multiplies the class's Euler polynomial by the
+normal one factor by factor and reduces the result with
+``reduce_class``.  All must agree exactly, errors included.
 """
 
 import random
@@ -30,7 +31,7 @@ from hypertoric import (
     reduce_class,
 )
 from hypertoric.chow import product_coefficients
-from hypertoric.orbifold import _RingStore
+from hypertoric.orbifold import _generator_product
 from hypertoric.poly import monomials_of_degree
 from hypertoric.sampling import random_generic_instance
 
@@ -95,18 +96,17 @@ def test_kernel_refuses_a_character_of_the_wrong_length():
         product_coefficients(2, [(1, 2), (1, 2, 3)])
 
 
-def _stores():
-    """(store, geometry) of the tables of seeded models, each store holding
-    every embedding its table pushes along."""
+def _geometries():
+    """The geometries of the tables of seeded models, each holding every
+    embedding its table pushes along."""
     for build in (lawrence_model, hypertoric_model):
         for seed, d, n in [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
-            geo = orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3).geometry
-            yield geo._rings, geo
+            yield orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3).geometry
 
 
 def test_store_products_equal_the_old_products():
     checked = zeros = refused = 0
-    for store, geo in _stores():
+    for geo in _geometries():
         analysis = geo.analysis
         d = geo.model.d
         for mask, common, target_fixed in analysis.keys:
@@ -116,31 +116,30 @@ def test_store_products_equal_the_old_products():
                                              else (1,) * d, geo.truncation + 1)])
             for c in (bundle, bundle + CharacterClass.build(d, trivial=1), wide):
                 expected = outcome(old_product, c, emb)
-                # a fresh store, so no entry answers for another class
-                fresh = _RingStore()
-                got = outcome(fresh.product, c, fresh.embedding(emb.sub, emb.ambient, emb.normal_chars))
+                # the kernel itself, so no stored product answers for another class
+                got = outcome(_generator_product, c, emb)
                 assert got == expected
-                assert outcome(store.product, c, emb) == expected
+                assert outcome(geo.product, c, common, target_fixed) == expected
                 checked += 1
                 zeros += expected[1] == ()
                 refused += expected[0] == "raised"
-            assert store.product(bundle, emb) is store.product(bundle, emb)
+            assert geo.product(bundle, common, target_fixed) is geo.product(bundle, common, target_fixed)
     assert checked > 500 and zeros > 0 and refused > 0
 
 
 def test_zero_normal_character_gives_a_zero_product_with_no_truncation_check():
     # a zero normal character kills the product before any degree is read
     ring = GradedRingPresentation.from_characters(1, [[(3,)]], 2)
-    store = _RingStore()
-    emb = store.embedding(ring, ring, ((0,), (1,)))
+    emb = SectorEmbedding(ring, ring, ((0,), (1,)))
+    emb.check()
     big = CharacterClass.build(1, [((1,), 5)])
-    assert store.product(big, emb) == old_product(big, emb) == (IntPoly.zero(1), ())
+    assert _generator_product(big, emb) == old_product(big, emb) == (IntPoly.zero(1), ())
     with pytest.raises(ValueError, match="nonnegative integer multiplicities"):
-        store.product(CharacterClass.build(1, [((1,), -1)]), emb)
+        _generator_product(CharacterClass.build(1, [((1,), -1)]), emb)
 
 
 def test_embedding_euler_and_gysin_push_equal_the_chain():
-    for _, geo in _stores():
+    for geo in _geometries():
         for common, target_fixed in {(p.common_fixed, geo.component(p.target).fixed_columns)
                                      for p in geo.pairs}:
             emb = geo.embedding(common, target_fixed)

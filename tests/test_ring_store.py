@@ -1,12 +1,15 @@
 """One owner per ring value, and the exact certificates that skip work.
 
-Within one ``verify_orbifold_iso`` call both tables read one ring store:
+A ``SectorGeometry`` owns the rings over one analysis at one truncation:
 each distinct ring is one presentation whose pieces are built once, and
-each distinct embedding is checked once.  Two certificates stand in for
-lattice work: equal relation lists prove two rings equal (``_same_ring``),
-and containment of character multisets proves a product relation divides
-another (``SectorEmbedding.check``).  The negative controls here show that
-the lattice test still decides wherever no certificate exists.
+each distinct embedding is checked once.  Within one
+``verify_orbifold_iso`` call a fiber with the ambient's read data reads
+the ambient's geometry, and a fiber with other read data builds its own.
+Two certificates stand in for lattice work: equal relation lists prove
+two rings equal (``_same_ring``), and containment of character multisets
+proves a product relation divides another (``SectorEmbedding.check``).
+The negative controls here show that the lattice test still decides
+wherever no certificate exists.
 """
 
 import random
@@ -25,12 +28,16 @@ from hypertoric import (
     ring_map_is_iso,
     verify_orbifold_iso,
 )
-from hypertoric.model import _moment_fiber
-from hypertoric.orbifold import _ring_key, _same_ring
+from hypertoric.orbifold import _same_ring
 from hypertoric.sampling import random_generic_instance
 
 T = IntPoly.variable(1, 0)
 T1, T2 = IntPoly.variable(2, 0), IntPoly.variable(2, 1)
+
+
+def _ring_key(pres):
+    """A ring's value: equal keys are equal presentations."""
+    return (pres.num_vars, pres.relations, pres.truncation)
 
 
 def _record_work(monkeypatch):
@@ -61,8 +68,8 @@ def test_each_ring_value_and_embedding_has_one_owner_per_verify(seed, d, n, monk
     assert set(builds.values()) == {1}
     assert set(checks.values()) == {1}
 
-    # the store lives for one call only: a second call builds and checks
-    # everything again, once each
+    # the geometries live for one call only: a second call builds and
+    # checks everything again, once each
     first = (dict(builds), dict(checks))
     builds.clear()
     checks.clear()
@@ -71,7 +78,7 @@ def test_each_ring_value_and_embedding_has_one_owner_per_verify(seed, d, n, monk
 
 
 def test_separate_tables_do_not_share_rings(monkeypatch):
-    # geometries with their own stores build their own pieces, so a second
+    # each geometry owns its rings and builds their pieces, so a second
     # geometry of the same model rebuilds what the first built
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 4))
     builds, _ = _record_work(monkeypatch)
@@ -82,21 +89,6 @@ def test_separate_tables_do_not_share_rings(monkeypatch):
     assert builds and set(builds.values()) == {2}
     fixed = geos[0].components[0].fixed_columns
     assert geos[0].presentation_for(fixed) is not geos[1].presentation_for(fixed)
-
-
-def test_fiber_reads_the_ambient_rings():
-    # with one store, the ambient and fiber geometries hand out the same
-    # presentation object for equal rings
-    model = lawrence_model(*random_generic_instance(random.Random(3), 2, 5))
-    geo_a = SectorGeometry(model, 5)
-    geo_f = SectorGeometry(_moment_fiber(model), 5, _rings=geo_a._rings)
-    shared = 0
-    for ca, cf in zip(geo_a.components, geo_f.components):
-        pa = geo_a.presentation_for(ca.fixed_columns)
-        pf = geo_f.presentation_for(cf.fixed_columns)
-        assert (pa is pf) == (pa == pf)
-        shared += pa is pf
-    assert shared == len(geo_a.components)
 
 
 # --- _same_ring: the relation-equality certificate and its fallback -------
