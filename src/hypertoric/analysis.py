@@ -1,8 +1,10 @@
 """The inertia analysis of a model's read data.
 
 The sectors of a model, its double inertia held as blocks of fixed-set
-pairs, each pair's obstruction selection and product key, and the
-obstruction kernel that turns a selection into its bundle-tested class.
+pairs, the distinct product keys of its pairs (a pair's obstruction
+selection and key are computed where they are read, never stored per
+pair), and the obstruction kernel that turns a selection into its
+bundle-tested class.
 An analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand, and is
 memoized by those data (``_analysis``), so every table and verifier of
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from operator import itemgetter
+from itertools import repeat
 
 from .characters import CharacterClass
 from .inertia import (DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _over_common_order, _sectors,
@@ -174,13 +176,14 @@ class _Analysis:
     by every table and verifier of every model with that data, and the one
     owner of its double inertia: the sectors, their ages read off the
     kernel's exponent vectors, the pair blocks (``PairBlock``; the sectors
-    and the blocks read one ``inertia._Stability`` table), the obstruction
-    kernel, and each pair's product key (selection, common fixed set,
-    target fixed set), on which its generator product depends.  The
-    distinct keys are ``keys``; ``ids[b]`` holds the key index of each pair
-    of block ``b``, row-major, the only per-pair data kept.  ``walk``,
-    ``locate``, ``target`` and ``len`` read the blocks with no pair built;
-    ``pairs`` expands them afresh on each read.
+    and the blocks read one ``inertia._Stability`` table), each fixed set's
+    partners in sector order (``_partners``, built once, on the first
+    walk), the obstruction kernel, and the distinct product keys
+    (selection, common fixed set, target fixed set), on which a pair's
+    generator product depends, in ``keys``.  Nothing is kept per pair:
+    ``walk`` and ``locate`` compute a pair's key where they read it
+    (``_row``), ``target`` and ``len`` read the sectors and the blocks, and
+    ``pairs`` expands the walk afresh on each read.
 
     The sum of a stable pair fixes the common set, so it is a sector too.
     It is looked up, not built: each element's numerators over the common
@@ -190,23 +193,21 @@ class _Analysis:
     where the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
     t1 + t2 > L: each sector's t's are packed (threshold L + 1), once as
     they are (``_lows``) and once with the lift added (``_highs``), so one
-    addition and one mask give a pair's selection."""
+    addition and one mask give a pair's selection.  The keys are indexed
+    by that selection pack (``_key_index``), filled one block row at a
+    time, so no list spans a block."""
 
     def __init__(self, model: StackModel):
-        stable = _Stability(model)
+        self._stable = stable = _Stability(model)
         sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
         self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, kernel.exponent_vector(g), g.order))
                                 for g, fixed, _ in sectors)
         self.elements = tuple(c.g for c in self.components)
         self.index = {g: i for i, g in enumerate(self.elements)}
+        self._fixed = tuple(fixed for _, fixed, _ in sectors)
+        self._masks = tuple(mask for _, _, mask in sectors)
         self.blocks = _blocks(stable, sectors)
-        self._block_of = {(b.fixed1, b.fixed2): k for k, b in enumerate(self.blocks)}
-        # every sector pairs with the identity, so every fixed set has a block
-        self._position = [0] * len(sectors)
-        for b in self.blocks:
-            for r, i in enumerate(b.rows):
-                self._position[i] = r
         big, scaled = _over_common_order(self.elements)
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
         self._big, self._packs = big, [pack(scaled[g]) for g in self.elements]
@@ -215,27 +216,20 @@ class _Analysis:
         pack, lift, self._tops, width = _packer(big, count, big + 1)
         self._lows = [pack(e * (big // g.order) for e in kernel.exponent_vector(g)) for g in self.elements]
         self._highs = [p + lift for p in self._lows]
-        fixed = [c.fixed_columns for c in self.components]
-        key_index: dict = {}
-        ids = []
+        self._key_index = key_index = {}
         for block in self.blocks:
-            per_pair = list(zip(self._selections(block),
-                                map(fixed.__getitem__, self._targets(block.rows, block.cols))))
-            local = dict.fromkeys(per_pair)
-            for spread, target_fixed in local:
-                mask = sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1)
-                local[spread, target_fixed] = key_index.setdefault(
-                    (mask, block.common, target_fixed), len(key_index))
-            ids.append(tuple(map(local.__getitem__, per_pair)))
-        self.keys = tuple(key_index)
-        self.ids = tuple(ids)
+            for i in block.rows:
+                for key in set(self._row(i, block.cols, repeat(block.common), self._targets((i,), block.cols))):
+                    key_index.setdefault(key, len(key_index))
+        self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
+                           common, target_fixed) for spread, common, target_fixed in key_index)
 
-    def _selections(self, block: PairBlock) -> list[int]:
-        """Each pair's selection, row-major, with term k at the top bit of
-        field k."""
+    def _selections(self, rows, cols) -> list[int]:
+        """Each pair's selection pack, row-major over ``rows x cols``, with
+        term k at the top bit of field k."""
         lows, highs, tops = self._lows, self._highs, self._tops
-        cols = [highs[j] for j in block.cols]
-        return [(lows[i] + h) & tops for i in block.rows for h in cols]
+        cols = [highs[j] for j in cols]
+        return [(lows[i] + h) & tops for i in rows for h in cols]
 
     def _targets(self, rows, cols) -> list[int]:
         """``target`` of each pair of ``rows x cols``, row-major."""
@@ -245,6 +239,13 @@ class _Analysis:
         return [by_pack[(s := packs[i] + q) - (((s + lift) & tops) >> width) * big]
                 for i in rows for q in cols]
 
+    def _row(self, i: int, cols, commons, targets):
+        """The key of each pair (i, j), j in ``cols``, with its common set
+        in ``commons`` and its target sector in ``targets``, as
+        ``_key_index`` holds it: (selection pack, common set, target fixed
+        set)."""
+        return zip(self._selections((i,), cols), commons, map(self._fixed.__getitem__, targets))
+
     def target(self, i1: int, i2: int) -> int:
         """The sector index of the sum of sectors i1 and i2."""
         return self._targets((i1,), (i2,))[0]
@@ -252,41 +253,42 @@ class _Analysis:
     def __len__(self) -> int:
         return sum(len(b.rows) * len(b.cols) for b in self.blocks)
 
+    @functools.cached_property
+    def _partners(self) -> dict:
+        """Each fixed set's partners, built on the first walk: the sectors
+        it pairs with, in sector order, and the common set of each."""
+        partners: dict[frozenset[int], list] = {}
+        for b in self.blocks:
+            partners.setdefault(b.fixed1, []).extend((j, b.common) for j in b.cols)
+        # every sector pairs with the identity, so every fixed set has partners
+        return {fixed: tuple(zip(*sorted(row))) for fixed, row in partners.items()}
+
     def walk(self):
-        """(i1, i2, key index) of every pair, in pair order: g1 in sector
-        order, then g2.  Each fixed set's partners are sorted back into
-        sector order."""
-        rows: dict[frozenset[int], list] = {}
-        for b, ids in zip(self.blocks, self.ids):
-            width = len(b.cols)
-            rows.setdefault(b.fixed1, []).extend((j, ids, k, width) for k, j in enumerate(b.cols))
-        for row in rows.values():
-            row.sort(key=itemgetter(0))
-        for i1, c in enumerate(self.components):
-            r = self._position[i1]
-            for i2, ids, k, width in rows[c.fixed_columns]:
-                yield i1, i2, ids[r * width + k]
+        """(i1, i2, key index, target) of every pair, in pair order: g1 in
+        sector order, then g2."""
+        key_index = self._key_index
+        for i1, fixed in enumerate(self._fixed):
+            cols, commons = self._partners[fixed]
+            targets = self._targets((i1,), cols)
+            yield from zip(repeat(i1), cols, map(key_index.__getitem__, self._row(i1, cols, commons, targets)),
+                           targets)
 
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
         """The expanded double inertia, in pair order, built afresh on each
         read: the memoized analysis keeps no expansion alive."""
         el, keys = self.elements, self.keys
-        return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[self.target(i1, i2)])
-                     for i1, i2, k in self.walk())
+        return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in self.walk())
 
     def locate(self, g1: TorsionElement, g2: TorsionElement) -> tuple | None:
         """(key index, target) of the pair (g1, g2), or None when it is not
-        a stable pair of sectors."""
+        a stable pair of sectors: stability is decided on the common mask."""
         i1, i2 = self.index.get(g1), self.index.get(g2)
-        if i1 is None or i2 is None:
+        if i1 is None or i2 is None or not self._stable(self._masks[i1] & self._masks[i2]):
             return None
-        comps = self.components
-        b = self._block_of.get((comps[i1].fixed_columns, comps[i2].fixed_columns))
-        if b is None:
-            return None
-        pos = self._position[i1] * len(self.blocks[b].cols) + self._position[i2]
-        return self.ids[b][pos], self.elements[self.target(i1, i2)]
+        t = self.target(i1, i2)
+        key, = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],), (t,))
+        return self._key_index[key], self.elements[t]
 
 
 @functools.lru_cache(maxsize=2)

@@ -172,10 +172,20 @@ def _dual_elements(lattice) -> set[TorsionElement]:
     return {TorsionElement._reduced(big, row) for row in rows}
 
 
+def _same_dimension(d: int, *elements: TorsionElement) -> None:
+    """Refuse an element whose dimension is not ``d``: a pairing zips the
+    numerators with a character, so it would read only the shorter one."""
+    for g in elements:
+        if g.d != d:
+            raise ValueError("element %s has dimension %d, not %d" % (g, g.d, d))
+
+
 def fixed_columns(a: WeightMatrix, g: TorsionElement) -> frozenset[int]:
     """Columns j with <a_j, v> integral, that is <a_j, nums> = 0 mod the
     order.  In a doubled model x_j and y_j are fixed together since the dual
-    coordinate carries -a_j."""
+    coordinate carries -a_j.  An element of another dimension than the
+    weights' raises ``ValueError``."""
+    _same_dimension(a.d, g)
     nums, order = g.nums, g.order
     return frozenset(j for j, w in enumerate(a.columns, 1) if not sum(map(mul, w, nums)) % order)
 

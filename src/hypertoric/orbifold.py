@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
 from .characters import CharacterClass
 from .chow import GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, product_coefficients, product_of_forms
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, sector_unstable_sets
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _same_dimension, sector_unstable_sets
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
 
@@ -30,7 +30,9 @@ from .poly import IntPoly
 def log_trace(g: TorsionElement, v: CharacterClass) -> CharacterClass:
     """Weight each eigenpiece of g by its fractional exponent: the character
     w contributes frac(<w, g>) times its multiplicity.  Characters fixed by
-    g (and the trivial one) contribute nothing."""
+    g (and the trivial one) contribute nothing.  An element of another
+    dimension than the class's raises ``ValueError``."""
+    _same_dimension(v.dim, g)
     terms = []
     for w, m in v.terms:
         e = g.exponent(w)
@@ -56,8 +58,10 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     therefore 1 when e1 + e2 > M, that is frac<w,g1> + frac<w,g2> > 1, and
     0 otherwise: w enters with its full multiplicity m or not at all.  So
     the class depends only on which terms enter; this function runs the
-    analysis' kernel (``analysis._Obstructions``) for one pair.
+    analysis' kernel (``analysis._Obstructions``) for one pair.  An element
+    of another dimension than the model's raises ``ValueError``.
     """
+    _same_dimension(model.d, g1, g2)
     return _Obstructions(model).class_of(g1, g2)
 
 
@@ -271,10 +275,10 @@ class OrbifoldTable:
         for the pairs whose key index is in it."""
         analysis = self.analysis
         el = analysis.elements
-        for i1, i2, k in analysis.walk():
+        for i1, i2, k, t in analysis.walk():
             if keys is None or k in keys:
                 poly, coords = self.values[k]
-                yield ProductEntry(el[i1], el[i2], el[analysis.target(i1, i2)], poly, coords)
+                yield ProductEntry(el[i1], el[i2], el[t], poly, coords)
 
     def entry(self, g1, g2) -> ProductEntry:
         """The stored entry, else the zero entry; a non-sector raises ValueError."""
@@ -321,7 +325,7 @@ def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTa
         obstruction_class = analysis.obstructions.bundle(mask)
         if obstruction_class is None:
             # raise, naming the first pair in pair order whose selection fails
-            for i1, i2, k in analysis.walk():
+            for i1, i2, k, _ in analysis.walk():
                 analysis.obstructions.class_for(analysis.keys[k][0], analysis.elements[i1], analysis.elements[i2])
         values.append(geo.product(obstruction_class, common, target_fixed))
     return OrbifoldTable(geo, tuple(values))
@@ -348,19 +352,20 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
 
     Each side reads the shared analysis of its model's read data
     (``_analysis``); a fiber whose read data are the ambient's (the moment
-    fiber of a Lawrence model) reads the ambient's analysis.  Two analyses
-    with equal elements, fixed sets and blocks have equal pairs in one
-    order, so the sides are aligned block by block, and the classes are
-    compared once per distinct (ambient key, fiber key) of a pair.  Every
-    selection is bundle-tested, and a failing pair is listed on its own:
-    every pair whose selection is not a bundle, and every pair whose two
-    classes differ, is in ``failures``, in pair order."""
+    fiber of a Lawrence model) reads the ambient's analysis, and each key
+    is compared with itself.  Two analyses with equal elements, fixed sets
+    and blocks have equal pairs in one order, so the sides are aligned by
+    zipping their walks, which compute each pair's keys on the fly, and the
+    classes are compared once per distinct (ambient key, fiber key) of a
+    pair.  Every selection is bundle-tested, and a failing pair is listed
+    on its own: every pair whose selection is not a bundle, and every pair
+    whose two classes differ, is in ``failures``, in pair order."""
     models = _lawrence_pair(a, _int_entries(theta, "character theta"))
     ambient, fiber = (_analysis(_Reads(m)) for m in models)
     if fiber is ambient:
         combos = [(k, k) for k in range(len(ambient.keys))]
     elif _layout(fiber) == _layout(ambient):
-        combos = dict.fromkeys(pair for ids_a, ids_f in zip(ambient.ids, fiber.ids) for pair in zip(ids_a, ids_f))
+        combos = dict.fromkeys((ka, kf) for (_, _, ka, _), (_, _, kf, _) in zip(ambient.walk(), fiber.walk()))
     else:
         return ObstructionPullbackReport(
             False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
@@ -373,7 +378,7 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     failures = []
     el = ambient.elements
     walks = zip(ambient.walk(), fiber.walk()) if failing else ()
-    for (i1, i2, ka), (_, _, kf) in walks:
+    for (i1, i2, ka, _), (_, _, kf, _) in walks:
         if (ka, kf) not in failing:
             continue
         g1, g2 = el[i1], el[i2]

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .exact import as_fraction_vector, as_int
-from .inertia import TorsionElement, inertia_elements
+from .inertia import TorsionElement, _same_dimension, inertia_elements
 from .model import ModelError, SigmaSet, StackModel, WeightMatrix, _integral, _lawrence_pair, lambda_coeffs, moment_eval
 from .value import Value
 
@@ -43,7 +43,11 @@ class LocalModelSRE(Value):
 
 def sre_condition_iii(local: LocalModelSRE) -> bool:
     """True iff the normal fiber is a trivial representation of the inertia
-    group: every generator pairs integrally with every normal weight."""
+    group: every generator pairs integrally with every normal weight.  A
+    weight whose length is not a generator's dimension raises
+    ``ValueError``."""
+    for w in local.normal_weights:
+        _same_dimension(len(w), *local.generators)
     return all(g.fixes(w) for g in local.generators for w in local.normal_weights)
 
 

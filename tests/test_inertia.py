@@ -6,6 +6,8 @@ import pytest
 
 import hypertoric.inertia as inertia_module
 from hypertoric import (
+    CharacterClass,
+    LocalModelSRE,
     TorsionElement,
     WeightMatrix,
     age,
@@ -16,7 +18,10 @@ from hypertoric import (
     inertia_components,
     inertia_elements,
     lawrence_model,
+    log_trace,
+    obstruction,
     sector_model,
+    sre_condition_iii,
     stabilizer_elements,
 )
 from hypertoric.chow import presentation
@@ -43,6 +48,24 @@ def test_elements_of_different_dimensions_do_not_mix():
             op(g, h)
     assert TorsionElement(2, (1, 0)) + TorsionElement(2, (1, 1)) == TorsionElement(2, (0, 1))
     assert TorsionElement(3, (1,)) < TorsionElement(2, (1,))
+
+
+_A = WeightMatrix.from_rows([[1, 2, 3], [0, 1, 1]])
+_HALF = TorsionElement(2, (1,))
+
+
+@pytest.mark.parametrize("call", [
+    # zipped with a 2-dimensional column, the 1-dimensional element read
+    # only its first entry: {2}, the class 0, True and 1/2*chi[1, 1]
+    lambda: fixed_columns(_A, _HALF),
+    lambda: obstruction(lawrence_model(_A, (1, 1)), _HALF, _HALF),
+    lambda: obstruction(lawrence_model(_A, (1, 1)), TorsionElement(2, (1, 0)), _HALF),
+    lambda: sre_condition_iii(LocalModelSRE((_HALF,), ((0, 1),))),
+    lambda: log_trace(_HALF, CharacterClass.build(2, [((1, 1), 1)])),
+], ids=["fixed_columns", "obstruction", "obstruction-second", "sre_condition_iii", "log_trace"])
+def test_an_element_of_another_dimension_is_refused(call):
+    with pytest.raises(ValueError, match=r"element \(1/2\) has dimension 1, not 2"):
+        call()
 
 
 def test_bases_spanning_one_lattice_are_walked_once(monkeypatch):

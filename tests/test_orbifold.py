@@ -813,11 +813,12 @@ def test_one_analysis_per_verify(monkeypatch):
     assert len(enumerations) == len(walks) == 1
     assert {model.kind for model, _ in enumerations} == {"lawrence"}
     assert orbifold_module._analysis.cache_info().currsize == 1
-    # each block's selections once, so each pair's once
+    # the selections are computed one block row at a time, each pair's once
     analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
     assert "pairs" not in vars(analysis)
-    assert [block for _, block in selections] == analysis.blocks
-    assert sum(len(b.rows) * len(b.cols) for b in analysis.blocks) == pull.checked == len(analysis)
+    covered = sorted((i, j) for _, rows, cols in selections for i in rows for j in cols)
+    assert sum(len(rows) * len(cols) for _, rows, cols in selections) == pull.checked == len(analysis)
+    assert covered == [(i1, i2) for i1, i2, *_ in analysis.walk()]
 
 
 def test_one_model_pair_per_verify_input(monkeypatch, a_2x3):

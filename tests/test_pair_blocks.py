@@ -77,22 +77,24 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
         assert double_inertia(model) == expected, name
         assert len(analysis) == len(expected)
         elements = analysis.elements
-        for b, (block, ids) in enumerate(zip(analysis.blocks, analysis.ids)):
+        for block in analysis.blocks:
             assert {fixed[elements[i]] for i in block.rows} == {block.fixed1}
             assert {fixed[elements[j]] for j in block.cols} == {block.fixed2}
             assert block.common == block.fixed1 & block.fixed2
-            assert len(ids) == len(block.rows) * len(block.cols)
-            for pos, (i1, i2) in enumerate(itertools.product(block.rows, block.cols)):
+            for i1, i2 in itertools.product(block.rows, block.cols):
                 g1, g2 = elements[i1], elements[i2]
-                mask, common, target_fixed = analysis.keys[ids[pos]]
+                key, target = analysis.locate(g1, g2)
+                mask, common, target_fixed = analysis.keys[key]
                 assert mask == sum(1 << k for k in kernel.selection(g1, g2)), name
                 assert common == block.common
                 assert target_fixed == fixed_columns(model.base, g1 + g2)
-                assert analysis.locate(g1, g2) == (ids[pos], g1 + g2)
+                assert target == g1 + g2
                 assert elements[analysis.target(i1, i2)] == g1 + g2
         # the walk visits the blocks' pairs in pair order, with their keys
+        # and their targets
         assert list(analysis.walk()) == [
-            (analysis.index[p.g1], analysis.index[p.g2], analysis.locate(p.g1, p.g2)[0]) for p in expected]
+            (analysis.index[p.g1], analysis.index[p.g2], analysis.locate(p.g1, p.g2)[0], analysis.index[p.target])
+            for p in expected]
         nontrivial += len(analysis.blocks) > 1
     assert nontrivial >= 10
 
@@ -211,3 +213,27 @@ def test_the_memoized_analysis_keeps_no_expanded_pairs():
     del pairs, again
     assert _analysis_of(model) is analysis
     assert "pairs" not in vars(analysis)
+
+
+def _held_entries(analysis):
+    """The entries of every tuple, list, dict and set reachable from the
+    analysis' attributes through containers, each container counted once."""
+    containers = (tuple, list, dict, set, frozenset)
+    seen, stack, total = set(), list(vars(analysis).values()), 0
+    while stack:
+        value = stack.pop()
+        if isinstance(value, containers) and id(value) not in seen:
+            seen.add(id(value))
+            total += len(value)
+            stack.extend([*value.keys(), *value.values()] if isinstance(value, dict) else value)
+    return total
+
+
+def test_the_analysis_keeps_nothing_per_pair():
+    # a table with an entry per pair held 337452 entries on these 308109
+    # pairs; the sectors, the blocks, the partners and the keys hold 45046,
+    # and a walk, which reads every pair's key, adds nothing to them
+    analysis = _analysis_of(lawrence_model(*random_generic_instance(random.Random(1), 4, 6)))
+    assert len(analysis) == 308109
+    assert sum(1 for _ in analysis.walk()) == len(analysis)
+    assert _held_entries(analysis) < len(analysis) // 4
