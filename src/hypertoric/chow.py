@@ -88,14 +88,13 @@ class GradedRingPresentation:
 
     Each presentation holds its read-once tables: ``degrees``, the degree
     of each relation, read as the relations are validated, and, for a
-    presentation made by ``from_characters``, ``characters``, one sorted
-    multiset of characters per relation whose product of linear forms is
-    that relation, with ``counters``, the same multisets as ``Counter``s;
-    otherwise ``characters`` is None and ``counters`` empty.  The multisets
+    presentation made by ``from_characters``, ``counters``, one multiset
+    of characters per relation, as a ``Counter``, whose product of linear
+    forms is that relation; otherwise ``counters`` is empty.  The multisets
     are a certificate, not part of the ring's value: equality compares the
     relations only, and a presentation is not hashable."""
 
-    __slots__ = ("num_vars", "relations", "truncation", "degrees", "characters", "counters", "_pieces")
+    __slots__ = ("num_vars", "relations", "truncation", "degrees", "counters", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
         if truncation < 0:
@@ -111,7 +110,6 @@ class GradedRingPresentation:
                 raise ValueError("degree-0 relation makes the ring trivial")
         self.num_vars, self.relations, self.truncation = num_vars, relations, truncation
         self.degrees = tuple(degrees)
-        self.characters: tuple | None = None
         self.counters: tuple[Counter, ...] = ()
         self._pieces: dict = {}
 
@@ -141,8 +139,7 @@ class GradedRingPresentation:
         # a nonzero product of k linear forms has degree k
         rels = sorted(by_poly, key=lambda p: (len(by_poly[p]), p.terms))
         out = GradedRingPresentation(num_vars, tuple(rels), truncation)
-        out.characters = tuple(by_poly[r] for r in rels)
-        out.counters = tuple(map(Counter, out.characters))
+        out.counters = tuple(Counter(by_poly[r]) for r in rels)
         return out
 
     def piece(self, k: int) -> GradedPiece:

@@ -7,11 +7,11 @@ restrict along the moment-fiber embedding, and the two sides carry
 isomorphic orbifold rings with identical structure constants and ages.
 
 A ``SectorGeometry`` is the one owner of the rings over one analysis at
-one truncation: one presentation per list of character multisets, one
-checked embedding per value, and one generator product per (obstruction
-class, embedding).  Models with equal read data read one geometry within
-a call, so both tables of ``verify_orbifold_iso`` on a Lawrence input
-read one.
+one truncation, each kept once, keyed by what derives it: one
+presentation per fixed set, one checked embedding per (common fixed set,
+target fixed set), and one generator product per product key of the
+analysis.  Models with equal read data read one geometry within a call,
+so both tables of ``verify_orbifold_iso`` on a Lawrence input read one.
 """
 
 from __future__ import annotations
@@ -107,17 +107,16 @@ def _generator_product(obstruction_class: CharacterClass, emb: SectorEmbedding) 
 
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
-    truncation, and the one owner of those rings.  The analysis is the
-    shared one of the model's read data (``_analysis``).  A sector's ring
-    depends only on its fixed columns: it is read straight from the
-    characters of the sector's minimal unstable sets
-    (``inertia.sector_unstable_sets``), with no sector model built, once
-    per fixed set, and fixed sets with one list of character multisets
-    share one presentation, with its one piece cache.  The geometry checks
-    one embedding per value (sub ring, ambient ring, normal characters); a
-    failed check is never stored, so every push through it raises again.
-    It builds one generator product per (obstruction class, embedding),
-    by ``_generator_product``.  All of these read only the read data, so a
+    truncation, and the one owner of those rings, each kept once, keyed by
+    what derives it.  The analysis is the shared one of the model's read
+    data (``_analysis``).  A sector's ring depends only on its fixed
+    columns: it is read straight from the characters of the sector's
+    minimal unstable sets (``inertia.sector_unstable_sets``), with no
+    sector model built, once per fixed set, with its one piece cache.  The
+    geometry checks one embedding per (common fixed set, target fixed
+    set); a failed check is never stored, so every push through it raises
+    again.  It builds one generator product per product key of the
+    analysis (``value``).  All of these read only the read data, so a
     model whose read data are this one's may read this geometry.  A
     negative truncation raises ``ValueError``."""
 
@@ -130,10 +129,8 @@ class SectorGeometry:
         self.components: tuple[InertiaComponent, ...] = self.analysis.components
         self.obstructions: _Obstructions = self.analysis.obstructions
         self._presentations: dict = {}
-        self._by_characters: dict = {}
         self._embeddings: dict = {}
-        self._checked: dict = {}
-        self._products: dict = {}
+        self._values: dict = {}
 
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
@@ -161,11 +158,8 @@ class SectorGeometry:
             char = self.model.coordinate_char
             multisets = tuple(tuple(sorted(char(i) for i in s))
                               for s in sector_unstable_sets(self.model, fixed))
-            pres = self._by_characters.get(multisets)
-            if pres is None:
-                pres = self._by_characters[multisets] = GradedRingPresentation.from_characters(
-                    self.model.d, multisets, self.truncation)
-            self._presentations[fixed] = pres
+            pres = self._presentations[fixed] = GradedRingPresentation.from_characters(
+                self.model.d, multisets, self.truncation)
         return pres
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
@@ -177,30 +171,27 @@ class SectorGeometry:
             model = self.model
             # column by column, x_j before y_j
             coords = sorted(model.coords_of_columns(big - small), key=lambda i: ((i - 1) % model.n, i))
-            sub, ambient = self.presentation_for(small), self.presentation_for(big)
-            normal_chars = tuple(map(model.coordinate_char, coords))
-            # the geometry keeps every presentation it hands out, so their
-            # identities stand for them in the key
-            value = (id(sub), id(ambient), normal_chars)
-            emb = self._checked.get(value)
-            if emb is None:
-                emb = SectorEmbedding(sub=sub, ambient=ambient, normal_chars=normal_chars)
-                emb.check()
-                self._checked[value] = emb
+            emb = SectorEmbedding(sub=self.presentation_for(small), ambient=self.presentation_for(big),
+                                  normal_chars=tuple(map(model.coordinate_char, coords)))
+            emb.check()
             self._embeddings[small, big] = emb
         return emb
 
-    def product(self, obstruction_class: CharacterClass, common: frozenset[int],
-                target_fixed: frozenset[int]) -> tuple:
-        """The generator product of a pair with this obstruction class,
-        common fixed set and target fixed set, and its coordinates in the
-        target's ring, built once per (class, embedding); the geometry keeps
-        each embedding it hands out, so its identity keys its value."""
-        emb = self.embedding(common, target_fixed)
-        key = (obstruction_class, id(emb))
-        out = self._products.get(key)
+    def value(self, k: int) -> tuple:
+        """The generator product of the analysis' product key ``k`` and its
+        coordinates in the target's ring, built once: the key's
+        obstruction class pushed along the embedding of its common set
+        into its target fixed set (``_generator_product``).  A key whose
+        selection is not a bundle raises ``ObstructionError`` and is never
+        stored; ``star`` and ``_table`` test the selection first, naming a
+        failing pair."""
+        out = self._values.get(k)
         if out is None:
-            out = self._products[key] = _generator_product(obstruction_class, emb)
+            mask, common, target_fixed = self.analysis.keys[k]
+            bundle = self.obstructions.bundle(mask)
+            if bundle is None:
+                raise ObstructionError("obstruction of product key %d is not a bundle" % k)
+            out = self._values[k] = _generator_product(bundle, self.embedding(common, target_fixed))
         return out
 
     def generator(self, g: TorsionElement) -> GradedClass:
@@ -218,7 +209,8 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     representatives), multiply by the generator product of their pair: the
     Euler polynomial of the obstruction class times the normal Euler factor
     of the embedding of the common locus into the target fixed locus, as
-    the geometry builds it once per (class, embedding).
+    the geometry builds it once per product key (``SectorGeometry.value``),
+    after the pair's own selection is tested to be a bundle.
     """
     model = geo.model
     if alpha.is_zero or beta.is_zero:
@@ -229,10 +221,8 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
         geo.component(beta.component)
         return _zero_class(model.d)
     k, target = found
-    mask, common, target_fixed = geo.analysis.keys[k]
-    obstruction_class = geo.obstructions.class_for(mask, alpha.component, beta.component)
-    product, _ = geo.product(obstruction_class, common, target_fixed)
-    pushed = alpha.poly * beta.poly * product
+    geo.obstructions.class_for(geo.analysis.keys[k][0], alpha.component, beta.component)
+    pushed = alpha.poly * beta.poly * geo.value(k)[0]
     _check_truncation(pushed.homogeneous_degree(), geo.truncation)
     return GradedClass(target, pushed)
 
@@ -297,11 +287,11 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     (``_analysis``), so its sectors, blocks and product keys are those the
     pullback check reads; its truncation is its own, since it depends on
     ``bound``, and so is the geometry, which owns the presentations,
-    embeddings and generator products, each product built once per (class,
-    embedding).  The table looks it up once per product key of the
-    analysis, not once per pair, and ``products`` expands the keys to the
-    pairs.  A selection that is not a bundle raises, naming the first pair
-    in pair order that has one.  A bound below 1 raises."""
+    embeddings and generator products, each product built once per product
+    key.  The table reads it once per product key of the analysis
+    (``SectorGeometry.value``), not once per pair, and ``products`` expands
+    the keys to the pairs.  A selection that is not a bundle raises, naming
+    the first pair in pair order that has one.  A bound below 1 raises."""
     return _table(model, bound, {})
 
 
@@ -309,7 +299,8 @@ def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTa
     """``orbifold_table`` with its geometry read from, or added to,
     ``geometries``, keyed by (read data, bound): a model whose read data
     are another's reads that model's geometry, with its rings, embeddings
-    and products."""
+    and products, so a second table over it builds no product again.  Each
+    table holds its own tuple of the values it read."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     reads = _Reads(model)
@@ -321,13 +312,12 @@ def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTa
         geo = geometries[reads, bound] = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
     analysis = geo.analysis
     values = []
-    for mask, common, target_fixed in analysis.keys:
-        obstruction_class = analysis.obstructions.bundle(mask)
-        if obstruction_class is None:
+    for k, (mask, _, _) in enumerate(analysis.keys):
+        if analysis.obstructions.bundle(mask) is None:
             # raise, naming the first pair in pair order whose selection fails
-            for i1, i2, k, _ in analysis.walk():
-                analysis.obstructions.class_for(analysis.keys[k][0], analysis.elements[i1], analysis.elements[i2])
-        values.append(geo.product(obstruction_class, common, target_fixed))
+            for i1, i2, j, _ in analysis.walk():
+                analysis.obstructions.class_for(analysis.keys[j][0], analysis.elements[i1], analysis.elements[i2])
+        values.append(geo.value(k))
     return OrbifoldTable(geo, tuple(values))
 
 
@@ -434,9 +424,10 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     both tables read one analysis and one geometry, and the check
     certifies that the two sides share those data; a fiber with other
     read data gets a geometry of its own and is computed from its own
-    data.  Within a geometry each list of character multisets is one
-    presentation, with its pieces built once, and each distinct embedding
-    is built and checked once.  A sector's ring is the presentation of its fixed set, so the
+    data.  Within a geometry each fixed set has one presentation, with
+    its pieces built once, each (common fixed set, target fixed set) one
+    embedding, built and checked once, and each product key one generator
+    product.  A sector's ring is the presentation of its fixed set, so the
     rings are compared (``_same_ring``) once per distinct (ambient fixed
     set, fiber fixed set); every sector over a failing pair is listed in
     ``ring_failures``.  Products are compared by ``_product_failures``:

@@ -178,7 +178,11 @@ def verify_charts(a: WeightMatrix, theta, samples: int = 100, seed: int = 0) -> 
     reproduce the inputs exactly.  The sigma sets are those of the Lawrence
     model of ``(a, theta)``, read from the memo every parse and verifier
     reads (``model._lawrence_pair``), so the sign rule runs once per column
-    basis; a rational ``theta`` is scaled to an integral one first."""
+    basis; a rational ``theta`` is scaled to an integral one first.  A
+    ``samples`` below 1 raises ``ValueError``: it would check no point and
+    report a vacuous pass."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     checks = []
     for sigma in _lawrence_pair(a, _integral(theta))[0].arrangement.sigma_sets:

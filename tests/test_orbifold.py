@@ -289,12 +289,12 @@ def _spy_work(monkeypatch):
 
 @pytest.mark.parametrize("name", ["tp12_hypertoric", "mu3_model"])
 def test_orbifold_table_analyses_once(name, request, monkeypatch):
-    # one inertia pass, no sector model, one presentation per distinct
-    # multiset list, one Gysin check per distinct embedding value, no Euler
-    # polynomial, one kernel product per distinct (class, embedding value)
-    # with a nonzero product, for the table's single geometry, and no
-    # ``star``; on mu3 two fixed sets share the ring Z[t]/(3t), and their
-    # two identity embeddings are one value
+    # one inertia pass, no sector model, one presentation per fixed set
+    # read, one Gysin check per (common, target) fixed-set pair, no Euler
+    # polynomial, one kernel product per product key with a nonzero
+    # product, for the table's single geometry, and no ``star``; on mu3
+    # two fixed sets have the ring Z[t]/(3t), and each has a presentation
+    # of its own
     model = request.getfixturevalue(name)
     build_sector = inertia_module.sector_model
     enumerations, checked = [], []
@@ -309,18 +309,21 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     done = {name: len(calls) for name, calls in work.items()}
     assert len(enumerations) == 1
     assert done["sector_models"] == done["stars"] == 0
-    lists = _multiset_lists(geo, build_sector)
-    assert sorted(work["presentations"]) == sorted(lists)
-    fixed_pairs = {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
-    embeddings = {id(e): e for e in (geo.embedding(*fp) for fp in fixed_pairs)}
-    values = {(_ring_key(e.sub), _ring_key(e.ambient), e.normal_chars) for e in embeddings.values()}
-    assert len(checked) == len(embeddings) == len(values)
-    assert {id(emb) for (emb,) in checked} == set(embeddings)
+    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
+    assert len(work["presentations"]) == len(fixed_sets) == len(geo._presentations)
+    assert set(work["presentations"]) == _multiset_lists(geo, build_sector)
     if name == "mu3_model":
-        assert len(values) < len(fixed_pairs)
+        assert len(set(work["presentations"])) < len(fixed_sets)
+    fixed_pairs = {(common, target_fixed) for _, common, target_fixed in geo.analysis.keys}
+    assert fixed_pairs == {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
+    assert [id(emb) for (emb,) in checked] == [id(geo.embedding(*fp)) for fp in geo._embeddings]
+    assert len(checked) == len(fixed_pairs)
     assert done["eulers"] == 0
-    nonzero = _nonzero(_product_values(geo))
-    assert done["products"] == len(nonzero) <= len(_product_values(geo)) <= len(_product_keys(geo))
+    keys = [(geo.obstructions.bundle(mask), geo.embedding(common, target_fixed))
+            for mask, common, target_fixed in geo.analysis.keys]
+    nonzero = [k for k, (c, emb) in enumerate(keys)
+               if not euler_poly(c).is_zero and all(any(w) for w in emb.normal_chars)]
+    assert done["products"] == len(nonzero) and nonzero
 
 
 # (builder, seed, d, n) of random_generic_instance; the last has 204 sectors
@@ -693,6 +696,11 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
     for p in failing:
         with pytest.raises(ObstructionError):
             geo.obstructions.class_of(p.g1, p.g2)
+    # the geometry's product of a failing key raises too, on every read
+    k = next(k for k, (mask, _, _) in enumerate(geo.analysis.keys) if geo.obstructions.bundle(mask) is None)
+    for _ in range(2):
+        with pytest.raises(ObstructionError, match="product key %d is not a bundle" % k):
+            geo.value(k)
 
 
 def _spy_geometries(monkeypatch):

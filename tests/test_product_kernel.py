@@ -6,7 +6,7 @@ coefficients of its product of linear forms over the monomials of its
 degree; its reference is the chain of ``IntPoly.linear_form`` products.
 ``orbifold._generator_product`` builds a generator product as one kernel
 run over the obstruction class's characters and the normal ones, and a
-``SectorGeometry`` keeps one per (class, embedding); their reference,
+``SectorGeometry`` keeps one per product key (``value``); their reference,
 ``old_product`` below, multiplies the class's Euler polynomial by the
 normal one factor by factor and reduces the result with
 ``reduce_class``.  All must agree exactly, errors included.
@@ -18,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
+    GradedClass,
     GradedRingPresentation,
     IntPoly,
     SectorEmbedding,
@@ -29,6 +31,7 @@ from hypertoric import (
     lawrence_model,
     orbifold_table,
     reduce_class,
+    star,
 )
 from hypertoric.chow import product_coefficients
 from hypertoric.orbifold import _generator_product
@@ -96,12 +99,17 @@ def test_kernel_refuses_a_character_of_the_wrong_length():
         product_coefficients(2, [(1, 2), (1, 2, 3)])
 
 
+def _models():
+    for build in (lawrence_model, hypertoric_model):
+        for seed, d, n in [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
+            yield build(*random_generic_instance(random.Random(seed), d, n))
+
+
 def _geometries():
     """The geometries of the tables of seeded models, each holding every
     embedding its table pushes along."""
-    for build in (lawrence_model, hypertoric_model):
-        for seed, d, n in [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
-            yield orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3).geometry
+    for model in _models():
+        yield orbifold_table(model, 3).geometry
 
 
 def test_store_products_equal_the_old_products():
@@ -109,7 +117,7 @@ def test_store_products_equal_the_old_products():
     for geo in _geometries():
         analysis = geo.analysis
         d = geo.model.d
-        for mask, common, target_fixed in analysis.keys:
+        for k, (mask, common, target_fixed) in enumerate(analysis.keys):
             emb = geo.embedding(common, target_fixed)
             bundle = analysis.obstructions.bundle(mask)
             wide = CharacterClass.build(d, [(emb.normal_chars[0] if emb.normal_chars
@@ -117,14 +125,44 @@ def test_store_products_equal_the_old_products():
             for c in (bundle, bundle + CharacterClass.build(d, trivial=1), wide):
                 expected = outcome(old_product, c, emb)
                 # the kernel itself, so no stored product answers for another class
-                got = outcome(_generator_product, c, emb)
-                assert got == expected
-                assert outcome(geo.product, c, common, target_fixed) == expected
+                assert outcome(_generator_product, c, emb) == expected
                 checked += 1
                 zeros += expected[1] == ()
                 refused += expected[0] == "raised"
-            assert geo.product(bundle, common, target_fixed) is geo.product(bundle, common, target_fixed)
+            assert geo.value(k) == old_product(bundle, emb)
+            assert geo.value(k) is geo.value(k)
     assert checked > 500 and zeros > 0 and refused > 0
+
+
+def test_each_product_key_has_one_value_built_once(monkeypatch):
+    # the geometry builds one generator product per product key, by one
+    # kernel run when it is nonzero; a second table over the geometry and
+    # ``star`` read the stored values and run the kernel no more
+    runs = []
+    kernel = orbifold_module.product_coefficients
+    monkeypatch.setattr(orbifold_module, "product_coefficients",
+                        lambda *args: runs.append(args) or kernel(*args))
+    for model in _models():
+        runs.clear()
+        geometries = {}
+        table = orbifold_module._table(model, 3, geometries)
+        geo = table.geometry
+        analysis = geo.analysis
+        built = len(runs)
+        values = [geo.value(k) for k in range(len(analysis.keys))]
+        assert values == list(table.values) and len(runs) == built
+        assert built == sum(poly != IntPoly.zero(model.d) for poly, _ in values) > 0
+        assert values == [_generator_product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
+                          for mask, common, target_fixed in analysis.keys]
+        runs.clear()
+        again = orbifold_module._table(model, 3, geometries)
+        assert again.geometry is geo and again.values == table.values and not runs
+
+        el, d = analysis.elements, model.d
+        for i1, i2, k, t in analysis.walk():
+            alpha, beta = GradedClass(el[i1], IntPoly.one(d).scale(2)), GradedClass(el[i2], IntPoly.one(d).scale(-3))
+            assert star(geo, alpha, beta) == GradedClass(el[t], alpha.poly * beta.poly * geo.value(k)[0])
+        assert not runs
 
 
 def test_zero_normal_character_gives_a_zero_product_with_no_truncation_check():

@@ -6,8 +6,9 @@ lies in the coordinates over the other columns.  Every subset of columns is
 tried, the empty and the rank-deficient ones among them.  Ages are read off
 the obstruction kernel's exponent vectors; the oracle sums
 m * (<w, g> - floor(<w, g>)) over the tangent class in Fractions, trivial
-summands included.  A presentation's degrees and character multisets are
-compared with ``homogeneous_degree()`` and ``Counter`` per relation.
+summands included.  A presentation's degrees are compared with
+``homogeneous_degree()``, and each relation with the product of the
+characters of its ``Counter`` certificate.
 """
 
 import itertools
@@ -191,9 +192,9 @@ def presentations():
     for build in (lawrence_model, hypertoric_model):
         for seed, d, n in [(1, 1, 4), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
             table = orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3)
-            yield from table.geometry._by_characters.values()
+            yield from table.geometry._presentations.values()
     for _, model in direct_models():
-        yield from orbifold_table(model, 3).geometry._by_characters.values()
+        yield from orbifold_table(model, 3).geometry._presentations.values()
 
 
 @pytest.mark.parametrize("plain", [
@@ -204,16 +205,15 @@ def presentations():
 def test_presentations_without_multisets_keep_only_their_degrees(plain):
     pres = GradedRingPresentation(*plain)
     assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-    assert pres.characters is None and pres.counters == ()
+    assert pres.counters == ()
 
 
 def test_cached_degrees_and_multisets_equal_the_recomputed_ones():
     seen = 0
     for pres in presentations():
         assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-        assert len(pres.characters) == len(pres.counters) == len(pres.relations)
-        for rel, chars, counter in zip(pres.relations, pres.characters, pres.counters):
-            assert counter == Counter(chars)
-            assert product_of_forms(pres.num_vars, chars) == rel
+        assert len(pres.counters) == len(pres.relations)
+        for rel, counter in zip(pres.relations, pres.counters):
+            assert product_of_forms(pres.num_vars, list(counter.elements())) == rel
             seen += 1
     assert seen > 100

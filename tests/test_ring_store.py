@@ -1,8 +1,9 @@
-"""One owner per ring value, and the exact certificates that skip work.
+"""One owner per ring, and the exact certificates that skip work.
 
-A ``SectorGeometry`` owns the rings over one analysis at one truncation:
-each distinct ring is one presentation whose pieces are built once, and
-each distinct embedding is checked once.  Within one
+A ``SectorGeometry`` owns the rings over one analysis at one truncation,
+keyed by what derives them: each fixed set has one presentation whose
+pieces are built once, and each (common fixed set, target fixed set) one
+embedding, checked once.  Within one
 ``verify_orbifold_iso`` call a fiber with the ambient's read data reads
 the ambient's geometry, and a fiber with other read data builds its own.
 Two certificates stand in for lattice work: equal relation lists prove
@@ -61,6 +62,10 @@ def _record_work(monkeypatch):
 
 @pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)])
 def test_each_ring_value_and_embedding_has_one_owner_per_verify(seed, d, n, monkeypatch):
+    # the geometry keeps one presentation per fixed set and one embedding
+    # per fixed-set pair; no two fixed sets on these seeds share a list of
+    # character multisets, so each ring value is built and each embedding
+    # value checked once
     a, theta = random_generic_instance(random.Random(seed), d, n)
     builds, checks = _record_work(monkeypatch)
     assert verify_orbifold_iso(a, theta, 5).ok
@@ -149,7 +154,7 @@ def test_from_characters_keeps_a_certificate_per_relation():
     pres = _ring([(1,), (1,)], [(-1,), (-1,)], [(3,)])
     # t^2 from two multisets is one relation with the first certificate
     assert [str(r) for r in pres.relations] == ["3*t1", "t1^2"]
-    assert pres.characters == (((3,),), ((1,), (1,)))
+    assert pres.counters == (Counter({(3,): 1}), Counter({(1,): 2}))
     assert pres == GradedRingPresentation(1, (T.scale(3), T * T), 6)
     # a zero character gives a zero product, which is dropped
     assert _ring([(0,)], [(2,)]).relations == (T.scale(2),)

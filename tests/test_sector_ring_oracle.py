@@ -83,7 +83,7 @@ def _outcome(build):
         pres = build()
     except ValueError as exc:
         return ("refused", str(exc))
-    return (pres.relations, pres.characters)
+    return (pres.relations, pres.counters)
 
 
 @pytest.mark.parametrize("source", ["demo", "seeded"])

@@ -130,6 +130,14 @@ def test_verify_charts_named(a12, a11):
     assert verify_charts(eye, [1, 1], samples=50, seed=2).ok
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_charts_refuses_fewer_than_one_sample(a12, samples):
+    # such a count used to check no point and report a vacuous pass
+    with pytest.raises(ValueError, match="samples must be at least 1, got %d" % samples):
+        verify_charts(a12, [1], samples=samples)
+    assert [c.samples for c in verify_charts(a12, [1], samples=1).charts] == [1, 1]
+
+
 def test_verify_charts_takes_a_rational_theta_and_refuses_bad_ones(a_2x3):
     # the charts are read off the Lawrence model of the integral multiple
     a = WeightMatrix.from_rows([[0, 1, 1], [1, 0, 1]])
