@@ -3,8 +3,8 @@
 The sectors of a model, its double inertia held as blocks of fixed-set
 pairs, the distinct product keys of its pairs (a pair's obstruction
 selection and key are computed where they are read, never stored per
-pair), and the obstruction kernel that turns a selection into its
-bundle-tested class.
+pair), and the obstruction kernel, which holds each selection's Euler
+factors as int characters.
 An analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand, and is
 memoized by those data (``_analysis``), so every table and verifier of
@@ -39,12 +39,15 @@ class _Obstructions:
     e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1, which is the rule of
     ``orbifold.obstruction``, held as an int bitmask (bit k for term k);
     the obstruction class is those terms of the tangent class, so it
-    depends on the pair only through its selection and is built once per
-    distinct selection.  It is a bundle exactly when it selects no
-    negative multiplicity (``_negative``).  A selection that fails the test
-    is never stored: every pair that has it raises ``ObstructionError``
-    again.  The kernel reads only the dimension and the tangent terms of
-    its model."""
+    depends on the pair only through its selection.  Its Euler factors
+    (``bundle``) are kept once per distinct selection: each selected
+    character repeated by its multiplicity, in term order, so two classes
+    are equal exactly when their factor tuples are.  A class is a bundle
+    exactly when its selection picks no negative multiplicity
+    (``_negative``); one that is not has no factors, and every pair with
+    it raises ``ObstructionError`` again.  A ``CharacterClass`` is built
+    only for a class handed out (``class_for``).  The kernel reads only the
+    dimension and the tangent terms of its model."""
 
     def __init__(self, model: StackModel):
         self.d = model.d
@@ -53,7 +56,7 @@ class _Obstructions:
         self.mults = tuple(m.numerator for _, m in self.terms)
         self._negative = sum(1 << k for k, m in enumerate(self.mults) if m < 0)
         self._exponents: dict = {}
-        self._classes: dict = {}
+        self._factors: dict = {}
 
     def exponent_vector(self, g: TorsionElement) -> tuple[int, ...]:
         e = self._exponents.get(g)
@@ -68,28 +71,24 @@ class _Obstructions:
         exps = zip(self.exponent_vector(g1), self.exponent_vector(g2))
         return tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
 
-    def _class(self, mask: int) -> CharacterClass:
-        # a subsequence of sorted, distinct, nonzero terms is a canonical class
-        return CharacterClass(self.d, tuple(t for k, t in enumerate(self.terms) if mask >> k & 1),
-                              Fraction(0))
-
-    def bundle(self, mask: int) -> CharacterClass | None:
-        """The class of the selection ``mask``, or None when it is not a
-        bundle."""
-        out = self._classes.get(mask)
+    def bundle(self, mask: int) -> tuple | None:
+        """The Euler factors of the selection ``mask``, or None when it
+        picks a negative multiplicity."""
+        out = self._factors.get(mask)
         if out is None:
             if mask & self._negative:
                 return None
-            out = self._classes[mask] = self._class(mask)
+            out = self._factors[mask] = tuple(w for k, (w, m) in enumerate(zip(self.chars, self.mults))
+                                              if mask >> k & 1 for _ in range(m))
         return out
 
     def class_for(self, mask: int, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:
         """The class of the selection ``mask`` of (g1, g2), checked to be a
         bundle; the pair only names a failure."""
-        out = self.bundle(mask)
-        if out is None:
-            raise ObstructionError(
-                "obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, self._class(mask)))
+        # a subsequence of sorted, distinct, nonzero terms is a canonical class
+        out = CharacterClass(self.d, tuple(t for k, t in enumerate(self.terms) if mask >> k & 1), Fraction(0))
+        if mask & self._negative:
+            raise ObstructionError("obstruction of (%s, %s) is not a bundle: %s" % (g1, g2, out))
         return out
 
     def class_of(self, g1: TorsionElement, g2: TorsionElement) -> CharacterClass:

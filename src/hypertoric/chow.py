@@ -97,6 +97,7 @@ class GradedRingPresentation:
     __slots__ = ("num_vars", "relations", "truncation", "degrees", "counters", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
+        truncation = as_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
         degrees = []
@@ -203,9 +204,14 @@ def product_coefficients(num_vars: int, chars) -> list[int]:
 
 def product_of_forms(num_vars: int, chars) -> IntPoly:
     """The product of the linear forms <w, t> of ``chars``, with multiplicity."""
+    return _vector_poly(num_vars, len(chars), product_coefficients(num_vars, chars))
+
+
+def _vector_poly(num_vars: int, k: int, vec) -> IntPoly:
+    """The polynomial of the int coefficient vector ``vec`` over the
+    monomials of degree ``k``, as ``product_coefficients`` gives it."""
     # one degree's monomials in graded-lex order are already in term order
-    coeffs = zip(_monomials(num_vars, len(chars)), product_coefficients(num_vars, chars))
-    return IntPoly(num_vars, tuple((m, c) for m, c in coeffs if c))
+    return IntPoly(num_vars, tuple((m, c) for m, c in zip(_monomials(num_vars, k), vec) if c))
 
 
 def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
@@ -283,6 +289,7 @@ def ring_map_is_iso(
     onto).  Equal invariants plus surjectivity give bijectivity for finitely
     generated abelian groups.  A ``bound`` below 1 raises ``ValueError``.
     """
+    bound = as_int(bound)
     if bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     images = list(var_images)

@@ -328,9 +328,10 @@ def lawrence_model(a: WeightMatrix, theta) -> StackModel:
 
 def _moment_fiber(lm: StackModel) -> StackModel:
     """The moment fiber of a Lawrence model (see ``hypertoric_model``): the
-    same arrangement, kind hypertoric, and d trivial summands less."""
-    tangent = lm.tangent_class + CharacterClass.build(lm.d, trivial=-lm.d)
-    return StackModel(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement, tangent)
+    same arrangement, kind hypertoric, and d trivial summands less: the
+    ambient's terms, already canonical, with the trivial part less d."""
+    tangent = lm.tangent_class
+    return lm.replace(kind=HYPERTORIC, tangent_class=CharacterClass(lm.d, tangent.terms, tangent.trivial - lm.d))
 
 
 @functools.lru_cache(maxsize=2)

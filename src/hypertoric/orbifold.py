@@ -21,7 +21,9 @@ from typing import NamedTuple
 
 from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
 from .characters import CharacterClass
-from .chow import GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, product_coefficients, product_of_forms
+from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _vector_poly, product_coefficients,
+                   product_of_forms)
+from .exact import as_int
 from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _same_dimension, sector_unstable_sets
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
@@ -57,9 +59,11 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     or 2; it is 0 exactly when w is fixed by both.  The bracket is
     therefore 1 when e1 + e2 > M, that is frac<w,g1> + frac<w,g2> > 1, and
     0 otherwise: w enters with its full multiplicity m or not at all.  So
-    the class depends only on which terms enter; this function runs the
-    analysis' kernel (``analysis._Obstructions``) for one pair.  An element
-    of another dimension than the model's raises ``ValueError``.
+    the class depends only on which terms enter.  This function runs the
+    analysis' kernel (``analysis._Obstructions``) for one pair and builds
+    the class it returns; the tables and verifiers read the kernel's Euler
+    factors and build none.  An element of another dimension than the
+    model's raises ``ValueError``.
     """
     _same_dimension(model.d, g1, g2)
     return _Obstructions(model).class_of(g1, g2)
@@ -68,19 +72,13 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
 def euler_poly(bundle: CharacterClass) -> IntPoly:
     """Top Chern class of a character bundle: the product of the linear
     forms <w, t>, with multiplicity.  The empty bundle gives 1; any trivial
-    summand contributes a zero factor."""
-    factors = _euler_factors(bundle)
-    return IntPoly.zero(bundle.dim) if factors is None else product_of_forms(bundle.dim, factors)
-
-
-def _euler_factors(bundle: CharacterClass) -> list | None:
-    """The characters of a bundle's Euler polynomial, with multiplicity, or
-    None when a trivial summand makes it zero."""
+    summand contributes a zero factor; a multiplicity that is not a
+    nonnegative integer raises ``ValueError``."""
     if not bundle.is_bundle():
         raise ValueError("euler class needs nonnegative integer multiplicities: %s" % bundle)
     if bundle.trivial:
-        return None
-    return [w for w, m in bundle.terms for _ in range(m.numerator)]
+        return IntPoly.zero(bundle.dim)
+    return product_of_forms(bundle.dim, [w for w, m in bundle.terms for _ in range(m.numerator)])
 
 
 def _check_truncation(degree: int | None, truncation: int) -> None:
@@ -88,21 +86,19 @@ def _check_truncation(degree: int | None, truncation: int) -> None:
         raise ValueError("product degree %d exceeds the truncation bound %d" % (degree, truncation))
 
 
-def _generator_product(obstruction_class: CharacterClass, emb: SectorEmbedding) -> tuple:
-    """The generator product of an obstruction class pushed along a checked
-    embedding: the class's Euler polynomial times the normal Euler
-    polynomial, refused above the target's truncation, with its canonical
-    coordinates in the target ring: one kernel product over the class's
-    characters and the normal ones."""
-    chars = _euler_factors(obstruction_class)
+def _generator_product(factors, emb: SectorEmbedding) -> tuple:
+    """The generator product of an obstruction class, given by its Euler
+    factors (``_Obstructions.bundle``), pushed along a checked embedding:
+    one kernel product over those characters and the normal ones, refused
+    above the target's truncation, with its canonical coordinates in the
+    target ring."""
     target = emb.ambient
-    if chars is None or not all(map(any, emb.normal_chars)):
+    if not all(map(any, emb.normal_chars)):
         return IntPoly.zero(target.num_vars), ()
-    chars += emb.normal_chars
+    chars = (*factors, *emb.normal_chars)
     _check_truncation(len(chars), target.truncation)
-    piece = target.piece(len(chars))
     vec = product_coefficients(target.num_vars, chars)
-    return piece.representative(vec), piece.canonical(vec)
+    return _vector_poly(target.num_vars, len(chars), vec), target.piece(len(chars)).canonical(vec)
 
 
 class SectorGeometry:
@@ -121,10 +117,10 @@ class SectorGeometry:
     negative truncation raises ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
+        self.truncation = truncation = as_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
         self.model = model
-        self.truncation = truncation
         self.analysis = _analysis(_Reads(model))
         self.components: tuple[InertiaComponent, ...] = self.analysis.components
         self.obstructions: _Obstructions = self.analysis.obstructions
@@ -179,19 +175,19 @@ class SectorGeometry:
 
     def value(self, k: int) -> tuple:
         """The generator product of the analysis' product key ``k`` and its
-        coordinates in the target's ring, built once: the key's
-        obstruction class pushed along the embedding of its common set
-        into its target fixed set (``_generator_product``).  A key whose
-        selection is not a bundle raises ``ObstructionError`` and is never
-        stored; ``star`` and ``_table`` test the selection first, naming a
-        failing pair."""
+        coordinates in the target's ring, built once: the Euler factors of
+        the key's selection, as the kernel holds them, pushed along the
+        embedding of its common set into its target fixed set
+        (``_generator_product``).  A key whose selection is not a bundle
+        raises ``ObstructionError`` and is never stored; ``star`` and
+        ``_table`` test the selection first, naming a failing pair."""
         out = self._values.get(k)
         if out is None:
             mask, common, target_fixed = self.analysis.keys[k]
-            bundle = self.obstructions.bundle(mask)
-            if bundle is None:
+            factors = self.obstructions.bundle(mask)
+            if factors is None:
                 raise ObstructionError("obstruction of product key %d is not a bundle" % k)
-            out = self._values[k] = _generator_product(bundle, self.embedding(common, target_fixed))
+            out = self._values[k] = _generator_product(factors, self.embedding(common, target_fixed))
         return out
 
     def generator(self, g: TorsionElement) -> GradedClass:
@@ -221,7 +217,9 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
         geo.component(beta.component)
         return _zero_class(model.d)
     k, target = found
-    geo.obstructions.class_for(geo.analysis.keys[k][0], alpha.component, beta.component)
+    mask = geo.analysis.keys[k][0]
+    if geo.obstructions.bundle(mask) is None:
+        geo.obstructions.class_for(mask, alpha.component, beta.component)
     pushed = alpha.poly * beta.poly * geo.value(k)[0]
     _check_truncation(pushed.homogeneous_degree(), geo.truncation)
     return GradedClass(target, pushed)
@@ -292,7 +290,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable
     (``SectorGeometry.value``), not once per pair, and ``products`` expands
     the keys to the pairs.  A selection that is not a bundle raises, naming
     the first pair in pair order that has one.  A bound below 1 raises."""
-    return _table(model, bound, {})
+    return _table(model, bound if bound is None else as_int(bound), {})
 
 
 def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTable:
@@ -345,9 +343,11 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     fiber of a Lawrence model) reads the ambient's analysis, and each key
     is compared with itself.  Two analyses with equal elements, fixed sets
     and blocks have equal pairs in one order, so the sides are aligned by
-    zipping their walks, which compute each pair's keys on the fly, and the
-    classes are compared once per distinct (ambient key, fiber key) of a
-    pair.  Every selection is bundle-tested, and a failing pair is listed
+    zipping their walks, which compute each pair's keys on the fly.  The
+    classes are compared as the kernels' Euler factor tuples, which are
+    equal exactly when the classes are, once per distinct (ambient key,
+    fiber key) of a pair, and a class is built only for a failing pair's
+    text.  Every selection is bundle-tested, and a failing pair is listed
     on its own: every pair whose selection is not a bundle, and every pair
     whose two classes differ, is in ``failures``, in pair order."""
     models = _lawrence_pair(a, _int_entries(theta, "character theta"))
@@ -360,11 +360,9 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
         return ObstructionPullbackReport(
             False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
         )
-    failing = set()
-    for ka, kf in combos:
-        r_ambient = ambient.obstructions.bundle(ambient.keys[ka][0])
-        if r_ambient is None or r_ambient != fiber.obstructions.bundle(fiber.keys[kf][0]):
-            failing.add((ka, kf))
+    failing = {(ka, kf) for ka, kf in combos
+               if (factors := ambient.obstructions.bundle(ambient.keys[ka][0])) is None
+               or factors != fiber.obstructions.bundle(fiber.keys[kf][0])}
     failures = []
     el = ambient.elements
     walks = zip(ambient.walk(), fiber.walk()) if failing else ()
@@ -434,6 +432,7 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     once per product key when the fiber reads the ambient's analysis, and
     every failing pair is listed, the ambient pairs first, then the
     fiber-only ones.  A ``bound`` below 1 raises ``ValueError``."""
+    bound = as_int(bound)
     ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
     geometries: dict = {}
     table_a = _table(ambient, bound, geometries)

@@ -107,6 +107,7 @@ class IntPoly(Value):
         return IntPoly(self.nvars, tuple((e, -c) for e, c in self.terms))
 
     def scale(self, c: int) -> "IntPoly":
+        c = as_int(c)
         if c == 0:
             return IntPoly.zero(self.nvars)
         return IntPoly(self.nvars, tuple((e, c * coef) for e, coef in self.terms))
@@ -122,6 +123,7 @@ class IntPoly(Value):
         return IntPoly.from_dict(self.nvars, acc)
 
     def __pow__(self, n: int) -> "IntPoly":
+        n = as_int(n)
         if n < 0:
             raise ValueError("negative power")
         out = IntPoly.one(self.nvars)

@@ -35,6 +35,7 @@ class LocalModelSRE(Value):
     def cyclic(order: int, weights) -> "LocalModelSRE":
         """Cyclic group of the given order acting on a sum of 1-dimensional
         characters given by integer exponents."""
+        order = as_int(order)
         if order < 1:
             raise ValueError("group order must be positive")
         gen = TorsionElement.from_fractions([Fraction(1, order)])
@@ -181,6 +182,7 @@ def verify_charts(a: WeightMatrix, theta, samples: int = 100, seed: int = 0) -> 
     basis; a rational ``theta`` is scaled to an integral one first.  A
     ``samples`` below 1 raises ``ValueError``: it would check no point and
     report a vacuous pass."""
+    samples = as_int(samples)
     if samples < 1:
         raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)

@@ -4,7 +4,9 @@ Each entry point below used to pass its input through ``int``, which
 truncates: 1.5 became 1 and 7/2 became 3, and the result answered a
 question nobody asked.  Now each raises ``ValueError`` naming the value (a
 ``ModelError`` for model inputs), and an integral value of any type
-(``2``, ``Fraction(4, 2)``, ``2.0``) keeps working.
+(``2``, ``Fraction(4, 2)``, ``2.0``) keeps working.  The integer
+parameters of the API (bounds, truncations, sample counts, orders,
+exponents and scalars) are read the same way, before their range check.
 """
 
 from collections import Counter
@@ -20,8 +22,14 @@ from hypertoric import (
     LocalModelSRE,
     ModelError,
     SectorEmbedding,
+    SectorGeometry,
     WeightMatrix,
     direct_model,
+    lawrence_model,
+    orbifold_table,
+    ring_map_is_iso,
+    verify_charts,
+    verify_orbifold_iso,
 )
 from hypertoric.exact import as_int
 
@@ -94,3 +102,41 @@ def test_products_of_linear_forms_refuse_a_fractional_character():
     for x in INTEGRAL:
         assert GradedRingPresentation.from_characters(1, [[(x,)]], 2).counters == (Counter({(2,): 1}),)
         assert str(SectorEmbedding(ring, ring, ((x,),)).euler) == "2*t1"
+
+
+def _lawrence():
+    return WeightMatrix.from_rows([[1, 2]]), [1]
+
+
+_T = IntPoly.variable(1, 0)
+_Z3T = GradedRingPresentation(1, (_T.scale(3),), 4)
+
+# each integer parameter of the API, as a function of its value
+INTEGER_PARAMETERS = {
+    "verify_orbifold_iso bound": lambda x: verify_orbifold_iso(*_lawrence(), x),
+    "orbifold_table bound": lambda x: orbifold_table(lawrence_model(*_lawrence()), x).geometry.truncation,
+    "SectorGeometry truncation": lambda x: SectorGeometry(lawrence_model(*_lawrence()), x).truncation,
+    "GradedRingPresentation truncation": lambda x: GradedRingPresentation(1, (_T.scale(3),), x).truncation,
+    "verify_charts samples": lambda x: verify_charts(*_lawrence(), samples=x),
+    "ring_map_is_iso bound": lambda x: ring_map_is_iso(_Z3T, _Z3T, [_T], x),
+    "LocalModelSRE.cyclic order": lambda x: LocalModelSRE.cyclic(x, [1]),
+    "IntPoly power": lambda x: (_T.scale(3) + _T) ** x,
+    "IntPoly.scale": lambda x: _T.scale(x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PARAMETERS))
+def test_integer_parameters_refuse_a_fractional_part_and_take_integral_values(name):
+    entry = INTEGER_PARAMETERS[name]
+    for value in (1.5, Fraction(5, 2), 0.5):
+        with pytest.raises(ValueError, match="expected an integer, got %s" % value):
+            entry(value)
+    expected = entry(2)
+    for x in INTEGRAL:
+        assert entry(x) == expected
+    if isinstance(expected, int):
+        assert all(type(entry(x)) is int for x in INTEGRAL)
+    if isinstance(expected, IntPoly):
+        assert all(type(c) is int for x in INTEGRAL for _, c in entry(x).terms)
+    if name == "verify_charts samples":
+        assert all(c.samples == 2 for c in expected.charts)

@@ -35,7 +35,7 @@ from hypertoric import (
     verify_obstruction_pullback,
     verify_orbifold_iso,
 )
-from hypertoric.chow import IsoReport
+from hypertoric.chow import IsoReport, product_of_forms
 from hypertoric.cli import EXIT_VERIFY_FAILED, main
 from hypertoric.sampling import random_generic_instance
 
@@ -243,21 +243,24 @@ def _product_keys(geo):
 
 
 def _product_values(geo):
-    """What the geometry builds a generator product from: the obstruction
-    class and the value of the embedding it pushes along."""
+    """What the geometry builds a generator product from: the Euler factors
+    of a pair's selection, as the kernel stores them, and the value of the
+    embedding it pushes along."""
     out = set()
-    for p in geo.pairs:
-        emb = geo.embedding(p.common_fixed, geo.component(p.target).fixed_columns)
-        out.add((obstruction(geo.model, p.g1, p.g2),
+    for _, _, k, _ in geo.analysis.walk():
+        mask, common, target_fixed = geo.analysis.keys[k]
+        emb = geo.embedding(common, target_fixed)
+        out.add((geo.obstructions.bundle(mask),
                  (_ring_key(emb.sub), _ring_key(emb.ambient), emb.normal_chars)))
     return out
 
 
-def _nonzero(values):
-    """The product values whose product is nonzero, by the old rule: the
-    class's Euler polynomial and the normal one are both nonzero."""
-    return {(c, emb) for c, emb in values
-            if not euler_poly(c).is_zero and all(not IntPoly.linear_form(w).is_zero for w in emb[2])}
+def _nonzero(values, d):
+    """The product values whose product is nonzero: the product of the
+    stored factors and the normal Euler polynomial are both nonzero."""
+    return {(factors, emb) for factors, emb in values
+            if not product_of_forms(d, factors).is_zero
+            and all(not IntPoly.linear_form(w).is_zero for w in emb[2])}
 
 
 def _multiset_lists(geo, build_sector):
@@ -321,8 +324,8 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     assert done["eulers"] == 0
     keys = [(geo.obstructions.bundle(mask), geo.embedding(common, target_fixed))
             for mask, common, target_fixed in geo.analysis.keys]
-    nonzero = [k for k, (c, emb) in enumerate(keys)
-               if not euler_poly(c).is_zero and all(any(w) for w in emb.normal_chars)]
+    nonzero = [k for k, (factors, emb) in enumerate(keys)
+               if not product_of_forms(model.d, factors).is_zero and all(any(w) for w in emb.normal_chars)]
     assert done["products"] == len(nonzero) and nonzero
 
 
@@ -449,7 +452,7 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     values = _product_values(ambient.geometry)
     assert _product_values(fiber.geometry) <= values
     keys = sum(len(_product_keys(t.geometry)) for t in tables)
-    assert done["products"] == len(_nonzero(values))
+    assert done["products"] == len(_nonzero(values, d))
     assert len(values) < keys < sum(len(t.geometry.pairs) for t in tables)
 
 
@@ -589,9 +592,9 @@ def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypat
 
 def test_obstruction_kernel_work_counts(monkeypatch):
     # one exponent evaluation per (sector, tangent term) for the whole table,
-    # the ages included (fixed columns are read without ``exponent``), and
-    # one CharacterClass per distinct selection (distinct selections are
-    # distinct classes)
+    # the ages included (fixed columns are read without ``exponent``), no
+    # CharacterClass, and one tuple of Euler factors per distinct selection
+    # (distinct selections are distinct classes)
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     model = lawrence_model(a, theta)
     fresh = SectorGeometry(model, truncation=4)
@@ -616,7 +619,36 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     assert len(table.components) > 1 and len(tangent) > 1
     assert calls == Counter({(c.g, w): 1 for c in table.components for w in tangent})
     assert [c.age for c in table.components] == [c.age for c in fresh.components]
-    assert len(made) == len(classes)
+    assert not made
+    assert len(table.analysis.obstructions._factors) == len(classes)
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 1, 4), (3, 2, 5), (2, 3, 5)])
+def test_verify_keeps_obstructions_as_ints(seed, d, n, monkeypatch):
+    # the two verifiers of a Lawrence input construct the two tangent
+    # classes, the ambient's and its moment fiber's, and no other
+    # CharacterClass; no class is bundle-tested, and no generator product's
+    # polynomial goes through ``IntPoly.from_dict``
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    made, tested, dicts = [], [], []
+    init = CharacterClass.__init__
+
+    def spy_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(CharacterClass, "__init__", spy_init)
+    monkeypatch.setattr(CharacterClass, "is_bundle", _counted(tested, CharacterClass.is_bundle))
+    monkeypatch.setattr(IntPoly, "from_dict", staticmethod(_counted(dicts, IntPoly.from_dict)))
+    # the verifiers' own first models and analyses
+    model_module._lawrence_pair.cache_clear()
+    analysis_module._analysis.cache_clear()
+    assert verify_obstruction_pullback(a, theta).ok
+    assert verify_orbifold_iso(a, theta, 5).ok
+    assert len(made) == 2 and not tested and not dicts
+    ambient, fiber = model_module._lawrence_pair(a, theta)
+    assert made == [ambient.tangent_class, fiber.tangent_class]
+    assert made[0] is ambient.tangent_class and made[1] is fiber.tangent_class
 
 
 def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):

@@ -193,9 +193,10 @@ _KERNEL_DRAWS = [(1, 1, 4), (2, 1, 5), (1, 2, 4), (3, 2, 5), (4, 3, 5)]
 @pytest.mark.parametrize("seed, d, n", _KERNEL_DRAWS)
 def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
     # every ordered stable pair through the geometry's kernel, and every
-    # class verify_obstruction_pullback builds, one per distinct selection,
-    # on every pair with that selection: each against the reference of the
-    # ambient model and, computed on its own, of the fiber model
+    # tuple of Euler factors verify_obstruction_pullback reads, one per
+    # distinct selection, on every pair with that selection: each against
+    # the reference class of the ambient model and, computed on its own, of
+    # the fiber model, expanded to characters with multiplicity
     a, theta = random_generic_instance(random.Random(seed), d, n)
     ambient, fiber = lawrence_model(a, theta), hypertoric_model(a, theta)
     for model in (ambient, fiber):
@@ -226,8 +227,8 @@ def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
     assert len(built) < rep.checked == len(geo.pairs)
     for mask, outs in built.items():
         for p in with_selection[mask]:
-            ref_a = ref_obstruction(ambient, p.g1.v, p.g2.v)
-            ref_f = ref_obstruction(fiber, p.g1.v, p.g2.v)
+            ref_a, ref_f = (tuple(w for w, m in ref_obstruction(model, p.g1.v, p.g2.v).terms
+                                  for _ in range(m.numerator)) for model in (ambient, fiber))
             assert all(out == ref_a == ref_f for out in outs)
 
 
