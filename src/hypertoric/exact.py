@@ -25,11 +25,10 @@ def as_fraction_vector(values) -> tuple[Fraction, ...]:
 
 def as_int(value) -> int:
     """``value`` as an int: one with a fractional part is refused with
-    ``ValueError``, not truncated as ``int`` would."""
+    ``ValueError``, not truncated as ``int`` would, and so is ``None``."""
     if value.__class__ is int:
         return value
-    q = Fraction(value)
-    if q.denominator != 1:
+    if value is None or (q := Fraction(value)).denominator != 1:
         raise ValueError("expected an integer, got %s" % (value,))
     return q.numerator
 

@@ -10,12 +10,17 @@ A ``SectorGeometry`` is the one owner of the rings over one analysis at
 one truncation, each kept once, keyed by what derives it: one
 presentation per fixed set, one checked embedding per (common fixed set,
 target fixed set), and one generator product per product key of the
-analysis.  Models with equal read data read one geometry within a call,
-so both tables of ``verify_orbifold_iso`` on a Lawrence input read one.
+analysis.  Both verifiers align their two sides once (``_align``), into
+the distinct (ambient key, fiber key) pairs of the double inertia, compare
+once per key pair, and expand only a failing key pair into its pairs
+(``_expand``).  ``verify_orbifold_iso`` reads geometries, not tables: on a
+Lawrence input the moment fiber reads the ambient's read data, and so the
+ambient's geometry.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -140,8 +145,12 @@ class SectorGeometry:
         return self.components[i]
 
     def pair(self, g1, g2) -> DoubleInertiaComponent | None:
+        """The double-inertia component of (g1, g2), or None for an
+        unstable pair of sectors; a non-sector raises ``ValueError``."""
         found = self.analysis.locate(g1, g2)
         if found is None:
+            self.component(g1)
+            self.component(g2)
             return None
         k, target = found
         return DoubleInertiaComponent(g1, g2, self.analysis.keys[k][1], target)
@@ -180,7 +189,7 @@ class SectorGeometry:
         embedding of its common set into its target fixed set
         (``_generator_product``).  A key whose selection is not a bundle
         raises ``ObstructionError`` and is never stored; ``star`` and
-        ``_table`` test the selection first, naming a failing pair."""
+        ``_geometry`` test the selection first, naming a failing pair."""
         out = self._values.get(k)
         if out is None:
             mask, common, target_fixed = self.analysis.keys[k]
@@ -237,12 +246,11 @@ class OrbifoldTable:
     """Structure constants of the star product on sector generators: one
     generator product per product key of the geometry's analysis, in
     ``values``, and one entry per pair of the double inertia, in pair
-    order, in ``products``, expanded on first use; absent means zero."""
+    order, in ``products``, expanded on first read; absent means zero."""
 
     def __init__(self, geometry: SectorGeometry, values: tuple):
         self.geometry = geometry
         self.values = values
-        self._products: dict | None = None
 
     @property
     def analysis(self) -> _Analysis:
@@ -252,21 +260,12 @@ class OrbifoldTable:
     def components(self) -> tuple[InertiaComponent, ...]:
         return self.geometry.components
 
-    @property
+    @functools.cached_property
     def products(self) -> dict:
-        if self._products is None:
-            self._products = {(e.g1, e.g2): e for e in self.entries()}
-        return self._products
-
-    def entries(self, keys=None):
-        """A ``ProductEntry`` per pair, in pair order; with ``keys``, only
-        for the pairs whose key index is in it."""
-        analysis = self.analysis
-        el = analysis.elements
-        for i1, i2, k, t in analysis.walk():
-            if keys is None or k in keys:
-                poly, coords = self.values[k]
-                yield ProductEntry(el[i1], el[i2], el[t], poly, coords)
+        """A ``ProductEntry`` per pair, keyed by (g1, g2), in pair order."""
+        el = self.analysis.elements
+        return {(el[i1], el[i2]): ProductEntry(el[i1], el[i2], el[t], *self.values[k])
+                for i1, i2, k, t in self.analysis.walk()}
 
     def entry(self, g1, g2) -> ProductEntry:
         """The stored entry, else the zero entry; a non-sector raises ValueError."""
@@ -281,42 +280,70 @@ class OrbifoldTable:
 def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
     """The generator products of the double inertia's pairs; absent means zero.
 
-    The table's geometry reads the shared analysis of the model's read data
-    (``_analysis``), so its sectors, blocks and product keys are those the
-    pullback check reads; its truncation is its own, since it depends on
-    ``bound``, and so is the geometry, which owns the presentations,
-    embeddings and generator products, each product built once per product
-    key.  The table reads it once per product key of the analysis
-    (``SectorGeometry.value``), not once per pair, and ``products`` expands
-    the keys to the pairs.  A selection that is not a bundle raises, naming
-    the first pair in pair order that has one.  A bound below 1 raises."""
-    return _table(model, bound if bound is None else as_int(bound), {})
+    The table's geometry (``_geometry``) reads the shared analysis of the
+    model's read data (``_analysis``), so its sectors, blocks and product
+    keys are those the pullback check reads; the geometry owns the
+    presentations, embeddings and generator products, and the table reads
+    it once per product key of the analysis (``SectorGeometry.value``),
+    not once per pair; ``products`` expands the keys to the pairs.  A
+    selection that is not a bundle raises, naming the first pair in pair
+    order that has one.  A bound below 1 raises."""
+    geo = _geometry(model, bound if bound is None else as_int(bound))
+    return OrbifoldTable(geo, tuple(map(geo.value, range(len(geo.analysis.keys)))))
 
 
-def _table(model: StackModel, bound: int | None, geometries: dict) -> OrbifoldTable:
-    """``orbifold_table`` with its geometry read from, or added to,
-    ``geometries``, keyed by (read data, bound): a model whose read data
-    are another's reads that model's geometry, with its rings, embeddings
-    and products, so a second table over it builds no product again.  Each
-    table holds its own tuple of the values it read."""
+def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
+    """A new geometry over the model's shared analysis, truncated at
+    ``bound`` (by default twice the coordinate count) or above the degree
+    of every structure polynomial, whichever is higher, and the one
+    truncation rule of tables and the iso check.  A selection that is not
+    a bundle raises once the geometry is built, naming the first pair in
+    pair order that has one; a bound below 1 raises ``ValueError``."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
-    reads = _Reads(model)
-    geo = geometries.get((reads, bound))
-    if geo is None:
-        floor = bound if bound is not None else 2 * model.num_coords
-        # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
-        top_age = max(c.age for c in _analysis(reads).components)
-        geo = geometries[reads, bound] = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
-    analysis = geo.analysis
-    values = []
-    for k, (mask, _, _) in enumerate(analysis.keys):
-        if analysis.obstructions.bundle(mask) is None:
-            # raise, naming the first pair in pair order whose selection fails
-            for i1, i2, j, _ in analysis.walk():
-                analysis.obstructions.class_for(analysis.keys[j][0], analysis.elements[i1], analysis.elements[i2])
-        values.append(geo.value(k))
-    return OrbifoldTable(geo, tuple(values))
+    analysis = _analysis(_Reads(model))
+    floor = bound if bound is not None else 2 * model.num_coords
+    # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
+    top_age = max(c.age for c in analysis.components)
+    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
+    ob, keys, el = analysis.obstructions, analysis.keys, analysis.elements
+    if any(ob.bundle(mask) is None for mask, _, _ in keys):
+        for i1, i2, k, _ in analysis.walk():
+            ob.class_for(keys[k][0], el[i1], el[i2])
+    return geo
+
+
+_DIFFER = "double inertia components differ"
+
+
+def _align(ambient: _Analysis, fiber: _Analysis):
+    """The distinct (ambient key, fiber key) of the pairs, in order of
+    first appearance, or None when the two sides' pairs differ.  A fiber
+    that reads the ambient's analysis pairs each key with itself.  Two
+    analyses with equal elements, fixed sets and blocks (``_layout``) have
+    equal pairs in one order, so their walks are zipped."""
+    if fiber is ambient:
+        return [(k, k) for k in range(len(ambient.keys))]
+    if _layout(fiber) != _layout(ambient):
+        return None
+    return dict.fromkeys((ka, kf) for (_, _, ka, _), (_, _, kf, _) in zip(ambient.walk(), fiber.walk()))
+
+
+def _expand(ambient: _Analysis, fiber: _Analysis, failing):
+    """(g1, g2, target, ambient key, fiber key) of each pair whose key pair
+    is in ``failing``, in pair order; nothing is walked when it is empty."""
+    if not failing:
+        return
+    el = ambient.elements
+    for (i1, i2, ka, t), (_, _, kf, _) in zip(ambient.walk(), fiber.walk()):
+        if (ka, kf) in failing:
+            yield el[i1], el[i2], el[t], ka, kf
+
+
+def _layout(analysis: _Analysis) -> tuple:
+    """What fixes an analysis' pairs and their order: its elements with
+    their fixed sets, and its blocks' pairs of fixed sets."""
+    return ([c[:2] for c in analysis.components], [(b.fixed1, b.fixed2) for b in analysis.blocks])
 
 
 class PullbackCheck(NamedTuple):
@@ -340,36 +367,26 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
 
     Each side reads the shared analysis of its model's read data
     (``_analysis``); a fiber whose read data are the ambient's (the moment
-    fiber of a Lawrence model) reads the ambient's analysis, and each key
-    is compared with itself.  Two analyses with equal elements, fixed sets
-    and blocks have equal pairs in one order, so the sides are aligned by
-    zipping their walks, which compute each pair's keys on the fly.  The
-    classes are compared as the kernels' Euler factor tuples, which are
-    equal exactly when the classes are, once per distinct (ambient key,
-    fiber key) of a pair, and a class is built only for a failing pair's
-    text.  Every selection is bundle-tested, and a failing pair is listed
-    on its own: every pair whose selection is not a bundle, and every pair
-    whose two classes differ, is in ``failures``, in pair order."""
+    fiber of a Lawrence model) reads the ambient's analysis.  The sides
+    are aligned once (``_align``), as ``verify_orbifold_iso`` aligns them,
+    into their distinct (ambient key, fiber key) pairs, and the classes
+    are compared once per key pair, as the kernels' Euler factor tuples,
+    which are equal exactly when the classes are.  Only the pairs of a
+    failing key pair are expanded (``_expand``), and a class is built only
+    for a failing pair's text.  Every selection is bundle-tested, and a
+    failing pair is listed on its own: every pair whose selection is not a
+    bundle, and every pair whose two classes differ, is in ``failures``,
+    in pair order.  Sides whose pairs differ fail with no pair checked."""
     models = _lawrence_pair(a, _int_entries(theta, "character theta"))
     ambient, fiber = (_analysis(_Reads(m)) for m in models)
-    if fiber is ambient:
-        combos = [(k, k) for k in range(len(ambient.keys))]
-    elif _layout(fiber) == _layout(ambient):
-        combos = dict.fromkeys((ka, kf) for (_, _, ka, _), (_, _, kf, _) in zip(ambient.walk(), fiber.walk()))
-    else:
-        return ObstructionPullbackReport(
-            False, 0, (PullbackCheck(None, None, False, "double inertia components differ"),)
-        )
+    combos = _align(ambient, fiber)
+    if combos is None:
+        return ObstructionPullbackReport(False, 0, (PullbackCheck(None, None, False, _DIFFER),))
     failing = {(ka, kf) for ka, kf in combos
                if (factors := ambient.obstructions.bundle(ambient.keys[ka][0])) is None
                or factors != fiber.obstructions.bundle(fiber.keys[kf][0])}
     failures = []
-    el = ambient.elements
-    walks = zip(ambient.walk(), fiber.walk()) if failing else ()
-    for (i1, i2, ka, _), (_, _, kf, _) in walks:
-        if (ka, kf) not in failing:
-            continue
-        g1, g2 = el[i1], el[i2]
+    for g1, g2, _, ka, kf in _expand(ambient, fiber, failing):
         try:
             r_ambient = ambient.obstructions.class_for(ambient.keys[ka][0], g1, g2)
             r_fiber = fiber.obstructions.class_for(fiber.keys[kf][0], g1, g2)
@@ -378,12 +395,6 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
             continue
         failures.append(PullbackCheck(g1, g2, False, "ambient %s vs fiber %s" % (r_ambient, r_fiber)))
     return ObstructionPullbackReport(not failures, len(ambient), tuple(failures))
-
-
-def _layout(analysis: _Analysis) -> tuple:
-    """What fixes an analysis' pairs and their order: its elements with
-    their fixed sets, and its blocks' pairs of fixed sets."""
-    return ([c[:2] for c in analysis.components], [(b.fixed1, b.fixed2) for b in analysis.blocks])
 
 
 class OrbifoldIsoReport(NamedTuple):
@@ -417,80 +428,39 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     isomorphism up to ``bound``, identical structure polynomials, and
     identical ages.
 
-    The two tables share their geometries for this call (``_table``): on
-    a Lawrence input the moment fiber reads the ambient's read data, so
-    both tables read one analysis and one geometry, and the check
-    certifies that the two sides share those data; a fiber with other
-    read data gets a geometry of its own and is computed from its own
-    data.  Within a geometry each fixed set has one presentation, with
-    its pieces built once, each (common fixed set, target fixed set) one
-    embedding, built and checked once, and each product key one generator
-    product.  A sector's ring is the presentation of its fixed set, so the
-    rings are compared (``_same_ring``) once per distinct (ambient fixed
-    set, fiber fixed set); every sector over a failing pair is listed in
-    ``ring_failures``.  Products are compared by ``_product_failures``:
-    once per product key when the fiber reads the ambient's analysis, and
-    every failing pair is listed, the ambient pairs first, then the
-    fiber-only ones.  A ``bound`` below 1 raises ``ValueError``."""
+    Each side reads a geometry (``_geometry``): on a Lawrence input the
+    moment fiber reads the ambient's read data, so it reads the ambient's
+    geometry, and the check certifies that the two sides share those
+    data; a fiber with other read data gets a geometry of its own and is
+    computed from its own data.  Within a geometry each fixed set has one
+    presentation, with its pieces built once, each (common fixed set,
+    target fixed set) one embedding, built and checked once, and each
+    product key one generator product.  The sides are aligned once
+    (``_align``), as the pullback check aligns them; sides whose pairs
+    differ fail with no component compared.  Aligned sectors have equal
+    fixed sets, so the rings are compared (``_same_ring``) once per fixed
+    set, and every sector over a failing one is listed in
+    ``ring_failures``.  Products are compared by their coordinates once
+    per (ambient key, fiber key), and only the pairs of a failing key pair
+    are expanded (``_expand``) into ``product_failures``, in pair order.
+    A ``bound`` below 1 raises ``ValueError``."""
     bound = as_int(bound)
     ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
-    geometries: dict = {}
-    table_a = _table(ambient, bound, geometries)
-    table_f = _table(fiber, bound, geometries)
-    if [c.g for c in table_a.components] != [c.g for c in table_f.components]:
-        return OrbifoldIsoReport(False, 0, detail="inertia element sets differ")
+    geo_a = _geometry(ambient, bound)
+    geo_f = geo_a if _Reads(fiber) == _Reads(ambient) else _geometry(fiber, bound)
+    combos = _align(geo_a.analysis, geo_f.analysis)
+    if combos is None:
+        return OrbifoldIsoReport(False, 0, detail=_DIFFER)
 
-    ring_failures = []
-    reports: dict = {}
-    for comp_a, comp_f in zip(table_a.components, table_f.components):
-        key = (comp_a.fixed_columns, comp_f.fixed_columns)
-        if key not in reports:
-            pres_a = table_a.geometry.presentation_for(comp_a.fixed_columns)
-            pres_f = table_f.geometry.presentation_for(comp_f.fixed_columns)
-            reports[key] = _same_ring(pres_a, pres_f, bound)
-        rep = reports[key]
-        if not rep.is_iso:
-            ring_failures.append((comp_a.g, rep))
-
-    age_failures = [
-        (ca.g, ca.age, cf.age)
-        for ca, cf in zip(table_a.components, table_f.components)
-        if ca.age != cf.age
-    ]
-
-    product_failures = _product_failures(table_a, table_f)
+    reports = {fixed: _same_ring(geo_a.presentation_for(fixed), geo_f.presentation_for(fixed), bound)
+               for fixed in dict.fromkeys(c.fixed_columns for c in geo_a.components)}
+    ring_failures = tuple((c.g, reports[c.fixed_columns]) for c in geo_a.components
+                          if not reports[c.fixed_columns].is_iso)
+    age_failures = tuple((ca.g, ca.age, cf.age) for ca, cf in zip(geo_a.components, geo_f.components)
+                         if ca.age != cf.age)
+    failing = {(ka, kf) for ka, kf in combos if geo_a.value(ka)[1] != geo_f.value(kf)[1]}
+    product_failures = tuple(
+        ((g1, g2), ProductEntry(g1, g2, t, *geo_a.value(ka)), ProductEntry(g1, g2, t, *geo_f.value(kf)))
+        for g1, g2, t, ka, kf in _expand(geo_a.analysis, geo_f.analysis, failing))
     ok = not (ring_failures or age_failures or product_failures)
-    return OrbifoldIsoReport(
-        ok,
-        len(table_a.components),
-        tuple(ring_failures),
-        tuple(product_failures),
-        tuple(age_failures),
-    )
-
-
-def _product_failures(table_a: OrbifoldTable, table_f: OrbifoldTable) -> list:
-    """The pairs whose two entries differ in target or coordinates, as
-    (key, ambient entry, fiber entry), in the ambient table's pair order,
-    then the fiber-only pairs.
-
-    Two tables over one analysis have the same pairs, targets and keys, so
-    their values are compared once per key, and only the pairs of a
-    failing key are expanded.  Tables over two analyses, or whose
-    ``products`` were handed out (and so may have been edited), are
-    compared entry by entry."""
-    if table_a.analysis is table_f.analysis and table_a._products is table_f._products is None:
-        failing = {k for k, (value_a, value_f) in enumerate(zip(table_a.values, table_f.values))
-                   if value_a[1] != value_f[1]}
-        if not failing:
-            return []
-        return [((ea.g1, ea.g2), ea, ef)
-                for ea, ef in zip(table_a.entries(failing), table_f.entries(failing))]
-    failures = []
-    fiber_only = [key for key in table_f.products if key not in table_a.products]
-    for key in [*table_a.products, *fiber_only]:
-        entry_a, entry_f = table_a.entry(*key), table_f.entry(*key)
-        if entry_a.target != entry_f.target or entry_a.coords != entry_f.coords:
-            failures.append((key, entry_a, entry_f))
-    return failures
-
+    return OrbifoldIsoReport(ok, len(geo_a.components), ring_failures, product_failures, age_failures)

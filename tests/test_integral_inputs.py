@@ -140,3 +140,13 @@ def test_integer_parameters_refuse_a_fractional_part_and_take_integral_values(na
         assert all(type(c) is int for x in INTEGRAL for _, c in entry(x).terms)
     if name == "verify_charts samples":
         assert all(c.samples == 2 for c in expected.charts)
+
+
+def test_integer_parameters_refuse_none():
+    # None used to die in a bare TypeError from Fraction that named neither
+    # the value nor the parameter; orbifold_table's bound keeps None as its
+    # documented default
+    for name in ("verify_orbifold_iso bound", "verify_charts samples", "SectorGeometry truncation"):
+        with pytest.raises(ValueError, match="^expected an integer, got None$"):
+            INTEGER_PARAMETERS[name](None)
+    assert orbifold_table(lawrence_model(*_lawrence()), None).geometry.truncation >= 1

@@ -399,61 +399,67 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
     if seed is None:
         assert (len(elems), len(geo.pairs)) == (4, 12)
 
+    # a stranger in either slot raises, where ``pair`` used to give None,
+    # as it does for an unstable pair of sectors
     stranger = TorsionElement.from_fractions([Fraction(1, 1009)] * d)
     assert stranger not in elems
     for args in [(stranger, elems[0]), (elems[0], stranger), (stranger, stranger)]:
-        with pytest.raises(ValueError):
-            table.entry(*args)
+        for lookup in (table.entry, geo.pair):
+            with pytest.raises(ValueError, match="is not an inertia element"):
+                lookup(*args)
 
 
 def _spy_verify(monkeypatch, fail_fixed=None):
-    """Record the tables, the ring checks and the work (``_spy_work``) of
-    ``verify_orbifold_iso``; with ``fail_fixed``, the check of the ambient
-    ring over that fixed set reports a forced failure."""
-    tables, checks = [], []
-    table = orbifold_module._table
+    """Record the geometries (``_geometry``), the ring checks and the work
+    (``_spy_work``) of ``verify_orbifold_iso``; with ``fail_fixed``, the
+    check of the ambient ring over that fixed set reports a forced
+    failure."""
+    geometries, checks = [], []
+    geometry = orbifold_module._geometry
     iso = orbifold_module._same_ring
 
-    def spy_table(*args):
-        tables.append(table(*args))
-        return tables[-1]
+    def spy_geometry(*args):
+        geometries.append(geometry(*args))
+        return geometries[-1]
 
     def spy_iso(src, dst, bound):
         checks.append((src, dst))
-        if fail_fixed is not None and src is tables[0].geometry.presentation_for(fail_fixed):
+        if fail_fixed is not None and src is geometries[0].presentation_for(fail_fixed):
             return IsoReport(False, 1, "forced failure")
         return iso(src, dst, bound)
 
-    monkeypatch.setattr(orbifold_module, "_table", spy_table)
+    monkeypatch.setattr(orbifold_module, "_geometry", spy_geometry)
     monkeypatch.setattr(orbifold_module, "_same_ring", spy_iso)
-    return tables, checks, _spy_work(monkeypatch)
+    return geometries, checks, _spy_work(monkeypatch)
 
 
 @pytest.mark.parametrize("seed, d, n", [(1, 2, 4), (1, 2, 5), (3, 2, 5)])
 def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     a, theta = random_generic_instance(random.Random(seed), d, n)
     build_sector = inertia_module.sector_model
-    tables, checks, work = _spy_verify(monkeypatch)
+    geometries, checks, work = _spy_verify(monkeypatch)
     assert verify_orbifold_iso(a, theta, 5).ok
     done = {name: len(calls) for name, calls in work.items()}
-    ambient, fiber = tables
+    # the fiber of a Lawrence input reads the ambient's geometry
+    geo, = geometries
+    sides = ambient, fiber = geo, geo
     rings = {(ca.fixed_columns, cf.fixed_columns)
              for ca, cf in zip(ambient.components, fiber.components)}
     assert len(checks) == len(rings) < len(ambient.components)
     assert len({(id(src), id(dst)) for src, dst in checks}) == len(checks)
     assert done["sector_models"] == done["stars"] == 0
     # one presentation per distinct multiset list, whichever side asks first
-    lists = set().union(*(_multiset_lists(t.geometry, build_sector) for t in tables))
+    lists = set().union(*(_multiset_lists(g, build_sector) for g in sides))
     assert sorted(work["presentations"]) == sorted(lists)
     # no Euler polynomial, and one kernel product per distinct (class,
-    # embedding value) of both tables together; the fiber's values are all
+    # embedding value) of both sides together; the fiber's values are all
     # the ambient's here, so there are fewer products than keys
     assert done["eulers"] == 0
-    values = _product_values(ambient.geometry)
-    assert _product_values(fiber.geometry) <= values
-    keys = sum(len(_product_keys(t.geometry)) for t in tables)
+    values = _product_values(ambient)
+    assert _product_values(fiber) <= values
+    keys = sum(len(_product_keys(g)) for g in sides)
     assert done["products"] == len(_nonzero(values, d))
-    assert len(values) < keys < sum(len(t.geometry.pairs) for t in tables)
+    assert len(values) < keys < sum(len(g.pairs) for g in sides)
 
 
 def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
@@ -465,13 +471,13 @@ def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monk
     assert count >= 2
     named = [c.g for c in comps if c.fixed_columns == bad]
 
-    tables, checks, _ = _spy_verify(monkeypatch, fail_fixed=bad)
+    geometries, checks, _ = _spy_verify(monkeypatch, fail_fixed=bad)
     rep = verify_orbifold_iso(a, theta, 5)
     assert not rep.ok
     assert [g for g, _ in rep.ring_failures] == named
     assert all(r.reason == "forced failure" for _, r in rep.ring_failures)
 
-    tables.clear()
+    geometries.clear()
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"A": [list(r) for r in a.matrix.entries],
                                 "theta": list(theta), "kind": "lawrence"}))
@@ -483,55 +489,74 @@ def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monk
     ]
 
 
-def _edit_fiber_table(monkeypatch, edit):
-    """Apply ``edit`` to each fiber table's products: every second table
-    built, since ``verify_orbifold_iso`` builds the ambient one first."""
-    table = orbifold_module._table
+def _edit_fiber_geometry(monkeypatch, edit):
+    """Give the moment fiber read data of its own, the ambient's and its
+    kind, so ``verify_orbifold_iso`` builds it a geometry of its own over
+    an analysis of its own with the ambient's layout, and apply ``edit`` to
+    each fiber geometry: every second one built, since the ambient's comes
+    first."""
+    reads, geometry = orbifold_module._Reads, orbifold_module._geometry
     built = []
 
+    class KindReads(reads):
+        def __init__(self, model):
+            super().__init__(model)
+            self.data += (model.kind,)
+            self._hash = hash(self.data)
+
     def edited(*args):
-        built.append(table(*args))
+        built.append(geometry(*args))
         if len(built) % 2 == 0:
             edit(built[-1])
         return built[-1]
 
-    monkeypatch.setattr(orbifold_module, "_table", edited)
+    monkeypatch.setattr(orbifold_module, "_Reads", KindReads)
+    monkeypatch.setattr(orbifold_module, "_geometry", edited)
 
 
-def _lose_pair(table):
-    keys = list(table.products)
-    lost = keys[len(keys) // 2]
-    del table.products[lost]
-    return lost
+def _fiber_with_other_pairs(monkeypatch, n):
+    """Make the moment fiber's arrangement gain the unstable set {x_1, y_1}
+    of an input with ``n`` columns, so its sectors or blocks differ from
+    the ambient's."""
+    fiber = model_module._moment_fiber
+
+    def unstable(lm):
+        out = fiber(lm)
+        arrangement = out.arrangement
+        return out.replace(arrangement=arrangement._replace(
+            unstable_minimal=(*arrangement.unstable_minimal, frozenset({1, n + 1}))))
+
+    monkeypatch.setattr(model_module, "_moment_fiber", unstable)
+    # the verifiers' model pairs built before the patch hold the unpatched fiber
+    model_module._lawrence_pair.cache_clear()
 
 
-def _gain_pair(table):
-    elems = [c.g for c in table.components]
-    gained = next((g1, g2) for g1 in elems for g2 in elems if (g1, g2) not in table.products)
-    g1, g2 = gained
-    table.products[gained] = orbifold_module.ProductEntry(
-        g1, g2, g1 + g2, IntPoly.one(g1.d), (1,))
-    return gained
+@pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (3, 2, 5), (1, 1, 4)])
+def test_fiber_with_other_pairs_fails_both_checks_with_none_compared(seed, d, n, tmp_path, capsys, monkeypatch):
+    # negative control for the one alignment of both verifiers: sides whose
+    # pairs differ fail with one detail and no pair or component compared,
+    # in the reports and in the CLI's verify output
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    _fiber_with_other_pairs(monkeypatch, n)
+    ambient = lawrence_model(a, theta)
+    layouts = [orbifold_module._layout(SectorGeometry(m, 4).analysis)
+               for m in (ambient, model_module._moment_fiber(ambient))]
+    assert layouts[0] != layouts[1]
+    detail = "double inertia components differ"
+    pull = verify_obstruction_pullback(a, theta)
+    assert (pull.ok, pull.checked, [f.detail for f in pull.failures]) == (False, 0, [detail])
+    iso = verify_orbifold_iso(a, theta, 5)
+    assert (iso.ok, iso.components, iso.detail) == (False, 0, detail)
+    assert not (iso.ring_failures or iso.product_failures or iso.age_failures)
 
-
-@pytest.mark.parametrize("edit", [_lose_pair, _gain_pair])
-def test_pair_stable_on_one_side_is_a_product_failure(edit, tmp_path, capsys, monkeypatch):
-    # negative control: a stable pair missing from the fiber table, or a
-    # fiber-only pair, is reported, in the report and in the CLI's verify output
-    edited = []
-    _edit_fiber_table(monkeypatch, lambda table: edited.append(edit(table)))
-    rep = verify_orbifold_iso(_A23, [1], 5)
-    assert not rep.ok
-    assert [key for key, _, _ in rep.product_failures] == edited
-    assert not rep.ring_failures and not rep.age_failures
-
-    edited.clear()
     path = tmp_path / "model.json"
-    path.write_text(json.dumps({"A": [[2, 3]], "theta": [1], "kind": "hypertoric"}))
+    path.write_text(json.dumps({"A": [list(r) for r in a.matrix.entries],
+                                "theta": list(theta), "kind": "lawrence"}))
     assert main(["verify", "--input", str(path)]) == EXIT_VERIFY_FAILED
-    (g1, g2), = edited
-    failures = json.loads(capsys.readouterr().out)["orbifold_iso"]["failures"]
-    assert failures == [{"kind": "product", "g1": g1.as_strings(), "g2": g2.as_strings()}]
+    out = json.loads(capsys.readouterr().out)
+    assert out["obstruction_pullback"]["components"] == out["orbifold_iso"]["components"] == 0
+    assert out["obstruction_pullback"]["failures"] == [{"g1": None, "g2": None, "detail": detail}]
+    assert out["orbifold_iso"]["failures"] == [{"kind": "detail", "detail": detail}]
 
 
 @pytest.mark.parametrize("bound", [2, 5])
@@ -539,10 +564,11 @@ def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
         bound, tmp_path, capsys, monkeypatch):
     # negative control with a real lattice difference: the fiber ring over
     # the most shared fixed set gains t1^2, which is not in its degree-2
-    # lattice; the relation goes in once the fiber table is built, since
-    # this set is the subsector of a checked embedding that t1^2 would fail.
-    # The fiber of a Lawrence input reads the ambient's geometry, so the
-    # fiber table first gets a geometry of its own over the same read data
+    # lattice; the relation goes in once the fiber's products are built,
+    # since this set is the subsector of a checked embedding that t1^2
+    # would fail.  The fiber of a Lawrence input reads the ambient's
+    # geometry, so the fiber first gets a geometry of its own over the
+    # same read data
     a, theta = random_generic_instance(random.Random(1), 2, 5)
     comps = inertia_components(lawrence_model(a, theta))
     bad, count = Counter(c.fixed_columns for c in comps).most_common(1)[0]
@@ -550,15 +576,15 @@ def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
     named = [c.g for c in comps if c.fixed_columns == bad]
     extra = IntPoly.from_dict(2, {(2, 0): 1})
 
-    def enlarge(table):
-        shared = table.geometry
-        table.geometry = geo = SectorGeometry(shared.model, shared.truncation)
+    def enlarge(geo):
+        for k in range(len(geo.analysis.keys)):
+            geo.value(k)
         pres = geo.presentation_for(bad)
         assert any(reduce_class(pres, extra))
         geo._presentations[bad] = GradedRingPresentation(
             pres.num_vars, pres.relations + (extra,), pres.truncation)
 
-    _edit_fiber_table(monkeypatch, enlarge)
+    _edit_fiber_geometry(monkeypatch, enlarge)
     rep = verify_orbifold_iso(a, theta, bound)
     assert not rep.ok and not rep.product_failures and not rep.age_failures
     assert [g for g, _ in rep.ring_failures] == named
@@ -736,55 +762,54 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
 
 
 def _spy_geometries(monkeypatch):
-    """Record the tables and the geometries ``verify_orbifold_iso`` builds,
-    and the fixed set of each sector-ring lookup."""
-    tables, geometries, looked_up = [], [], []
-    table, unstable = orbifold_module._table, orbifold_module.sector_unstable_sets
+    """Record the geometries ``verify_orbifold_iso`` reads (``_geometry``),
+    the geometries, tables and product entries it constructs, and the
+    fixed set of each sector-ring lookup."""
+    read, geometries, tables, entries, looked_up = records = [], [], [], [], []
+    unstable = orbifold_module.sector_unstable_sets
 
-    def spy_table(*args):
-        tables.append(table(*args))
-        return tables[-1]
-
-    def spy_geometry(*args):
-        geometries.append(SectorGeometry(*args))
-        return geometries[-1]
+    def spy(record, fn):
+        def made(*args):
+            record.append(fn(*args))
+            return record[-1]
+        return made
 
     def spy_unstable(model, fixed):
         looked_up.append(fixed)
         return unstable(model, fixed)
 
-    monkeypatch.setattr(orbifold_module, "_table", spy_table)
-    monkeypatch.setattr(orbifold_module, "SectorGeometry", spy_geometry)
+    for name, record in zip(("_geometry", "SectorGeometry", "OrbifoldTable", "ProductEntry"), records):
+        monkeypatch.setattr(orbifold_module, name, spy(record, getattr(orbifold_module, name)))
     monkeypatch.setattr(orbifold_module, "sector_unstable_sets", spy_unstable)
-    return tables, geometries, looked_up
+    return read, geometries, tables, entries, looked_up
 
 
 def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
     # the moment fiber of a Lawrence input reads the ambient's data, so the
-    # two tables of one call are two tables over one geometry, and the ring
-    # of each fixed set either reads is looked up once
-    tables, geometries, looked_up = _spy_geometries(monkeypatch)
+    # two sides of one call read one geometry, the ring of each fixed set
+    # either reads is looked up once, and a passing check builds no table
+    # and no product entry
+    records = read, geometries, tables, entries, looked_up = _spy_geometries(monkeypatch)
     for seed, d, n in [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)]:
-        for record in (tables, geometries, looked_up):
+        for record in records:
             record.clear()
         assert verify_orbifold_iso(*random_generic_instance(random.Random(seed), d, n), 5).ok
-        ambient, fiber = tables
-        assert ambient is not fiber
-        assert len(geometries) == 1 and ambient.geometry is fiber.geometry is geometries[0]
-        fixed_sets = ({c.fixed_columns for c in ambient.components}
-                      | {common for _, common, _ in ambient.analysis.keys})
+        geo, = read
+        assert len(geometries) == 1 and not tables and not entries
+        fixed_sets = ({c.fixed_columns for c in geo.components}
+                      | {common for _, common, _ in geo.analysis.keys})
         assert Counter(looked_up) == Counter(fixed_sets)
 
 
 @pytest.mark.parametrize("multiplicity", [2, -1])
 def test_fiber_with_other_read_data_gets_a_geometry_of_its_own(multiplicity, monkeypatch):
-    # a fiber whose tangent class differs reads another analysis, so its
-    # table gets a geometry of its own, which builds its own presentations;
-    # the outcome is the one the negative controls above expect
+    # a fiber whose tangent class differs reads another analysis, so it
+    # gets a geometry of its own, which builds its own presentations; the
+    # outcome is the one the negative controls above expect
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     _fiber_with_negative_term(monkeypatch, a, theta, multiplicity)
     build_sector = inertia_module.sector_model
-    tables, geometries, _ = _spy_geometries(monkeypatch)
+    read, geometries, _, _, _ = _spy_geometries(monkeypatch)
     work = _spy_work(monkeypatch)
     if multiplicity < 0:
         with pytest.raises(ObstructionError):
@@ -793,7 +818,7 @@ def test_fiber_with_other_read_data_gets_a_geometry_of_its_own(multiplicity, mon
         rep = verify_orbifold_iso(a, theta, 5)
         assert not rep.ok and not rep.ring_failures
         assert (len(rep.product_failures), len(rep.age_failures)) == (21, 10)
-        assert [t.geometry for t in tables] == geometries
+        assert read == geometries
         # each geometry builds one presentation per multiset list it reads
         lists = _multiset_lists(geometries[0], build_sector)
         assert sorted(work["presentations"]) == sorted([*lists, *lists])

@@ -146,7 +146,7 @@ def test_store_products_equal_the_old_products():
 
 def test_each_product_key_has_one_value_built_once(monkeypatch):
     # the geometry builds one generator product per product key, by one
-    # kernel run when it is nonzero; a second table over the geometry and
+    # kernel run when it is nonzero; the table's pair expansion and
     # ``star`` read the stored values and run the kernel no more
     runs = []
     kernel = orbifold_module.product_coefficients
@@ -154,8 +154,7 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
                         lambda *args: runs.append(args) or kernel(*args))
     for model in _models():
         runs.clear()
-        geometries = {}
-        table = orbifold_module._table(model, 3, geometries)
+        table = orbifold_table(model, 3)
         geo = table.geometry
         analysis = geo.analysis
         built = len(runs)
@@ -165,8 +164,8 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
         assert values == [_generator_product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
                           for mask, common, target_fixed in analysis.keys]
         runs.clear()
-        again = orbifold_module._table(model, 3, geometries)
-        assert again.geometry is geo and again.values == table.values and not runs
+        assert [(e.poly, e.coords) for e in table.products.values()] == [
+            values[k] for _, _, k, _ in analysis.walk()] and not runs
 
         el, d = analysis.elements, model.d
         for i1, i2, k, t in analysis.walk():
