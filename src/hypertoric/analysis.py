@@ -182,7 +182,9 @@ class _Analysis:
     generator product depends, in ``keys``.  Nothing is kept per pair:
     ``walk`` and ``locate`` compute a pair's key where they read it
     (``_row``), ``target`` and ``len`` read the sectors and the blocks, and
-    ``pairs`` expands the walk afresh on each read.
+    ``pairs`` expands the walk afresh on each read.  ``position`` is the one
+    refusal of an element that is not a sector, for every lookup of the
+    geometries and tables over the analysis.
 
     The sum of a stable pair fixes the common set, so it is a sector too.
     It is looked up, not built: each element's numerators over the common
@@ -279,11 +281,20 @@ class _Analysis:
         el, keys = self.elements, self.keys
         return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in self.walk())
 
+    def position(self, g: TorsionElement) -> int:
+        """The sector index of g; the one refusal of a non-sector, with
+        ``ValueError``."""
+        i = self.index.get(g)
+        if i is None:
+            raise ValueError("element %s is not an inertia element" % g)
+        return i
+
     def locate(self, g1: TorsionElement, g2: TorsionElement) -> tuple | None:
-        """(key index, target) of the pair (g1, g2), or None when it is not
-        a stable pair of sectors: stability is decided on the common mask."""
-        i1, i2 = self.index.get(g1), self.index.get(g2)
-        if i1 is None or i2 is None or not self._stable(self._masks[i1] & self._masks[i2]):
+        """(key index, target) of the pair (g1, g2) of sectors, or None when
+        the pair is unstable: stability is decided on the common mask.  A
+        non-sector in either slot raises ``ValueError`` (``position``)."""
+        i1, i2 = self.position(g1), self.position(g2)
+        if not self._stable(self._masks[i1] & self._masks[i2]):
             return None
         t = self.target(i1, i2)
         key, = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],), (t,))

@@ -16,26 +16,16 @@ from .value import Value
 
 class CharacterClass(Value):
     """terms: sorted ((w, mult), ...) over nonzero characters w, mult != 0.
-    The hash is computed once: classes key the generator products."""
+    Equality and the hash are ``Value``'s, over the three fields: no table
+    keys classes, so none is hashed on a hot path."""
 
-    _fields = ("dim", "terms", "trivial")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("dim", "terms", "trivial")
 
     def __init__(self, dim: int, terms: tuple[tuple[tuple[int, ...], Fraction], ...],
                  trivial: Fraction):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "trivial", trivial)
-        object.__setattr__(self, "_hash", hash((dim, terms, trivial)))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            # a tuple compares identical items without calling their __eq__
-            return (self.dim, self.terms, self.trivial) == (other.dim, other.terms, other.trivial)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def build(dim: int, terms=None, trivial=0) -> "CharacterClass":

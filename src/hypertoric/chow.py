@@ -25,6 +25,7 @@ from collections import Counter
 from typing import NamedTuple
 
 from .exact import IntMatrix, as_int, hermite_reduce, hnf, invariant_factors
+from .inertia import sector_unstable_sets
 from .model import StackModel
 from .poly import IntPoly, monomials_of_degree
 from .value import Value
@@ -237,10 +238,22 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
 def presentation(model: StackModel, truncation: int | None = None) -> GradedRingPresentation:
     """Sector ring presentation of a model: one product relation per minimal
     unstable set, with its characters as the certificate of its factors.
+    It is the ring of the model's sector over all its columns
+    (``_sector_ring``), whose minimal unstable sets are the model's own.
     Default truncation is twice the ambient coordinate count."""
     if truncation is None:
         truncation = 2 * model.num_coords
-    multisets = [[model.coordinate_char(j) for j in s] for s in model.arrangement.unstable_minimal]
+    return _sector_ring(model, frozenset(range(1, model.n + 1)), truncation)
+
+
+def _sector_ring(model: StackModel, fixed: frozenset[int], truncation: int) -> GradedRingPresentation:
+    """The ring of the model's sector over the columns ``fixed``, read
+    straight from the characters of its minimal unstable sets
+    (``inertia.sector_unstable_sets``), with no sector model built: the
+    one builder of ``presentation`` and of an orbifold geometry's sector
+    rings.  An unstable fixed set raises ``ValueError``."""
+    char = model.coordinate_char
+    multisets = tuple(tuple(sorted(char(i) for i in s)) for s in sector_unstable_sets(model, fixed))
     return GradedRingPresentation.from_characters(model.d, multisets, truncation)
 
 

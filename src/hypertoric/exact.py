@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from numbers import Rational
 from typing import NamedTuple
 
 from .value import Value
@@ -25,10 +26,14 @@ def as_fraction_vector(values) -> tuple[Fraction, ...]:
 
 def as_int(value) -> int:
     """``value`` as an int: one with a fractional part is refused with
-    ``ValueError``, not truncated as ``int`` would, and so is ``None``."""
+    ``ValueError``, not truncated as ``int`` would, and so is anything but
+    a rational number or a float, ``None``, a bool or a string among them
+    (named by its repr, so ``'5'`` does not read as 5)."""
     if value.__class__ is int:
         return value
-    if value is None or (q := Fraction(value)).denominator != 1:
+    if isinstance(value, bool) or not isinstance(value, (Rational, float)):
+        raise ValueError("expected an integer, got %r" % (value,))
+    if (q := Fraction(value)).denominator != 1:
         raise ValueError("expected an integer, got %s" % (value,))
     return q.numerator
 

@@ -26,10 +26,10 @@ from typing import NamedTuple
 
 from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
 from .characters import CharacterClass
-from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _vector_poly, product_coefficients,
-                   product_of_forms)
+from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _sector_ring, _vector_poly,
+                   product_coefficients, product_of_forms)
 from .exact import as_int
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _same_dimension, sector_unstable_sets
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _same_dimension
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
 
@@ -110,16 +110,18 @@ class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation, and the one owner of those rings, each kept once, keyed by
     what derives it.  The analysis is the shared one of the model's read
-    data (``_analysis``).  A sector's ring depends only on its fixed
-    columns: it is read straight from the characters of the sector's
-    minimal unstable sets (``inertia.sector_unstable_sets``), with no
-    sector model built, once per fixed set, with its one piece cache.  The
-    geometry checks one embedding per (common fixed set, target fixed
-    set); a failed check is never stored, so every push through it raises
-    again.  It builds one generator product per product key of the
-    analysis (``value``).  All of these read only the read data, so a
-    model whose read data are this one's may read this geometry.  A
-    negative truncation raises ``ValueError``."""
+    data (``_analysis``), which also owns the refusal of a non-sector:
+    ``component``, ``pair`` and ``sector_presentation`` raise
+    ``ValueError`` for one, through ``_Analysis.position``.  A sector's
+    ring depends only on its fixed columns: it is built by the one builder
+    of fixed-set rings (``chow._sector_ring``), with no sector model built,
+    once per fixed set, with its one piece cache.  The geometry checks one
+    embedding per (common fixed set, target fixed set); a failed check is
+    never stored, so every push through it raises again.  It builds one
+    generator product per product key of the analysis (``value``).  All of
+    these read only the read data, so a model whose read data are this
+    one's may read this geometry.  A negative truncation raises
+    ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
         self.truncation = truncation = as_int(truncation)
@@ -139,18 +141,13 @@ class SectorGeometry:
         return self.analysis.pairs
 
     def component(self, g: TorsionElement) -> InertiaComponent:
-        i = self.analysis.index.get(g)
-        if i is None:
-            raise ValueError("element %s is not an inertia element" % g)
-        return self.components[i]
+        return self.components[self.analysis.position(g)]
 
     def pair(self, g1, g2) -> DoubleInertiaComponent | None:
         """The double-inertia component of (g1, g2), or None for an
         unstable pair of sectors; a non-sector raises ``ValueError``."""
         found = self.analysis.locate(g1, g2)
         if found is None:
-            self.component(g1)
-            self.component(g2)
             return None
         k, target = found
         return DoubleInertiaComponent(g1, g2, self.analysis.keys[k][1], target)
@@ -160,11 +157,7 @@ class SectorGeometry:
         ``ValueError``, as ``sector_model`` does."""
         pres = self._presentations.get(fixed)
         if pres is None:
-            char = self.model.coordinate_char
-            multisets = tuple(tuple(sorted(char(i) for i in s))
-                              for s in sector_unstable_sets(self.model, fixed))
-            pres = self._presentations[fixed] = GradedRingPresentation.from_characters(
-                self.model.d, multisets, self.truncation)
+            pres = self._presentations[fixed] = _sector_ring(self.model, fixed, self.truncation)
         return pres
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
@@ -215,15 +208,15 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     Euler polynomial of the obstruction class times the normal Euler factor
     of the embedding of the common locus into the target fixed locus, as
     the geometry builds it once per product key (``SectorGeometry.value``),
-    after the pair's own selection is tested to be a bundle.
+    after the pair's own selection is tested to be a bundle.  An unstable
+    pair of sectors gives the zero class, and a class on a non-sector
+    raises ``ValueError`` (``_Analysis.locate``).
     """
     model = geo.model
     if alpha.is_zero or beta.is_zero:
         return _zero_class(model.d)
     found = geo.analysis.locate(alpha.component, beta.component)
     if found is None:
-        geo.component(alpha.component)
-        geo.component(beta.component)
         return _zero_class(model.d)
     k, target = found
     mask = geo.analysis.keys[k][0]
@@ -268,12 +261,12 @@ class OrbifoldTable:
                 for i1, i2, k, t in self.analysis.walk()}
 
     def entry(self, g1, g2) -> ProductEntry:
-        """The stored entry, else the zero entry; a non-sector raises ValueError."""
+        """The stored entry, else the zero entry of an unstable pair of
+        sectors; a non-sector raises ``ValueError`` (``_Analysis.locate``)."""
         found = self.products.get((g1, g2))
         if found is not None:
             return found
-        self.geometry.component(g1)
-        self.geometry.component(g2)
+        self.analysis.locate(g1, g2)  # every stable pair is in ``products``
         return ProductEntry(g1, g2, None, IntPoly.zero(self.geometry.model.d), ())
 
 

@@ -68,13 +68,21 @@ class ChartInstance(Value):
     the two coordinates over the column is the chart denominator, and the
     other one is its partner.  The fiber coordinates of a chart point q are
     its moment value in the basis of those columns: mu(q) = sum z_i a_{b_i}.
+    The pivots, and the 0-based coordinate index of each pivot and of its
+    partner (x_j at j - 1, y_j at n + j - 1), are cache slots read once, at
+    construction; the chart's value is its sigma set and matrix.
     """
 
-    __slots__ = _fields = ("sigma", "a")
+    _fields = ("sigma", "a")
+    __slots__ = _fields + ("pivots", "_pivot_at", "_partner_at")
 
     def __init__(self, sigma: SigmaSet, a: WeightMatrix):
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "a", a)
+        pivots = tuple(sorted(zip(sigma.basis, sigma.tags)))
+        object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_pivot_at", tuple(c - 1 if t == "x" else a.n + c - 1 for c, t in pivots))
+        object.__setattr__(self, "_partner_at", tuple(a.n + c - 1 if t == "x" else c - 1 for c, t in pivots))
 
     @property
     def n(self) -> int:
@@ -92,22 +100,14 @@ class ChartInstance(Value):
     def fiber_dim(self) -> int:
         return self.d
 
-    @property
-    def pivots(self) -> tuple[tuple[int, str], ...]:
-        return tuple(sorted(zip(self.sigma.basis, self.sigma.tags)))
-
-    def _coord_index(self, column: int, tag: str) -> int:
-        return (column - 1) if tag == "x" else (self.n + column - 1)
-
     def pivot_values(self, point) -> list[Fraction]:
-        return [point[self._coord_index(col, tag)] for col, tag in self.pivots]
+        return [point[i] for i in self._pivot_at]
 
     def partner_index(self, i: int) -> int:
-        col, tag = self.pivots[i]
-        return self._coord_index(col, "y" if tag == "x" else "x")
+        return self._partner_at[i]
 
     def in_chart(self, point) -> bool:
-        return all(v != 0 for v in self.pivot_values(point))
+        return all(point[i] != 0 for i in self._pivot_at)
 
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:
@@ -122,22 +122,30 @@ def chart_forward(chart: ChartInstance, base_point, z) -> tuple[Fraction, ...]:
     """Map (base point on the moment fiber, fiber coordinates z) into the
     chart: moving the partner of pivot i by z_i / pivot_i adds z_i a_{b_i}
     to the moment value.  z = 0 returns the base point."""
-    p = list(as_fraction_vector(base_point))
+    p = _chart_point(chart, base_point, "base point")
     zv = as_fraction_vector(z)
-    if len(p) != 2 * chart.n:
-        raise ValueError("point must have %d coordinates" % (2 * chart.n))
     if len(zv) != chart.d:
         raise ValueError("fiber vector must have %d coordinates" % chart.d)
-    if not chart.in_chart(p):
-        raise ValueError("base point is outside the chart (a pivot coordinate vanishes)")
     if any(moment_eval(chart.a, p)):
         raise ValueError("base point is not on the moment fiber")
     return _shift_partners(chart, p, zv)
 
 
+def _chart_point(chart: ChartInstance, point, what: str) -> list[Fraction]:
+    """The one point check of both chart maps: ``point`` as a list of
+    Fractions, refused unless it has 2n coordinates and lies in the chart."""
+    p = list(as_fraction_vector(point))
+    if len(p) != 2 * chart.n:
+        raise ValueError("point must have %d coordinates" % (2 * chart.n))
+    if not chart.in_chart(p):
+        raise ValueError("%s is outside the chart (a pivot coordinate vanishes)" % what)
+    return p
+
+
 def _shift_partners(chart: ChartInstance, p: list[Fraction], z) -> tuple[Fraction, ...]:
-    for i, pivot in enumerate(chart.pivot_values(p)):
-        p[chart.partner_index(i)] += z[i] / pivot
+    # a pivot and its partner lie over one column, so no pivot is shifted
+    for i, j, zi in zip(chart._pivot_at, chart._partner_at, z):
+        p[j] += zi / p[i]
     return tuple(p)
 
 
@@ -145,11 +153,7 @@ def chart_inverse(chart: ChartInstance, point) -> tuple[tuple[Fraction, ...], tu
     """Split a chart point into (moment-fiber base point, fiber coordinates):
     z is the moment value in the basis of the pivot columns, and the base
     point undoes the partner shift of ``chart_forward``."""
-    q = list(as_fraction_vector(point))
-    if len(q) != 2 * chart.n:
-        raise ValueError("point must have %d coordinates" % (2 * chart.n))
-    if not chart.in_chart(q):
-        raise ValueError("point is outside the chart (a pivot coordinate vanishes)")
+    q = _chart_point(chart, point, "point")
     z = lambda_coeffs(chart.a, chart.sigma.basis, moment_eval(chart.a, q))
     return _shift_partners(chart, q, [-c for c in z]), z
 

@@ -6,9 +6,11 @@ question nobody asked.  Now each raises ``ValueError`` naming the value (a
 ``ModelError`` for model inputs), and an integral value of any type
 (``2``, ``Fraction(4, 2)``, ``2.0``) keeps working.  The integer
 parameters of the API (bounds, truncations, sample counts, orders,
-exponents and scalars) are read the same way, before their range check.
+exponents and scalars) are read the same way, before their range check;
+a string, a bool, ``None`` or another non-number is refused there too.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -39,6 +41,15 @@ INTEGRAL = [2, Fraction(4, 2), 2.0]
 @pytest.mark.parametrize("value", [1.5, Fraction(7, 2), -0.25])
 def test_as_int_refuses_a_fractional_part(value):
     with pytest.raises(ValueError, match="expected an integer, got %s" % value):
+        as_int(value)
+
+
+@pytest.mark.parametrize("value", ["5", "10/2", True, [1]])
+def test_as_int_refuses_what_is_not_a_number(value):
+    # Fraction used to parse a string and read a bool as 0 or 1, and a list
+    # died in its bare TypeError; the message shows the repr, so '5' does
+    # not read as 5
+    with pytest.raises(ValueError, match="^expected an integer, got %s$" % re.escape(repr(value))):
         as_int(value)
 
 
@@ -150,3 +161,9 @@ def test_integer_parameters_refuse_none():
         with pytest.raises(ValueError, match="^expected an integer, got None$"):
             INTEGER_PARAMETERS[name](None)
     assert orbifold_table(lawrence_model(*_lawrence()), None).geometry.truncation >= 1
+
+
+def test_a_string_bound_is_refused_not_parsed():
+    # "5" used to run the iso check at bound 5
+    with pytest.raises(ValueError, match="^expected an integer, got '5'$"):
+        verify_orbifold_iso(*_lawrence(), "5")

@@ -1,12 +1,14 @@
 import itertools
 import json
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import hypertoric.analysis as analysis_module
+import hypertoric.chow as chow_module
 import hypertoric.inertia as inertia_module
 import hypertoric.model as model_module
 import hypertoric.orbifold as orbifold_module
@@ -393,20 +395,28 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
             zeros += 1
             assert (entry.g1, entry.g2, entry.target, entry.poly, entry.coords) == (
                 g1, g2, None, IntPoly.zero(d), ())
+            assert geo.analysis.locate(g1, g2) is None
+            assert star(geo, geo.generator(g1), geo.generator(g2)).is_zero
         else:
             assert entry is table.products[(g1, g2)] and entry.target is not None
     assert zeros == len(elems) ** 2 - len(geo.pairs)
     if seed is None:
         assert (len(elems), len(geo.pairs)) == (4, 12)
 
-    # a stranger in either slot raises, where ``pair`` used to give None,
-    # as it does for an unstable pair of sectors
+    # a stranger in either slot raises, in every lookup, where ``pair``
+    # used to give None, as it does for an unstable pair of sectors; the
+    # analysis owns the refusal
     stranger = TorsionElement.from_fractions([Fraction(1, 1009)] * d)
     assert stranger not in elems
+    refused = "element %s is not an inertia element" % re.escape(str(stranger))
+    lookups = (table.entry, geo.pair, geo.analysis.locate,
+               lambda g1, g2: star(geo, geo.generator(g1), geo.generator(g2)))
     for args in [(stranger, elems[0]), (elems[0], stranger), (stranger, stranger)]:
-        for lookup in (table.entry, geo.pair):
-            with pytest.raises(ValueError, match="is not an inertia element"):
+        for lookup in lookups:
+            with pytest.raises(ValueError, match=refused):
                 lookup(*args)
+    with pytest.raises(ValueError, match=refused):
+        geo.sector_presentation(stranger)
 
 
 def _spy_verify(monkeypatch, fail_fixed=None):
@@ -766,7 +776,7 @@ def _spy_geometries(monkeypatch):
     the geometries, tables and product entries it constructs, and the
     fixed set of each sector-ring lookup."""
     read, geometries, tables, entries, looked_up = records = [], [], [], [], []
-    unstable = orbifold_module.sector_unstable_sets
+    unstable = chow_module.sector_unstable_sets
 
     def spy(record, fn):
         def made(*args):
@@ -780,7 +790,7 @@ def _spy_geometries(monkeypatch):
 
     for name, record in zip(("_geometry", "SectorGeometry", "OrbifoldTable", "ProductEntry"), records):
         monkeypatch.setattr(orbifold_module, name, spy(record, getattr(orbifold_module, name)))
-    monkeypatch.setattr(orbifold_module, "sector_unstable_sets", spy_unstable)
+    monkeypatch.setattr(chow_module, "sector_unstable_sets", spy_unstable)
     return read, geometries, tables, entries, looked_up
 
 

@@ -1,9 +1,11 @@
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
 from hypertoric import (
+    ChartInstance,
     LocalModelSRE,
     ModelError,
     NonGenericError,
@@ -97,6 +99,24 @@ def test_chart_second_pivot_column(a12):
     base, z = chart_inverse(chart, q)
     assert moment_eval(a12, base) == (Fraction(0),)
     assert chart_forward(chart, base, z) == q
+
+
+def test_chart_reads_its_coordinates_once(a12):
+    # the pivots and the 0-based index of each pivot coordinate and of its
+    # partner are cache slots set at construction (x_j at j - 1, y_j at
+    # n + j - 1), not part of the chart's value; a copy rebuilds them
+    for basis, theta in [((1,), [1]), ((2,), [1]), ((1,), [-1])]:
+        sigma = sigma_set(a12, basis, theta)
+        chart = build_chart(a12, sigma)
+        assert ChartInstance._fields == ("sigma", "a")
+        assert chart.pivots is chart.pivots == tuple(sorted(zip(sigma.basis, sigma.tags)))
+        (col, tag), = chart.pivots
+        x, y = col - 1, a12.n + col - 1
+        assert chart.partner_index(0) == (y if tag == "x" else x)
+        point = tuple(Fraction(i + 1) for i in range(2 * a12.n))
+        assert chart.pivot_values(point) == [point[x if tag == "x" else y]]
+        copy = pickle.loads(pickle.dumps(chart))
+        assert copy == chart and copy.pivots == chart.pivots and copy.partner_index(0) == chart.partner_index(0)
 
 
 def test_chart_rejects_bad_points(a12):
