@@ -101,19 +101,18 @@ class _Reads:
     models' kinds, characters or trivial summands, so the moment fiber of
     a Lawrence model reads what the ambient model reads."""
 
-    __slots__ = ("data", "model", "_hash")
+    __slots__ = ("data", "model")
 
     def __init__(self, model: StackModel):
         self.data = (model.doubled, model.base, model.weights, model.arrangement,
                      model.tangent_class.terms)
         self.model = model
-        self._hash = hash(self.data)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _Reads) and self.data == other.data
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.data)
 
 
 class PairBlock:

@@ -11,29 +11,41 @@ floating point appears anywhere in this package.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, isfinite, lcm, prod
 from numbers import Rational
 from typing import NamedTuple
 
 from .value import Value
 
 
+def _fraction(value, what: str = "a finite number") -> Fraction:
+    """``Fraction(value)``, but a float infinity or nan is refused with
+    ``ValueError`` naming it by its repr, where ``Fraction`` raises a bare
+    ``OverflowError`` for the one and an unnamed ``ValueError`` for the
+    other."""
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError("expected %s, got %r" % (what, value))
+    return Fraction(value)
+
+
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
     """Coerce a sequence of ints/Fractions/strings like '2/3' to Fractions;
-    a ``Fraction`` itself is passed through, not rebuilt."""
-    return tuple(v if v.__class__ is Fraction else Fraction(v) for v in values)
+    a ``Fraction`` itself is passed through, not rebuilt, and a float
+    infinity or nan is refused with ``ValueError``."""
+    return tuple(v if v.__class__ is Fraction else _fraction(v) for v in values)
 
 
 def as_int(value) -> int:
     """``value`` as an int: one with a fractional part is refused with
     ``ValueError``, not truncated as ``int`` would, and so is anything but
-    a rational number or a float, ``None``, a bool or a string among them
-    (named by its repr, so ``'5'`` does not read as 5)."""
+    a rational number or a finite float, ``None``, a bool, a string, an
+    infinity or nan among them (named by its repr, so ``'5'`` does not
+    read as 5)."""
     if value.__class__ is int:
         return value
     if isinstance(value, bool) or not isinstance(value, (Rational, float)):
         raise ValueError("expected an integer, got %r" % (value,))
-    if (q := Fraction(value)).denominator != 1:
+    if (q := _fraction(value, "an integer")).denominator != 1:
         raise ValueError("expected an integer, got %s" % (value,))
     return q.numerator
 

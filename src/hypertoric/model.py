@@ -385,7 +385,7 @@ def model_from_dict(data: dict) -> StackModel:
     """Build a model from the JSON input schema:
 
       {"A": [[...]], "theta": [...], "kind": "lawrence"|"hypertoric"|"direct",
-       "unstable": [[...]]}   (unstable: direct models only)
+       "unstable": [[...]]}   (unstable: direct models only; null is absent)
 
     A lawrence or hypertoric model is read from the memo of Lawrence models
     and their moment fibers (``_lawrence_pair``) that the verifiers read."""
@@ -416,7 +416,7 @@ def model_from_dict(data: dict) -> StackModel:
         return direct_model(a, unstable=unstable, theta=theta)
     if theta is None:
         raise ModelError("%s model requires a character 'theta'" % kind)
-    if "unstable" in data:
+    if unstable is not None:
         raise ModelError("explicit unstable sets are only allowed for direct models")
     return _lawrence_pair(a, _int_entries(theta, "character theta"))[kind == HYPERTORIC]
 

@@ -34,14 +34,6 @@ class IntPoly(Value):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", terms)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.terms))
-
     @staticmethod
     def from_dict(nvars: int, coeffs: dict) -> "IntPoly":
         items = [(tuple(e), as_int(c)) for e, c in coeffs.items() if c]

@@ -17,8 +17,11 @@ class Value:
     """Type-strict equality and a hash over ``_fields``, a repr naming
     them, and no assignment or deletion of an attribute.  ``replace``
     builds a new value through ``__init__``, so it is validated again.
-    A type on a hot path spells out its own ``__eq__`` and ``__hash__``
-    over the same fields, which the generic ones then leave in place."""
+    Equality always comes from here.  A type whose hash is read several
+    times per value may compute ``hash`` of its fields' tuple once, in
+    ``__init__``, keep it in a cache slot and return it from its own
+    ``__hash__``, which the generic one then leaves in place;
+    ``inertia.TorsionElement`` is the only such type."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

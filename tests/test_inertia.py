@@ -44,7 +44,7 @@ def test_elements_of_different_dimensions_do_not_mix():
     # zipped, (1/2, 0) + (1/3) was (5/6)
     g, h = TorsionElement(2, (1, 0)), TorsionElement(3, (1,))
     for op in (lambda x, y: x + y, lambda x, y: x < y, lambda x, y: x > y):
-        with pytest.raises(ValueError, match="dimensions 2 and 1|dimensions 1 and 2"):
+        with pytest.raises(ValueError, match=r"element \(1/3\) has dimension 1, not 2"):
             op(g, h)
     assert TorsionElement(2, (1, 0)) + TorsionElement(2, (1, 1)) == TorsionElement(2, (0, 1))
     assert TorsionElement(3, (1,)) < TorsionElement(2, (1,))

@@ -44,11 +44,12 @@ def test_as_int_refuses_a_fractional_part(value):
         as_int(value)
 
 
-@pytest.mark.parametrize("value", ["5", "10/2", True, [1]])
+@pytest.mark.parametrize("value", ["5", "10/2", True, [1], float("inf"), float("-inf"), float("nan")])
 def test_as_int_refuses_what_is_not_a_number(value):
-    # Fraction used to parse a string and read a bool as 0 or 1, and a list
-    # died in its bare TypeError; the message shows the repr, so '5' does
-    # not read as 5
+    # Fraction used to parse a string and read a bool as 0 or 1, a list
+    # died in its bare TypeError, an infinity in a bare OverflowError and
+    # nan in a ValueError that did not name it; the message shows the
+    # repr, so '5' does not read as 5
     with pytest.raises(ValueError, match="^expected an integer, got %s$" % re.escape(repr(value))):
         as_int(value)
 
@@ -167,3 +168,16 @@ def test_a_string_bound_is_refused_not_parsed():
     # "5" used to run the iso check at bound 5
     with pytest.raises(ValueError, match="^expected an integer, got '5'$"):
         verify_orbifold_iso(*_lawrence(), "5")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_a_non_finite_float_is_refused_with_its_name(value):
+    # each call used to die in a bare OverflowError (or, for nan, a
+    # ValueError not naming it) from Fraction
+    expected = "^expected an integer, got %s$" % re.escape(repr(value))
+    with pytest.raises(ValueError, match=expected):
+        verify_orbifold_iso(*_lawrence(), value)
+    with pytest.raises(ValueError, match=expected):
+        verify_charts(*_lawrence(), samples=value)
+    with pytest.raises(ValueError, match="^expected a finite number, got %s$" % re.escape(repr(value))):
+        verify_charts(_lawrence()[0], [value])

@@ -303,6 +303,18 @@ def test_direct_model_validates_unstable_sets():
         direct_model(a)
 
 
+def test_a_null_unstable_reads_as_absent_for_every_kind():
+    # null used to be refused as an explicit unstable list on a lawrence or
+    # hypertoric input, though the validation and a null theta read it as
+    # absent; an empty list there is still refused
+    for kind in ("lawrence", "hypertoric", "direct"):
+        data = {"A": [[1, 2]], "theta": [1], "kind": kind}
+        assert model_from_dict(data | {"unstable": None}) == model_from_dict(data)
+    for kind in ("lawrence", "hypertoric"):
+        with pytest.raises(ModelError, match="explicit unstable sets are only allowed for direct models"):
+            model_from_dict({"A": [[1, 2]], "theta": [1], "kind": kind, "unstable": []})
+
+
 def test_model_from_dict_variants(a12):
     m = model_from_dict({"A": [[1, 2]], "theta": [1], "kind": "hypertoric"})
     assert m.kind == "hypertoric"

@@ -512,7 +512,6 @@ def _edit_fiber_geometry(monkeypatch, edit):
         def __init__(self, model):
             super().__init__(model)
             self.data += (model.kind,)
-            self._hash = hash(self.data)
 
     def edited(*args):
         built.append(geometry(*args))
@@ -745,6 +744,40 @@ def test_fiber_with_a_doubled_character_fails_every_pair_it_enters(monkeypatch):
     assert (len(iso.product_failures), len(iso.age_failures)) == (21, 10)
     assert [key for key, _, _ in iso.product_failures] == expected
     assert [g for g, _, _ in iso.age_failures] == [c.g for c in geo.components if not c.g.fixes(bad)]
+
+
+def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkeypatch):
+    # negative control: the fiber's y_1 character gains 1 in its first
+    # entry and nothing else changes.  The tangent terms are untouched, so
+    # the pullback passes; the fiber gets an analysis of its own, and every
+    # ring over a fixed set holding column 1, and every product into one,
+    # fails, with no age failure
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    geo = SectorGeometry(lawrence_model(a, theta), truncation=5)
+    fiber = model_module._moment_fiber
+
+    def shifted(lm):
+        out = fiber(lm)
+        rows = [list(row) for row in out.weights.matrix.entries]
+        rows[0][lm.n] += 1
+        return out.replace(weights=WeightMatrix.from_rows(rows))
+
+    monkeypatch.setattr(model_module, "_moment_fiber", shifted)
+    # the verifiers' model pairs built before the patch hold the unshifted fiber
+    model_module._lawrence_pair.cache_clear()
+
+    rep = verify_obstruction_pullback(a, theta)
+    assert (rep.ok, rep.checked, rep.failures) == (True, 84, ())
+    iso = verify_orbifold_iso(a, theta, 5)
+    assert (iso.ok, iso.components, iso.age_failures) == (False, 14, ())
+    assert [g for g, _ in iso.ring_failures] == [c.g for c in geo.components if 1 in c.fixed_columns]
+    assert len(iso.ring_failures) == 11
+    targets = {c.g: c.fixed_columns for c in geo.components}
+    pairs = [(p.g1, p.g2) for p in geo.pairs]
+    failing = [key for key, _, _ in iso.product_failures]
+    assert len(failing) == 37
+    assert failing == sorted(failing, key=pairs.index)
+    assert all(1 in targets[entry.target] for _, entry, _ in iso.product_failures)
 
 
 def test_table_of_a_non_bundle_model_raises(monkeypatch):
