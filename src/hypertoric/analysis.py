@@ -31,10 +31,10 @@ class ObstructionError(ValueError):
 class _Obstructions:
     """The obstruction classes of one model's pairs of inertia elements.
 
-    Per character w_k of the model's tangent class, an element g has the
-    exponent e_k(g) = <w_k, nums> mod ord g; the exponent vector of each
-    element is computed once, on first use, and the analysis reads the age
-    of g off it (``inertia._age``, over the int multiplicities ``mults``).
+    Per character w_k of the model's tangent class (``chars``), an element
+    g has the exponent e_k(g) = <w_k, nums> mod ord g.  The kernel keeps no
+    exponents: the analysis computes each sector's once, for its age and
+    its selection pack, and ``selection`` maps ``g.exponent`` itself.
     The *selection* of an ordered pair is the set of the k with
     e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1, which is the rule of
     ``orbifold.obstruction``, held as an int bitmask (bit k for term k);
@@ -47,7 +47,8 @@ class _Obstructions:
     (``_negative``); one that is not has no factors, and every pair with
     it raises ``ObstructionError`` again.  A ``CharacterClass`` is built
     only for a class handed out (``class_for``).  The kernel reads only the
-    dimension and the tangent terms of its model."""
+    dimension and the tangent terms of its model, and holds per-selection
+    factors only."""
 
     def __init__(self, model: StackModel):
         self.d = model.d
@@ -55,20 +56,13 @@ class _Obstructions:
         self.chars = tuple(w for w, _ in self.terms)
         self.mults = tuple(m.numerator for _, m in self.terms)
         self._negative = sum(1 << k for k, m in enumerate(self.mults) if m < 0)
-        self._exponents: dict = {}
         self._factors: dict = {}
-
-    def exponent_vector(self, g: TorsionElement) -> tuple[int, ...]:
-        e = self._exponents.get(g)
-        if e is None:
-            e = self._exponents[g] = tuple(map(g.exponent, self.chars))
-        return e
 
     def selection(self, g1: TorsionElement, g2: TorsionElement) -> tuple[int, ...]:
         """Indices of the tangent terms in the obstruction of (g1, g2)."""
         n1, n2 = g1.order, g2.order
         both = n1 * n2
-        exps = zip(self.exponent_vector(g1), self.exponent_vector(g2))
+        exps = zip(map(g1.exponent, self.chars), map(g2.exponent, self.chars))
         return tuple(k for k, (e1, e2) in enumerate(exps) if e1 * n2 + e2 * n1 > both)
 
     def bundle(self, mask: int) -> tuple | None:
@@ -172,16 +166,17 @@ def _packer(big: int, count: int, threshold: int):
 class _Analysis:
     """The inertia analysis of one value of read data (``_Reads``), shared
     by every table and verifier of every model with that data, and the one
-    owner of its double inertia: the sectors, their ages read off the
-    kernel's exponent vectors, the pair blocks (``PairBlock``; the sectors
-    and the blocks read one ``inertia._Stability`` table), each fixed set's
-    partners in sector order (``_partners``, built once, on the first
-    walk), the obstruction kernel, and the distinct product keys
-    (selection, common fixed set, target fixed set), on which a pair's
-    generator product depends, in ``keys``.  Nothing is kept per pair:
-    ``walk`` and ``locate`` compute a pair's key where they read it
-    (``_row``), ``target`` and ``len`` read the sectors and the blocks, and
-    ``pairs`` expands the walk afresh on each read.  ``position`` is the one
+    owner of its double inertia: the sectors, their ages read off their
+    exponent vectors (computed once, in the build, and not kept), the pair
+    blocks (``PairBlock``; the sectors and the blocks read one
+    ``inertia._Stability`` table), each fixed set's partners in sector
+    order (``_partners``, built once, on the first walk), the obstruction
+    kernel, and the distinct product keys (selection, common fixed set,
+    target fixed set), on which a pair's generator product depends, in
+    ``keys``.  Nothing is kept per pair: ``walk`` and ``locate`` compute a
+    pair's key (``_row``) and its sum's sector (``_targets``) where they
+    read them, ``len`` reads the blocks, and ``pairs`` expands the walk
+    afresh on each read.  ``position`` is the one
     refusal of an element that is not a sector, for every lookup of the
     geometries and tables over the analysis.
 
@@ -191,18 +186,19 @@ class _Analysis:
     folded sum of two packs is the pack of the sum.  A pair's selection is
     computed on exponent vectors over L, t_k(g) = e_k(g) * (L / ord g),
     where the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
-    t1 + t2 > L: each sector's t's are packed (threshold L + 1), once as
-    they are (``_lows``) and once with the lift added (``_highs``), so one
-    addition and one mask give a pair's selection.  The keys are indexed
-    by that selection pack (``_key_index``), filled one block row at a
-    time, so no list spans a block."""
+    t1 + t2 > L: each sector's t's are packed once (``_lows``, threshold
+    L + 1), the lift is added once per row, and one addition and one mask
+    give a pair's selection.  The keys are indexed by that selection pack
+    (``_key_index``), filled one block row at a time, so no list spans a
+    block."""
 
     def __init__(self, model: StackModel):
         self._stable = stable = _Stability(model)
         sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
-        self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, kernel.exponent_vector(g), g.order))
-                                for g, fixed, _ in sectors)
+        exponents = [tuple(map(g.exponent, kernel.chars)) for g, _, _ in sectors]
+        self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, e, g.order))
+                                for (g, fixed, _), e in zip(sectors, exponents))
         self.elements = tuple(c.g for c in self.components)
         self.index = {g: i for i, g in enumerate(self.elements)}
         self._fixed = tuple(fixed for _, fixed, _ in sectors)
@@ -213,9 +209,8 @@ class _Analysis:
         self._big, self._packs = big, [pack(scaled[g]) for g in self.elements]
         self._by_pack = {p: i for i, p in enumerate(self._packs)}
         count = len(kernel.terms)
-        pack, lift, self._tops, width = _packer(big, count, big + 1)
-        self._lows = [pack(e * (big // g.order) for e in kernel.exponent_vector(g)) for g in self.elements]
-        self._highs = [p + lift for p in self._lows]
+        pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
+        self._lows = [pack(e * (big // g.order) for e in exps) for g, exps in zip(self.elements, exponents)]
         self._key_index = key_index = {}
         for block in self.blocks:
             for i in block.rows:
@@ -227,12 +222,13 @@ class _Analysis:
     def _selections(self, rows, cols) -> list[int]:
         """Each pair's selection pack, row-major over ``rows x cols``, with
         term k at the top bit of field k."""
-        lows, highs, tops = self._lows, self._highs, self._tops
-        cols = [highs[j] for j in cols]
-        return [(lows[i] + h) & tops for i in rows for h in cols]
+        lows, lift, tops = self._lows, self._select_lift, self._tops
+        cols = [lows[j] for j in cols]
+        return [(low + q) & tops for low in (lows[i] + lift for i in rows) for q in cols]
 
     def _targets(self, rows, cols) -> list[int]:
-        """``target`` of each pair of ``rows x cols``, row-major."""
+        """The sector index of each pair's sum, row-major over ``rows x
+        cols``."""
         packs, by_pack, big = self._packs, self._by_pack, self._big
         lift, tops, width = self._lift, self._sum_tops, self._width
         cols = [packs[j] for j in cols]
@@ -245,10 +241,6 @@ class _Analysis:
         ``_key_index`` holds it: (selection pack, common set, target fixed
         set)."""
         return zip(self._selections((i,), cols), commons, map(self._fixed.__getitem__, targets))
-
-    def target(self, i1: int, i2: int) -> int:
-        """The sector index of the sum of sectors i1 and i2."""
-        return self._targets((i1,), (i2,))[0]
 
     def __len__(self) -> int:
         return sum(len(b.rows) * len(b.cols) for b in self.blocks)
@@ -295,7 +287,7 @@ class _Analysis:
         i1, i2 = self.position(g1), self.position(g2)
         if not self._stable(self._masks[i1] & self._masks[i2]):
             return None
-        t = self.target(i1, i2)
+        t, = self._targets((i1,), (i2,))
         key, = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],), (t,))
         return self._key_index[key], self.elements[t]
 

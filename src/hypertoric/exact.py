@@ -19,32 +19,33 @@ from .value import Value
 
 
 def _fraction(value, what: str = "a finite number") -> Fraction:
-    """``Fraction(value)``, but a float infinity or nan is refused with
-    ``ValueError`` naming it by its repr, where ``Fraction`` raises a bare
-    ``OverflowError`` for the one and an unnamed ``ValueError`` for the
-    other."""
-    if isinstance(value, float) and not isfinite(value):
+    """``Fraction(value)`` of a rational number or a finite float, the one
+    input rule of ``as_int`` and ``as_fraction_vector``.  Anything else is
+    refused with ``ValueError`` naming it by its repr: a bool, a string
+    (``'1/2'`` is not parsed), ``None``, a ``Decimal``, a float infinity or
+    nan, where ``Fraction`` would read a bool as 0 or 1, parse a string or
+    raise a bare ``OverflowError`` or ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (Rational, float)) or (
+            isinstance(value, float) and not isfinite(value)):
         raise ValueError("expected %s, got %r" % (what, value))
     return Fraction(value)
 
 
 def as_fraction_vector(values) -> tuple[Fraction, ...]:
-    """Coerce a sequence of ints/Fractions/strings like '2/3' to Fractions;
-    a ``Fraction`` itself is passed through, not rebuilt, and a float
-    infinity or nan is refused with ``ValueError``."""
+    """A sequence of rational numbers or finite floats as Fractions; a
+    ``Fraction`` itself is passed through, not rebuilt, and anything else
+    (a bool, a string, ``None``, an infinity or nan) is refused with
+    ``ValueError`` by ``_fraction``'s rule."""
     return tuple(v if v.__class__ is Fraction else _fraction(v) for v in values)
 
 
 def as_int(value) -> int:
     """``value`` as an int: one with a fractional part is refused with
-    ``ValueError``, not truncated as ``int`` would, and so is anything but
-    a rational number or a finite float, ``None``, a bool, a string, an
-    infinity or nan among them (named by its repr, so ``'5'`` does not
-    read as 5)."""
+    ``ValueError``, not truncated as ``int`` would, and so is anything
+    ``_fraction`` refuses, ``None``, a bool, a string, an infinity or nan
+    among them (named by its repr, so ``'5'`` does not read as 5)."""
     if value.__class__ is int:
         return value
-    if isinstance(value, bool) or not isinstance(value, (Rational, float)):
-        raise ValueError("expected an integer, got %r" % (value,))
     if (q := _fraction(value, "an integer")).denominator != 1:
         raise ValueError("expected an integer, got %s" % (value,))
     return q.numerator

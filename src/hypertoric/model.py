@@ -18,7 +18,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .characters import CharacterClass
-from .exact import IntMatrix, as_fraction_vector, as_int, hnf, solve_rational
+from .exact import IntMatrix, as_fraction_vector, as_int, hnf
 from .value import Value
 
 LAWRENCE = "lawrence"
@@ -186,46 +186,48 @@ def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
 
 def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
     """The unique rationals with sum(lambda_j * a_{i_j}) = theta, indexed by
-    the sorted basis columns."""
-    basis = tuple(sorted(basis))
+    the sorted basis columns: lambda_j = num_j / (s det A_B) by Cramer's
+    rule, a quotient of the integer determinants of ``_cramer``."""
+    det, scale, nums = _cramer(a, tuple(sorted(basis)), theta)
+    return tuple(Fraction(num, scale * det) for num in nums)
+
+
+def _cramer(a: WeightMatrix, basis, theta) -> tuple[int, int, list[int]]:
+    """The integer determinants behind the coefficients of a sorted basis:
+    det A_B, the scale s that makes s * theta integral (``_integral``),
+    and per basis column j the numerator det A_B^(j<-s theta), which has
+    s * theta in place of column j.  Columns that are not d of rank d are
+    refused, naming them."""
     sub = a.columns_matrix(basis)
-    if sub.det() == 0:
+    det = sub.det() if sub.rows == sub.cols else 0
+    if det == 0:
         raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    x = solve_rational(sub, as_fraction_vector(theta))
-    assert x is not None
-    return x
+    theta, scale = _integral(theta)
+    if len(theta) != sub.rows:
+        raise ValueError("right-hand side length %d does not match %d rows" % (len(theta), sub.rows))
+    return det, scale, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
+                        for k in range(len(basis))]
 
 
 def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
     """The sigma set of a sorted basis, with the (basis, column) pairs whose
     coefficient is zero (the walls theta sits on).
 
-    By Cramer's rule lambda_j = det A_B^(j<-theta) / det A_B, where the
-    numerator has theta in place of column j, so sign(lambda_j) is the
-    product of the signs of two integer determinants and lambda_j is zero
-    exactly when the numerator is; a rational theta is scaled to an integer
-    one first, which keeps every sign."""
-    sub = a.columns_matrix(basis)
-    det = sub.det()
-    if det == 0:
-        raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    theta = _integral(theta)
-    if len(theta) != sub.rows:
-        raise ValueError("right-hand side length %d does not match %d rows" % (len(theta), sub.rows))
-    tags, walls = [], []
-    for k, j in enumerate(basis):
-        num = IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
-        if not num:
-            walls.append((basis, j))
-        tags.append("x" if num * det > 0 else "y")
-    return SigmaSet(basis, tuple(tags)), walls
+    By Cramer's rule lambda_j = num_j / (s det A_B) (``_cramer``), with
+    s > 0, so sign(lambda_j) is the product of the signs of two integer
+    determinants and lambda_j is zero exactly when its numerator is; the
+    signs are read off these ints, and no Fraction is built."""
+    det, _, nums = _cramer(a, basis, theta)
+    walls = [(basis, j) for j, num in zip(basis, nums) if not num]
+    return SigmaSet(basis, tuple("x" if num * det > 0 else "y" for num in nums)), walls
 
 
-def _integral(theta) -> tuple[int, ...]:
-    """A positive multiple of ``theta`` with integer entries."""
+def _integral(theta) -> tuple[tuple[int, ...], int]:
+    """The least positive multiple s * theta with integer entries, and the
+    scale s, the common denominator of the entries."""
     values = as_fraction_vector(theta)
     scale = lcm(*(x.denominator for x in values))
-    return tuple(int(x * scale) for x in values)
+    return tuple(x.numerator * (scale // x.denominator) for x in values), scale
 
 
 def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
@@ -295,9 +297,9 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 
 def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     """The int character, sigma sets and minimal unstable sets of a GIT
-    model, with one solve per column basis.  A zero character and a
-    non-integral one are refused; a non-generic one raises with every wall
-    ``check_generic`` reports."""
+    model, with one set of Cramer determinants per column basis.  A zero
+    character and a non-integral one are refused; a non-generic one raises
+    with every wall ``check_generic`` reports."""
     theta = _int_entries(theta, "character theta")
     if not any(theta):
         raise ModelError("character theta must be nonzero")

@@ -191,7 +191,7 @@ def verify_charts(a: WeightMatrix, theta, samples: int = 100, seed: int = 0) -> 
         raise ValueError("samples must be at least 1, got %d" % samples)
     rng = random.Random(seed)
     checks = []
-    for sigma in _lawrence_pair(a, _integral(theta))[0].arrangement.sigma_sets:
+    for sigma in _lawrence_pair(a, _integral(theta)[0])[0].arrangement.sigma_sets:
         chart = build_chart(a, sigma)
         detail = ""
         ok = True

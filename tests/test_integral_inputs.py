@@ -12,6 +12,7 @@ a string, a bool, ``None`` or another non-number is refused there too.
 
 import re
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from hypertoric import (
     SectorEmbedding,
     SectorGeometry,
     WeightMatrix,
+    check_generic,
     direct_model,
     lawrence_model,
     orbifold_table,
@@ -181,3 +183,15 @@ def test_a_non_finite_float_is_refused_with_its_name(value):
         verify_charts(*_lawrence(), samples=value)
     with pytest.raises(ValueError, match="^expected a finite number, got %s$" % re.escape(repr(value))):
         verify_charts(_lawrence()[0], [value])
+
+
+@pytest.mark.parametrize("value", ["5/7", True, None, Decimal("Infinity")])
+def test_a_character_entry_that_is_not_a_number_is_refused_with_its_name(value):
+    # rational vectors follow as_int's input rule: check_generic parsed '5/7'
+    # and read True as 1 (verify_charts ran at theta (1) and reported ok),
+    # None died in a bare TypeError and a Decimal infinity in a bare
+    # OverflowError
+    expected = "^expected a finite number, got %s$" % re.escape(repr(value))
+    for call in (check_generic, verify_charts):
+        with pytest.raises(ValueError, match=expected):
+            call(_lawrence()[0], [value])

@@ -24,7 +24,7 @@ from hypertoric import (
     sigma_set,
     stabilizer_elements,
 )
-from hypertoric.exact import IntMatrix
+from hypertoric.exact import IntMatrix, solve_rational
 from hypertoric.model import _sign_rule
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
@@ -66,6 +66,16 @@ def test_lambda_multiply_back(a_2x3):
         for i, c in enumerate(a_2x3.column(col)):
             combo[i] += lam * c
     assert combo == [1, 0]
+
+
+@pytest.mark.parametrize("basis", [(1,), (1, 2, 3)])
+def test_a_basis_of_the_wrong_size_is_refused_naming_its_columns(a_2x3, basis):
+    # lambda_coeffs and sigma_set died in "determinant of a non-square
+    # matrix", where build_chart and stabilizer_elements named the columns
+    message = "^%s$" % re.escape("columns {%s} are not a basis" % ",".join(map(str, basis)))
+    for call in (lambda_coeffs, sigma_set):
+        with pytest.raises(ModelError, match=message):
+            call(a_2x3, basis, [1, 2])
 
 
 def test_lambda_refuses_columns_outside_the_matrix(a12):
@@ -385,9 +395,10 @@ def test_genericity_agrees_with_the_hyperplane_rule():
 
 
 def test_integer_sign_rule_matches_the_fraction_solve():
-    # oracle: the signs and walls of the sign rule, read off integer
-    # determinants, against the Fraction coefficients of lambda_coeffs, on
-    # generic, wall-lying and rational characters
+    # oracle: the signs and walls of the sign rule and the coefficients of
+    # lambda_coeffs, both read off integer Cramer determinants, against an
+    # independent Fraction elimination (exact.solve_rational), on generic,
+    # wall-lying and rational characters
     rng = random.Random(11)
     walls = rational = 0
     for i in range(150):
@@ -403,7 +414,8 @@ def test_integer_sign_rule_matches_the_fraction_solve():
             theta = [rng.randint(-4, 4) for _ in range(d)]
         for basis in column_bases(a):
             sigma, found = _sign_rule(a, basis, theta)
-            lams = lambda_coeffs(a, basis, theta)
+            lams = solve_rational(a.columns_matrix(basis), theta)
+            assert lambda_coeffs(a, basis, theta) == lams, (a, basis, theta)
             assert sigma.basis == basis
             assert sigma.tags == tuple("x" if lam > 0 else "y" for lam in lams), (a, basis, theta)
             assert found == [(basis, j) for j, lam in zip(basis, lams) if lam == 0], (a, basis, theta)

@@ -89,7 +89,6 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
                 assert common == block.common
                 assert target_fixed == fixed_columns(model.base, g1 + g2)
                 assert target == g1 + g2
-                assert elements[analysis.target(i1, i2)] == g1 + g2
         # the walk visits the blocks' pairs in pair order, with their keys
         # and their targets
         assert list(analysis.walk()) == [
