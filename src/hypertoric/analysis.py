@@ -17,10 +17,10 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from itertools import repeat
+from math import lcm
 
 from .characters import CharacterClass
-from .inertia import (DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _over_common_order, _sectors,
-                      _Stability)
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _sectors, _Stability
 from .model import StackModel
 
 
@@ -182,8 +182,11 @@ class _Analysis:
 
     The sum of a stable pair fixes the common set, so it is a sector too.
     It is looked up, not built: each element's numerators over the common
-    order L of the sectors are packed (``_packer``, threshold L), and the
-    folded sum of two packs is the pack of the sum.  A pair's selection is
+    order L of the sectors, nums * (L / ord g), are packed once, in the
+    build, straight from ``g.nums`` (``_packer``, threshold L; no table of
+    the scaled numerators is kept), and the folded sum of two packs is the
+    pack of the sum, since the numerators over L of a sum are the two
+    elements' added mod L.  A pair's selection is
     computed on exponent vectors over L, t_k(g) = e_k(g) * (L / ord g),
     where the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
     t1 + t2 > L: each sector's t's are packed once (``_lows``, threshold
@@ -204,9 +207,9 @@ class _Analysis:
         self._fixed = tuple(fixed for _, fixed, _ in sectors)
         self._masks = tuple(mask for _, _, mask in sectors)
         self.blocks = _blocks(stable, sectors)
-        big, scaled = _over_common_order(self.elements)
+        big = lcm(*(g.order for g in self.elements))
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
-        self._big, self._packs = big, [pack(scaled[g]) for g in self.elements]
+        self._big, self._packs = big, [pack(a * (big // g.order) for a in g.nums) for g in self.elements]
         self._by_pack = {p: i for i, p in enumerate(self._packs)}
         count = len(kernel.terms)
         pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)

@@ -83,19 +83,25 @@ class GradedPiece(NamedTuple):
         return IntPoly.from_dict(nvars, dict(zip(self.monomials, coords)))
 
 
-class GradedRingPresentation:
+class GradedRingPresentation(Value):
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
     ``truncation`` (at least 0).  Graded pieces are cached lazily.
 
-    Each presentation holds its read-once tables: ``degrees``, the degree
-    of each relation, read as the relations are validated, and, for a
-    presentation made by ``from_characters``, ``counters``, one multiset
-    of characters per relation, as a ``Counter``, whose product of linear
-    forms is that relation; otherwise ``counters`` is empty.  The multisets
-    are a certificate, not part of the ring's value: equality compares the
-    relations only, and a presentation is not hashable."""
+    A presentation is an immutable ``Value`` over its ring, ``num_vars``,
+    ``relations`` and ``truncation``: equality compares these, and no
+    field is assigned after construction.  Its read-once tables are cache
+    slots, set once: ``degrees``, the degree of each relation, read as the
+    relations are validated (``IntPoly.homogeneous_degree`` refuses a
+    non-homogeneous one), and, for a presentation made by
+    ``from_characters``, ``counters``, one multiset of characters per
+    relation, as a ``Counter``, whose product of linear forms is that
+    relation; otherwise ``counters`` is empty.  The multisets are a
+    certificate, not part of the ring's value.  A presentation is not
+    hashable (``__hash__ = None``): its pieces fill a dict as they are
+    read."""
 
-    __slots__ = ("num_vars", "relations", "truncation", "degrees", "counters", "_pieces")
+    _fields = ("num_vars", "relations", "truncation")
+    __slots__ = _fields + ("degrees", "counters", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
         truncation = as_int(truncation)
@@ -105,27 +111,16 @@ class GradedRingPresentation:
         for r in relations:
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
-            if not r.is_homogeneous():
-                raise ValueError("relation %s is not homogeneous" % r)
             degrees.append(r.homogeneous_degree())
             if not degrees[-1]:
                 raise ValueError("degree-0 relation makes the ring trivial")
-        self.num_vars, self.relations, self.truncation = num_vars, relations, truncation
-        self.degrees = tuple(degrees)
-        self.counters: tuple[Counter, ...] = ()
-        self._pieces: dict = {}
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.num_vars, self.relations, self.truncation) == (
-                other.num_vars, other.relations, other.truncation)
-        return NotImplemented
+        for name, value in zip(self._fields, (num_vars, relations, truncation)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "degrees", tuple(degrees))
+        object.__setattr__(self, "counters", ())
+        object.__setattr__(self, "_pieces", {})
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return "GradedRingPresentation(num_vars=%r, relations=%r, truncation=%r)" % (
-            self.num_vars, self.relations, self.truncation)
 
     @staticmethod
     def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
@@ -141,7 +136,7 @@ class GradedRingPresentation:
         # a nonzero product of k linear forms has degree k
         rels = sorted(by_poly, key=lambda p: (len(by_poly[p]), p.terms))
         out = GradedRingPresentation(num_vars, tuple(rels), truncation)
-        out.counters = tuple(Counter(by_poly[r]) for r in rels)
+        object.__setattr__(out, "counters", tuple(Counter(by_poly[r]) for r in rels))
         return out
 
     def piece(self, k: int) -> GradedPiece:

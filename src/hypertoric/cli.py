@@ -24,6 +24,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .chow import graded_group, presentation
 from .inertia import TorsionElement, inertia_components
@@ -203,13 +204,15 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 def _json_generators(value):
     """``value``, once it is a list of generators, each a list of integers or
-    'p/q' strings; floats, booleans and other strings are refused."""
+    'p/q' strings, as lists of Fractions (a 'p/0' raises
+    ``ZeroDivisionError``); floats, booleans and other strings are refused,
+    and ``TorsionElement.from_fractions`` parses no string."""
     if not isinstance(value, list) or not all(isinstance(g, list) for g in value):
         raise ValueError("'generators' must be a list of lists, got %r" % (value,))
     for e in (e for g in value for e in g):
         if not (type(e) is int or isinstance(e, str) and _RATIONAL.fullmatch(e)):
             raise ValueError("'generators' entries must be integers or 'p/q' strings, got %r" % (e,))
-    return value
+    return [[Fraction(e) for e in g] for g in value]
 
 
 def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
@@ -219,16 +222,11 @@ def _parse_sre_input(path: str) -> LocalModelSRE | StackModel:
     try:
         weights = tuple(tuple(w) for w in _json_ints(data["normal_weights"], "'normal_weights'", 2))
         if "generators" in data:
-            gens = tuple(TorsionElement.from_fractions(v) for v in _json_generators(data["generators"]))
+            gens = tuple(map(TorsionElement.from_fractions, _json_generators(data["generators"])))
         elif "order" in data:
             gens = LocalModelSRE.cyclic(_json_ints(data["order"], "'order'", 0), ()).generators
         else:
             raise ValueError("sre input needs 'generators' or 'order'")
-        for g in gens:
-            for w in weights:
-                if len(w) != g.d:
-                    raise ValueError("normal weight %s has %d entries, generator %s has %d"
-                                     % (list(w), len(w), g, g.d))
         return LocalModelSRE(gens, weights)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError("bad sre input: %s" % exc) from exc

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .characters import CharacterClass
 from .exact import cokernel_torsion_numerators
-from .model import SigmaSet, StableArrangement, StackModel, WeightMatrix, _coordinate_labels, column_bases
+from .model import SigmaSet, StableArrangement, StackModel, WeightMatrix, _coordinate_labels, _integral, column_bases
 from .value import Value
 
 
@@ -73,11 +73,12 @@ class TorsionElement(Value):
 
     @staticmethod
     def from_fractions(values) -> "TorsionElement":
-        values = [Fraction(x) for x in values]
-        order = lcm(*(x.denominator for x in values))
-        return TorsionElement._reduced(
-            order, [x.numerator * (order // x.denominator) for x in values]
-        )
+        """The element of the rationals ``values`` mod 1: their numerators
+        over the common denominator, read by ``model._integral`` under
+        ``exact.as_fraction_vector``'s rule, so a bool, a string, ``None``
+        or an infinity is refused with ``ValueError``."""
+        nums, order = _integral(values)
+        return TorsionElement._reduced(order, nums)
 
     @staticmethod
     def identity(d: int) -> "TorsionElement":
@@ -153,13 +154,10 @@ class DoubleInertiaComponent(NamedTuple):
 
 def stabilizer_elements(a: WeightMatrix, basis) -> set[TorsionElement]:
     """The finite group of elements acting trivially on the basis columns:
-    all v with <a_j, v> integral for j in the basis; order |det A_B|.  Refuses
-    columns whose Hermite basis has fewer than d rows."""
-    basis = tuple(basis)
-    lattice = a.lattice(basis)
-    if len(basis) != a.d or len(lattice) != a.d:
-        raise ValueError("columns {%s} are not a basis" % ",".join(map(str, sorted(basis))))
-    return _dual_elements(lattice)
+    all v with <a_j, v> integral for j in the basis; order |det A_B|.  The
+    dual of ``WeightMatrix.basis_lattice``, which refuses columns that are
+    not d of rank d with ``ModelError``."""
+    return _dual_elements(a.basis_lattice(basis))
 
 
 def _dual_elements(lattice) -> set[TorsionElement]:
@@ -254,8 +252,10 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
 
 def _sectors(model: StackModel, stable: _Stability) -> list[tuple[TorsionElement, frozenset[int], int]]:
     """The walk behind ``inertia_elements``: each sector's element with its
-    fixed columns, as a set and a mask, in sector order; the candidates are
-    the duals of the lattices of ``stable.bases``."""
+    fixed columns, as a set and a mask, in sector order (the elements'
+    canonical vectors ascending, sorted on their int numerators over the
+    common order L of the sectors); the candidates are the duals of the
+    lattices of ``stable.bases``."""
     a = model.base
     candidates: set[TorsionElement] = set()
     for lattice in dict.fromkeys(a.lattice(basis) for basis in stable.bases):
@@ -269,16 +269,10 @@ def _sectors(model: StackModel, stable: _Stability) -> list[tuple[TorsionElement
             mask = kept[fixed] = _mask(fixed)
         if stable(mask):
             out.append((g, fixed, mask))
-    _, scaled = _over_common_order([g for g, _, _ in out])
-    return sorted(out, key=lambda sector: scaled[sector[0]])
-
-
-def _over_common_order(elements) -> tuple[int, dict]:
-    """The lcm L of the elements' orders, and each element's numerators
-    over L.  a/N < b/M exactly when a*(L/N) < b*(L/M), so these int keys
-    sort as ``__lt__`` does, and the keys of a sum are the keys added mod L."""
-    big = lcm(*(g.order for g in elements))
-    return big, {g: tuple(a * (big // g.order) for a in g.nums) for g in elements}
+    # over the common order L, a/N < b/M exactly when a*(L/N) < b*(L/M):
+    # the numerators over L sort as ``__lt__`` does, with no Fraction built
+    big = lcm(*(g.order for g, _, _ in out))
+    return sorted(out, key=lambda sector: tuple(a * (big // sector[0].order) for a in sector[0].nums))
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:

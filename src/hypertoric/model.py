@@ -78,6 +78,15 @@ class WeightMatrix(Value):
         its length is their rank."""
         return hnf([self.columns[j - 1] for j in self._checked(cols)], self.d)
 
+    def basis_lattice(self, cols) -> tuple[tuple[int, ...], ...]:
+        """The Hermite basis (``lattice``) of d columns of rank d, the one
+        refusal of columns that are not a basis: any others raise
+        ``ModelError``, naming them."""
+        lattice = self.lattice(cols := tuple(cols))
+        if len(cols) != self.d or len(lattice) != self.d:
+            raise ModelError("columns {%s} are not a basis" % ",".join(map(str, sorted(cols))))
+        return lattice
+
     def _checked(self, cols) -> tuple[int, ...]:
         """The 1-based columns, refused unless all are plain ints in 1..n:
         neither 0 nor -1 is read from the other end, nor True or 1.0 as 1."""

@@ -21,7 +21,10 @@ class Value:
     times per value may compute ``hash`` of its fields' tuple once, in
     ``__init__``, keep it in a cache slot and return it from its own
     ``__hash__``, which the generic one then leaves in place;
-    ``inertia.TorsionElement`` is the only such type."""
+    ``inertia.TorsionElement`` is the only such type.  A type that must
+    not be hashed (one with a mutable cache slot, such as
+    ``chow.GradedRingPresentation``'s pieces) keeps ``__hash__ = None``
+    in its body, which is left in place the same way."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

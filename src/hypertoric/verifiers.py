@@ -16,18 +16,22 @@ from typing import NamedTuple
 
 from .exact import as_fraction_vector, as_int
 from .inertia import TorsionElement, _same_dimension, inertia_elements
-from .model import ModelError, SigmaSet, StackModel, WeightMatrix, _integral, _lawrence_pair, lambda_coeffs, moment_eval
+from .model import SigmaSet, StackModel, WeightMatrix, _integral, _lawrence_pair, lambda_coeffs, moment_eval
 from .value import Value
 
 
 class LocalModelSRE(Value):
     """Local model at a point: generators of the (finite abelian) inertia
-    group and the characters acting on the normal-bundle fiber."""
+    group and the characters acting on the normal-bundle fiber.  A normal
+    weight whose length is not every generator's dimension is refused at
+    construction, with ``ValueError`` (``inertia._same_dimension``)."""
 
     __slots__ = _fields = ("generators", "normal_weights")
 
     def __init__(self, generators: tuple[TorsionElement, ...],
                  normal_weights: tuple[tuple[int, ...], ...]):
+        for w in normal_weights:
+            _same_dimension(len(w), *generators)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "normal_weights", normal_weights)
 
@@ -44,11 +48,8 @@ class LocalModelSRE(Value):
 
 def sre_condition_iii(local: LocalModelSRE) -> bool:
     """True iff the normal fiber is a trivial representation of the inertia
-    group: every generator pairs integrally with every normal weight.  A
-    weight whose length is not a generator's dimension raises
-    ``ValueError``."""
-    for w in local.normal_weights:
-        _same_dimension(len(w), *local.generators)
+    group: every generator pairs integrally with every normal weight.  The
+    weights' lengths were checked when ``local`` was built."""
     return all(g.fixes(w) for g in local.generators for w in local.normal_weights)
 
 
@@ -112,9 +113,9 @@ class ChartInstance(Value):
 
 def build_chart(a: WeightMatrix, sigma: SigmaSet) -> ChartInstance:
     """The chart of a sigma set whose columns are a basis: d columns of
-    Hermite rank d.  Other columns are refused, naming them."""
-    if len(sigma.basis) != a.d or len(a.lattice(sigma.basis)) != a.d:
-        raise ModelError("columns {%s} are not a basis" % ",".join(map(str, sorted(sigma.basis))))
+    Hermite rank d.  Other columns are refused with ``ModelError``, naming
+    them, by ``WeightMatrix.basis_lattice``."""
+    a.basis_lattice(sigma.basis)
     return ChartInstance(sigma, a)
 
 

@@ -238,15 +238,9 @@ def test_direct_model_with_a_dual_coordinate_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "payload, reason",
     [
-        (
-            {"generators": [["1/2"]], "normal_weights": [[0, 1]]},
-            "normal weight [0, 1] has 2 entries, generator (1/2) has 1",
-        ),
-        ({"order": 2, "normal_weights": [[]]}, "normal weight [] has 0 entries, generator (1/2) has 1"),
-        (
-            {"order": 2, "normal_weights": [[1, 1]]},
-            "normal weight [1, 1] has 2 entries, generator (1/2) has 1",
-        ),
+        ({"generators": [["1/2"]], "normal_weights": [[0, 1]]}, "element (1/2) has dimension 1, not 2"),
+        ({"order": 2, "normal_weights": [[]]}, "element (1/2) has dimension 1, not 0"),
+        ({"order": 2, "normal_weights": [[1, 1]]}, "element (1/2) has dimension 1, not 2"),
         ({"order": 2, "normal_weights": [[1.5]]}, "'normal_weights' entries must be integers, got 1.5"),
         (
             {"generators": [[0.1]], "normal_weights": [[1]]},

@@ -26,6 +26,7 @@ from hypertoric import (
     ModelError,
     SectorEmbedding,
     SectorGeometry,
+    TorsionElement,
     WeightMatrix,
     check_generic,
     direct_model,
@@ -195,3 +196,12 @@ def test_a_character_entry_that_is_not_a_number_is_refused_with_its_name(value):
     for call in (check_generic, verify_charts):
         with pytest.raises(ValueError, match=expected):
             call(_lawrence()[0], [value])
+
+
+@pytest.mark.parametrize("value", [True, float("inf"), None, "1/2"])
+def test_a_torsion_entry_that_is_not_a_number_is_refused_with_its_name(value):
+    # from_fractions passed each entry to Fraction: True gave the identity
+    # (0), '1/2' was parsed, an infinity died in a bare OverflowError and
+    # None in a bare TypeError
+    with pytest.raises(ValueError, match="^expected a finite number, got %s$" % re.escape(repr(value))):
+        TorsionElement.from_fractions([value])

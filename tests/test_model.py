@@ -9,7 +9,9 @@ import pytest
 from hypertoric import (
     ModelError,
     NonGenericError,
+    SigmaSet,
     WeightMatrix,
+    build_chart,
     check_generic,
     column_bases,
     direct_model,
@@ -76,6 +78,26 @@ def test_a_basis_of_the_wrong_size_is_refused_naming_its_columns(a_2x3, basis):
     for call in (lambda_coeffs, sigma_set):
         with pytest.raises(ModelError, match=message):
             call(a_2x3, basis, [1, 2])
+
+
+@pytest.mark.parametrize("refuse", [
+    stabilizer_elements,
+    lambda a, basis: build_chart(a, SigmaSet(basis, ("x",) * len(basis))),
+], ids=["stabilizer_elements", "build_chart"])
+@pytest.mark.parametrize("basis", [(1,), (1, 2, 3), (1, 3)], ids=["one", "three", "dependent"])
+def test_a_non_basis_is_refused_once_with_model_error(refuse, basis):
+    # stabilizer_elements raised a plain ValueError and build_chart a
+    # ModelError, each from its own copy of the test; both now read
+    # WeightMatrix.basis_lattice.  Columns 1 and 3 are (1,0) and (2,0).
+    a = WeightMatrix.from_rows([[1, 0, 2], [0, 1, 0]])
+    message = "^%s$" % re.escape("columns {%s} are not a basis" % ",".join(map(str, basis)))
+    with pytest.raises(ModelError, match=message):
+        refuse(a, basis)
+
+
+def test_the_lattice_of_a_basis_is_its_hermite_basis():
+    a = WeightMatrix.from_rows([[1, 0, 2], [0, 1, 0]])
+    assert a.basis_lattice((3, 2)) == a.lattice((2, 3)) == ((2, 0), (0, 1))
 
 
 def test_lambda_refuses_columns_outside_the_matrix(a12):

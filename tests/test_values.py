@@ -107,7 +107,7 @@ def test_values_never_equal_a_tuple_of_their_fields():
         assert value != list(fields)
         assert len({value, fields}) == 2
     # nor a value of another type over the same fields
-    assert GradedClass(None, p) != LocalModelSRE(None, p)
+    assert GradedClass((), ()) != LocalModelSRE((), ())
 
 
 def _frozen_instances():
@@ -164,6 +164,17 @@ def test_replace_goes_back_through_validation():
         model.replace(base=WeightMatrix(IntMatrix.from_rows([[0, 0]])))
     with pytest.raises(TypeError):
         IntMatrix.from_rows([[1]]).replace(entries=((1.5,),))
+
+
+def test_a_presentation_is_immutable_and_keeps_its_repr():
+    # truncation could be reassigned after pieces were cached
+    pres = GradedRingPresentation(1, (IntPoly.linear_form((3,)),), 4)
+    pres.piece(2)
+    for name, value in (("truncation", 7), ("relations", ())):
+        with pytest.raises(AttributeError, match="cannot assign to field %r" % name):
+            setattr(pres, name, value)
+    assert (pres.truncation, len(pres.relations)) == (4, 1)
+    assert repr(pres) == "GradedRingPresentation(num_vars=1, relations=(IntPoly(3*t1),), truncation=4)"
 
 
 def test_presentations_compare_by_ring_and_are_unhashable():

@@ -189,6 +189,13 @@ def test_verify_charts_random_instances():
         assert rep.ok, (a.matrix.entries, theta)
 
 
+def test_a_local_model_refuses_a_weight_of_another_length_at_construction():
+    # it was refused only when sre_condition_iii read it, and the CLI
+    # carried its own copy of the check
+    with pytest.raises(ValueError, match=r"^element \(1/2\) has dimension 1, not 2$"):
+        LocalModelSRE((TorsionElement(2, (1,)),), ((0, 1),))
+
+
 def test_build_chart_refuses_dependent_columns():
     # columns 1 and 2 are equal; a nonzero diagonal alone does not make a basis
     a = WeightMatrix.from_rows([[1, 1, 0], [1, 1, 1]])
