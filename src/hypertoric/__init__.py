@@ -68,7 +68,6 @@ from .orbifold import (
     ObstructionError,
     ObstructionPullbackReport,
     OrbifoldIsoReport,
-    OrbifoldTable,
     SectorGeometry,
     euler_poly,
     log_trace,

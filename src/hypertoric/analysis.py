@@ -7,7 +7,7 @@ pair), and the obstruction kernel, which holds each selection's Euler
 factors as int characters.
 An analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand, and is
-memoized by those data (``_analysis``), so every table and verifier of
+memoized by those data (``_analysis``), so every geometry and verifier of
 every model with equal data, the moment fiber of a Lawrence model among
 them, reads one analysis.
 """
@@ -165,7 +165,7 @@ def _packer(big: int, count: int, threshold: int):
 
 class _Analysis:
     """The inertia analysis of one value of read data (``_Reads``), shared
-    by every table and verifier of every model with that data, and the one
+    by every geometry and verifier of every model with that data, and the one
     owner of its double inertia: the sectors, their ages read off their
     exponent vectors (computed once, in the build, and not kept), the pair
     blocks (``PairBlock``; the sectors and the blocks read one
@@ -173,12 +173,12 @@ class _Analysis:
     order (``_partners``, built once, on the first walk), the obstruction
     kernel, and the distinct product keys (selection, common fixed set,
     target fixed set), on which a pair's generator product depends, in
-    ``keys``.  Nothing is kept per pair: ``walk`` and ``locate`` compute a
-    pair's key (``_row``) and its sum's sector (``_targets``) where they
-    read them, ``len`` reads the blocks, and ``pairs`` expands the walk
-    afresh on each read.  ``position`` is the one
-    refusal of an element that is not a sector, for every lookup of the
-    geometries and tables over the analysis.
+    ``keys``.  Nothing is kept per pair: the build, ``walk`` and ``locate``
+    compute a row of pairs' keys and their sums' sectors with one kernel
+    (``_row``) where they read them, ``len`` reads the blocks, and
+    ``pairs`` expands the walk afresh on each read.  ``position`` is the
+    one refusal of an element that is not a sector, for every lookup of
+    the geometries over the analysis.
 
     The sum of a stable pair fixes the common set, so it is a sector too.
     It is looked up, not built: each element's numerators over the common
@@ -217,33 +217,21 @@ class _Analysis:
         self._key_index = key_index = {}
         for block in self.blocks:
             for i in block.rows:
-                for key in set(self._row(i, block.cols, repeat(block.common), self._targets((i,), block.cols))):
+                for key in set(self._row(i, block.cols, repeat(block.common))[0]):
                     key_index.setdefault(key, len(key_index))
         self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
                            common, target_fixed) for spread, common, target_fixed in key_index)
 
-    def _selections(self, rows, cols) -> list[int]:
-        """Each pair's selection pack, row-major over ``rows x cols``, with
-        term k at the top bit of field k."""
-        lows, lift, tops = self._lows, self._select_lift, self._tops
-        cols = [lows[j] for j in cols]
-        return [(low + q) & tops for low in (lows[i] + lift for i in rows) for q in cols]
-
-    def _targets(self, rows, cols) -> list[int]:
-        """The sector index of each pair's sum, row-major over ``rows x
-        cols``."""
-        packs, by_pack, big = self._packs, self._by_pack, self._big
-        lift, tops, width = self._lift, self._sum_tops, self._width
-        cols = [packs[j] for j in cols]
-        return [by_pack[(s := packs[i] + q) - (((s + lift) & tops) >> width) * big]
-                for i in rows for q in cols]
-
-    def _row(self, i: int, cols, commons, targets):
-        """The key of each pair (i, j), j in ``cols``, with its common set
-        in ``commons`` and its target sector in ``targets``, as
-        ``_key_index`` holds it: (selection pack, common set, target fixed
-        set)."""
-        return zip(self._selections((i,), cols), commons, map(self._fixed.__getitem__, targets))
+    def _row(self, i: int, cols, commons) -> tuple:
+        """The pairs (i, j), j in ``cols``, with their common sets in
+        ``commons``: each pair's key as ``_key_index`` holds it (selection
+        pack, with term k at the top bit of field k, common set, target
+        fixed set), lazily, and the list of each pair's target sector."""
+        packs, lows, by_pack, big = self._packs, self._lows, self._by_pack, self._big
+        lift, tops, width, select = self._lift, self._sum_tops, self._width, self._tops
+        pack, low = packs[i], lows[i] + self._select_lift
+        targets = [by_pack[(s := pack + packs[j]) - (((s + lift) & tops) >> width) * big] for j in cols]
+        return zip(((low + lows[j]) & select for j in cols), commons, map(self._fixed.__getitem__, targets)), targets
 
     def __len__(self) -> int:
         return sum(len(b.rows) * len(b.cols) for b in self.blocks)
@@ -264,9 +252,8 @@ class _Analysis:
         key_index = self._key_index
         for i1, fixed in enumerate(self._fixed):
             cols, commons = self._partners[fixed]
-            targets = self._targets((i1,), cols)
-            yield from zip(repeat(i1), cols, map(key_index.__getitem__, self._row(i1, cols, commons, targets)),
-                           targets)
+            keys, targets = self._row(i1, cols, commons)
+            yield from zip(repeat(i1), cols, map(key_index.__getitem__, keys), targets)
 
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
@@ -290,8 +277,7 @@ class _Analysis:
         i1, i2 = self.position(g1), self.position(g2)
         if not self._stable(self._masks[i1] & self._masks[i2]):
             return None
-        t, = self._targets((i1,), (i2,))
-        key, = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],), (t,))
+        (key,), (t,) = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],))
         return self._key_index[key], self.elements[t]
 
 

@@ -85,7 +85,10 @@ class GradedPiece(NamedTuple):
 
 class GradedRingPresentation(Value):
     """Z[t1..td] modulo homogeneous relations, evaluated degreewise up to
-    ``truncation`` (at least 0).  Graded pieces are cached lazily.
+    ``truncation``.  Graded pieces are cached lazily.  ``num_vars``,
+    ``truncation`` and the degree of a piece are read by ``exact.as_int``;
+    a negative ``num_vars`` or ``truncation``, and a relation in another
+    number of variables than ``num_vars``, raise ``ValueError``.
 
     A presentation is an immutable ``Value`` over its ring, ``num_vars``,
     ``relations`` and ``truncation``: equality compares these, and no
@@ -104,11 +107,15 @@ class GradedRingPresentation(Value):
     __slots__ = _fields + ("degrees", "counters", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
-        truncation = as_int(truncation)
+        num_vars, truncation = as_int(num_vars), as_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        if num_vars < 0:
+            raise ValueError("number of variables must be nonnegative, got %d" % num_vars)
         degrees = []
         for r in relations:
+            if r.nvars != num_vars:
+                raise ValueError("relation %s is in %d variables, not %d" % (r, r.nvars, num_vars))
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
             degrees.append(r.homogeneous_degree())
@@ -140,6 +147,7 @@ class GradedRingPresentation(Value):
         return out
 
     def piece(self, k: int) -> GradedPiece:
+        k = as_int(k)
         if k < 0 or k > self.truncation:
             raise ValueError("degree %d outside truncation bound %d" % (k, self.truncation))
         if k not in self._pieces:
@@ -259,7 +267,9 @@ def graded_group(pres: GradedRingPresentation, k: int) -> GradedPiece:
 
 def reduce_class(pres: GradedRingPresentation, poly: IntPoly, degree: int | None = None) -> tuple[int, ...]:
     """Canonical coordinates of a homogeneous polynomial in its graded piece.
-    The zero polynomial reduces to zero coordinates (at ``degree`` if given)."""
+    The zero polynomial reduces to zero coordinates (at ``degree`` if given);
+    ``degree`` is read by ``exact.as_int``, as ``piece`` reads its degree."""
+    degree = None if degree is None else as_int(degree)
     deg = poly.homogeneous_degree()
     if deg is None:
         if degree is None:

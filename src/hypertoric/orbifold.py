@@ -1,21 +1,24 @@
 """Orbifold product machinery.
 
 Logarithmic traces, the obstruction class of a pair of sectors, Euler-class
-polynomials, the star product on inertia sectors with its full structure
-table, and the two executable verification routines: obstruction classes
-restrict along the moment-fiber embedding, and the two sides carry
-isomorphic orbifold rings with identical structure constants and ages.
+polynomials, the star product on inertia sectors, and the two executable
+verification routines: obstruction classes restrict along the moment-fiber
+embedding, and the two sides carry isomorphic orbifold rings with identical
+structure constants and ages.
 
-A ``SectorGeometry`` is the one owner of the rings over one analysis at
-one truncation, each kept once, keyed by what derives it: one
-presentation per fixed set, one checked embedding per (common fixed set,
-target fixed set), and one generator product per product key of the
-analysis.  Both verifiers align their two sides once (``_align``), into
-the distinct (ambient key, fiber key) pairs of the double inertia, compare
-once per key pair, and expand only a failing key pair into its pairs
-(``_expand``).  ``verify_orbifold_iso`` reads geometries, not tables: on a
-Lawrence input the moment fiber reads the ambient's read data, and so the
-ambient's geometry.
+A model's orbifold ring is one object, its ``SectorGeometry``: the one
+owner of the rings over one analysis at one truncation, each kept once,
+keyed by what derives it: one presentation per fixed set, one checked
+embedding per (common fixed set, target fixed set), and one generator
+product per product key of the analysis, which it expands to the
+structure constants of every pair (``products``).  ``orbifold_table``
+returns the geometry with every generator product built.  Both verifiers
+align their two sides once (``_align``), into the distinct (ambient key,
+fiber key) pairs of the double inertia, compare once per key pair, and
+expand only a failing key pair into its pairs (``_expand``).
+``verify_orbifold_iso`` reads geometries, and builds no pair expansion: on
+a Lawrence input the moment fiber reads the ambient's read data, and so
+the ambient's geometry.
 """
 
 from __future__ import annotations
@@ -66,9 +69,9 @@ def obstruction(model: StackModel, g1: TorsionElement, g2: TorsionElement) -> Ch
     0 otherwise: w enters with its full multiplicity m or not at all.  So
     the class depends only on which terms enter.  This function runs the
     analysis' kernel (``analysis._Obstructions``) for one pair and builds
-    the class it returns; the tables and verifiers read the kernel's Euler
-    factors and build none.  An element of another dimension than the
-    model's raises ``ValueError``.
+    the class it returns; the geometries and verifiers read the kernel's
+    Euler factors and build none.  An element of another dimension than
+    the model's raises ``ValueError``.
     """
     _same_dimension(model.d, g1, g2)
     return _Obstructions(model).class_of(g1, g2)
@@ -106,6 +109,14 @@ def _generator_product(factors, emb: SectorEmbedding) -> tuple:
     return _vector_poly(target.num_vars, len(chars), vec), target.piece(len(chars)).canonical(vec)
 
 
+class ProductEntry(NamedTuple):
+    g1: TorsionElement
+    g2: TorsionElement
+    target: TorsionElement | None
+    poly: IntPoly
+    coords: tuple[int, ...]
+
+
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation, and the one owner of those rings, each kept once, keyed by
@@ -118,10 +129,12 @@ class SectorGeometry:
     once per fixed set, with its one piece cache.  The geometry checks one
     embedding per (common fixed set, target fixed set); a failed check is
     never stored, so every push through it raises again.  It builds one
-    generator product per product key of the analysis (``value``).  All of
-    these read only the read data, so a model whose read data are this
-    one's may read this geometry.  A negative truncation raises
-    ``ValueError``."""
+    generator product per product key of the analysis (``value``);
+    ``products`` expands them, on its first read, into the structure
+    constants of the star product on sector generators, one entry per
+    pair, and ``entry`` reads one pair's.  All of these read only the read
+    data, so a model whose read data are this one's may read this
+    geometry.  A negative truncation raises ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
         self.truncation = truncation = as_int(truncation)
@@ -195,6 +208,25 @@ class SectorGeometry:
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
 
+    @functools.cached_property
+    def products(self) -> dict:
+        """The structure constants of the star product on sector
+        generators: a ``ProductEntry`` per pair, keyed by (g1, g2), in pair
+        order, expanded on first read from the walk and the generator
+        product of each pair's key (``value``); absent means zero."""
+        el = self.analysis.elements
+        return {(el[i1], el[i2]): ProductEntry(el[i1], el[i2], el[t], *self.value(k))
+                for i1, i2, k, t in self.analysis.walk()}
+
+    def entry(self, g1, g2) -> ProductEntry:
+        """The stored entry, else the zero entry of an unstable pair of
+        sectors; a non-sector raises ``ValueError`` (``_Analysis.locate``)."""
+        found = self.products.get((g1, g2))
+        if found is not None:
+            return found
+        self.analysis.locate(g1, g2)  # every stable pair is in ``products``
+        return ProductEntry(g1, g2, None, IntPoly.zero(self.model.d), ())
+
 
 def _zero_class(d: int) -> GradedClass:
     return GradedClass(None, IntPoly.zero(d))
@@ -227,71 +259,32 @@ def star(geo: SectorGeometry, alpha: GradedClass, beta: GradedClass) -> GradedCl
     return GradedClass(target, pushed)
 
 
-class ProductEntry(NamedTuple):
-    g1: TorsionElement
-    g2: TorsionElement
-    target: TorsionElement | None
-    poly: IntPoly
-    coords: tuple[int, ...]
+def orbifold_table(model: StackModel, bound: int | None = None) -> SectorGeometry:
+    """The model's orbifold ring: its geometry (``_geometry``), with the
+    generator product of every product key of its analysis built.
 
-
-class OrbifoldTable:
-    """Structure constants of the star product on sector generators: one
-    generator product per product key of the geometry's analysis, in
-    ``values``, and one entry per pair of the double inertia, in pair
-    order, in ``products``, expanded on first read; absent means zero."""
-
-    def __init__(self, geometry: SectorGeometry, values: tuple):
-        self.geometry = geometry
-        self.values = values
-
-    @property
-    def analysis(self) -> _Analysis:
-        return self.geometry.analysis
-
-    @property
-    def components(self) -> tuple[InertiaComponent, ...]:
-        return self.geometry.components
-
-    @functools.cached_property
-    def products(self) -> dict:
-        """A ``ProductEntry`` per pair, keyed by (g1, g2), in pair order."""
-        el = self.analysis.elements
-        return {(el[i1], el[i2]): ProductEntry(el[i1], el[i2], el[t], *self.values[k])
-                for i1, i2, k, t in self.analysis.walk()}
-
-    def entry(self, g1, g2) -> ProductEntry:
-        """The stored entry, else the zero entry of an unstable pair of
-        sectors; a non-sector raises ``ValueError`` (``_Analysis.locate``)."""
-        found = self.products.get((g1, g2))
-        if found is not None:
-            return found
-        self.analysis.locate(g1, g2)  # every stable pair is in ``products``
-        return ProductEntry(g1, g2, None, IntPoly.zero(self.geometry.model.d), ())
-
-
-def orbifold_table(model: StackModel, bound: int | None = None) -> OrbifoldTable:
-    """The generator products of the double inertia's pairs; absent means zero.
-
-    The table's geometry (``_geometry``) reads the shared analysis of the
-    model's read data (``_analysis``), so its sectors, blocks and product
-    keys are those the pullback check reads; the geometry owns the
-    presentations, embeddings and generator products, and the table reads
-    it once per product key of the analysis (``SectorGeometry.value``),
-    not once per pair; ``products`` expands the keys to the pairs.  A
-    selection that is not a bundle raises, naming the first pair in pair
-    order that has one.  A bound below 1 raises."""
+    The geometry reads the shared analysis of the model's read data
+    (``_analysis``), so its sectors, blocks and product keys are those the
+    pullback check reads; it owns the presentations, embeddings and
+    generator products, built once per product key of the analysis
+    (``SectorGeometry.value``), not once per pair, and ``products``
+    expands the keys to the pairs.  A selection that is not a bundle
+    raises, naming the first pair in pair order that has one.  A bound
+    below 1 raises."""
     geo = _geometry(model, bound if bound is None else as_int(bound))
-    return OrbifoldTable(geo, tuple(map(geo.value, range(len(geo.analysis.keys)))))
+    for k in range(len(geo.analysis.keys)):
+        geo.value(k)
+    return geo
 
 
 def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
     """A new geometry over the model's shared analysis, truncated at
     ``bound`` (by default twice the coordinate count) or above the degree
     of every structure polynomial, whichever is higher, and the one
-    truncation rule of tables and the iso check.  A selection that is not
-    a bundle raises once the geometry is built, naming the first pair in
-    pair order that has one; a bound below 1 raises ``ValueError``."""
+    truncation rule of ``orbifold_table`` and the iso check.  A selection
+    that is not a bundle raises once the geometry is built, naming the
+    first pair in pair order that has one; a bound below 1 raises
+    ``ValueError``."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     analysis = _analysis(_Reads(model))

@@ -71,9 +71,6 @@ class IntPoly(Value):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e, _ in self.terms}) <= 1
-
     def homogeneous_degree(self):
         """Degree if homogeneous (None for zero), else raise."""
         degs = {sum(e) for e, _ in self.terms}

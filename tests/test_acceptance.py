@@ -58,7 +58,7 @@ def test_criterion_1_mu3_golden():
 
     # all three sector rings are Z[t]/(3t): Z, Z/3, Z/3, ...
     for comp in table.components:
-        pres = table.geometry.sector_presentation(comp.g)
+        pres = table.sector_presentation(comp.g)
         assert [str(r) for r in pres.relations] == ["3*t1"]
         assert graded_group(pres, 0).describe_group() == "Z"
         assert graded_group(pres, 1).describe_group() == "Z/3"

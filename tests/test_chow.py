@@ -63,6 +63,24 @@ def test_graded_group_truncation_guard(z3t):
         zpres(T.scale(3), truncation=-1)
 
 
+def test_presentation_refuses_a_relation_in_another_number_of_variables():
+    # a form in 3 variables used to construct a ring in 2 and fail only at
+    # piece(1), with "polynomial has monomials outside the given basis";
+    # its fourth power, above the truncation, was never noticed, and the
+    # pieces came out as Z, Z^2, Z^3, Z^4
+    form = IntPoly.linear_form((1, 2, 3))
+    for rel in (form, form ** 4, IntPoly.variable(1, 0)):
+        with pytest.raises(ValueError, match=r"^relation .* is in %d variables, not 2$" % rel.nvars):
+            GradedRingPresentation(2, (rel,), 3)
+    assert GradedRingPresentation(3, (form,), 3).piece(1).describe_group() == "Z^2"
+
+
+def test_presentation_refuses_a_negative_number_of_variables():
+    with pytest.raises(ValueError, match="^number of variables must be nonnegative, got -1$"):
+        GradedRingPresentation(-1, (), 3)
+    assert GradedRingPresentation(0, (), 3).piece(2).describe_group() == "0"
+
+
 def test_graded_invariants_independent_of_relation_order():
     rng = random.Random(3)
     rels = [T.scale(6), (T * T).scale(4), T ** 3]

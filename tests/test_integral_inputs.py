@@ -30,8 +30,11 @@ from hypertoric import (
     WeightMatrix,
     check_generic,
     direct_model,
+    graded_group,
     lawrence_model,
     orbifold_table,
+    presentation,
+    reduce_class,
     ring_map_is_iso,
     verify_charts,
     verify_orbifold_iso,
@@ -129,9 +132,12 @@ _Z3T = GradedRingPresentation(1, (_T.scale(3),), 4)
 # each integer parameter of the API, as a function of its value
 INTEGER_PARAMETERS = {
     "verify_orbifold_iso bound": lambda x: verify_orbifold_iso(*_lawrence(), x),
-    "orbifold_table bound": lambda x: orbifold_table(lawrence_model(*_lawrence()), x).geometry.truncation,
+    "orbifold_table bound": lambda x: orbifold_table(lawrence_model(*_lawrence()), x).truncation,
     "SectorGeometry truncation": lambda x: SectorGeometry(lawrence_model(*_lawrence()), x).truncation,
     "GradedRingPresentation truncation": lambda x: GradedRingPresentation(1, (_T.scale(3),), x).truncation,
+    "GradedRingPresentation num_vars": lambda x: GradedRingPresentation(x, (IntPoly.linear_form((1, 2)),), 3).num_vars,
+    "GradedRingPresentation.piece degree": lambda x: _Z3T.piece(x).degree,
+    "reduce_class degree": lambda x: reduce_class(_Z3T, IntPoly.zero(1), x),
     "verify_charts samples": lambda x: verify_charts(*_lawrence(), samples=x),
     "ring_map_is_iso bound": lambda x: ring_map_is_iso(_Z3T, _Z3T, [_T], x),
     "LocalModelSRE.cyclic order": lambda x: LocalModelSRE.cyclic(x, [1]),
@@ -164,7 +170,28 @@ def test_integer_parameters_refuse_none():
     for name in ("verify_orbifold_iso bound", "verify_charts samples", "SectorGeometry truncation"):
         with pytest.raises(ValueError, match="^expected an integer, got None$"):
             INTEGER_PARAMETERS[name](None)
-    assert orbifold_table(lawrence_model(*_lawrence()), None).geometry.truncation >= 1
+    assert orbifold_table(lawrence_model(*_lawrence()), None).truncation >= 1
+
+
+@pytest.mark.parametrize("value", [True, "1", None])
+def test_a_piece_degree_that_is_not_a_number_is_refused_with_its_name(value):
+    # piece(True) built and cached piece 1 with degree True, so a later
+    # piece(1) had degree True too; '1' and None died in a bare TypeError;
+    # reduce_class reads None as its default, no degree given
+    pres = presentation(lawrence_model(*_lawrence()), 4)
+    expected = "^expected an integer, got %s$" % re.escape(repr(value))
+    calls = [pres.piece, lambda k: graded_group(pres, k), lambda k: reduce_class(pres, IntPoly.zero(1), k)]
+    for call in calls[:2] if value is None else calls:
+        with pytest.raises(ValueError, match=expected):
+            call(value)
+    assert type(pres.piece(1).degree) is int and type(pres.piece(2.0).degree) is int
+
+
+@pytest.mark.parametrize("value", [True, "2", None])
+def test_a_number_of_variables_that_is_not_a_number_is_refused_with_its_name(value):
+    # GradedRingPresentation(True, ...) used to construct with num_vars True
+    with pytest.raises(ValueError, match="^expected an integer, got %s$" % re.escape(repr(value))):
+        GradedRingPresentation(value, (), 3)
 
 
 def test_a_string_bound_is_refused_not_parsed():

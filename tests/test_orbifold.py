@@ -146,7 +146,7 @@ def test_tp12_hypertoric_table(tp12_hypertoric, half):
     assert str(entry.poly) == "-t1^2"
     assert entry.target == TorsionElement.identity(1)
     # -t^2 and t^2 agree in Z[t]/(2t^2)
-    pres = table.geometry.sector_presentation(entry.target)
+    pres = table.sector_presentation(entry.target)
     assert entry.coords == reduce_class(pres, IntPoly.variable(1, 0) ** 2)
 
 
@@ -310,7 +310,7 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     monkeypatch.setattr(SectorEmbedding, "check", _counted(checked, SectorEmbedding.check))
     work = _spy_work(monkeypatch)
 
-    geo = orbifold_table(model, 4).geometry
+    geo = orbifold_table(model, 4)
     done = {name: len(calls) for name, calls in work.items()}
     assert len(enumerations) == 1
     assert done["sector_models"] == done["stars"] == 0
@@ -344,7 +344,7 @@ def test_memoized_table_equals_per_pair_star(build, seed, d, n):
     a, theta = random_generic_instance(random.Random(seed), d, n)
     model = build(a, theta)
     table = orbifold_table(model, 5)
-    fresh = SectorGeometry(model, truncation=table.geometry.truncation)
+    fresh = SectorGeometry(model, truncation=table.truncation)
     elems = [c.g for c in fresh.components]
     assert [c.g for c in table.components] == elems
     for g1, g2 in itertools.product(elems, repeat=2):
@@ -380,10 +380,10 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
     monkeypatch.setattr(orbifold_module, "ProductEntry",
                         _counted(made, orbifold_module.ProductEntry))
     table = orbifold_table(model, 5)
-    geo = table.geometry
+    geo = table
     # the table holds one product per key; its entries are the expanded
     # view, one per pair, built on first use
-    assert made == [] and len(table.values) <= len(geo.pairs)
+    assert made == [] and len(table.analysis.keys) <= len(geo.pairs)
     assert list(table.products) == [(p.g1, p.g2) for p in geo.pairs]
     assert len(made) == len(geo.pairs)
 
@@ -806,9 +806,9 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
 
 def _spy_geometries(monkeypatch):
     """Record the geometries ``verify_orbifold_iso`` reads (``_geometry``),
-    the geometries, tables and product entries it constructs, and the
-    fixed set of each sector-ring lookup."""
-    read, geometries, tables, entries, looked_up = records = [], [], [], [], []
+    the geometries and product entries it constructs, and the fixed set of
+    each sector-ring lookup."""
+    read, geometries, entries, looked_up = records = [], [], [], []
     unstable = chow_module.sector_unstable_sets
 
     def spy(record, fn):
@@ -821,10 +821,10 @@ def _spy_geometries(monkeypatch):
         looked_up.append(fixed)
         return unstable(model, fixed)
 
-    for name, record in zip(("_geometry", "SectorGeometry", "OrbifoldTable", "ProductEntry"), records):
+    for name, record in zip(("_geometry", "SectorGeometry", "ProductEntry"), records):
         monkeypatch.setattr(orbifold_module, name, spy(record, getattr(orbifold_module, name)))
     monkeypatch.setattr(chow_module, "sector_unstable_sets", spy_unstable)
-    return read, geometries, tables, entries, looked_up
+    return read, geometries, entries, looked_up
 
 
 def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
@@ -832,13 +832,13 @@ def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
     # two sides of one call read one geometry, the ring of each fixed set
     # either reads is looked up once, and a passing check builds no table
     # and no product entry
-    records = read, geometries, tables, entries, looked_up = _spy_geometries(monkeypatch)
+    records = read, geometries, entries, looked_up = _spy_geometries(monkeypatch)
     for seed, d, n in [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)]:
         for record in records:
             record.clear()
         assert verify_orbifold_iso(*random_generic_instance(random.Random(seed), d, n), 5).ok
         geo, = read
-        assert len(geometries) == 1 and not tables and not entries
+        assert len(geometries) == 1 and "products" not in vars(geo) and not entries
         fixed_sets = ({c.fixed_columns for c in geo.components}
                       | {common for _, common, _ in geo.analysis.keys})
         assert Counter(looked_up) == Counter(fixed_sets)
@@ -852,7 +852,7 @@ def test_fiber_with_other_read_data_gets_a_geometry_of_its_own(multiplicity, mon
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     _fiber_with_negative_term(monkeypatch, a, theta, multiplicity)
     build_sector = inertia_module.sector_model
-    read, geometries, _, _, _ = _spy_geometries(monkeypatch)
+    read, geometries, _, _ = _spy_geometries(monkeypatch)
     work = _spy_work(monkeypatch)
     if multiplicity < 0:
         with pytest.raises(ObstructionError):
@@ -887,7 +887,7 @@ def test_orbifold_table_refuses_a_bound_below_one(bound):
     m = lawrence_model(*random_generic_instance(random.Random(1), 1, 3))
     with pytest.raises(ValueError, match="bound must be at least 1, got %d" % bound):
         orbifold_table(m, bound)
-    assert orbifold_table(m, 1).geometry.truncation >= 1
+    assert orbifold_table(m, 1).truncation >= 1
 
 
 def test_negative_truncation_is_refused():
@@ -912,8 +912,7 @@ def test_one_analysis_per_verify(monkeypatch):
     for module in (inertia_module, analysis_module):
         monkeypatch.setattr(module, "_sectors", sectors)
     monkeypatch.setattr(analysis_module, "_blocks", _counted(walks, analysis_module._blocks))
-    monkeypatch.setattr(orbifold_module._Analysis, "_selections",
-                        _counted(selections, orbifold_module._Analysis._selections))
+    monkeypatch.setattr(orbifold_module._Analysis, "_row", _counted(selections, orbifold_module._Analysis._row))
 
     pull = verify_obstruction_pullback(a, theta)
     iso = verify_orbifold_iso(a, theta, 5)
@@ -924,8 +923,8 @@ def test_one_analysis_per_verify(monkeypatch):
     # the selections are computed one block row at a time, each pair's once
     analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
     assert "pairs" not in vars(analysis)
-    covered = sorted((i, j) for _, rows, cols in selections for i in rows for j in cols)
-    assert sum(len(rows) * len(cols) for _, rows, cols in selections) == pull.checked == len(analysis)
+    covered = sorted((i, j) for _, i, cols, _ in selections for j in cols)
+    assert sum(len(cols) for _, _, cols, _ in selections) == pull.checked == len(analysis)
     assert covered == [(i1, i2) for i1, i2, *_ in analysis.walk()]
 
 
@@ -982,13 +981,13 @@ def test_tables_at_two_bounds_equal_cold_ones():
     a, theta = random_generic_instance(random.Random(1), 2, 5)
     model = lawrence_model(a, theta)
     warm = [orbifold_table(model, b) for b in (3, 5)]
-    assert warm[0].geometry.analysis is warm[1].geometry.analysis
+    assert warm[0].analysis is warm[1].analysis
     warm_reports = [verify_orbifold_iso(a, theta, b) for b in (3, 5)]
     for b, table, report in zip((3, 5), warm, warm_reports):
         orbifold_module._analysis.cache_clear()
         cold = orbifold_table(model, b)
-        assert cold.geometry.analysis is not table.geometry.analysis
-        assert cold.geometry.truncation == table.geometry.truncation
+        assert cold.analysis is not table.analysis
+        assert cold.truncation == table.truncation
         assert cold.components == table.components
         assert cold.products == table.products
         orbifold_module._analysis.cache_clear()

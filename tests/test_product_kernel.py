@@ -109,7 +109,7 @@ def _geometries():
     """The geometries of the tables of seeded models, each holding every
     embedding its table pushes along."""
     for model in _models():
-        yield orbifold_table(model, 3).geometry
+        yield orbifold_table(model, 3)
 
 
 def _factors(bundle):
@@ -155,11 +155,12 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
     for model in _models():
         runs.clear()
         table = orbifold_table(model, 3)
-        geo = table.geometry
+        geo = table
         analysis = geo.analysis
         built = len(runs)
         values = [geo.value(k) for k in range(len(analysis.keys))]
-        assert values == list(table.values) and len(runs) == built
+        entries = zip(table.products.values(), analysis.walk())
+        assert {k: (e.poly, e.coords) for e, (_, _, k, _) in entries} == dict(enumerate(values)) and len(runs) == built
         assert built == sum(poly != IntPoly.zero(model.d) for poly, _ in values) > 0
         assert values == [_generator_product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
                           for mask, common, target_fixed in analysis.keys]

@@ -192,9 +192,9 @@ def presentations():
     for build in (lawrence_model, hypertoric_model):
         for seed, d, n in [(1, 1, 4), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
             table = orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3)
-            yield from table.geometry._presentations.values()
+            yield from table._presentations.values()
     for _, model in direct_models():
-        yield from orbifold_table(model, 3).geometry._presentations.values()
+        yield from orbifold_table(model, 3)._presentations.values()
 
 
 @pytest.mark.parametrize("plain", [

@@ -173,7 +173,7 @@ def test_orbifold_table_builds_no_sector_model_from_scratch(builder, monkeypatch
                 _counting(monkeypatch, module, name, calls)
     for name in ("column_bases", "minimal_unstable_sets"):
         _counting(monkeypatch, model_module, name, calls)
-    geo = orbifold_table(model, 4).geometry
+    geo = orbifold_table(model, 4)
     assert len({c.fixed_columns for c in geo.components}) > 2
     assert not calls, dict(calls)
 
