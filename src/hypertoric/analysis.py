@@ -1,4 +1,4 @@
-"""The inertia analysis of a model's read data.
+"""The inertia analysis of a model.
 
 The sectors of a model, its double inertia held as blocks of fixed-set
 pairs, the distinct product keys of its pairs (a pair's obstruction
@@ -6,10 +6,11 @@ selection and key are computed where they are read, never stored per
 pair), and the obstruction kernel, which holds each selection's Euler
 factors as int characters.
 An analysis reads only the model's weights, stable-locus combinatorics and
-tangent terms, never its character, kind or trivial summand, and is
-memoized by those data (``_analysis``), so every geometry and verifier of
-every model with equal data, the moment fiber of a Lawrence model among
-them, reads one analysis.
+tangent terms, never its character, kind or trivial summand.  It belongs to
+its model (``StackModel.analysis``), which builds it on the first read and
+keeps it, so every geometry of one model reads one analysis; the verifiers
+let the moment fiber of a Lawrence model read the ambient's
+(``orbifold._sides``).
 """
 
 from __future__ import annotations
@@ -89,26 +90,6 @@ class _Obstructions:
         return self.class_for(sum(1 << k for k in self.selection(g1, g2)), g1, g2)
 
 
-class _Reads:
-    """The data an inertia analysis reads off a model, and the model it
-    is read from: two of them are equal when their data are, whatever the
-    models' kinds, characters or trivial summands, so the moment fiber of
-    a Lawrence model reads what the ambient model reads."""
-
-    __slots__ = ("data", "model")
-
-    def __init__(self, model: StackModel):
-        self.data = (model.doubled, model.base, model.weights, model.arrangement,
-                     model.tangent_class.terms)
-        self.model = model
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Reads) and self.data == other.data
-
-    def __hash__(self) -> int:
-        return hash(self.data)
-
-
 class PairBlock:
     """Every ordered pair of a sector over ``fixed1`` and a sector over
     ``fixed2``, when their common set ``common`` passes ``_Stability``.
@@ -164,9 +145,9 @@ def _packer(big: int, count: int, threshold: int):
 
 
 class _Analysis:
-    """The inertia analysis of one value of read data (``_Reads``), shared
-    by every geometry and verifier of every model with that data, and the one
-    owner of its double inertia: the sectors, their ages read off their
+    """The inertia analysis of one model, kept by the model
+    (``StackModel.analysis``) and read by every geometry over it, and the
+    one owner of its double inertia: the sectors, their ages read off their
     exponent vectors (computed once, in the build, and not kept), the pair
     blocks (``PairBlock``; the sectors and the blocks read one
     ``inertia._Stability`` table), each fixed set's partners in sector
@@ -258,7 +239,7 @@ class _Analysis:
     @property
     def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
         """The expanded double inertia, in pair order, built afresh on each
-        read: the memoized analysis keeps no expansion alive."""
+        read: the analysis, which its model keeps, keeps no expansion alive."""
         el, keys = self.elements, self.keys
         return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in self.walk())
 
@@ -279,13 +260,3 @@ class _Analysis:
             return None
         (key,), (t,) = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],))
         return self._key_index[key], self.elements[t]
-
-
-@functools.lru_cache(maxsize=2)
-def _analysis(reads: _Reads) -> _Analysis:
-    """The analysis of the read data ``reads``, built from its model: models
-    with equal read data share one, so the moment fiber of a Lawrence
-    model reads the ambient's, and a model with other data (another
-    tangent multiplicity, say) gets its own.  Two entries hold the
-    analyses of the latest two read-data values."""
-    return _Analysis(reads.model)

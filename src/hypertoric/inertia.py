@@ -348,7 +348,6 @@ def inertia_components(model: StackModel) -> list[InertiaComponent]:
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
     contain a column basis and meet the stable locus: the expanded pairs
-    of the model's shared analysis (``analysis._Analysis``), in pair order,
-    expanded afresh on each call, so the memoized analysis keeps none."""
-    from .analysis import _analysis, _Reads  # analysis imports this module
-    return list(_analysis(_Reads(model)).pairs)
+    of the model's own analysis (``StackModel.analysis``), in pair order,
+    expanded afresh on each call, so the analysis keeps none."""
+    return list(model.analysis.pairs)

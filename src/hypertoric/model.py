@@ -143,10 +143,11 @@ class StackModel(Value):
     coordinate matrix (doubled to d x 2n for Lawrence/hypertoric models).
     The hypertoric tangent class is the Lawrence one minus d trivial
     summands, reflecting that the moment-map directions carry the trivial
-    character.
+    character.  The model owns its inertia analysis (``analysis``).
     """
 
-    __slots__ = _fields = ("kind", "base", "weights", "theta", "arrangement", "tangent_class")
+    _fields = ("kind", "base", "weights", "theta", "arrangement", "tangent_class")
+    __slots__ = _fields + ("_analysis",)
 
     def __init__(self, kind: str, base: WeightMatrix, weights: WeightMatrix,
                  theta: tuple[int, ...] | None, arrangement: StableArrangement,
@@ -156,6 +157,18 @@ class StackModel(Value):
             raise ModelError("tangent class multiplicities must be integers: %s" % tangent_class)
         for name, value in zip(self._fields, (kind, base, weights, theta, arrangement, tangent_class)):
             object.__setattr__(self, name, value)
+
+    @property
+    def analysis(self):
+        """The model's inertia analysis (``analysis._Analysis``), built on
+        the first read and kept in a write-once cache slot.  It is a
+        function of the fields, so equality, hashing, ``replace`` and
+        pickling ignore it, and a replaced, copied or separately built
+        model builds its own."""
+        if not hasattr(self, "_analysis"):
+            from .analysis import _Analysis  # analysis imports this module
+            object.__setattr__(self, "_analysis", _Analysis(self))
+        return self._analysis
 
     @property
     def d(self) -> int:
@@ -206,14 +219,12 @@ def _cramer(a: WeightMatrix, basis, theta) -> tuple[int, int, list[int]]:
     det A_B, the scale s that makes s * theta integral (``_integral``),
     and per basis column j the numerator det A_B^(j<-s theta), which has
     s * theta in place of column j.  Columns that are not d of rank d are
-    refused, naming them."""
+    refused, naming them, and so is a theta of another length than d."""
     sub = a.columns_matrix(basis)
     det = sub.det() if sub.rows == sub.cols else 0
     if det == 0:
         raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    theta, scale = _integral(theta)
-    if len(theta) != sub.rows:
-        raise ValueError("right-hand side length %d does not match %d rows" % (len(theta), sub.rows))
+    theta, scale = _integral(_of_length_d(a, theta))
     return det, scale, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
                         for k in range(len(basis))]
 
@@ -229,6 +240,15 @@ def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
     det, _, nums = _cramer(a, basis, theta)
     walls = [(basis, j) for j, num in zip(basis, nums) if not num]
     return SigmaSet(basis, tuple("x" if num * det > 0 else "y" for num in nums)), walls
+
+
+def _of_length_d(a: WeightMatrix, theta) -> tuple:
+    """``theta`` as a tuple, the one refusal of a character whose length is
+    not d, with ``ModelError``: every entry that reads a character reads
+    this before any column basis."""
+    if len(theta := tuple(theta)) != a.d:
+        raise ModelError("character theta must have d=%d entries, got %d" % (a.d, len(theta)))
+    return theta
 
 
 def _integral(theta) -> tuple[tuple[int, ...], int]:
@@ -251,6 +271,7 @@ def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
 def check_generic(a: WeightMatrix, theta) -> GenericReport:
     """A character is generic iff every column basis has all-nonzero
     coefficients.  All violating (basis, column) pairs are reported."""
+    theta = _of_length_d(a, theta)
     violations = tuple(w for basis in column_bases(a) for w in _sign_rule(a, basis, theta)[1])
     return GenericReport(not violations, violations)
 
@@ -306,10 +327,11 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 
 def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     """The int character, sigma sets and minimal unstable sets of a GIT
-    model, with one set of Cramer determinants per column basis.  A zero
-    character and a non-integral one are refused; a non-generic one raises
-    with every wall ``check_generic`` reports."""
-    theta = _int_entries(theta, "character theta")
+    model, with one set of Cramer determinants per column basis.  A
+    character whose length is not d is refused before any column basis is
+    enumerated, and so are a zero and a non-integral one; a non-generic one
+    raises with every wall ``check_generic`` reports."""
+    theta = _int_entries(_of_length_d(a, theta), "character theta")
     if not any(theta):
         raise ModelError("character theta must be nonzero")
     rules = [_sign_rule(a, basis, theta) for basis in column_bases(a)]

@@ -15,10 +15,11 @@ structure constants of every pair (``products``).  ``orbifold_table``
 returns the geometry with every generator product built.  Both verifiers
 align their two sides once (``_align``), into the distinct (ambient key,
 fiber key) pairs of the double inertia, compare once per key pair, and
-expand only a failing key pair into its pairs (``_expand``).
-``verify_orbifold_iso`` reads geometries, and builds no pair expansion: on
-a Lawrence input the moment fiber reads the ambient's read data, and so
-the ambient's geometry.
+expand only a failing key pair into its pairs (``_expand``).  Both
+verifiers read their two sides from one helper (``_sides``), which holds
+the one rule by which the moment fiber shares the ambient's analysis and
+geometry.  ``verify_orbifold_iso`` reads geometries, and builds no pair
+expansion.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .analysis import ObstructionError, _Analysis, _analysis, _Obstructions, _Reads
+from .analysis import ObstructionError, _Analysis, _Obstructions
 from .characters import CharacterClass
 from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _sector_ring, _vector_poly,
                    product_coefficients, product_of_forms)
@@ -120,8 +121,8 @@ class ProductEntry(NamedTuple):
 class SectorGeometry:
     """A model's inertia analysis with the rings over it, at one
     truncation, and the one owner of those rings, each kept once, keyed by
-    what derives it.  The analysis is the shared one of the model's read
-    data (``_analysis``), which also owns the refusal of a non-sector:
+    what derives it.  The analysis is the model's own
+    (``StackModel.analysis``), which also owns the refusal of a non-sector:
     ``component``, ``pair`` and ``sector_presentation`` raise
     ``ValueError`` for one, through ``_Analysis.position``.  A sector's
     ring depends only on its fixed columns: it is built by the one builder
@@ -132,16 +133,17 @@ class SectorGeometry:
     generator product per product key of the analysis (``value``);
     ``products`` expands them, on its first read, into the structure
     constants of the star product on sector generators, one entry per
-    pair, and ``entry`` reads one pair's.  All of these read only the read
-    data, so a model whose read data are this one's may read this
-    geometry.  A negative truncation raises ``ValueError``."""
+    pair, and ``entry`` reads one pair's.  All of these read only the
+    model's weights, arrangement and tangent terms, so a model with equal
+    ones may read this geometry (``_sides``).  A negative truncation raises
+    ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
         self.truncation = truncation = as_int(truncation)
         if truncation < 0:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
         self.model = model
-        self.analysis = _analysis(_Reads(model))
+        self.analysis = model.analysis
         self.components: tuple[InertiaComponent, ...] = self.analysis.components
         self.obstructions: _Obstructions = self.analysis.obstructions
         self._presentations: dict = {}
@@ -263,9 +265,9 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> SectorGeometr
     """The model's orbifold ring: its geometry (``_geometry``), with the
     generator product of every product key of its analysis built.
 
-    The geometry reads the shared analysis of the model's read data
-    (``_analysis``), so its sectors, blocks and product keys are those the
-    pullback check reads; it owns the presentations, embeddings and
+    The geometry reads the model's own analysis (``StackModel.analysis``),
+    so its sectors, blocks and product keys are those the pullback check
+    reads; it owns the presentations, embeddings and
     generator products, built once per product key of the analysis
     (``SectorGeometry.value``), not once per pair, and ``products``
     expands the keys to the pairs.  A selection that is not a bundle
@@ -278,7 +280,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> SectorGeometr
 
 
 def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
-    """A new geometry over the model's shared analysis, truncated at
+    """A new geometry over the model's own analysis, truncated at
     ``bound`` (by default twice the coordinate count) or above the degree
     of every structure polynomial, whichever is higher, and the one
     truncation rule of ``orbifold_table`` and the iso check.  A selection
@@ -287,7 +289,7 @@ def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
     ``ValueError``."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
-    analysis = _analysis(_Reads(model))
+    analysis = model.analysis
     floor = bound if bound is not None else 2 * model.num_coords
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
     top_age = max(c.age for c in analysis.components)
@@ -305,7 +307,8 @@ _DIFFER = "double inertia components differ"
 def _align(ambient: _Analysis, fiber: _Analysis):
     """The distinct (ambient key, fiber key) of the pairs, in order of
     first appearance, or None when the two sides' pairs differ.  A fiber
-    that reads the ambient's analysis pairs each key with itself.  Two
+    that reads the ambient's analysis (``_sides``) pairs each key with
+    itself.  Two
     analyses with equal elements, fixed sets and blocks (``_layout``) have
     equal pairs in one order, so their walks are zipped."""
     if fiber is ambient:
@@ -332,6 +335,19 @@ def _layout(analysis: _Analysis) -> tuple:
     return ([c[:2] for c in analysis.components], [(b.fixed1, b.fixed2) for b in analysis.blocks])
 
 
+def _sides(a: WeightMatrix, theta) -> tuple[StackModel, StackModel]:
+    """The two sides both verifiers compare: the Lawrence model of ``(a,
+    theta)`` and the model its moment fiber reads, from the memo of model
+    pairs (``model._lawrence_pair``).  The fiber shares the ambient's
+    analysis and geometry when the two read equal data (doubling, base,
+    weights, arrangement and tangent terms): the ambient is then returned
+    for it, and ``_align`` pairs each key with itself.  A fiber with other
+    read data is its own side."""
+    ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
+    reads = [(m.doubled, m.base, m.weights, m.arrangement, m.tangent_class.terms) for m in (ambient, fiber)]
+    return ambient, ambient if reads[0] == reads[1] else fiber
+
+
 class PullbackCheck(NamedTuple):
     g1: TorsionElement
     g2: TorsionElement
@@ -351,9 +367,8 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     one (restriction keeps all characters, so this is equality of exact
     character multisets), and both must be genuine bundles.
 
-    Each side reads the shared analysis of its model's read data
-    (``_analysis``); a fiber whose read data are the ambient's (the moment
-    fiber of a Lawrence model) reads the ambient's analysis.  The sides
+    Each side reads the analysis of its model (``_sides``): the moment
+    fiber of a Lawrence model reads the ambient's.  The sides
     are aligned once (``_align``), as ``verify_orbifold_iso`` aligns them,
     into their distinct (ambient key, fiber key) pairs, and the classes
     are compared once per key pair, as the kernels' Euler factor tuples,
@@ -363,8 +378,7 @@ def verify_obstruction_pullback(a: WeightMatrix, theta) -> ObstructionPullbackRe
     failing pair is listed on its own: every pair whose selection is not a
     bundle, and every pair whose two classes differ, is in ``failures``,
     in pair order.  Sides whose pairs differ fail with no pair checked."""
-    models = _lawrence_pair(a, _int_entries(theta, "character theta"))
-    ambient, fiber = (_analysis(_Reads(m)) for m in models)
+    ambient, fiber = (m.analysis for m in _sides(a, theta))
     combos = _align(ambient, fiber)
     if combos is None:
         return ObstructionPullbackReport(False, 0, (PullbackCheck(None, None, False, _DIFFER),))
@@ -414,11 +428,11 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     isomorphism up to ``bound``, identical structure polynomials, and
     identical ages.
 
-    Each side reads a geometry (``_geometry``): on a Lawrence input the
-    moment fiber reads the ambient's read data, so it reads the ambient's
-    geometry, and the check certifies that the two sides share those
-    data; a fiber with other read data gets a geometry of its own and is
-    computed from its own data.  Within a geometry each fixed set has one
+    Each side reads a geometry (``_geometry``) of its model (``_sides``):
+    on a Lawrence input the moment fiber reads the ambient's geometry, and
+    the check certifies that the two sides share their read data; a fiber
+    with other read data gets a geometry of its own and is computed from
+    its own data.  Within a geometry each fixed set has one
     presentation, with its pieces built once, each (common fixed set,
     target fixed set) one embedding, built and checked once, and each
     product key one generator product.  The sides are aligned once
@@ -431,9 +445,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     are expanded (``_expand``) into ``product_failures``, in pair order.
     A ``bound`` below 1 raises ``ValueError``."""
     bound = as_int(bound)
-    ambient, fiber = _lawrence_pair(a, _int_entries(theta, "character theta"))
+    ambient, fiber = _sides(a, theta)
     geo_a = _geometry(ambient, bound)
-    geo_f = geo_a if _Reads(fiber) == _Reads(ambient) else _geometry(fiber, bound)
+    geo_f = geo_a if fiber is ambient else _geometry(fiber, bound)
     combos = _align(geo_a.analysis, geo_f.analysis)
     if combos is None:
         return OrbifoldIsoReport(False, 0, detail=_DIFFER)

@@ -24,7 +24,10 @@ class Value:
     ``inertia.TorsionElement`` is the only such type.  A type that must
     not be hashed (one with a mutable cache slot, such as
     ``chow.GradedRingPresentation``'s pieces) keeps ``__hash__ = None``
-    in its body, which is left in place the same way."""
+    in its body, which is left in place the same way.  A cache slot that is
+    written once, with a function of the fields, leaves equality and the
+    hash as they are, so its type may be hashed: ``model.StackModel``'s
+    analysis is one.  No cache slot is compared, copied or pickled."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 import hypertoric.model as model_module
-import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     TorsionElement,
     WeightMatrix,
@@ -14,10 +13,9 @@ from hypertoric import (
 
 
 @pytest.fixture(autouse=True)
-def _no_memoized_analysis():
-    # each test starts with empty analysis and model memos, so no test
-    # depends on which models an earlier one built or analysed
-    orbifold_module._analysis.cache_clear()
+def _no_memoized_models():
+    # each test starts with an empty model memo, so no test depends on
+    # which models, and so which analyses, an earlier one built
     model_module._lawrence_pair.cache_clear()
 
 

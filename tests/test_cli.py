@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.analysis as analysis_module
 import hypertoric.cli as cli
 import hypertoric.model as model_module
-import hypertoric.orbifold as orbifold_module
 from hypertoric import ObstructionPullbackReport, OrbifoldIsoReport, TorsionElement
 from hypertoric.chow import IsoReport
 from hypertoric.cli import EXIT_INPUT_ERROR, EXIT_OK, EXIT_VERIFY_FAILED, InputError, main, parse_model
@@ -317,7 +317,8 @@ def test_verify_pass_lists_no_failures(tp12, capsys):
 def test_each_command_arranges_its_input_once(command, kind, tmp_path, capsys, monkeypatch):
     # every command parses its model through the memo the verifiers read,
     # so the Lawrence model is arranged once, as for chart-check (verify
-    # arranged it twice); the output is that of a first run on empty memos,
+    # arranged it twice), and verify builds one analysis, which the moment
+    # fiber shares; the output is that of a first run on an empty memo,
     # and parsing the input again reads the same model
     a, theta = random_generic_instance(random.Random(3), 2, 4)
     path = write(tmp_path, "m.json", {"A": [list(r) for r in a.matrix.entries],
@@ -325,17 +326,22 @@ def test_each_command_arranges_its_input_once(command, kind, tmp_path, capsys, m
     assert main([command, "--input", path]) == EXIT_OK
     cold = capsys.readouterr().out
     model_module._lawrence_pair.cache_clear()
-    orbifold_module._analysis.cache_clear()
-    arranged = []
-    arrange = model_module._git_arrangement
+    arranged, analysed = [], []
+    arrange, analyse = model_module._git_arrangement, analysis_module._Analysis.__init__
 
     def spy(*args, **kwargs):
         arranged.append(args)
         return arrange(*args, **kwargs)
 
+    def spy_analysis(self, model):
+        analysed.append(model)
+        analyse(self, model)
+
     monkeypatch.setattr(model_module, "_git_arrangement", spy)
+    monkeypatch.setattr(analysis_module._Analysis, "__init__", spy_analysis)
     assert main([command, "--input", path]) == EXIT_OK
     assert len(arranged) == 1
+    assert len(analysed) == (command == "verify")
     assert capsys.readouterr().out == cold
     parsed = parse_model(path)
     assert parsed.kind == kind and len(arranged) == 1

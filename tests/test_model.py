@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hypertoric.model as model_module
 from hypertoric import (
     ModelError,
     NonGenericError,
@@ -25,6 +26,9 @@ from hypertoric import (
     sector_model,
     sigma_set,
     stabilizer_elements,
+    verify_charts,
+    verify_obstruction_pullback,
+    verify_orbifold_iso,
 )
 from hypertoric.exact import IntMatrix, solve_rational
 from hypertoric.model import _sign_rule
@@ -285,6 +289,30 @@ def test_model_constructors_reject_nongeneric(a_2x3):
 def test_model_rejects_zero_theta(a12):
     with pytest.raises(ModelError):
         lawrence_model(a12, [0])
+
+
+_THETA_READERS = {
+    "lawrence_model": lawrence_model,
+    "hypertoric_model": hypertoric_model,
+    "direct_model": lambda a, theta: direct_model(a, theta=theta),
+    "check_generic": check_generic,
+    "verify_charts": verify_charts,
+    "verify_obstruction_pullback": verify_obstruction_pullback,
+    "verify_orbifold_iso": verify_orbifold_iso,
+}
+
+
+@pytest.mark.parametrize("theta", [[1, 2], [], [1, 2, 3]], ids=["two", "none", "three"])
+@pytest.mark.parametrize("entry", list(_THETA_READERS))
+def test_a_theta_of_the_wrong_length_is_refused_once_by_name(entry, theta, a12, monkeypatch):
+    # one ModelError naming theta and d, before any column basis is
+    # enumerated, for every entry that reads a character
+    enumerated = []
+    bases = model_module.column_bases
+    monkeypatch.setattr(model_module, "column_bases", lambda a: enumerated.append(a) or bases(a))
+    with pytest.raises(ModelError, match=r"^character theta must have d=1 entries, got %d$" % len(theta)):
+        _THETA_READERS[entry](a12, theta)
+    assert not enumerated
 
 
 def test_non_integral_theta_is_refused_not_truncated(a12, a_2x3):

@@ -500,18 +500,16 @@ def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monk
 
 
 def _edit_fiber_geometry(monkeypatch, edit):
-    """Give the moment fiber read data of its own, the ambient's and its
-    kind, so ``verify_orbifold_iso`` builds it a geometry of its own over
-    an analysis of its own with the ambient's layout, and apply ``edit`` to
+    """Make the moment fiber a side of its own (``_sides`` never shares),
+    so ``verify_orbifold_iso`` builds it a geometry of its own over an
+    analysis of its own with the ambient's layout, and apply ``edit`` to
     each fiber geometry: every second one built, since the ambient's comes
     first."""
-    reads, geometry = orbifold_module._Reads, orbifold_module._geometry
+    geometry = orbifold_module._geometry
     built = []
 
-    class KindReads(reads):
-        def __init__(self, model):
-            super().__init__(model)
-            self.data += (model.kind,)
+    def own_sides(a, theta):
+        return model_module._lawrence_pair(a, model_module._int_entries(theta, "character theta"))
 
     def edited(*args):
         built.append(geometry(*args))
@@ -519,7 +517,7 @@ def _edit_fiber_geometry(monkeypatch, edit):
             edit(built[-1])
         return built[-1]
 
-    monkeypatch.setattr(orbifold_module, "_Reads", KindReads)
+    monkeypatch.setattr(orbifold_module, "_sides", own_sides)
     monkeypatch.setattr(orbifold_module, "_geometry", edited)
 
 
@@ -646,9 +644,9 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     monkeypatch.setattr(TorsionElement, "exponent", counted_exponent)
     made = []
     monkeypatch.setattr(analysis_module, "CharacterClass", _counted(made, CharacterClass))
-    # the table's own first analysis, not the one ``fresh`` memoized
-    orbifold_module._analysis.cache_clear()
-    table = orbifold_table(model, 4)
+    # the table's own first analysis, of a fresh model, not the one
+    # ``fresh`` read
+    table = orbifold_table(model.replace(), 4)
 
     tangent = [w for w, _ in model.tangent_class.terms]
     assert len(table.components) > 1 and len(tangent) > 1
@@ -675,9 +673,8 @@ def test_verify_keeps_obstructions_as_ints(seed, d, n, monkeypatch):
     monkeypatch.setattr(CharacterClass, "__init__", spy_init)
     monkeypatch.setattr(CharacterClass, "is_bundle", _counted(tested, CharacterClass.is_bundle))
     monkeypatch.setattr(IntPoly, "from_dict", staticmethod(_counted(dicts, IntPoly.from_dict)))
-    # the verifiers' own first models and analyses
+    # the verifiers' own first models, and so their own first analyses
     model_module._lawrence_pair.cache_clear()
-    analysis_module._analysis.cache_clear()
     assert verify_obstruction_pullback(a, theta).ok
     assert verify_orbifold_iso(a, theta, 5).ok
     assert len(made) == 2 and not tested and not dicts
@@ -919,9 +916,10 @@ def test_one_analysis_per_verify(monkeypatch):
     assert pull.ok and iso.ok and pull.checked > 1
     assert len(enumerations) == len(walks) == 1
     assert {model.kind for model, _ in enumerations} == {"lawrence"}
-    assert orbifold_module._analysis.cache_info().currsize == 1
+    ambient, _ = model_module._lawrence_pair(a, theta)
+    assert all(side is ambient for side in orbifold_module._sides(a, theta))
     # the selections are computed one block row at a time, each pair's once
-    analysis = SectorGeometry(lawrence_model(a, theta), 4).analysis
+    analysis = SectorGeometry(ambient, 4).analysis
     assert "pairs" not in vars(analysis)
     covered = sorted((i, j) for _, i, cols, _ in selections for j in cols)
     assert sum(len(cols) for _, _, cols, _ in selections) == pull.checked == len(analysis)
@@ -962,7 +960,8 @@ def test_memo_is_keyed_by_the_model_value(monkeypatch):
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     assert verify_obstruction_pullback(a, theta).ok
     # the ambient and its moment fiber read equal data: one analysis
-    assert orbifold_module._analysis.cache_info().currsize == 1
+    warm, shared = orbifold_module._sides(a, theta)
+    assert shared is warm
     bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
     expected = [(p.g1, p.g2) for p in geo.pairs
                 if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
@@ -971,39 +970,44 @@ def test_memo_is_keyed_by_the_model_value(monkeypatch):
     rep = verify_obstruction_pullback(a, theta)
     assert [(f.g1, f.g2) for f in rep.failures] == expected
     assert all("not a bundle" in f.detail for f in rep.failures)
+    ambient, fiber = orbifold_module._sides(a, theta)
+    assert fiber is not ambient and fiber.analysis is not warm.analysis
     with pytest.raises(ObstructionError):
         verify_orbifold_iso(a, theta, 5)
 
 
 def test_tables_at_two_bounds_equal_cold_ones():
-    # the shared analysis carries no bound: tables and reports at bounds 3
-    # and 5, one after the other, equal each computed on an empty memo
+    # the model's analysis carries no bound: tables and reports at bounds 3
+    # and 5, one after the other, equal each computed on a fresh model
     a, theta = random_generic_instance(random.Random(1), 2, 5)
     model = lawrence_model(a, theta)
     warm = [orbifold_table(model, b) for b in (3, 5)]
     assert warm[0].analysis is warm[1].analysis
     warm_reports = [verify_orbifold_iso(a, theta, b) for b in (3, 5)]
     for b, table, report in zip((3, 5), warm, warm_reports):
-        orbifold_module._analysis.cache_clear()
-        cold = orbifold_table(model, b)
+        cold = orbifold_table(model.replace(), b)
         assert cold.analysis is not table.analysis
         assert cold.truncation == table.truncation
         assert cold.components == table.components
         assert cold.products == table.products
-        orbifold_module._analysis.cache_clear()
+        model_module._lawrence_pair.cache_clear()
         assert verify_orbifold_iso(a, theta, b) == report
 
 
-def test_memo_holds_at_most_two_analyses():
+def test_memo_holds_at_most_two_analyses(monkeypatch):
+    # the analyses live on the models of the memo of model pairs, which
+    # holds the two latest inputs
+    built = []
+    monkeypatch.setattr(analysis_module._Analysis, "__init__",
+                        _counted(built, analysis_module._Analysis.__init__))
     inputs = [random_generic_instance(random.Random(seed), 2, 4) for seed in (1, 2, 3)]
     for a, theta in inputs:
         assert verify_obstruction_pullback(a, theta).ok
-    info = orbifold_module._analysis.cache_info()
-    # one miss per input: its fiber reads the ambient's analysis
-    assert (info.currsize, info.misses, info.hits) == (2, 3, 3)
-    # the two held are the analyses of the two latest inputs; the ambient
-    # table reads the memo once for its truncation and its geometry once,
-    # and the fiber table reads the ambient's geometry
+    info = model_module._lawrence_pair.cache_info()
+    # one analysis per input: its fiber reads the ambient's
+    assert (info.currsize, info.misses, len(built)) == (2, 3, 3)
+    # the iso check of the latest input reads the held pair, and its
+    # geometry reads the ambient's analysis, which the fiber shares
     assert verify_orbifold_iso(*inputs[-1], 5).ok
-    after = orbifold_module._analysis.cache_info()
-    assert (after.currsize, after.misses, after.hits - info.hits) == (2, 3, 2)
+    after = model_module._lawrence_pair.cache_info()
+    assert (after.currsize, after.misses, after.hits - info.hits, len(built)) == (2, 3, 1, 3)

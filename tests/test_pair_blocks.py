@@ -1,11 +1,13 @@
-"""The double inertia as blocks of fixed-set pairs, and the analysis memo.
+"""The double inertia as blocks of fixed-set pairs, and the analysis each
+model owns.
 
 The block oracle expands the blocks of each model's analysis and holds them
 to a walk over all ordered pairs of sectors, and each block's selection
-bitmasks to the tuple selections of the obstruction kernel.  The key tests
-hold the analysis memo to the data an analysis reads: models with equal
-read data share one analysis, and a change to any one read field gets a
-fresh one.
+bitmasks to the tuple selections of the obstruction kernel.  The ownership
+tests hold a model to one analysis, which it keeps, give a replaced model
+its own, and hold the verifiers' sharing rule to the data an analysis
+reads: the moment fiber reads the ambient's analysis, and a change to any
+one read field makes the fiber a side of its own.
 """
 
 import itertools
@@ -16,6 +18,7 @@ import pytest
 
 import hypertoric.analysis as analysis_module
 import hypertoric.inertia as inertia_module
+import hypertoric.model as model_module
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     CharacterClass,
@@ -129,23 +132,35 @@ def test_packer_agrees_with_per_field_arithmetic(big):
             assert spread == sum(1 << k * (w + 1) + w for k, (x, y) in enumerate(zip(a, b)) if x + y > big)
 
 
-def _analysis_of(model):
+def _geometry_analysis(model):
     return SectorGeometry(model, 4).analysis
 
 
-def test_equal_read_data_share_one_analysis():
+def test_a_model_owns_its_analysis_and_the_verified_fiber_reads_the_ambients():
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     ambient = lawrence_model(a, theta)
-    shared = _analysis_of(ambient)
-    # the moment fiber differs only in its kind and its trivial summand
-    fiber = hypertoric_model(a, theta)
-    assert fiber != ambient and _analysis_of(fiber) is shared
-    # another character with the same sigma sets: a positive multiple
-    scaled = lawrence_model(a, [2 * t for t in theta])
-    assert scaled.theta != ambient.theta and scaled.arrangement == ambient.arrangement
-    assert _analysis_of(scaled) is shared
-    info = orbifold_module._analysis.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+    shared = _geometry_analysis(ambient)
+    assert ambient.analysis is ambient.analysis is shared
+    # a replaced model, even an equal one, builds its own
+    again = ambient.replace()
+    assert again == ambient and again.analysis is not shared
+    # so does a separately built fiber, though it reads equal data
+    assert hypertoric_model(a, theta).analysis is not shared
+    # the verifiers read one pair of models, and the fiber, which differs
+    # only in its kind and its trivial summand, reads the ambient's analysis
+    pair = model_module._lawrence_pair(a, theta)
+    assert pair[1] != pair[0]
+    assert all(side is pair[0] for side in orbifold_module._sides(a, theta))
+
+
+def test_a_held_model_keeps_its_analysis():
+    # two other inputs analysed between two reads of one held model's
+    # geometry leave its analysis in place: nothing evicts it
+    m = lawrence_model(*random_generic_instance(random.Random(1), 2, 4))
+    an = SectorGeometry(m, 4).analysis
+    for seed in (2, 3):
+        SectorGeometry(lawrence_model(*random_generic_instance(random.Random(seed), 2, 4)), 4)
+    assert SectorGeometry(m, 4).analysis is an
 
 
 def _other_multiplicity(model):
@@ -172,45 +187,51 @@ def _other_weights_column(model):
 
 
 @pytest.mark.parametrize("change", [_other_multiplicity, _other_unstable_set, _other_weights_column])
-def test_one_changed_read_field_gets_a_fresh_analysis(change):
+def test_one_changed_read_field_gets_a_fresh_analysis(change, monkeypatch):
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     ambient = lawrence_model(a, theta)
-    shared = _analysis_of(ambient)
+    shared = _geometry_analysis(ambient)
     changed = change(ambient)
     fields = [f for f in ambient._fields if getattr(changed, f) != getattr(ambient, f)]
     assert len(fields) == 1
-    fresh = _analysis_of(changed)
+    fresh = _geometry_analysis(changed)
     assert fresh is not shared
-    assert orbifold_module._analysis.cache_info().misses == 2
-    # and the memo still answers for the ambient
-    assert _analysis_of(ambient) is shared
+    # a moment fiber with the change is a side of its own to the verifiers,
+    # with its own analysis: the sharing rule reads every read field
+    fiber = model_module._moment_fiber
+    monkeypatch.setattr(model_module, "_moment_fiber", lambda lm: change(fiber(lm)))
+    sides = orbifold_module._sides(a, theta)
+    assert sides[1] is not sides[0] and sides[1].analysis is not sides[0].analysis
+    # and the ambient still holds its own
+    assert _geometry_analysis(ambient) is shared
 
 
 def test_a_changed_multiplicity_changes_the_ages_it_reads():
-    # an analysis memoized for one tangent class must not answer for
+    # an analysis built for one tangent class must not answer for
     # another: the ages of the fresh analysis are the changed model's
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     ambient = lawrence_model(a, theta)
     changed = _other_multiplicity(ambient)
     (w, _), *_ = changed.tangent_class.terms
-    ages = [c.age for c in _analysis_of(ambient).components]
-    moved = [c.age - age for c, age in zip(_analysis_of(changed).components, ages)]
+    ages = [c.age for c in _geometry_analysis(ambient).components]
+    moved = [c.age - age for c, age in zip(_geometry_analysis(changed).components, ages)]
     assert any(moved)
     assert all(m == Fraction(c.g.exponent(w), c.g.order)
-               for m, c in zip(moved, _analysis_of(ambient).components))
+               for m, c in zip(moved, _geometry_analysis(ambient).components))
 
 
 def test_the_memoized_analysis_keeps_no_expanded_pairs():
-    # double_inertia expands the memoized analysis' blocks afresh on each
-    # call, so once its list is dropped nothing of it stays on the analysis
+    # double_inertia expands the blocks of the analysis its model keeps
+    # afresh on each call, so once its list is dropped nothing of it stays
+    # on the analysis
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
     pairs = double_inertia(model)
-    analysis = _analysis_of(model)
+    analysis = _geometry_analysis(model)
     again = double_inertia(model)
     assert pairs == again and len(pairs) == len(analysis) > 1
     assert not any(p is q for p, q in zip(pairs, again))
     del pairs, again
-    assert _analysis_of(model) is analysis
+    assert _geometry_analysis(model) is analysis
     assert "pairs" not in vars(analysis)
 
 
@@ -232,7 +253,7 @@ def test_the_analysis_keeps_nothing_per_pair():
     # a table with an entry per pair held 337452 entries on these 308109
     # pairs; the sectors, the blocks, the partners and the keys hold 45046,
     # and a walk, which reads every pair's key, adds nothing to them
-    analysis = _analysis_of(lawrence_model(*random_generic_instance(random.Random(1), 4, 6)))
+    analysis = _geometry_analysis(lawrence_model(*random_generic_instance(random.Random(1), 4, 6)))
     assert len(analysis) == 308109
     assert sum(1 for _ in analysis.walk()) == len(analysis)
     assert _held_entries(analysis) < len(analysis) // 4

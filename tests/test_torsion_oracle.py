@@ -214,8 +214,8 @@ def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
         return out
 
     monkeypatch.setattr(orbifold_module._Obstructions, "bundle", spy)
-    # the pullback's own first analysis, not the geometries' above
-    orbifold_module._analysis.cache_clear()
+    # the pullback's own first analysis: it reads the memo of model pairs,
+    # not the two models above, so no factor of the geometries' is reused
     rep = verify_obstruction_pullback(a, theta)
     assert rep.ok
     kernel = orbifold_module._Obstructions(ambient)
