@@ -209,35 +209,38 @@ def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
 def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
     """The unique rationals with sum(lambda_j * a_{i_j}) = theta, indexed by
     the sorted basis columns: lambda_j = num_j / (s det A_B) by Cramer's
-    rule, a quotient of the integer determinants of ``_cramer``."""
-    det, scale, nums = _cramer(a, tuple(sorted(basis)), theta)
+    rule, a quotient of the integer determinants of ``_cramer``.  A theta
+    of another length than d is refused."""
+    theta, scale = _integral(_of_length_d(a, theta))
+    det, nums = _cramer(a, tuple(sorted(basis)), theta)
     return tuple(Fraction(num, scale * det) for num in nums)
 
 
-def _cramer(a: WeightMatrix, basis, theta) -> tuple[int, int, list[int]]:
-    """The integer determinants behind the coefficients of a sorted basis:
-    det A_B, the scale s that makes s * theta integral (``_integral``),
-    and per basis column j the numerator det A_B^(j<-s theta), which has
-    s * theta in place of column j.  Columns that are not d of rank d are
-    refused, naming them, and so is a theta of another length than d."""
+def _cramer(a: WeightMatrix, basis, theta) -> tuple[int, list[int]]:
+    """The integer determinants behind the coefficients of a sorted basis,
+    for the integral multiple ``theta`` = s * theta0 of a character theta0
+    (``_integral``, run once per character by the caller): det A_B, and per
+    basis column j the numerator det A_B^(j<-s theta0), which has s * theta0
+    in place of column j.  Columns that are not d of rank d are refused,
+    naming them."""
     sub = a.columns_matrix(basis)
     det = sub.det() if sub.rows == sub.cols else 0
     if det == 0:
         raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    theta, scale = _integral(_of_length_d(a, theta))
-    return det, scale, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
-                        for k in range(len(basis))]
+    return det, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
+                 for k in range(len(basis))]
 
 
 def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
     """The sigma set of a sorted basis, with the (basis, column) pairs whose
-    coefficient is zero (the walls theta sits on).
+    coefficient is zero (the walls theta sits on), for an integral multiple
+    ``theta`` of the character, as ``_cramer`` takes it.
 
     By Cramer's rule lambda_j = num_j / (s det A_B) (``_cramer``), with
     s > 0, so sign(lambda_j) is the product of the signs of two integer
     determinants and lambda_j is zero exactly when its numerator is; the
     signs are read off these ints, and no Fraction is built."""
-    det, _, nums = _cramer(a, basis, theta)
+    det, nums = _cramer(a, basis, theta)
     walls = [(basis, j) for j, num in zip(basis, nums) if not num]
     return SigmaSet(basis, tuple("x" if num * det > 0 else "y" for num in nums)), walls
 
@@ -262,7 +265,7 @@ def _integral(theta) -> tuple[tuple[int, ...], int]:
 def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
     """Apply the sign rule to the basis coefficients; zero coefficients mean
     the character is non-generic and are a hard error."""
-    sigma, walls = _sign_rule(a, tuple(sorted(basis)), theta)
+    sigma, walls = _sign_rule(a, tuple(sorted(basis)), _integral(_of_length_d(a, theta))[0])
     if walls:
         raise NonGenericError(GenericReport(False, tuple(walls[:1])))
     return sigma
@@ -271,7 +274,7 @@ def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
 def check_generic(a: WeightMatrix, theta) -> GenericReport:
     """A character is generic iff every column basis has all-nonzero
     coefficients.  All violating (basis, column) pairs are reported."""
-    theta = _of_length_d(a, theta)
+    theta, _ = _integral(_of_length_d(a, theta))
     violations = tuple(w for basis in column_bases(a) for w in _sign_rule(a, basis, theta)[1])
     return GenericReport(not violations, violations)
 
@@ -404,7 +407,7 @@ def direct_model(a: WeightMatrix, unstable=None, theta=None) -> StackModel:
                 if s1 < s2:
                     raise ModelError("unstable sets must form an antichain")
         sets = sorted(set(sets), key=lambda s: (len(s), sorted(s)))
-        theta_t = _int_entries(theta, "character theta") if theta is not None else None
+        theta_t = _int_entries(_of_length_d(a, theta), "character theta") if theta is not None else None
         arrangement = StableArrangement((), tuple(sets), labels)
         return StackModel(DIRECT, a, a, theta_t, arrangement, tangent)
     if theta is None:

@@ -19,7 +19,11 @@ expand only a failing key pair into its pairs (``_expand``).  Both
 verifiers read their two sides from one helper (``_sides``), which holds
 the one rule by which the moment fiber shares the ambient's analysis and
 geometry.  ``verify_orbifold_iso`` reads geometries, and builds no pair
-expansion.
+expansion.  It compares generator products certificate first, reducing
+on a mismatch: a key's makeup (``SectorGeometry.makeup``), its target
+ring and the multiset of characters whose product it is, certifies two
+products equal when both agree (``_same_makeup``), and only a key pair
+without that certificate is reduced to coordinates (``value``).
 """
 
 from __future__ import annotations
@@ -95,19 +99,45 @@ def _check_truncation(degree: int | None, truncation: int) -> None:
         raise ValueError("product degree %d exceeds the truncation bound %d" % (degree, truncation))
 
 
-def _generator_product(factors, emb: SectorEmbedding) -> tuple:
-    """The generator product of an obstruction class, given by its Euler
-    factors (``_Obstructions.bundle``), pushed along a checked embedding:
-    one kernel product over those characters and the normal ones, refused
-    above the target's truncation, with its canonical coordinates in the
-    target ring."""
-    target = emb.ambient
+def _makeup(factors, emb: SectorEmbedding) -> tuple | None:
+    """What the generator product of an obstruction class, given by its
+    Euler factors (``_Obstructions.bundle``), pushed along a checked
+    embedding, is made of: the target presentation and the sorted
+    characters whose product of linear forms it is, the factors and the
+    normal characters; None when a normal character is zero, so the product
+    is zero.  A product above the target's truncation is refused."""
     if not all(map(any, emb.normal_chars)):
-        return IntPoly.zero(target.num_vars), ()
-    chars = (*factors, *emb.normal_chars)
-    _check_truncation(len(chars), target.truncation)
+        return None
+    chars = tuple(sorted((*factors, *emb.normal_chars)))
+    _check_truncation(len(chars), emb.ambient.truncation)
+    return emb.ambient, chars
+
+
+def _generator_product(made: tuple | None, num_vars: int) -> tuple:
+    """The generator product of a makeup (``_makeup``) in ``num_vars``
+    variables: one kernel product over its characters, with its canonical
+    coordinates in its target ring; the zero product for None."""
+    if made is None:
+        return IntPoly.zero(num_vars), ()
+    target, chars = made
     vec = product_coefficients(target.num_vars, chars)
     return _vector_poly(target.num_vars, len(chars), vec), target.piece(len(chars)).canonical(vec)
+
+
+def _same_relations(pres_a: GradedRingPresentation, pres_f: GradedRingPresentation) -> bool:
+    """Equal variable counts and relation lists: equal ideals, so equal
+    pieces in every degree both truncations hold."""
+    return pres_a.num_vars == pres_f.num_vars and pres_a.relations == pres_f.relations
+
+
+def _same_makeup(made_a: tuple | None, made_f: tuple | None) -> bool:
+    """The certificate that two generator products are one class: both are
+    zero, or their characters are equal multisets, so their polynomials are
+    equal, and their targets have equal relations (``_same_relations``), so
+    the polynomials have equal coordinates."""
+    if made_a is None or made_f is None:
+        return made_a is made_f
+    return made_a[1] == made_f[1] and _same_relations(made_a[0], made_f[0])
 
 
 class ProductEntry(NamedTuple):
@@ -129,8 +159,9 @@ class SectorGeometry:
     of fixed-set rings (``chow._sector_ring``), with no sector model built,
     once per fixed set, with its one piece cache.  The geometry checks one
     embedding per (common fixed set, target fixed set); a failed check is
-    never stored, so every push through it raises again.  It builds one
-    generator product per product key of the analysis (``value``);
+    never stored, so every push through it raises again.  It reads what
+    the generator product of a product key of the analysis is made of
+    (``makeup``), and builds the product once per key (``value``);
     ``products`` expands them, on its first read, into the structure
     constants of the star product on sector generators, one entry per
     pair, and ``entry`` reads one pair's.  All of these read only the
@@ -190,21 +221,29 @@ class SectorGeometry:
             self._embeddings[small, big] = emb
         return emb
 
+    def makeup(self, k: int) -> tuple | None:
+        """What the generator product of the analysis' product key ``k`` is
+        made of (``_makeup``): the Euler factors of the key's selection, as
+        the kernel holds them, pushed along the embedding of its common set
+        into its target fixed set.  It runs every check of the product: a
+        key whose selection is not a bundle raises ``ObstructionError``,
+        and the embedding is built and checked (``GysinError``) before the
+        truncation is; ``star`` and ``_geometry`` test the selection first,
+        naming a failing pair."""
+        mask, common, target_fixed = self.analysis.keys[k]
+        factors = self.obstructions.bundle(mask)
+        if factors is None:
+            raise ObstructionError("obstruction of product key %d is not a bundle" % k)
+        return _makeup(factors, self.embedding(common, target_fixed))
+
     def value(self, k: int) -> tuple:
         """The generator product of the analysis' product key ``k`` and its
-        coordinates in the target's ring, built once: the Euler factors of
-        the key's selection, as the kernel holds them, pushed along the
-        embedding of its common set into its target fixed set
-        (``_generator_product``).  A key whose selection is not a bundle
-        raises ``ObstructionError`` and is never stored; ``star`` and
-        ``_geometry`` test the selection first, naming a failing pair."""
+        coordinates in the target's ring, built once from its makeup
+        (``makeup``, ``_generator_product``).  A key that raises is never
+        stored."""
         out = self._values.get(k)
         if out is None:
-            mask, common, target_fixed = self.analysis.keys[k]
-            factors = self.obstructions.bundle(mask)
-            if factors is None:
-                raise ObstructionError("obstruction of product key %d is not a bundle" % k)
-            out = self._values[k] = _generator_product(factors, self.embedding(common, target_fixed))
+            out = self._values[k] = _generator_product(self.makeup(k), self.model.d)
         return out
 
     def generator(self, g: TorsionElement) -> GradedClass:
@@ -414,7 +453,7 @@ def _same_ring(pres_a, pres_f, bound: int) -> IsoReport:
     compared: the map is well defined iff the ambient lattice lies in the
     fiber's, and onto, so (f.g. abelian groups are Hopfian) bijective in
     degree k iff the pieces are."""
-    if pres_a.num_vars == pres_f.num_vars and pres_a.relations == pres_f.relations:
+    if _same_relations(pres_a, pres_f):
         return IsoReport(True)
     for k in range(bound + 1):
         if pres_a.piece(k) != pres_f.piece(k):
@@ -435,15 +474,20 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     its own data.  Within a geometry each fixed set has one
     presentation, with its pieces built once, each (common fixed set,
     target fixed set) one embedding, built and checked once, and each
-    product key one generator product.  The sides are aligned once
+    product key at most one generator product.  The sides are aligned once
     (``_align``), as the pullback check aligns them; sides whose pairs
     differ fail with no component compared.  Aligned sectors have equal
     fixed sets, so the rings are compared (``_same_ring``) once per fixed
     set, and every sector over a failing one is listed in
-    ``ring_failures``.  Products are compared by their coordinates once
-    per (ambient key, fiber key), and only the pairs of a failing key pair
-    are expanded (``_expand``) into ``product_failures``, in pair order.
-    A ``bound`` below 1 raises ``ValueError``."""
+    ``ring_failures``.  Products are compared once per (ambient key, fiber
+    key), certificate first, reduced on a mismatch: equal makeups
+    (``_same_makeup``) are the same polynomial in the same ring, so the
+    same class, and only a key pair whose makeups differ is reduced to
+    coordinates (``value``); it fails when those differ too.  A passing
+    check of a Lawrence input so builds no graded piece for a product.
+    Only the pairs of a failing key pair are expanded (``_expand``) into
+    ``product_failures``, in pair order, with the coordinates of both
+    sides.  A ``bound`` below 1 raises ``ValueError``."""
     bound = as_int(bound)
     ambient, fiber = _sides(a, theta)
     geo_a = _geometry(ambient, bound)
@@ -458,7 +502,8 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
                           if not reports[c.fixed_columns].is_iso)
     age_failures = tuple((ca.g, ca.age, cf.age) for ca, cf in zip(geo_a.components, geo_f.components)
                          if ca.age != cf.age)
-    failing = {(ka, kf) for ka, kf in combos if geo_a.value(ka)[1] != geo_f.value(kf)[1]}
+    failing = {(ka, kf) for ka, kf in combos if not _same_makeup(geo_a.makeup(ka), geo_f.makeup(kf))
+               and geo_a.value(ka)[1] != geo_f.value(kf)[1]}
     product_failures = tuple(
         ((g1, g2), ProductEntry(g1, g2, t, *geo_a.value(ka)), ProductEntry(g1, g2, t, *geo_f.value(kf)))
         for g1, g2, t, ka, kf in _expand(geo_a.analysis, geo_f.analysis, failing))

@@ -31,7 +31,7 @@ from hypertoric import (
     verify_orbifold_iso,
 )
 from hypertoric.exact import IntMatrix, solve_rational
-from hypertoric.model import _sign_rule
+from hypertoric.model import _integral, _sign_rule
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
 
@@ -295,6 +295,7 @@ _THETA_READERS = {
     "lawrence_model": lawrence_model,
     "hypertoric_model": hypertoric_model,
     "direct_model": lambda a, theta: direct_model(a, theta=theta),
+    "direct_model_with_unstable_sets": lambda a, theta: direct_model(a, unstable=[[1]], theta=theta),
     "check_generic": check_generic,
     "verify_charts": verify_charts,
     "verify_obstruction_pullback": verify_obstruction_pullback,
@@ -444,6 +445,29 @@ def test_genericity_agrees_with_the_hyperplane_rule():
     assert 60 < walls < 180
 
 
+def test_theta_is_scaled_once_per_character_not_once_per_basis(monkeypatch):
+    # the integral multiple of a character is read once, by the entry that
+    # reads the character, and handed to every basis' Cramer determinants:
+    # a GIT model reads its character as ints, which are their own integral
+    # multiple, and scales nothing
+    a, theta = random_generic_instance(random.Random(1), 3, 9)
+    bases = column_bases(a)
+    assert len(bases) == 79
+    calls = []
+    integral = model_module._integral
+    monkeypatch.setattr(model_module, "_integral", lambda values: calls.append(values) or integral(values))
+    for build in (lawrence_model, hypertoric_model,
+                  lambda a, theta: direct_model(a, unstable=[[1]], theta=theta)):
+        build(a, theta)
+        assert calls == []
+    assert check_generic(a, theta).generic and len(calls) == 1
+    half = [Fraction(t, 2) for t in theta]
+    assert check_generic(a, half).generic and len(calls) == 2
+    assert sigma_set(a, bases[0], half) == sigma_set(a, bases[0], theta) and len(calls) == 4
+    assert lambda_coeffs(a, bases[0], half) == tuple(x / 2 for x in lambda_coeffs(a, bases[0], theta))
+    assert len(calls) == 6
+
+
 def test_integer_sign_rule_matches_the_fraction_solve():
     # oracle: the signs and walls of the sign rule and the coefficients of
     # lambda_coeffs, both read off integer Cramer determinants, against an
@@ -463,7 +487,7 @@ def test_integer_sign_rule_matches_the_fraction_solve():
         else:
             theta = [rng.randint(-4, 4) for _ in range(d)]
         for basis in column_bases(a):
-            sigma, found = _sign_rule(a, basis, theta)
+            sigma, found = _sign_rule(a, basis, _integral(theta)[0])
             lams = solve_rational(a.columns_matrix(basis), theta)
             assert lambda_coeffs(a, basis, theta) == lams, (a, basis, theta)
             assert sigma.basis == basis

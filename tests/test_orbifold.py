@@ -448,28 +448,36 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     a, theta = random_generic_instance(random.Random(seed), d, n)
     build_sector = inertia_module.sector_model
     geometries, checks, work = _spy_verify(monkeypatch)
+    embedded = []
+    monkeypatch.setattr(SectorEmbedding, "check", _counted(embedded, SectorEmbedding.check))
     assert verify_orbifold_iso(a, theta, 5).ok
     done = {name: len(calls) for name, calls in work.items()}
     # the fiber of a Lawrence input reads the ambient's geometry
     geo, = geometries
-    sides = ambient, fiber = geo, geo
-    rings = {(ca.fixed_columns, cf.fixed_columns)
-             for ca, cf in zip(ambient.components, fiber.components)}
-    assert len(checks) == len(rings) < len(ambient.components)
+    rings = {c.fixed_columns for c in geo.components}
+    assert len(checks) == len(rings) < len(geo.components)
     assert len({(id(src), id(dst)) for src, dst in checks}) == len(checks)
     assert done["sector_models"] == done["stars"] == 0
-    # one presentation per distinct multiset list, whichever side asks first
-    lists = set().union(*(_multiset_lists(g, build_sector) for g in sides))
-    assert sorted(work["presentations"]) == sorted(lists)
-    # no Euler polynomial, and one kernel product per distinct (class,
-    # embedding value) of both sides together; the fiber's values are all
-    # the ambient's here, so there are fewer products than keys
-    assert done["eulers"] == 0
-    values = _product_values(ambient)
-    assert _product_values(fiber) <= values
-    keys = sum(len(_product_keys(g)) for g in sides)
-    assert done["products"] == len(_nonzero(values, d))
-    assert len(values) < keys < sum(len(g.pairs) for g in sides)
+    # one presentation per distinct multiset list
+    assert sorted(work["presentations"]) == sorted(_multiset_lists(geo, build_sector))
+    # every key pair is certified by its makeup: no Euler polynomial, no
+    # kernel product and no graded piece, while each embedding a key
+    # pushes along is built and checked once
+    assert done["eulers"] == done["products"] == 0
+    assert not any(pres._pieces for pres in geo._presentations.values())
+    assert not geo._values
+    assert [emb for emb, in embedded] == list(geo._embeddings.values())
+    assert set(geo._embeddings) == {(common, target) for _, common, target in geo.analysis.keys}
+
+    # the table of the same model still runs one kernel product per
+    # distinct (class, embedding value) with a nonzero product, no more
+    # than one per key and fewer than one per pair
+    for calls in work.values():
+        calls.clear()
+    table = orbifold_table(lawrence_model(a, theta), 5)
+    values = _product_values(table)
+    assert not work["eulers"] and 0 < len(work["products"]) == len(_nonzero(values, d))
+    assert len(values) <= len(_product_keys(table)) < len(table.pairs)
 
 
 def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
@@ -566,21 +574,14 @@ def test_fiber_with_other_pairs_fails_both_checks_with_none_compared(seed, d, n,
     assert out["orbifold_iso"]["failures"] == [{"kind": "detail", "detail": detail}]
 
 
-@pytest.mark.parametrize("bound", [2, 5])
-def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
-        bound, tmp_path, capsys, monkeypatch):
-    # negative control with a real lattice difference: the fiber ring over
-    # the most shared fixed set gains t1^2, which is not in its degree-2
-    # lattice; the relation goes in once the fiber's products are built,
-    # since this set is the subsector of a checked embedding that t1^2
-    # would fail.  The fiber of a Lawrence input reads the ambient's
-    # geometry, so the fiber first gets a geometry of its own over the
-    # same read data
-    a, theta = random_generic_instance(random.Random(1), 2, 5)
+def _fiber_ring_with_a_larger_lattice(monkeypatch, a, theta):
+    """Give the moment fiber of ``(a, theta)``, a (2, n) input, a geometry
+    of its own (``_edit_fiber_geometry``) whose ring over the most shared
+    fixed set gains t1^2, once the fiber's products are built; return the
+    sectors over that set."""
     comps = inertia_components(lawrence_model(a, theta))
     bad, count = Counter(c.fixed_columns for c in comps).most_common(1)[0]
     assert count >= 2
-    named = [c.g for c in comps if c.fixed_columns == bad]
     extra = IntPoly.from_dict(2, {(2, 0): 1})
 
     def enlarge(geo):
@@ -592,6 +593,21 @@ def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
             pres.num_vars, pres.relations + (extra,), pres.truncation)
 
     _edit_fiber_geometry(monkeypatch, enlarge)
+    return [c.g for c in comps if c.fixed_columns == bad]
+
+
+@pytest.mark.parametrize("bound", [2, 5])
+def test_fiber_ring_with_a_larger_lattice_fails_every_sector_over_it(
+        bound, tmp_path, capsys, monkeypatch):
+    # negative control with a real lattice difference: the fiber ring over
+    # the most shared fixed set gains t1^2, which is not in its degree-2
+    # lattice; the relation goes in once the fiber's products are built,
+    # since this set is the subsector of a checked embedding that t1^2
+    # would fail.  The fiber of a Lawrence input reads the ambient's
+    # geometry, so the fiber first gets a geometry of its own over the
+    # same read data
+    a, theta = random_generic_instance(random.Random(1), 2, 5)
+    named = _fiber_ring_with_a_larger_lattice(monkeypatch, a, theta)
     rep = verify_orbifold_iso(a, theta, bound)
     assert not rep.ok and not rep.product_failures and not rep.age_failures
     assert [g for g, _ in rep.ring_failures] == named
@@ -743,14 +759,8 @@ def test_fiber_with_a_doubled_character_fails_every_pair_it_enters(monkeypatch):
     assert [g for g, _, _ in iso.age_failures] == [c.g for c in geo.components if not c.g.fixes(bad)]
 
 
-def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkeypatch):
-    # negative control: the fiber's y_1 character gains 1 in its first
-    # entry and nothing else changes.  The tangent terms are untouched, so
-    # the pullback passes; the fiber gets an analysis of its own, and every
-    # ring over a fixed set holding column 1, and every product into one,
-    # fails, with no age failure
-    a, theta = random_generic_instance(random.Random(3), 2, 5)
-    geo = SectorGeometry(lawrence_model(a, theta), truncation=5)
+def _fiber_with_a_shifted_character(monkeypatch):
+    """Give the moment fiber's y_1 character 1 more in its first entry."""
     fiber = model_module._moment_fiber
 
     def shifted(lm):
@@ -762,6 +772,17 @@ def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkey
     monkeypatch.setattr(model_module, "_moment_fiber", shifted)
     # the verifiers' model pairs built before the patch hold the unshifted fiber
     model_module._lawrence_pair.cache_clear()
+
+
+def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkeypatch):
+    # negative control: the fiber's y_1 character gains 1 in its first
+    # entry and nothing else changes.  The tangent terms are untouched, so
+    # the pullback passes; the fiber gets an analysis of its own, and every
+    # ring over a fixed set holding column 1, and every product into one,
+    # fails, with no age failure
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    geo = SectorGeometry(lawrence_model(a, theta), truncation=5)
+    _fiber_with_a_shifted_character(monkeypatch)
 
     rep = verify_obstruction_pullback(a, theta)
     assert (rep.ok, rep.checked, rep.failures) == (True, 84, ())
@@ -775,6 +796,63 @@ def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkey
     assert len(failing) == 37
     assert failing == sorted(failing, key=pairs.index)
     assert all(1 in targets[entry.target] for _, entry, _ in iso.product_failures)
+
+
+def _iso_reports(monkeypatch, a, theta, bound=5):
+    """The iso report of ``(a, theta)``, and the report with the makeup
+    certificate forced to miss, so that every key pair is reduced; an
+    error either raises stands for its report."""
+    def report():
+        try:
+            return verify_orbifold_iso(a, theta, bound)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    certified = report()
+    with monkeypatch.context() as m:
+        m.setattr(orbifold_module, "_same_makeup", lambda made_a, made_f: False)
+        return certified, report()
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 1, 5), (2, 1, 6), (1, 2, 5), (3, 2, 5), (2, 2, 6),
+                                        (1, 3, 6), (2, 3, 5)])
+def test_certified_products_give_the_report_of_reduced_ones(seed, d, n, monkeypatch):
+    # the makeup certificate changes no verdict: on passing inputs the
+    # report equals, field for field, the one that reduces every key
+    # pair, and the certificate missed on none
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    missed = []
+    same = orbifold_module._same_makeup
+    monkeypatch.setattr(orbifold_module, "_same_makeup", lambda *made: same(*made) or missed.append(made))
+    certified, reduced = _iso_reports(monkeypatch, a, theta)
+    assert certified.ok and certified == reduced and not missed
+
+
+_FIBER_CONTROLS = {
+    "own_side": lambda mp, a, theta: _edit_fiber_geometry(mp, lambda geo: None),
+    "doubled_character": lambda mp, a, theta: _fiber_with_negative_term(mp, a, theta, 2),
+    "negative_character": lambda mp, a, theta: _fiber_with_negative_term(mp, a, theta),
+    "shifted_character": lambda mp, a, theta: _fiber_with_a_shifted_character(mp),
+    "larger_lattice": _fiber_ring_with_a_larger_lattice,
+    "other_pairs": lambda mp, a, theta: _fiber_with_other_pairs(mp, a.n),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("control", list(_FIBER_CONTROLS))
+def test_certified_products_give_the_report_of_reduced_ones_on_negative_controls(control, seed, monkeypatch):
+    # the negative-control fibers above, on both of their seeds: every
+    # failure list, and an error where one is raised, is the one that
+    # reducing every key pair gives; a fiber with a side of its own and
+    # equal read data passes by comparing distinct makeups
+    a, theta = random_generic_instance(random.Random(seed), 2, 5)
+    _FIBER_CONTROLS[control](monkeypatch, a, theta)
+    certified, reduced = _iso_reports(monkeypatch, a, theta)
+    assert certified == reduced
+    if control == "negative_character":
+        assert certified[0] is ObstructionError
+    else:
+        assert certified.ok == (control == "own_side")
 
 
 def test_table_of_a_non_bundle_model_raises(monkeypatch):

@@ -5,8 +5,9 @@ chains of polynomial products they replaced.
 coefficients of its product of linear forms over the monomials of its
 degree; its reference is the chain of ``IntPoly.linear_form`` products.
 ``orbifold._generator_product`` builds a generator product as one kernel
-run over the obstruction class's Euler factors and the normal characters,
-and a ``SectorGeometry`` keeps one per product key (``value``); their
+run over what it is made of (``orbifold._makeup``): the obstruction class's
+Euler factors and the normal characters.  A ``SectorGeometry`` keeps one
+per product key (``value``), from the key's makeup (``makeup``); their
 reference, ``old_product`` below, multiplies the class's Euler polynomial
 by the normal one factor by factor and reduces the result with
 ``reduce_class``.  All must agree exactly, errors included.
@@ -34,7 +35,7 @@ from hypertoric import (
     star,
 )
 from hypertoric.chow import product_coefficients
-from hypertoric.orbifold import _generator_product
+from hypertoric.orbifold import _generator_product, _makeup
 from hypertoric.poly import monomials_of_degree
 from hypertoric.sampling import random_generic_instance
 
@@ -64,6 +65,11 @@ def old_product(bundle, emb):
         raise ValueError("product degree %d exceeds the truncation bound %d"
                          % (deg, emb.ambient.truncation))
     return poly, reduce_class(emb.ambient, poly)
+
+
+def product(factors, emb):
+    """The kernel's generator product of Euler factors along an embedding."""
+    return _generator_product(_makeup(factors, emb), emb.ambient.num_vars)
 
 
 def outcome(fn, *args):
@@ -136,7 +142,7 @@ def test_store_products_equal_the_old_products():
             for c in (bundle, wide):
                 expected = outcome(old_product, c, emb)
                 # the kernel itself, so no stored product answers for other factors
-                assert outcome(_generator_product, _factors(c), emb) == expected
+                assert outcome(product, _factors(c), emb) == expected
                 checked += 1
                 refused += expected[0] == "raised"
             assert geo.value(k) == old_product(bundle, emb)
@@ -162,8 +168,9 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
         entries = zip(table.products.values(), analysis.walk())
         assert {k: (e.poly, e.coords) for e, (_, _, k, _) in entries} == dict(enumerate(values)) and len(runs) == built
         assert built == sum(poly != IntPoly.zero(model.d) for poly, _ in values) > 0
-        assert values == [_generator_product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
+        assert values == [product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
                           for mask, common, target_fixed in analysis.keys]
+        assert values == [_generator_product(geo.makeup(k), model.d) for k in range(len(analysis.keys))]
         runs.clear()
         assert [(e.poly, e.coords) for e in table.products.values()] == [
             values[k] for _, _, k, _ in analysis.walk()] and not runs
@@ -184,7 +191,8 @@ def test_zero_normal_character_gives_a_zero_product_with_no_truncation_check():
     emb = SectorEmbedding(ring, ring, ((0,), (1,)))
     emb.check()
     big = CharacterClass.build(1, [((1,), 5)])
-    assert _generator_product(_factors(big), emb) == old_product(big, emb) == (IntPoly.zero(1), ())
+    assert _makeup(_factors(big), emb) is None
+    assert product(_factors(big), emb) == old_product(big, emb) == (IntPoly.zero(1), ())
 
 
 def test_embedding_euler_and_gysin_push_equal_the_chain():

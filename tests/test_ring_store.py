@@ -6,10 +6,11 @@ pieces are built once, and each (common fixed set, target fixed set) one
 embedding, checked once.  Within one
 ``verify_orbifold_iso`` call a fiber with the ambient's read data reads
 the ambient's geometry, and a fiber with other read data builds its own.
-Two certificates stand in for lattice work: equal relation lists prove
-two rings equal (``_same_ring``), and containment of character multisets
-proves a product relation divides another (``SectorEmbedding.check``).
-The negative controls here show that the lattice test still decides
+Three certificates stand in for lattice work: equal relation lists prove
+two rings equal (``_same_ring``), containment of character multisets
+proves a product relation divides another (``SectorEmbedding.check``), and
+equal makeups prove two generator products one class
+(``orbifold._same_makeup``).  The negative controls here show that the lattice test still decides
 wherever no certificate exists.
 """
 
@@ -26,6 +27,7 @@ from hypertoric import (
     SectorEmbedding,
     SectorGeometry,
     lawrence_model,
+    orbifold_table,
     ring_map_is_iso,
     verify_orbifold_iso,
 )
@@ -63,23 +65,29 @@ def _record_work(monkeypatch):
 @pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (3, 2, 5), (2, 3, 5), (1, 1, 6)])
 def test_each_ring_value_and_embedding_has_one_owner_per_verify(seed, d, n, monkeypatch):
     # the geometry keeps one presentation per fixed set and one embedding
-    # per fixed-set pair; no two fixed sets on these seeds share a list of
-    # character multisets, so each ring value is built and each embedding
-    # value checked once
+    # per fixed-set pair.  A passing verify of a Lawrence input certifies
+    # every generator product by its makeup, so it builds no piece, and it
+    # checks each embedding value once
     a, theta = random_generic_instance(random.Random(seed), d, n)
     builds, checks = _record_work(monkeypatch)
     assert verify_orbifold_iso(a, theta, 5).ok
-    assert builds and checks
-    assert set(builds.values()) == {1}
+    assert checks and not builds
     assert set(checks.values()) == {1}
 
-    # the geometries live for one call only: a second call builds and
-    # checks everything again, once each
-    first = (dict(builds), dict(checks))
-    builds.clear()
+    # the geometries live for one call only: a second call checks every
+    # embedding again, once each
+    first = dict(checks)
     checks.clear()
     assert verify_orbifold_iso(a, theta, 5).ok
-    assert (dict(builds), dict(checks)) == first
+    assert dict(checks) == first and not builds
+
+    # the table of the model reduces every product, in the pieces of the
+    # rings it pushes into; no two fixed sets on these seeds share a list
+    # of character multisets, so each ring value's pieces are built once
+    checks.clear()
+    orbifold_table(lawrence_model(a, theta), 5)
+    assert builds and set(builds.values()) == {1}
+    assert dict(checks) == first
 
 
 def test_separate_tables_do_not_share_rings(monkeypatch):
