@@ -4,7 +4,9 @@ The sectors of a model, its double inertia held as blocks of fixed-set
 pairs, the distinct product keys of its pairs (a pair's obstruction
 selection and key are computed where they are read, never stored per
 pair), and the obstruction kernel, which holds each selection's Euler
-factors as int characters.
+factors as int characters.  It is built in two int passes: one sector
+walk (``inertia._sectors``), whose numerators and exponents are packed
+once, and one key pass over each unordered stable pair.
 An analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand.  It belongs to
 its model (``StackModel.analysis``), which builds it on the first read and
@@ -15,13 +17,12 @@ let the moment fiber of a Lawrence model read the ambient's
 
 from __future__ import annotations
 
-import functools
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 
 from .characters import CharacterClass
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _age, _sectors, _Stability
+from .inertia import DoubleInertiaComponent, TorsionElement, _int_mults, _sectors, _Stability
 from .model import StackModel
 
 
@@ -34,8 +35,9 @@ class _Obstructions:
 
     Per character w_k of the model's tangent class (``chars``), an element
     g has the exponent e_k(g) = <w_k, nums> mod ord g.  The kernel keeps no
-    exponents: the analysis computes each sector's once, for its age and
-    its selection pack, and ``selection`` maps ``g.exponent`` itself.
+    exponents: the sector pass (``inertia._sectors``) reads each sector's
+    off its column pairings once, for its age and its selection pack, and
+    ``selection`` maps ``g.exponent`` itself.
     The *selection* of an ordered pair is the set of the k with
     e_k(g1)/ord g1 + e_k(g2)/ord g2 > 1, which is the rule of
     ``orbifold.obstruction``, held as an int bitmask (bit k for term k);
@@ -55,7 +57,7 @@ class _Obstructions:
         self.d = model.d
         self.terms = model.tangent_class.terms
         self.chars = tuple(w for w, _ in self.terms)
-        self.mults = tuple(m.numerator for _, m in self.terms)
+        self.mults = _int_mults(model)
         self._negative = sum(1 << k for k, m in enumerate(self.mults) if m < 0)
         self._factors: dict = {}
 
@@ -108,13 +110,13 @@ class PairBlock:
 
 
 def _blocks(stable: _Stability, sectors) -> list[PairBlock]:
-    """The stable pairs of ``sectors`` ((element, fixed columns, mask), in
-    sector order), as blocks: the sectors are grouped by fixed set, and
-    ``stable`` decides each pair of fixed sets on the mask of the common
-    set, once per distinct common set, so no pair is formed to decide it."""
+    """The stable pairs of ``sectors`` ((fixed columns, mask), in sector
+    order), as blocks: the sectors are grouped by fixed set, and ``stable``
+    decides each pair of fixed sets on the mask of the common set, once per
+    distinct common set, so no pair is formed to decide it."""
     groups: dict[int, list[int]] = {}
     sets: dict[int, frozenset[int]] = {}
-    for i, (_, fixed, mask) in enumerate(sectors):
+    for i, (fixed, mask) in enumerate(sectors):
         groups.setdefault(mask, []).append(i)
         sets[mask] = fixed
     groups = {mask: tuple(indices) for mask, indices in groups.items()}
@@ -147,59 +149,71 @@ def _packer(big: int, count: int, threshold: int):
 class _Analysis:
     """The inertia analysis of one model, kept by the model
     (``StackModel.analysis``) and read by every geometry over it, and the
-    one owner of its double inertia: the sectors, their ages read off their
-    exponent vectors (computed once, in the build, and not kept), the pair
+    one owner of its double inertia: the sectors with their ages, the pair
     blocks (``PairBlock``; the sectors and the blocks read one
     ``inertia._Stability`` table), each fixed set's partners in sector
-    order (``_partners``, built once, on the first walk), the obstruction
-    kernel, and the distinct product keys (selection, common fixed set,
-    target fixed set), on which a pair's generator product depends, in
-    ``keys``.  Nothing is kept per pair: the build, ``walk`` and ``locate``
-    compute a row of pairs' keys and their sums' sectors with one kernel
-    (``_row``) where they read them, ``len`` reads the blocks, and
-    ``pairs`` expands the walk afresh on each read.  ``position`` is the
-    one refusal of an element that is not a sector, for every lookup of
-    the geometries over the analysis.
+    order (``_partners``), the obstruction kernel, and the distinct product
+    keys (selection, common fixed set, target fixed set), on which a pair's
+    generator product depends, in ``keys``.  Nothing is kept per pair: the
+    build, ``walk`` and ``locate`` compute a row of pairs' keys and their
+    sums' sectors with one kernel (``_row``) where they read them, ``len``
+    reads the blocks, and ``pairs`` expands the walk afresh on each read.
+    ``position`` is the one refusal of an element that is not a sector, for
+    every lookup of the geometries over the analysis.
 
-    The sum of a stable pair fixes the common set, so it is a sector too.
-    It is looked up, not built: each element's numerators over the common
-    order L of the sectors, nums * (L / ord g), are packed once, in the
-    build, straight from ``g.nums`` (``_packer``, threshold L; no table of
-    the scaled numerators is kept), and the folded sum of two packs is the
-    pack of the sum, since the numerators over L of a sum are the two
-    elements' added mod L.  A pair's selection is
-    computed on exponent vectors over L, t_k(g) = e_k(g) * (L / ord g),
-    where the rule e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads
-    t1 + t2 > L: each sector's t's are packed once (``_lows``, threshold
-    L + 1), the lift is added once per row, and one addition and one mask
-    give a pair's selection.  The keys are indexed by that selection pack
-    (``_key_index``), filled one block row at a time, so no list spans a
-    block."""
+    The build is two int passes.  The sector pass (``inertia._sectors``)
+    hands over each sector's numerators and tangent exponents over its
+    order N, and the common order L; each is packed once (``_packer``) and
+    scaled to L by one product.  The sum of a stable pair fixes the common
+    set, so it is a sector too.  It is looked up, not built: the numerators
+    are packed with threshold L (``_packs``), and the folded sum of two
+    packs is the pack of the sum, since the numerators over L of a sum are
+    the two elements' added mod L.  A pair's selection is computed on the
+    exponents t_k(g) = e_k(g) * (L / ord g), where the rule
+    e1/n1 + e2/n2 > 1 of ``_Obstructions.selection`` reads t1 + t2 > L:
+    each sector's t's are packed with threshold L + 1 (``_lows``), the lift
+    is added once per row, and one addition and one mask give a pair's
+    selection.
+
+    The key pass reads that a pair's key is symmetric in g1 and g2, so the
+    key index (``_key_index``, keyed by the selection pack) is filled with
+    one ``_row`` per sector i over its partners j >= i, in order.  Of a
+    pair and its mirror the one with i <= j comes first in pair order, so
+    the keys are numbered in the order they first appear in pair order
+    (``walk``), and of several failing embeddings (``GysinError``)
+    ``orbifold_table`` and the iso check raise the first pair's."""
 
     def __init__(self, model: StackModel):
         self._stable = stable = _Stability(model)
-        sectors = _sectors(model, stable)
+        big, sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
-        exponents = [tuple(map(g.exponent, kernel.chars)) for g, _, _ in sectors]
-        self.components = tuple(InertiaComponent(g, fixed, _age(kernel.mults, e, g.order))
-                                for (g, fixed, _), e in zip(sectors, exponents))
+        self.components = tuple(c for c, *_ in sectors)
         self.elements = tuple(c.g for c in self.components)
         self.index = {g: i for i, g in enumerate(self.elements)}
-        self._fixed = tuple(fixed for _, fixed, _ in sectors)
-        self._masks = tuple(mask for _, _, mask in sectors)
-        self.blocks = _blocks(stable, sectors)
-        big = lcm(*(g.order for g in self.elements))
+        self._fixed = tuple(c.fixed_columns for c in self.components)
+        self._masks = tuple(mask for _, mask, *_ in sectors)
+        self.blocks = _blocks(stable, zip(self._fixed, self._masks))
+        # a pack of values over N times L / N is the pack of the values over
+        # L: each field stays below L, so none carries
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
-        self._big, self._packs = big, [pack(a * (big // g.order) for a in g.nums) for g in self.elements]
+        self._big, self._packs = big, [pack(row) * (big // order) for _, _, order, row, _ in sectors]
         self._by_pack = {p: i for i, p in enumerate(self._packs)}
         count = len(kernel.terms)
         pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
-        self._lows = [pack(e * (big // g.order) for e in exps) for g, exps in zip(self.elements, exponents)]
+        self._lows = [pack(exps) * (big // order) for _, _, order, _, exps in sectors]
+        # each fixed set's partners: the sectors it pairs with, in sector
+        # order, and the common set of each; every sector pairs with the
+        # identity, so every fixed set has partners
+        partners: dict[frozenset[int], list] = {}
+        for b in self.blocks:
+            partners.setdefault(b.fixed1, []).extend((j, b.common) for j in b.cols)
+        self._partners = {fixed: tuple(zip(*sorted(row))) for fixed, row in partners.items()}
         self._key_index = key_index = {}
-        for block in self.blocks:
-            for i in block.rows:
-                for key in set(self._row(i, block.cols, repeat(block.common))[0]):
-                    key_index.setdefault(key, len(key_index))
+        for i, fixed in enumerate(self._fixed):
+            cols, commons = self._partners[fixed]
+            k = bisect_left(cols, i)
+            for key in dict.fromkeys(self._row(i, cols[k:], commons[k:])[0]):
+                key_index.setdefault(key, len(key_index))
         self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
                            common, target_fixed) for spread, common, target_fixed in key_index)
 
@@ -216,16 +230,6 @@ class _Analysis:
 
     def __len__(self) -> int:
         return sum(len(b.rows) * len(b.cols) for b in self.blocks)
-
-    @functools.cached_property
-    def _partners(self) -> dict:
-        """Each fixed set's partners, built on the first walk: the sectors
-        it pairs with, in sector order, and the common set of each."""
-        partners: dict[frozenset[int], list] = {}
-        for b in self.blocks:
-            partners.setdefault(b.fixed1, []).extend((j, b.common) for j in b.cols)
-        # every sector pairs with the identity, so every fixed set has partners
-        return {fixed: tuple(zip(*sorted(row))) for fixed, row in partners.items()}
 
     def walk(self):
         """(i1, i2, key index, target) of every pair, in pair order: g1 in

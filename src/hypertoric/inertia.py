@@ -43,11 +43,10 @@ class TorsionElement(Value):
     numerators, each in [0, N), with gcd(N, *nums) = 1; the constructor
     refuses any other form, so equality (``Value``'s) and hashing compare
     int tuples.  The hash is computed once, at construction, and kept in
-    the ``_hash`` slot, since an element is hashed about three times: at
-    (5, 9) seed 1 ``_sectors`` builds 56383 elements and hashes them
-    165157 times.  Without the slot it took a median 1.17 s there against
-    1.02 s with it (5 alternating runs each, on a 2-core shared host;
-    unresolved, as it lost only 3 of the 5, so the slot stays).
+    the ``_hash`` slot: when the sector walk still hashed every candidate,
+    (5, 9) seed 1 took a median 1.17 s without it and 1.02 s with it (5
+    alternating runs each, on a 2-core shared host; unresolved, so it
+    stays).
     Elements sort as their canonical vectors ``v`` do; an element of
     another dimension is refused by ``_same_dimension``."""
 
@@ -57,6 +56,9 @@ class TorsionElement(Value):
     def __init__(self, order: int, nums: tuple[int, ...]):
         if order < 1 or not all(0 <= a < order for a in nums) or gcd(order, *nums) != 1:
             raise ValueError("not a canonical torsion element: %r over %r" % (nums, order))
+        self._set(order, nums)
+
+    def _set(self, order: int, nums: tuple[int, ...]) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "_hash", hash((order, nums)))
@@ -66,10 +68,13 @@ class TorsionElement(Value):
 
     @staticmethod
     def _reduced(order: int, nums) -> "TorsionElement":
-        """The element nums / order, for any ints (taken mod order)."""
+        """The element nums / order, for any ints (taken mod order) and a
+        positive ``order``; canonical by construction, so not checked."""
         nums = [a % order for a in nums]
         g = gcd(order, *nums)
-        return TorsionElement(order // g, tuple(a // g for a in nums))
+        out = object.__new__(TorsionElement)
+        out._set(order // g, tuple(a // g for a in nums))
+        return out
 
     @staticmethod
     def from_fractions(values) -> "TorsionElement":
@@ -157,12 +162,7 @@ def stabilizer_elements(a: WeightMatrix, basis) -> set[TorsionElement]:
     all v with <a_j, v> integral for j in the basis; order |det A_B|.  The
     dual of ``WeightMatrix.basis_lattice``, which refuses columns that are
     not d of rank d with ``ModelError``."""
-    return _dual_elements(a.basis_lattice(basis))
-
-
-def _dual_elements(lattice) -> set[TorsionElement]:
-    """The dual of a full-rank lattice given by its Hermite basis."""
-    big, rows = cokernel_torsion_numerators(lattice)
+    big, rows = cokernel_torsion_numerators(a.basis_lattice(basis))
     return {TorsionElement._reduced(big, row) for row in rows}
 
 
@@ -247,32 +247,70 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     once per distinct fixed-column set.  Each distinct basis lattice, keyed
     by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
-    return [g for g, _, _ in _sectors(model, _Stability(model))]
+    return [c.g for c, *_ in _sectors(model, _Stability(model))[1]]
 
 
-def _sectors(model: StackModel, stable: _Stability) -> list[tuple[TorsionElement, frozenset[int], int]]:
-    """The walk behind ``inertia_elements``: each sector's element with its
-    fixed columns, as a set and a mask, in sector order (the elements'
-    canonical vectors ascending, sorted on their int numerators over the
-    common order L of the sectors); the candidates are the duals of the
-    lattices of ``stable.bases``."""
+def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
+    """The one sector walk, behind ``inertia_elements``,
+    ``inertia_components`` and the analysis.  Returns the common order L
+    of the duals of the distinct lattices of ``stable.bases`` and, per
+    sector in sector order, its ``InertiaComponent``, its fixed-column
+    mask, and the order N, int row and tangent exponents over N it was
+    read from (the element is row / N).
+
+    The duals' rows (``exact.cokernel_torsion_numerators``) are deduped
+    and sorted on their numerators over L before any ``TorsionElement``
+    exists.  Each candidate gets one pairing vector (``_pairings``): its
+    zeros on the base columns are the fixed mask, and a kept sector's
+    tangent exponents are read off it (``_tangent_exponents``).  An
+    element, a fixed set and an age are built only for a kept sector."""
     a = model.base
-    candidates: set[TorsionElement] = set()
-    for lattice in dict.fromkeys(a.lattice(basis) for basis in stable.bases):
-        candidates |= _dual_elements(lattice)
-    kept: dict[frozenset[int], int] = {}
+    duals = [cokernel_torsion_numerators(lattice) for lattice in dict.fromkeys(map(a.lattice, stable.bases))]
+    big = lcm(*(order for order, _ in duals))
+    candidates = {tuple(x * (big // order) for x in row): (order, row) for order, rows in duals for row in rows}
+    # over L, a/N < b/M exactly when a*(L/N) < b*(L/M): the int tuples sort
+    # as ``__lt__`` does, with no Fraction built
+    candidates = [candidates[nums] for nums in sorted(candidates)]
+    chars, signs = _characters(model)
+    mults = _int_mults(model)
+    bits = [1 << j for j in range(1, a.n + 1)]
+    fixed_sets: dict[int, frozenset[int]] = {}
     out = []
-    for g in candidates:
-        fixed = fixed_columns(a, g)
-        mask = kept.get(fixed)
-        if mask is None:
-            mask = kept[fixed] = _mask(fixed)
+    for (order, row), pairing in zip(candidates, _pairings(chars, candidates)):
+        mask = sum(bit for bit, p in zip(bits, pairing) if not p)
         if stable(mask):
-            out.append((g, fixed, mask))
-    # over the common order L, a/N < b/M exactly when a*(L/N) < b*(L/M):
-    # the numerators over L sort as ``__lt__`` does, with no Fraction built
-    big = lcm(*(g.order for g, _, _ in out))
-    return sorted(out, key=lambda sector: tuple(a * (big // sector[0].order) for a in sector[0].nums))
+            if mask not in fixed_sets:
+                fixed_sets[mask] = frozenset(j for j, bit in enumerate(bits, 1) if mask & bit)
+            exps = _tangent_exponents(pairing, signs, order)
+            element = TorsionElement._reduced(order, row)
+            out.append((InertiaComponent(element, fixed_sets[mask], _age(mults, exps, order)), mask, order, row, exps))
+    return big, out
+
+
+def _characters(model: StackModel) -> tuple[list, list[tuple[int, int]]]:
+    """The characters the sector walk pairs each candidate with: the base
+    columns, then each tangent character that is neither a column nor
+    minus one; and each tangent term's character among them as (index,
+    sign), in term order."""
+    chars = list(model.base.columns)
+    index = {tuple(s * x for x in w): (j, s) for s in (-1, 1) for j, w in enumerate(chars)}
+    for w, _ in model.tangent_class.terms:
+        if w not in index:
+            index[w] = (len(chars), 1)
+            chars.append(w)
+    return chars, [index[w] for w, _ in model.tangent_class.terms]
+
+
+def _pairings(chars, candidates):
+    """Lazily, per candidate (N, row), <c, row> mod N for each character
+    c: zero exactly when row / N fixes c."""
+    return ([sum(map(mul, c, row)) % order for c in chars] for order, row in candidates)
+
+
+def _tangent_exponents(pairing, signs, order: int) -> list[int]:
+    """A sector's tangent exponents over ``order``, read off its pairing
+    vector through the (index, sign) of ``_characters``."""
+    return [s * pairing[j] % order for j, s in signs]
 
 
 def age(model: StackModel, g: TorsionElement) -> Fraction:
@@ -284,8 +322,13 @@ def age(model: StackModel, g: TorsionElement) -> Fraction:
 
 
 def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
-    terms = model.tangent_class.terms
-    return _age([m.numerator for _, m in terms], [g.exponent(w) for w, _ in terms], g.order)
+    return _age(_int_mults(model), [g.exponent(w) for w, _ in model.tangent_class.terms], g.order)
+
+
+def _int_mults(model: StackModel) -> tuple[int, ...]:
+    """The int multiplicities of the tangent terms, in term order: the one
+    reading behind every age and ``analysis._Obstructions``."""
+    return tuple(m.numerator for _, m in model.tangent_class.terms)
 
 
 def _age(mults, exponents, order: int) -> Fraction:
@@ -341,8 +384,7 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
-    return [InertiaComponent(g, fixed, _age_of(model, g))
-            for g, fixed, _ in _sectors(model, _Stability(model))]
+    return [c for c, *_ in _sectors(model, _Stability(model))[1]]
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:

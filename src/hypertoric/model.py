@@ -197,10 +197,15 @@ class StackModel(Value):
 
 def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
     """All size-d column subsets with nonzero determinant, lexicographic."""
-    out = []
-    for combo in itertools.combinations(range(1, a.n + 1), a.d):
-        if a.columns_matrix(combo).det() != 0:
-            out.append(combo)
+    return [basis for basis, _ in _column_dets(a)]
+
+
+def _column_dets(a: WeightMatrix) -> list[tuple[tuple[int, ...], int]]:
+    """The one walk of the size-d column subsets, one determinant each: the
+    column bases (``column_bases``) with their determinants det A_B, which
+    the sign rule reads rather than computing them again."""
+    out = [(combo, det) for combo in itertools.combinations(range(1, a.n + 1), a.d)
+           if (det := a.columns_matrix(combo).det())]
     if not out:
         raise ModelError("rank deficient: no column basis exists")
     return out
@@ -216,31 +221,34 @@ def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
     return tuple(Fraction(num, scale * det) for num in nums)
 
 
-def _cramer(a: WeightMatrix, basis, theta) -> tuple[int, list[int]]:
+def _cramer(a: WeightMatrix, basis, theta, det: int | None = None) -> tuple[int, list[int]]:
     """The integer determinants behind the coefficients of a sorted basis,
     for the integral multiple ``theta`` = s * theta0 of a character theta0
     (``_integral``, run once per character by the caller): det A_B, and per
     basis column j the numerator det A_B^(j<-s theta0), which has s * theta0
-    in place of column j.  Columns that are not d of rank d are refused,
-    naming them."""
+    in place of column j.  ``det`` is det A_B when the caller has it from
+    the column walk (``_column_dets``); else it is computed here, and
+    columns that are not d of rank d are refused, naming them."""
     sub = a.columns_matrix(basis)
-    det = sub.det() if sub.rows == sub.cols else 0
+    if det is None:
+        det = sub.det() if sub.rows == sub.cols else 0
     if det == 0:
         raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
     return det, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
                  for k in range(len(basis))]
 
 
-def _sign_rule(a: WeightMatrix, basis, theta) -> tuple[SigmaSet, list]:
+def _sign_rule(a: WeightMatrix, basis, theta, det: int | None = None) -> tuple[SigmaSet, list]:
     """The sigma set of a sorted basis, with the (basis, column) pairs whose
     coefficient is zero (the walls theta sits on), for an integral multiple
-    ``theta`` of the character, as ``_cramer`` takes it.
+    ``theta`` of the character and the basis determinant, if known, as
+    ``_cramer`` takes them.
 
     By Cramer's rule lambda_j = num_j / (s det A_B) (``_cramer``), with
     s > 0, so sign(lambda_j) is the product of the signs of two integer
     determinants and lambda_j is zero exactly when its numerator is; the
     signs are read off these ints, and no Fraction is built."""
-    det, nums = _cramer(a, basis, theta)
+    det, nums = _cramer(a, basis, theta, det)
     walls = [(basis, j) for j, num in zip(basis, nums) if not num]
     return SigmaSet(basis, tuple("x" if num * det > 0 else "y" for num in nums)), walls
 
@@ -275,7 +283,7 @@ def check_generic(a: WeightMatrix, theta) -> GenericReport:
     """A character is generic iff every column basis has all-nonzero
     coefficients.  All violating (basis, column) pairs are reported."""
     theta, _ = _integral(_of_length_d(a, theta))
-    violations = tuple(w for basis in column_bases(a) for w in _sign_rule(a, basis, theta)[1])
+    violations = tuple(w for basis, det in _column_dets(a) for w in _sign_rule(a, basis, theta, det)[1])
     return GenericReport(not violations, violations)
 
 
@@ -330,14 +338,15 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
 
 def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
     """The int character, sigma sets and minimal unstable sets of a GIT
-    model, with one set of Cramer determinants per column basis.  A
-    character whose length is not d is refused before any column basis is
-    enumerated, and so are a zero and a non-integral one; a non-generic one
-    raises with every wall ``check_generic`` reports."""
+    model, with one determinant per size-d column subset and one set of
+    Cramer numerators per column basis.  A character whose length is not d
+    is refused before any column basis is enumerated, and so are a zero and
+    a non-integral one; a non-generic one raises with every wall
+    ``check_generic`` reports."""
     theta = _int_entries(_of_length_d(a, theta), "character theta")
     if not any(theta):
         raise ModelError("character theta must be nonzero")
-    rules = [_sign_rule(a, basis, theta) for basis in column_bases(a)]
+    rules = [_sign_rule(a, basis, theta, det) for basis, det in _column_dets(a)]
     walls = tuple(w for _, ws in rules for w in ws)
     if walls:
         raise NonGenericError(GenericReport(False, walls))

@@ -161,7 +161,7 @@ class SectorGeometry:
     embedding per (common fixed set, target fixed set); a failed check is
     never stored, so every push through it raises again.  It reads what
     the generator product of a product key of the analysis is made of
-    (``makeup``), and builds the product once per key (``value``);
+    (``makeup``) and builds the product (``value``), each once per key;
     ``products`` expands them, on its first read, into the structure
     constants of the star product on sector generators, one entry per
     pair, and ``entry`` reads one pair's.  All of these read only the
@@ -179,6 +179,7 @@ class SectorGeometry:
         self.obstructions: _Obstructions = self.analysis.obstructions
         self._presentations: dict = {}
         self._embeddings: dict = {}
+        self._makeups: dict = {}
         self._values: dict = {}
 
     @property
@@ -229,12 +230,15 @@ class SectorGeometry:
         key whose selection is not a bundle raises ``ObstructionError``,
         and the embedding is built and checked (``GysinError``) before the
         truncation is; ``star`` and ``_geometry`` test the selection first,
-        naming a failing pair."""
-        mask, common, target_fixed = self.analysis.keys[k]
-        factors = self.obstructions.bundle(mask)
-        if factors is None:
-            raise ObstructionError("obstruction of product key %d is not a bundle" % k)
-        return _makeup(factors, self.embedding(common, target_fixed))
+        naming a failing pair.  It is made once per key, and a key that
+        raises is never stored, so it raises again on every read."""
+        if k not in self._makeups:
+            mask, common, target_fixed = self.analysis.keys[k]
+            factors = self.obstructions.bundle(mask)
+            if factors is None:
+                raise ObstructionError("obstruction of product key %d is not a bundle" % k)
+            self._makeups[k] = _makeup(factors, self.embedding(common, target_fixed))
+        return self._makeups[k]
 
     def value(self, k: int) -> tuple:
         """The generator product of the analysis' product key ``k`` and its
@@ -474,20 +478,22 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     its own data.  Within a geometry each fixed set has one
     presentation, with its pieces built once, each (common fixed set,
     target fixed set) one embedding, built and checked once, and each
-    product key at most one generator product.  The sides are aligned once
-    (``_align``), as the pullback check aligns them; sides whose pairs
-    differ fail with no component compared.  Aligned sectors have equal
-    fixed sets, so the rings are compared (``_same_ring``) once per fixed
-    set, and every sector over a failing one is listed in
-    ``ring_failures``.  Products are compared once per (ambient key, fiber
-    key), certificate first, reduced on a mismatch: equal makeups
-    (``_same_makeup``) are the same polynomial in the same ring, so the
-    same class, and only a key pair whose makeups differ is reduced to
-    coordinates (``value``); it fails when those differ too.  A passing
-    check of a Lawrence input so builds no graded piece for a product.
-    Only the pairs of a failing key pair are expanded (``_expand``) into
-    ``product_failures``, in pair order, with the coordinates of both
-    sides.  A ``bound`` below 1 raises ``ValueError``."""
+    product key one makeup and at most one generator product, so a fiber
+    that reads the ambient's geometry makes each key's makeup once for
+    both sides.  The sides are aligned once (``_align``), as the pullback
+    check aligns them; sides whose pairs differ fail with no component
+    compared.  Aligned sectors have equal fixed sets, so the rings are
+    compared (``_same_ring``) once per fixed set, and every sector over a
+    failing one is listed in ``ring_failures``.  Products are compared once
+    per (ambient key, fiber key), certificate first, reduced on a mismatch:
+    equal makeups (``_same_makeup``) are the same polynomial in the same
+    ring, so the same class, and only a key pair whose makeups differ is
+    reduced to coordinates (``value``); it fails when those differ too.  A
+    passing check of a Lawrence input so builds no graded piece for a
+    product.  Only the pairs of a failing key pair are expanded
+    (``_expand``) into ``product_failures``, in pair order, with the
+    coordinates of both sides.  A ``bound`` below 1 raises
+    ``ValueError``."""
     bound = as_int(bound)
     ambient, fiber = _sides(a, theta)
     geo_a = _geometry(ambient, bound)

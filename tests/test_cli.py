@@ -107,20 +107,23 @@ def test_chart_check_subcommand(tp12, capsys):
 
 def test_chart_check_runs_the_sign_rule_once_per_basis(tmp_path, capsys, monkeypatch):
     # the parse and the chart verifier read one Lawrence model, so its
-    # arrangement's sign rule is the only one
+    # arrangement's sign rule is the only one, and each basis' rule reads
+    # the determinant of the column walk
     path = write(tmp_path, "m.json", {"A": [[1, 0, 1, 2], [0, 1, 1, -1]], "theta": [2, 1],
                                        "kind": "hypertoric"})
     rules = []
     sign_rule = model_module._sign_rule
 
-    def spy(a, basis, theta):
-        rules.append(basis)
-        return sign_rule(a, basis, theta)
+    def spy(a, basis, theta, det=None):
+        rules.append((basis, det))
+        return sign_rule(a, basis, theta, det)
 
     monkeypatch.setattr(model_module, "_sign_rule", spy)
     assert main(["chart-check", "--input", path, "--samples", "3"]) == EXIT_OK
-    bases = model_module.column_bases(model_module.WeightMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, -1]]))
-    assert rules == bases and len(json.loads(capsys.readouterr().out)["charts"]) == len(bases) == 6
+    a = model_module.WeightMatrix.from_rows([[1, 0, 1, 2], [0, 1, 1, -1]])
+    bases = model_module.column_bases(a)
+    assert rules == [(basis, a.columns_matrix(basis).det()) for basis in bases]
+    assert len(json.loads(capsys.readouterr().out)["charts"]) == len(bases) == 6
 
 
 def test_sre_check_fail_path(tmp_path, capsys):

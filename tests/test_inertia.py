@@ -213,21 +213,24 @@ def test_inertia_components_sorted(mu3_model):
 
 @pytest.mark.parametrize("walk", [inertia_components, double_inertia, inertia_elements])
 def test_fixed_columns_run_once_per_candidate(walk, mu3_model, monkeypatch):
-    # the walk decides stability on each candidate's fixed columns and hands
-    # the same set on with the sector; no sector recomputes it.  On mu3 the
-    # candidate 1/2 fixes columns {1, 3}, whose locus is unstable
+    # the walk computes one column-pairing vector per distinct candidate,
+    # an int row over its lattice's order, decides stability on the fixed
+    # columns read off its zeros and hands the same set on with the sector;
+    # no candidate calls ``fixed_columns``.  On mu3 the candidate 1/2 fixes
+    # columns {1, 3}, whose locus is unstable
     model, a = mu3_model, mu3_model.base
     candidates = set().union(*(stabilizer_elements(a, b) for b in column_bases(a)))
-    seen = []
+    seen, fixed = [], []
 
-    def spy(weights, g):
-        seen.append(g)
-        return fixed(weights, g)
+    def spy(chars, reps):
+        seen.extend(TorsionElement._reduced(order, row) for order, row in reps)
+        return pairings(chars, reps)
 
-    fixed = inertia_module.fixed_columns
-    monkeypatch.setattr(inertia_module, "fixed_columns", spy)
+    pairings = inertia_module._pairings
+    monkeypatch.setattr(inertia_module, "_pairings", spy)
+    monkeypatch.setattr(inertia_module, "fixed_columns", lambda *args: fixed.append(args))
     walk(model)
-    assert sorted(seen) == sorted(candidates)
+    assert sorted(seen) == sorted(candidates) and not fixed
     monkeypatch.undo()
     comps = inertia_components(model)
     assert len(comps) < len(candidates)

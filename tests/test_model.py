@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 import time
@@ -306,11 +307,12 @@ _THETA_READERS = {
 @pytest.mark.parametrize("theta", [[1, 2], [], [1, 2, 3]], ids=["two", "none", "three"])
 @pytest.mark.parametrize("entry", list(_THETA_READERS))
 def test_a_theta_of_the_wrong_length_is_refused_once_by_name(entry, theta, a12, monkeypatch):
-    # one ModelError naming theta and d, before any column basis is
-    # enumerated, for every entry that reads a character
+    # one ModelError naming theta and d, before any column subset is
+    # walked (``_column_dets``, which ``column_bases`` reads), for every
+    # entry that reads a character
     enumerated = []
-    bases = model_module.column_bases
-    monkeypatch.setattr(model_module, "column_bases", lambda a: enumerated.append(a) or bases(a))
+    walk = model_module._column_dets
+    monkeypatch.setattr(model_module, "_column_dets", lambda a: enumerated.append(a) or walk(a))
     with pytest.raises(ModelError, match=r"^character theta must have d=1 entries, got %d$" % len(theta)):
         _THETA_READERS[entry](a12, theta)
     assert not enumerated
@@ -466,6 +468,23 @@ def test_theta_is_scaled_once_per_character_not_once_per_basis(monkeypatch):
     assert sigma_set(a, bases[0], half) == sigma_set(a, bases[0], theta) and len(calls) == 4
     assert lambda_coeffs(a, bases[0], half) == tuple(x / 2 for x in lambda_coeffs(a, bases[0], theta))
     assert len(calls) == 6
+
+
+def test_one_determinant_per_column_subset(monkeypatch):
+    # a GIT model reads det A_B once per size-d column subset, in the column
+    # walk, and computes d Cramer numerators per basis; the sign rule reads
+    # the walk's determinant rather than computing it again.  Here 5 of the
+    # 84 subsets are singular
+    a, theta = random_generic_instance(random.Random(1), 3, 9)
+    bases = column_bases(a)
+    assert len(bases) == 79
+    dets = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or det(m))
+    for build in (lawrence_model, hypertoric_model, check_generic):
+        dets.clear()
+        build(a, theta)
+        assert len(dets) == math.comb(a.n, a.d) + a.d * len(bases), build
 
 
 def test_integer_sign_rule_matches_the_fraction_solve():

@@ -448,8 +448,9 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     a, theta = random_generic_instance(random.Random(seed), d, n)
     build_sector = inertia_module.sector_model
     geometries, checks, work = _spy_verify(monkeypatch)
-    embedded = []
+    embedded, made = [], []
     monkeypatch.setattr(SectorEmbedding, "check", _counted(embedded, SectorEmbedding.check))
+    monkeypatch.setattr(orbifold_module, "_makeup", _counted(made, orbifold_module._makeup))
     assert verify_orbifold_iso(a, theta, 5).ok
     done = {name: len(calls) for name, calls in work.items()}
     # the fiber of a Lawrence input reads the ambient's geometry
@@ -460,9 +461,11 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     assert done["sector_models"] == done["stars"] == 0
     # one presentation per distinct multiset list
     assert sorted(work["presentations"]) == sorted(_multiset_lists(geo, build_sector))
-    # every key pair is certified by its makeup: no Euler polynomial, no
-    # kernel product and no graded piece, while each embedding a key
-    # pushes along is built and checked once
+    # every key pair is certified by its makeup, made once per key for
+    # both sides: no Euler polynomial, no kernel product and no graded
+    # piece, while each embedding a key pushes along is built and checked
+    # once
+    assert len(made) == len(geo._makeups) == len(geo.analysis.keys)
     assert done["eulers"] == done["products"] == 0
     assert not any(pres._pieces for pres in geo._presentations.values())
     assert not geo._values
@@ -639,11 +642,41 @@ def test_failed_embedding_check_raises_on_every_push(mu3_model, omega, monkeypat
             star(geo, geo.generator(omega), geo.generator(omega))
 
 
+@pytest.mark.parametrize("seed, d, n, moved, failing, text", [
+    (1, 2, 6, 1, 5, "forced on [2, 3, 4, 5, 6] in [1, 2, 3, 4, 5, 6]"),
+    (1, 2, 5, 2, 7, "forced on [3, 5] in [1, 3, 4, 5]"),
+])
+def test_of_several_failing_embeddings_the_first_pairs_raises(seed, d, n, moved, failing, text, monkeypatch):
+    # the product keys are numbered in pair order, so the table and the iso
+    # check make the products in pair order: of the several embeddings
+    # forced to fail here, both raise the one of the first pair in pair
+    # order whose embedding fails
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    model = lawrence_model(a, theta)
+    embedding = SectorGeometry.embedding
+
+    def fail_moving(geo, small, big):
+        if len(big - small) == moved:
+            raise GysinError("forced on %s in %s" % (sorted(small), sorted(big)))
+        return embedding(geo, small, big)
+
+    monkeypatch.setattr(SectorGeometry, "embedding", fail_moving)
+    analysis = model.analysis
+    pushes = [analysis.keys[k][1:] for _, _, k, _ in analysis.walk()]
+    fails = [(common, target) for common, target in pushes if len(target - common) == moved]
+    assert len(set(fails)) == failing
+    assert text == "forced on %s in %s" % tuple(map(sorted, fails[0]))
+    for build in (lambda: orbifold_table(model, 4), lambda: verify_orbifold_iso(a, theta, 5)):
+        with pytest.raises(GysinError) as raised:
+            build()
+        assert str(raised.value) == text
+
+
 def test_obstruction_kernel_work_counts(monkeypatch):
-    # one exponent evaluation per (sector, tangent term) for the whole table,
-    # the ages included (fixed columns are read without ``exponent``), no
-    # CharacterClass, and one tuple of Euler factors per distinct selection
-    # (distinct selections are distinct classes)
+    # one tangent exponent per (sector, tangent term) for the whole table,
+    # the ages included, each read off the sector's column pairings with no
+    # ``exponent`` call; no CharacterClass, and one tuple of Euler factors
+    # per distinct selection (distinct selections are distinct classes)
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     model = lawrence_model(a, theta)
     fresh = SectorGeometry(model, truncation=4)
@@ -658,6 +691,10 @@ def test_obstruction_kernel_work_counts(monkeypatch):
         return exponent(g, w)
 
     monkeypatch.setattr(TorsionElement, "exponent", counted_exponent)
+    read = []
+    tangent_exponents = inertia_module._tangent_exponents
+    monkeypatch.setattr(inertia_module, "_tangent_exponents",
+                        lambda *args: read.append(tangent_exponents(*args)) or read[-1])
     made = []
     monkeypatch.setattr(analysis_module, "CharacterClass", _counted(made, CharacterClass))
     # the table's own first analysis, of a fresh model, not the one
@@ -666,8 +703,11 @@ def test_obstruction_kernel_work_counts(monkeypatch):
 
     tangent = [w for w, _ in model.tangent_class.terms]
     assert len(table.components) > 1 and len(tangent) > 1
-    assert calls == Counter({(c.g, w): 1 for c in table.components for w in tangent})
+    assert not calls
+    assert [len(exps) for exps in read] == [len(tangent)] * len(table.components)
     assert [c.age for c in table.components] == [c.age for c in fresh.components]
+    monkeypatch.undo()
+    assert [c.age for c in table.components] == [inertia_module._age_of(model, c.g) for c in table.components]
     assert not made
     assert len(table.analysis.obstructions._factors) == len(classes)
 
@@ -979,8 +1019,8 @@ def test_negative_truncation_is_refused():
 
 def test_one_analysis_per_verify(monkeypatch):
     # the pullback and the iso check of one input, ambient and fiber alike,
-    # share one inertia pass, one block walk and one selection per pair;
-    # no pair is expanded into a per-pair object
+    # share one inertia pass, one block walk and one selection per
+    # unordered pair; no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     enumerations, walks, selections = [], [], []
     sectors = _counted(enumerations, inertia_module._sectors)
@@ -996,12 +1036,16 @@ def test_one_analysis_per_verify(monkeypatch):
     assert {model.kind for model, _ in enumerations} == {"lawrence"}
     ambient, _ = model_module._lawrence_pair(a, theta)
     assert all(side is ambient for side in orbifold_module._sides(a, theta))
-    # the selections are computed one block row at a time, each pair's once
+    # the selections are computed one sector row at a time, over the
+    # partners j >= i, so each unordered stable pair's once; (i, i) is
+    # stable for every sector
     analysis = SectorGeometry(ambient, 4).analysis
     assert "pairs" not in vars(analysis)
+    assert len(selections) == len(analysis.components)
     covered = sorted((i, j) for _, i, cols, _ in selections for j in cols)
-    assert sum(len(cols) for _, _, cols, _ in selections) == pull.checked == len(analysis)
-    assert covered == [(i1, i2) for i1, i2, *_ in analysis.walk()]
+    half = [(i1, i2) for i1, i2, *_ in analysis.walk() if i1 <= i2]
+    assert covered == half and len(half) > len(analysis.components)
+    assert pull.checked == len(analysis) == 2 * len(half) - len(analysis.components)
 
 
 def test_one_model_pair_per_verify_input(monkeypatch, a_2x3):

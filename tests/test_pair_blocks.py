@@ -3,7 +3,10 @@ model owns.
 
 The block oracle expands the blocks of each model's analysis and holds them
 to a walk over all ordered pairs of sectors, and each block's selection
-bitmasks to the tuple selections of the obstruction kernel.  The ownership
+bitmasks to the tuple selections of the obstruction kernel.  The key
+oracle holds the sectors, the product keys, ``len`` and the walk, which the
+build finds from one half of the pairs, to brute force over the basis
+stabilizers and over all ordered pairs.  The ownership
 tests hold a model to one analysis, which it keeps, give a replaced model
 its own, and hold the verifiers' sharing rule to the data an analysis
 reads: the moment fiber reads the ambient's analysis, and a change to any
@@ -31,6 +34,7 @@ from hypertoric import (
     hypertoric_model,
     inertia_components,
     lawrence_model,
+    stabilizer_elements,
 )
 from hypertoric.inertia import DoubleInertiaComponent
 from hypertoric.sampling import random_generic_instance
@@ -99,6 +103,41 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
             for p in expected]
         nontrivial += len(analysis.blocks) > 1
     assert nontrivial >= 10
+
+
+def test_the_half_key_pass_finds_the_keys_of_all_ordered_pairs(mu3_model):
+    # the build visits each unordered stable pair once; brute force forms
+    # every ordered pair with its selection (``_Obstructions.selection``),
+    # its common set (``_stable_fixed``) and its target's fixed set
+    # (``fixed_columns``), and numbers the keys in pair order
+    for name, model in [*_models(), ("mu3", mu3_model)]:
+        analysis = model.analysis
+        a, kernel = model.base, analysis.obstructions
+        candidates = set().union(*(stabilizer_elements(a, b) for b in model_module.column_bases(a)))
+        sectors = sorted(g for g in candidates if inertia_module._in_inertia(model, g))
+        assert list(analysis.elements) == sectors, name
+        fixed = {g: fixed_columns(a, g) for g in sectors}
+        stable = {f1 & f2: inertia_module._stable_fixed(model, f1 & f2)
+                  for f1 in set(fixed.values()) for f2 in set(fixed.values())}
+        walked, keys = [], {}
+        for g1, g2 in itertools.product(sectors, repeat=2):
+            common = fixed[g1] & fixed[g2]
+            if stable[common]:
+                key = (sum(1 << k for k in kernel.selection(g1, g2)), common, fixed_columns(a, g1 + g2))
+                keys.setdefault(key, len(keys))
+                walked.append((g1, g2, key, g1 + g2))
+        # the keys are numbered in the order they first appear in pair order
+        assert list(analysis.keys) == list(keys), name
+        assert len(analysis) == len(walked), name
+        el = analysis.elements
+        assert [(el[i1], el[i2], analysis.keys[k], el[t]) for i1, i2, k, t in analysis.walk()] == walked, name
+
+
+@pytest.mark.parametrize("d, n, sectors, pairs, keys", [
+    (2, 6, 30, 336, 49), (3, 7, 166, 6294, 435), (4, 8, 6396, 1207074, 4177)])
+def test_seed_one_sectors_pairs_and_keys(d, n, sectors, pairs, keys):
+    analysis = lawrence_model(*random_generic_instance(random.Random(1), d, n)).analysis
+    assert (len(analysis.components), len(analysis), len(analysis.keys)) == (sectors, pairs, keys)
 
 
 def _packer_vectors(big, count, rng):

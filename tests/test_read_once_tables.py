@@ -117,12 +117,12 @@ def test_direct_models_from_unstable_sets_read_the_column_bases_once(monkeypatch
 
 def test_one_column_basis_walk_and_no_rank_form_per_verify(monkeypatch):
     # the stability table reads the sigma-set bases, so a verify walks the
-    # column bases once (the arrangement's walk), and no decision calls hnf
+    # column subsets once (the arrangement's walk, ``_column_dets``, which
+    # ``column_bases`` reads too), and no decision calls hnf
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     walks, decided, inside, ranked = [], [], [False], []
-    for module in (model_module, inertia_module):
-        walk = getattr(module, "column_bases")
-        monkeypatch.setattr(module, "column_bases", lambda m, walk=walk: walks.append(m) or walk(m))
+    walk = model_module._column_dets
+    monkeypatch.setattr(model_module, "_column_dets", lambda m: walks.append(m) or walk(m))
     decide = _Stability._decide
 
     def spy_decide(table, mask):

@@ -64,7 +64,7 @@ def _pair_commons(model, fixed):
     """The common fixed set of each pair of the blocks for the sectors
     keyed in ``fixed`` (element -> fixed columns), decided on a fresh
     stability table, block by block."""
-    sectors = [(g, f, inertia_module._mask(f)) for g, f in fixed.items()]
+    sectors = [(f, inertia_module._mask(f)) for f in fixed.values()]
     blocks = analysis_module._blocks(inertia_module._Stability(model), sectors)
     return [b.common for b in blocks for _ in range(len(b.rows) * len(b.cols))]
 
