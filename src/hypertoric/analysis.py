@@ -1,13 +1,13 @@
 """The inertia analysis of a model.
 
-The sectors of a model, its double inertia held as blocks of fixed-set
-pairs, the distinct product keys of its pairs (a pair's obstruction
-selection and key are computed where they are read, never stored per
-pair), and the obstruction kernel, which holds each selection's Euler
-factors as int characters.  It is built in two int passes: one sector
-walk (``inertia._sectors``), whose numerators and exponents are packed
-once, and one key pass over each unordered stable pair.
-An analysis reads only the model's weights, stable-locus combinatorics and
+The sectors of a model, its double inertia held as one table of each
+fixed set's partners, the distinct product keys of its pairs (a pair's
+obstruction selection and key are computed where they are read, never
+stored per pair), and the obstruction kernel, which holds each
+selection's Euler factors as int characters.  It is built in two int
+passes: one sector walk (``inertia._sectors``), whose numerators and
+exponents are packed once, and one key pass over each unordered stable
+pair.  An analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand.  It belongs to
 its model (``StackModel.analysis``), which builds it on the first read and
 keeps it, so every geometry of one model reads one analysis; the verifiers
@@ -92,36 +92,28 @@ class _Obstructions:
         return self.class_for(sum(1 << k for k in self.selection(g1, g2)), g1, g2)
 
 
-class PairBlock:
-    """Every ordered pair of a sector over ``fixed1`` and a sector over
-    ``fixed2``, when their common set ``common`` passes ``_Stability``.
-    Stability reads only the two fixed sets, so the double inertia is a
-    union of such full blocks.  ``rows`` and ``cols`` are the indices of
-    the two sets' sectors, in sector order; the block's pairs are
-    ``rows x cols``, row-major, and a pair's position in the block is
-    ``row position * len(cols) + column position``."""
-
-    __slots__ = ("fixed1", "fixed2", "common", "rows", "cols")
-
-    def __init__(self, fixed1: frozenset[int], fixed2: frozenset[int], common: frozenset[int],
-                 rows: tuple[int, ...], cols: tuple[int, ...]):
-        self.fixed1, self.fixed2, self.common = fixed1, fixed2, common
-        self.rows, self.cols = rows, cols
-
-
-def _blocks(stable: _Stability, sectors) -> list[PairBlock]:
-    """The stable pairs of ``sectors`` ((fixed columns, mask), in sector
-    order), as blocks: the sectors are grouped by fixed set, and ``stable``
-    decides each pair of fixed sets on the mask of the common set, once per
-    distinct common set, so no pair is formed to decide it."""
+def _partners(stable: _Stability, fixed, masks) -> dict:
+    """Each fixed set's partners, the double inertia as one table: per
+    fixed set F1, the sectors j it pairs with, in sector order, and the
+    common set of each, as ``(cols, commons)``.  The sectors (``fixed``
+    and ``masks``, per sector in sector order) are grouped by fixed mask,
+    and ``stable`` decides each pair of groups on the mask of their common
+    set, once per distinct common set, so no pair is formed to decide it;
+    each pair of groups makes one common set.  Every sector pairs with
+    the identity, so every fixed set has partners."""
     groups: dict[int, list[int]] = {}
-    sets: dict[int, frozenset[int]] = {}
-    for i, (fixed, mask) in enumerate(sectors):
+    for i, mask in enumerate(masks):
         groups.setdefault(mask, []).append(i)
-        sets[mask] = fixed
-    groups = {mask: tuple(indices) for mask, indices in groups.items()}
-    return [PairBlock(sets[m1], sets[m2], sets[m1] & sets[m2], rows, cols)
-            for m1, rows in groups.items() for m2, cols in groups.items() if stable(m1 & m2)]
+    sets = {mask: fixed[rows[0]] for mask, rows in groups.items()}
+    partners = {}
+    for m1, f1 in sets.items():
+        row = []
+        for m2, cols in groups.items():
+            if stable(m1 & m2):
+                common = f1 & sets[m2]
+                row.extend((j, common) for j in cols)
+        partners[f1] = tuple(zip(*sorted(row)))
+    return partners
 
 
 def _packer(big: int, count: int, threshold: int):
@@ -149,15 +141,15 @@ def _packer(big: int, count: int, threshold: int):
 class _Analysis:
     """The inertia analysis of one model, kept by the model
     (``StackModel.analysis``) and read by every geometry over it, and the
-    one owner of its double inertia: the sectors with their ages, the pair
-    blocks (``PairBlock``; the sectors and the blocks read one
-    ``inertia._Stability`` table), each fixed set's partners in sector
-    order (``_partners``), the obstruction kernel, and the distinct product
-    keys (selection, common fixed set, target fixed set), on which a pair's
-    generator product depends, in ``keys``.  Nothing is kept per pair: the
-    build, ``walk`` and ``locate`` compute a row of pairs' keys and their
-    sums' sectors with one kernel (``_row``) where they read them, ``len``
-    reads the blocks, and ``pairs`` expands the walk afresh on each read.
+    one owner of its double inertia: the sectors with their ages, each
+    fixed set's partners in sector order (``_partners``; the sectors and
+    the partners read one ``inertia._Stability`` table), the obstruction
+    kernel, and the distinct product keys (selection, common fixed set,
+    target fixed set), on which a pair's generator product depends, in
+    ``keys``.  Nothing is kept per pair: the build, ``walk`` and
+    ``locate`` compute a row of pairs' keys and their sums' sectors with
+    one kernel (``_row``) where they read them, ``len`` reads the
+    partners, and ``pairs`` expands the walk afresh on each read.
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
 
@@ -192,7 +184,7 @@ class _Analysis:
         self.index = {g: i for i, g in enumerate(self.elements)}
         self._fixed = tuple(c.fixed_columns for c in self.components)
         self._masks = tuple(mask for _, mask, *_ in sectors)
-        self.blocks = _blocks(stable, zip(self._fixed, self._masks))
+        self._partners = _partners(stable, self._fixed, self._masks)
         # a pack of values over N times L / N is the pack of the values over
         # L: each field stays below L, so none carries
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
@@ -201,13 +193,6 @@ class _Analysis:
         count = len(kernel.terms)
         pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
         self._lows = [pack(exps) * (big // order) for _, _, order, _, exps in sectors]
-        # each fixed set's partners: the sectors it pairs with, in sector
-        # order, and the common set of each; every sector pairs with the
-        # identity, so every fixed set has partners
-        partners: dict[frozenset[int], list] = {}
-        for b in self.blocks:
-            partners.setdefault(b.fixed1, []).extend((j, b.common) for j in b.cols)
-        self._partners = {fixed: tuple(zip(*sorted(row))) for fixed, row in partners.items()}
         self._key_index = key_index = {}
         for i, fixed in enumerate(self._fixed):
             cols, commons = self._partners[fixed]
@@ -229,7 +214,7 @@ class _Analysis:
         return zip(((low + lows[j]) & select for j in cols), commons, map(self._fixed.__getitem__, targets)), targets
 
     def __len__(self) -> int:
-        return sum(len(b.rows) * len(b.cols) for b in self.blocks)
+        return sum(len(self._partners[f][0]) for f in self._fixed)
 
     def walk(self):
         """(i1, i2, key index, target) of every pair, in pair order: g1 in

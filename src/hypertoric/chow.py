@@ -166,10 +166,6 @@ class GradedClass(Value):
         object.__setattr__(self, "poly", poly)
 
     @property
-    def degree(self):
-        return self.poly.homogeneous_degree()
-
-    @property
     def is_zero(self) -> bool:
         return self.poly.is_zero
 

@@ -195,17 +195,15 @@ class _Stability:
     passes when it contains a basis mask (so its rank is d, with no Hermite
     form) and no minimal unstable coordinate mask lies in the dead
     coordinates: over a dead column mask D they are D | D << n in a doubled
-    model (y_j is bit n + j), else D.  ``bases`` are column sets of rank d;
-    by default the sigma-set bases, one per column basis, and a model with
-    none (a direct model built from unstable sets) reads ``column_bases``
-    once."""
+    model (y_j is bit n + j), else D.  ``bases`` are the sigma-set bases,
+    one per column basis, and a model with none (a direct model built from
+    unstable sets) reads ``column_bases`` once.  The table has this one
+    mode: the one-set test behind ``age`` is ``_stable_fixed``, on sets."""
 
     __slots__ = ("bases", "_basis_masks", "_unstable", "_all", "_shift", "_decided")
 
-    def __init__(self, model: StackModel, bases=None):
-        if bases is None:
-            bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
-        self.bases = bases
+    def __init__(self, model: StackModel):
+        self.bases = bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
         self._basis_masks = tuple(map(_mask, bases))
         self._unstable = tuple(map(_mask, model.arrangement.unstable_minimal))
         self._all = _mask(range(1, model.n + 1))
@@ -227,12 +225,13 @@ class _Stability:
 
 
 def _stable_fixed(model: StackModel, cols) -> bool:
-    """The stability rule (``_Stability``) for one set of columns, with no
-    walk of the column bases: the rank is read off one Hermite form, and a
-    set of rank d is the one basis its own test needs."""
+    """The stability rule for one set of columns, on sets, with no table
+    and no walk of the column bases: the columns have rank d, read off one
+    Hermite form, and every minimal unstable set meets the coordinates
+    over them (the trace rule that ``sector_unstable_sets`` raises on)."""
     a = model.base
-    cols = tuple(cols)
-    return len(a.lattice(cols)) == a.d and _Stability(model, (cols,))(_mask(cols))
+    alive = model.coords_of_columns(cols)
+    return len(a.lattice(cols)) == a.d and all(s & alive for s in model.arrangement.unstable_minimal)
 
 
 def _in_inertia(model: StackModel, g: TorsionElement) -> bool:

@@ -309,7 +309,7 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> SectorGeometr
     generator product of every product key of its analysis built.
 
     The geometry reads the model's own analysis (``StackModel.analysis``),
-    so its sectors, blocks and product keys are those the pullback check
+    so its sectors, pairs and product keys are those the pullback check
     reads; it owns the presentations, embeddings and
     generator products, built once per product key of the analysis
     (``SectorGeometry.value``), not once per pair, and ``products``
@@ -351,9 +351,9 @@ def _align(ambient: _Analysis, fiber: _Analysis):
     """The distinct (ambient key, fiber key) of the pairs, in order of
     first appearance, or None when the two sides' pairs differ.  A fiber
     that reads the ambient's analysis (``_sides``) pairs each key with
-    itself.  Two
-    analyses with equal elements, fixed sets and blocks (``_layout``) have
-    equal pairs in one order, so their walks are zipped."""
+    itself.  Two analyses with equal elements, fixed sets and partners
+    (``_layout``) have equal pairs in one order, so their walks are
+    zipped."""
     if fiber is ambient:
         return [(k, k) for k in range(len(ambient.keys))]
     if _layout(fiber) != _layout(ambient):
@@ -374,8 +374,8 @@ def _expand(ambient: _Analysis, fiber: _Analysis, failing):
 
 def _layout(analysis: _Analysis) -> tuple:
     """What fixes an analysis' pairs and their order: its elements with
-    their fixed sets, and its blocks' pairs of fixed sets."""
-    return ([c[:2] for c in analysis.components], [(b.fixed1, b.fixed2) for b in analysis.blocks])
+    their fixed sets, and each fixed set's partners (``_partners``)."""
+    return [c[:2] for c in analysis.components], analysis._partners
 
 
 def _sides(a: WeightMatrix, theta) -> tuple[StackModel, StackModel]:

@@ -534,7 +534,7 @@ def _edit_fiber_geometry(monkeypatch, edit):
 
 def _fiber_with_other_pairs(monkeypatch, n):
     """Make the moment fiber's arrangement gain the unstable set {x_1, y_1}
-    of an input with ``n`` columns, so its sectors or blocks differ from
+    of an input with ``n`` columns, so its sectors or partners differ from
     the ambient's."""
     fiber = model_module._moment_fiber
 
@@ -919,6 +919,21 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
             geo.value(k)
 
 
+def test_star_refuses_a_pair_whose_obstruction_is_not_a_bundle(monkeypatch):
+    # negative control for star: the product of the generators of a pair
+    # whose selection picks the negative term raises, naming the pair
+    a, theta = random_generic_instance(random.Random(3), 2, 5)
+    _fiber_with_negative_term(monkeypatch, a, theta)
+    geo = SectorGeometry(model_module._moment_fiber(lawrence_model(a, theta)), truncation=4)
+    ob = geo.obstructions
+    failing = [p for p in geo.pairs if ob.bundle(sum(1 << k for k in ob.selection(p.g1, p.g2))) is None]
+    assert 2 <= len(failing) < len(geo.pairs)
+    for p in failing:
+        named = re.escape("obstruction of (%s, %s) is not a bundle" % (p.g1, p.g2))
+        with pytest.raises(ObstructionError, match=named):
+            star(geo, geo.generator(p.g1), geo.generator(p.g2))
+
+
 def _spy_geometries(monkeypatch):
     """Record the geometries ``verify_orbifold_iso`` reads (``_geometry``),
     the geometries and product entries it constructs, and the fixed set of
@@ -1019,20 +1034,20 @@ def test_negative_truncation_is_refused():
 
 def test_one_analysis_per_verify(monkeypatch):
     # the pullback and the iso check of one input, ambient and fiber alike,
-    # share one inertia pass, one block walk and one selection per
+    # share one inertia pass, one partner table and one selection per
     # unordered pair; no pair is expanded into a per-pair object
     a, theta = random_generic_instance(random.Random(3), 2, 5)
-    enumerations, walks, selections = [], [], []
+    enumerations, tables, selections = [], [], []
     sectors = _counted(enumerations, inertia_module._sectors)
     for module in (inertia_module, analysis_module):
         monkeypatch.setattr(module, "_sectors", sectors)
-    monkeypatch.setattr(analysis_module, "_blocks", _counted(walks, analysis_module._blocks))
+    monkeypatch.setattr(analysis_module, "_partners", _counted(tables, analysis_module._partners))
     monkeypatch.setattr(orbifold_module._Analysis, "_row", _counted(selections, orbifold_module._Analysis._row))
 
     pull = verify_obstruction_pullback(a, theta)
     iso = verify_orbifold_iso(a, theta, 5)
     assert pull.ok and iso.ok and pull.checked > 1
-    assert len(enumerations) == len(walks) == 1
+    assert len(enumerations) == len(tables) == 1
     assert {model.kind for model, _ in enumerations} == {"lawrence"}
     ambient, _ = model_module._lawrence_pair(a, theta)
     assert all(side is ambient for side in orbifold_module._sides(a, theta))

@@ -1,9 +1,11 @@
-"""The double inertia as blocks of fixed-set pairs, and the analysis each
-model owns.
+"""The double inertia as one table of each fixed set's partners, and the
+analysis each model owns.
 
-The block oracle expands the blocks of each model's analysis and holds them
-to a walk over all ordered pairs of sectors, and each block's selection
-bitmasks to the tuple selections of the obstruction kernel.  The key
+The partner oracle holds each fixed set's partners to the stable common
+sets of a walk over all ordered pairs of sectors, the expanded table to
+that walk, and each pair's selection bitmask to the tuple selection of the
+obstruction kernel; the one-set stability rule behind it is held to the
+stability table on every subset of columns.  The key
 oracle holds the sectors, the product keys, ``len`` and the walk, which the
 build finds from one half of the pairs, to brute force over the basis
 stabilizers and over all ordered pairs.  The ownership
@@ -73,7 +75,7 @@ def walk_pairs(model):
     ]
 
 
-def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
+def test_the_partner_table_expands_to_the_pair_walk_and_keeps_each_selection(mu3_model):
     nontrivial = 0
     for name, model in [*_models(), ("mu3", mu3_model)]:
         analysis = SectorGeometry(model, 4).analysis
@@ -84,25 +86,52 @@ def test_blocks_expand_to_the_pair_walk_and_keep_each_selection(mu3_model):
         assert double_inertia(model) == expected, name
         assert len(analysis) == len(expected)
         elements = analysis.elements
-        for block in analysis.blocks:
-            assert {fixed[elements[i]] for i in block.rows} == {block.fixed1}
-            assert {fixed[elements[j]] for j in block.cols} == {block.fixed2}
-            assert block.common == block.fixed1 & block.fixed2
-            for i1, i2 in itertools.product(block.rows, block.cols):
-                g1, g2 = elements[i1], elements[i2]
+        partners = analysis._partners
+        assert set(partners) == set(fixed.values()), name
+        for g1 in elements:
+            f1 = fixed[g1]
+            cols, commons = partners[f1]
+            # the j whose common set with sector i is stable, in sector
+            # order, each with the common set f_i & f_j
+            assert list(cols) == [j for j, g2 in enumerate(elements)
+                                  if inertia_module._stable_fixed(model, f1 & fixed[g2])], name
+            assert list(commons) == [f1 & fixed[elements[j]] for j in cols], name
+            for j, common in zip(cols, commons):
+                g2 = elements[j]
                 key, target = analysis.locate(g1, g2)
-                mask, common, target_fixed = analysis.keys[key]
+                mask, key_common, target_fixed = analysis.keys[key]
                 assert mask == sum(1 << k for k in kernel.selection(g1, g2)), name
-                assert common == block.common
+                assert key_common == common
                 assert target_fixed == fixed_columns(model.base, g1 + g2)
                 assert target == g1 + g2
-        # the walk visits the blocks' pairs in pair order, with their keys
+        # the walk visits the table's pairs in pair order, with their keys
         # and their targets
         assert list(analysis.walk()) == [
             (analysis.index[p.g1], analysis.index[p.g2], analysis.locate(p.g1, p.g2)[0], analysis.index[p.target])
             for p in expected]
-        nontrivial += len(analysis.blocks) > 1
+        # the pairs span more than one pair of fixed sets
+        nontrivial += len({(f1, fixed[elements[j]]) for f1, (cols, _) in partners.items() for j in cols}) > 1
     assert nontrivial >= 10
+
+
+def test_the_one_set_rule_is_the_stability_table_on_every_column_subset(mu3_model, monkeypatch):
+    # ``_stable_fixed`` (behind the public ``age`` and the brute-force
+    # oracles) decides a set of columns on sets: a Hermite rank and the
+    # trace rule; it agrees with the mask table on every subset of columns,
+    # and builds and reads no table.  mu3's unstable set {4} is where the
+    # trace rule refuses a set of full rank
+    models = [*_models(), ("mu3", mu3_model)]
+    tables = {name: inertia_module._Stability(model) for name, model in models}
+    monkeypatch.setattr(inertia_module, "_Stability", None)
+    outcomes = set()
+    for name, model in models:
+        for size in range(model.n + 1):
+            for cols in itertools.combinations(range(1, model.n + 1), size):
+                expected = tables[name](inertia_module._mask(cols))
+                assert inertia_module._stable_fixed(model, frozenset(cols)) == expected, (name, cols)
+                outcomes.add((expected, len(model.base.lattice(cols)) == model.d))
+    # passes, rank-deficient sets, and full-rank sets over an unstable locus
+    assert outcomes == {(True, True), (False, False), (False, True)}
 
 
 def test_the_half_key_pass_finds_the_keys_of_all_ordered_pairs(mu3_model):
@@ -131,6 +160,35 @@ def test_the_half_key_pass_finds_the_keys_of_all_ordered_pairs(mu3_model):
         assert len(analysis) == len(walked), name
         el = analysis.elements
         assert [(el[i1], el[i2], analysis.keys[k], el[t]) for i1, i2, k, t in analysis.walk()] == walked, name
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_a_tangent_character_off_the_columns_agrees_with_the_per_element_rules(seed):
+    # a tangent term whose character is neither a column nor minus one is
+    # paired with each candidate beside the columns (``_characters``);
+    # the ages, selections and target fixed sets read off it are the
+    # per-element rules' (``_age_of``, ``_Obstructions.selection``,
+    # ``fixed_columns``)
+    a, theta = random_generic_instance(random.Random(seed), 2, 5)
+    lawrence = lawrence_model(a, theta)
+    w = tuple(x + y for x, y in zip(a.columns[0], a.columns[1]))
+    assert w not in {tuple(s * x for x in c) for c in a.columns for s in (-1, 1)}
+    model = lawrence.replace(tangent_class=lawrence.tangent_class + CharacterClass.build(2, [(w, 1)]))
+    chars, signs = inertia_module._characters(model)
+    assert chars[a.n:] == [w] and len(signs) == len(model.tangent_class.terms)
+    term = [c for c, _ in model.tangent_class.terms].index(w)
+    analysis = model.analysis
+    assert all(c.age == inertia_module._age_of(model, c.g) for c in analysis.components)
+    assert any(c.age != inertia_module._age_of(lawrence, c.g) for c in analysis.components)
+    kernel, el = analysis.obstructions, analysis.elements
+    selected = 0
+    for i1, i2, k, t in analysis.walk():
+        g1, g2 = el[i1], el[i2]
+        mask, _, target_fixed = analysis.keys[k]
+        assert mask == sum(1 << j for j in kernel.selection(g1, g2))
+        assert target_fixed == fixed_columns(a, g1 + g2) and el[t] == g1 + g2
+        selected += mask >> term & 1
+    assert selected
 
 
 @pytest.mark.parametrize("d, n, sectors, pairs, keys", [
@@ -260,7 +318,7 @@ def test_a_changed_multiplicity_changes_the_ages_it_reads():
 
 
 def test_the_memoized_analysis_keeps_no_expanded_pairs():
-    # double_inertia expands the blocks of the analysis its model keeps
+    # double_inertia expands the pairs of the analysis its model keeps
     # afresh on each call, so once its list is dropped nothing of it stays
     # on the analysis
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
@@ -290,7 +348,7 @@ def _held_entries(analysis):
 
 def test_the_analysis_keeps_nothing_per_pair():
     # a table with an entry per pair held 337452 entries on these 308109
-    # pairs; the sectors, the blocks, the partners and the keys hold 45046,
+    # pairs; the sectors, the partners and the keys hold 35761,
     # and a walk, which reads every pair's key, adds nothing to them
     analysis = _geometry_analysis(lawrence_model(*random_generic_instance(random.Random(1), 4, 6)))
     assert len(analysis) == 308109

@@ -61,12 +61,13 @@ def restricted_direct(model, fixed):
 
 
 def _pair_commons(model, fixed):
-    """The common fixed set of each pair of the blocks for the sectors
-    keyed in ``fixed`` (element -> fixed columns), decided on a fresh
-    stability table, block by block."""
-    sectors = [(f, inertia_module._mask(f)) for f in fixed.values()]
-    blocks = analysis_module._blocks(inertia_module._Stability(model), sectors)
-    return [b.common for b in blocks for _ in range(len(b.rows) * len(b.cols))]
+    """The common fixed set of each pair of the partner table for the
+    sectors keyed in ``fixed`` (element -> fixed columns), decided on a
+    fresh stability table, in pair order."""
+    sets = tuple(fixed.values())
+    masks = [inertia_module._mask(f) for f in sets]
+    partners = analysis_module._partners(inertia_module._Stability(model), sets, masks)
+    return [common for f in sets for common in partners[f][1]]
 
 
 def sector_and_pair_sets(model):

@@ -1,9 +1,12 @@
+import json
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hypertoric.verifiers as verifiers_module
 from hypertoric import (
     ChartInstance,
     LocalModelSRE,
@@ -18,12 +21,14 @@ from hypertoric import (
     column_bases,
     hypertoric_model,
     hypertoric_normal_data,
+    lawrence_model,
     moment_eval,
     random_rational_point,
     sigma_set,
     sre_condition_iii,
     verify_charts,
 )
+from hypertoric.cli import EXIT_VERIFY_FAILED, main
 from hypertoric.sampling import random_generic_instance
 
 
@@ -156,6 +161,70 @@ def test_verify_charts_refuses_fewer_than_one_sample(a12, samples):
     with pytest.raises(ValueError, match="samples must be at least 1, got %d" % samples):
         verify_charts(a12, [1], samples=samples)
     assert [c.samples for c in verify_charts(a12, [1], samples=1).charts] == [1, 1]
+
+
+def _base_point_off_the_fiber(monkeypatch):
+    # only the base-point check of verify_charts itself reads a nonzero
+    # moment value; the chart maps read the true one
+    real = verifiers_module.moment_eval
+
+    def moment(a, p):
+        out = real(a, p)
+        if sys._getframe(1).f_code is verifiers_module.verify_charts.__code__:
+            return (out[0] + 1, *out[1:])
+        return out
+
+    monkeypatch.setattr(verifiers_module, "moment_eval", moment)
+    return "base point of %s has nonzero moment value"
+
+
+def _forward_moves_the_point(monkeypatch):
+    real = verifiers_module.chart_forward
+
+    def forward(chart, base, z):
+        p = real(chart, base, z)
+        return (p[0] + 1, *p[1:])
+
+    monkeypatch.setattr(verifiers_module, "chart_forward", forward)
+    return "forward(inverse(q)) != q at %s"
+
+
+def _inverse_of_a_forward_image_moves_z(monkeypatch):
+    # verify_charts inverts each sample q, then the forward image of a
+    # fresh z: only that second inverse of each sample is moved
+    real, calls = verifiers_module.chart_inverse, []
+
+    def inverse(chart, point):
+        calls.append(point)
+        base, z = real(chart, point)
+        return (base, z) if len(calls) % 2 else (base, tuple(c + 1 for c in z))
+
+    monkeypatch.setattr(verifiers_module, "chart_inverse", inverse)
+    return "inverse(forward(base, z)) mismatch at %s"
+
+
+@pytest.mark.parametrize("break_step", [
+    _base_point_off_the_fiber, _forward_moves_the_point, _inverse_of_a_forward_image_moves_z])
+def test_verify_charts_reports_each_failing_step(break_step, a12, tmp_path, capsys, monkeypatch):
+    # negative controls for the three failure branches: each chart stops
+    # at its first sample and names it, and chart-check exits 1
+    first = lawrence_model(a12, (1,)).arrangement.sigma_sets[0]
+    rng = random.Random(0)
+    q = random_rational_point(rng, 4)
+    while not build_chart(a12, first).in_chart(q):
+        q = random_rational_point(rng, 4)
+    detail = break_step(monkeypatch)
+    report = verify_charts(a12, [1], samples=5, seed=0)
+    assert not report.ok and len(report.charts) == 2
+    assert report.charts[0] == (first.labels(), 1, False, detail % (q,))
+    prefix = detail.split("%s")[0]
+    assert all(not c.ok and c.samples == 1 and c.detail.startswith(prefix) for c in report.charts)
+    path = tmp_path / "tp12.json"
+    path.write_text(json.dumps({"A": [[1, 2]], "theta": [1], "kind": "hypertoric"}))
+    assert main(["chart-check", "--input", str(path), "--samples", "5"]) == EXIT_VERIFY_FAILED
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"charts": [{"sigma": list(c.sigma_labels), "samples": 1, "ok": False, "detail": c.detail}
+                              for c in report.charts], "ok": False}
 
 
 def test_verify_charts_takes_a_rational_theta_and_refuses_bad_ones(a_2x3):
