@@ -1,17 +1,19 @@
 """Exact integer linear algebra.
 
 Matrices over the integers; the reduced Hermite basis of a lattice, with
-reduction modulo it, its invariant factors and the walk over the dual of
-Z^d / L; exact rational linear solving; Smith normal form with transforms,
-a public contract that no other computation here calls.  Every number is a
-Python ``int`` or ``fractions.Fraction``; no fixed-width arithmetic or
-floating point appears anywhere in this package.
+reduction modulo it and the walk over the dual of Z^d / L; exact rational
+linear solving.  ``hnf`` is the one elimination: the Smith form behind
+both ``invariant_factors`` and ``snf`` (with transforms, a public contract
+that no other computation here calls) takes Hermite bases of the rows and
+of the columns in turn.  Every number is a Python ``int`` or
+``fractions.Fraction``; no fixed-width arithmetic or floating point
+appears anywhere in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isfinite, lcm, prod
+from math import isfinite, prod
 from numbers import Rational
 from typing import NamedTuple
 
@@ -200,21 +202,58 @@ def hnf(vectors, width: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in basis)
 
 
-def invariant_factors(vectors, width: int) -> tuple[int, ...]:
-    """The nonzero invariant factors d1 | d2 | ... of the lattice L spanned
-    by ``vectors``, so that Z^width / L is Z^(width - len) plus the Z/d_i.
+def _combine(p: int, u, q: int, v) -> tuple[int, ...]:
+    return tuple(p * x + q * y for x, y in zip(u, v))
 
-    Hermite bases of the lattice and of its transpose alternate until the
-    basis is diagonal; a gcd/lcm pass then makes the divisibility chain.
+
+def _smith(a, width: int, left, right) -> tuple[list[int], list, list]:
+    """The Smith form of the matrix with rows ``a`` of length ``width``, by
+    the route of Kannan and Bachem: Hermite bases of its rows and of its
+    columns in turn until it is diagonal, then one gcd/lcm pass for the
+    divisibility chain d1 | d2 | ...
+
+    Row i carries the transform row ``left[i]`` and column j the transform
+    row ``right[j]``.  The reduced basis of the rows of [A | left] is
+    W [A | left] for a unimodular W, so the new transform is read off the
+    extra columns; the columns go the same way through the transpose.  With
+    transform rows of length zero, rows in the lattice of the others are
+    dropped, which leaves the nonzero diagonal as it is.  Each step of the
+    pass takes g = s x + t y from the Hermite basis of (x, 1, 0), (y, 0, 1);
+    L = [[s, t], [-y/g, x/g]] on the rows and R = [[1, -t y/g], [1, s x/g]]
+    on the columns take diag(x, y) to diag(g, x y / g).  Returns the nonzero
+    diagonal and both transforms.
     """
-    basis = hnf(vectors, width)
-    while any(sum(map(bool, row)) > 1 for row in basis):
-        basis = hnf(zip(*basis), len(basis))
-    diag = [sum(row) for row in basis]  # one nonzero entry per row
+    flipped = False
+    while True:
+        k = len(left[0]) if left else 0
+        reduced = hnf([row + t for row, t in zip(a, left)], width + k)
+        a, left = [r[:width] for r in reduced], [r[width:] for r in reduced]
+        if not any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+            break
+        # the columns next, as the rows of the transpose
+        a, width, left, right, flipped = list(zip(*a)), len(a), right, left, not flipped
+    if flipped:  # the diagonal reads the same off the transpose
+        left, right = right, left
+    diag = [row[i] for i, row in enumerate(a) if i < width and row[i]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
-    return tuple(diag)
+            x, y = diag[i], diag[j]
+            if y % x:
+                (g, s, t), _ = hnf(((x, 1, 0), (y, 0, 1)), 3)
+                diag[i], diag[j] = g, x // g * y
+                left[i], left[j] = (_combine(s, left[i], t, left[j]),
+                                    _combine(-(y // g), left[i], x // g, left[j]))
+                right[i], right[j] = (_combine(1, right[i], 1, right[j]),
+                                      _combine(-t * (y // g), right[i], s * (x // g), right[j]))
+    return diag, left, right
+
+
+def invariant_factors(vectors, width: int) -> tuple[int, ...]:
+    """The nonzero invariant factors d1 | d2 | ... of the lattice L spanned
+    by ``vectors``, so that Z^width / L is Z^(width - len) plus the Z/d_i:
+    the diagonal of ``_smith`` with no transforms."""
+    a = [tuple(v) for v in vectors]
+    return tuple(_smith(a, width, [()] * len(a), [()] * width)[0])
 
 
 class SnfResult(NamedTuple):
@@ -231,91 +270,17 @@ class SnfResult(NamedTuple):
 
 
 def snf(m: IntMatrix) -> SnfResult:
-    """Smith normal form of an arbitrary integer matrix.
-
-    Pivots are chosen by smallest absolute value; only the output identities
-    (U*M*V = D, unimodularity, divisibility chain, D diagonal) are contractual.
-    """
+    """Smith normal form of an arbitrary integer matrix: ``_smith`` with
+    the identity transforms.  The nonzero diagonal entries come first; only
+    the output identities (U*M*V = D, unimodularity, divisibility chain, D
+    diagonal) are contractual."""
     rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-
-    def swap_rows(i, j):
-        if i != j:
-            a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in a:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        # row[dst] += q * row[src], applied to a and u
-        if q:
-            a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(dst, src, q):
-        if q:
-            for row in a:
-                row[dst] += q * row[src]
-            for row in v:
-                row[dst] += q * row[src]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                e = abs(a[i][j])
-                if e and (best is None or e < best):
-                    best = e
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, rows):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // a[t][t]))
-                    if a[i][t]:
-                        swap_rows(i, t)
-                        dirty = True
-            for j in range(t + 1, cols):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // a[t][t]))
-                    if a[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
-                break
-        d = a[t][t]
-        fix = next(
-            ((i, j) for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % d),
-            None,
-        )
-        if fix is not None:
-            # pull a non-multiple into the pivot row and redo the elimination
-            add_row(t, fix[0], 1)
-            continue
-        t += 1
-
-    for i in range(limit):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-
-    return SnfResult(U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(a), V=IntMatrix.from_rows(v))
+    diag, u, v = _smith(list(m.entries), cols, list(IntMatrix.identity(rows).entries),
+                        list(IntMatrix.identity(cols).entries))
+    d = [[0] * cols for _ in range(rows)]
+    for i, x in enumerate(diag):
+        d[i][i] = x
+    return SnfResult(U=IntMatrix(tuple(u)), D=IntMatrix.from_rows(d), V=IntMatrix(tuple(v)).transpose())
 
 
 def solve_rational(m: IntMatrix, b) -> tuple[Fraction, ...] | None:

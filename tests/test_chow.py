@@ -121,6 +121,14 @@ def test_reduce_additive_and_invariant(z3t):
         # adding a relation multiple never changes the class
         shifted = p + (T.scale(3) * T * T).scale(rng.randint(-3, 3))
         assert reduce_class(z3t, shifted, degree=3) == reduce_class(z3t, p, degree=3)
+        # subtraction is addition of the negative
+        assert p - q == p + (-q)
+        assert reduce_class(z3t, p - q, degree=3) == reduce_class(z3t, p + (-q), degree=3)
+    # a polynomial in another number of variables is refused, not padded
+    with pytest.raises(ValueError, match="mixing polynomials"):
+        p + IntPoly.zero(2)
+    with pytest.raises(ValueError, match="mixing polynomials"):
+        p - IntPoly.zero(2)
 
 
 def test_reduce_idempotent_through_representative(z2t2):

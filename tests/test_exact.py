@@ -86,6 +86,21 @@ def test_snf_contract_hypothesis(rows, cols, data):
     assert_snf_contract(m, snf(m))
 
 
+@pytest.mark.parametrize("rows", [
+    [[410, 494, -350, -19], [-439, -404, -38, -174], [847, -700, -770, -228],
+     [683, 89, 965, -633], [284, 919, 22, 777]],
+    [[-16, -1, 2, -1, 10, 0], [-9, 10, 10, -9, -17, -4], [-19, 2, 5, -19, 15, 6],
+     [3, 4, 17, -20, 8, -18], [-9, 19, -8, -13, -5, 9], [2, 12, 2, 13, -4, 9]],
+], ids=["5x4", "6x6"])
+def test_snf_transforms_stay_small(rows):
+    # an elimination by smallest pivot gave no answer on the 5x4 input
+    # within 120 s, and transform entries of 44406 bits on the 6x6 one
+    m = IntMatrix.from_rows(rows)
+    res = snf(m)
+    assert_snf_contract(m, res)
+    assert all(abs(x).bit_length() <= 64 for t in (res.U, res.V) for row in t.entries for x in row)
+
+
 def test_solve_identity():
     m = IntMatrix.identity(2)
     assert solve_rational(m, [1, 0]) == (Fraction(1), Fraction(0))

@@ -13,8 +13,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_decomp
 
 import hypertoric.orbifold as orbifold_module
 from hypertoric import (
@@ -33,7 +35,6 @@ from hypertoric import (
     lawrence_model,
     log_trace,
     obstruction,
-    snf,
     stabilizer_elements,
     verify_obstruction_pullback,
 )
@@ -240,15 +241,19 @@ def _nonsingular(rng, d):
 
 
 def ref_stabilizer(m):
-    """{v : M^T v integral} from the Smith form U M^T V = D: with w = V^-1 v
-    the condition reads D w integral, so w_i runs over k_i / d_i and
-    v = V w, a grid independent of the Hermite walk."""
-    res = snf(m.transpose())
-    diag = res.diagonal()
+    """{v : M^T v integral} from sympy's Smith form D = S M^T T: with
+    w = T^-1 v the condition reads D w integral, as S is unimodular, so
+    w_i runs over k_i / d_i and v = T w, a grid independent of the Hermite
+    walk."""
+    mt = sympy.Matrix(m.transpose().entries)
+    d, s, t = smith_normal_decomp(mt, domain=sympy.ZZ)
+    assert d == s * mt * t
+    diag = [abs(int(d[i, i])) for i in range(m.rows)]
+    t = IntMatrix.from_rows([[int(x) for x in row] for row in t.tolist()])
     out = set()
     for ks in itertools.product(*map(range, diag)):
         w = [Fraction(k, e) for k, e in zip(ks, diag)]
-        out.add(TorsionElement.from_fractions(res.V.mul_vector(w)))
+        out.add(TorsionElement.from_fractions(t.mul_vector(w)))
     return out
 
 

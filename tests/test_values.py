@@ -144,6 +144,9 @@ def test_fields_of_formerly_frozen_classes_cannot_be_assigned(value):
     for name in value._fields:
         with pytest.raises(AttributeError):
             setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert hasattr(value, name)
 
 
 @pytest.mark.parametrize("value", [v for v in _frozen_instances() if not isinstance(v, tuple)],
