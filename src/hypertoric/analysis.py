@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from .characters import CharacterClass
-from .inertia import DoubleInertiaComponent, TorsionElement, _int_mults, _sectors, _Stability
+from .inertia import TorsionElement, _int_mults, _sectors, _Stability
 from .model import StackModel
 
 
@@ -149,7 +149,8 @@ class _Analysis:
     ``keys``.  Nothing is kept per pair: the build, ``walk`` and
     ``locate`` compute a row of pairs' keys and their sums' sectors with
     one kernel (``_row``) where they read them, ``len`` reads the
-    partners, and ``pairs`` expands the walk afresh on each read.
+    partners, and ``inertia.double_inertia`` expands the walk afresh on
+    each call.
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
 
@@ -224,13 +225,6 @@ class _Analysis:
             cols, commons = self._partners[fixed]
             keys, targets = self._row(i1, cols, commons)
             yield from zip(repeat(i1), cols, map(key_index.__getitem__, keys), targets)
-
-    @property
-    def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
-        """The expanded double inertia, in pair order, built afresh on each
-        read: the analysis, which its model keeps, keeps no expansion alive."""
-        el, keys = self.elements, self.keys
-        return tuple(DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in self.walk())
 
     def position(self, g: TorsionElement) -> int:
         """The sector index of g; the one refusal of a non-sector, with

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import as_int
+from .exact import _fraction, as_int
 from .value import Value
 
 
 class CharacterClass(Value):
     """terms: sorted ((w, mult), ...) over nonzero characters w, mult != 0.
-    Equality and the hash are ``Value``'s, over the three fields: no table
-    keys classes, so none is hashed on a hot path."""
+    Equality and the hash are ``Value``'s, over the three fields.
+    ``build`` and ``scale`` read multiplicities, the trivial part and the
+    scalar by ``exact._fraction``'s rule: a bool, a string, ``None`` or a
+    non-finite float is refused with ``ValueError``, naming it."""
 
     __slots__ = _fields = ("dim", "terms", "trivial")
 
@@ -30,12 +32,12 @@ class CharacterClass(Value):
     @staticmethod
     def build(dim: int, terms=None, trivial=0) -> "CharacterClass":
         acc: dict[tuple[int, ...], Fraction] = {}
-        triv = Fraction(trivial)
+        triv = _fraction(trivial)
         for w, mult in terms or []:
             w = tuple(map(as_int, w))
             if len(w) != dim:
                 raise ValueError("character %r has wrong length for dim %d" % (w, dim))
-            m = Fraction(mult)
+            m = _fraction(mult)
             if not m:
                 continue
             if any(w):
@@ -60,7 +62,7 @@ class CharacterClass(Value):
         return self + other.scale(-1)
 
     def scale(self, c) -> "CharacterClass":
-        c = Fraction(c)
+        c = _fraction(c)
         return CharacterClass.build(
             self.dim, [(w, c * m) for w, m in self.terms], c * self.trivial
         )

@@ -53,8 +53,10 @@ class GradedPiece(NamedTuple):
 
     @property
     def invariants(self) -> tuple[int, tuple[int, ...]]:
-        """The free rank and the invariant factors above 1."""
-        factors = invariant_factors(self.basis, len(self.monomials))
+        """The free rank and the invariant factors above 1.  The basis is
+        already reduced, so the Smith form starts from its columns: a
+        matrix and its transpose have the same invariant factors."""
+        factors = invariant_factors(list(zip(*self.basis)), len(self.basis))
         return (self.free_rank, tuple(d for d in factors if d > 1))
 
     def describe_group(self) -> str:

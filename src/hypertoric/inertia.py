@@ -41,17 +41,12 @@ class TorsionElement(Value):
 
     ``order`` is the order N of the element and ``nums`` its integer
     numerators, each in [0, N), with gcd(N, *nums) = 1; the constructor
-    refuses any other form, so equality (``Value``'s) and hashing compare
-    int tuples.  The hash is computed once, at construction, and kept in
-    the ``_hash`` slot: when the sector walk still hashed every candidate,
-    (5, 9) seed 1 took a median 1.17 s without it and 1.02 s with it (5
-    alternating runs each, on a 2-core shared host; unresolved, so it
-    stays).
-    Elements sort as their canonical vectors ``v`` do; an element of
-    another dimension is refused by ``_same_dimension``."""
+    refuses any other form, so equality and the hash, both ``Value``'s,
+    compare int tuples.  Elements sort as their canonical vectors ``v``
+    do; an element of another dimension is refused by
+    ``_same_dimension``."""
 
-    _fields = ("order", "nums")
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("order", "nums")
 
     def __init__(self, order: int, nums: tuple[int, ...]):
         if order < 1 or not all(0 <= a < order for a in nums) or gcd(order, *nums) != 1:
@@ -61,10 +56,6 @@ class TorsionElement(Value):
     def _set(self, order: int, nums: tuple[int, ...]) -> None:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "_hash", hash((order, nums)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def _reduced(order: int, nums) -> "TorsionElement":
@@ -388,7 +379,10 @@ def inertia_components(model: StackModel) -> list[InertiaComponent]:
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     """All ordered pairs of inertia elements whose common fixed columns
-    contain a column basis and meet the stable locus: the expanded pairs
-    of the model's own analysis (``StackModel.analysis``), in pair order,
-    expanded afresh on each call, so the analysis keeps none."""
-    return list(model.analysis.pairs)
+    contain a column basis and meet the stable locus, in pair order: the
+    one expansion of the double inertia, read off the walk of the model's
+    own analysis (``StackModel.analysis``) afresh on each call, so the
+    analysis keeps none."""
+    analysis = model.analysis
+    el, keys = analysis.elements, analysis.keys
+    return [DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in analysis.walk()]

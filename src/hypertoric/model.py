@@ -203,12 +203,10 @@ def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
 def _column_dets(a: WeightMatrix) -> list[tuple[tuple[int, ...], int]]:
     """The one walk of the size-d column subsets, one determinant each: the
     column bases (``column_bases``) with their determinants det A_B, which
-    the sign rule reads rather than computing them again."""
-    out = [(combo, det) for combo in itertools.combinations(range(1, a.n + 1), a.d)
-           if (det := a.columns_matrix(combo).det())]
-    if not out:
-        raise ModelError("rank deficient: no column basis exists")
-    return out
+    the sign rule reads rather than computing them again.  A
+    ``WeightMatrix`` has full row rank, so it has at least one basis."""
+    return [(combo, det) for combo in itertools.combinations(range(1, a.n + 1), a.d)
+            if (det := a.columns_matrix(combo).det())]
 
 
 def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:

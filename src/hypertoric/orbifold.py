@@ -182,11 +182,6 @@ class SectorGeometry:
         self._makeups: dict = {}
         self._values: dict = {}
 
-    @property
-    def pairs(self) -> tuple[DoubleInertiaComponent, ...]:
-        """The expanded double inertia, in pair order."""
-        return self.analysis.pairs
-
     def component(self, g: TorsionElement) -> InertiaComponent:
         return self.components[self.analysis.position(g)]
 

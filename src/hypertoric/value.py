@@ -17,17 +17,13 @@ class Value:
     """Type-strict equality and a hash over ``_fields``, a repr naming
     them, and no assignment or deletion of an attribute.  ``replace``
     builds a new value through ``__init__``, so it is validated again.
-    Equality always comes from here.  A type whose hash is read several
-    times per value may compute ``hash`` of its fields' tuple once, in
-    ``__init__``, keep it in a cache slot and return it from its own
-    ``__hash__``, which the generic one then leaves in place;
-    ``inertia.TorsionElement`` is the only such type.  A type that must
-    not be hashed (one with a mutable cache slot, such as
+    Equality and the hash of every value type come from here.  A type
+    that must not be hashed (one with a mutable cache slot, such as
     ``chow.GradedRingPresentation``'s pieces) keeps ``__hash__ = None``
-    in its body, which is left in place the same way.  A cache slot that is
-    written once, with a function of the fields, leaves equality and the
-    hash as they are, so its type may be hashed: ``model.StackModel``'s
-    analysis is one.  No cache slot is compared, copied or pickled."""
+    in its body, which is left in place.  A cache slot that is written
+    once, with a function of the fields, leaves equality and the hash as
+    they are, so its type may be hashed: ``model.StackModel``'s analysis
+    is one.  No cache slot is compared, copied or pickled."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()

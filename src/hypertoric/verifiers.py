@@ -22,14 +22,17 @@ from .value import Value
 
 class LocalModelSRE(Value):
     """Local model at a point: generators of the (finite abelian) inertia
-    group and the characters acting on the normal-bundle fiber.  A normal
-    weight whose length is not every generator's dimension is refused at
-    construction, with ``ValueError`` (``inertia._same_dimension``)."""
+    group and the characters acting on the normal-bundle fiber.  Generators
+    of different dimensions, and a normal weight whose length is not every
+    generator's dimension, are refused at construction, with
+    ``ValueError`` (``inertia._same_dimension``)."""
 
     __slots__ = _fields = ("generators", "normal_weights")
 
     def __init__(self, generators: tuple[TorsionElement, ...],
                  normal_weights: tuple[tuple[int, ...], ...]):
+        for g in generators[:1]:
+            _same_dimension(g.d, *generators)
         for w in normal_weights:
             _same_dimension(len(w), *generators)
         object.__setattr__(self, "generators", generators)

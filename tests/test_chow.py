@@ -7,16 +7,20 @@ from hypertoric import (
     GysinError,
     IntPoly,
     SectorEmbedding,
+    SectorGeometry,
     WeightMatrix,
     direct_model,
     graded_group,
     gysin_push,
     is_zero_class,
+    lawrence_model,
     presentation,
     reduce_class,
     ring_map_is_iso,
 )
+from hypertoric.exact import invariant_factors
 from hypertoric.poly import monomials_of_degree
+from hypertoric.sampling import random_generic_instance
 
 T = IntPoly.variable(1, 0)
 
@@ -73,6 +77,10 @@ def test_presentation_refuses_a_relation_in_another_number_of_variables():
         with pytest.raises(ValueError, match=r"^relation .* is in %d variables, not 2$" % rel.nvars):
             GradedRingPresentation(2, (rel,), 3)
     assert GradedRingPresentation(3, (form,), 3).piece(1).describe_group() == "Z^2"
+    with pytest.raises(ValueError, match="^zero relation should have been dropped$"):
+        GradedRingPresentation(2, (IntPoly.zero(2),), 3)
+    with pytest.raises(ValueError, match="^degree-0 relation makes the ring trivial$"):
+        GradedRingPresentation(2, (IntPoly.const(2, 3),), 3)
 
 
 def test_presentation_refuses_a_negative_number_of_variables():
@@ -93,6 +101,22 @@ def test_graded_invariants_independent_of_relation_order():
         assert [graded_group(other, k).invariants for k in range(6)] == invs
 
 
+def test_invariants_equal_the_factors_of_the_basis_rows():
+    # invariants start the Smith form from the columns of the reduced
+    # basis, which is not reduced again; a matrix and its transpose have
+    # the same invariant factors, so they are those of the rows, on seeded
+    # sector rings with torsion and on free pieces with an empty basis
+    pieces = [zpres(nvars=2).piece(3)]
+    for seed, d, n in [(1, 2, 5), (3, 2, 5)]:
+        geo = SectorGeometry(lawrence_model(*random_generic_instance(random.Random(seed), d, n)), 4)
+        pieces += [geo.sector_presentation(c.g).piece(k) for c in geo.components for k in range(5)]
+    assert sum(not p.basis for p in pieces) > 1 and sum(bool(p.invariants[1]) for p in pieces) > 100
+    for p in pieces:
+        rows = invariant_factors(p.basis, len(p.monomials))
+        assert p.invariants == (p.free_rank, tuple(x for x in rows if x > 1))
+    assert pieces[0].invariants == (4, ())
+
+
 def test_reduce_examples(z3t, z2t2):
     assert reduce_class(z3t, T.scale(4)) == reduce_class(z3t, T)
     assert reduce_class(z3t, IntPoly.zero(1), degree=2) == (0,)
@@ -102,6 +126,8 @@ def test_reduce_examples(z3t, z2t2):
 def test_reduce_rejects_inhomogeneous(z3t):
     with pytest.raises(ValueError):
         reduce_class(z3t, T + IntPoly.one(1))
+    with pytest.raises(ValueError, match="^polynomial has degree 1, expected 2$"):
+        reduce_class(z3t, T, degree=2)
 
 
 def test_reduce_additive_and_invariant(z3t):
@@ -129,6 +155,10 @@ def test_reduce_additive_and_invariant(z3t):
         p + IntPoly.zero(2)
     with pytest.raises(ValueError, match="mixing polynomials"):
         p - IntPoly.zero(2)
+    with pytest.raises(ValueError, match="mixing polynomials"):
+        p * IntPoly.zero(2)
+    with pytest.raises(ValueError, match="^negative power$"):
+        p ** -1
 
 
 def test_reduce_idempotent_through_representative(z2t2):
@@ -139,6 +169,11 @@ def test_reduce_idempotent_through_representative(z2t2):
             coords = piece.canonical(poly.coefficients_on(piece.monomials))
             rep = piece.representative(coords)
             assert reduce_class(z2t2, rep, degree=k) == coords
+    piece = graded_group(z2t2, 1)
+    with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+        piece.canonical((1, 2))
+    with pytest.raises(ValueError, match="^polynomial has monomials outside the given basis$"):
+        (T * T).coefficients_on(piece.monomials)
 
 
 def test_iso_identity(z2t2):
@@ -216,6 +251,8 @@ def test_iso_rejects_bad_images(z3t):
         ring_map_is_iso(z3t, z3t, [T * T], 4)
     with pytest.raises(ValueError):
         ring_map_is_iso(z3t, z3t, [], 4)
+    with pytest.raises(ValueError, match="^variable image lives in the wrong ring$"):
+        ring_map_is_iso(z3t, z3t, [IntPoly.variable(2, 0)], 4)
 
 
 def test_iso_two_variable_swap():
@@ -282,6 +319,7 @@ def test_monomials_of_degree_order():
     assert monomials_of_degree(2, 2) == [(2, 0), (1, 1), (0, 2)]
     assert monomials_of_degree(0, 0) == [()]
     assert monomials_of_degree(0, 3) == []
+    assert monomials_of_degree(2, -1) == []
 
 
 def test_two_variable_graded_groups():

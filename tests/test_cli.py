@@ -60,6 +60,8 @@ def test_parse_model_malformed_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(InputError, match="malformed JSON"):
         parse_model(str(path))
+    with pytest.raises(InputError, match="^cannot read .*missing.json: "):
+        parse_model(str(tmp_path / "missing.json"))
 
 
 def test_inertia_subcommand(bmu3, capsys):
@@ -263,6 +265,9 @@ def test_direct_model_with_a_dual_coordinate_exits_2(tmp_path, capsys):
         ),
         ({"order": 2, "normal_weights": [[[1]]]}, "'normal_weights' entries must be integers, got [1]"),
         ({"order": [2], "normal_weights": [[1]]}, "'order' entries must be integers, got [2]"),
+        ({"normal_weights": [[1]]}, "sre input needs 'generators' or 'order'"),
+        # sre-check exited 0 with condition_iii true
+        ({"normal_weights": [], "generators": [[1], ["1/2", "1/3"]]}, "element (1/2, 1/3) has dimension 2, not 1"),
     ],
 )
 def test_malformed_sre_weights_exit_2(tmp_path, capsys, payload, reason):

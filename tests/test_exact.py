@@ -51,6 +51,20 @@ def test_as_fraction_vector_passes_fractions_through():
     assert [type(v) for v in out] == [Fraction] * 4
 
 
+def test_int_matrix_refuses_mismatched_shapes():
+    with pytest.raises(ValueError, match="^rows have inconsistent lengths$"):
+        IntMatrix.from_rows([[1, 2], [3]])
+    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="^dimension mismatch in matrix product$"):
+        m.mul(m)
+    with pytest.raises(ValueError, match="^dimension mismatch in matrix-vector product$"):
+        m.mul_vector([1, 2])
+    with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+        m.det()
+    assert m.mul(m.transpose()).entries == ((14, 32), (32, 77))
+    assert IntMatrix(()).det() == 1
+
+
 def test_snf_identity_1x1():
     res = snf(IntMatrix.from_rows([[1]]))
     assert res.D.entries == ((1,),)

@@ -48,6 +48,8 @@ def test_elements_of_different_dimensions_do_not_mix():
             op(g, h)
     assert TorsionElement(2, (1, 0)) + TorsionElement(2, (1, 1)) == TorsionElement(2, (0, 1))
     assert TorsionElement(3, (1,)) < TorsionElement(2, (1,))
+    with pytest.raises(TypeError):
+        g < (1, 0)
 
 
 _A = WeightMatrix.from_rows([[1, 2, 3], [0, 1, 1]])

@@ -78,6 +78,9 @@ def test_weight_matrix_refuses_a_fractional_entry():
 def test_poly_from_dict_refuses_a_fractional_coefficient():
     with pytest.raises(ValueError, match="got 7/2"):
         IntPoly.from_dict(1, {(1,): Fraction(7, 2)})
+    for exps in ((1, 0), (-1,)):
+        with pytest.raises(ValueError, match=r"^bad exponent tuple %s for 1 variables$" % re.escape(repr(exps))):
+            IntPoly.from_dict(1, {exps: 1})
     for x in INTEGRAL:
         assert str(IntPoly.from_dict(1, {(1,): x})) == "2*t1"
 
@@ -94,6 +97,18 @@ def test_character_class_refuses_a_fractional_character():
         CharacterClass.build(1, [((1.7,), 1)])
     for x in INTEGRAL:
         assert CharacterClass.build(1, [((x,), 1)]) == CharacterClass.build(1, [((2,), 1)])
+    with pytest.raises(ValueError, match=r"^character \(1, 2\) has wrong length for dim 1$"):
+        CharacterClass.build(1, [((1, 2), 1)])
+    with pytest.raises(ValueError, match="^mixing character classes of different dims$"):
+        CharacterClass.build(1) + CharacterClass.build(2)
+    # multiplicities, the trivial part and a scalar follow as_int's input
+    # rule: True read as 1, '1/2' was parsed and '2' read as 2
+    for call, value in ((lambda: CharacterClass.build(1, [((1,), True)]), True),
+                        (lambda: CharacterClass.build(1, [((1,), "1/2")]), "1/2"),
+                        (lambda: CharacterClass.build(1, [], trivial="2"), "2"),
+                        (lambda: CharacterClass.build(1, [((1,), 1)]).scale(None), None)):
+        with pytest.raises(ValueError, match="^expected a finite number, got %s$" % re.escape(repr(value))):
+            call()
 
 
 def test_direct_model_refuses_a_fractional_unstable_column():

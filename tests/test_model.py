@@ -39,6 +39,9 @@ from hypertoric.sampling import random_generic_instance, random_weight_matrix
 def test_weight_matrix_rejects_rank_deficient():
     with pytest.raises(ModelError, match="rank deficient"):
         WeightMatrix.from_rows([[0, 0]])
+    for rows in ([], [[]]):
+        with pytest.raises(ModelError, match="^weight matrix must be nonempty$"):
+            WeightMatrix.from_rows(rows)
 
 
 def test_column_bases_1x2(a12):
@@ -125,6 +128,7 @@ def test_sigma_rejects_zero_lambda(a_2x3):
 
 def test_check_generic_positive(a12):
     assert check_generic(a12, [1]).generic
+    assert check_generic(a12, [1]).describe() == "generic"
 
 
 def test_check_generic_identity():
@@ -256,6 +260,8 @@ def test_moment_examples(a12):
     assert moment_eval(a12, [1, 1, -2, 1]) == (Fraction(0),)
     assert moment_eval(a12, [2, 3, 1, 1]) == (Fraction(8),)
     assert moment_eval(a12, [0, 0, 0, 0]) == (Fraction(0),)
+    with pytest.raises(ValueError, match="^point must have 4 coordinates$"):
+        moment_eval(a12, [1, 1, 1])
 
 
 def test_moment_bilinear(a_2x3):
@@ -389,6 +395,13 @@ def test_model_from_dict_variants(a12):
         model_from_dict({"theta": [1]})
     with pytest.raises(ModelError):
         model_from_dict({"A": [[1, 2]], "theta": [1], "kind": "toric"})
+    with pytest.raises(ModelError, match="^model file must contain a JSON object$"):
+        model_from_dict([[1, 2]])
+    with pytest.raises(ModelError, match="^bad weight matrix: rows have inconsistent lengths$"):
+        model_from_dict({"A": [[1, 2], [1]], "theta": [1, 1]})
+    for kind in ("lawrence", "hypertoric"):
+        with pytest.raises(ModelError, match="^%s model requires a character 'theta'$" % kind):
+            model_from_dict({"A": [[1, 2]], "kind": kind})
     with pytest.raises(NonGenericError):
         model_from_dict({"A": [[1, 0, 1], [0, 1, 1]], "theta": [1, 0], "kind": "lawrence"})
 

@@ -24,6 +24,7 @@ from hypertoric import (
     SectorGeometry,
     TorsionElement,
     WeightMatrix,
+    double_inertia,
     euler_poly,
     hypertoric_model,
     inertia_components,
@@ -83,8 +84,6 @@ def test_obstruction_symmetric():
     for _ in range(5):
         a, theta = random_generic_instance(rng, 2, 3)
         model = lawrence_model(a, theta)
-        from hypertoric import double_inertia
-
         for p in double_inertia(model):
             assert obstruction(model, p.g1, p.g2) == obstruction(model, p.g2, p.g1)
 
@@ -96,6 +95,7 @@ def test_euler_poly():
     assert str(euler_poly(two)) == "2*t1^2"
     with_trivial = CharacterClass.build(1, [((1,), 1)], trivial=1)
     assert euler_poly(with_trivial).is_zero
+    assert str(with_trivial) == "1*triv + 1*chi[1]"
 
 
 def test_euler_poly_rejects_non_bundle():
@@ -240,7 +240,7 @@ def _product_keys(geo):
     return {
         (obstruction(geo.model, p.g1, p.g2), p.common_fixed,
          geo.component(p.target).fixed_columns)
-        for p in geo.pairs
+        for p in double_inertia(geo.model)
     }
 
 
@@ -268,7 +268,8 @@ def _nonzero(values, d):
 def _multiset_lists(geo, build_sector):
     """The (num_vars, character multisets, truncation) of every fixed set a
     table of ``geo`` reads, from the sector models themselves."""
-    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
+    pairs = double_inertia(geo.model)
+    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in pairs}
     out = set()
     for fixed in fixed_sets:
         sec = build_sector(geo.model, fixed)
@@ -314,13 +315,14 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     done = {name: len(calls) for name, calls in work.items()}
     assert len(enumerations) == 1
     assert done["sector_models"] == done["stars"] == 0
-    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in geo.pairs}
+    pairs = double_inertia(geo.model)
+    fixed_sets = {c.fixed_columns for c in geo.components} | {p.common_fixed for p in pairs}
     assert len(work["presentations"]) == len(fixed_sets) == len(geo._presentations)
     assert set(work["presentations"]) == _multiset_lists(geo, build_sector)
     if name == "mu3_model":
         assert len(set(work["presentations"])) < len(fixed_sets)
     fixed_pairs = {(common, target_fixed) for _, common, target_fixed in geo.analysis.keys}
-    assert fixed_pairs == {(p.common_fixed, geo.component(p.target).fixed_columns) for p in geo.pairs}
+    assert fixed_pairs == {(p.common_fixed, geo.component(p.target).fixed_columns) for p in pairs}
     assert [id(emb) for (emb,) in checked] == [id(geo.embedding(*fp)) for fp in geo._embeddings]
     assert len(checked) == len(fixed_pairs)
     assert done["eulers"] == 0
@@ -381,11 +383,12 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
                         _counted(made, orbifold_module.ProductEntry))
     table = orbifold_table(model, 5)
     geo = table
+    pairs = double_inertia(model)
     # the table holds one product per key; its entries are the expanded
     # view, one per pair, built on first use
-    assert made == [] and len(table.analysis.keys) <= len(geo.pairs)
-    assert list(table.products) == [(p.g1, p.g2) for p in geo.pairs]
-    assert len(made) == len(geo.pairs)
+    assert made == [] and len(table.analysis.keys) <= len(pairs)
+    assert list(table.products) == [(p.g1, p.g2) for p in pairs]
+    assert len(made) == len(pairs)
 
     elems = [c.g for c in table.components]
     zeros = 0
@@ -399,9 +402,9 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
             assert star(geo, geo.generator(g1), geo.generator(g2)).is_zero
         else:
             assert entry is table.products[(g1, g2)] and entry.target is not None
-    assert zeros == len(elems) ** 2 - len(geo.pairs)
+    assert zeros == len(elems) ** 2 - len(pairs)
     if seed is None:
-        assert (len(elems), len(geo.pairs)) == (4, 12)
+        assert (len(elems), len(pairs)) == (4, 12)
 
     # a stranger in either slot raises, in every lookup, where ``pair``
     # used to give None, as it does for an unstable pair of sectors; the
@@ -480,7 +483,7 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     table = orbifold_table(lawrence_model(a, theta), 5)
     values = _product_values(table)
     assert not work["eulers"] and 0 < len(work["products"]) == len(_nonzero(values, d))
-    assert len(values) <= len(_product_keys(table)) < len(table.pairs)
+    assert len(values) <= len(_product_keys(table)) < len(double_inertia(table.model))
 
 
 def test_failing_ring_check_names_every_sector_sharing_it(tmp_path, capsys, monkeypatch):
@@ -680,8 +683,9 @@ def test_obstruction_kernel_work_counts(monkeypatch):
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     model = lawrence_model(a, theta)
     fresh = SectorGeometry(model, truncation=4)
-    classes = {fresh.obstructions.class_of(p.g1, p.g2) for p in fresh.pairs}
-    assert len(classes) < len(fresh.pairs)
+    pairs = double_inertia(model)
+    classes = {fresh.obstructions.class_of(p.g1, p.g2) for p in pairs}
+    assert len(classes) < len(pairs)
 
     calls = Counter()
     exponent = TorsionElement.exponent
@@ -744,7 +748,7 @@ def _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=-1):
     character that enters the most obstructions; return that character and
     the ambient geometry."""
     geo = SectorGeometry(lawrence_model(a, theta), truncation=4)
-    entering = Counter(w for p in geo.pairs
+    entering = Counter(w for p in double_inertia(geo.model)
                        for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms)
     bad, _ = entering.most_common(1)[0]
     fiber = model_module._moment_fiber
@@ -766,12 +770,12 @@ def test_pullback_lists_every_pair_with_a_non_bundle_selection(monkeypatch):
     # whose selection holds the broken term fails, not only the first
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
-    expected = [(p.g1, p.g2) for p in geo.pairs
+    expected = [(p.g1, p.g2) for p in double_inertia(geo.model)
                 if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
-    assert 2 <= len(expected) < len(geo.pairs)
+    assert 2 <= len(expected) < len(double_inertia(geo.model))
 
     rep = verify_obstruction_pullback(a, theta)
-    assert not rep.ok and rep.checked == len(geo.pairs)
+    assert not rep.ok and rep.checked == len(double_inertia(geo.model))
     assert [(f.g1, f.g2) for f in rep.failures] == expected
     assert all("not a bundle" in f.detail for f in rep.failures)
 
@@ -784,7 +788,7 @@ def test_fiber_with_a_doubled_character_fails_every_pair_it_enters(monkeypatch):
     # product, and every sector that moves it fails its age
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     bad, geo = _fiber_with_negative_term(monkeypatch, a, theta, multiplicity=2)
-    expected = [(p.g1, p.g2) for p in geo.pairs
+    expected = [(p.g1, p.g2) for p in double_inertia(geo.model)
                 if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
 
     rep = verify_obstruction_pullback(a, theta)
@@ -831,7 +835,7 @@ def test_fiber_with_a_coordinate_character_off_by_one_fails_what_reads_it(monkey
     assert [g for g, _ in iso.ring_failures] == [c.g for c in geo.components if 1 in c.fixed_columns]
     assert len(iso.ring_failures) == 11
     targets = {c.g: c.fixed_columns for c in geo.components}
-    pairs = [(p.g1, p.g2) for p in geo.pairs]
+    pairs = [(p.g1, p.g2) for p in double_inertia(geo.model)]
     failing = [key for key, _, _ in iso.product_failures]
     assert len(failing) == 37
     assert failing == sorted(failing, key=pairs.index)
@@ -866,6 +870,15 @@ def test_certified_products_give_the_report_of_reduced_ones(seed, d, n, monkeypa
     monkeypatch.setattr(orbifold_module, "_same_makeup", lambda *made: same(*made) or missed.append(made))
     certified, reduced = _iso_reports(monkeypatch, a, theta)
     assert certified.ok and certified == reduced and not missed
+
+
+def test_a_zero_product_is_certified_only_by_a_zero_product():
+    # no library-built model has a zero makeup: a zero column is fixed by
+    # every element, so the helper is tested on its own
+    made = (GradedRingPresentation.from_characters(1, [[(3,)]], 2), ((1,),))
+    same = orbifold_module._same_makeup
+    assert same(None, None) and same(made, made)
+    assert not same(None, made) and not same(made, None)
 
 
 _FIBER_CONTROLS = {
@@ -903,7 +916,7 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
         orbifold_table(broken, 4)
     geo = SectorGeometry(broken, truncation=4)
     failing = []
-    for p in geo.pairs:
+    for p in double_inertia(geo.model):
         try:
             geo.obstructions.class_of(p.g1, p.g2)
         except ObstructionError:
@@ -926,8 +939,9 @@ def test_star_refuses_a_pair_whose_obstruction_is_not_a_bundle(monkeypatch):
     _fiber_with_negative_term(monkeypatch, a, theta)
     geo = SectorGeometry(model_module._moment_fiber(lawrence_model(a, theta)), truncation=4)
     ob = geo.obstructions
-    failing = [p for p in geo.pairs if ob.bundle(sum(1 << k for k in ob.selection(p.g1, p.g2))) is None]
-    assert 2 <= len(failing) < len(geo.pairs)
+    pairs = double_inertia(geo.model)
+    failing = [p for p in pairs if ob.bundle(sum(1 << k for k in ob.selection(p.g1, p.g2))) is None]
+    assert 2 <= len(failing) < len(pairs)
     for p in failing:
         named = re.escape("obstruction of (%s, %s) is not a bundle" % (p.g1, p.g2))
         with pytest.raises(ObstructionError, match=named):
@@ -1100,9 +1114,9 @@ def test_memo_is_keyed_by_the_model_value(monkeypatch):
     warm, shared = orbifold_module._sides(a, theta)
     assert shared is warm
     bad, geo = _fiber_with_negative_term(monkeypatch, a, theta)
-    expected = [(p.g1, p.g2) for p in geo.pairs
+    expected = [(p.g1, p.g2) for p in double_inertia(geo.model)
                 if bad in {w for w, _ in geo.obstructions.class_of(p.g1, p.g2).terms}]
-    assert 2 <= len(expected) < len(geo.pairs)
+    assert 2 <= len(expected) < len(double_inertia(geo.model))
 
     rep = verify_obstruction_pullback(a, theta)
     assert [(f.g1, f.g2) for f in rep.failures] == expected

@@ -26,6 +26,7 @@ from hypertoric import (
     GradedRingPresentation,
     IntPoly,
     SectorEmbedding,
+    double_inertia,
     euler_poly,
     gysin_push,
     hypertoric_model,
@@ -198,7 +199,7 @@ def test_zero_normal_character_gives_a_zero_product_with_no_truncation_check():
 def test_embedding_euler_and_gysin_push_equal_the_chain():
     for geo in _geometries():
         for common, target_fixed in {(p.common_fixed, geo.component(p.target).fixed_columns)
-                                     for p in geo.pairs}:
+                                     for p in double_inertia(geo.model)}:
             emb = geo.embedding(common, target_fixed)
             fresh = SectorEmbedding(emb.sub, emb.ambient, emb.normal_chars)
             old = chain(geo.model.d, emb.normal_chars)

@@ -29,6 +29,7 @@ from hypertoric import (
     WeightMatrix,
     age,
     direct_model,
+    double_inertia,
     fixed_columns,
     hypertoric_model,
     inertia_elements,
@@ -203,7 +204,7 @@ def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
     for model in (ambient, fiber):
         geo = SectorGeometry(model, truncation=4)
         assert len(geo.components) > 1
-        for p in geo.pairs:
+        for p in double_inertia(geo.model):
             assert geo.obstructions.class_of(p.g1, p.g2) == ref_obstruction(model, p.g1.v, p.g2.v)
 
     built = {}
@@ -221,11 +222,11 @@ def test_obstruction_kernel_matches_reference(seed, d, n, monkeypatch):
     assert rep.ok
     kernel = orbifold_module._Obstructions(ambient)
     with_selection = {}
-    for p in geo.pairs:
+    for p in double_inertia(geo.model):
         mask = sum(1 << k for k in kernel.selection(p.g1, p.g2))
         with_selection.setdefault(mask, []).append(p)
     assert sorted(built) == sorted(with_selection)
-    assert len(built) < rep.checked == len(geo.pairs)
+    assert len(built) < rep.checked == len(double_inertia(geo.model))
     for mask, outs in built.items():
         for p in with_selection[mask]:
             ref_a, ref_f = (tuple(w for w, m in ref_obstruction(model, p.g1.v, p.g2.v).terms

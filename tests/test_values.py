@@ -8,8 +8,10 @@ validation on every way to make a value.
 """
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import random
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import hypertoric
 from hypertoric import (
     CharacterClass,
     GradedClass,
@@ -40,6 +43,7 @@ from hypertoric import (
     snf,
     verify_charts,
 )
+from hypertoric.value import Value
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,6 +100,35 @@ def test_equal_values_hash_equally(x, y):
     assert x is not y and x == y and not x != y
     assert hash(x) == hash(y)
     assert len({x, y}) == 1
+
+
+def _value_types():
+    """Every ``Value`` subclass in the package, every module imported."""
+    for module in pkgutil.iter_modules(hypertoric.__path__):
+        importlib.import_module("hypertoric." + module.name)
+    out, todo = [], [Value]
+    while todo:
+        subs = todo.pop().__subclasses__()
+        out += subs
+        todo += subs
+    return out
+
+
+def test_every_value_type_takes_equality_and_the_hash_from_value():
+    # one identity rule: no value type defines __eq__ or caches a hash of
+    # its own, and only the presentation, whose pieces fill a dict, sets
+    # __hash__, to None
+    types = _value_types()
+    assert TorsionElement in types and len(types) >= 10
+    assert TorsionElement.__slots__ == TorsionElement._fields == ("order", "nums")
+    generic = "Value.__init_subclass__.<locals>.__%s__"
+    for cls in types:
+        assert vars(cls)["__eq__"].__qualname__ == generic % "eq", cls
+        own_hash = vars(cls)["__hash__"]
+        if cls is GradedRingPresentation:
+            assert own_hash is None
+        else:
+            assert own_hash.__qualname__ == generic % "hash", cls
 
 
 def test_values_never_equal_a_tuple_of_their_fields():

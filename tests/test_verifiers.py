@@ -35,6 +35,9 @@ from hypertoric.sampling import random_generic_instance
 def test_sre_quadric_cone_counterexample():
     # order-2 group acting on the plane by negation: normal weights (-1,-1)
     assert not sre_condition_iii(LocalModelSRE.cyclic(2, [-1, -1]))
+    for order in (0, -2):
+        with pytest.raises(ValueError, match="^group order must be positive$"):
+            LocalModelSRE.cyclic(order, [1])
 
 
 def test_sre_empty_normal_bundle():
@@ -131,6 +134,11 @@ def test_chart_rejects_bad_points(a12):
         chart_inverse(chart, [0, 1, 1, 1])
     with pytest.raises(ValueError, match="moment fiber"):
         chart_forward(chart, [1, 1, 1, 1], [0])
+    with pytest.raises(ValueError, match="^fiber vector must have 1 coordinates$"):
+        chart_forward(chart, [1, 1, -2, 1], [0, 0])
+    for call in (lambda p: chart_inverse(chart, p), lambda p: chart_forward(chart, p, [0])):
+        with pytest.raises(ValueError, match="^point must have 4 coordinates$"):
+            call([1, 1, 1])
 
 
 def test_chart_roundtrip_random(a12):
@@ -263,6 +271,10 @@ def test_a_local_model_refuses_a_weight_of_another_length_at_construction():
     # carried its own copy of the check
     with pytest.raises(ValueError, match=r"^element \(1/2\) has dimension 1, not 2$"):
         LocalModelSRE((TorsionElement(2, (1,)),), ((0, 1),))
+    # generators are checked against the first one's dimension: with no
+    # weight to compare against, a 1- and a 2-dimensional one made a model
+    with pytest.raises(ValueError, match=r"^element \(1/2, 1/3\) has dimension 2, not 1$"):
+        LocalModelSRE((TorsionElement(1, (0,)), TorsionElement(6, (3, 2))), ())
 
 
 def test_build_chart_refuses_dependent_columns():
