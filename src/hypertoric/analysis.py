@@ -7,7 +7,10 @@ stored per pair), and the obstruction kernel, which holds each
 selection's Euler factors as int characters.  It is built in two int
 passes: one sector walk (``inertia._sectors``), whose numerators and
 exponents are packed once, and one key pass over each unordered stable
-pair.  An analysis reads only the model's weights, stable-locus combinatorics and
+pair.  It holds the sectors as ints; their ``TorsionElement``s and
+``InertiaComponent``s are built on the first read, where a result leaves
+the library or a failure is named, so a passing verify builds none.  An
+analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand.  It belongs to
 its model (``StackModel.analysis``), which builds it on the first read and
 keeps it, so every geometry of one model reads one analysis; the verifiers
@@ -17,12 +20,14 @@ let the moment fiber of a Lawrence model read the ambient's
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import repeat
+from operator import mul
 
 from .characters import CharacterClass
-from .inertia import TorsionElement, _int_mults, _sectors, _Stability
+from .inertia import InertiaComponent, TorsionElement, _int_mults, _sectors, _Stability
 from .model import StackModel
 
 
@@ -154,6 +159,12 @@ class _Analysis:
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
 
+    The sectors are held as ints, per sector in sector order: the (N, row)
+    of each element (``_rows``, the element is row / N), its fixed set
+    (``_fixed``) and fixed mask (``_masks``), and its age times L
+    (``ages``).  ``elements``, ``components`` and the element ``index``
+    are built from these on their first read, and kept.
+
     The build is two int passes.  The sector pass (``inertia._sectors``)
     hands over each sector's numerators and tangent exponents over its
     order N, and the common order L; each is packed once (``_packer``) and
@@ -180,20 +191,18 @@ class _Analysis:
         self._stable = stable = _Stability(model)
         big, sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
-        self.components = tuple(c for c, *_ in sectors)
-        self.elements = tuple(c.g for c in self.components)
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        self._fixed = tuple(c.fixed_columns for c in self.components)
-        self._masks = tuple(mask for _, mask, *_ in sectors)
+        self._fixed, self._masks, self._rows, exponents, ages = zip(*sectors)
+        scales = [big // order for order, _ in self._rows]
+        self.ages = tuple(map(mul, ages, scales))
         self._partners = _partners(stable, self._fixed, self._masks)
         # a pack of values over N times L / N is the pack of the values over
         # L: each field stays below L, so none carries
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
-        self._big, self._packs = big, [pack(row) * (big // order) for _, _, order, row, _ in sectors]
+        self._big, self._packs = big, [pack(row) * s for (_, row), s in zip(self._rows, scales)]
         self._by_pack = {p: i for i, p in enumerate(self._packs)}
         count = len(kernel.terms)
         pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
-        self._lows = [pack(exps) * (big // order) for _, _, order, _, exps in sectors]
+        self._lows = list(map(mul, map(pack, exponents), scales))
         self._key_index = key_index = {}
         for i, fixed in enumerate(self._fixed):
             cols, commons = self._partners[fixed]
@@ -202,6 +211,25 @@ class _Analysis:
                 key_index.setdefault(key, len(key_index))
         self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
                            common, target_fixed) for spread, common, target_fixed in key_index)
+
+    @functools.cached_property
+    def elements(self) -> tuple[TorsionElement, ...]:
+        """The sector elements, in sector order, built from the sector
+        walk's rows on the first read."""
+        return tuple(TorsionElement._reduced(order, row) for order, row in self._rows)
+
+    @functools.cached_property
+    def components(self) -> tuple[InertiaComponent, ...]:
+        """The sectors, in sector order, built on the first read: each
+        element with its fixed set and its age, ``ages`` over L."""
+        return tuple(InertiaComponent(g, fixed, Fraction(age, self._big))
+                     for g, fixed, age in zip(self.elements, self._fixed, self.ages))
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """Each sector element's position in sector order, built on the
+        first read; ``position`` reads it."""
+        return {g: i for i, g in enumerate(self.elements)}
 
     def _row(self, i: int, cols, commons) -> tuple:
         """The pairs (i, j), j in ``cols``, with their common sets in

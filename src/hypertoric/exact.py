@@ -1,8 +1,9 @@
 """Exact integer linear algebra.
 
-Matrices over the integers; the reduced Hermite basis of a lattice, with
-reduction modulo it and the walk over the dual of Z^d / L; exact rational
-linear solving.  ``hnf`` is the one elimination: the Smith form behind
+Matrices over the integers, with one determinant routine on int rows
+(``_det``, behind ``IntMatrix.det`` and the model's minors); the reduced
+Hermite basis of a lattice, with reduction modulo it and the walk over the
+dual of Z^d / L; exact rational linear solving.  ``hnf`` is the one elimination: the Smith form behind
 both ``invariant_factors`` and ``snf`` (with transforms, a public contract
 that no other computation here calls) takes Hermite bases of the rows and
 of the columns in turn.  Every number is a Python ``int`` or
@@ -121,28 +122,32 @@ class IntMatrix(Value):
         return IntMatrix(tuple(tuple(row[j] for j in idx) for row in self.entries))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        n = self.rows
-        if n != self.cols:
+        """Determinant (``_det`` of the rows)."""
+        if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if n == 0:
-            return 1
-        a = [list(row) for row in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if swap is None:
-                    return 0
-                a[k], a[swap] = a[swap], a[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _det(self.entries)
+
+
+def _det(rows) -> int:
+    """Determinant of the square matrix with int ``rows`` by fraction-free
+    (Bareiss) elimination, read as given: no shape or entry check.  A
+    matrix and its transpose have one determinant, so a caller holding
+    columns passes them as the rows."""
+    n = len(rows)
+    a = [list(row) for row in rows]
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def hermite_reduce(vector, basis) -> list[int]:

@@ -237,23 +237,25 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     once per distinct fixed-column set.  Each distinct basis lattice, keyed
     by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
-    return [c.g for c, *_ in _sectors(model, _Stability(model))[1]]
+    return [TorsionElement._reduced(*rep) for _, _, rep, *_ in _sectors(model, _Stability(model))[1]]
 
 
 def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
     """The one sector walk, behind ``inertia_elements``,
     ``inertia_components`` and the analysis.  Returns the common order L
     of the duals of the distinct lattices of ``stable.bases`` and, per
-    sector in sector order, its ``InertiaComponent``, its fixed-column
-    mask, and the order N, int row and tangent exponents over N it was
-    read from (the element is row / N).
+    sector in sector order, ints and the fixed set: its fixed columns, its
+    fixed-column mask, the pair (N, row) of the order and int row it was
+    read from (the element is row / N), and its tangent exponents and age
+    (``_age``) over N.
 
     The duals' rows (``exact.cokernel_torsion_numerators``) are deduped
     and sorted on their numerators over L before any ``TorsionElement``
     exists.  Each candidate gets one pairing vector (``_pairings``): its
     zeros on the base columns are the fixed mask, and a kept sector's
-    tangent exponents are read off it (``_tangent_exponents``).  An
-    element, a fixed set and an age are built only for a kept sector."""
+    tangent exponents are read off it (``_tangent_exponents``).  No
+    ``TorsionElement`` or ``InertiaComponent`` is built here: their
+    readers build them from these ints."""
     a = model.base
     duals = [cokernel_torsion_numerators(lattice) for lattice in dict.fromkeys(map(a.lattice, stable.bases))]
     big = lcm(*(order for order, _ in duals))
@@ -272,8 +274,7 @@ def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
             if mask not in fixed_sets:
                 fixed_sets[mask] = frozenset(j for j, bit in enumerate(bits, 1) if mask & bit)
             exps = _tangent_exponents(pairing, signs, order)
-            element = TorsionElement._reduced(order, row)
-            out.append((InertiaComponent(element, fixed_sets[mask], _age(mults, exps, order)), mask, order, row, exps))
+            out.append((fixed_sets[mask], mask, (order, row), exps, _age(mults, exps)))
     return big, out
 
 
@@ -312,7 +313,7 @@ def age(model: StackModel, g: TorsionElement) -> Fraction:
 
 
 def _age_of(model: StackModel, g: TorsionElement) -> Fraction:
-    return _age(_int_mults(model), [g.exponent(w) for w, _ in model.tangent_class.terms], g.order)
+    return Fraction(_age(_int_mults(model), [g.exponent(w) for w, _ in model.tangent_class.terms]), g.order)
 
 
 def _int_mults(model: StackModel) -> tuple[int, ...]:
@@ -321,11 +322,11 @@ def _int_mults(model: StackModel) -> tuple[int, ...]:
     return tuple(m.numerator for _, m in model.tangent_class.terms)
 
 
-def _age(mults, exponents, order: int) -> Fraction:
-    """sum_k m_k e_k / order, the age of an element of that order with the
-    exponents e_k on tangent terms of int multiplicities m_k: frac<w, v> is
-    the exponent over the order."""
-    return Fraction(sum(map(mul, mults, exponents)), order)
+def _age(mults, exponents) -> int:
+    """sum_k m_k e_k, the age times the order N of an element with the
+    exponents e_k over N on tangent terms of int multiplicities m_k:
+    frac<w, v> is the exponent over N."""
+    return sum(map(mul, mults, exponents))
 
 
 def sector_unstable_sets(model: StackModel, fixed: frozenset[int]) -> list[frozenset[int]]:
@@ -374,7 +375,8 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
-    return [c for c, *_ in _sectors(model, _Stability(model))[1]]
+    return [InertiaComponent(TorsionElement._reduced(order, row), fixed, Fraction(age, order))
+            for fixed, _, (order, row), _, age in _sectors(model, _Stability(model))[1]]
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:

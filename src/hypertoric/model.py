@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
 from .characters import CharacterClass
-from .exact import IntMatrix, as_fraction_vector, as_int, hnf
+from .exact import IntMatrix, _det, as_fraction_vector, as_int, hnf
 from .value import Value
 
 LAWRENCE = "lawrence"
@@ -203,10 +204,12 @@ def column_bases(a: WeightMatrix) -> list[tuple[int, ...]]:
 def _column_dets(a: WeightMatrix) -> list[tuple[tuple[int, ...], int]]:
     """The one walk of the size-d column subsets, one determinant each: the
     column bases (``column_bases``) with their determinants det A_B, which
-    the sign rule reads rather than computing them again.  A
-    ``WeightMatrix`` has full row rank, so it has at least one basis."""
+    the sign rule reads rather than computing them again.  Each minor is
+    ``exact._det`` of its columns taken as rows, its transpose, so no
+    matrix is built.  A ``WeightMatrix`` has full row rank, so it has at
+    least one basis."""
     return [(combo, det) for combo in itertools.combinations(range(1, a.n + 1), a.d)
-            if (det := a.columns_matrix(combo).det())]
+            if (det := _det([a.columns[j - 1] for j in combo]))]
 
 
 def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
@@ -226,14 +229,15 @@ def _cramer(a: WeightMatrix, basis, theta, det: int | None = None) -> tuple[int,
     basis column j the numerator det A_B^(j<-s theta0), which has s * theta0
     in place of column j.  ``det`` is det A_B when the caller has it from
     the column walk (``_column_dets``); else it is computed here, and
-    columns that are not d of rank d are refused, naming them."""
-    sub = a.columns_matrix(basis)
+    columns that are not d of rank d are refused, naming them.  Each
+    determinant is ``exact._det`` of the columns, in ascending order as
+    ``WeightMatrix.columns_matrix`` reads them, taken as rows."""
+    cols = [a.columns[j - 1] for j in sorted(a._checked(basis))]
     if det is None:
-        det = sub.det() if sub.rows == sub.cols else 0
+        det = _det(cols) if len(cols) == a.d else 0
     if det == 0:
         raise ModelError("columns {%s} are not a basis" % ",".join(map(str, basis)))
-    return det, [IntMatrix(tuple(row[:k] + (t,) + row[k + 1:] for row, t in zip(sub.entries, theta))).det()
-                 for k in range(len(basis))]
+    return det, [_det(cols[:k] + [theta] + cols[k + 1:]) for k in range(len(cols))]
 
 
 def _sign_rule(a: WeightMatrix, basis, theta, det: int | None = None) -> tuple[SigmaSet, list]:
@@ -356,8 +360,12 @@ def _git_arrangement(a: WeightMatrix, theta, doubled: bool):
 
 
 def _tangent_class(d: int, chars) -> CharacterClass:
-    """One summand per coordinate character, less the d torus directions."""
-    return CharacterClass.build(d, [(w, 1) for w in chars], trivial=-d)
+    """One summand per coordinate character, less the d torus directions:
+    ``CharacterClass.build`` of the int characters, counted as ints, with
+    one Fraction per distinct character; the zero one is trivial."""
+    counts = Counter(chars)
+    trivial = counts.pop((0,) * d, 0) - d
+    return CharacterClass(d, tuple((w, Fraction(m)) for w, m in sorted(counts.items())), Fraction(trivial))
 
 
 def lawrence_model(a: WeightMatrix, theta) -> StackModel:

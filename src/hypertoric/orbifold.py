@@ -175,12 +175,16 @@ class SectorGeometry:
             raise ValueError("truncation must be nonnegative, got %d" % truncation)
         self.model = model
         self.analysis = model.analysis
-        self.components: tuple[InertiaComponent, ...] = self.analysis.components
         self.obstructions: _Obstructions = self.analysis.obstructions
         self._presentations: dict = {}
         self._embeddings: dict = {}
         self._makeups: dict = {}
         self._values: dict = {}
+
+    @property
+    def components(self) -> tuple[InertiaComponent, ...]:
+        """The analysis' sectors (``_Analysis.components``)."""
+        return self.analysis.components
 
     def component(self, g: TorsionElement) -> InertiaComponent:
         return self.components[self.analysis.position(g)]
@@ -330,12 +334,12 @@ def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
     analysis = model.analysis
     floor = bound if bound is not None else 2 * model.num_coords
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
-    top_age = max(c.age for c in analysis.components)
+    top_age = Fraction(max(analysis.ages), analysis._big)
     geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
-    ob, keys, el = analysis.obstructions, analysis.keys, analysis.elements
+    ob, keys = analysis.obstructions, analysis.keys
     if any(ob.bundle(mask) is None for mask, _, _ in keys):
         for i1, i2, k, _ in analysis.walk():
-            ob.class_for(keys[k][0], el[i1], el[i2])
+            ob.class_for(keys[k][0], analysis.elements[i1], analysis.elements[i2])
     return geo
 
 
@@ -368,9 +372,9 @@ def _expand(ambient: _Analysis, fiber: _Analysis, failing):
 
 
 def _layout(analysis: _Analysis) -> tuple:
-    """What fixes an analysis' pairs and their order: its elements with
-    their fixed sets, and each fixed set's partners (``_partners``)."""
-    return [c[:2] for c in analysis.components], analysis._partners
+    """What fixes an analysis' pairs and their order: its elements, their
+    fixed sets, and each fixed set's partners (``_partners``)."""
+    return analysis.elements, analysis._fixed, analysis._partners
 
 
 def _sides(a: WeightMatrix, theta) -> tuple[StackModel, StackModel]:
@@ -479,7 +483,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     check aligns them; sides whose pairs differ fail with no component
     compared.  Aligned sectors have equal fixed sets, so the rings are
     compared (``_same_ring``) once per fixed set, and every sector over a
-    failing one is listed in ``ring_failures``.  Products are compared once
+    failing one is listed in ``ring_failures``; the ages are compared as
+    the analyses' ints (``_Analysis.ages``), and an element or a component
+    is built only to name a failure.  Products are compared once
     per (ambient key, fiber key), certificate first, reduced on a mismatch:
     equal makeups (``_same_makeup``) are the same polynomial in the same
     ring, so the same class, and only a key pair whose makeups differ is
@@ -497,16 +503,18 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     if combos is None:
         return OrbifoldIsoReport(False, 0, detail=_DIFFER)
 
+    an, fn = geo_a.analysis, geo_f.analysis
     reports = {fixed: _same_ring(geo_a.presentation_for(fixed), geo_f.presentation_for(fixed), bound)
-               for fixed in dict.fromkeys(c.fixed_columns for c in geo_a.components)}
-    ring_failures = tuple((c.g, reports[c.fixed_columns]) for c in geo_a.components
-                          if not reports[c.fixed_columns].is_iso)
-    age_failures = tuple((ca.g, ca.age, cf.age) for ca, cf in zip(geo_a.components, geo_f.components)
-                         if ca.age != cf.age)
+               for fixed in dict.fromkeys(an._fixed)}
+    ring_failures = tuple((an.elements[i], reports[fixed]) for i, fixed in enumerate(an._fixed)
+                          if not reports[fixed].is_iso)
+    # each side's ages are over its own common order L
+    age_failures = tuple((an.elements[i], an.components[i].age, fn.components[i].age)
+                         for i, (x, y) in enumerate(zip(an.ages, fn.ages)) if x * fn._big != y * an._big)
     failing = {(ka, kf) for ka, kf in combos if not _same_makeup(geo_a.makeup(ka), geo_f.makeup(kf))
                and geo_a.value(ka)[1] != geo_f.value(kf)[1]}
     product_failures = tuple(
         ((g1, g2), ProductEntry(g1, g2, t, *geo_a.value(ka)), ProductEntry(g1, g2, t, *geo_f.value(kf)))
-        for g1, g2, t, ka, kf in _expand(geo_a.analysis, geo_f.analysis, failing))
+        for g1, g2, t, ka, kf in _expand(an, fn, failing))
     ok = not (ring_failures or age_failures or product_failures)
-    return OrbifoldIsoReport(ok, len(geo_a.components), ring_failures, product_failures, age_failures)
+    return OrbifoldIsoReport(ok, len(an.ages), ring_failures, product_failures, age_failures)

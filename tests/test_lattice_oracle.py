@@ -6,7 +6,9 @@ graded piece of a sector ring is held as one.  sympy's rank and
 dependency only): graded-group invariants of random presentations are
 recomputed from sympy polynomials, and Hermite bases are checked for their
 defining shape, for spanning exactly the input lattice, and for depending on
-the lattice alone.
+the lattice alone.  sympy's determinant checks the one determinant routine
+(``exact._det``, behind ``IntMatrix.det`` and the Cramer numerators of the
+sign rule).
 """
 
 import itertools
@@ -21,10 +23,13 @@ from hypertoric import (
     GradedRingPresentation,
     IntPoly,
     WeightMatrix,
+    column_bases,
     graded_group,
     verify_orbifold_iso,
 )
-from hypertoric.exact import hermite_reduce, hnf, invariant_factors
+from hypertoric.exact import IntMatrix, hermite_reduce, hnf, invariant_factors
+from hypertoric.model import _cramer, _integral
+from hypertoric.sampling import random_generic_instance
 
 
 def ref_factors(vectors):
@@ -176,3 +181,54 @@ def test_three_variable_pieces_finish_and_match_sympy():
     assert time.perf_counter() - start < 1.0
     # sympy itself does not finish degree 6 of this ring in a minute
     assert got[:3] == [ref_graded_invariants(3, [rel1, rel2], k) for k in range(3, 6)]
+
+
+def det_cases(seed):
+    """Seeded square int matrices of sizes 0-5, entries in [-9, 9]: random
+    ones, singular ones (a row the sum or difference of two others, or a
+    zero column), and ones with a zero leading entry and a nonzero entry below
+    it, so the elimination swaps rows."""
+    rng = random.Random(seed)
+    for n in range(6):
+        for kind in range(12):
+            m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if n >= 3 and kind % 3 == 1:
+                i, j, k = rng.sample(range(n), 3)
+                m[j], m[k] = ([rng.randint(-4, 4) for _ in range(n)] for _ in "jk")
+                sign = rng.choice([-1, 1])
+                m[i] = [x + sign * y for x, y in zip(m[j], m[k])]
+            elif n >= 2 and kind % 3 == 2:
+                m[0][0] = 0
+                m[rng.randrange(1, n)][0] = rng.choice([-9, -1, 1, 7])
+            elif n and kind == 3:
+                c = rng.randrange(n)
+                for row in m:
+                    row[c] = 0
+            yield m
+
+
+def test_det_matches_sympy():
+    singular = swapped = 0
+    for m in det_cases(5):
+        got = IntMatrix.from_rows(m).det()
+        assert got == int(sympy.Matrix(m).det()), m
+        singular += len(m) > 1 and not got
+        swapped += len(m) > 1 and not m[0][0] and any(row[0] for row in m)
+    assert singular >= 10 and swapped >= 10
+
+
+def test_cramer_numerators_match_sympy():
+    # each numerator is det A_B with column j replaced by the integral
+    # character, taken by sympy from the matrix itself, not its transpose
+    a, theta = random_generic_instance(random.Random(1), 3, 9)
+    theta = _integral(theta)[0]
+    bases = column_bases(a)
+    assert len(bases) == 79
+    for basis in bases:
+        sub = sympy.Matrix(a.columns_matrix(basis).entries)
+        det, nums = _cramer(a, basis, theta)
+        assert det == int(sub.det())
+        for k, num in enumerate(nums):
+            replaced = sub.copy()
+            replaced[:, k] = sympy.Matrix(theta)
+            assert num == int(replaced.det()), (basis, k)

@@ -9,6 +9,7 @@ import pytest
 
 import hypertoric.model as model_module
 from hypertoric import (
+    CharacterClass,
     ModelError,
     NonGenericError,
     SigmaSet,
@@ -32,7 +33,7 @@ from hypertoric import (
     verify_orbifold_iso,
 )
 from hypertoric.exact import IntMatrix, solve_rational
-from hypertoric.model import _integral, _sign_rule
+from hypertoric.model import _integral, _sign_rule, _tangent_class
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
 
@@ -357,6 +358,24 @@ def test_hypertoric_tangent_is_lawrence_minus_d_trivial(tp12_lawrence, tp12_hype
     assert diff.trivial == tp12_lawrence.d
 
 
+def test_tangent_class_counts_equal_the_general_build():
+    # the tangent class is counted on ints, one Fraction per distinct
+    # character; it equals CharacterClass.build of one summand per
+    # coordinate with d trivial summands less, the zero character going to
+    # the trivial part, on models with a zero column and repeated columns
+    cases = [([[1, 1, 0, -2, 1]], [1]), ([[1, 0, 1, 2, 0], [0, 0, 0, 1, 1]], [3, -1])]
+    for rows, theta in cases:
+        a = WeightMatrix.from_rows(rows)
+        built = [(lawrence_model(a, theta), lawrence_double(a)), (direct_model(a, unstable=[range(1, a.n + 1)]), a)]
+        for model, weights in built:
+            expected = CharacterClass.build(a.d, [(w, 1) for w in weights.columns], trivial=-a.d)
+            assert model.tangent_class == expected, (rows, model.kind)
+            assert [type(m) for _, m in model.tangent_class.terms] == [Fraction] * len(expected.terms)
+            assert type(model.tangent_class.trivial) is Fraction
+        assert len(expected.terms) < a.n and expected.trivial == 1 - a.d
+    assert _tangent_class(2, []) == CharacterClass.build(2, trivial=-2)
+
+
 def test_direct_model_from_theta_weighted_projective():
     m = direct_model(WeightMatrix.from_rows([[1, 1, 1]]), theta=[1])
     assert [sorted(s) for s in m.arrangement.unstable_minimal] == [[1, 2, 3]]
@@ -486,14 +505,15 @@ def test_theta_is_scaled_once_per_character_not_once_per_basis(monkeypatch):
 def test_one_determinant_per_column_subset(monkeypatch):
     # a GIT model reads det A_B once per size-d column subset, in the column
     # walk, and computes d Cramer numerators per basis; the sign rule reads
-    # the walk's determinant rather than computing it again.  Here 5 of the
+    # the walk's determinant rather than computing it again.  Every one is
+    # the one determinant routine, as ``model`` looks it up.  Here 5 of the
     # 84 subsets are singular
     a, theta = random_generic_instance(random.Random(1), 3, 9)
     bases = column_bases(a)
     assert len(bases) == 79
     dets = []
-    det = IntMatrix.det
-    monkeypatch.setattr(IntMatrix, "det", lambda m: dets.append(m) or det(m))
+    det = model_module._det
+    monkeypatch.setattr(model_module, "_det", lambda rows: dets.append(rows) or det(rows))
     for build in (lawrence_model, hypertoric_model, check_generic):
         dets.clear()
         build(a, theta)

@@ -1077,6 +1077,31 @@ def test_one_analysis_per_verify(monkeypatch):
     assert pull.checked == len(analysis) == 2 * len(half) - len(analysis.components)
 
 
+@pytest.mark.parametrize("seed, d, n", [(1, 2, 4), (2, 2, 4), (1, 2, 5), (3, 2, 5), (1, 3, 9)])
+def test_a_passing_verify_builds_no_sector_object(seed, d, n, monkeypatch):
+    # the sector walk and the analysis hold ints; a passing verify of a
+    # Lawrence input (the benchmark's desk shape, and (3, 9)) builds no
+    # TorsionElement and no InertiaComponent, and the objects built on a
+    # later read are the ones the public walk builds
+    a, theta = random_generic_instance(random.Random(seed), d, n)
+    built = []
+    reduced, new = TorsionElement._reduced, inertia_module.InertiaComponent.__new__
+    monkeypatch.setattr(TorsionElement, "_reduced", staticmethod(_counted(built, reduced)))
+    monkeypatch.setattr(inertia_module.InertiaComponent, "__new__", staticmethod(_counted(built, new)))
+    pull = verify_obstruction_pullback(a, theta)
+    iso = verify_orbifold_iso(a, theta, 5)
+    assert pull.ok and iso.ok and iso.components > 1
+    assert not built
+    monkeypatch.undo()
+    model = model_module._lawrence_pair(a, theta)[0]
+    analysis = model.analysis
+    assert "elements" not in vars(analysis) and "components" not in vars(analysis)
+    assert list(analysis.components) == inertia_components(model)
+    assert list(orbifold_table(model, 5).components) == inertia_components(model)
+    assert [c.age for c in analysis.components] == [inertia_module._age_of(model, c.g) for c in analysis.components]
+    assert iso.components == len(analysis.components)
+
+
 def test_one_model_pair_per_verify_input(monkeypatch, a_2x3):
     # the pullback and the iso check of one input read one Lawrence model
     # and its fiber, so the arrangement is computed once; an integral
