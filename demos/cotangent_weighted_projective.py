@@ -9,6 +9,7 @@
 
 from hypertoric import (
     WeightMatrix,
+    double_inertia,
     hypertoric_model,
     lawrence_model,
     orbifold_table,
@@ -36,6 +37,7 @@ print("orbifold ring comparison: %s on %d sectors" % (
 
 print("\nmoment-fiber star table (note -t^2 = t^2 in Z[t]/(2t^2)):")
 table = orbifold_table(fiber, 5)
-for (g1, g2), entry in table.products.items():
+for p in double_inertia(fiber):
+    entry = table.entry(p.g1, p.g2)
     print("  l_%s * l_%s = (%s) . l_%s   canonical %s" % (
-        g1, g2, entry.poly, entry.target, entry.coords))
+        p.g1, p.g2, entry.poly, entry.target, entry.coords))

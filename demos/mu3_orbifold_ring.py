@@ -9,6 +9,7 @@
 from hypertoric import (
     WeightMatrix,
     direct_model,
+    double_inertia,
     euler_poly,
     graded_group,
     inertia_components,
@@ -43,8 +44,9 @@ for g1 in elems:
             print("  R(%s, %s) = %s,  eu = %s" % (g1, g2, r, euler_poly(r)))
 
 print("\nstar products of the sector generators:")
-for (g1, g2), entry in table.products.items():
-    print("  l_%s * l_%s = (%s) . l_%s" % (g1, g2, entry.poly, entry.target))
+for p in double_inertia(model):
+    entry = table.entry(p.g1, p.g2)
+    print("  l_%s * l_%s = (%s) . l_%s" % (p.g1, p.g2, entry.poly, entry.target))
 
 print(
     "\nThe ring is Z[t, l_w, l_w2] / (3t, l_w^2 - 2t l_w2, "

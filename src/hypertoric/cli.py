@@ -126,7 +126,8 @@ def _cmd_orbifold_table(model: StackModel, args) -> tuple[int, dict]:
                 "target": e.target.as_strings() if e.target is not None else None,
                 "poly": format_poly(e.poly),
             }
-            # every ordered pair; the table stores only the stable ones
+            # every ordered pair; the table stores one product per product
+            # key, and ``entry`` reads a stable pair's off its key
             for e in (table.entry(g1, g2) for g1 in elems for g2 in elems)
         ],
     }

@@ -10,12 +10,13 @@ A model's orbifold ring is one object, its ``SectorGeometry``: the one
 owner of the rings over one analysis at one truncation, each kept once,
 keyed by what derives it: one presentation per fixed set, one checked
 embedding per (common fixed set, target fixed set), and one generator
-product per product key of the analysis, which it expands to the
-structure constants of every pair (``products``).  ``orbifold_table``
-returns the geometry with every generator product built.  Both verifiers
-align their two sides once (``_align``), into the distinct (ambient key,
-fiber key) pairs of the double inertia, compare once per key pair, and
-expand only a failing key pair into its pairs (``_expand``).  Both
+product per product key of the analysis; a pair's structure constants
+are read off its key (``entry``), and nothing is kept per pair.
+``orbifold_table`` returns the geometry with every generator product
+built.  Both verifiers align their two sides once (``_align``), into the
+distinct (ambient key, fiber key) pairs of the double inertia, compare
+once per key pair, and expand only a failing key pair into its pairs
+(``_expand``).  Both
 verifiers read their two sides from one helper (``_sides``), which holds
 the one rule by which the moment fiber shares the ambient's analysis and
 geometry.  ``verify_orbifold_iso`` reads geometries, and builds no pair
@@ -28,7 +29,6 @@ without that certificate is reduced to coordinates (``value``).
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -162,12 +162,12 @@ class SectorGeometry:
     never stored, so every push through it raises again.  It reads what
     the generator product of a product key of the analysis is made of
     (``makeup``) and builds the product (``value``), each once per key;
-    ``products`` expands them, on its first read, into the structure
-    constants of the star product on sector generators, one entry per
-    pair, and ``entry`` reads one pair's.  All of these read only the
-    model's weights, arrangement and tangent terms, so a model with equal
-    ones may read this geometry (``_sides``).  A negative truncation raises
-    ``ValueError``."""
+    ``entry`` reads a pair's structure constants of the star product on
+    sector generators off its key, and nothing is kept per pair.  The
+    one expansion of the pairs is ``inertia.double_inertia``.  All of
+    these read only the model's weights, arrangement and tangent terms,
+    so a model with equal ones may read this geometry (``_sides``).  A
+    negative truncation raises ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
         self.truncation = truncation = as_int(truncation)
@@ -227,15 +227,17 @@ class SectorGeometry:
         the kernel holds them, pushed along the embedding of its common set
         into its target fixed set.  It runs every check of the product: a
         key whose selection is not a bundle raises ``ObstructionError``,
-        and the embedding is built and checked (``GysinError``) before the
-        truncation is; ``star`` and ``_geometry`` test the selection first,
-        naming a failing pair.  It is made once per key, and a key that
-        raises is never stored, so it raises again on every read."""
+        naming the key's first pair in pair order, and the embedding is
+        built and checked (``GysinError``) before the truncation is;
+        ``star`` tests the selection first, naming its own operands.  It is
+        made once per key, and a key that raises is never stored, so it
+        raises again on every read."""
         if k not in self._makeups:
             mask, common, target_fixed = self.analysis.keys[k]
             factors = self.obstructions.bundle(mask)
             if factors is None:
-                raise ObstructionError("obstruction of product key %d is not a bundle" % k)
+                first = next((i1, i2) for i1, i2, key, _ in self.analysis.walk() if key == k)
+                self.obstructions.class_for(mask, *map(self.analysis.elements.__getitem__, first))
             self._makeups[k] = _makeup(factors, self.embedding(common, target_fixed))
         return self._makeups[k]
 
@@ -252,24 +254,17 @@ class SectorGeometry:
     def generator(self, g: TorsionElement) -> GradedClass:
         return GradedClass(g, IntPoly.one(self.model.d))
 
-    @functools.cached_property
-    def products(self) -> dict:
-        """The structure constants of the star product on sector
-        generators: a ``ProductEntry`` per pair, keyed by (g1, g2), in pair
-        order, expanded on first read from the walk and the generator
-        product of each pair's key (``value``); absent means zero."""
-        el = self.analysis.elements
-        return {(el[i1], el[i2]): ProductEntry(el[i1], el[i2], el[t], *self.value(k))
-                for i1, i2, k, t in self.analysis.walk()}
-
     def entry(self, g1, g2) -> ProductEntry:
-        """The stored entry, else the zero entry of an unstable pair of
-        sectors; a non-sector raises ``ValueError`` (``_Analysis.locate``)."""
-        found = self.products.get((g1, g2))
-        if found is not None:
-            return found
-        self.analysis.locate(g1, g2)  # every stable pair is in ``products``
-        return ProductEntry(g1, g2, None, IntPoly.zero(self.model.d), ())
+        """The structure constants of the star product of the generators
+        of (g1, g2): the generator product of the pair's key (``value``)
+        and its target, built per call and not stored, or the zero entry
+        of an unstable pair of sectors; a non-sector raises ``ValueError``
+        (``_Analysis.locate``)."""
+        found = self.analysis.locate(g1, g2)
+        if found is None:
+            return ProductEntry(g1, g2, None, IntPoly.zero(self.model.d), ())
+        k, target = found
+        return ProductEntry(g1, g2, target, *self.value(k))
 
 
 def _zero_class(d: int) -> GradedClass:
@@ -311,10 +306,11 @@ def orbifold_table(model: StackModel, bound: int | None = None) -> SectorGeometr
     so its sectors, pairs and product keys are those the pullback check
     reads; it owns the presentations, embeddings and
     generator products, built once per product key of the analysis
-    (``SectorGeometry.value``), not once per pair, and ``products``
-    expands the keys to the pairs.  A selection that is not a bundle
-    raises, naming the first pair in pair order that has one.  A bound
-    below 1 raises."""
+    (``SectorGeometry.value``), not once per pair, and ``entry`` reads a
+    pair's off its key.  The keys are built in their order, which is the
+    order of first appearance in pair order, so a selection that is not
+    a bundle raises naming the first pair in pair order that has one
+    (``SectorGeometry.makeup``).  A bound below 1 raises."""
     geo = _geometry(model, bound if bound is None else as_int(bound))
     for k in range(len(geo.analysis.keys)):
         geo.value(k)
@@ -325,22 +321,16 @@ def _geometry(model: StackModel, bound: int | None) -> SectorGeometry:
     """A new geometry over the model's own analysis, truncated at
     ``bound`` (by default twice the coordinate count) or above the degree
     of every structure polynomial, whichever is higher, and the one
-    truncation rule of ``orbifold_table`` and the iso check.  A selection
-    that is not a bundle raises once the geometry is built, naming the
-    first pair in pair order that has one; a bound below 1 raises
-    ``ValueError``."""
+    truncation rule of ``orbifold_table`` and the iso check.  A bound
+    below 1 raises ``ValueError``; a selection that is not a bundle is
+    refused where its key's product is made (``SectorGeometry.makeup``)."""
     if bound is not None and bound < 1:
         raise ValueError("bound must be at least 1, got %d" % bound)
     analysis = model.analysis
     floor = bound if bound is not None else 2 * model.num_coords
     # Structure polynomials have degree age(g1)+age(g2)-age(g1*g2).
     top_age = Fraction(max(analysis.ages), analysis._big)
-    geo = SectorGeometry(model, max(floor, int(2 * top_age) + 1))
-    ob, keys = analysis.obstructions, analysis.keys
-    if any(ob.bundle(mask) is None for mask, _, _ in keys):
-        for i1, i2, k, _ in analysis.walk():
-            ob.class_for(keys[k][0], analysis.elements[i1], analysis.elements[i2])
-    return geo
+    return SectorGeometry(model, max(floor, int(2 * top_age) + 1))
 
 
 _DIFFER = "double inertia components differ"

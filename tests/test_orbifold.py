@@ -384,10 +384,10 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
     table = orbifold_table(model, 5)
     geo = table
     pairs = double_inertia(model)
-    # the table holds one product per key; its entries are the expanded
-    # view, one per pair, built on first use
+    # the table holds one product per key and no entry: ``entry`` builds
+    # one per call, off the pair's key
     assert made == [] and len(table.analysis.keys) <= len(pairs)
-    assert list(table.products) == [(p.g1, p.g2) for p in pairs]
+    assert [table.entry(p.g1, p.g2)[:3] for p in pairs] == [(p.g1, p.g2, p.target) for p in pairs]
     assert len(made) == len(pairs)
 
     elems = [c.g for c in table.components]
@@ -401,7 +401,8 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
             assert geo.analysis.locate(g1, g2) is None
             assert star(geo, geo.generator(g1), geo.generator(g2)).is_zero
         else:
-            assert entry is table.products[(g1, g2)] and entry.target is not None
+            k, target = geo.analysis.locate(g1, g2)
+            assert entry == (g1, g2, target, *geo.value(k)) and entry.target is not None
     assert zeros == len(elems) ** 2 - len(pairs)
     if seed is None:
         assert (len(elems), len(pairs)) == (4, 12)
@@ -420,6 +421,27 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
                 lookup(*args)
     with pytest.raises(ValueError, match=refused):
         geo.sector_presentation(stranger)
+
+
+def test_the_ring_keeps_nothing_per_pair():
+    # (3, 9) seed 1: 66677 pairs over 4011 product keys.  After the table
+    # and an entry of every stable pair, the geometry holds one makeup and
+    # one generator product per key, one embedding per (common, target)
+    # and one ring per fixed set, and reading the entries grew none of them
+    model = lawrence_model(*random_generic_instance(random.Random(1), 3, 9))
+    geo = orbifold_table(model, 5)
+    stores = ("_presentations", "_embeddings", "_makeups", "_values")
+    sizes = [len(getattr(geo, name)) for name in stores]
+    pairs = double_inertia(model)
+    for p in pairs:
+        assert geo.entry(p.g1, p.g2).target == p.target
+    keys = geo.analysis.keys
+    assert (len(pairs), len(keys)) == (66677, 4011)
+    assert [len(getattr(geo, name)) for name in stores] == sizes
+    assert len(geo._values) == len(geo._makeups) == len(keys)
+    assert len(geo._embeddings) == len({(common, target) for _, common, target in keys})
+    assert not hasattr(geo, "products")
+    assert set(vars(geo)) == {"truncation", "model", "analysis", "obstructions", *stores}
 
 
 def _spy_verify(monkeypatch, fail_fixed=None):
@@ -912,8 +934,6 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
     a, theta = random_generic_instance(random.Random(3), 2, 5)
     _fiber_with_negative_term(monkeypatch, a, theta)
     broken = model_module._moment_fiber(lawrence_model(a, theta))
-    with pytest.raises(ObstructionError):
-        orbifold_table(broken, 4)
     geo = SectorGeometry(broken, truncation=4)
     failing = []
     for p in double_inertia(geo.model):
@@ -925,10 +945,15 @@ def test_table_of_a_non_bundle_model_raises(monkeypatch):
     for p in failing:
         with pytest.raises(ObstructionError):
             geo.obstructions.class_of(p.g1, p.g2)
-    # the geometry's product of a failing key raises too, on every read
+    # the table and the geometry's product of the first failing key raise
+    # naming that key's first pair, the first failing pair in pair order,
+    # on every read
     k = next(k for k, (mask, _, _) in enumerate(geo.analysis.keys) if geo.obstructions.bundle(mask) is None)
+    named = re.escape("obstruction of (%s, %s) is not a bundle" % (failing[0].g1, failing[0].g2))
+    with pytest.raises(ObstructionError, match=named):
+        orbifold_table(broken, 4)
     for _ in range(2):
-        with pytest.raises(ObstructionError, match="product key %d is not a bundle" % k):
+        with pytest.raises(ObstructionError, match=named):
             geo.value(k)
 
 
@@ -982,7 +1007,7 @@ def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
             record.clear()
         assert verify_orbifold_iso(*random_generic_instance(random.Random(seed), d, n), 5).ok
         geo, = read
-        assert len(geometries) == 1 and "products" not in vars(geo) and not entries
+        assert len(geometries) == 1 and not geo._values and not entries
         fixed_sets = ({c.fixed_columns for c in geo.components}
                       | {common for _, common, _ in geo.analysis.keys})
         assert Counter(looked_up) == Counter(fixed_sets)
@@ -1165,7 +1190,8 @@ def test_tables_at_two_bounds_equal_cold_ones():
         assert cold.analysis is not table.analysis
         assert cold.truncation == table.truncation
         assert cold.components == table.components
-        assert cold.products == table.products
+        pairs = double_inertia(model)
+        assert [cold.entry(p.g1, p.g2) for p in pairs] == [table.entry(p.g1, p.g2) for p in pairs]
         model_module._lawrence_pair.cache_clear()
         assert verify_orbifold_iso(a, theta, b) == report
 

@@ -166,14 +166,15 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
         analysis = geo.analysis
         built = len(runs)
         values = [geo.value(k) for k in range(len(analysis.keys))]
-        entries = zip(table.products.values(), analysis.walk())
+        pairs = double_inertia(model)
+        entries = zip((table.entry(p.g1, p.g2) for p in pairs), analysis.walk())
         assert {k: (e.poly, e.coords) for e, (_, _, k, _) in entries} == dict(enumerate(values)) and len(runs) == built
         assert built == sum(poly != IntPoly.zero(model.d) for poly, _ in values) > 0
         assert values == [product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
                           for mask, common, target_fixed in analysis.keys]
         assert values == [_generator_product(geo.makeup(k), model.d) for k in range(len(analysis.keys))]
         runs.clear()
-        assert [(e.poly, e.coords) for e in table.products.values()] == [
+        assert [table.entry(p.g1, p.g2)[3:] for p in pairs] == [
             values[k] for _, _, k, _ in analysis.walk()] and not runs
 
         el, d = analysis.elements, model.d
