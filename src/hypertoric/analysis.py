@@ -1,7 +1,7 @@
 """The inertia analysis of a model.
 
 The sectors of a model, its double inertia held as one table of each
-fixed set's partners, the distinct product keys of its pairs (a pair's
+fixed mask's partners, the distinct product keys of its pairs (a pair's
 obstruction selection and key are computed where they are read, never
 stored per pair), and the obstruction kernel, which holds each
 selection's Euler factors as int characters.  It is built in two int
@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import mul
 
 from .characters import CharacterClass
-from .inertia import InertiaComponent, TorsionElement, _int_mults, _sectors, _Stability
+from .inertia import InertiaComponent, TorsionElement, _columns, _int_mults, _sectors, _Stability
 from .model import StackModel
 
 
@@ -97,28 +97,20 @@ class _Obstructions:
         return self.class_for(sum(1 << k for k in self.selection(g1, g2)), g1, g2)
 
 
-def _partners(stable: _Stability, fixed, masks) -> dict:
-    """Each fixed set's partners, the double inertia as one table: per
-    fixed set F1, the sectors j it pairs with, in sector order, and the
-    common set of each, as ``(cols, commons)``.  The sectors (``fixed``
-    and ``masks``, per sector in sector order) are grouped by fixed mask,
-    and ``stable`` decides each pair of groups on the mask of their common
-    set, once per distinct common set, so no pair is formed to decide it;
-    each pair of groups makes one common set.  Every sector pairs with
-    the identity, so every fixed set has partners."""
+def _partners(stable: _Stability, masks) -> dict:
+    """Each fixed mask's partners, the double inertia as one table: per
+    fixed mask, the sorted tuple of the sector indices it pairs with.  The
+    sectors (``masks``, per sector in sector order) are grouped by fixed
+    mask, and ``stable`` decides each pair of groups on the AND of their
+    masks, the common mask, once per distinct common mask, so no pair is
+    formed to decide it and no common set is kept: a pair's is one AND
+    where its key is read (``_Analysis._row``).  Every sector pairs with
+    the identity, so every fixed mask has partners."""
     groups: dict[int, list[int]] = {}
     for i, mask in enumerate(masks):
         groups.setdefault(mask, []).append(i)
-    sets = {mask: fixed[rows[0]] for mask, rows in groups.items()}
-    partners = {}
-    for m1, f1 in sets.items():
-        row = []
-        for m2, cols in groups.items():
-            if stable(m1 & m2):
-                common = f1 & sets[m2]
-                row.extend((j, common) for j in cols)
-        partners[f1] = tuple(zip(*sorted(row)))
-    return partners
+    return {m1: tuple(sorted(j for m2, cols in groups.items() if stable(m1 & m2) for j in cols))
+            for m1 in groups}
 
 
 def _packer(big: int, count: int, threshold: int):
@@ -147,15 +139,18 @@ class _Analysis:
     """The inertia analysis of one model, kept by the model
     (``StackModel.analysis``) and read by every geometry over it, and the
     one owner of its double inertia: the sectors with their ages, each
-    fixed set's partners in sector order (``_partners``; the sectors and
+    fixed mask's partners in sector order (``_partners``; the sectors and
     the partners read one ``inertia._Stability`` table), the obstruction
     kernel, and the distinct product keys (selection, common fixed set,
     target fixed set), on which a pair's generator product depends, in
-    ``keys``.  Nothing is kept per pair: the build, ``walk`` and
-    ``locate`` compute a row of pairs' keys and their sums' sectors with
-    one kernel (``_row``) where they read them, ``len`` reads the
-    partners, and ``inertia.double_inertia`` expands the walk afresh on
-    each call.
+    ``keys``.  Inside the double inertia a column set is its int mask, and
+    a pair's common set is the AND of its sectors' masks; a set becomes a
+    frozenset only where it leaves (``inertia._columns``): each sector's
+    ``_fixed``, and each key's two sets, decoded once per key.  Nothing is
+    kept per pair: the build, ``walk`` and ``locate`` compute a row of
+    pairs' keys and their sums' sectors with one kernel (``_row``) where
+    they read them, ``len`` reads the partners, and
+    ``inertia.double_inertia`` expands the walk afresh on each call.
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
 
@@ -180,7 +175,8 @@ class _Analysis:
     selection.
 
     The key pass reads that a pair's key is symmetric in g1 and g2, so the
-    key index (``_key_index``, keyed by the selection pack) is filled with
+    key index (``_key_index``, keyed by the int triple of selection pack,
+    common mask and target mask) is filled with
     one ``_row`` per sector i over its partners j >= i, in order.  Of a
     pair and its mirror the one with i <= j comes first in pair order, so
     the keys are numbered in the order they first appear in pair order
@@ -194,7 +190,7 @@ class _Analysis:
         self._fixed, self._masks, self._rows, exponents, ages = zip(*sectors)
         scales = [big // order for order, _ in self._rows]
         self.ages = tuple(map(mul, ages, scales))
-        self._partners = _partners(stable, self._fixed, self._masks)
+        self._partners = _partners(stable, self._masks)
         # a pack of values over N times L / N is the pack of the values over
         # L: each field stays below L, so none carries
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
@@ -204,13 +200,12 @@ class _Analysis:
         pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
         self._lows = list(map(mul, map(pack, exponents), scales))
         self._key_index = key_index = {}
-        for i, fixed in enumerate(self._fixed):
-            cols, commons = self._partners[fixed]
-            k = bisect_left(cols, i)
-            for key in dict.fromkeys(self._row(i, cols[k:], commons[k:])[0]):
+        for i, mask in enumerate(self._masks):
+            cols = self._partners[mask]
+            for key in dict.fromkeys(self._row(i, cols[bisect_left(cols, i):])[0]):
                 key_index.setdefault(key, len(key_index))
         self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
-                           common, target_fixed) for spread, common, target_fixed in key_index)
+                           _columns(common), _columns(target)) for spread, common, target in key_index)
 
     @functools.cached_property
     def elements(self) -> tuple[TorsionElement, ...]:
@@ -231,27 +226,28 @@ class _Analysis:
         first read; ``position`` reads it."""
         return {g: i for i, g in enumerate(self.elements)}
 
-    def _row(self, i: int, cols, commons) -> tuple:
-        """The pairs (i, j), j in ``cols``, with their common sets in
-        ``commons``: each pair's key as ``_key_index`` holds it (selection
-        pack, with term k at the top bit of field k, common set, target
-        fixed set), lazily, and the list of each pair's target sector."""
-        packs, lows, by_pack, big = self._packs, self._lows, self._by_pack, self._big
+    def _row(self, i: int, cols) -> tuple:
+        """The pairs (i, j), j in ``cols``: each pair's key as
+        ``_key_index`` holds it, an int triple (selection pack, with term k
+        at the top bit of field k; common mask, the AND of the two fixed
+        masks; target fixed mask), lazily, and the list of each pair's
+        target sector."""
+        packs, lows, by_pack, big, masks = self._packs, self._lows, self._by_pack, self._big, self._masks
         lift, tops, width, select = self._lift, self._sum_tops, self._width, self._tops
-        pack, low = packs[i], lows[i] + self._select_lift
+        pack, low, mask = packs[i], lows[i] + self._select_lift, masks[i]
         targets = [by_pack[(s := pack + packs[j]) - (((s + lift) & tops) >> width) * big] for j in cols]
-        return zip(((low + lows[j]) & select for j in cols), commons, map(self._fixed.__getitem__, targets)), targets
+        return (((low + lows[j]) & select, mask & masks[j], masks[t]) for j, t in zip(cols, targets)), targets
 
     def __len__(self) -> int:
-        return sum(len(self._partners[f][0]) for f in self._fixed)
+        return sum(len(self._partners[m]) for m in self._masks)
 
     def walk(self):
         """(i1, i2, key index, target) of every pair, in pair order: g1 in
         sector order, then g2."""
         key_index = self._key_index
-        for i1, fixed in enumerate(self._fixed):
-            cols, commons = self._partners[fixed]
-            keys, targets = self._row(i1, cols, commons)
+        for i1, mask in enumerate(self._masks):
+            cols = self._partners[mask]
+            keys, targets = self._row(i1, cols)
             yield from zip(repeat(i1), cols, map(key_index.__getitem__, keys), targets)
 
     def position(self, g: TorsionElement) -> int:
@@ -269,5 +265,5 @@ class _Analysis:
         i1, i2 = self.position(g1), self.position(g2)
         if not self._stable(self._masks[i1] & self._masks[i2]):
             return None
-        (key,), (t,) = self._row(i1, (i2,), (self._fixed[i1] & self._fixed[i2],))
+        (key,), (t,) = self._row(i1, (i2,))
         return self._key_index[key], self.elements[t]

@@ -12,7 +12,11 @@ Subcommands mirror the library modules so each check is one invocation:
 
 Every subcommand takes ``--input`` and ``--format``; ``--degree`` belongs to
 chowring, orbifold-table and verify, ``--seed`` and ``--samples`` to
-chart-check, and any other flag is refused.
+chart-check, and any other flag is refused.  For chowring ``--degree`` is
+the last degree printed; for orbifold-table and verify it is a floor on the
+truncation, which the geometry raises above every structure polynomial's
+degree, and on verify it also bounds the degrees in which two rings without
+equal relation lists are compared.
 Exit codes: 0 success/verified, 1 verification failure, 2 input error.
 All rationals are serialized as 'p/q' strings; output is deterministic for
 a fixed input and seed.
@@ -283,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--input", required=True, help="path to the JSON model file")
         if name in _DEGREE_COMMANDS:
-            p.add_argument("--degree", "-D", type=int, default=None, help="truncation bound")
+            p.add_argument("--degree", "-D", type=int, default=None, help="last degree (chowring) or truncation floor")
         if name == "chart-check":
             p.add_argument("--seed", type=int, default=0, help="random seed")
             p.add_argument("--samples", type=int, default=100, help="sample count per chart")

@@ -180,6 +180,14 @@ def _mask(indices) -> int:
     return sum(1 << j for j in indices)
 
 
+@functools.cache
+def _columns(mask: int) -> frozenset[int]:
+    """The column set of the int bitmask ``mask``, the inverse of
+    ``_mask``: the one place a column mask becomes a set, where it leaves
+    the double inertia, with one frozenset shared per distinct mask."""
+    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
 class _Stability:
     """One model's stability rule on column sets held as int bitmasks
     (``_mask``), decided once per mask, for sectors and pairs alike.  A set
@@ -252,8 +260,9 @@ def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
     The duals' rows (``exact.cokernel_torsion_numerators``) are deduped
     and sorted on their numerators over L before any ``TorsionElement``
     exists.  Each candidate gets one pairing vector (``_pairings``): its
-    zeros on the base columns are the fixed mask, and a kept sector's
-    tangent exponents are read off it (``_tangent_exponents``).  No
+    zeros on the base columns are the fixed mask, a kept sector's fixed
+    set is that mask's shared set (``_columns``), and its tangent
+    exponents are read off the pairing (``_tangent_exponents``).  No
     ``TorsionElement`` or ``InertiaComponent`` is built here: their
     readers build them from these ints."""
     a = model.base
@@ -266,15 +275,12 @@ def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
     chars, signs = _characters(model)
     mults = _int_mults(model)
     bits = [1 << j for j in range(1, a.n + 1)]
-    fixed_sets: dict[int, frozenset[int]] = {}
     out = []
     for (order, row), pairing in zip(candidates, _pairings(chars, candidates)):
         mask = sum(bit for bit, p in zip(bits, pairing) if not p)
         if stable(mask):
-            if mask not in fixed_sets:
-                fixed_sets[mask] = frozenset(j for j, bit in enumerate(bits, 1) if mask & bit)
             exps = _tangent_exponents(pairing, signs, order)
-            out.append((fixed_sets[mask], mask, (order, row), exps, _age(mults, exps)))
+            out.append((_columns(mask), mask, (order, row), exps, _age(mults, exps)))
     return big, out
 
 

@@ -363,7 +363,7 @@ def _expand(ambient: _Analysis, fiber: _Analysis, failing):
 
 def _layout(analysis: _Analysis) -> tuple:
     """What fixes an analysis' pairs and their order: its elements, their
-    fixed sets, and each fixed set's partners (``_partners``)."""
+    fixed sets, and each fixed mask's partners (``_partners``)."""
     return analysis.elements, analysis._fixed, analysis._partners
 
 

@@ -130,6 +130,19 @@ def test_fixed_columns(a12, half, omega):
     assert fixed_columns(a4, omega) == frozenset({1, 4})
 
 
+def test_a_column_mask_and_its_set_round_trip(tp12_lawrence):
+    # ``_columns`` inverts ``_mask`` on every subset of columns 1..8 and
+    # hands out one set object per mask, which the sectors share
+    for size in range(9):
+        for cols in itertools.combinations(range(1, 9), size):
+            mask = inertia_module._mask(cols)
+            assert inertia_module._columns(mask) == frozenset(cols)
+            assert inertia_module._mask(inertia_module._columns(mask)) == mask
+            assert inertia_module._columns(mask) is inertia_module._columns(inertia_module._mask(cols))
+    components = tp12_lawrence.analysis.components
+    assert all(c.fixed_columns is inertia_module._columns(inertia_module._mask(c.fixed_columns)) for c in components)
+
+
 def test_fixed_columns_invariances(a_2x3):
     rng = random.Random(23)
     pool = [TorsionElement.from_fractions([Fraction(rng.randint(0, 5), 6), Fraction(rng.randint(0, 5), 6)]) for _ in range(12)]

@@ -1096,7 +1096,7 @@ def test_one_analysis_per_verify(monkeypatch):
     analysis = SectorGeometry(ambient, 4).analysis
     assert "pairs" not in vars(analysis)
     assert len(selections) == len(analysis.components)
-    covered = sorted((i, j) for _, i, cols, _ in selections for j in cols)
+    covered = sorted((i, j) for _, i, cols in selections for j in cols)
     half = [(i1, i2) for i1, i2, *_ in analysis.walk() if i1 <= i2]
     assert covered == half and len(half) > len(analysis.components)
     assert pull.checked == len(analysis) == 2 * len(half) - len(analysis.components)

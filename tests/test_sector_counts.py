@@ -23,6 +23,7 @@ from math import gcd
 import pytest
 
 from hypertoric import WeightMatrix, direct_model, inertia_components, lawrence_model
+from hypertoric.inertia import _mask
 from hypertoric.sampling import random_generic_instance
 
 
@@ -85,6 +86,11 @@ def _check(model):
     assert Counter(c.fixed_columns for c in inertia_components(model)) == counts
     pairs = sum(c1 * c2 for t1, c1 in counts.items() for t2, c2 in counts.items() if stable(t1 & t2))
     assert len(model.analysis) == pairs
+    # each fixed set's partner row, not only the total: a sector of fixed
+    # set F pairs with every sector whose fixed set T has F & T stable
+    partners = model.analysis._partners
+    for t1 in counts:
+        assert len(partners[_mask(t1)]) == sum(c for t2, c in counts.items() if stable(t1 & t2)), sorted(t1)
     return sum(counts.values()), pairs
 
 

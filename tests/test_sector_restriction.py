@@ -66,8 +66,8 @@ def _pair_commons(model, fixed):
     fresh stability table, in pair order."""
     sets = tuple(fixed.values())
     masks = [inertia_module._mask(f) for f in sets]
-    partners = analysis_module._partners(inertia_module._Stability(model), sets, masks)
-    return [common for f in sets for common in partners[f][1]]
+    partners = analysis_module._partners(inertia_module._Stability(model), masks)
+    return [f & sets[j] for f, mask in zip(sets, masks) for j in partners[mask]]
 
 
 def sector_and_pair_sets(model):
