@@ -146,10 +146,11 @@ class _Analysis:
     ``keys``.  Inside the double inertia a column set is its int mask, and
     a pair's common set is the AND of its sectors' masks; a set becomes a
     frozenset only where it leaves (``inertia._columns``): each sector's
-    ``_fixed``, and each key's two sets, decoded once per key.  Nothing is
-    kept per pair: the build, ``walk`` and ``locate`` compute a row of
-    pairs' keys and their sums' sectors with one kernel (``_row``) where
-    they read them, ``len`` reads the partners, and
+    ``_fixed``, and each key's two sets, decoded once per key; the
+    geometries read each key's two masks (``_key_masks``) undecoded.
+    Nothing is kept per pair: the build, ``walk`` and ``locate`` compute a
+    row of pairs' keys and their sums' sectors with one kernel (``_row``)
+    where they read them, ``len`` reads the partners, and
     ``inertia.double_inertia`` expands the walk afresh on each call.
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
@@ -206,6 +207,7 @@ class _Analysis:
                 key_index.setdefault(key, len(key_index))
         self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
                            _columns(common), _columns(target)) for spread, common, target in key_index)
+        self._key_masks = tuple((common, target) for _, common, target in key_index)
 
     @functools.cached_property
     def elements(self) -> tuple[TorsionElement, ...]:

@@ -3,7 +3,7 @@
 A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
 is the linear form <w, t>); a presentation built from a model keeps each
-relation's multiset of characters next to it.  Each graded piece, up to a
+relation's coordinate mask next to it.  Each graded piece, up to a
 truncation bound, is Z^m over its monomials modulo the relation lattice,
 held as the reduced Hermite basis of that lattice, which is unique per
 lattice.  Piece k is built from piece k-1: the degree-k part of the ideal
@@ -13,19 +13,18 @@ generator products) is one kernel, ``product_coefficients``, that moves its
 dense coefficient vector along the same cached "t_i times a monomial" maps.
 Rank and torsion are read off the basis, and it gives canonical
 coordinates, in which ring-map isomorphisms and Gysin pushforwards are
-checked; a Gysin check runs the lattice test only where the presentations'
-character multisets give no certificate.
+checked; a Gysin check runs the lattice test only where the coordinate
+masks of two rings of one model give no certificate.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from typing import NamedTuple
 
 from .exact import IntMatrix, as_int, hermite_reduce, hnf, invariant_factors
-from .inertia import sector_unstable_sets
+from .inertia import _bits, _mask, _traces
 from .model import StackModel
 from .poly import IntPoly, monomials_of_degree
 from .value import Value
@@ -97,16 +96,16 @@ class GradedRingPresentation(Value):
     field is assigned after construction.  Its read-once tables are cache
     slots, set once: ``degrees``, the degree of each relation, read as the
     relations are validated (``IntPoly.homogeneous_degree`` refuses a
-    non-homogeneous one), and, for a presentation made by
-    ``from_characters``, ``counters``, one multiset of characters per
-    relation, as a ``Counter``, whose product of linear forms is that
-    relation; otherwise ``counters`` is empty.  The multisets are a
-    certificate, not part of the ring's value.  A presentation is not
-    hashable (``__hash__ = None``): its pieces fill a dict as they are
-    read."""
+    non-homogeneous one), and, for a ring a model builds
+    (``_trace_ring``), ``traces``, per relation the mask of the model's
+    coordinates whose characters multiply to it (bit i for coordinate i);
+    any other presentation has no ``traces``.  The masks are a certificate
+    (``SectorEmbedding.check``), not part of the ring's value.  A
+    presentation is not hashable (``__hash__ = None``): its pieces fill a
+    dict as they are read."""
 
     _fields = ("num_vars", "relations", "truncation")
-    __slots__ = _fields + ("degrees", "counters", "_pieces")
+    __slots__ = _fields + ("degrees", "traces", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
         num_vars, truncation = as_int(num_vars), as_int(truncation)
@@ -126,7 +125,7 @@ class GradedRingPresentation(Value):
         for name, value in zip(self._fields, (num_vars, relations, truncation)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "degrees", tuple(degrees))
-        object.__setattr__(self, "counters", ())
+        object.__setattr__(self, "traces", ())
         object.__setattr__(self, "_pieces", {})
 
     __hash__ = None
@@ -134,19 +133,9 @@ class GradedRingPresentation(Value):
     @staticmethod
     def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
         """The ring of the products of linear forms, one per multiset of
-        characters: zero products are dropped, equal ones kept once, with
-        the first multiset that gives them as their certificate."""
-        by_poly: dict = {}
-        for chars in multisets:
-            chars = tuple(sorted(tuple(map(as_int, w)) for w in chars))
-            poly = product_of_forms(num_vars, chars)
-            if not poly.is_zero:
-                by_poly.setdefault(poly, chars)
-        # a nonzero product of k linear forms has degree k
-        rels = sorted(by_poly, key=lambda p: (len(by_poly[p]), p.terms))
-        out = GradedRingPresentation(num_vars, tuple(rels), truncation)
-        object.__setattr__(out, "counters", tuple(Counter(by_poly[r]) for r in rels))
-        return out
+        characters (``_relations``), with no certificate."""
+        products = (product_of_forms(num_vars, [tuple(map(as_int, w)) for w in ws]) for ws in multisets)
+        return GradedRingPresentation(num_vars, _relations(products), truncation)
 
     def piece(self, k: int) -> GradedPiece:
         k = as_int(k)
@@ -238,24 +227,41 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
 
 def presentation(model: StackModel, truncation: int | None = None) -> GradedRingPresentation:
     """Sector ring presentation of a model: one product relation per minimal
-    unstable set, with its characters as the certificate of its factors.
-    It is the ring of the model's sector over all its columns
-    (``_sector_ring``), whose minimal unstable sets are the model's own.
-    Default truncation is twice the ambient coordinate count."""
+    unstable set, with its coordinate mask as the certificate of its
+    factors.  It is the ring of the model's sector over all its
+    coordinates (``_trace_ring``), whose minimal traces are the model's
+    minimal unstable sets.  Default truncation is twice the ambient
+    coordinate count."""
     if truncation is None:
         truncation = 2 * model.num_coords
-    return _sector_ring(model, frozenset(range(1, model.n + 1)), truncation)
+    return _trace_ring(model, _mask(range(1, model.num_coords + 1)), map(_mask, model.arrangement.unstable_minimal),
+                       truncation, {})
 
 
-def _sector_ring(model: StackModel, fixed: frozenset[int], truncation: int) -> GradedRingPresentation:
-    """The ring of the model's sector over the columns ``fixed``, read
-    straight from the characters of its minimal unstable sets
-    (``inertia.sector_unstable_sets``), with no sector model built: the
-    one builder of ``presentation`` and of an orbifold geometry's sector
-    rings.  An unstable fixed set raises ``ValueError``."""
-    char = model.coordinate_char
-    multisets = tuple(tuple(sorted(char(i) for i in s)) for s in sector_unstable_sets(model, fixed))
-    return GradedRingPresentation.from_characters(model.d, multisets, truncation)
+def _relations(polys) -> tuple[IntPoly, ...]:
+    """The distinct nonzero polynomials of ``polys``, homogeneous, in
+    (degree, terms) order: the relations of a ring of products."""
+    return tuple(sorted({p for p in polys if not p.is_zero}, key=lambda p: (sum(p.terms[0][0]), p.terms)))
+
+
+def _trace_ring(model: StackModel, support: int, unstable, truncation: int, products: dict) -> GradedRingPresentation:
+    """The ring of a model's sector over the coordinate mask ``support``:
+    one relation per minimal trace of the minimal unstable masks
+    ``unstable`` on it (``inertia._traces``), the product of the linear
+    forms of the characters of the trace's coordinates, made once per mask
+    in ``products``, the store of whoever builds the rings.  Zero products
+    are dropped and equal ones kept once (``_relations``), and the ring
+    keeps each relation's first mask (``traces``).  An empty trace raises
+    ``ValueError``.  The one builder of ``presentation`` and of an
+    orbifold geometry's sector rings."""
+    table, traces = model.weights.columns, _traces(unstable, support)
+    for s in traces:
+        if s not in products:
+            products[s] = product_of_forms(model.d, [table[i - 1] for i in _bits(s)])
+    first = {products[s]: s for s in reversed(traces)}
+    out = GradedRingPresentation(model.d, _relations(first), truncation)
+    object.__setattr__(out, "traces", tuple(map(first.get, out.relations)))
+    return out
 
 
 def graded_group(pres: GradedRingPresentation, k: int) -> GradedPiece:
@@ -342,8 +348,11 @@ class SectorEmbedding(Value):
     """Closed embedding of a smaller sector into a bigger one, over the same
     polynomial variables.  ``normal_chars`` are the characters of the
     deleted coordinates; their product of linear forms is the normal Euler
-    polynomial.  No slots, so ``euler`` can cache; an embedding is not
-    hashable, as its presentations are not."""
+    polynomial.  An embedding built between two rings of one model
+    (``_of_coordinates``) keeps the mask of those coordinates, ``normal``,
+    outside its compared fields; any other has ``normal`` None.  No slots,
+    so ``euler`` can cache; an embedding is not hashable, as its
+    presentations are not."""
 
     _fields = ("sub", "ambient", "normal_chars")
 
@@ -352,6 +361,21 @@ class SectorEmbedding(Value):
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "normal_chars", tuple(tuple(map(as_int, w)) for w in normal_chars))
+        object.__setattr__(self, "normal", None)
+
+    @staticmethod
+    def _of_coordinates(sub: GradedRingPresentation, ambient: GradedRingPresentation, normal,
+                        table) -> "SectorEmbedding":
+        """The embedding of a model's ring ``sub`` into another of its
+        rings, ``ambient``, whose normal coordinates are ``normal``, in
+        order, with their characters read off the model's character table
+        ``table`` (coordinate i at i - 1); their mask is kept, for the
+        certificate of ``check``.  The caller guarantees what that
+        certificate assumes: both rings are the model's (``_trace_ring``),
+        and ``normal`` are the ambient's coordinates outside the sub's."""
+        out = SectorEmbedding(sub, ambient, [table[i - 1] for i in normal])
+        object.__setattr__(out, "normal", _mask(normal))
+        return out
 
     @functools.cached_property
     def euler(self) -> IntPoly:
@@ -362,37 +386,40 @@ class SectorEmbedding(Value):
         relations, and pushing a sub relation must land in the ambient ideal.
         Failures raise loudly; nothing is silently accepted.
 
-        A product of linear forms divides another when its multiset of
-        characters is contained, with multiplicity, in the other's.  So an
-        ambient relation containing some sub relation's characters is zero
-        on the subsector, and a sub relation whose characters plus the
-        normal characters contain some ambient relation's pushes into the
-        ambient ideal.  Such a containment, read off the presentations'
-        ``counters``, is the proof; the lattice test runs for every relation
-        without one (``_uncertified``)."""
-        for rel in _uncertified(self.ambient, self.sub.truncation, self.sub, {}):
-            if not is_zero_class(self.sub, rel):
+        A product of linear forms divides another when the coordinates of
+        its characters are among the other's.  In an embedding built
+        between two rings of one model (``_of_coordinates``), a relation's
+        trace mask names its coordinates.  So an ambient relation r is zero
+        on the subsector when some sub relation s has ``s & r == s``, and a
+        sub relation s pushes into the ambient ideal when some ambient
+        relation r has ``r & (s | normal) == r``.  Such a containment is the
+        proof; the lattice test runs for every relation without one, and
+        for every relation of any other embedding (``_uncertified``)."""
+        sub, ambient, normal = self.sub, self.ambient, self.normal
+        masked = normal is not None
+        for rel in _uncertified(ambient, sub.truncation, sub.traces if masked else (), 0):
+            if not is_zero_class(sub, rel):
                 raise GysinError(
                     "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
                 )
         if not all(map(any, self.normal_chars)):
             return  # a zero character: the normal Euler class is zero
-        limit = self.ambient.truncation - len(self.normal_chars)
-        for rel in _uncertified(self.sub, limit, self.ambient, Counter(self.normal_chars)):
-            if not is_zero_class(self.ambient, rel * self.euler):
+        limit = ambient.truncation - len(self.normal_chars)
+        for rel in _uncertified(sub, limit, ambient.traces if masked else (), normal):
+            if not is_zero_class(ambient, rel * self.euler):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
                     "is nonzero in the ambient ring" % rel
                 )
 
 
-def _uncertified(pres, limit: int, other, more: dict) -> list[IntPoly]:
-    """The relations of ``pres`` of degree at most ``limit`` with no
-    certificate: no relation multiset of ``other`` lies in theirs plus
-    ``more``, with multiplicity (all of them, if either has no multisets)."""
-    return [rel for rel, deg, chars in itertools.zip_longest(pres.relations, pres.degrees, pres.counters)
-            if deg <= limit and not (chars and any(
-                all(chars.get(w, 0) + more.get(w, 0) >= m for w, m in c.items()) for c in other.counters))]
+def _uncertified(pres, limit: int, masks, more: int | None) -> list[IntPoly]:
+    """The relations of ``pres`` of degree at most ``limit`` with no mask
+    certificate: none of the relation masks ``masks`` of the other ring
+    lies in theirs joined with the coordinates ``more`` (all of them when
+    ``masks`` is empty)."""
+    return [rel for rel, deg, s in itertools.zip_longest(pres.relations, pres.degrees, pres.traces)
+            if deg <= limit and not any(r & (s | more) == r for r in masks)]
 
 
 def gysin_push(embedding: SectorEmbedding, poly: IntPoly) -> IntPoly:

@@ -180,32 +180,53 @@ def _mask(indices) -> int:
     return sum(1 << j for j in indices)
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the int bitmask ``mask``, ascending: the inverse of
+    ``_mask``."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
 @functools.cache
 def _columns(mask: int) -> frozenset[int]:
-    """The column set of the int bitmask ``mask``, the inverse of
-    ``_mask``: the one place a column mask becomes a set, where it leaves
-    the double inertia, with one frozenset shared per distinct mask."""
-    return frozenset(j for j in range(mask.bit_length()) if mask >> j & 1)
+    """The index set of the int bitmask ``mask`` (``_bits``): the one place
+    a column or coordinate mask becomes a set, where it leaves the double
+    inertia or the trace rule, with one frozenset shared per distinct
+    mask."""
+    return frozenset(_bits(mask))
+
+
+def _traces(unstable, alive: int) -> list[int]:
+    """The trace rule on ints: the minimal traces of the minimal unstable
+    coordinate masks ``unstable`` on the coordinate mask ``alive``, ordered
+    by (size, sorted elements).  An empty trace means the fixed locus lies
+    in the unstable locus, and raises ``ValueError``.  The one owner of the
+    rule: ``sector_unstable_sets`` reads it on sets, and the sector rings
+    of an orbifold geometry on masks."""
+    traces = {u & alive for u in unstable}
+    if 0 in traces:
+        raise ValueError("fixed locus lies in the unstable locus")
+    minimal = [s for s in traces if not any(t & s == t != s for t in traces)]
+    return sorted(minimal, key=lambda s: (s.bit_count(), _bits(s)))
 
 
 class _Stability:
     """One model's stability rule on column sets held as int bitmasks
     (``_mask``), decided once per mask, for sectors and pairs alike.  A set
     passes when it contains a basis mask (so its rank is d, with no Hermite
-    form) and no minimal unstable coordinate mask lies in the dead
-    coordinates: over a dead column mask D they are D | D << n in a doubled
-    model (y_j is bit n + j), else D.  ``bases`` are the sigma-set bases,
-    one per column basis, and a model with none (a direct model built from
-    unstable sets) reads ``column_bases`` once.  The table has this one
-    mode: the one-set test behind ``age`` is ``_stable_fixed``, on sets."""
+    form) and every minimal unstable coordinate mask meets the coordinates
+    over it: over a column mask M they are M | M << n in a doubled model
+    (y_j is bit n + j), else M (``_shift``).  ``bases`` are the sigma-set
+    bases, one per column basis, and a model with none (a direct model
+    built from unstable sets) reads ``column_bases`` once.  The table has
+    this one mode: the one-set test behind ``age`` is ``_stable_fixed``,
+    on sets."""
 
-    __slots__ = ("bases", "_basis_masks", "_unstable", "_all", "_shift", "_decided")
+    __slots__ = ("bases", "_basis_masks", "_unstable", "_shift", "_decided")
 
     def __init__(self, model: StackModel):
         self.bases = bases = tuple(s.basis for s in model.arrangement.sigma_sets) or tuple(column_bases(model.base))
         self._basis_masks = tuple(map(_mask, bases))
         self._unstable = tuple(map(_mask, model.arrangement.unstable_minimal))
-        self._all = _mask(range(1, model.n + 1))
         self._shift = model.n if model.doubled else 0
         self._decided: dict[int, bool] = {}
 
@@ -216,11 +237,8 @@ class _Stability:
         return out
 
     def _decide(self, mask: int) -> bool:
-        if not any(b & mask == b for b in self._basis_masks):
-            return False
-        dead = self._all & ~mask
-        dead |= dead << self._shift
-        return not any(u & dead == u for u in self._unstable)
+        alive = mask | mask << self._shift
+        return any(b & mask == b for b in self._basis_masks) and all(u & alive for u in self._unstable)
 
 
 def _stable_fixed(model: StackModel, cols) -> bool:
@@ -266,7 +284,7 @@ def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
     ``TorsionElement`` or ``InertiaComponent`` is built here: their
     readers build them from these ints."""
     a = model.base
-    duals = [cokernel_torsion_numerators(lattice) for lattice in dict.fromkeys(map(a.lattice, stable.bases))]
+    duals = [cokernel_torsion_numerators(lattice) for lattice in dict.fromkeys(map(a._lattice, stable.bases))]
     big = lcm(*(order for order, _ in duals))
     candidates = {tuple(x * (big // order) for x in row): (order, row) for order, rows in duals for row in rows}
     # over L, a/N < b/M exactly when a*(L/N) < b*(L/M): the int tuples sort
@@ -337,18 +355,11 @@ def _age(mults, exponents) -> int:
 
 def sector_unstable_sets(model: StackModel, fixed: frozenset[int]) -> list[frozenset[int]]:
     """The minimal unstable sets of the sector of the fixed columns, in the
-    model's coordinates: the minimal traces of the model's minimal unstable
-    sets on the coordinates over ``fixed``, ordered by (size, sorted
-    elements).  An empty trace means the fixed locus lies in the unstable
-    locus, and raises ``ValueError``.  The one owner of the trace rule:
-    ``sector_model`` renumbers these sets, and the sector rings of an
-    orbifold geometry read their characters."""
-    alive = model.coords_of_columns(fixed)
-    traces = {s & alive for s in model.arrangement.unstable_minimal}
-    if frozenset() in traces:
-        raise ValueError("fixed locus lies in the unstable locus")
-    return sorted((s for s in traces if not any(t < s for t in traces)),
-                  key=lambda s: (len(s), sorted(s)))
+    model's coordinates: the trace rule (``_traces``) on the coordinates
+    over ``fixed``, read as sets; an empty trace raises ``ValueError``.
+    ``sector_model`` renumbers these sets."""
+    alive = _mask(model.coords_of_columns(fixed))
+    return [_columns(s) for s in _traces(map(_mask, model.arrangement.unstable_minimal), alive)]
 
 
 def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:

@@ -77,7 +77,11 @@ class WeightMatrix(Value):
     def lattice(self, cols) -> tuple[tuple[int, ...], ...]:
         """The reduced Hermite basis of the lattice the 1-based columns span;
         its length is their rank."""
-        return hnf([self.columns[j - 1] for j in self._checked(cols)], self.d)
+        return self._lattice(self._checked(cols))
+
+    def _lattice(self, cols) -> tuple[tuple[int, ...], ...]:
+        """``lattice`` of columns read unchecked: the library's own."""
+        return hnf([self.columns[j - 1] for j in cols], self.d)
 
     def basis_lattice(self, cols) -> tuple[tuple[int, ...], ...]:
         """The Hermite basis (``lattice``) of d columns of rank d, the one
@@ -218,7 +222,7 @@ def lambda_coeffs(a: WeightMatrix, basis, theta) -> tuple[Fraction, ...]:
     rule, a quotient of the integer determinants of ``_cramer``.  A theta
     of another length than d is refused."""
     theta, scale = _integral(_of_length_d(a, theta))
-    det, nums = _cramer(a, tuple(sorted(basis)), theta)
+    det, nums = _cramer(a, a._checked(tuple(sorted(basis))), theta)
     return tuple(Fraction(num, scale * det) for num in nums)
 
 
@@ -229,10 +233,12 @@ def _cramer(a: WeightMatrix, basis, theta, det: int | None = None) -> tuple[int,
     basis column j the numerator det A_B^(j<-s theta0), which has s * theta0
     in place of column j.  ``det`` is det A_B when the caller has it from
     the column walk (``_column_dets``); else it is computed here, and
-    columns that are not d of rank d are refused, naming them.  Each
-    determinant is ``exact._det`` of the columns, in ascending order as
-    ``WeightMatrix.columns_matrix`` reads them, taken as rows."""
-    cols = [a.columns[j - 1] for j in sorted(a._checked(basis))]
+    columns that are not d of rank d are refused, naming them.  The
+    columns are read unchecked: a public caller checks them
+    (``WeightMatrix._checked``) first.  Each determinant is ``exact._det``
+    of the columns, in ascending order as ``WeightMatrix.columns_matrix``
+    reads them, taken as rows."""
+    cols = [a.columns[j - 1] for j in basis]
     if det is None:
         det = _det(cols) if len(cols) == a.d else 0
     if det == 0:
@@ -275,7 +281,8 @@ def _integral(theta) -> tuple[tuple[int, ...], int]:
 def sigma_set(a: WeightMatrix, basis, theta) -> SigmaSet:
     """Apply the sign rule to the basis coefficients; zero coefficients mean
     the character is non-generic and are a hard error."""
-    sigma, walls = _sign_rule(a, tuple(sorted(basis)), _integral(_of_length_d(a, theta))[0])
+    basis, theta = tuple(sorted(basis)), _integral(_of_length_d(a, theta))[0]
+    sigma, walls = _sign_rule(a, a._checked(basis), theta)
     if walls:
         raise NonGenericError(GenericReport(False, tuple(walls[:1])))
     return sigma

@@ -8,10 +8,11 @@ structure constants and ages.
 
 A model's orbifold ring is one object, its ``SectorGeometry``: the one
 owner of the rings over one analysis at one truncation, each kept once,
-keyed by what derives it: one presentation per fixed set, one checked
-embedding per (common fixed set, target fixed set), and one generator
-product per product key of the analysis; a pair's structure constants
-are read off its key (``entry``), and nothing is kept per pair.
+keyed by what derives it: one product of characters per trace mask, one
+presentation per fixed mask, one checked embedding per (common fixed
+mask, target fixed mask), and one generator product per product key of
+the analysis; a pair's structure constants are read off its key
+(``entry``), and nothing is kept per pair.
 ``orbifold_table`` returns the geometry with every generator product
 built.  Both verifiers align their two sides once (``_align``), into the
 distinct (ambient key, fiber key) pairs of the double inertia, compare
@@ -34,10 +35,10 @@ from typing import NamedTuple
 
 from .analysis import ObstructionError, _Analysis, _Obstructions
 from .characters import CharacterClass
-from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _sector_ring, _vector_poly,
+from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _trace_ring, _vector_poly,
                    product_coefficients, product_of_forms)
 from .exact import as_int
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _same_dimension
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _bits, _mask, _same_dimension
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
 
@@ -156,11 +157,15 @@ class SectorGeometry:
     ``component``, ``pair`` and ``sector_presentation`` raise
     ``ValueError`` for one, through ``_Analysis.position``.  A sector's
     ring depends only on its fixed columns: it is built by the one builder
-    of fixed-set rings (``chow._sector_ring``), with no sector model built,
-    once per fixed set, with its one piece cache.  The geometry checks one
-    embedding per (common fixed set, target fixed set); a failed check is
-    never stored, so every push through it raises again.  It reads what
-    the generator product of a product key of the analysis is made of
+    of sector rings (``chow._trace_ring``) on the trace rule's masks
+    (``inertia._traces``), with no sector model built, once per fixed mask,
+    with its one piece cache, and each relation's product is made once
+    per trace mask for the whole geometry.  The geometry checks one
+    embedding per (common fixed mask, target fixed mask), the masks of a
+    product key (``_Analysis._key_masks``), by mask containment
+    (``SectorEmbedding.check``); a failed check is never stored, so every
+    push through it raises again.  It reads what the generator product of
+    a product key of the analysis is made of
     (``makeup``) and builds the product (``value``), each once per key;
     ``entry`` reads a pair's structure constants of the star product on
     sector generators off its key, and nothing is kept per pair.  The
@@ -176,6 +181,7 @@ class SectorGeometry:
         self.model = model
         self.analysis = model.analysis
         self.obstructions: _Obstructions = self.analysis.obstructions
+        self._products: dict = {}
         self._presentations: dict = {}
         self._embeddings: dict = {}
         self._makeups: dict = {}
@@ -199,26 +205,43 @@ class SectorGeometry:
         return DoubleInertiaComponent(g1, g2, self.analysis.keys[k][1], target)
 
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
-        """The sector ring over ``fixed``; an unstable fixed set raises
+        """The sector ring over the columns ``fixed`` (``_ring``); a column
+        outside 1..n raises ``ModelError``, and an unstable fixed set
         ``ValueError``, as ``sector_model`` does."""
-        pres = self._presentations.get(fixed)
-        if pres is None:
-            pres = self._presentations[fixed] = _sector_ring(self.model, fixed, self.truncation)
-        return pres
+        return self._ring(_mask(set(self.model.base._checked(fixed))))
+
+    def _ring(self, fixed: int) -> GradedRingPresentation:
+        """The sector ring over the fixed column mask ``fixed``, built once
+        (``chow._trace_ring``) on the coordinates over ``fixed``."""
+        if fixed not in self._presentations:
+            stable = self.analysis._stable
+            self._presentations[fixed] = _trace_ring(self.model, fixed | fixed << stable._shift, stable._unstable,
+                                                     self.truncation, self._products)
+        return self._presentations[fixed]
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
-        return self.presentation_for(self.component(g).fixed_columns)
+        return self._ring(self.analysis._masks[self.analysis.position(g)])
 
     def embedding(self, small: frozenset[int], big: frozenset[int]) -> SectorEmbedding:
-        emb = self._embeddings.get((small, big))
+        """The embedding of the ring over the columns ``small`` into the one
+        over ``big`` (``_embedding``); a column outside 1..n raises
+        ``ModelError``."""
+        return self._embedding(*(_mask(set(self.model.base._checked(cols))) for cols in (small, big)))
+
+    def _embedding(self, common: int, target: int) -> SectorEmbedding:
+        """The embedding of the ring over the fixed column mask ``common``
+        into the one over ``target``, built and checked once per pair of
+        masks.  Its normal coordinates lie over the columns
+        ``target & ~common``, column by column: x_j, then y_j, which is j
+        shifted by ``_Stability._shift``, and is x_j itself in an undoubled
+        model."""
+        emb = self._embeddings.get((common, target))
         if emb is None:
-            model = self.model
-            # column by column, x_j before y_j
-            coords = sorted(model.coords_of_columns(big - small), key=lambda i: ((i - 1) % model.n, i))
-            emb = SectorEmbedding(sub=self.presentation_for(small), ambient=self.presentation_for(big),
-                                  normal_chars=tuple(map(model.coordinate_char, coords)))
+            normal = [i for j in _bits(target & ~common) for i in sorted({j, j + self.analysis._stable._shift})]
+            emb = SectorEmbedding._of_coordinates(self._ring(common), self._ring(target), normal,
+                                                  self.model.weights.columns)
             emb.check()
-            self._embeddings[small, big] = emb
+            self._embeddings[common, target] = emb
         return emb
 
     def makeup(self, k: int) -> tuple | None:
@@ -233,12 +256,12 @@ class SectorGeometry:
         made once per key, and a key that raises is never stored, so it
         raises again on every read."""
         if k not in self._makeups:
-            mask, common, target_fixed = self.analysis.keys[k]
+            mask = self.analysis.keys[k][0]
             factors = self.obstructions.bundle(mask)
             if factors is None:
                 first = next((i1, i2) for i1, i2, key, _ in self.analysis.walk() if key == k)
                 self.obstructions.class_for(mask, *map(self.analysis.elements.__getitem__, first))
-            self._makeups[k] = _makeup(factors, self.embedding(common, target_fixed))
+            self._makeups[k] = _makeup(factors, self._embedding(*self.analysis._key_masks[k]))
         return self._makeups[k]
 
     def value(self, k: int) -> tuple:
@@ -464,9 +487,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     on a Lawrence input the moment fiber reads the ambient's geometry, and
     the check certifies that the two sides share their read data; a fiber
     with other read data gets a geometry of its own and is computed from
-    its own data.  Within a geometry each fixed set has one
-    presentation, with its pieces built once, each (common fixed set,
-    target fixed set) one embedding, built and checked once, and each
+    its own data.  Within a geometry each fixed mask has one
+    presentation, with its pieces built once, each (common fixed mask,
+    target fixed mask) one embedding, built and checked once, and each
     product key one makeup and at most one generator product, so a fiber
     that reads the ambient's geometry makes each key's makeup once for
     both sides.  The sides are aligned once (``_align``), as the pullback
@@ -494,10 +517,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
         return OrbifoldIsoReport(False, 0, detail=_DIFFER)
 
     an, fn = geo_a.analysis, geo_f.analysis
-    reports = {fixed: _same_ring(geo_a.presentation_for(fixed), geo_f.presentation_for(fixed), bound)
-               for fixed in dict.fromkeys(an._fixed)}
-    ring_failures = tuple((an.elements[i], reports[fixed]) for i, fixed in enumerate(an._fixed)
-                          if not reports[fixed].is_iso)
+    reports = {mask: _same_ring(geo_a._ring(mask), geo_f._ring(mask), bound) for mask in dict.fromkeys(an._masks)}
+    ring_failures = tuple((an.elements[i], reports[mask]) for i, mask in enumerate(an._masks)
+                          if not reports[mask].is_iso)
     # each side's ages are over its own common order L
     age_failures = tuple((an.elements[i], an.components[i].age, fn.components[i].age)
                          for i, (x, y) in enumerate(zip(an.ages, fn.ages)) if x * fn._big != y * an._big)

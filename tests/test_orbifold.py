@@ -280,14 +280,24 @@ def _multiset_lists(geo, build_sector):
 
 
 def _spy_work(monkeypatch):
-    """Record the work of the table path: sector models, presentations made
-    from characters, Euler polynomials, the geometry's generator products
-    (each one run of the product kernel), and ``star`` calls."""
+    """Record the work of the table path: sector models, the rings the
+    geometry builds from trace masks (``chow._trace_ring``), each as its
+    variable count, the sorted characters of each trace mask's coordinates
+    and its truncation, Euler polynomials, the geometry's generator
+    products (each one run of the product kernel), and ``star`` calls."""
     work = {name: [] for name in ("sector_models", "presentations", "eulers", "products", "stars")}
     monkeypatch.setattr(inertia_module, "sector_model",
                         _counted(work["sector_models"], inertia_module.sector_model))
-    monkeypatch.setattr(GradedRingPresentation, "from_characters", staticmethod(
-        _counted(work["presentations"], GradedRingPresentation.from_characters)))
+    build = orbifold_module._trace_ring
+
+    def spy_ring(model, support, unstable, truncation, products):
+        unstable = tuple(unstable)
+        multisets = tuple(tuple(sorted(model.coordinate_char(i) for i in inertia_module._bits(s)))
+                          for s in inertia_module._traces(unstable, support))
+        work["presentations"].append((model.d, multisets, truncation))
+        return build(model, support, unstable, truncation, products)
+
+    monkeypatch.setattr(orbifold_module, "_trace_ring", spy_ring)
     for name, fn in (("eulers", "euler_poly"), ("products", "product_coefficients"), ("stars", "star")):
         monkeypatch.setattr(orbifold_module, fn, _counted(work[name], getattr(orbifold_module, fn)))
     return work
@@ -323,11 +333,13 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
         assert len(set(work["presentations"])) < len(fixed_sets)
     fixed_pairs = {(common, target_fixed) for _, common, target_fixed in geo.analysis.keys}
     assert fixed_pairs == {(p.common_fixed, geo.component(p.target).fixed_columns) for p in pairs}
-    assert [id(emb) for (emb,) in checked] == [id(geo.embedding(*fp)) for fp in geo._embeddings]
+    assert [id(emb) for (emb,) in checked] == [
+        id(geo.embedding(*map(inertia_module._columns, fp))) for fp in geo._embeddings]
     assert len(checked) == len(fixed_pairs)
     assert done["eulers"] == 0
     keys = [(geo.obstructions.bundle(mask), geo.embedding(common, target_fixed))
             for mask, common, target_fixed in geo.analysis.keys]
+    assert len(checked) == len(fixed_pairs)
     nonzero = [k for k, (factors, emb) in enumerate(keys)
                if not product_of_forms(model.d, factors).is_zero and all(any(w) for w in emb.normal_chars)]
     assert done["products"] == len(nonzero) and nonzero
@@ -430,7 +442,7 @@ def test_the_ring_keeps_nothing_per_pair():
     # and one ring per fixed set, and reading the entries grew none of them
     model = lawrence_model(*random_generic_instance(random.Random(1), 3, 9))
     geo = orbifold_table(model, 5)
-    stores = ("_presentations", "_embeddings", "_makeups", "_values")
+    stores = ("_products", "_presentations", "_embeddings", "_makeups", "_values")
     sizes = [len(getattr(geo, name)) for name in stores]
     pairs = double_inertia(model)
     for p in pairs:
@@ -495,7 +507,8 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     assert not any(pres._pieces for pres in geo._presentations.values())
     assert not geo._values
     assert [emb for emb, in embedded] == list(geo._embeddings.values())
-    assert set(geo._embeddings) == {(common, target) for _, common, target in geo.analysis.keys}
+    assert {tuple(map(inertia_module._columns, masks)) for masks in geo._embeddings} == {
+        (common, target) for _, common, target in geo.analysis.keys}
 
     # the table of the same model still runs one kernel product per
     # distinct (class, embedding value) with a nonzero product, no more
@@ -617,7 +630,7 @@ def _fiber_ring_with_a_larger_lattice(monkeypatch, a, theta):
             geo.value(k)
         pres = geo.presentation_for(bad)
         assert any(reduce_class(pres, extra))
-        geo._presentations[bad] = GradedRingPresentation(
+        geo._presentations[inertia_module._mask(bad)] = GradedRingPresentation(
             pres.num_vars, pres.relations + (extra,), pres.truncation)
 
     _edit_fiber_geometry(monkeypatch, enlarge)
@@ -678,14 +691,15 @@ def test_of_several_failing_embeddings_the_first_pairs_raises(seed, d, n, moved,
     # order whose embedding fails
     a, theta = random_generic_instance(random.Random(seed), d, n)
     model = lawrence_model(a, theta)
-    embedding = SectorGeometry.embedding
+    embedding = SectorGeometry._embedding
 
-    def fail_moving(geo, small, big):
+    def fail_moving(geo, common, target):
+        small, big = map(inertia_module._columns, (common, target))
         if len(big - small) == moved:
             raise GysinError("forced on %s in %s" % (sorted(small), sorted(big)))
-        return embedding(geo, small, big)
+        return embedding(geo, common, target)
 
-    monkeypatch.setattr(SectorGeometry, "embedding", fail_moving)
+    monkeypatch.setattr(SectorGeometry, "_embedding", fail_moving)
     analysis = model.analysis
     pushes = [analysis.keys[k][1:] for _, _, k, _ in analysis.walk()]
     fails = [(common, target) for common, target in pushes if len(target - common) == moved]
@@ -975,10 +989,10 @@ def test_star_refuses_a_pair_whose_obstruction_is_not_a_bundle(monkeypatch):
 
 def _spy_geometries(monkeypatch):
     """Record the geometries ``verify_orbifold_iso`` reads (``_geometry``),
-    the geometries and product entries it constructs, and the fixed set of
-    each sector-ring lookup."""
+    the geometries and product entries it constructs, and the coordinate
+    mask of each sector-ring lookup of the trace rule."""
     read, geometries, entries, looked_up = records = [], [], [], []
-    unstable = chow_module.sector_unstable_sets
+    traces = chow_module._traces
 
     def spy(record, fn):
         def made(*args):
@@ -986,13 +1000,13 @@ def _spy_geometries(monkeypatch):
             return record[-1]
         return made
 
-    def spy_unstable(model, fixed):
-        looked_up.append(fixed)
-        return unstable(model, fixed)
+    def spy_traces(unstable, alive):
+        looked_up.append(alive)
+        return traces(unstable, alive)
 
     for name, record in zip(("_geometry", "SectorGeometry", "ProductEntry"), records):
         monkeypatch.setattr(orbifold_module, name, spy(record, getattr(orbifold_module, name)))
-    monkeypatch.setattr(chow_module, "sector_unstable_sets", spy_unstable)
+    monkeypatch.setattr(chow_module, "_traces", spy_traces)
     return read, geometries, entries, looked_up
 
 
@@ -1010,7 +1024,7 @@ def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
         assert len(geometries) == 1 and not geo._values and not entries
         fixed_sets = ({c.fixed_columns for c in geo.components}
                       | {common for _, common, _ in geo.analysis.keys})
-        assert Counter(looked_up) == Counter(fixed_sets)
+        assert Counter(looked_up) == Counter(inertia_module._mask(geo.model.coords_of_columns(f)) for f in fixed_sets)
 
 
 @pytest.mark.parametrize("multiplicity", [2, -1])

@@ -8,7 +8,7 @@ the obstruction kernel's exponent vectors; the oracle sums
 m * (<w, g> - floor(<w, g>)) over the tangent class in Fractions, trivial
 summands included.  A presentation's degrees are compared with
 ``homogeneous_degree()``, and each relation with the product of the
-characters of its ``Counter`` certificate.
+characters of the coordinates of its trace mask.
 """
 
 import itertools
@@ -37,7 +37,7 @@ from hypertoric import (
 )
 from hypertoric.chow import product_of_forms
 from hypertoric.exact import hnf
-from hypertoric.inertia import _mask, _Stability
+from hypertoric.inertia import _bits, _columns, _mask, _Stability
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
 
 
@@ -189,12 +189,14 @@ def test_ages_read_off_the_exponent_vectors_are_the_fractional_sums():
 
 
 def presentations():
-    for build in (lawrence_model, hypertoric_model):
-        for seed, d, n in [(1, 1, 4), (1, 2, 4), (3, 2, 5), (4, 3, 5)]:
-            table = orbifold_table(build(*random_generic_instance(random.Random(seed), d, n)), 3)
-            yield from table._presentations.values()
-    for _, model in direct_models():
-        yield from orbifold_table(model, 3)._presentations.values()
+    """Each ring of the tables of the seeded and direct models, with its
+    model's coordinates over its fixed columns, as a mask, and its model."""
+    models = [build(*random_generic_instance(random.Random(seed), d, n))
+              for build in (lawrence_model, hypertoric_model)
+              for seed, d, n in [(1, 1, 4), (1, 2, 4), (3, 2, 5), (4, 3, 5)]]
+    for model in models + [model for _, model in direct_models()]:
+        for fixed, pres in orbifold_table(model, 3)._presentations.items():
+            yield pres, _mask(model.coords_of_columns(_columns(fixed))), model
 
 
 @pytest.mark.parametrize("plain", [
@@ -205,15 +207,16 @@ def presentations():
 def test_presentations_without_multisets_keep_only_their_degrees(plain):
     pres = GradedRingPresentation(*plain)
     assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-    assert pres.counters == ()
+    assert pres.traces == ()
 
 
 def test_cached_degrees_and_multisets_equal_the_recomputed_ones():
     seen = 0
-    for pres in presentations():
+    for pres, support, model in presentations():
         assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-        assert len(pres.counters) == len(pres.relations)
-        for rel, counter in zip(pres.relations, pres.counters):
-            assert product_of_forms(pres.num_vars, list(counter.elements())) == rel
+        assert len(pres.traces) == len(pres.relations)
+        for rel, mask in zip(pres.relations, pres.traces):
+            assert mask & support == mask
+            assert product_of_forms(pres.num_vars, [model.coordinate_char(i) for i in _bits(mask)]) == rel
             seen += 1
     assert seen > 100

@@ -1,20 +1,22 @@
 """One owner per ring, and the exact certificates that skip work.
 
 A ``SectorGeometry`` owns the rings over one analysis at one truncation,
-keyed by what derives them: each fixed set has one presentation whose
-pieces are built once, and each (common fixed set, target fixed set) one
-embedding, checked once.  Within one
+keyed by what derives them: each fixed mask has one presentation whose
+pieces are built once, and each (common fixed mask, target fixed mask)
+one embedding, checked once.  Within one
 ``verify_orbifold_iso`` call a fiber with the ambient's read data reads
 the ambient's geometry, and a fiber with other read data builds its own.
 Three certificates stand in for lattice work: equal relation lists prove
-two rings equal (``_same_ring``), containment of character multisets
-proves a product relation divides another (``SectorEmbedding.check``), and
-equal makeups prove two generator products one class
-(``orbifold._same_makeup``).  The negative controls here show that the lattice test still decides
-wherever no certificate exists.
+two rings equal (``_same_ring``), containment of coordinate masks in two
+rings of one model proves a product relation divides another
+(``SectorEmbedding.check``), and equal makeups prove two generator
+products one class (``orbifold._same_makeup``).  The negative controls
+here show that the lattice test still decides wherever no certificate
+exists.
 """
 
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -26,12 +28,15 @@ from hypertoric import (
     IntPoly,
     SectorEmbedding,
     SectorGeometry,
+    WeightMatrix,
+    direct_model,
     double_inertia,
     lawrence_model,
     orbifold_table,
     ring_map_is_iso,
     verify_orbifold_iso,
 )
+from hypertoric.inertia import _mask
 from hypertoric.orbifold import _same_ring
 from hypertoric.sampling import random_generic_instance
 
@@ -140,10 +145,19 @@ def test_different_ideals_fail_where_the_identity_map_fails(rels_a, rels_f):
         assert got.failing_degree == want.failing_degree
 
 
-# --- SectorEmbedding.check: divisibility certificates and the lattice test
+# --- SectorEmbedding.check: mask certificates and the lattice test -------
 
-def _ring(*multisets, nvars=1, truncation=6):
-    return GradedRingPresentation.from_characters(nvars, multisets, truncation)
+def _model(*chars):
+    """A direct model whose coordinates have the characters ``chars``."""
+    return direct_model(WeightMatrix.from_rows(zip(*chars)), unstable=[[1]])
+
+
+def _ring(model, support, *masks, truncation=6):
+    """A ring of ``model`` over the coordinates ``support`` as the geometry
+    builds it (``chow._trace_ring``), with one relation per mask: the masks
+    lie in ``support`` and none in another, so each is its own minimal
+    trace."""
+    return chow_module._trace_ring(model, support, masks, truncation, {})
 
 
 def _lattice_tests(monkeypatch):
@@ -159,21 +173,31 @@ def _lattice_tests(monkeypatch):
     return asked
 
 
-def test_from_characters_keeps_a_certificate_per_relation():
-    pres = _ring([(1,), (1,)], [(-1,), (-1,)], [(3,)])
-    # t^2 from two multisets is one relation with the first certificate
+# coordinates 1..3 of one character each, as in a model with a repeated column
+REPEATED = direct_model(WeightMatrix.from_rows([[1, 1, 1]]), unstable=[[1, 2, 3]])
+
+
+def test_a_model_ring_keeps_a_trace_mask_per_relation():
+    model = _model((1,), (1,), (-1,), (-1,), (3,), (0,))
+    pres = _ring(model, 0b1111110, 0b110, 0b11000, 0b100000, 0b1000000)
+    # t^2 from two masks is one relation with the first mask; a zero
+    # character gives a zero product, which is dropped
     assert [str(r) for r in pres.relations] == ["3*t1", "t1^2"]
-    assert pres.counters == (Counter({(3,): 1}), Counter({(1,): 2}))
+    assert pres.traces == (0b100000, 0b110)
     assert pres == GradedRingPresentation(1, (T.scale(3), T * T), 6)
-    # a zero character gives a zero product, which is dropped
-    assert _ring([(0,)], [(2,)]).relations == (T.scale(2),)
+    # the characters' ring is the same ring, with no masks
+    chars = GradedRingPresentation.from_characters(1, [[(1,), (1,)], [(-1,), (-1,)], [(3,)], [(0,)]], 6)
+    assert chars == pres and chars.traces == ()
 
 
 def test_no_certificate_reaches_the_lattice_test_and_raises(monkeypatch):
-    # Z[t]/(2t) inside Z[t]/(t): no sub multiset lies in {1}, and t is
-    # nonzero in Z[t]/(2t), so the restriction is refused by the lattice test
+    # Z[t]/(2t) inside Z[t]/(t): the sub mask {1} does not lie in the
+    # ambient mask {2}, and t is nonzero in Z[t]/(2t), so the restriction
+    # is refused by the lattice test
     asked = _lattice_tests(monkeypatch)
-    emb = SectorEmbedding(_ring([(2,)]), _ring([(1,)]), ())
+    model = _model((2,), (1,))
+    emb = SectorEmbedding._of_coordinates(_ring(model, 0b110, 0b10), _ring(model, 0b110, 0b100), (),
+                                          model.weights.columns)
     with pytest.raises(GysinError, match="restriction ill-defined"):
         emb.check()
     assert asked == [T]
@@ -183,29 +207,98 @@ def test_no_certificate_but_a_member_passes_the_lattice_test(monkeypatch):
     # t1 + t2 lies in (t1, t2) though neither divides it; the pushes of t1
     # and t2 are certified by the ambient relations t1 and t2
     asked = _lattice_tests(monkeypatch)
-    sub = _ring([(1, 0)], [(0, 1)], nvars=2)
-    ambient = _ring([(1, 1)], [(1, 0)], [(0, 1)], nvars=2)
-    SectorEmbedding(sub, ambient, ()).check()
+    model = _model((1, 0), (0, 1), (1, 1))
+    sub = _ring(model, 0b1110, 0b10, 0b100)
+    ambient = _ring(model, 0b1110, 0b1000, 0b10, 0b100)
+    SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns).check()
     assert asked == [T1 + T2]
 
 
-@pytest.mark.parametrize("sub, ambient, normal, message", [
-    # restriction: t is not divisible by t^2, though {1} is in {1} as a set
-    (_ring([(1,), (1,)]), _ring([(1,)]), (), "restriction ill-defined"),
-    # pushforward: t times t is not divisible by t^3, though {1, 1} and
-    # {1, 1, 1} are the same set
-    (_ring([(1,)]), _ring([(1,), (1,), (1,)]), ((1,),), "pushforward ill-defined"),
+def _restriction_t_against_t_squared():
+    # the geometry's rings of REPEATED over {1, 2} (t^2) and over {1} (t):
+    # {1} lies in {1, 2} as a set of characters, but not as coordinates
+    geo = SectorGeometry(REPEATED, 6)
+    sub, ambient = geo.presentation_for(frozenset({1, 2})), geo.presentation_for(frozenset({1}))
+    assert (sub.relations, ambient.relations) == ((T * T,), (T,))
+    return SectorEmbedding._of_coordinates(sub, ambient, (), REPEATED.weights.columns)
+
+
+def _pushforward_t_times_t_against_t_cubed():
+    # t times the normal class t is not divisible by t^3, though the
+    # characters {1} and {1} together are the set {1, 1, 1}
+    sub, ambient = _ring(REPEATED, 0b1010, 0b10), _ring(REPEATED, 0b1110, 0b1110)
+    assert (sub.relations, ambient.relations) == ((T,), (T ** 3,))
+    return SectorEmbedding._of_coordinates(sub, ambient, (2,), REPEATED.weights.columns)
+
+
+@pytest.mark.parametrize("build, message", [
+    (_restriction_t_against_t_squared, "restriction ill-defined: ambient relation t1 is nonzero"),
+    (_pushforward_t_times_t_against_t_cubed, "pushforward ill-defined: t1 times"),
 ], ids=["restriction", "pushforward"])
-def test_containment_counts_multiplicity(sub, ambient, normal, message, monkeypatch):
+def test_containment_counts_multiplicity(build, message, monkeypatch):
+    # a repeated column gives two coordinates of one character: two bits,
+    # so mask containment counts multiplicity
+    emb = build()
     asked = _lattice_tests(monkeypatch)
     with pytest.raises(GysinError, match=message):
-        SectorEmbedding(sub, ambient, normal).check()
+        emb.check()
     assert len(asked) == 1
+
+
+@pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (2, 3, 5)])
+def test_a_ring_missing_one_relation_mask_fails_the_lattice_test_naming_it(seed, d, n, monkeypatch):
+    # the identity embedding into a sector ring of a sub ring built without
+    # one relation's mask: that relation alone reaches the lattice test,
+    # which refuses it, naming it
+    geo = SectorGeometry(lawrence_model(*random_generic_instance(random.Random(seed), d, n)), 5)
+    ring, fixed = max(((geo.sector_presentation(c.g), c.fixed_columns) for c in geo.components),
+                      key=lambda pair: len(pair[0].relations))
+    assert len(ring.relations) >= 3
+    support = _mask(geo.model.coords_of_columns(fixed))
+    asked = _lattice_tests(monkeypatch)
+    for k, rel in enumerate(ring.relations):
+        less = _ring(geo.model, support, *ring.traces[:k], *ring.traces[k + 1:], truncation=ring.truncation)
+        asked.clear()
+        with pytest.raises(GysinError, match=re.escape("ambient relation %s is nonzero" % rel)):
+            SectorEmbedding._of_coordinates(less, ring, (), geo.model.weights.columns).check()
+        assert asked == [rel]
+
+
+def _asked_of_every_relation(emb):
+    """What the lattice test is asked for an embedding with no certificate:
+    every ambient relation within the sub's truncation, then every sub
+    relation within range times the normal Euler class."""
+    sub, ambient = emb.sub, emb.ambient
+    out = [r for r, k in zip(ambient.relations, ambient.degrees) if k <= sub.truncation]
+    if all(map(any, emb.normal_chars)):
+        limit = ambient.truncation - len(emb.normal_chars)
+        out += [r * emb.euler for r, k in zip(sub.relations, sub.degrees) if k <= limit]
+    return out
+
+
+def test_hand_built_rings_and_embeddings_take_the_lattice_test(monkeypatch):
+    # rings built by hand carry no masks, and an embedding built by hand
+    # no normal mask: each asks the lattice test about every relation in
+    # range
+    asked = _lattice_tests(monkeypatch)
+    geo = SectorGeometry(lawrence_model(*random_generic_instance(random.Random(1), 2, 5)), 5)
+    built = {id(e): e for e in (geo.embedding(p.common_fixed, geo.component(p.target).fixed_columns)
+                                for p in double_inertia(geo.model))}.values()
+    assert len(built) > 5 and asked == []
+    others = []
+    for emb in built:
+        plain = [GradedRingPresentation(p.num_vars, p.relations, p.truncation) for p in (emb.sub, emb.ambient)]
+        others += [SectorEmbedding(emb.sub, emb.ambient, emb.normal_chars),
+                   SectorEmbedding(*plain, emb.normal_chars)]
+    for emb in others:
+        asked.clear()
+        emb.check()
+        assert asked == _asked_of_every_relation(emb)
 
 
 def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
     # on these models a certificate settles every check, and the lattice
-    # test, run on the same rings without their characters, agrees
+    # test, run on the same rings without their masks, agrees
     asked = _lattice_tests(monkeypatch)
     embeddings = []
     for seed, d, n in [(1, 2, 5), (2, 3, 5), (1, 1, 6)]:
