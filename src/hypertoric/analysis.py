@@ -135,6 +135,19 @@ def _packer(big: int, count: int, threshold: int):
     return pack, pack([2 ** width - threshold] * count), pack([1 << width] * count), width
 
 
+def _selection(spread: int, width: int) -> int:
+    """The selection bitmask (bit k for term k) of a selection pack of
+    fields ``width + 1`` bits wide whose only set bits are field tops, as
+    the key pass leaves them: one step per set bit, the lowest first, whose
+    position k * (width + 1) + width names its term k."""
+    out = 0
+    while spread:
+        low = spread & -spread
+        out |= 1 << (low.bit_length() - 1) // (width + 1)
+        spread ^= low
+    return out
+
+
 class _Analysis:
     """The inertia analysis of one model, kept by the model
     (``StackModel.analysis``) and read by every geometry over it, and the
@@ -197,16 +210,15 @@ class _Analysis:
         pack, self._lift, self._sum_tops, self._width = _packer(big, model.d, big)
         self._big, self._packs = big, [pack(row) * s for (_, row), s in zip(self._rows, scales)]
         self._by_pack = {p: i for i, p in enumerate(self._packs)}
-        count = len(kernel.terms)
-        pack, self._select_lift, self._tops, width = _packer(big, count, big + 1)
+        pack, self._select_lift, self._tops, width = _packer(big, len(kernel.terms), big + 1)
         self._lows = list(map(mul, map(pack, exponents), scales))
         self._key_index = key_index = {}
         for i, mask in enumerate(self._masks):
             cols = self._partners[mask]
             for key in dict.fromkeys(self._row(i, cols[bisect_left(cols, i):])[0]):
                 key_index.setdefault(key, len(key_index))
-        self.keys = tuple((sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1),
-                           _columns(common), _columns(target)) for spread, common, target in key_index)
+        self.keys = tuple((_selection(spread, width), _columns(common), _columns(target))
+                          for spread, common, target in key_index)
         self._key_masks = tuple((common, target) for _, common, target in key_index)
 
     @functools.cached_property

@@ -94,23 +94,23 @@ class GradedRingPresentation(Value):
     A presentation is an immutable ``Value`` over its ring, ``num_vars``,
     ``relations`` and ``truncation``: equality compares these, and no
     field is assigned after construction.  Its read-once tables are cache
-    slots, set once: ``degrees``, the degree of each relation, read as the
-    relations are validated (``IntPoly.homogeneous_degree`` refuses a
-    non-homogeneous one), and, for a ring a model builds
-    (``_trace_ring``), ``traces``, per relation the mask of the model's
-    coordinates whose characters multiply to it (bit i for coordinate i);
-    any other presentation has no ``traces``.  The masks are a certificate
-    (``SectorEmbedding.check``), not part of the ring's value.  A
-    presentation is not hashable (``__hash__ = None``): its pieces fill a
-    dict as they are read."""
+    slots, set once, with the fields (``_set``): ``degrees``, the degree of
+    each relation, and, for a ring a model builds (``_trace_ring``),
+    ``traces``, per relation the mask of the model's coordinates whose
+    characters multiply to it (bit i for coordinate i); any other
+    presentation has no ``traces``.  The masks are a certificate
+    (``SectorEmbedding.check``), not part of the ring's value.
+    ``__init__`` reads the degrees as it validates the relations
+    (``IntPoly.homogeneous_degree`` refuses a non-homogeneous one); a ring
+    a model builds is built by ``_derived``, unchecked, with each degree
+    its trace mask's bit count.  A presentation is not hashable
+    (``__hash__ = None``): its pieces fill a dict as they are read."""
 
     _fields = ("num_vars", "relations", "truncation")
     __slots__ = _fields + ("degrees", "traces", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
-        num_vars, truncation = as_int(num_vars), as_int(truncation)
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        num_vars, truncation = as_int(num_vars), _truncation(truncation)
         if num_vars < 0:
             raise ValueError("number of variables must be nonnegative, got %d" % num_vars)
         degrees = []
@@ -122,10 +122,15 @@ class GradedRingPresentation(Value):
             degrees.append(r.homogeneous_degree())
             if not degrees[-1]:
                 raise ValueError("degree-0 relation makes the ring trivial")
-        for name, value in zip(self._fields, (num_vars, relations, truncation)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "degrees", tuple(degrees))
-        object.__setattr__(self, "traces", ())
+        self._set(num_vars, relations, truncation, tuple(degrees), ())
+
+    def _set(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int,
+             degrees: tuple[int, ...], traces: tuple[int, ...]) -> None:
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "traces", traces)
         object.__setattr__(self, "_pieces", {})
 
     __hash__ = None
@@ -232,8 +237,7 @@ def presentation(model: StackModel, truncation: int | None = None) -> GradedRing
     coordinates (``_trace_ring``), whose minimal traces are the model's
     minimal unstable sets.  Default truncation is twice the ambient
     coordinate count."""
-    if truncation is None:
-        truncation = 2 * model.num_coords
+    truncation = 2 * model.num_coords if truncation is None else _truncation(truncation)
     return _trace_ring(model, _mask(range(1, model.num_coords + 1)), map(_mask, model.arrangement.unstable_minimal),
                        truncation, {})
 
@@ -253,15 +257,28 @@ def _trace_ring(model: StackModel, support: int, unstable, truncation: int, prod
     are dropped and equal ones kept once (``_relations``), and the ring
     keeps each relation's first mask (``traces``).  An empty trace raises
     ``ValueError``.  The one builder of ``presentation`` and of an
-    orbifold geometry's sector rings."""
+    orbifold geometry's sector rings, which pass a nonnegative int
+    ``truncation``.  The ring is built unchecked (``_derived``): each
+    relation is a nonzero product of as many linear forms in d variables
+    as its mask has bits, so it is homogeneous of that degree, at least
+    1."""
     table, traces = model.weights.columns, _traces(unstable, support)
     for s in traces:
         if s not in products:
             products[s] = product_of_forms(model.d, [table[i - 1] for i in _bits(s)])
     first = {products[s]: s for s in reversed(traces)}
-    out = GradedRingPresentation(model.d, _relations(first), truncation)
-    object.__setattr__(out, "traces", tuple(map(first.get, out.relations)))
-    return out
+    relations = _relations(first)
+    masks = tuple(map(first.get, relations))
+    return GradedRingPresentation._derived(model.d, relations, truncation, tuple(m.bit_count() for m in masks), masks)
+
+
+def _truncation(value) -> int:
+    """A truncation bound read by ``exact.as_int``, the one refusal of a
+    negative one."""
+    truncation = as_int(value)
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative, got %d" % truncation)
+    return truncation
 
 
 def graded_group(pres: GradedRingPresentation, k: int) -> GradedPiece:
@@ -352,16 +369,21 @@ class SectorEmbedding(Value):
     (``_of_coordinates``) keeps the mask of those coordinates, ``normal``,
     outside its compared fields; any other has ``normal`` None.  No slots,
     so ``euler`` can cache; an embedding is not hashable, as its
-    presentations are not."""
+    presentations are not.  ``__init__`` reads each normal character's
+    entries by ``exact.as_int``."""
 
     _fields = ("sub", "ambient", "normal_chars")
 
     def __init__(self, sub: GradedRingPresentation, ambient: GradedRingPresentation,
                  normal_chars: tuple[tuple[int, ...], ...]):
+        self._set(sub, ambient, tuple(tuple(map(as_int, w)) for w in normal_chars), None)
+
+    def _set(self, sub: GradedRingPresentation, ambient: GradedRingPresentation,
+             normal_chars: tuple[tuple[int, ...], ...], normal: int | None) -> None:
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "normal_chars", tuple(tuple(map(as_int, w)) for w in normal_chars))
-        object.__setattr__(self, "normal", None)
+        object.__setattr__(self, "normal_chars", normal_chars)
+        object.__setattr__(self, "normal", normal)
 
     @staticmethod
     def _of_coordinates(sub: GradedRingPresentation, ambient: GradedRingPresentation, normal,
@@ -369,13 +391,12 @@ class SectorEmbedding(Value):
         """The embedding of a model's ring ``sub`` into another of its
         rings, ``ambient``, whose normal coordinates are ``normal``, in
         order, with their characters read off the model's character table
-        ``table`` (coordinate i at i - 1); their mask is kept, for the
-        certificate of ``check``.  The caller guarantees what that
-        certificate assumes: both rings are the model's (``_trace_ring``),
-        and ``normal`` are the ambient's coordinates outside the sub's."""
-        out = SectorEmbedding(sub, ambient, [table[i - 1] for i in normal])
-        object.__setattr__(out, "normal", _mask(normal))
-        return out
+        ``table`` (coordinate i at i - 1), int tuples already, so built
+        unchecked (``_derived``); their mask is kept, for the certificate
+        of ``check``.  The caller guarantees what that certificate
+        assumes: both rings are the model's (``_trace_ring``), and
+        ``normal`` are the ambient's coordinates outside the sub's."""
+        return SectorEmbedding._derived(sub, ambient, tuple(table[i - 1] for i in normal), _mask(normal))
 
     @functools.cached_property
     def euler(self) -> IntPoly:
@@ -394,8 +415,12 @@ class SectorEmbedding(Value):
         sub relation s pushes into the ambient ideal when some ambient
         relation r has ``r & (s | normal) == r``.  Such a containment is the
         proof; the lattice test runs for every relation without one, and
-        for every relation of any other embedding (``_uncertified``)."""
+        for every relation of any other embedding (``_uncertified``).  An
+        embedding of a model's ring into itself with no normal coordinates
+        is the identity map, and is proved with no relation read."""
         sub, ambient, normal = self.sub, self.ambient, self.normal
+        if normal == 0 and sub is ambient:
+            return
         masked = normal is not None
         for rel in _uncertified(ambient, sub.truncation, sub.traces if masked else (), 0):
             if not is_zero_class(sub, rel):

@@ -55,7 +55,9 @@ def as_int(value) -> int:
 
 
 class IntMatrix(Value):
-    """Immutable integer matrix, stored row-major as nested tuples."""
+    """Immutable integer matrix, stored row-major as nested tuples: rows
+    of one length of plain ints, checked by ``__init__``, and not by
+    ``_derived``, for rows the library built from a matrix's own."""
 
     __slots__ = _fields = ("entries",)
 
@@ -67,7 +69,7 @@ class IntMatrix(Value):
             for e in row:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError("matrix entries must be plain ints, got %r" % (e,))
-        object.__setattr__(self, "entries", entries)
+        self._set(entries)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":

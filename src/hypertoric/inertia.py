@@ -53,19 +53,14 @@ class TorsionElement(Value):
             raise ValueError("not a canonical torsion element: %r over %r" % (nums, order))
         self._set(order, nums)
 
-    def _set(self, order: int, nums: tuple[int, ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "nums", nums)
-
     @staticmethod
     def _reduced(order: int, nums) -> "TorsionElement":
         """The element nums / order, for any ints (taken mod order) and a
-        positive ``order``; canonical by construction, so not checked."""
+        positive ``order``; canonical by construction, so built unchecked
+        (``_derived``)."""
         nums = [a % order for a in nums]
         g = gcd(order, *nums)
-        out = object.__new__(TorsionElement)
-        out._set(order // g, tuple(a // g for a in nums))
-        return out
+        return TorsionElement._derived(order // g, tuple(a // g for a in nums))
 
     @staticmethod
     def from_fractions(values) -> "TorsionElement":

@@ -43,9 +43,11 @@ class NonGenericError(ModelError):
 class WeightMatrix(Value):
     """The d x n integer matrix of torus weights; column j is the character
     of the coordinate x_j.  Must have full rank d over Q.  The matrix is the
-    value; its ``columns``, ``d`` and ``n`` are cache slots set once, and a
-    column argument is read behind one test: a plain int in 1..n, else
-    ``ModelError``."""
+    value; its ``columns``, ``d`` and ``n`` are cache slots set once, with
+    it (``_set``), and a column argument is read behind one test: a plain
+    int in 1..n, else ``ModelError``.  ``__init__`` refuses an empty or
+    rank-deficient matrix; a matrix the library derives from a weight
+    matrix (``lawrence_double``) is built by ``_derived``, unchecked."""
 
     _fields = ("matrix",)
     __slots__ = _fields + ("columns", "d", "n")
@@ -55,6 +57,9 @@ class WeightMatrix(Value):
             raise ModelError("weight matrix must be nonempty")
         if len(hnf(matrix.entries, matrix.cols)) != matrix.rows:
             raise ModelError("rank deficient: weight matrix must have full row rank")
+        self._set(matrix)
+
+    def _set(self, matrix: IntMatrix) -> None:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "columns", tuple(zip(*matrix.entries)))
         object.__setattr__(self, "d", matrix.rows)
@@ -149,6 +154,9 @@ class StackModel(Value):
     The hypertoric tangent class is the Lawrence one minus d trivial
     summands, reflecting that the moment-map directions carry the trivial
     character.  The model owns its inertia analysis (``analysis``).
+    ``__init__`` refuses a tangent class with a fractional multiplicity;
+    the moment fiber of a Lawrence model is built by ``_derived``
+    (``_moment_fiber``), unchecked.
     """
 
     _fields = ("kind", "base", "weights", "theta", "arrangement", "tangent_class")
@@ -160,8 +168,7 @@ class StackModel(Value):
         # ages and obstructions are computed on integer multiplicities
         if any(m.denominator != 1 for _, m in tangent_class.terms):
             raise ModelError("tangent class multiplicities must be integers: %s" % tangent_class)
-        for name, value in zip(self._fields, (kind, base, weights, theta, arrangement, tangent_class)):
-            object.__setattr__(self, name, value)
+        self._set(kind, base, weights, theta, arrangement, tangent_class)
 
     @property
     def analysis(self):
@@ -311,9 +318,11 @@ def minimal_unstable_sets(sigma_sets, n: int) -> list[frozenset[int]]:
 
 
 def lawrence_double(a: WeightMatrix) -> WeightMatrix:
-    """The d x 2n matrix (a_1 ... a_n, -a_1 ... -a_n)."""
-    rows = [list(row) + [-e for e in row] for row in a.matrix.entries]
-    return WeightMatrix.from_rows(rows)
+    """The d x 2n matrix (a_1 ... a_n, -a_1 ... -a_n): the int rows of A
+    with their negatives, of rank d since rank(A | -A) = rank A, so built
+    unchecked (``_derived``)."""
+    rows = tuple(tuple(row) + tuple(-e for e in row) for row in a.matrix.entries)
+    return WeightMatrix._derived(IntMatrix._derived(rows))
 
 
 def moment_eval(a: WeightMatrix, point) -> tuple[Fraction, ...]:
@@ -387,9 +396,12 @@ def lawrence_model(a: WeightMatrix, theta) -> StackModel:
 def _moment_fiber(lm: StackModel) -> StackModel:
     """The moment fiber of a Lawrence model (see ``hypertoric_model``): the
     same arrangement, kind hypertoric, and d trivial summands less: the
-    ambient's terms, already canonical, with the trivial part less d."""
+    ambient's terms, already canonical and integral, with the trivial part
+    less d.  Built unchecked (``_derived``), with no analysis of its own
+    yet."""
     tangent = lm.tangent_class
-    return lm.replace(kind=HYPERTORIC, tangent_class=CharacterClass(lm.d, tangent.terms, tangent.trivial - lm.d))
+    return StackModel._derived(HYPERTORIC, lm.base, lm.weights, lm.theta, lm.arrangement,
+                               CharacterClass(lm.d, tangent.terms, tangent.trivial - lm.d))
 
 
 @functools.lru_cache(maxsize=2)

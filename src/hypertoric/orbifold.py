@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 from .analysis import ObstructionError, _Analysis, _Obstructions
 from .characters import CharacterClass
-from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _trace_ring, _vector_poly,
-                   product_coefficients, product_of_forms)
+from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _trace_ring, _truncation,
+                   _vector_poly, product_coefficients, product_of_forms)
 from .exact import as_int
 from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _bits, _mask, _same_dimension
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
@@ -175,9 +175,7 @@ class SectorGeometry:
     negative truncation raises ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
-        self.truncation = truncation = as_int(truncation)
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative, got %d" % truncation)
+        self.truncation = _truncation(truncation)
         self.model = model
         self.analysis = model.analysis
         self.obstructions: _Obstructions = self.analysis.obstructions

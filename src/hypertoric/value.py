@@ -1,11 +1,25 @@
 """The base of the package's immutable value types.
 
 A value type lists its compared fields in ``_fields`` (and in
-``__slots__``, with any cache slots), validates in its own ``__init__``
-and sets each field once there with ``object.__setattr__``.  Plain records
-with no validation are ``typing.NamedTuple``s instead.  Neither needs code
-generated at class creation or the ``inspect`` module, so importing the
-package stays cheap for a process that answers one small question.
+``__slots__``, with any cache slots) and sets each field once, at
+construction, with ``object.__setattr__``.  Construction follows one
+rule:
+
+- outside input goes through ``__init__``, which validates it;
+- a value the library derives from validated values goes through the
+  type's ``_``-prefixed constructor, which runs none of those checks,
+  since none of them can fire: ``Value._derived``, or one built on it
+  (``inertia.TorsionElement._reduced``,
+  ``chow.SectorEmbedding._of_coordinates``).
+
+A type built both ways sets its fields in one ``_set``, which
+``__init__`` calls after its checks and ``_derived`` in their place.
+
+Plain records with no validation are ``typing.NamedTuple``s instead.
+These do generate code at class creation (``collections.namedtuple``
+``eval``s each class's ``__new__``), but neither kind needs the
+``dataclasses`` or ``inspect`` modules, so importing the package stays
+cheap for a process that answers one small question.
 """
 
 from __future__ import annotations
@@ -58,6 +72,22 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not by assignment
         return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def _set(self, *values) -> None:
+        """Set the fields, in ``_fields`` order, once; one value per field,
+        or ValueError.  A type with cache slots to fill at construction
+        defines its own."""
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, *values):
+        """The value with these fields, set by ``_set`` with none of
+        ``__init__``'s checks: for values the library derived from
+        validated ones, never for outside input."""
+        out = object.__new__(cls)
+        out._set(*values)
+        return out
 
     def replace(self, **changes):
         """This value with the named fields changed, validated again."""

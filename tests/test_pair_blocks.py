@@ -229,6 +229,18 @@ def test_packer_agrees_with_per_field_arithmetic(big):
             assert spread == sum(1 << k * (w + 1) + w for k, (x, y) in enumerate(zip(a, b)) if x + y > big)
 
 
+def test_a_selection_pack_decodes_to_the_terms_of_its_set_top_bits():
+    # the key pass walks only the set top bits of a selection pack; the
+    # reference tests the top bit of every one of the count fields
+    rng = random.Random(6300)
+    for _ in range(3000):
+        count, width = rng.randint(0, 40), rng.randint(1, 12)
+        share = rng.random()
+        spread = sum(1 << k * (width + 1) + width for k in range(count) if rng.random() < share)
+        want = sum(1 << k for k in range(count) if spread >> (k * (width + 1) + width) & 1)
+        assert analysis_module._selection(spread, width) == want
+
+
 def _geometry_analysis(model):
     return SectorGeometry(model, 4).analysis
 

@@ -290,10 +290,44 @@ def test_hand_built_rings_and_embeddings_take_the_lattice_test(monkeypatch):
         plain = [GradedRingPresentation(p.num_vars, p.relations, p.truncation) for p in (emb.sub, emb.ambient)]
         others += [SectorEmbedding(emb.sub, emb.ambient, emb.normal_chars),
                    SectorEmbedding(*plain, emb.normal_chars)]
+    # a ring embedded into itself by hand, with no normal characters, is
+    # the identity map, but only an embedding between two rings of one
+    # model is proved so with no relation read
+    ring = max((e.ambient for e in built), key=lambda p: len(p.relations))
+    others.append(SectorEmbedding(ring, ring, ()))
     for emb in others:
         asked.clear()
         emb.check()
         assert asked == _asked_of_every_relation(emb)
+    # each of its relations is asked about twice: restricted, and pushed
+    # times the normal Euler class 1
+    assert len(asked) == 2 * len(ring.relations) > 2
+
+
+def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
+    # of the embeddings a geometry checks, those of a fixed set into itself
+    # (common mask equal to target mask, no normal coordinates) return at
+    # once; every embedding is still checked once
+    model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
+    checked, check, uncertified = [], SectorEmbedding.check, chow_module._uncertified
+
+    def spy_check(emb):
+        checked.append((emb, []))
+        check(emb)
+
+    def spy_uncertified(*args):
+        checked[-1][1].append(args)
+        return uncertified(*args)
+
+    monkeypatch.setattr(SectorEmbedding, "check", spy_check)
+    monkeypatch.setattr(chow_module, "_uncertified", spy_uncertified)
+    orbifold_table(model, 5)
+    masks = set(model.analysis._key_masks)
+    assert len(checked) == len(masks)
+    same = [(emb, read) for emb, read in checked if emb.sub is emb.ambient]
+    assert len(same) == sum(common == target for common, target in masks) > 1
+    assert all(emb.normal == 0 and read == [] for emb, read in same)
+    assert all(read for emb, read in checked if emb.sub is not emb.ambient)
 
 
 def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
