@@ -7,8 +7,9 @@ stored per pair), and the obstruction kernel, which holds each
 selection's Euler factors as int characters.  It is built in two int
 passes: one sector walk (``inertia._sectors``), whose numerators and
 exponents are packed once, and one key pass over each unordered stable
-pair.  It holds the sectors as ints; their ``TorsionElement``s and
-``InertiaComponent``s are built on the first read, where a result leaves
+pair.  It holds the sectors, their fixed sets and the keys as ints; their
+``TorsionElement``s and ``InertiaComponent``s are built on the first read,
+and a column set is decoded (``inertia._columns``), where a result leaves
 the library or a failure is named, so a passing verify builds none.  An
 analysis reads only the model's weights, stable-locus combinatorics and
 tangent terms, never its character, kind or trivial summand.  It belongs to
@@ -154,25 +155,26 @@ class _Analysis:
     one owner of its double inertia: the sectors with their ages, each
     fixed mask's partners in sector order (``_partners``; the sectors and
     the partners read one ``inertia._Stability`` table), the obstruction
-    kernel, and the distinct product keys (selection, common fixed set,
-    target fixed set), on which a pair's generator product depends, in
-    ``keys``.  Inside the double inertia a column set is its int mask, and
-    a pair's common set is the AND of its sectors' masks; a set becomes a
-    frozenset only where it leaves (``inertia._columns``): each sector's
-    ``_fixed``, and each key's two sets, decoded once per key; the
-    geometries read each key's two masks (``_key_masks``) undecoded.
-    Nothing is kept per pair: the build, ``walk`` and ``locate`` compute a
-    row of pairs' keys and their sums' sectors with one kernel (``_row``)
-    where they read them, ``len`` reads the partners, and
-    ``inertia.double_inertia`` expands the walk afresh on each call.
+    kernel, and the distinct product keys, on which a pair's generator
+    product depends, in ``keys``: each an int triple (selection mask, bit k
+    for term k; common fixed mask; target fixed mask).  Inside the double
+    inertia a column set is its int mask, and a pair's common set is the
+    AND of its sectors' masks; a set becomes a frozenset only where it
+    leaves the library (``inertia._columns``): a sector's in ``components``
+    and a key's common set in ``SectorGeometry.pair`` and
+    ``inertia.double_inertia``.  Nothing is kept per pair: the build,
+    ``walk`` and ``locate`` compute a row of pairs' keys and their sums'
+    sectors with one kernel (``_row``) where they read them, ``len`` reads
+    the partners, and ``inertia.double_inertia`` expands the walk afresh on
+    each call.
     ``position`` is the one refusal of an element that is not a sector, for
     every lookup of the geometries over the analysis.
 
     The sectors are held as ints, per sector in sector order: the (N, row)
-    of each element (``_rows``, the element is row / N), its fixed set
-    (``_fixed``) and fixed mask (``_masks``), and its age times L
-    (``ages``).  ``elements``, ``components`` and the element ``index``
-    are built from these on their first read, and kept.
+    of each element (``_rows``, the element is row / N), its fixed mask
+    (``_masks``), and its age times L (``ages``).  ``elements``,
+    ``components`` and the element ``index`` are built from these on their
+    first read, and kept.
 
     The build is two int passes.  The sector pass (``inertia._sectors``)
     hands over each sector's numerators and tangent exponents over its
@@ -201,7 +203,7 @@ class _Analysis:
         self._stable = stable = _Stability(model)
         big, sectors = _sectors(model, stable)
         self.obstructions = kernel = _Obstructions(model)
-        self._fixed, self._masks, self._rows, exponents, ages = zip(*sectors)
+        self._masks, self._rows, exponents, ages = zip(*sectors)
         scales = [big // order for order, _ in self._rows]
         self.ages = tuple(map(mul, ages, scales))
         self._partners = _partners(stable, self._masks)
@@ -217,9 +219,7 @@ class _Analysis:
             cols = self._partners[mask]
             for key in dict.fromkeys(self._row(i, cols[bisect_left(cols, i):])[0]):
                 key_index.setdefault(key, len(key_index))
-        self.keys = tuple((_selection(spread, width), _columns(common), _columns(target))
-                          for spread, common, target in key_index)
-        self._key_masks = tuple((common, target) for _, common, target in key_index)
+        self.keys = tuple((_selection(spread, width), common, target) for spread, common, target in key_index)
 
     @functools.cached_property
     def elements(self) -> tuple[TorsionElement, ...]:
@@ -230,9 +230,10 @@ class _Analysis:
     @functools.cached_property
     def components(self) -> tuple[InertiaComponent, ...]:
         """The sectors, in sector order, built on the first read: each
-        element with its fixed set and its age, ``ages`` over L."""
-        return tuple(InertiaComponent(g, fixed, Fraction(age, self._big))
-                     for g, fixed, age in zip(self.elements, self._fixed, self.ages))
+        element with its fixed set, decoded from its mask, and its age,
+        ``ages`` over L."""
+        return tuple(InertiaComponent(g, _columns(mask), Fraction(age, self._big))
+                     for g, mask, age in zip(self.elements, self._masks, self.ages))
 
     @functools.cached_property
     def index(self) -> dict:

@@ -258,26 +258,25 @@ def inertia_elements(model: StackModel) -> list[TorsionElement]:
     once per distinct fixed-column set.  Each distinct basis lattice, keyed
     by its Hermite basis, is walked once.  Sorted by canonical coordinates;
     always contains the identity."""
-    return [TorsionElement._reduced(*rep) for _, _, rep, *_ in _sectors(model, _Stability(model))[1]]
+    return [TorsionElement._reduced(*rep) for _, rep, *_ in _sectors(model, _Stability(model))[1]]
 
 
 def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
     """The one sector walk, behind ``inertia_elements``,
     ``inertia_components`` and the analysis.  Returns the common order L
     of the duals of the distinct lattices of ``stable.bases`` and, per
-    sector in sector order, ints and the fixed set: its fixed columns, its
-    fixed-column mask, the pair (N, row) of the order and int row it was
-    read from (the element is row / N), and its tangent exponents and age
-    (``_age``) over N.
+    sector in sector order, ints only: its fixed-column mask, the pair
+    (N, row) of the order and int row it was read from (the element is
+    row / N), and its tangent exponents and age (``_age``) over N.
 
     The duals' rows (``exact.cokernel_torsion_numerators``) are deduped
     and sorted on their numerators over L before any ``TorsionElement``
     exists.  Each candidate gets one pairing vector (``_pairings``): its
-    zeros on the base columns are the fixed mask, a kept sector's fixed
-    set is that mask's shared set (``_columns``), and its tangent
+    zeros on the base columns are the fixed mask, and its tangent
     exponents are read off the pairing (``_tangent_exponents``).  No
-    ``TorsionElement`` or ``InertiaComponent`` is built here: their
-    readers build them from these ints."""
+    ``TorsionElement``, ``InertiaComponent`` or fixed set is built here:
+    their readers build them from these ints, a fixed set with
+    ``_columns``."""
     a = model.base
     duals = [cokernel_torsion_numerators(lattice) for lattice in dict.fromkeys(map(a._lattice, stable.bases))]
     big = lcm(*(order for order, _ in duals))
@@ -293,7 +292,7 @@ def _sectors(model: StackModel, stable: _Stability) -> tuple[int, list[tuple]]:
         mask = sum(bit for bit, p in zip(bits, pairing) if not p)
         if stable(mask):
             exps = _tangent_exponents(pairing, signs, order)
-            out.append((_columns(mask), mask, (order, row), exps, _age(mults, exps)))
+            out.append((mask, (order, row), exps, _age(mults, exps)))
     return big, out
 
 
@@ -387,8 +386,8 @@ def sector_model(model: StackModel, fixed: frozenset[int]) -> StackModel:
 
 def inertia_components(model: StackModel) -> list[InertiaComponent]:
     """All sectors, sorted by canonical element coordinates."""
-    return [InertiaComponent(TorsionElement._reduced(order, row), fixed, Fraction(age, order))
-            for fixed, _, (order, row), _, age in _sectors(model, _Stability(model))[1]]
+    return [InertiaComponent(TorsionElement._reduced(order, row), _columns(mask), Fraction(age, order))
+            for mask, (order, row), _, age in _sectors(model, _Stability(model))[1]]
 
 
 def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
@@ -396,7 +395,8 @@ def double_inertia(model: StackModel) -> list[DoubleInertiaComponent]:
     contain a column basis and meet the stable locus, in pair order: the
     one expansion of the double inertia, read off the walk of the model's
     own analysis (``StackModel.analysis``) afresh on each call, so the
-    analysis keeps none."""
+    analysis keeps none; each common mask becomes a set here
+    (``_columns``)."""
     analysis = model.analysis
     el, keys = analysis.elements, analysis.keys
-    return [DoubleInertiaComponent(el[i1], el[i2], keys[k][1], el[t]) for i1, i2, k, t in analysis.walk()]
+    return [DoubleInertiaComponent(el[i1], el[i2], _columns(keys[k][1]), el[t]) for i1, i2, k, t in analysis.walk()]

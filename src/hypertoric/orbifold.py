@@ -11,8 +11,8 @@ owner of the rings over one analysis at one truncation, each kept once,
 keyed by what derives it: one product of characters per trace mask, one
 presentation per fixed mask, one checked embedding per (common fixed
 mask, target fixed mask), and one generator product per product key of
-the analysis; a pair's structure constants are read off its key
-(``entry``), and nothing is kept per pair.
+the analysis, built only where it is read; a pair's structure constants
+are read off its key (``entry``), and nothing is kept per pair.
 ``orbifold_table`` returns the geometry with every generator product
 built.  Both verifiers align their two sides once (``_align``), into the
 distinct (ambient key, fiber key) pairs of the double inertia, compare
@@ -22,10 +22,11 @@ verifiers read their two sides from one helper (``_sides``), which holds
 the one rule by which the moment fiber shares the ambient's analysis and
 geometry.  ``verify_orbifold_iso`` reads geometries, and builds no pair
 expansion.  It compares generator products certificate first, reducing
-on a mismatch: a key's makeup (``SectorGeometry.makeup``), its target
-ring and the multiset of characters whose product it is, certifies two
-products equal when both agree (``_same_makeup``), and only a key pair
-without that certificate is reduced to coordinates (``value``).
+on a mismatch: a key's makeup (``SectorGeometry.makeup``), its Euler
+factors and the embedding they are pushed along, certifies two products
+equal when the factors, the normal characters and the target relations
+agree (``_same_makeup``), and only a key pair without that certificate
+is reduced to coordinates (``value``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .characters import CharacterClass
 from .chow import (GradedClass, GradedRingPresentation, IsoReport, SectorEmbedding, _trace_ring, _truncation,
                    _vector_poly, product_coefficients, product_of_forms)
 from .exact import as_int
-from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _bits, _mask, _same_dimension
+from .inertia import DoubleInertiaComponent, InertiaComponent, TorsionElement, _bits, _columns, _mask, _same_dimension
 from .model import StackModel, WeightMatrix, _int_entries, _lawrence_pair
 from .poly import IntPoly
 
@@ -103,24 +104,26 @@ def _check_truncation(degree: int | None, truncation: int) -> None:
 def _makeup(factors, emb: SectorEmbedding) -> tuple | None:
     """What the generator product of an obstruction class, given by its
     Euler factors (``_Obstructions.bundle``), pushed along a checked
-    embedding, is made of: the target presentation and the sorted
-    characters whose product of linear forms it is, the factors and the
-    normal characters; None when a normal character is zero, so the product
-    is zero.  A product above the target's truncation is refused."""
+    embedding, is made of: ``(factors, emb)``, whose product is that of
+    the linear forms of the factors and the normal characters; None when a
+    normal character is zero, so the product is zero.  A product above the
+    target's truncation is refused."""
     if not all(map(any, emb.normal_chars)):
         return None
-    chars = tuple(sorted((*factors, *emb.normal_chars)))
-    _check_truncation(len(chars), emb.ambient.truncation)
-    return emb.ambient, chars
+    _check_truncation(len(factors) + len(emb.normal_chars), emb.ambient.truncation)
+    return factors, emb
 
 
 def _generator_product(made: tuple | None, num_vars: int) -> tuple:
     """The generator product of a makeup (``_makeup``) in ``num_vars``
-    variables: one kernel product over its characters, with its canonical
-    coordinates in its target ring; the zero product for None."""
+    variables: one kernel product over its factors and normal characters,
+    in that order, since the product is commutative, with its canonical
+    coordinates in the embedding's target ring; the zero product for
+    None."""
     if made is None:
         return IntPoly.zero(num_vars), ()
-    target, chars = made
+    factors, emb = made
+    chars, target = (*factors, *emb.normal_chars), emb.ambient
     vec = product_coefficients(target.num_vars, chars)
     return _vector_poly(target.num_vars, len(chars), vec), target.piece(len(chars)).canonical(vec)
 
@@ -133,12 +136,17 @@ def _same_relations(pres_a: GradedRingPresentation, pres_f: GradedRingPresentati
 
 def _same_makeup(made_a: tuple | None, made_f: tuple | None) -> bool:
     """The certificate that two generator products are one class: both are
-    zero, or their characters are equal multisets, so their polynomials are
-    equal, and their targets have equal relations (``_same_relations``), so
-    the polynomials have equal coordinates."""
+    zero, or their Euler factors and their normal characters are equal
+    tuples, so their polynomials are equal, and their targets have equal
+    relations (``_same_relations``), so the polynomials have equal
+    coordinates.  Equal products split otherwise between factors and
+    normal characters are not certified; the caller then compares their
+    coordinates."""
     if made_a is None or made_f is None:
         return made_a is made_f
-    return made_a[1] == made_f[1] and _same_relations(made_a[0], made_f[0])
+    (factors_a, emb_a), (factors_f, emb_f) = made_a, made_f
+    return (factors_a == factors_f and emb_a.normal_chars == emb_f.normal_chars
+            and _same_relations(emb_a.ambient, emb_f.ambient))
 
 
 class ProductEntry(NamedTuple):
@@ -161,14 +169,14 @@ class SectorGeometry:
     (``inertia._traces``), with no sector model built, once per fixed mask,
     with its one piece cache, and each relation's product is made once
     per trace mask for the whole geometry.  The geometry checks one
-    embedding per (common fixed mask, target fixed mask), the masks of a
-    product key (``_Analysis._key_masks``), by mask containment
+    embedding per (common fixed mask, target fixed mask), the last two
+    masks of a product key (``_Analysis.keys``), by mask containment
     (``SectorEmbedding.check``); a failed check is never stored, so every
     push through it raises again.  It reads what the generator product of
-    a product key of the analysis is made of
-    (``makeup``) and builds the product (``value``), each once per key;
-    ``entry`` reads a pair's structure constants of the star product on
-    sector generators off its key, and nothing is kept per pair.  The
+    a product key of the analysis is made of (``makeup``), storing
+    nothing, and builds the product (``value``) once per key where it is
+    read; ``entry`` reads a pair's structure constants of the star product
+    on sector generators off its key, and nothing is kept per pair.  The
     one expansion of the pairs is ``inertia.double_inertia``.  All of
     these read only the model's weights, arrangement and tangent terms,
     so a model with equal ones may read this geometry (``_sides``).  A
@@ -182,7 +190,6 @@ class SectorGeometry:
         self._products: dict = {}
         self._presentations: dict = {}
         self._embeddings: dict = {}
-        self._makeups: dict = {}
         self._values: dict = {}
 
     @property
@@ -200,7 +207,7 @@ class SectorGeometry:
         if found is None:
             return None
         k, target = found
-        return DoubleInertiaComponent(g1, g2, self.analysis.keys[k][1], target)
+        return DoubleInertiaComponent(g1, g2, _columns(self.analysis.keys[k][1]), target)
 
     def presentation_for(self, fixed: frozenset[int]) -> GradedRingPresentation:
         """The sector ring over the columns ``fixed`` (``_ring``); a column
@@ -245,22 +252,21 @@ class SectorGeometry:
     def makeup(self, k: int) -> tuple | None:
         """What the generator product of the analysis' product key ``k`` is
         made of (``_makeup``): the Euler factors of the key's selection, as
-        the kernel holds them, pushed along the embedding of its common set
-        into its target fixed set.  It runs every check of the product: a
-        key whose selection is not a bundle raises ``ObstructionError``,
-        naming the key's first pair in pair order, and the embedding is
-        built and checked (``GysinError``) before the truncation is;
-        ``star`` tests the selection first, naming its own operands.  It is
-        made once per key, and a key that raises is never stored, so it
-        raises again on every read."""
-        if k not in self._makeups:
-            mask = self.analysis.keys[k][0]
-            factors = self.obstructions.bundle(mask)
-            if factors is None:
-                first = next((i1, i2) for i1, i2, key, _ in self.analysis.walk() if key == k)
-                self.obstructions.class_for(mask, *map(self.analysis.elements.__getitem__, first))
-            self._makeups[k] = _makeup(factors, self._embedding(*self.analysis._key_masks[k]))
-        return self._makeups[k]
+        the kernel holds them, and the embedding of its common mask into
+        its target mask that they are pushed along.  It runs every check of
+        the product: a key whose selection is not a bundle raises
+        ``ObstructionError``, naming the key's first pair in pair order,
+        and the embedding is built and checked (``GysinError``) before the
+        truncation is; ``star`` tests the selection first, naming its own
+        operands.  Nothing is stored: the factors and the embedding are
+        the kernel's and the geometry's, so every read runs the checks
+        again, and a key that raises raises on every read."""
+        selection, common, target = self.analysis.keys[k]
+        factors = self.obstructions.bundle(selection)
+        if factors is None:
+            first = next((i1, i2) for i1, i2, key, _ in self.analysis.walk() if key == k)
+            self.obstructions.class_for(selection, *map(self.analysis.elements.__getitem__, first))
+        return _makeup(factors, self._embedding(common, target))
 
     def value(self, k: int) -> tuple:
         """The generator product of the analysis' product key ``k`` and its
@@ -384,8 +390,8 @@ def _expand(ambient: _Analysis, fiber: _Analysis, failing):
 
 def _layout(analysis: _Analysis) -> tuple:
     """What fixes an analysis' pairs and their order: its elements, their
-    fixed sets, and each fixed mask's partners (``_partners``)."""
-    return analysis.elements, analysis._fixed, analysis._partners
+    fixed masks, and each fixed mask's partners (``_partners``)."""
+    return analysis.elements, analysis._masks, analysis._partners
 
 
 def _sides(a: WeightMatrix, theta) -> tuple[StackModel, StackModel]:
@@ -488,9 +494,9 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     its own data.  Within a geometry each fixed mask has one
     presentation, with its pieces built once, each (common fixed mask,
     target fixed mask) one embedding, built and checked once, and each
-    product key one makeup and at most one generator product, so a fiber
-    that reads the ambient's geometry makes each key's makeup once for
-    both sides.  The sides are aligned once (``_align``), as the pullback
+    product key at most one generator product; a key's makeup is read off
+    the kernel's factors and the geometry's embedding, and stored by
+    neither side.  The sides are aligned once (``_align``), as the pullback
     check aligns them; sides whose pairs differ fail with no component
     compared.  Aligned sectors have equal fixed sets, so the rings are
     compared (``_same_ring``) once per fixed set, and every sector over a
@@ -498,11 +504,12 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     the analyses' ints (``_Analysis.ages``), and an element or a component
     is built only to name a failure.  Products are compared once
     per (ambient key, fiber key), certificate first, reduced on a mismatch:
-    equal makeups (``_same_makeup``) are the same polynomial in the same
-    ring, so the same class, and only a key pair whose makeups differ is
-    reduced to coordinates (``value``); it fails when those differ too.  A
-    passing check of a Lawrence input so builds no graded piece for a
-    product.  Only the pairs of a failing key pair are expanded
+    equal makeups (``_same_makeup``: equal factors, equal normal
+    characters and equal target relations) are the same polynomial in the
+    same ring, so the same class, and only a key pair whose makeups differ
+    is reduced to coordinates (``value``); it fails when those differ too.
+    A passing check of a Lawrence input so builds no generator product and
+    no graded piece for a product.  Only the pairs of a failing key pair are expanded
     (``_expand``) into ``product_failures``, in pair order, with the
     coordinates of both sides.  A ``bound`` below 1 raises
     ``ValueError``."""

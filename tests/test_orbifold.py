@@ -251,7 +251,7 @@ def _product_values(geo):
     out = set()
     for _, _, k, _ in geo.analysis.walk():
         mask, common, target_fixed = geo.analysis.keys[k]
-        emb = geo.embedding(common, target_fixed)
+        emb = geo.embedding(*map(inertia_module._columns, (common, target_fixed)))
         out.add((geo.obstructions.bundle(mask),
                  (_ring_key(emb.sub), _ring_key(emb.ambient), emb.normal_chars)))
     return out
@@ -331,13 +331,13 @@ def test_orbifold_table_analyses_once(name, request, monkeypatch):
     assert set(work["presentations"]) == _multiset_lists(geo, build_sector)
     if name == "mu3_model":
         assert len(set(work["presentations"])) < len(fixed_sets)
-    fixed_pairs = {(common, target_fixed) for _, common, target_fixed in geo.analysis.keys}
+    fixed_pairs = {tuple(map(inertia_module._columns, key[1:])) for key in geo.analysis.keys}
     assert fixed_pairs == {(p.common_fixed, geo.component(p.target).fixed_columns) for p in pairs}
     assert [id(emb) for (emb,) in checked] == [
         id(geo.embedding(*map(inertia_module._columns, fp))) for fp in geo._embeddings]
     assert len(checked) == len(fixed_pairs)
     assert done["eulers"] == 0
-    keys = [(geo.obstructions.bundle(mask), geo.embedding(common, target_fixed))
+    keys = [(geo.obstructions.bundle(mask), geo.embedding(*map(inertia_module._columns, (common, target_fixed))))
             for mask, common, target_fixed in geo.analysis.keys]
     assert len(checked) == len(fixed_pairs)
     nonzero = [k for k, (factors, emb) in enumerate(keys)
@@ -437,12 +437,12 @@ def test_table_holds_only_the_double_inertia(build, seed, d, n, monkeypatch):
 
 def test_the_ring_keeps_nothing_per_pair():
     # (3, 9) seed 1: 66677 pairs over 4011 product keys.  After the table
-    # and an entry of every stable pair, the geometry holds one makeup and
-    # one generator product per key, one embedding per (common, target)
-    # and one ring per fixed set, and reading the entries grew none of them
+    # and an entry of every stable pair, the geometry holds one generator
+    # product per key, one embedding per (common, target) and one ring per
+    # fixed set, and reading the entries grew none of them
     model = lawrence_model(*random_generic_instance(random.Random(1), 3, 9))
     geo = orbifold_table(model, 5)
-    stores = ("_products", "_presentations", "_embeddings", "_makeups", "_values")
+    stores = ("_products", "_presentations", "_embeddings", "_values")
     sizes = [len(getattr(geo, name)) for name in stores]
     pairs = double_inertia(model)
     for p in pairs:
@@ -450,7 +450,7 @@ def test_the_ring_keeps_nothing_per_pair():
     keys = geo.analysis.keys
     assert (len(pairs), len(keys)) == (66677, 4011)
     assert [len(getattr(geo, name)) for name in stores] == sizes
-    assert len(geo._values) == len(geo._makeups) == len(keys)
+    assert len(geo._values) == len(keys)
     assert len(geo._embeddings) == len({(common, target) for _, common, target in keys})
     assert not hasattr(geo, "products")
     assert set(vars(geo)) == {"truncation", "model", "analysis", "obstructions", *stores}
@@ -498,17 +498,16 @@ def test_verify_orbifold_iso_checks_each_ring_once(seed, d, n, monkeypatch):
     assert done["sector_models"] == done["stars"] == 0
     # one presentation per distinct multiset list
     assert sorted(work["presentations"]) == sorted(_multiset_lists(geo, build_sector))
-    # every key pair is certified by its makeup, made once per key for
-    # both sides: no Euler polynomial, no kernel product and no graded
-    # piece, while each embedding a key pushes along is built and checked
-    # once
-    assert len(made) == len(geo._makeups) == len(geo.analysis.keys)
+    # every key pair is certified by its makeup, read once per key for
+    # each side and stored by neither: no Euler polynomial, no kernel
+    # product, no value and no graded piece, while each embedding a key
+    # pushes along is built and checked once
+    assert len(made) == 2 * len(geo.analysis.keys)
     assert done["eulers"] == done["products"] == 0
     assert not any(pres._pieces for pres in geo._presentations.values())
     assert not geo._values
     assert [emb for emb, in embedded] == list(geo._embeddings.values())
-    assert {tuple(map(inertia_module._columns, masks)) for masks in geo._embeddings} == {
-        (common, target) for _, common, target in geo.analysis.keys}
+    assert set(geo._embeddings) == {key[1:] for key in geo.analysis.keys}
 
     # the table of the same model still runs one kernel product per
     # distinct (class, embedding value) with a nonzero product, no more
@@ -701,7 +700,7 @@ def test_of_several_failing_embeddings_the_first_pairs_raises(seed, d, n, moved,
 
     monkeypatch.setattr(SectorGeometry, "_embedding", fail_moving)
     analysis = model.analysis
-    pushes = [analysis.keys[k][1:] for _, _, k, _ in analysis.walk()]
+    pushes = [tuple(map(inertia_module._columns, analysis.keys[k][1:])) for _, _, k, _ in analysis.walk()]
     fails = [(common, target) for common, target in pushes if len(target - common) == moved]
     assert len(set(fails)) == failing
     assert text == "forced on %s in %s" % tuple(map(sorted, fails[0]))
@@ -911,10 +910,28 @@ def test_certified_products_give_the_report_of_reduced_ones(seed, d, n, monkeypa
 def test_a_zero_product_is_certified_only_by_a_zero_product():
     # no library-built model has a zero makeup: a zero column is fixed by
     # every element, so the helper is tested on its own
-    made = (GradedRingPresentation.from_characters(1, [[(3,)]], 2), ((1,),))
+    ring = GradedRingPresentation.from_characters(1, [[(3,)]], 2)
+    made = (((1,),), SectorEmbedding(ring, ring, ()))
     same = orbifold_module._same_makeup
     assert same(None, None) and same(made, made)
     assert not same(None, made) and not same(made, None)
+
+
+def test_a_makeup_split_otherwise_misses_the_certificate_and_reduces_to_the_same_product():
+    # one target ring and one multiset of characters, split two ways
+    # between the Euler factors and the normal characters: the certificate
+    # compares the two tuples, so it misses, while the generator products,
+    # polynomials and coordinates, are equal; a miss costs only the
+    # reduction to coordinates (``value``)
+    small = GradedRingPresentation.from_characters(2, [[(1, 1)]], 4)
+    target = GradedRingPresentation.from_characters(2, [[(1, 1), (1, 1)]], 4)
+    made_a = (((1, 0),), SectorEmbedding(small, target, ((0, 1),)))
+    made_f = (((0, 1),), SectorEmbedding(small, target, ((1, 0),)))
+    assert orbifold_module._same_makeup(made_a, made_a)
+    assert not orbifold_module._same_makeup(made_a, made_f)
+    poly_a, coords_a = orbifold_module._generator_product(made_a, 2)
+    assert (poly_a, coords_a) == orbifold_module._generator_product(made_f, 2)
+    assert poly_a == product_of_forms(2, [(1, 0), (0, 1)]) and any(coords_a)
 
 
 _FIBER_CONTROLS = {
@@ -1023,7 +1040,7 @@ def test_both_tables_of_a_lawrence_input_read_one_geometry(monkeypatch):
         geo, = read
         assert len(geometries) == 1 and not geo._values and not entries
         fixed_sets = ({c.fixed_columns for c in geo.components}
-                      | {common for _, common, _ in geo.analysis.keys})
+                      | {inertia_module._columns(common) for _, common, _ in geo.analysis.keys})
         assert Counter(looked_up) == Counter(inertia_module._mask(geo.model.coords_of_columns(f)) for f in fixed_sets)
 
 

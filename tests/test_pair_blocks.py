@@ -37,6 +37,8 @@ from hypertoric import (
     inertia_components,
     lawrence_model,
     stabilizer_elements,
+    verify_obstruction_pullback,
+    verify_orbifold_iso,
 )
 from hypertoric.inertia import DoubleInertiaComponent
 from hypertoric.sampling import random_generic_instance
@@ -101,8 +103,8 @@ def test_the_partner_table_expands_to_the_pair_walk_and_keeps_each_selection(mu3
                 key, target = analysis.locate(g1, g2)
                 mask, key_common, target_fixed = analysis.keys[key]
                 assert mask == sum(1 << k for k in kernel.selection(g1, g2)), name
-                assert key_common == common
-                assert target_fixed == fixed_columns(model.base, g1 + g2)
+                assert inertia_module._columns(key_common) == common
+                assert inertia_module._columns(target_fixed) == fixed_columns(model.base, g1 + g2)
                 assert target == g1 + g2
         # the walk visits the table's pairs in pair order, with their keys
         # and their targets
@@ -155,11 +157,13 @@ def test_the_half_key_pass_finds_the_keys_of_all_ordered_pairs(mu3_model):
                 key = (sum(1 << k for k in kernel.selection(g1, g2)), common, fixed_columns(a, g1 + g2))
                 keys.setdefault(key, len(keys))
                 walked.append((g1, g2, key, g1 + g2))
-        # the keys are numbered in the order they first appear in pair order
-        assert list(analysis.keys) == list(keys), name
+        # the keys are numbered in the order they first appear in pair
+        # order; the analysis holds each key's two sets as masks
+        decoded = [(s, inertia_module._columns(c), inertia_module._columns(t)) for s, c, t in analysis.keys]
+        assert decoded == list(keys), name
         assert len(analysis) == len(walked), name
         el = analysis.elements
-        assert [(el[i1], el[i2], analysis.keys[k], el[t]) for i1, i2, k, t in analysis.walk()] == walked, name
+        assert [(el[i1], el[i2], decoded[k], el[t]) for i1, i2, k, t in analysis.walk()] == walked, name
 
 
 @pytest.mark.parametrize("seed", [1, 3])
@@ -186,7 +190,7 @@ def test_a_tangent_character_off_the_columns_agrees_with_the_per_element_rules(s
         g1, g2 = el[i1], el[i2]
         mask, _, target_fixed = analysis.keys[k]
         assert mask == sum(1 << j for j in kernel.selection(g1, g2))
-        assert target_fixed == fixed_columns(a, g1 + g2) and el[t] == g1 + g2
+        assert inertia_module._columns(target_fixed) == fixed_columns(a, g1 + g2) and el[t] == g1 + g2
         selected += mask >> term & 1
     assert selected
 
@@ -366,3 +370,31 @@ def test_the_analysis_keeps_nothing_per_pair():
     assert len(analysis) == 308109
     assert sum(1 for _ in analysis.walk()) == len(analysis)
     assert _held_entries(analysis) < len(analysis) // 4
+
+
+@pytest.mark.parametrize("d, n", [(2, 5), (3, 6)])
+def test_a_passing_verify_decodes_no_column_set(d, n, monkeypatch):
+    # inside the double inertia a column set is its int mask: the sectors'
+    # fixed sets and the keys' common and target sets are decoded
+    # (``inertia._columns``) only where they leave the library, so a passing
+    # verify decodes none, in any module that reads the decoder.  The iso
+    # check certifies every key pair, so the geometry's one per-key store,
+    # its generator products, stays empty
+    columns, decoded = inertia_module._columns, []
+    readers = [m for m in (inertia_module, analysis_module, orbifold_module) if hasattr(m, "_columns")]
+    assert len(readers) >= 2
+    for module in readers:
+        monkeypatch.setattr(module, "_columns", lambda mask: decoded.append(mask) or columns(mask))
+    geometries, geometry = [], orbifold_module._geometry
+    monkeypatch.setattr(orbifold_module, "_geometry",
+                        lambda *args: geometries.append(geometry(*args)) or geometries[-1])
+    a, theta = random_generic_instance(random.Random(1), d, n)
+    assert verify_obstruction_pullback(a, theta).ok and verify_orbifold_iso(a, theta, 5).ok
+    assert decoded == []
+    geo, = geometries
+    assert not geo._values
+    assert [name for name, value in vars(geo).items() if isinstance(value, dict)] == [
+        "_products", "_presentations", "_embeddings", "_values"]
+    # the decoder still serves the public readers
+    assert inertia_components(geo.model)[0].fixed_columns == frozenset(range(1, n + 1))
+    assert decoded

@@ -36,6 +36,7 @@ from hypertoric import (
     star,
 )
 from hypertoric.chow import product_coefficients
+from hypertoric.inertia import _columns
 from hypertoric.orbifold import _generator_product, _makeup
 from hypertoric.poly import monomials_of_degree
 from hypertoric.sampling import random_generic_instance
@@ -134,7 +135,7 @@ def test_store_products_equal_the_old_products():
         analysis = geo.analysis
         d = geo.model.d
         for k, (mask, common, target_fixed) in enumerate(analysis.keys):
-            emb = geo.embedding(common, target_fixed)
+            emb = geo.embedding(_columns(common), _columns(target_fixed))
             factors = analysis.obstructions.bundle(mask)
             bundle = CharacterClass.build(d, [(w, 1) for w in factors])
             assert _factors(bundle) == factors
@@ -170,8 +171,8 @@ def test_each_product_key_has_one_value_built_once(monkeypatch):
         entries = zip((table.entry(p.g1, p.g2) for p in pairs), analysis.walk())
         assert {k: (e.poly, e.coords) for e, (_, _, k, _) in entries} == dict(enumerate(values)) and len(runs) == built
         assert built == sum(poly != IntPoly.zero(model.d) for poly, _ in values) > 0
-        assert values == [product(analysis.obstructions.bundle(mask), geo.embedding(common, target_fixed))
-                          for mask, common, target_fixed in analysis.keys]
+        assert values == [product(analysis.obstructions.bundle(mask), geo.embedding(*map(_columns, masks)))
+                          for mask, *masks in analysis.keys]
         assert values == [_generator_product(geo.makeup(k), model.d) for k in range(len(analysis.keys))]
         runs.clear()
         assert [table.entry(p.g1, p.g2)[3:] for p in pairs] == [

@@ -322,7 +322,7 @@ def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
     monkeypatch.setattr(SectorEmbedding, "check", spy_check)
     monkeypatch.setattr(chow_module, "_uncertified", spy_uncertified)
     orbifold_table(model, 5)
-    masks = set(model.analysis._key_masks)
+    masks = {key[1:] for key in model.analysis.keys}
     assert len(checked) == len(masks)
     same = [(emb, read) for emb, read in checked if emb.sub is emb.ambient]
     assert len(same) == sum(common == target for common, target in masks) > 1
