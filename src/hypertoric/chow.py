@@ -2,19 +2,22 @@
 
 A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
-is the linear form <w, t>); a presentation built from a model keeps each
-relation's coordinate mask next to it.  Each graded piece, up to a
-truncation bound, is Z^m over its monomials modulo the relation lattice,
-held as the reduced Hermite basis of that lattice, which is unique per
-lattice.  Piece k is built from piece k-1: the degree-k part of the ideal
-is spanned by t_i times the degree-(k-1) part and the relations of degree
-exactly k.  Every product of linear forms (relations, normal Euler classes,
-generator products) is one kernel, ``product_coefficients``, that moves its
-dense coefficient vector along the same cached "t_i times a monomial" maps.
-Rank and torsion are read off the basis, and it gives canonical
-coordinates, in which ring-map isomorphisms and Gysin pushforwards are
-checked; a Gysin check runs the lattice test only where the coordinate
-masks of two rings of one model give no certificate.
+is the linear form <w, t>); a presentation built from a model keeps those
+sets as coordinate masks with the model's character table, and multiplies
+out its relations, each with its mask, only where they are read.  Each
+graded piece, up to a truncation bound, is Z^m over its monomials modulo
+the relation lattice, held as the reduced Hermite basis of that lattice,
+which is unique per lattice.  Piece k is built from piece k-1: the
+degree-k part of the ideal is spanned by t_i times the degree-(k-1) part
+and the relations of degree exactly k.  Every product of linear forms
+(relations, normal Euler classes, generator products) is one kernel,
+``product_coefficients``, that moves its dense coefficient vector along
+the same cached "t_i times a monomial" maps.  Rank and torsion are read
+off the basis, and it gives canonical coordinates, in which ring-map
+isomorphisms and Gysin pushforwards are checked.  A Gysin check between
+two rings of one model is proved on their coordinate masks alone; it
+builds their relations, and runs the lattice test, only where the masks
+give no certificate.
 """
 
 from __future__ import annotations
@@ -94,20 +97,25 @@ class GradedRingPresentation(Value):
     A presentation is an immutable ``Value`` over its ring, ``num_vars``,
     ``relations`` and ``truncation``: equality compares these, and no
     field is assigned after construction.  Its read-once tables are cache
-    slots, set once, with the fields (``_set``): ``degrees``, the degree of
-    each relation, and, for a ring a model builds (``_trace_ring``),
-    ``traces``, per relation the mask of the model's coordinates whose
-    characters multiply to it (bit i for coordinate i); any other
-    presentation has no ``traces``.  The masks are a certificate
-    (``SectorEmbedding.check``), not part of the ring's value.
+    slots, set once: ``degrees``, the degree of each relation, and
+    ``traces``, per relation of a ring a model builds the mask of the
+    model's coordinates whose characters multiply to it (bit i for
+    coordinate i); any other presentation has no ``traces``.  A ring a
+    model builds (``_trace_ring``, unchecked, by ``_derived``) keeps its
+    minimal trace masks, ``minimal``, and the model's character table,
+    ``table`` (coordinate i at i - 1), and works out its relations,
+    degrees and traces from them on first read (``__getattr__``), so
+    equality, pickling, ``replace``, pieces and printing build them
+    through that one path; any other presentation has ``minimal`` and
+    ``table`` None.  The masks are a certificate (``SectorEmbedding.check``,
+    ``orbifold._same_relations``), not part of the ring's value.
     ``__init__`` reads the degrees as it validates the relations
-    (``IntPoly.homogeneous_degree`` refuses a non-homogeneous one); a ring
-    a model builds is built by ``_derived``, unchecked, with each degree
-    its trace mask's bit count.  A presentation is not hashable
-    (``__hash__ = None``): its pieces fill a dict as they are read."""
+    (``IntPoly.homogeneous_degree`` refuses a non-homogeneous one).  A
+    presentation is not hashable (``__hash__ = None``): its pieces fill a
+    dict as they are read."""
 
     _fields = ("num_vars", "relations", "truncation")
-    __slots__ = _fields + ("degrees", "traces", "_pieces")
+    __slots__ = _fields + ("degrees", "traces", "minimal", "table", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
         num_vars, truncation = as_int(num_vars), _truncation(truncation)
@@ -122,16 +130,36 @@ class GradedRingPresentation(Value):
             degrees.append(r.homogeneous_degree())
             if not degrees[-1]:
                 raise ValueError("degree-0 relation makes the ring trivial")
-        self._set(num_vars, relations, truncation, tuple(degrees), ())
+        self._set(num_vars, truncation, None, None)
+        self._fill(relations, tuple(degrees), ())
 
-    def _set(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int,
-             degrees: tuple[int, ...], traces: tuple[int, ...]) -> None:
+    def _set(self, num_vars: int, truncation: int, minimal: tuple[int, ...] | None, table) -> None:
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "_pieces", {})
+
+    def _fill(self, relations: tuple[IntPoly, ...], degrees: tuple[int, ...], traces: tuple[int, ...]) -> None:
+        object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "traces", traces)
-        object.__setattr__(self, "_pieces", {})
+
+    def __getattr__(self, name):
+        """The relations, degrees and traces of a ring a model builds, on
+        first read, the only time their slots are empty: the product of
+        the linear forms of the characters of each minimal trace's
+        coordinates, zero ones dropped and equal ones kept once with their
+        first mask (``_relations``).  Each relation is a nonzero product
+        of as many linear forms in d variables as its mask has bits, so it
+        is homogeneous of that degree, at least 1."""
+        if name not in ("relations", "degrees", "traces"):
+            raise AttributeError(name)
+        table = self.table
+        rels = _relations((product_of_forms(self.num_vars, [table[i - 1] for i in _bits(s)]), s)
+                          for s in self.minimal)
+        self._fill(tuple(p for p, _ in rels), tuple(s.bit_count() for _, s in rels), tuple(s for _, s in rels))
+        return getattr(self, name)
 
     __hash__ = None
 
@@ -139,8 +167,8 @@ class GradedRingPresentation(Value):
     def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
         """The ring of the products of linear forms, one per multiset of
         characters (``_relations``), with no certificate."""
-        products = (product_of_forms(num_vars, [tuple(map(as_int, w)) for w in ws]) for ws in multisets)
-        return GradedRingPresentation(num_vars, _relations(products), truncation)
+        products = ((product_of_forms(num_vars, [tuple(map(as_int, w)) for w in ws]), None) for ws in multisets)
+        return GradedRingPresentation(num_vars, tuple(p for p, _ in _relations(products)), truncation)
 
     def piece(self, k: int) -> GradedPiece:
         k = as_int(k)
@@ -239,37 +267,33 @@ def presentation(model: StackModel, truncation: int | None = None) -> GradedRing
     coordinate count."""
     truncation = 2 * model.num_coords if truncation is None else _truncation(truncation)
     return _trace_ring(model, _mask(range(1, model.num_coords + 1)), map(_mask, model.arrangement.unstable_minimal),
-                       truncation, {})
+                       truncation)
 
 
-def _relations(polys) -> tuple[IntPoly, ...]:
-    """The distinct nonzero polynomials of ``polys``, homogeneous, in
-    (degree, terms) order: the relations of a ring of products."""
-    return tuple(sorted({p for p in polys if not p.is_zero}, key=lambda p: (sum(p.terms[0][0]), p.terms)))
+def _relations(products) -> list[tuple[IntPoly, int | None]]:
+    """The distinct nonzero products of the (product, mask) pairs
+    ``products``, each with its first mask, in (degree, terms) order: the
+    relations of a ring of products, each product hashed once."""
+    first = {}
+    for p, s in products:
+        if p.terms:
+            first.setdefault(p, s)
+    return sorted(first.items(), key=lambda item: (sum(item[0].terms[0][0]), item[0].terms))
 
 
-def _trace_ring(model: StackModel, support: int, unstable, truncation: int, products: dict) -> GradedRingPresentation:
+def _trace_ring(model: StackModel, support: int, unstable, truncation: int) -> GradedRingPresentation:
     """The ring of a model's sector over the coordinate mask ``support``:
     one relation per minimal trace of the minimal unstable masks
     ``unstable`` on it (``inertia._traces``), the product of the linear
-    forms of the characters of the trace's coordinates, made once per mask
-    in ``products``, the store of whoever builds the rings.  Zero products
-    are dropped and equal ones kept once (``_relations``), and the ring
-    keeps each relation's first mask (``traces``).  An empty trace raises
-    ``ValueError``.  The one builder of ``presentation`` and of an
-    orbifold geometry's sector rings, which pass a nonnegative int
-    ``truncation``.  The ring is built unchecked (``_derived``): each
-    relation is a nonzero product of as many linear forms in d variables
-    as its mask has bits, so it is homogeneous of that degree, at least
-    1."""
-    table, traces = model.weights.columns, _traces(unstable, support)
-    for s in traces:
-        if s not in products:
-            products[s] = product_of_forms(model.d, [table[i - 1] for i in _bits(s)])
-    first = {products[s]: s for s in reversed(traces)}
-    relations = _relations(first)
-    masks = tuple(map(first.get, relations))
-    return GradedRingPresentation._derived(model.d, relations, truncation, tuple(m.bit_count() for m in masks), masks)
+    forms of the characters of the trace's coordinates.  The ring keeps
+    the minimal traces and the model's character table, and works out its
+    relations only where they are read (``GradedRingPresentation``), so a
+    check that the masks settle multiplies no linear forms.  An empty
+    trace raises ``ValueError`` here.  The one builder of ``presentation``
+    and of an orbifold geometry's sector rings, which pass a nonnegative
+    int ``truncation``; the ring is built unchecked (``_derived``)."""
+    return GradedRingPresentation._derived(model.d, truncation, tuple(_traces(unstable, support)),
+                                           model.weights.columns)
 
 
 def _truncation(value) -> int:
@@ -409,33 +433,48 @@ class SectorEmbedding(Value):
 
         A product of linear forms divides another when the coordinates of
         its characters are among the other's.  In an embedding built
-        between two rings of one model (``_of_coordinates``), a relation's
-        trace mask names its coordinates.  So an ambient relation r is zero
-        on the subsector when some sub relation s has ``s & r == s``, and a
+        between two rings of one model (``_of_coordinates``), a trace mask
+        names a product's coordinates.  So an ambient relation r is zero
+        on the subsector when some sub trace s has ``s & r == s``, and a
         sub relation s pushes into the ambient ideal when some ambient
-        relation r has ``r & (s | normal) == r``.  Such a containment is the
-        proof; the lattice test runs for every relation without one, and
-        for every relation of any other embedding (``_uncertified``).  An
+        trace r has ``r & (s | normal) == r``.  Such an embedding is first
+        proved on the masks alone (``_covered``), over every minimal trace
+        of both rings (``minimal``), with no relation built: a trace whose
+        product is zero lies in no trace of a nonzero relation, and a
+        trace whose product repeats another's is a relation too.  On any
+        miss both rings build their relations, and each relation is proved
+        by its own mask (``traces``) against the other ring's; the lattice
+        test runs for every relation without such a containment, and for
+        every relation of any other embedding (``_uncertified``).  An
         embedding of a model's ring into itself with no normal coordinates
-        is the identity map, and is proved with no relation read."""
+        is the identity map, and is proved with no mask read."""
         sub, ambient, normal = self.sub, self.ambient, self.normal
         if normal == 0 and sub is ambient:
             return
-        masked = normal is not None
+        masked, pushes = normal is not None, all(map(any, self.normal_chars))
+        limit = ambient.truncation - len(self.normal_chars)
+        if masked and _covered(ambient.minimal, sub.truncation, sub.minimal, 0) and (
+                not pushes or _covered(sub.minimal, limit, ambient.minimal, normal)):
+            return
         for rel in _uncertified(ambient, sub.truncation, sub.traces if masked else (), 0):
             if not is_zero_class(sub, rel):
                 raise GysinError(
                     "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
                 )
-        if not all(map(any, self.normal_chars)):
+        if not pushes:
             return  # a zero character: the normal Euler class is zero
-        limit = ambient.truncation - len(self.normal_chars)
         for rel in _uncertified(sub, limit, ambient.traces if masked else (), normal):
             if not is_zero_class(ambient, rel * self.euler):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
                     "is nonzero in the ambient ring" % rel
                 )
+
+
+def _covered(masks, limit: int, others, more: int) -> bool:
+    """Whether each mask of ``masks`` with at most ``limit`` bits, joined
+    with the coordinates ``more``, contains one of the masks ``others``."""
+    return all(any(r & (s | more) == r for r in others) for s in masks if s.bit_count() <= limit)
 
 
 def _uncertified(pres, limit: int, masks, more: int | None) -> list[IntPoly]:

@@ -8,25 +8,26 @@ structure constants and ages.
 
 A model's orbifold ring is one object, its ``SectorGeometry``: the one
 owner of the rings over one analysis at one truncation, each kept once,
-keyed by what derives it: one product of characters per trace mask, one
-presentation per fixed mask, one checked embedding per (common fixed
-mask, target fixed mask), and one generator product per product key of
-the analysis, built only where it is read; a pair's structure constants
-are read off its key (``entry``), and nothing is kept per pair.
-``orbifold_table`` returns the geometry with every generator product
-built.  Both verifiers align their two sides once (``_align``), into the
-distinct (ambient key, fiber key) pairs of the double inertia, compare
-once per key pair, and expand only a failing key pair into its pairs
-(``_expand``).  Both
-verifiers read their two sides from one helper (``_sides``), which holds
-the one rule by which the moment fiber shares the ambient's analysis and
-geometry.  ``verify_orbifold_iso`` reads geometries, and builds no pair
-expansion.  It compares generator products certificate first, reducing
-on a mismatch: a key's makeup (``SectorGeometry.makeup``), its Euler
-factors and the embedding they are pushed along, certifies two products
-equal when the factors, the normal characters and the target relations
-agree (``_same_makeup``), and only a key pair without that certificate
-is reduced to coordinates (``value``).
+keyed by what derives it: one presentation per fixed mask, which
+multiplies out its relations only where they are read, one checked
+embedding per (common fixed mask, target fixed mask), and one generator
+product per product key of the analysis, built only where it is read; a
+pair's structure constants are read off its key (``entry``), and nothing
+is kept per pair.  ``orbifold_table`` returns the geometry with every
+generator product built.  Both verifiers align their two sides once
+(``_align``), into the distinct (ambient key, fiber key) pairs of the
+double inertia, compare once per key pair, and expand only a failing key
+pair into its pairs (``_expand``).  Both verifiers read their two sides
+from one helper (``_sides``), which holds the one rule by which the
+moment fiber shares the ambient's analysis and geometry.
+``verify_orbifold_iso`` reads geometries, and builds no pair expansion.
+It compares rings by their trace masks and character tables
+(``_same_relations``), and generator products certificate first,
+reducing on a mismatch: a key's makeup (``SectorGeometry.makeup``), its
+Euler factors and the embedding they are pushed along, certifies two
+products equal when the factors, the normal characters and the target
+relations agree (``_same_makeup``), and only a key pair without that
+certificate is reduced to coordinates (``value``).
 """
 
 from __future__ import annotations
@@ -130,7 +131,14 @@ def _generator_product(made: tuple | None, num_vars: int) -> tuple:
 
 def _same_relations(pres_a: GradedRingPresentation, pres_f: GradedRingPresentation) -> bool:
     """Equal variable counts and relation lists: equal ideals, so equal
-    pieces in every degree both truncations hold."""
+    pieces in every degree both truncations hold.  Two rings models build
+    (``chow._trace_ring``) work out their relations by one rule from their
+    minimal trace masks and character tables, so equal masks and equal
+    tables certify equal relations, and neither ring builds them; any
+    other two rings compare their relations."""
+    if pres_a.minimal is not None and (pres_a.num_vars, pres_a.minimal, pres_a.table) == (
+            pres_f.num_vars, pres_f.minimal, pres_f.table):
+        return True
     return pres_a.num_vars == pres_f.num_vars and pres_a.relations == pres_f.relations
 
 
@@ -167,27 +175,26 @@ class SectorGeometry:
     ring depends only on its fixed columns: it is built by the one builder
     of sector rings (``chow._trace_ring``) on the trace rule's masks
     (``inertia._traces``), with no sector model built, once per fixed mask,
-    with its one piece cache, and each relation's product is made once
-    per trace mask for the whole geometry.  The geometry checks one
-    embedding per (common fixed mask, target fixed mask), the last two
-    masks of a product key (``_Analysis.keys``), by mask containment
-    (``SectorEmbedding.check``); a failed check is never stored, so every
-    push through it raises again.  It reads what the generator product of
-    a product key of the analysis is made of (``makeup``), storing
-    nothing, and builds the product (``value``) once per key where it is
-    read; ``entry`` reads a pair's structure constants of the star product
-    on sector generators off its key, and nothing is kept per pair.  The
-    one expansion of the pairs is ``inertia.double_inertia``.  All of
-    these read only the model's weights, arrangement and tangent terms,
-    so a model with equal ones may read this geometry (``_sides``).  A
-    negative truncation raises ``ValueError``."""
+    with its one piece cache; it multiplies out its relations only where
+    they are read.  The geometry checks one embedding per (common fixed
+    mask, target fixed mask), the last two masks of a product key
+    (``_Analysis.keys``), by mask containment (``SectorEmbedding.check``);
+    a failed check is never stored, so every push through it raises again.
+    It reads what the generator product of a product key of the analysis is
+    made of (``makeup``), storing nothing, and builds the product
+    (``value``) once per key where it is read; ``entry`` reads a pair's
+    structure constants of the star product on sector generators off its
+    key, and nothing is kept per pair.  The one expansion of the pairs is
+    ``inertia.double_inertia``.  All of these read only the model's
+    weights, arrangement and tangent terms, so a model with equal ones may
+    read this geometry (``_sides``).  A negative truncation raises
+    ``ValueError``."""
 
     def __init__(self, model: StackModel, truncation: int):
         self.truncation = _truncation(truncation)
         self.model = model
         self.analysis = model.analysis
         self.obstructions: _Obstructions = self.analysis.obstructions
-        self._products: dict = {}
         self._presentations: dict = {}
         self._embeddings: dict = {}
         self._values: dict = {}
@@ -221,7 +228,7 @@ class SectorGeometry:
         if fixed not in self._presentations:
             stable = self.analysis._stable
             self._presentations[fixed] = _trace_ring(self.model, fixed | fixed << stable._shift, stable._unstable,
-                                                     self.truncation, self._products)
+                                                     self.truncation)
         return self._presentations[fixed]
 
     def sector_presentation(self, g: TorsionElement) -> GradedRingPresentation:
@@ -230,8 +237,11 @@ class SectorGeometry:
     def embedding(self, small: frozenset[int], big: frozenset[int]) -> SectorEmbedding:
         """The embedding of the ring over the columns ``small`` into the one
         over ``big`` (``_embedding``); a column outside 1..n raises
-        ``ModelError``."""
-        return self._embedding(*(_mask(set(self.model.base._checked(cols))) for cols in (small, big)))
+        ``ModelError``, and a ``small`` not inside ``big`` ``ValueError``."""
+        common, target = (_mask(set(self.model.base._checked(cols))) for cols in (small, big))
+        if common & ~target:
+            raise ValueError("columns %s do not lie in columns %s" % (_bits(common), _bits(target)))
+        return self._embedding(common, target)
 
     def _embedding(self, common: int, target: int) -> SectorEmbedding:
         """The embedding of the ring over the fixed column mask ``common``
@@ -469,7 +479,8 @@ def _same_ring(pres_a, pres_f, bound: int) -> IsoReport:
     """``ring_map_is_iso`` for the identity on variables, up to ``bound``.
 
     Equal relation lists span equal ideals, so their pieces are equal in
-    every degree; that is the certificate.  Otherwise the pieces are
+    every degree; that is the certificate (``_same_relations``, on trace
+    masks and character tables where it can).  Otherwise the pieces are
     compared: the map is well defined iff the ambient lattice lies in the
     fiber's, and onto, so (f.g. abelian groups are Hopfian) bijective in
     degree k iff the pieces are."""
@@ -508,11 +519,14 @@ def verify_orbifold_iso(a: WeightMatrix, theta, bound: int = 5) -> OrbifoldIsoRe
     characters and equal target relations) are the same polynomial in the
     same ring, so the same class, and only a key pair whose makeups differ
     is reduced to coordinates (``value``); it fails when those differ too.
-    A passing check of a Lawrence input so builds no generator product and
-    no graded piece for a product.  Only the pairs of a failing key pair are expanded
-    (``_expand``) into ``product_failures``, in pair order, with the
-    coordinates of both sides.  A ``bound`` below 1 raises
-    ``ValueError``."""
+    Two rings with equal minimal trace masks over equal character tables
+    have equal relations (``_same_relations``), and an embedding a
+    geometry checks is proved on its trace masks where they suffice
+    (``SectorEmbedding.check``).  A passing check of a Lawrence input so
+    builds no generator product, no graded piece and no relation product.
+    Only the pairs of a failing key pair are expanded (``_expand``) into
+    ``product_failures``, in pair order, with the coordinates of both
+    sides.  A ``bound`` below 1 raises ``ValueError``."""
     bound = as_int(bound)
     ambient, fiber = _sides(a, theta)
     geo_a = _geometry(ambient, bound)

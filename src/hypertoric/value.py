@@ -13,7 +13,9 @@ rule:
   ``chow.SectorEmbedding._of_coordinates``).
 
 A type built both ways sets its fields in one ``_set``, which
-``__init__`` calls after its checks and ``_derived`` in their place.
+``__init__`` calls after its checks and ``_derived`` in their place; a
+type may instead set what a field is worked out from and work the field
+out on its first read (``chow.GradedRingPresentation``'s relations).
 
 Plain records with no validation are ``typing.NamedTuple``s instead.
 These do generate code at class creation (``collections.namedtuple``

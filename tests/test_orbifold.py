@@ -290,12 +290,12 @@ def _spy_work(monkeypatch):
                         _counted(work["sector_models"], inertia_module.sector_model))
     build = orbifold_module._trace_ring
 
-    def spy_ring(model, support, unstable, truncation, products):
+    def spy_ring(model, support, unstable, truncation):
         unstable = tuple(unstable)
         multisets = tuple(tuple(sorted(model.coordinate_char(i) for i in inertia_module._bits(s)))
                           for s in inertia_module._traces(unstable, support))
         work["presentations"].append((model.d, multisets, truncation))
-        return build(model, support, unstable, truncation, products)
+        return build(model, support, unstable, truncation)
 
     monkeypatch.setattr(orbifold_module, "_trace_ring", spy_ring)
     for name, fn in (("eulers", "euler_poly"), ("products", "product_coefficients"), ("stars", "star")):
@@ -442,7 +442,7 @@ def test_the_ring_keeps_nothing_per_pair():
     # fixed set, and reading the entries grew none of them
     model = lawrence_model(*random_generic_instance(random.Random(1), 3, 9))
     geo = orbifold_table(model, 5)
-    stores = ("_products", "_presentations", "_embeddings", "_values")
+    stores = ("_presentations", "_embeddings", "_values")
     sizes = [len(getattr(geo, name)) for name in stores]
     pairs = double_inertia(model)
     for p in pairs:

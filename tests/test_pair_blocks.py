@@ -394,7 +394,7 @@ def test_a_passing_verify_decodes_no_column_set(d, n, monkeypatch):
     geo, = geometries
     assert not geo._values
     assert [name for name, value in vars(geo).items() if isinstance(value, dict)] == [
-        "_products", "_presentations", "_embeddings", "_values"]
+        "_presentations", "_embeddings", "_values"]
     # the decoder still serves the public readers
     assert inertia_components(geo.model)[0].fixed_columns == frozenset(range(1, n + 1))
     assert decoded

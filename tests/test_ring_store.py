@@ -7,21 +7,27 @@ one embedding, checked once.  Within one
 ``verify_orbifold_iso`` call a fiber with the ambient's read data reads
 the ambient's geometry, and a fiber with other read data builds its own.
 Three certificates stand in for lattice work: equal relation lists prove
-two rings equal (``_same_ring``), containment of coordinate masks in two
-rings of one model proves a product relation divides another
-(``SectorEmbedding.check``), and equal makeups prove two generator
-products one class (``orbifold._same_makeup``).  The negative controls
-here show that the lattice test still decides wherever no certificate
-exists.
+two rings equal (``_same_ring``), and so do equal minimal trace masks over
+equal character tables, with no relation built (``_same_relations``);
+containment of coordinate masks in two rings of one model proves a
+product relation divides another (``SectorEmbedding.check``), on the
+minimal traces alone where they suffice; and equal makeups prove two
+generator products one class (``orbifold._same_makeup``).  The negative
+controls here show that the relations and the lattice test still decide
+wherever no certificate exists.
 """
 
+import importlib.util
+import pickle
 import random
 import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import hypertoric.chow as chow_module
+import hypertoric.orbifold as orbifold_module
 from hypertoric import (
     GradedRingPresentation,
     GysinError,
@@ -34,10 +40,11 @@ from hypertoric import (
     lawrence_model,
     orbifold_table,
     ring_map_is_iso,
+    verify_obstruction_pullback,
     verify_orbifold_iso,
 )
 from hypertoric.inertia import _mask
-from hypertoric.orbifold import _same_ring
+from hypertoric.orbifold import _same_relations, _same_ring
 from hypertoric.sampling import random_generic_instance
 
 T = IntPoly.variable(1, 0)
@@ -157,7 +164,7 @@ def _ring(model, support, *masks, truncation=6):
     builds it (``chow._trace_ring``), with one relation per mask: the masks
     lie in ``support`` and none in another, so each is its own minimal
     trace."""
-    return chow_module._trace_ring(model, support, masks, truncation, {})
+    return chow_module._trace_ring(model, support, masks, truncation)
 
 
 def _lattice_tests(monkeypatch):
@@ -307,27 +314,32 @@ def test_hand_built_rings_and_embeddings_take_the_lattice_test(monkeypatch):
 def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
     # of the embeddings a geometry checks, those of a fixed set into itself
     # (common mask equal to target mask, no normal coordinates) return at
-    # once; every embedding is still checked once
+    # once; every other one is proved on its trace masks (``_covered``) and
+    # reads no relation (``_uncertified``); every embedding is still
+    # checked once
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
-    checked, check, uncertified = [], SectorEmbedding.check, chow_module._uncertified
+    checked, check = [], SectorEmbedding.check
 
     def spy_check(emb):
         checked.append((emb, []))
         check(emb)
 
-    def spy_uncertified(*args):
-        checked[-1][1].append(args)
-        return uncertified(*args)
+    def spy(name, fn):
+        def run(*args):
+            checked[-1][1].append(name)
+            return fn(*args)
+        return run
 
     monkeypatch.setattr(SectorEmbedding, "check", spy_check)
-    monkeypatch.setattr(chow_module, "_uncertified", spy_uncertified)
+    monkeypatch.setattr(chow_module, "_covered", spy("masks", chow_module._covered))
+    monkeypatch.setattr(chow_module, "_uncertified", spy("relations", chow_module._uncertified))
     orbifold_table(model, 5)
     masks = {key[1:] for key in model.analysis.keys}
     assert len(checked) == len(masks)
     same = [(emb, read) for emb, read in checked if emb.sub is emb.ambient]
     assert len(same) == sum(common == target for common, target in masks) > 1
     assert all(emb.normal == 0 and read == [] for emb, read in same)
-    assert all(read for emb, read in checked if emb.sub is not emb.ambient)
+    assert all(read and "relations" not in read for emb, read in checked if emb.sub is not emb.ambient)
 
 
 def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
@@ -347,3 +359,100 @@ def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
                         for p in (emb.sub, emb.ambient))
         SectorEmbedding(sub, ambient, emb.normal_chars).check()
     assert asked
+
+
+# --- rings a model builds: relations worked out only where read ----------
+
+def _kernel_runs(monkeypatch, *modules):
+    """Record each run of the product kernel (``product_coefficients``),
+    as the modules ``modules`` call it."""
+    runs = []
+    for module in modules:
+        kernel = module.product_coefficients
+        monkeypatch.setattr(module, "product_coefficients",
+                            lambda *args, kernel=kernel: runs.append(args) or kernel(*args))
+    return runs
+
+
+def test_a_model_ring_builds_its_relations_on_first_read_by_one_path():
+    # a ring a model builds holds its minimal traces and the character
+    # table; printing, equality, pickling, ``replace`` and a piece each
+    # build its relations through one path, and read as the plain ring
+    model = _model((1,), (1,), (-1,), (-1,), (3,), (0,))
+    plain = GradedRingPresentation(1, (T.scale(3), T * T), 6)
+    readers = [repr, lambda r: r == plain, lambda r: pickle.loads(pickle.dumps(r)),
+               lambda r: r.replace(truncation=5), lambda r: r.piece(2)]
+    for read in readers:
+        ring = _ring(model, 0b1111110, 0b110, 0b11000, 0b100000, 0b1000000)
+        assert (ring.minimal, ring.table) == ((0b100000, 0b1000000, 0b110, 0b11000), model.weights.columns)
+        with pytest.raises(AttributeError):
+            GradedRingPresentation.relations.__get__(ring)
+        assert read(ring) == read(plain)
+        assert (ring.relations, ring.degrees, ring.traces) == (plain.relations, (1, 2), (0b100000, 0b110))
+    assert not hasattr(ring, "nothing") and (plain.minimal, plain.table) == (None, None)
+
+
+def _pool_inputs():
+    """The inputs of the benchmark's ``sectors`` and ``desk`` pools, drawn
+    by ``perfbench/inputs.py``, which imports nothing of the library."""
+    spec = importlib.util.spec_from_file_location(
+        "pool_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return [(WeightMatrix.from_rows(a), theta) for name in ("sectors", "desk") for a, theta in inputs.model_pool(name)]
+
+
+def test_a_passing_verify_builds_no_linear_form_product(monkeypatch):
+    # every ring comparison is settled by trace masks and character
+    # tables, and every embedding check by trace masks, so no ring builds
+    # its relations, and no generator product or normal Euler class is
+    # made: the product kernel never runs (the rings built every relation
+    # eagerly before, 415 kernel runs over the two pools)
+    runs = _kernel_runs(monkeypatch, chow_module, orbifold_module)
+    seeded = [random_generic_instance(random.Random(1), d, n) for d, n in [(1, 4), (2, 4), (2, 5), (3, 5), (3, 6)]]
+    inputs = _pool_inputs() + seeded
+    assert len(inputs) == 48 + 24 + 5
+    for a, theta in inputs:
+        assert verify_obstruction_pullback(a, theta).ok and verify_orbifold_iso(a, theta, 5).ok
+    assert runs == []
+
+
+def test_equal_masks_over_other_characters_fall_back_to_the_relations(monkeypatch):
+    # equal minimal traces certify two rings equal only over equal
+    # character tables; over another table both rings build their
+    # relations and compare them, which here differ (2t against 3t) or
+    # agree (the characters differ off the trace)
+    runs = _kernel_runs(monkeypatch, chow_module)
+    for chars, same in [(((2,), (1,), (5,)), True), (((3,), (1,), (5,)), False), (((2,), (1,), (7,)), True)]:
+        ring, other = _ring(_model((2,), (1,), (5,)), 0b1110, 0b10), _ring(_model(*chars), 0b1110, 0b10)
+        assert other.minimal == ring.minimal
+        runs.clear()
+        assert _same_relations(ring, other) is same
+        assert len(runs) == (0 if other.table == ring.table else 2)
+    assert len(runs) == 2
+
+
+@pytest.mark.parametrize("chars", [((1,), (1,)), ((1,), (0,))], ids=["repeated", "zero"])
+def test_a_mask_miss_runs_the_relation_check(chars, monkeypatch):
+    # the ambient trace {2} holds no sub trace, so the masks alone miss;
+    # its product repeats t, or is zero, so the one ambient relation t has
+    # the first mask {1}, which holds the sub trace {1}: the relation check
+    # proves both directions with no lattice test
+    model = _model(*chars)
+    sub, ambient = _ring(model, 0b110, 0b10), _ring(model, 0b110, 0b10, 0b100)
+    assert (sub.minimal, ambient.minimal) == ((0b10,), (0b10, 0b100))
+    assert (ambient.relations, ambient.traces) == ((T,), (0b10,))
+    asked, read, uncertified = _lattice_tests(monkeypatch), [], chow_module._uncertified
+    monkeypatch.setattr(chow_module, "_uncertified", lambda *args: read.append(args) or uncertified(*args))
+    SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns).check()
+    assert asked == [] and len(read) == 2
+
+
+def test_an_embedding_of_columns_outside_the_target_is_refused():
+    # the certificate takes the normal coordinates to be the target's
+    # outside the sub's, which holds only for nested column sets
+    geo = SectorGeometry(lawrence_model(*random_generic_instance(random.Random(2), 2, 4)), 5)
+    with pytest.raises(ValueError, match=re.escape("columns [2, 4] do not lie in columns [1, 2, 3]")):
+        geo.embedding({2, 4}, {1, 2, 3})
+    assert not geo._embeddings
+    assert geo.embedding({2, 3}, {1, 2, 3}).normal == _mask([1, 1 + geo.model.n])
