@@ -4,10 +4,10 @@ A sector ring is presented as Z[t1..td] modulo one product relation per
 minimal unstable coordinate set (the factor for a coordinate of character w
 is the linear form <w, t>); a presentation built from a model keeps those
 sets as coordinate masks with the model's character table, and multiplies
-out its relations, each with its mask, only where they are read.  Each
-graded piece, up to a truncation bound, is Z^m over its monomials modulo
-the relation lattice, held as the reduced Hermite basis of that lattice,
-which is unique per lattice.  Piece k is built from piece k-1: the
+out its relations only where they are read.  Each graded piece, up to a
+truncation bound, is Z^m over its monomials modulo the relation lattice,
+held as the reduced Hermite basis of that lattice, which is unique per
+lattice.  Piece k is built from piece k-1: the
 degree-k part of the ideal is spanned by t_i times the degree-(k-1) part
 and the relations of degree exactly k.  Every product of linear forms
 (relations, normal Euler classes, generator products) is one kernel,
@@ -15,15 +15,14 @@ and the relations of degree exactly k.  Every product of linear forms
 the same cached "t_i times a monomial" maps.  Rank and torsion are read
 off the basis, and it gives canonical coordinates, in which ring-map
 isomorphisms and Gysin pushforwards are checked.  A Gysin check between
-two rings of one model is proved on their coordinate masks alone; it
-builds their relations, and runs the lattice test, only where the masks
-give no certificate.
+two rings of one model is proved on their minimal trace masks alone, with
+no relation built; any other Gysin check runs the lattice test on every
+relation.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple
 
 from .exact import IntMatrix, as_int, hermite_reduce, hnf, invariant_factors
@@ -82,7 +81,11 @@ class GradedPiece(NamedTuple):
 
     def representative(self, coords) -> IntPoly:
         """The polynomial whose coefficients are ``coords``; canonical
-        coordinates are coefficients, so its class has those coordinates."""
+        coordinates are coefficients, so its class has those coordinates.
+        A vector of another length than ``monomials`` raises ``ValueError``."""
+        coords = tuple(coords)
+        if len(coords) != len(self.monomials):
+            raise ValueError("coefficient vector has wrong length")
         nvars = len(self.monomials[0]) if self.monomials else 0
         return IntPoly.from_dict(nvars, dict(zip(self.monomials, coords)))
 
@@ -96,42 +99,36 @@ class GradedRingPresentation(Value):
 
     A presentation is an immutable ``Value`` over its ring, ``num_vars``,
     ``relations`` and ``truncation``: equality compares these, and no
-    field is assigned after construction.  Its read-once tables are cache
-    slots, set once: ``degrees``, the degree of each relation, and
-    ``traces``, per relation of a ring a model builds the mask of the
-    model's coordinates whose characters multiply to it (bit i for
-    coordinate i); any other presentation has no ``traces``.  A ring a
-    model builds (``_trace_ring``, unchecked, by ``_derived``) keeps its
-    minimal trace masks, ``minimal``, and the model's character table,
-    ``table`` (coordinate i at i - 1), and works out its relations,
-    degrees and traces from them on first read (``__getattr__``), so
-    equality, pickling, ``replace``, pieces and printing build them
-    through that one path; any other presentation has ``minimal`` and
-    ``table`` None.  The masks are a certificate (``SectorEmbedding.check``,
-    ``orbifold._same_relations``), not part of the ring's value.
-    ``__init__`` reads the degrees as it validates the relations
-    (``IntPoly.homogeneous_degree`` refuses a non-homogeneous one).  A
-    presentation is not hashable (``__hash__ = None``): its pieces fill a
-    dict as they are read."""
+    field is assigned after construction.  ``__init__`` stores the
+    relations as a tuple, whatever iterable it is given, and validates
+    each (``IntPoly.homogeneous_degree`` refuses a non-homogeneous one).
+    A ring a model builds (``_trace_ring``, unchecked, by ``_derived``)
+    keeps its minimal trace masks, ``minimal`` (bit i for coordinate i),
+    and the model's character table, ``table`` (coordinate i at i - 1),
+    and works out its relations from them on first read
+    (``__getattr__``), so equality, pickling, ``replace``, pieces and
+    printing build them through that one path; any other presentation
+    has ``minimal`` and ``table`` None.  The masks are a certificate
+    (``SectorEmbedding.check``, ``orbifold._same_relations``), not part
+    of the ring's value.  A presentation is not hashable
+    (``__hash__ = None``): its pieces fill a dict as they are read."""
 
     _fields = ("num_vars", "relations", "truncation")
-    __slots__ = _fields + ("degrees", "traces", "minimal", "table", "_pieces")
+    __slots__ = _fields + ("minimal", "table", "_pieces")
 
     def __init__(self, num_vars: int, relations: tuple[IntPoly, ...], truncation: int):
-        num_vars, truncation = as_int(num_vars), _truncation(truncation)
+        num_vars, truncation, relations = as_int(num_vars), _truncation(truncation), tuple(relations)
         if num_vars < 0:
             raise ValueError("number of variables must be nonnegative, got %d" % num_vars)
-        degrees = []
         for r in relations:
             if r.nvars != num_vars:
                 raise ValueError("relation %s is in %d variables, not %d" % (r, r.nvars, num_vars))
             if r.is_zero:
                 raise ValueError("zero relation should have been dropped")
-            degrees.append(r.homogeneous_degree())
-            if not degrees[-1]:
+            if not r.homogeneous_degree():
                 raise ValueError("degree-0 relation makes the ring trivial")
         self._set(num_vars, truncation, None, None)
-        self._fill(relations, tuple(degrees), ())
+        object.__setattr__(self, "relations", relations)
 
     def _set(self, num_vars: int, truncation: int, minimal: tuple[int, ...] | None, table) -> None:
         object.__setattr__(self, "num_vars", num_vars)
@@ -140,26 +137,20 @@ class GradedRingPresentation(Value):
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "_pieces", {})
 
-    def _fill(self, relations: tuple[IntPoly, ...], degrees: tuple[int, ...], traces: tuple[int, ...]) -> None:
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "traces", traces)
-
     def __getattr__(self, name):
-        """The relations, degrees and traces of a ring a model builds, on
-        first read, the only time their slots are empty: the product of
-        the linear forms of the characters of each minimal trace's
-        coordinates, zero ones dropped and equal ones kept once with their
-        first mask (``_relations``).  Each relation is a nonzero product
-        of as many linear forms in d variables as its mask has bits, so it
-        is homogeneous of that degree, at least 1."""
-        if name not in ("relations", "degrees", "traces"):
+        """The relations of a ring a model builds, on first read, the only
+        time their slot is empty: the product of the linear forms of the
+        characters of each minimal trace's coordinates, zero ones dropped
+        and equal ones kept once (``_relations``).  Each relation is a
+        nonzero product of as many linear forms in d variables as its mask
+        has bits, so it is homogeneous of that degree, at least 1."""
+        if name != "relations":
             raise AttributeError(name)
         table = self.table
-        rels = _relations((product_of_forms(self.num_vars, [table[i - 1] for i in _bits(s)]), s)
-                          for s in self.minimal)
-        self._fill(tuple(p for p, _ in rels), tuple(s.bit_count() for _, s in rels), tuple(s for _, s in rels))
-        return getattr(self, name)
+        relations = _relations(product_of_forms(self.num_vars, [table[i - 1] for i in _bits(s)])
+                               for s in self.minimal)
+        object.__setattr__(self, "relations", relations)
+        return relations
 
     __hash__ = None
 
@@ -167,8 +158,8 @@ class GradedRingPresentation(Value):
     def from_characters(num_vars: int, multisets, truncation: int) -> "GradedRingPresentation":
         """The ring of the products of linear forms, one per multiset of
         characters (``_relations``), with no certificate."""
-        products = ((product_of_forms(num_vars, [tuple(map(as_int, w)) for w in ws]), None) for ws in multisets)
-        return GradedRingPresentation(num_vars, tuple(p for p, _ in _relations(products)), truncation)
+        products = (product_of_forms(num_vars, [tuple(map(as_int, w)) for w in ws]) for ws in multisets)
+        return GradedRingPresentation(num_vars, _relations(products), truncation)
 
     def piece(self, k: int) -> GradedPiece:
         k = as_int(k)
@@ -245,8 +236,7 @@ def _build_piece(pres: GradedRingPresentation, k: int) -> GradedPiece:
     of the ideal, so the basis is that of the full Macaulay matrix."""
     monos = _monomials(pres.num_vars, k)
     width = len(monos)
-    vectors = [rel.coefficients_on(monos) for rel, deg in zip(pres.relations, pres.degrees)
-               if deg == k]
+    vectors = [rel.coefficients_on(monos) for rel in pres.relations if _degree(rel) == k]
     if k > 0:
         lower = pres.piece(k - 1)
         for moved in _times_t(pres.num_vars, k - 1):
@@ -270,15 +260,17 @@ def presentation(model: StackModel, truncation: int | None = None) -> GradedRing
                        truncation)
 
 
-def _relations(products) -> list[tuple[IntPoly, int | None]]:
-    """The distinct nonzero products of the (product, mask) pairs
-    ``products``, each with its first mask, in (degree, terms) order: the
-    relations of a ring of products, each product hashed once."""
-    first = {}
-    for p, s in products:
-        if p.terms:
-            first.setdefault(p, s)
-    return sorted(first.items(), key=lambda item: (sum(item[0].terms[0][0]), item[0].terms))
+def _relations(products) -> tuple[IntPoly, ...]:
+    """The distinct nonzero polynomials of ``products``, in (degree, terms)
+    order: the relations of a ring of products, each product hashed
+    once."""
+    return tuple(sorted({p for p in products if p.terms}, key=lambda p: (_degree(p), p.terms)))
+
+
+def _degree(rel: IntPoly) -> int:
+    """The degree of a nonzero homogeneous polynomial, read off its first
+    term."""
+    return sum(rel.terms[0][0])
 
 
 def _trace_ring(model: StackModel, support: int, unstable, truncation: int) -> GradedRingPresentation:
@@ -288,7 +280,8 @@ def _trace_ring(model: StackModel, support: int, unstable, truncation: int) -> G
     forms of the characters of the trace's coordinates.  The ring keeps
     the minimal traces and the model's character table, and works out its
     relations only where they are read (``GradedRingPresentation``), so a
-    check that the masks settle multiplies no linear forms.  An empty
+    check that the masks settle (``SectorEmbedding.check``,
+    ``orbifold._same_relations``) multiplies no linear forms.  An empty
     trace raises ``ValueError`` here.  The one builder of ``presentation``
     and of an orbifold geometry's sector rings, which pass a nonnegative
     int ``truncation``; the ring is built unchecked (``_derived``)."""
@@ -433,38 +426,42 @@ class SectorEmbedding(Value):
 
         A product of linear forms divides another when the coordinates of
         its characters are among the other's.  In an embedding built
-        between two rings of one model (``_of_coordinates``), a trace mask
-        names a product's coordinates.  So an ambient relation r is zero
-        on the subsector when some sub trace s has ``s & r == s``, and a
-        sub relation s pushes into the ambient ideal when some ambient
-        trace r has ``r & (s | normal) == r``.  Such an embedding is first
-        proved on the masks alone (``_covered``), over every minimal trace
-        of both rings (``minimal``), with no relation built: a trace whose
-        product is zero lies in no trace of a nonzero relation, and a
-        trace whose product repeats another's is a relation too.  On any
-        miss both rings build their relations, and each relation is proved
-        by its own mask (``traces``) against the other ring's; the lattice
-        test runs for every relation without such a containment, and for
-        every relation of any other embedding (``_uncertified``).  An
-        embedding of a model's ring into itself with no normal coordinates
-        is the identity map, and is proved with no mask read."""
+        between two rings of one model (``_of_coordinates``), a minimal
+        trace mask (``minimal``) names a product's coordinates.  So an
+        ambient relation of trace r is zero on the subsector when some sub
+        trace s has ``s & r == s``, and a sub relation of trace s pushes
+        into the ambient ideal when some ambient trace r has
+        ``r & (s | normal) == r``.  Such an embedding is proved on the
+        masks alone (``_covered``), over every minimal trace of both
+        rings, with no relation built: a trace whose product is zero lies
+        in no trace of a nonzero relation, and a trace whose product
+        repeats another's is a relation too.  Both rings trace one list of
+        minimal unstable masks u, the sub on coordinates C and the ambient
+        on T, with ``normal`` = T - C, so neither test can miss: each
+        ambient trace ``u & T`` holds ``u & C``, which is not empty and so
+        holds a sub trace, and each sub trace ``u & C`` joined with
+        ``normal`` holds ``u & T``, which holds an ambient trace.  Any
+        other embedding, or a miss, runs the lattice test on every
+        relation in range.  An embedding of a model's ring into itself
+        with no normal coordinates is the identity map, and is proved with
+        no mask read."""
         sub, ambient, normal = self.sub, self.ambient, self.normal
         if normal == 0 and sub is ambient:
             return
-        masked, pushes = normal is not None, all(map(any, self.normal_chars))
+        pushes = all(map(any, self.normal_chars))
         limit = ambient.truncation - len(self.normal_chars)
-        if masked and _covered(ambient.minimal, sub.truncation, sub.minimal, 0) and (
+        if normal is not None and _covered(ambient.minimal, sub.truncation, sub.minimal, 0) and (
                 not pushes or _covered(sub.minimal, limit, ambient.minimal, normal)):
             return
-        for rel in _uncertified(ambient, sub.truncation, sub.traces if masked else (), 0):
-            if not is_zero_class(sub, rel):
+        for rel in ambient.relations:
+            if _degree(rel) <= sub.truncation and not is_zero_class(sub, rel):
                 raise GysinError(
                     "restriction ill-defined: ambient relation %s is nonzero on the subsector" % rel
                 )
         if not pushes:
             return  # a zero character: the normal Euler class is zero
-        for rel in _uncertified(sub, limit, ambient.traces if masked else (), normal):
-            if not is_zero_class(ambient, rel * self.euler):
+        for rel in sub.relations:
+            if _degree(rel) <= limit and not is_zero_class(ambient, rel * self.euler):
                 raise GysinError(
                     "pushforward ill-defined: %s times the normal Euler class "
                     "is nonzero in the ambient ring" % rel
@@ -475,15 +472,6 @@ def _covered(masks, limit: int, others, more: int) -> bool:
     """Whether each mask of ``masks`` with at most ``limit`` bits, joined
     with the coordinates ``more``, contains one of the masks ``others``."""
     return all(any(r & (s | more) == r for r in others) for s in masks if s.bit_count() <= limit)
-
-
-def _uncertified(pres, limit: int, masks, more: int | None) -> list[IntPoly]:
-    """The relations of ``pres`` of degree at most ``limit`` with no mask
-    certificate: none of the relation masks ``masks`` of the other ring
-    lies in theirs joined with the coordinates ``more`` (all of them when
-    ``masks`` is empty)."""
-    return [rel for rel, deg, s in itertools.zip_longest(pres.relations, pres.degrees, pres.traces)
-            if deg <= limit and not any(r & (s | more) == r for r in masks)]
 
 
 def gysin_push(embedding: SectorEmbedding, poly: IntPoly) -> IntPoly:

@@ -57,7 +57,10 @@ class IntPoly(Value):
 
     @staticmethod
     def variable(nvars: int, i: int) -> "IntPoly":
-        """The variable t_{i+1} (0-based index i)."""
+        """The variable t_{i+1} (0-based index i); an index outside
+        0..nvars-1 raises ``ValueError``."""
+        if not 0 <= i < nvars:
+            raise ValueError("variable index %d out of range for %d variables" % (i, nvars))
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return IntPoly.from_dict(nvars, {exps: 1})
 

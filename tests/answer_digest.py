@@ -5,7 +5,7 @@ answers after a change that should keep them.
 Over the Lawrence and hypertoric models of ``random_generic_instance`` at
 ``(1, 4)``, ``(1, 6)``, ``(2, 4)``, ``(2, 5)``, ``(3, 5)``, ``(3, 6)`` and
 seeds 1-5, it hashes each ring and embedding the geometry of
-``orbifold_table(model, 5)`` stores (fields, degrees, trace masks, normal
+``orbifold_table(model, 5)`` stores (fields, minimal trace masks, normal
 characters and mask), every product entry of ``double_inertia`` and
 ``presentation(model)`` at the default truncation and at 4.  It prints the
 stored rings, the stored embeddings and the digest.  Run it from the root
@@ -26,7 +26,7 @@ SHAPES = ((1, 4), (1, 6), (2, 4), (2, 5), (3, 5), (3, 6))
 
 
 def _ring(p):
-    return repr((p.num_vars, p.relations, p.truncation, p.degrees, p.traces))
+    return repr((p.num_vars, p.relations, p.truncation, p.minimal))
 
 
 def main():

@@ -89,6 +89,19 @@ def test_presentation_refuses_a_negative_number_of_variables():
     assert GradedRingPresentation(0, (), 3).piece(2).describe_group() == "0"
 
 
+def test_presentation_stores_its_relations_as_a_tuple():
+    # a list or a generator of relations used to be stored as given: the
+    # ring then differed from the one over the tuple, and a generator was
+    # left exhausted in the field after validation
+    want = GradedRingPresentation(1, (T * T,), 3)
+    for given in ([T * T], (r for r in [T * T])):
+        pres = GradedRingPresentation(1, given, 3)
+        assert pres.relations == (T * T,) and pres == want
+        assert pres.piece(2).describe_group() == "0"
+    replaced = want.replace(relations=[T.scale(3)])
+    assert replaced.relations == (T.scale(3),) and replaced == zpres(T.scale(3), truncation=3)
+
+
 def test_graded_invariants_independent_of_relation_order():
     rng = random.Random(3)
     rels = [T.scale(6), (T * T).scale(4), T ** 3]
@@ -174,6 +187,25 @@ def test_reduce_idempotent_through_representative(z2t2):
         piece.canonical((1, 2))
     with pytest.raises(ValueError, match="^polynomial has monomials outside the given basis$"):
         (T * T).coefficients_on(piece.monomials)
+
+
+def test_representative_refuses_a_vector_of_the_wrong_length():
+    # the degree-3 piece of Z[t]/(t^2) has the one monomial t^3; a longer
+    # vector used to be cut to its first entry
+    piece = graded_group(zpres(T * T, truncation=4), 3)
+    assert piece.monomials == ((3,),)
+    assert piece.representative((5,)) == (T ** 3).scale(5)
+    for coords in ((5, 7, 9), ()):
+        with pytest.raises(ValueError, match="^coefficient vector has wrong length$"):
+            piece.representative(coords)
+
+
+def test_a_variable_index_outside_the_variables_is_refused():
+    # an index past the variables used to give the constant 1
+    assert IntPoly.variable(2, 1) == IntPoly.linear_form((0, 1))
+    for nvars, i in ((2, 5), (2, 2), (2, -1), (0, 0)):
+        with pytest.raises(ValueError, match="^variable index %d out of range for %d variables$" % (i, nvars)):
+            IntPoly.variable(nvars, i)
 
 
 def test_iso_identity(z2t2):

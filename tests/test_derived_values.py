@@ -6,7 +6,8 @@ validated, through each type's ``_``-prefixed constructor, with none of
 the moment fiber (``model._moment_fiber``), every sector ring
 (``chow._trace_ring``) and every embedding between two rings of one model
 (``SectorEmbedding._of_coordinates``).  Each is held here to the value the
-public constructor builds from the same data, cache slots included, over
+public constructor builds from the same data, down to each relation's
+degree as the library reads it off the first term, over
 the Lawrence, hypertoric and direct models of ``test_pair_blocks`` and
 the Lawrence and hypertoric models of ``(1, 4)`` ... ``(3, 6)`` at seeds
 1-5.  The public constructors keep their refusals.
@@ -33,6 +34,7 @@ from hypertoric import (
     orbifold_table,
     presentation,
 )
+from hypertoric.chow import _degree
 from hypertoric.inertia import _bits, _mask
 from hypertoric.model import HYPERTORIC
 from hypertoric.sampling import random_generic_instance
@@ -95,8 +97,12 @@ def test_every_built_ring_and_embedding_equals_the_checked_one():
         built = list(geo._presentations.values()) + [presentation(model), presentation(model, 3)]
         for ring in built:
             checked = GradedRingPresentation(ring.num_vars, ring.relations, ring.truncation)
-            assert ring == checked and ring.degrees == checked.degrees
-            assert ring.degrees == tuple(s.bit_count() for s in ring.traces)
+            assert ring == checked and (checked.minimal, checked.table) == (None, None)
+            # each relation's degree, read off its first term, is that of
+            # the checked relation and the bit count of a minimal mask
+            degrees = [_degree(r) for r in ring.relations]
+            assert degrees == [r.homogeneous_degree() for r in checked.relations]
+            assert set(degrees) <= {s.bit_count() for s in ring.minimal}
         rings += len(built)
         n = model.n
         for (common, target), emb in geo._embeddings.items():

@@ -6,9 +6,9 @@ lies in the coordinates over the other columns.  Every subset of columns is
 tried, the empty and the rank-deficient ones among them.  Ages are read off
 the obstruction kernel's exponent vectors; the oracle sums
 m * (<w, g> - floor(<w, g>)) over the tangent class in Fractions, trivial
-summands included.  A presentation's degrees are compared with
-``homogeneous_degree()``, and each relation with the product of the
-characters of the coordinates of its trace mask.
+summands included.  A relation's degree, read off its first term, is
+compared with ``homogeneous_degree()``, and a ring's relations with the
+products of the characters of the coordinates of its minimal trace masks.
 """
 
 import itertools
@@ -35,7 +35,7 @@ from hypertoric import (
     verify_obstruction_pullback,
     verify_orbifold_iso,
 )
-from hypertoric.chow import product_of_forms
+from hypertoric.chow import _degree, product_of_forms
 from hypertoric.exact import hnf
 from hypertoric.inertia import _bits, _columns, _mask, _Stability
 from hypertoric.sampling import random_generic_instance, random_weight_matrix
@@ -204,19 +204,23 @@ def presentations():
     (2, (IntPoly.linear_form((1, 1)) * IntPoly.linear_form((1, -1)),
          IntPoly.linear_form((0, 2)) ** 3), 5),
 ])
-def test_presentations_without_multisets_keep_only_their_degrees(plain):
+def test_presentations_without_multisets_keep_no_masks(plain):
     pres = GradedRingPresentation(*plain)
-    assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-    assert pres.traces == ()
+    assert [_degree(r) for r in pres.relations] == [r.homogeneous_degree() for r in pres.relations]
+    assert (pres.minimal, pres.table) == (None, None)
 
 
-def test_cached_degrees_and_multisets_equal_the_recomputed_ones():
+def test_relations_are_the_products_of_the_minimal_masks():
+    # each relation is the product over some minimal mask, each nonzero
+    # such product is a relation, and no relation is listed twice
     seen = 0
     for pres, support, model in presentations():
-        assert pres.degrees == tuple(r.homogeneous_degree() for r in pres.relations)
-        assert len(pres.traces) == len(pres.relations)
-        for rel, mask in zip(pres.relations, pres.traces):
+        assert [_degree(r) for r in pres.relations] == [r.homogeneous_degree() for r in pres.relations]
+        products = set()
+        for mask in pres.minimal:
             assert mask & support == mask
-            assert product_of_forms(pres.num_vars, [model.coordinate_char(i) for i in _bits(mask)]) == rel
-            seen += 1
+            products.add(product_of_forms(pres.num_vars, [model.coordinate_char(i) for i in _bits(mask)]))
+        assert set(pres.relations) == products - {IntPoly.zero(pres.num_vars)}
+        assert len(set(pres.relations)) == len(pres.relations)
+        seen += len(pres.relations)
     assert seen > 100

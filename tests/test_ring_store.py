@@ -11,7 +11,7 @@ two rings equal (``_same_ring``), and so do equal minimal trace masks over
 equal character tables, with no relation built (``_same_relations``);
 containment of coordinate masks in two rings of one model proves a
 product relation divides another (``SectorEmbedding.check``), on the
-minimal traces alone where they suffice; and equal makeups prove two
+minimal traces alone; and equal makeups prove two
 generator products one class (``orbifold._same_makeup``).  The negative
 controls here show that the relations and the lattice test still decide
 wherever no certificate exists.
@@ -37,13 +37,14 @@ from hypertoric import (
     WeightMatrix,
     direct_model,
     double_inertia,
+    hypertoric_model,
     lawrence_model,
     orbifold_table,
     ring_map_is_iso,
     verify_obstruction_pullback,
     verify_orbifold_iso,
 )
-from hypertoric.inertia import _mask
+from hypertoric.inertia import _bits, _mask
 from hypertoric.orbifold import _same_relations, _same_ring
 from hypertoric.sampling import random_generic_instance
 
@@ -184,17 +185,17 @@ def _lattice_tests(monkeypatch):
 REPEATED = direct_model(WeightMatrix.from_rows([[1, 1, 1]]), unstable=[[1, 2, 3]])
 
 
-def test_a_model_ring_keeps_a_trace_mask_per_relation():
+def test_a_model_ring_keeps_its_minimal_masks():
     model = _model((1,), (1,), (-1,), (-1,), (3,), (0,))
     pres = _ring(model, 0b1111110, 0b110, 0b11000, 0b100000, 0b1000000)
-    # t^2 from two masks is one relation with the first mask; a zero
-    # character gives a zero product, which is dropped
+    # every minimal mask is kept; t^2 from two masks is one relation, and
+    # a zero character gives a zero product, which is dropped
+    assert pres.minimal == (0b100000, 0b1000000, 0b110, 0b11000)
     assert [str(r) for r in pres.relations] == ["3*t1", "t1^2"]
-    assert pres.traces == (0b100000, 0b110)
     assert pres == GradedRingPresentation(1, (T.scale(3), T * T), 6)
     # the characters' ring is the same ring, with no masks
     chars = GradedRingPresentation.from_characters(1, [[(1,), (1,)], [(-1,), (-1,)], [(3,)], [(0,)]], 6)
-    assert chars == pres and chars.traces == ()
+    assert chars == pres and chars.minimal is None
 
 
 def test_no_certificate_reaches_the_lattice_test_and_raises(monkeypatch):
@@ -211,14 +212,16 @@ def test_no_certificate_reaches_the_lattice_test_and_raises(monkeypatch):
 
 
 def test_no_certificate_but_a_member_passes_the_lattice_test(monkeypatch):
-    # t1 + t2 lies in (t1, t2) though neither divides it; the pushes of t1
-    # and t2 are certified by the ambient relations t1 and t2
+    # t1 + t2 lies in (t1, t2) though neither divides it: its mask holds
+    # no sub mask, so the lattice test is asked about every relation, and
+    # passes them all
     asked = _lattice_tests(monkeypatch)
     model = _model((1, 0), (0, 1), (1, 1))
     sub = _ring(model, 0b1110, 0b10, 0b100)
     ambient = _ring(model, 0b1110, 0b1000, 0b10, 0b100)
-    SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns).check()
-    assert asked == [T1 + T2]
+    emb = SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns)
+    emb.check()
+    assert T1 + T2 in asked and asked == _asked_of_every_relation(emb)
 
 
 def _restriction_t_against_t_squared():
@@ -238,37 +241,45 @@ def _pushforward_t_times_t_against_t_cubed():
     return SectorEmbedding._of_coordinates(sub, ambient, (2,), REPEATED.weights.columns)
 
 
-@pytest.mark.parametrize("build, message", [
-    (_restriction_t_against_t_squared, "restriction ill-defined: ambient relation t1 is nonzero"),
-    (_pushforward_t_times_t_against_t_cubed, "pushforward ill-defined: t1 times"),
+@pytest.mark.parametrize("build, message, count", [
+    (_restriction_t_against_t_squared, "restriction ill-defined: ambient relation t1 is nonzero", 1),
+    (_pushforward_t_times_t_against_t_cubed, "pushforward ill-defined: t1 times", 2),
 ], ids=["restriction", "pushforward"])
-def test_containment_counts_multiplicity(build, message, monkeypatch):
+def test_containment_counts_multiplicity(build, message, count, monkeypatch):
     # a repeated column gives two coordinates of one character: two bits,
-    # so mask containment counts multiplicity
+    # so mask containment counts multiplicity, and the masks miss.  The
+    # lattice test is asked about the relations in order, and refuses the
+    # last one asked: the restricted t (of 1), or, once t^3 restricts to
+    # zero, the pushed t (of 2)
     emb = build()
     asked = _lattice_tests(monkeypatch)
     with pytest.raises(GysinError, match=message):
         emb.check()
-    assert len(asked) == 1
+    assert asked == _asked_of_every_relation(emb)[:count]
 
 
 @pytest.mark.parametrize("seed, d, n", [(1, 2, 5), (2, 3, 5)])
 def test_a_ring_missing_one_relation_mask_fails_the_lattice_test_naming_it(seed, d, n, monkeypatch):
     # the identity embedding into a sector ring of a sub ring built without
-    # one relation's mask: that relation alone reaches the lattice test,
-    # which refuses it, naming it
-    geo = SectorGeometry(lawrence_model(*random_generic_instance(random.Random(seed), d, n)), 5)
+    # the minimal masks of one relation: the masks miss, and the lattice
+    # test, asked about the ambient relations in order, refuses that one
+    # first, naming it
+    model = lawrence_model(*random_generic_instance(random.Random(seed), d, n))
+    geo = SectorGeometry(model, 5)
     ring, fixed = max(((geo.sector_presentation(c.g), c.fixed_columns) for c in geo.components),
                       key=lambda pair: len(pair[0].relations))
     assert len(ring.relations) >= 3
-    support = _mask(geo.model.coords_of_columns(fixed))
+    support = _mask(model.coords_of_columns(fixed))
+    product = {s: chow_module.product_of_forms(model.d, [model.coordinate_char(i) for i in _bits(s)])
+               for s in ring.minimal}
     asked = _lattice_tests(monkeypatch)
     for k, rel in enumerate(ring.relations):
-        less = _ring(geo.model, support, *ring.traces[:k], *ring.traces[k + 1:], truncation=ring.truncation)
+        less = _ring(model, support, *(s for s in ring.minimal if product[s] != rel), truncation=ring.truncation)
         asked.clear()
+        emb = SectorEmbedding._of_coordinates(less, ring, (), model.weights.columns)
         with pytest.raises(GysinError, match=re.escape("ambient relation %s is nonzero" % rel)):
-            SectorEmbedding._of_coordinates(less, ring, (), geo.model.weights.columns).check()
-        assert asked == [rel]
+            emb.check()
+        assert asked == _asked_of_every_relation(emb)[:k + 1] and asked[-1] == rel
 
 
 def _asked_of_every_relation(emb):
@@ -276,10 +287,10 @@ def _asked_of_every_relation(emb):
     every ambient relation within the sub's truncation, then every sub
     relation within range times the normal Euler class."""
     sub, ambient = emb.sub, emb.ambient
-    out = [r for r, k in zip(ambient.relations, ambient.degrees) if k <= sub.truncation]
+    out = [r for r in ambient.relations if r.homogeneous_degree() <= sub.truncation]
     if all(map(any, emb.normal_chars)):
         limit = ambient.truncation - len(emb.normal_chars)
-        out += [r * emb.euler for r, k in zip(sub.relations, sub.degrees) if k <= limit]
+        out += [r * emb.euler for r in sub.relations if r.homogeneous_degree() <= limit]
     return out
 
 
@@ -315,8 +326,8 @@ def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
     # of the embeddings a geometry checks, those of a fixed set into itself
     # (common mask equal to target mask, no normal coordinates) return at
     # once; every other one is proved on its trace masks (``_covered``) and
-    # reads no relation (``_uncertified``); every embedding is still
-    # checked once
+    # asks the lattice test (``is_zero_class``) about no relation; every
+    # embedding is still checked once
     model = lawrence_model(*random_generic_instance(random.Random(1), 2, 5))
     checked, check = [], SectorEmbedding.check
 
@@ -332,7 +343,7 @@ def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
 
     monkeypatch.setattr(SectorEmbedding, "check", spy_check)
     monkeypatch.setattr(chow_module, "_covered", spy("masks", chow_module._covered))
-    monkeypatch.setattr(chow_module, "_uncertified", spy("relations", chow_module._uncertified))
+    monkeypatch.setattr(chow_module, "is_zero_class", spy("relations", chow_module.is_zero_class))
     orbifold_table(model, 5)
     masks = {key[1:] for key in model.analysis.keys}
     assert len(checked) == len(masks)
@@ -343,17 +354,21 @@ def test_an_embedding_of_a_ring_into_itself_reads_no_relation(monkeypatch):
 
 
 def test_certificates_prove_every_seeded_sector_embedding(monkeypatch):
-    # on these models a certificate settles every check, and the lattice
-    # test, run on the same rings without their masks, agrees
-    asked = _lattice_tests(monkeypatch)
+    # on these models the mask certificate settles every check, with no
+    # miss (every ``_covered`` call returns True), and the lattice test,
+    # run on the same rings without their masks, agrees
+    asked, covered, test = _lattice_tests(monkeypatch), [], chow_module._covered
+    monkeypatch.setattr(chow_module, "_covered", lambda *args: covered.append(test(*args)) or covered[-1])
+    models = [build(*random_generic_instance(random.Random(seed), d, n))
+              for build in (lawrence_model, hypertoric_model) for seed, d, n in [(1, 2, 5), (2, 3, 5), (1, 1, 6)]]
+    models += [direct_model(WeightMatrix.from_rows([row]), theta=[1]) for row in ([2, 4, 6], [1, 2, 3])]
     embeddings = []
-    for seed, d, n in [(1, 2, 5), (2, 3, 5), (1, 1, 6)]:
-        model = lawrence_model(*random_generic_instance(random.Random(seed), d, n))
+    for model in models:
         geo = SectorGeometry(model, 5)
         for p in double_inertia(geo.model):
             embeddings.append(geo.embedding(p.common_fixed, geo.component(p.target).fixed_columns))
-    assert len({id(e) for e in embeddings}) > 20
-    assert asked == []
+    assert len({id(e) for e in embeddings}) > 90
+    assert asked == [] and len(covered) > 100 and all(covered)
     for emb in {id(e): e for e in embeddings}.values():
         sub, ambient = (GradedRingPresentation(p.num_vars, p.relations, p.truncation)
                         for p in (emb.sub, emb.ambient))
@@ -388,7 +403,7 @@ def test_a_model_ring_builds_its_relations_on_first_read_by_one_path():
         with pytest.raises(AttributeError):
             GradedRingPresentation.relations.__get__(ring)
         assert read(ring) == read(plain)
-        assert (ring.relations, ring.degrees, ring.traces) == (plain.relations, (1, 2), (0b100000, 0b110))
+        assert ring.relations == plain.relations
     assert not hasattr(ring, "nothing") and (plain.minimal, plain.table) == (None, None)
 
 
@@ -433,19 +448,21 @@ def test_equal_masks_over_other_characters_fall_back_to_the_relations(monkeypatc
 
 
 @pytest.mark.parametrize("chars", [((1,), (1,)), ((1,), (0,))], ids=["repeated", "zero"])
-def test_a_mask_miss_runs_the_relation_check(chars, monkeypatch):
-    # the ambient trace {2} holds no sub trace, so the masks alone miss;
-    # its product repeats t, or is zero, so the one ambient relation t has
-    # the first mask {1}, which holds the sub trace {1}: the relation check
-    # proves both directions with no lattice test
+def test_a_mask_miss_runs_the_lattice_test(chars, monkeypatch):
+    # two rings that do not trace one list of unstable masks: the ambient
+    # trace {2} holds no sub trace, so the masks alone miss.  Its product
+    # repeats t, or is zero, so the one ambient relation is t; the lattice
+    # test is asked about every relation in range, and passes both
+    # directions
     model = _model(*chars)
     sub, ambient = _ring(model, 0b110, 0b10), _ring(model, 0b110, 0b10, 0b100)
     assert (sub.minimal, ambient.minimal) == ((0b10,), (0b10, 0b100))
-    assert (ambient.relations, ambient.traces) == ((T,), (0b10,))
-    asked, read, uncertified = _lattice_tests(monkeypatch), [], chow_module._uncertified
-    monkeypatch.setattr(chow_module, "_uncertified", lambda *args: read.append(args) or uncertified(*args))
-    SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns).check()
-    assert asked == [] and len(read) == 2
+    assert ambient.relations == (T,)
+    asked, covered, test = _lattice_tests(monkeypatch), [], chow_module._covered
+    monkeypatch.setattr(chow_module, "_covered", lambda *args: covered.append(test(*args)) or covered[-1])
+    emb = SectorEmbedding._of_coordinates(sub, ambient, (), model.weights.columns)
+    emb.check()
+    assert covered == [False] and asked == _asked_of_every_relation(emb) == [T, T]
 
 
 def test_an_embedding_of_columns_outside_the_target_is_refused():

@@ -4,8 +4,8 @@ An orbifold geometry reads a sector's ring off the characters of the
 minimal traces of its model's unstable sets, with no sector model built.
 The oracle builds the sector model and its presentation the long way, for
 every column subset of full rank, and asks for the same relations, the
-same certificates (each relation's trace mask, read as the characters of
-its coordinates), and the same refusal of a fixed locus that lies in the
+same certificates (the minimal trace masks, as a multiset, each read as
+the characters of its coordinates), and the same refusal of a fixed locus that lies in the
 unstable locus.
 """
 
@@ -87,10 +87,10 @@ def _outcome(build):
         pres, model = build()
     except ValueError as exc:
         return ("refused", str(exc))
-    # the sector model renumbers the coordinates, so the masks are compared
-    # through the characters of their coordinates
+    # the sector model renumbers the coordinates, so the minimal masks are
+    # compared as a multiset, each through the characters of its coordinates
     chars = model.coordinate_char
-    return (pres.relations, tuple(tuple(sorted(chars(i) for i in _bits(mask))) for mask in pres.traces))
+    return (pres.relations, tuple(sorted(tuple(sorted(chars(i) for i in _bits(mask))) for mask in pres.minimal)))
 
 
 def _sector_model_ring(model, fixed):
@@ -116,7 +116,7 @@ def test_direct_sector_rings_equal_the_sector_model_presentations(source):
                 assert got[1] == "fixed locus lies in the unstable locus"
                 refused += 1
             else:
-                assert len(got[1]) == len(got[0])
+                assert len(got[1]) >= len(got[0])
                 compared += 1
     assert kinds == {"lawrence", "hypertoric", "direct"}
     least_refused, least_compared = {"demo": (3, 20), "seeded": (30, 400)}[source]

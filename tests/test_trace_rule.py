@@ -7,7 +7,8 @@ The reference here is the rule on frozensets, as ``sector_unstable_sets``
 ran it before it read the mask rule.  Both are tried on every column
 subset, the empty and the rank-deficient ones among them.  Every ring
 the geometry builds must be ``GradedRingPresentation.from_characters`` of
-its traces' characters, with the same relations in the same order.  A
+its traces' characters, with the same relations in the same order, and
+keep those traces as its minimal masks, in the reference's order.  A
 verify of a model the library built checks none of the columns it built
 itself (``WeightMatrix._checked``), while the public entries still refuse
 columns outside 1..n.
@@ -94,10 +95,12 @@ def test_every_ring_of_a_geometry_is_the_ring_of_its_traces_characters():
             want = GradedRingPresentation.from_characters(
                 model.d, [[model.coordinate_char(i) for i in sorted(s)] for s in traces], geo.truncation)
             assert pres == want and pres.relations == want.relations, (name, fixed_mask)
-            assert set(pres.traces) <= set(map(_mask, traces))
-            for rel, mask in zip(pres.relations, pres.traces):
-                assert rel == GradedRingPresentation.from_characters(
-                    model.d, [[model.coordinate_char(i) for i in _bits(mask)]], geo.truncation).relations[0]
+            assert pres.minimal == tuple(map(_mask, traces))
+            # each relation is the product over some minimal mask, and each
+            # nonzero such product is a relation
+            products = {rel for mask in pres.minimal for rel in GradedRingPresentation.from_characters(
+                model.d, [[model.coordinate_char(i) for i in _bits(mask)]], geo.truncation).relations}
+            assert products == set(pres.relations)
             rings += 1
     assert rings > 800
 
